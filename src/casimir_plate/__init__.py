@@ -31,7 +31,6 @@ from .errors import (
     ToleranceError,
 )
 from .greens import (
-    GreensSample,
     PlateConfig,
     below_ratio_from_construction,
     greens_free_above,
@@ -48,7 +47,6 @@ from .oracle_ode import (
     solve_bvp_full,
 )
 from .quadrature import (
-    AnalyticTail,
     QuadratureSpec,
     QuadResult,
     integrate_finite,
@@ -72,11 +70,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AiryValues",
-    "AnalyticTail",
     "CasimirError",
     "DomainError",
     "ForceResult",
-    "GreensSample",
     "GridSpec",
     "OracleError",
     "PlateConfig",

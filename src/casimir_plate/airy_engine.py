@@ -27,7 +27,10 @@ their agreement across that band is asserted in the test suite.
 independent of both evaluators: adaptive high-order integration of
 w'' = t w seeded with closed-form values at t = 0 (for Bi) and with the
 asymptotic series at t = 50 (for Ai, marched downward; the upward
-direction is exponentially unstable for the decaying solution).
+direction is exponentially unstable for the decaying solution).  It
+imports ``scipy.integrate`` on first use and computes its Ai seed on each
+call, so the production path (two ``airy_eval`` calls per integrand node)
+never pays for it.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.integrate import solve_ivp
 from scipy.special import airye as _scipy_airye
 
 from .errors import DomainError, OracleError
@@ -240,6 +242,8 @@ def _ode_rhs(t, y):
 
 
 def _integrate(t0: float, y0: tuple[float, float], t1: float) -> tuple[float, float]:
+    from scipy.integrate import solve_ivp  # oracle only; kept off the import path
+
     sol = solve_ivp(
         _ode_rhs,
         (t0, t1),
@@ -258,9 +262,6 @@ def _ai_seed() -> tuple[float, float]:
     ai_s, aip_s, _, _ = _asymptotic_scaled(_ODE_MAX)
     e = math.exp(-zeta_of(_ODE_MAX))
     return ai_s * e, aip_s * e
-
-
-_AI_SEED = _ai_seed()
 
 
 def _assemble_from_raw(z: float, ai: float, aip: float, bi: float, bip: float) -> AiryValues:
@@ -292,8 +293,6 @@ def airy_via_ode_oracle(z: float) -> AiryValues:
     if zf == 0.0:
         return _assemble_from_raw(0.0, AI_ZERO, AIP_ZERO, BI_ZERO, BIP_ZERO)
     bi, bip = _integrate(0.0, (BI_ZERO, BIP_ZERO), zf)
-    if zf == _ODE_MAX:
-        ai, aip = _AI_SEED
-    else:
-        ai, aip = _integrate(_ODE_MAX, _AI_SEED, zf)
+    seed = _ai_seed()
+    ai, aip = seed if zf == _ODE_MAX else _integrate(_ODE_MAX, seed, zf)
     return _assemble_from_raw(zf, ai, aip, bi, bip)

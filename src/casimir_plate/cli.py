@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import math
 import os
@@ -117,9 +118,7 @@ def cmd_exact(args: argparse.Namespace) -> int:
 # curve
 
 
-def _row_worker(packed: tuple[float, float, float, int, float | None]):
-    eta, rel, ab, sub, kmax = packed
-    spec = QuadratureSpec(rel_tol=rel, abs_tol=ab, max_subdivisions=sub, kappa_max_policy=kmax)
+def _row_worker(eta: float, spec: QuadratureSpec):
     r = force_exact(eta, spec)
     return (r.eta, r.f_eta, r.err_est, r.kappa_max, r.n_evals)
 
@@ -175,17 +174,16 @@ def cmd_curve(args: argparse.Namespace) -> int:
         else:
             misses.append(eta)
 
-    packed = [
-        (eta, spec.rel_tol, spec.abs_tol, spec.max_subdivisions, spec.kappa_max_policy)
-        for eta in misses
-    ]
-    if args.jobs > 1 and len(packed) > 1:
+    # a fork-started pool starts every worker at once, so never ask for more
+    # than there are rows to compute or cores to run them
+    workers = min(args.jobs, len(misses), os.cpu_count() or 1)
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            computed = list(pool.map(_row_worker, packed))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            computed = list(pool.map(_row_worker, misses, itertools.repeat(spec)))
     else:
-        computed = [_row_worker(p) for p in packed]
+        computed = [_row_worker(eta, spec) for eta in misses]
     for eta, row in zip(misses, computed):
         rows[eta] = row
         cache[f"{eta!r}|{fp}"] = dict(zip(_ROW_FIELDS, row))

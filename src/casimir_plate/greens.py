@@ -41,7 +41,6 @@ from .errors import DomainError, SingularityError
 
 __all__ = [
     "PlateConfig",
-    "GreensSample",
     "greens_free_between",
     "greens_free_above",
     "greens_linear_above",
@@ -87,21 +86,6 @@ class PlateConfig:
         if not (math.isfinite(eta) and eta >= 0.0):
             raise DomainError(f"eta must be finite and >= 0, got {eta!r}")
         return cls(a=float(a), b=eta / float(a) ** 3)
-
-
-@dataclass(frozen=True)
-class GreensSample:
-    """One sampled Green's function value.
-
-    Exactly one of ``kappa`` (dimensionless momentum, linear background)
-    and ``K`` (physical momentum, flat background) is set.
-    """
-
-    x: float
-    xp: float
-    value: float
-    kappa: Optional[float] = None
-    K: Optional[float] = None
 
 
 def _check_momentum(K: float) -> float:

@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .errors import DomainError, ResolutionError
 from .greens import PlateConfig
@@ -96,6 +95,8 @@ def _solve_banded_bvp(
     kink while leaving every other node exact), so that node is corrected
     after the solve; the residual there is O(h^3 q).
     """
+    from scipy.linalg import solve_banded  # oracle only; kept off the import path
+
     n = xs.size
     h = xs[1] - xs[0]
     rhs = np.zeros(n)

@@ -9,7 +9,10 @@ bit-identical results.  That property is load-bearing: the command-line
 layer promises byte-identical output across reruns and worker counts.
 
 No rule node ever touches a panel endpoint, so integrands may be left
-unevaluated (or singular but integrable) at interval ends.
+unevaluated (or singular but integrable) at interval ends.  Each node of
+the force integrand costs two Airy evaluations (stress_kernel); the
+analytic tail beyond a momentum cutoff is the force layer's business, not
+this module's.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from .errors import DomainError
 __all__ = [
     "QuadratureSpec",
     "QuadResult",
-    "AnalyticTail",
     "integrate_finite",
     "integrate_semi_infinite",
 ]
@@ -100,28 +102,6 @@ class QuadResult:
     converged: bool
 
 
-@dataclass(frozen=True)
-class AnalyticTail:
-    """Closed-form completion of a semi-infinite integral beyond a cutoff.
-
-    ``value`` is the model integral over [cutoff, infinity); ``err_bound``
-    is the caller's bound on the model-vs-truth mismatch, carried verbatim
-    into the combined error estimate.
-    """
-
-    cutoff: float
-    value: float
-    err_bound: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.cutoff) and self.cutoff >= 0.0):
-            raise DomainError(f"tail cutoff must be finite and >= 0, got {self.cutoff!r}")
-        if not math.isfinite(self.value):
-            raise DomainError(f"tail value must be finite, got {self.value!r}")
-        if not (math.isfinite(self.err_bound) and self.err_bound >= 0.0):
-            raise DomainError(f"tail err_bound must be finite and >= 0, got {self.err_bound!r}")
-
-
 def _gk15(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
     c = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
@@ -190,29 +170,13 @@ def integrate_finite(
 def integrate_semi_infinite(
     f: Callable[[float], float],
     spec: QuadratureSpec = QuadratureSpec(),
-    tail: Optional[AnalyticTail] = None,
 ) -> QuadResult:
     """Integral of f over [0, infinity).
 
-    With ``tail`` given, f is integrated on [0, tail.cutoff] and the
-    closed-form tail value and its error bound are added.  Without it the
-    half line is mapped to (0, 1) by kappa = t/(1-t) and the transformed
-    integrand is handled by the finite-interval routine; f must then decay
-    faster than kappa^{-1-delta} for the transform to be integrable.
+    The half line is mapped to (0, 1) by kappa = t/(1-t) and the
+    transformed integrand is handled by the finite-interval routine; f must
+    decay faster than kappa^{-1-delta} for the transform to be integrable.
     """
-    if tail is not None:
-        if not (math.isfinite(tail.cutoff) and tail.cutoff > 0.0):
-            raise DomainError(f"tail cutoff must be finite and > 0, got {tail.cutoff!r}")
-        if tail.err_bound < 0.0:
-            raise DomainError("tail err_bound must be >= 0")
-        base = integrate_finite(f, 0.0, tail.cutoff, spec)
-        return QuadResult(
-            base.value + tail.value,
-            base.err_est + tail.err_bound,
-            base.n_evals,
-            base.converged,
-        )
-
     def g(t: float) -> float:
         r = 1.0 - t
         return f(t / r) / (r * r)

@@ -35,7 +35,7 @@ import sys
 from dataclasses import dataclass
 from typing import Optional
 
-from .airy_engine import airy_eval, log_deriv_ai, zeta_gap
+from .airy_engine import airy_eval, zeta_gap
 from .errors import DomainError, SingularityError, TailError, ToleranceError
 from .quadrature import QuadratureSpec, integrate_finite, integrate_semi_infinite
 
@@ -109,28 +109,21 @@ def _check_eta_positive(eta: float) -> float:
     return eta
 
 
-def integrand_above(kappa: float, eta: float) -> float:
-    """Slope ratio just above the plate: Ai'(z)/Ai(z) at z = kappa^2 + eta^{1/3}."""
-    kappa = _check_kappa(kappa)
-    eta = _check_eta_positive(eta)
-    return log_deriv_ai(kappa * kappa + eta ** (1.0 / 3.0))
+def _slopes(kappa: float, eta: float) -> tuple[float, float]:
+    """(above, below) slope ratios from one Airy evaluation at each of z1, z2.
 
-
-def integrand_below(kappa: float, eta: float) -> float:
-    """Slope ratio just below the plate (the N/D form), compensated evaluation.
-
-    With E = e^{-2 (zeta_2 - zeta_1)} and scaled Airy values, the factored
-    ratio is
+    above is ai2'/ai2 from the scaled values.  below is the N/D form in
+    compensated evaluation: with E = e^{-2 (zeta_2 - zeta_1)} and scaled
+    Airy values, the factored ratio is
 
         N_c = 2 ai1 aip1 bip2 - aip2 S E
         D_c = S ai2 E - 2 ai1 aip1 bi2
         S   = aip1 bi1 + ai1 bip1   (exponent-free combination)
 
     The zeta difference is computed by zeta_gap, never by subtracting the
-    two zetas: at large kappa those agree to all stored digits.
+    two zetas: at large kappa those agree to all stored digits.  Callers
+    validate kappa >= 0 and eta > 0.
     """
-    kappa = _check_kappa(kappa)
-    eta = _check_eta_positive(eta)
     z1 = kappa * kappa
     z2 = z1 + eta ** (1.0 / 3.0)
     v1 = airy_eval(z1)
@@ -144,7 +137,17 @@ def integrand_below(kappa: float, eta: float) -> float:
         raise SingularityError(
             f"below-plate denominator vanished at kappa={kappa!r}, eta={eta!r}"
         )
-    return num / den
+    return v2.aip_s / v2.ai_s, num / den
+
+
+def integrand_above(kappa: float, eta: float) -> float:
+    """Slope ratio just above the plate: Ai'(z)/Ai(z) at z = kappa^2 + eta^{1/3}."""
+    return _slopes(_check_kappa(kappa), _check_eta_positive(eta))[0]
+
+
+def integrand_below(kappa: float, eta: float) -> float:
+    """Slope ratio just below the plate (the N/D form), compensated evaluation."""
+    return _slopes(_check_kappa(kappa), _check_eta_positive(eta))[1]
 
 
 def integrand_net(kappa: float, eta: float) -> StressIntegrandSample:
@@ -160,8 +163,7 @@ def integrand_net(kappa: float, eta: float) -> StressIntegrandSample:
         raise DomainError(f"eta must be finite and >= 0, got {eta!r}")
     if eta == 0.0:
         return StressIntegrandSample(kappa=kappa, above=None, below=None, net=0.0)
-    above = integrand_above(kappa, eta)
-    below = integrand_below(kappa, eta)
+    above, below = _slopes(kappa, eta)
     return StressIntegrandSample(kappa=kappa, above=above, below=below, net=below - above)
 
 
@@ -178,6 +180,11 @@ def tail_mismatch(kappa_max: float, eta: float) -> tuple[bool, float]:
         return False, math.inf
     delta = abs(net - model) / net
     return delta < 0.01, delta
+
+
+def _tail_value(kappa_max: float, eta: float) -> float:
+    s6 = eta ** (1.0 / 6.0)
+    return math.atan(s6 / kappa_max) / (4.0 * math.pi * s6)
 
 
 def tail_model(kappa_max: float, eta: float) -> float:
@@ -200,13 +207,7 @@ def tail_model(kappa_max: float, eta: float) -> float:
             f"tail model mismatch {delta:.3e} at kappa_max={kappa_max!r}; "
             "increase the cutoff"
         )
-    s6 = eta ** (1.0 / 6.0)
-    return math.atan(s6 / kappa_max) / (4.0 * math.pi * s6)
-
-
-def _tail_value(kappa_max: float, eta: float) -> float:
-    s6 = eta ** (1.0 / 6.0)
-    return math.atan(s6 / kappa_max) / (4.0 * math.pi * s6)
+    return _tail_value(kappa_max, eta)
 
 
 _MAX_DOUBLINGS = 48

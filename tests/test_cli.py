@@ -143,6 +143,58 @@ class TestCurve:
         assert etas == pytest.approx([1.0, 2.0, 3.0])
 
 
+class TestCurvePool:
+    ARGS = ["curve", "--eta-min", "0.5", "--eta-max", "2", "--points", "3",
+            "--rel-tol", "1e-6", "--jobs", "10000"]
+
+    @pytest.fixture()
+    def pool_sizes(self, monkeypatch):
+        """Replace the process pool by an in-process fake that records max_workers."""
+        import concurrent.futures
+
+        sizes = []
+
+        class FakeExecutor:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakeExecutor)
+        return sizes
+
+    @pytest.mark.parametrize("cores, expected", [(8, [3]), (2, [2]), (None, [])])
+    def test_pool_is_capped_by_rows_and_cores(self, tmp_path, capsys, monkeypatch, pool_sizes,
+                                              cores, expected):
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        out = tmp_path / "c.csv"
+        rc, _ = run_cli([*self.ARGS, "--out", str(out)], capsys)
+        assert rc == 0
+        assert pool_sizes == expected  # one core (or unknown): no pool at all
+        assert len(out.read_text().splitlines()) == 4
+
+
+class TestImportFootprint:
+    def test_cli_import_loads_no_oracle_scipy(self):
+        code = (
+            "import sys, casimir_plate.cli; "
+            "print(sorted(m for m in ('scipy.integrate', 'scipy.linalg') if m in sys.modules))"
+        )
+        pkg_root = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [pkg_root, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+
 class TestPerturb:
     def test_prints_both_cutoffs_and_reference_step(self, capsys):
         rc, out = run_cli(["perturb", "--a", "1", "--b", "1", "--k-min", "1e-2"], capsys)

@@ -1,0 +1,41 @@
+"""The names the benchmark harness binds must exist where it looks for them.
+
+perfbench/tracer.py wraps each TARGETS (module, attr) by getattr on the
+defining module with no default, and perfbench/ops.py calls a few
+package-level names; a rename or deletion in the package would otherwise
+break every traced benchmark run.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+import casimir_plate
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+TARGETS = [(module, attr) for module, attr, *_ in _load_tracer().TARGETS]
+
+
+@pytest.mark.parametrize("module, attr", TARGETS, ids=[f"{m}.{a}" for m, a in TARGETS])
+def test_tracer_target_exists(module, attr):
+    home = importlib.import_module(f"casimir_plate.{module}")
+    assert callable(getattr(home, attr))
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["QuadratureSpec", "force_exact", "force_from_fd", "airy_via_ode_oracle", "CasimirError"],
+)
+def test_package_name_used_by_ops(name):
+    assert hasattr(casimir_plate, name)

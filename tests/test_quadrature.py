@@ -1,4 +1,4 @@
-"""Adaptive Gauss-Kronrod layer: exactness, convergence, tail composition, determinism."""
+"""Adaptive Gauss-Kronrod layer: exactness, convergence, half-line mapping, determinism."""
 
 import math
 
@@ -6,7 +6,6 @@ import pytest
 
 from casimir_plate.errors import DomainError, ToleranceError
 from casimir_plate.quadrature import (
-    AnalyticTail,
     QuadratureSpec,
     integrate_finite,
     integrate_semi_infinite,
@@ -98,20 +97,6 @@ class TestSemiInfinite:
     def test_lorentzian(self):
         r = integrate_semi_infinite(lambda x: 1.0 / (1.0 + x * x))
         assert r.value == pytest.approx(math.pi / 2.0, rel=1e-11)
-
-    def test_analytic_tail_composition(self):
-        # integrate the Lorentzian numerically on [0, 10] and hand over the
-        # exact remainder arctan(1/10) as a closed-form tail
-        tail = AnalyticTail(cutoff=10.0, value=math.atan(0.1), err_bound=1e-16)
-        r = integrate_semi_infinite(lambda x: 1.0 / (1.0 + x * x), tail=tail)
-        assert r.value == pytest.approx(math.pi / 2.0, rel=1e-12)
-        assert r.err_est >= tail.err_bound
-
-    def test_tail_validation(self):
-        with pytest.raises(DomainError):
-            AnalyticTail(cutoff=-1.0, value=0.1, err_bound=1e-16)
-        with pytest.raises(DomainError):
-            AnalyticTail(cutoff=1.0, value=0.1, err_bound=-1e-16)
 
 
 class TestToleranceSurface:

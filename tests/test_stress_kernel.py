@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from casimir_plate import airy_engine, stress_kernel
 from casimir_plate.airy_engine import airy_eval
 from casimir_plate.errors import DomainError, TailError, ToleranceError
 from casimir_plate.quadrature import QuadratureSpec
@@ -78,6 +79,35 @@ class TestIntegrandAnchors:
             integrand_above(-1.0, 1.0)
         with pytest.raises(DomainError):
             integrand_below(1.0, -2.0)
+
+
+class TestSinglePass:
+    """integrand_net reads both sides from one Airy evaluation at each of z1, z2."""
+
+    def test_two_airy_evaluations_per_sample(self, monkeypatch):
+        calls = []
+
+        def counting(z):
+            calls.append(z)
+            return airy_eval(z)
+
+        # both bindings: a helper such as log_deriv_ai resolves it in airy_engine
+        monkeypatch.setattr(stress_kernel, "airy_eval", counting)
+        monkeypatch.setattr(airy_engine, "airy_eval", counting)
+        for kappa in (0.0, 3.0, 12.0):
+            calls.clear()
+            integrand_net(kappa, 1.0)
+            assert calls == [kappa * kappa, kappa * kappa + 1.0]  # z1, z2 at eta = 1
+
+    @pytest.mark.parametrize("eta", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("kappa_sq", [1.0, 10.0, 39.0, 39.99, 40.0, 41.0, 100.0])
+    def test_sides_equal_the_single_side_integrands(self, kappa_sq, eta):
+        # z1 = kappa^2 on both sides of Z_SWITCH = 40: both Airy branches serve
+        kappa = math.sqrt(kappa_sq)
+        s = integrand_net(kappa, eta)
+        assert s.above == integrand_above(kappa, eta)
+        assert s.below == integrand_below(kappa, eta)
+        assert s.net == s.below - s.above
 
 
 class TestTailModel:
