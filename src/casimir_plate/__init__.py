@@ -15,6 +15,7 @@ suites), cli (presentation).
 from .airy_engine import (
     AiryValues,
     airy_eval,
+    airy_scaled,
     airy_via_ode_oracle,
     log_deriv_ai,
     log_deriv_bi,
@@ -84,6 +85,7 @@ __all__ = [
     "TailError",
     "ToleranceError",
     "airy_eval",
+    "airy_scaled",
     "airy_via_ode_oracle",
     "below_ratio_from_construction",
     "fd_setup",

@@ -16,12 +16,16 @@ exponents cancelled in closed form.  The Wronskian
 turns into ai_s * bip_s - aip_s * bi_s = 1/pi with no exponentials left,
 and that identity is the main conformance handle of the whole module.
 
-Point evaluation uses scipy's scaled evaluator below ``Z_SWITCH`` and an
-in-house asymptotic series above it.  scipy's evaluator degrades to NaN
-near z ~ 1e6 while the force integrals need arguments up to ~1e20; the
-asymptotic series of the scaled functions is accurate to machine precision
-from roughly z = 20 upward, so the two regimes overlap over a wide band and
-their agreement across that band is asserted in the test suite.
+``airy_scaled`` evaluates the scaled quadruple on a whole array of
+arguments: scipy's scaled evaluator serves the elements below ``Z_SWITCH``
+in one call and an in-house asymptotic series serves the rest as array
+operations.  scipy's evaluator degrades to NaN near z ~ 1e6 while the force
+integrals need arguments up to ~1e20; the asymptotic series of the scaled
+functions is accurate to machine precision from roughly z = 20 upward, so
+the two regimes overlap over a wide band and their agreement across that
+band is asserted in the test suite.  Each element gets the same bits it
+would get alone, so batching never changes a result; ``airy_eval`` is the
+one-argument view of the same evaluator.
 
 ``airy_via_ode_oracle`` provides reference values on [0, 50] by a route
 independent of both evaluators: adaptive high-order integration of
@@ -29,7 +33,7 @@ w'' = t w seeded with closed-form values at t = 0 (for Bi) and with the
 asymptotic series at t = 50 (for Ai, marched downward; the upward
 direction is exponentially unstable for the decaying solution).  It
 imports ``scipy.integrate`` on first use and computes its Ai seed on each
-call, so the production path (two ``airy_eval`` calls per integrand node)
+call, so the production path (one ``airy_scaled`` call per quadrature step)
 never pays for it.
 """
 
@@ -38,6 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
 from scipy.special import airye as _scipy_airye
 
 from .errors import DomainError, OracleError
@@ -45,6 +50,7 @@ from .errors import DomainError, OracleError
 __all__ = [
     "AiryValues",
     "airy_eval",
+    "airy_scaled",
     "log_deriv_ai",
     "log_deriv_bi",
     "airy_via_ode_oracle",
@@ -140,34 +146,74 @@ for _k in range(1, _N_TERMS + 1):
         / (216.0 * _k * (2.0 * _k - 1.0))
     )
 _V = [1.0] + [_U[_k] * (6.0 * _k + 1.0) / (1.0 - 6.0 * _k) for _k in range(1, _N_TERMS + 1)]
+# row k: the coefficients of zeta^{-k} in the four sums (ai_s, aip_s, bi_s,
+# bip_s); the alternating sign is folded in, which is exact
+_COEF = np.array([[(-1.0) ** _k * _U[_k], (-1.0) ** _k * _V[_k], _U[_k], _V[_k]]
+                  for _k in range(_N_TERMS + 1)])
+# times (rp/q, rp q, rp/q, rp q): the prefactors (0.5 rp)/q, (-0.5 rp) q, rp/q
+# and rp q of the four sums, bit for bit, because halving is exact
+_HALVES = np.array([[0.5], [-0.5], [1.0], [1.0]])
 
 
-def _asymptotic_scaled(z: float) -> tuple[float, float, float, float]:
-    """(ai_s, aip_s, bi_s, bip_s) from the large-z series.
+def _asymptotic_scaled(z: np.ndarray) -> np.ndarray:
+    """(ai_s, aip_s, bi_s, bip_s) rows from the large-z series at a 1-D array z.
 
-    Powers of 1/zeta are built incrementally: zeta**k overflows long
-    before the series stops being useful (zeta ~ 1e30 at z ~ 1e20).
-    Summation stops once terms fall below 1e-20 of the leading one, which
-    for z >= 20 happens well before the divergent turn of the series.
+    Powers of 1/zeta are built by repeated division: zeta**k overflows
+    long before the series stops being useful (zeta ~ 1e30 at z ~ 1e20).
+    Stop rule: orders 0..K are summed, K being the first order at which
+    every element's term u_k zeta^{-k} is below 1e-20 (at most _N_TERMS).
+    The element with the smallest zeta has the largest terms, so it sets
+    K.  For z >= 20 that comes well before the divergent turn of the
+    series, and an element that alone would have stopped earlier gets the
+    same bits: each of its sums is 1 +- 2e-3, and adding a later term,
+    smaller still than 1e-20, cannot change it.  The orders are added one
+    after another, as a scalar sum would.  z^{1/4} is taken per element
+    with Python's pow, because numpy's power differs from it in the last
+    bit on some arguments.
     """
-    zeta = zeta_of(z)
-    q = z**0.25
+    zeta = (2.0 / 3.0) * z * np.sqrt(z)
+    q = np.array([x**0.25 for x in z.tolist()])
     rp = 1.0 / math.sqrt(math.pi)
-    sa = sap = sb = sbp = 0.0
+    zeta_min = float(zeta.min())
     p = 1.0
-    sign = 1.0
-    for k in range(_N_TERMS + 1):
-        tu = _U[k] * p
-        tv = _V[k] * p
-        sa += sign * tu
-        sap += sign * tv
-        sb += tu
-        sbp += tv
-        if abs(tu) < 1e-20:
+    for last in range(_N_TERMS + 1):
+        if _U[last] * p < 1e-20:
             break
-        p /= zeta
-        sign = -sign
-    return (0.5 * rp / q * sa, -0.5 * rp * q * sap, rp / q * sb, rp * q * sbp)
+        p /= zeta_min
+    powers = np.empty((last + 1, z.size))
+    powers[0] = 1.0
+    powers[1:] = zeta
+    powers = np.divide.accumulate(powers, axis=0)  # row k: zeta^{-k}
+    terms = _COEF[: last + 1, :, None] * powers[:, None, :]
+    sums = np.add.accumulate(terms, axis=0)[-1]
+    return _HALVES * np.array((rp / q, rp * q, rp / q, rp * q)) * sums
+
+
+def airy_scaled(z) -> np.ndarray:
+    """Scaled (ai_s, aip_s, bi_s, bip_s) rows, shape (4, n), at a 1-D array of n z >= 0.
+
+    One scipy ``airye`` call serves the elements below Z_SWITCH and one
+    array pass of the asymptotic series the rest.  Every element equals,
+    bit for bit, what a one-element array holding it returns.
+    """
+    z = np.asarray(z, dtype=float)
+    if z.ndim != 1:
+        raise DomainError(f"expected a 1-D array of arguments, got shape {z.shape}")
+    if not z.size:
+        return np.empty((4, 0))
+    z_min, z_max = z.min(), z.max()
+    if not (z_min >= 0.0 and z_max < math.inf):  # NaN fails too
+        bad = z[~((z >= 0.0) & (z < math.inf))][0]
+        raise DomainError(f"argument must be finite and >= 0, got {bad.item()!r}")
+    if z_max < Z_SWITCH:
+        return np.array(_scipy_airye(z))
+    if z_min >= Z_SWITCH:
+        return _asymptotic_scaled(z)
+    low = z < Z_SWITCH
+    out = np.empty((4, z.size))
+    out[:, low] = _scipy_airye(z[low])
+    out[:, ~low] = _asymptotic_scaled(z[~low])
+    return out
 
 
 def _exp_soft(t: float) -> float:
@@ -197,10 +243,7 @@ def airy_eval(z: float) -> AiryValues:
     """
     zf = _validate(z)
     zeta = zeta_of(zf)
-    if zf < Z_SWITCH:
-        ai_s, aip_s, bi_s, bip_s = (float(v) for v in _scipy_airye(zf))
-    else:
-        ai_s, aip_s, bi_s, bip_s = _asymptotic_scaled(zf)
+    ai_s, aip_s, bi_s, bip_s = airy_scaled(np.array([zf]))[:, 0].tolist()
     em = _exp_soft(-zeta)
     ep = _exp_soft(zeta)
     return AiryValues(
@@ -259,7 +302,7 @@ def _integrate(t0: float, y0: tuple[float, float], t1: float) -> tuple[float, fl
 
 
 def _ai_seed() -> tuple[float, float]:
-    ai_s, aip_s, _, _ = _asymptotic_scaled(_ODE_MAX)
+    ai_s, aip_s, _, _ = _asymptotic_scaled(np.array([_ODE_MAX]))[:, 0].tolist()
     e = math.exp(-zeta_of(_ODE_MAX))
     return ai_s * e, aip_s * e
 

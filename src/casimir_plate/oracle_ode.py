@@ -367,7 +367,7 @@ def force_from_fd(
         below = integrand_from_fd(k, cfg, "below", grid_b, eps_b)
         return below - above
 
-    r = integrate_finite(net, 0.0, float(kappa_max), spec)
+    r = integrate_finite(lambda ks: [net(k) for k in ks.tolist()], 0.0, float(kappa_max), spec)
     s6 = eta ** (1.0 / 6.0)
     tail = math.atan(s6 / kappa_max) / (4.0 * math.pi * s6)
     return eta ** (2.0 / 3.0) * (r.value / (2.0 * math.pi) + tail)

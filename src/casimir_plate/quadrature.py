@@ -8,11 +8,19 @@ an exact compensated sum over panels, so identical inputs produce
 bit-identical results.  That property is load-bearing: the command-line
 layer promises byte-identical output across reruns and worker counts.
 
+Integrand contract: ``f`` takes a 1-D float array of nodes and returns a
+sequence of as many values (an array, or a list from a scalar function
+wrapped in a comprehension).  It is called once on the 15 nodes of the
+first panel and then once per bisection, on the 30 nodes of both children,
+so an array integrand pays its per-call overhead once per step.  The
+Kronrod and Gauss sums of each panel run node by node in Python floats in
+a fixed order, so the result does not depend on how f computes its values,
+only on the values themselves.
+
 No rule node ever touches a panel endpoint, so integrands may be left
-unevaluated (or singular but integrable) at interval ends.  Each node of
-the force integrand costs two Airy evaluations (stress_kernel); the
-analytic tail beyond a momentum cutoff is the force layer's business, not
-this module's.
+unevaluated (or singular but integrable) at interval ends.  The analytic
+tail beyond a momentum cutoff is the force layer's business, not this
+module's.
 """
 
 from __future__ import annotations
@@ -20,7 +28,9 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
+
+import numpy as np
 
 from .errors import DomainError
 
@@ -102,29 +112,49 @@ class QuadResult:
     converged: bool
 
 
-def _gk15(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
+# f: 1-D array of nodes -> as many values
+Integrand = Callable[[np.ndarray], Sequence[float]]
+
+
+def _nodes(lo: float, hi: float) -> list[float]:
+    """The 15 Kronrod nodes of [lo, hi], ascending: c - dx_0 ... c ... c + dx_0."""
     c = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    fc = f(c)
+    dx = [half * x for x in _XGK]
+    return [c - d for d in dx] + [c] + [c + d for d in reversed(dx)]
+
+
+def _gk15(fx: list[float], lo: float, hi: float) -> tuple[float, float]:
+    """Kronrod value and |Kronrod - Gauss| estimate from the values at _nodes(lo, hi)."""
+    half = 0.5 * (hi - lo)
+    fc = fx[7]
     resk = _WGK[7] * fc
     resg = _WG[3] * fc
     for j in range(7):
-        dx = half * _XGK[j]
-        f1 = f(c - dx)
-        f2 = f(c + dx)
-        resk += _WGK[j] * (f1 + f2)
+        pair = fx[j] + fx[14 - j]
+        resk += _WGK[j] * pair
         if j % 2 == 1:
-            resg += _WG[j // 2] * (f1 + f2)
+            resg += _WG[j // 2] * pair
     return resk * half, abs(resk - resg) * abs(half)
 
 
+def _panels(f: Integrand, *bounds: tuple[float, float]) -> list[tuple[float, float]]:
+    """(value, estimate) of each panel, from one call of f on all their nodes."""
+    x = [node for lo, hi in bounds for node in _nodes(lo, hi)]
+    fx = np.asarray(f(np.array(x)), dtype=float)
+    if fx.shape != (len(x),):
+        raise DomainError(f"integrand returned shape {fx.shape} for {len(x)} nodes")
+    fx = fx.tolist()
+    return [_gk15(fx[15 * i : 15 * i + 15], lo, hi) for i, (lo, hi) in enumerate(bounds)]
+
+
 def integrate_finite(
-    f: Callable[[float], float],
+    f: Integrand,
     lo: float,
     hi: float,
     spec: QuadratureSpec = QuadratureSpec(),
 ) -> QuadResult:
-    """Adaptive integral of f over [lo, hi].
+    """Adaptive integral of f over [lo, hi]; f maps an array of nodes to values.
 
     Worst-panel-first bisection; converged means the summed panel estimate
     met max(rel_tol*|value|, abs_tol) within the subdivision budget.
@@ -134,7 +164,7 @@ def integrate_finite(
     if lo == hi:
         return QuadResult(0.0, 0.0, 0, True)
 
-    val, err = _gk15(f, lo, hi)
+    ((val, err),) = _panels(f, (lo, hi))
     # heap entries: (-err, left, right, value); left endpoints are unique,
     # which makes the ordering total and the refinement deterministic
     heap = [(-err, lo, hi, val)]
@@ -151,8 +181,7 @@ def integrate_finite(
             # interval is at rounding resolution; no further refinement possible
             heapq.heappush(heap, (neg_err, plo, phi, pval))
             break
-        v1, e1 = _gk15(f, plo, mid)
-        v2, e2 = _gk15(f, mid, phi)
+        (v1, e1), (v2, e2) = _panels(f, (plo, mid), (mid, phi))
         total += (v1 + v2) - pval
         total_err += (e1 + e2) + neg_err
         heapq.heappush(heap, (-e1, plo, mid, v1))
@@ -168,17 +197,17 @@ def integrate_finite(
 
 
 def integrate_semi_infinite(
-    f: Callable[[float], float],
+    f: Integrand,
     spec: QuadratureSpec = QuadratureSpec(),
 ) -> QuadResult:
-    """Integral of f over [0, infinity).
+    """Integral of f over [0, infinity); f maps an array of nodes to values.
 
     The half line is mapped to (0, 1) by kappa = t/(1-t) and the
     transformed integrand is handled by the finite-interval routine; f must
     decay faster than kappa^{-1-delta} for the transform to be integrable.
     """
-    def g(t: float) -> float:
+    def g(t: np.ndarray) -> np.ndarray:
         r = 1.0 - t
-        return f(t / r) / (r * r)
+        return np.asarray(f(t / r), dtype=float) / (r * r)
 
     return integrate_finite(g, 0.0, 1.0, spec)

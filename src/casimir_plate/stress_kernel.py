@@ -16,8 +16,12 @@ and each diverges linearly in kappa while their difference decays like
     f(eta) = eta^{2/3} [ integral_0^kmax dkappa/(2 pi) (below - above)
                          + tail(kmax, eta) ]
 
-with the analytic Lorentzian tail handling the remainder.  N and D are
-evaluated in compensated form: the common factor e^{zeta_2 - 2 zeta_1} is
+with the analytic Lorentzian tail handling the remainder.  The integral
+hands the integrand a whole array of momenta per quadrature step
+(``_integrand_arrays``), which evaluates every z1 and z2 of the step in
+one ``airy_scaled`` call; the scalar integrands evaluate one ``airy_eval``
+at each of z1, z2 and read from the same formula (``_sides``).  N and D
+are evaluated in compensated form: the common factor e^{zeta_2 - 2 zeta_1} is
 removed analytically, which leaves every surviving term O(1) or
 exponentially small.  The naive unscaled products underflow to zero near
 kappa ~ 8 and silently flip the sign of the ratio, so that route is
@@ -35,7 +39,9 @@ import sys
 from dataclasses import dataclass
 from typing import Optional
 
-from .airy_engine import airy_eval, zeta_gap
+import numpy as np
+
+from .airy_engine import airy_eval, airy_scaled, zeta_gap
 from .errors import DomainError, SingularityError, TailError, ToleranceError
 from .quadrature import QuadratureSpec, integrate_finite, integrate_semi_infinite
 
@@ -109,45 +115,82 @@ def _check_eta_positive(eta: float) -> float:
     return eta
 
 
-def _slopes(kappa: float, eta: float) -> tuple[float, float]:
-    """(above, below) slope ratios from one Airy evaluation at each of z1, z2.
+def _sides(
+    kappa: np.ndarray, z1: np.ndarray, z2: np.ndarray, v: np.ndarray, eta: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(above, below, net = below - above) at every momentum of a 1-D array.
 
-    above is ai2'/ai2 from the scaled values.  below is the N/D form in
-    compensated evaluation: with E = e^{-2 (zeta_2 - zeta_1)} and scaled
-    Airy values, the factored ratio is
+    v holds the scaled quadruples (ai_s, aip_s, bi_s, bip_s) as rows: the n
+    columns at z1 = kappa^2, then the n at z2 = kappa^2 + eta^{1/3}.  above
+    is ai2'/ai2.  below is the N/D form in compensated evaluation: with
+    E = e^{-2 (zeta_2 - zeta_1)} and scaled Airy values, the factored
+    ratio is
 
         N_c = 2 ai1 aip1 bip2 - aip2 S E
         D_c = S ai2 E - 2 ai1 aip1 bi2
         S   = aip1 bi1 + ai1 bip1   (exponent-free combination)
 
-    The zeta difference is computed by zeta_gap, never by subtracting the
-    two zetas: at large kappa those agree to all stored digits.  Callers
-    validate kappa >= 0 and eta > 0.
+    This is the only copy of the formula.  The zeta difference is computed
+    by zeta_gap, never by subtracting the two zetas: at large kappa those
+    agree to all stored digits.  E is taken per element with math.exp,
+    because numpy's exp differs from it in the last bit on some arguments;
+    every other step is one correctly rounded numpy operation, so each
+    element gets the bits a scalar evaluation in the same order would give.
+    Callers validate kappa >= 0 and eta > 0.
     """
+    n = kappa.size
+    ai1, aip1, bi1, bip1 = v[:, :n]
+    ai2, aip2, bi2, bip2 = v[:, n:]
+    ee = np.array([math.exp(-2.0 * zeta_gap(b, a)) for a, b in zip(z1.tolist(), z2.tolist())])
+    s = aip1 * bi1 + ai1 * bip1
+    a2 = 2.0 * ai1 * aip1
+    num = a2 * bip2 - aip2 * s * ee
+    den = s * ai2 * ee - a2 * bi2
+    if not den.all():
+        k = kappa[den == 0.0][0].item()
+        raise SingularityError(f"below-plate denominator vanished at kappa={k!r}, eta={eta!r}")
+    above = aip2 / ai2
+    below = num / den
+    return above, below, below - above
+
+
+def _z_pair(kappa, eta: float):
+    """z1 = kappa^2 and z2 = kappa^2 + eta^{1/3}, for a float or an array of kappa."""
     z1 = kappa * kappa
-    z2 = z1 + eta ** (1.0 / 3.0)
+    return z1, z1 + eta ** (1.0 / 3.0)
+
+
+def _integrand_arrays(
+    kappa: np.ndarray, eta: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(above, below, net) at an array of momenta, from one airy_scaled call on all z1, z2."""
+    z1, z2 = _z_pair(kappa, eta)
+    return _sides(kappa, z1, z2, airy_scaled(np.concatenate((z1, z2))), eta)
+
+
+def _sample(kappa: float, eta: float) -> tuple[float, float, float]:
+    """(above, below, net) at one momentum: one airy_eval at each of z1, z2.
+
+    Going through airy_eval keeps one-sample evaluations (the tail check)
+    visible to code that wraps it, such as perfbench/tracer.py.
+    """
+    z1, z2 = _z_pair(kappa, eta)
     v1 = airy_eval(z1)
     v2 = airy_eval(z2)
-    s = v1.aip_s * v1.bi_s + v1.ai_s * v1.bip_s
-    a2 = 2.0 * v1.ai_s * v1.aip_s
-    ee = math.exp(-2.0 * zeta_gap(z2, z1))
-    num = a2 * v2.bip_s - v2.aip_s * s * ee
-    den = s * v2.ai_s * ee - a2 * v2.bi_s
-    if den == 0.0:
-        raise SingularityError(
-            f"below-plate denominator vanished at kappa={kappa!r}, eta={eta!r}"
-        )
-    return v2.aip_s / v2.ai_s, num / den
+    v = np.array([[v1.ai_s, v2.ai_s], [v1.aip_s, v2.aip_s],
+                  [v1.bi_s, v2.bi_s], [v1.bip_s, v2.bip_s]])
+    sides = _sides(np.array([kappa]), np.array([z1]), np.array([z2]), v, eta)
+    return tuple(x.item() for x in sides)
 
 
 def integrand_above(kappa: float, eta: float) -> float:
     """Slope ratio just above the plate: Ai'(z)/Ai(z) at z = kappa^2 + eta^{1/3}."""
-    return _slopes(_check_kappa(kappa), _check_eta_positive(eta))[0]
+    return _sample(_check_kappa(kappa), _check_eta_positive(eta))[0]
 
 
 def integrand_below(kappa: float, eta: float) -> float:
     """Slope ratio just below the plate (the N/D form), compensated evaluation."""
-    return _slopes(_check_kappa(kappa), _check_eta_positive(eta))[1]
+    return _sample(_check_kappa(kappa), _check_eta_positive(eta))[1]
 
 
 def integrand_net(kappa: float, eta: float) -> StressIntegrandSample:
@@ -163,8 +206,8 @@ def integrand_net(kappa: float, eta: float) -> StressIntegrandSample:
         raise DomainError(f"eta must be finite and >= 0, got {eta!r}")
     if eta == 0.0:
         return StressIntegrandSample(kappa=kappa, above=None, below=None, net=0.0)
-    above, below = _slopes(kappa, eta)
-    return StressIntegrandSample(kappa=kappa, above=above, below=below, net=below - above)
+    above, below, net = _sample(kappa, eta)
+    return StressIntegrandSample(kappa=kappa, above=above, below=below, net=net)
 
 
 def tail_mismatch(kappa_max: float, eta: float) -> tuple[bool, float]:
@@ -239,8 +282,13 @@ def force_exact(eta: float, spec: QuadratureSpec = QuadratureSpec()) -> ForceRes
     scale = eta ** (2.0 / 3.0)
     two_pi = 2.0 * math.pi
 
-    def net(k: float) -> float:
-        return integrand_net(k, eta).net
+    def net(kappa: np.ndarray) -> np.ndarray:
+        return _integrand_arrays(kappa, eta)[2]
+
+    def context(err_est: Optional[float] = None) -> str:
+        # appended to every failure message so the failing call can be rerun
+        text = f"; eta={eta!r}, rel_tol={spec.rel_tol!r}"
+        return text if err_est is None else f"{text}, err_est={err_est:.3e}"
 
     n_evals = 0
     if spec.kappa_max_policy is not None:
@@ -250,13 +298,13 @@ def force_exact(eta: float, spec: QuadratureSpec = QuadratureSpec()) -> ForceRes
         if not ok:
             raise TailError(
                 f"fixed kappa_max={kmax!r} rejects the tail model "
-                f"(mismatch {delta:.3e}); raise the cutoff"
+                f"(mismatch {delta:.3e}); raise the cutoff" + context()
             )
         r = integrate_finite(net, 0.0, kmax, spec)
         if not r.converged:
             raise ToleranceError(
                 f"momentum integral did not converge by kappa_max={kmax!r} "
-                f"(err_est={r.err_est:.3e}, n_evals={r.n_evals})"
+                f"(err_est={r.err_est:.3e}, n_evals={r.n_evals})" + context()
             )
         value = r.value
         qerr = r.err_est
@@ -272,6 +320,7 @@ def force_exact(eta: float, spec: QuadratureSpec = QuadratureSpec()) -> ForceRes
             if not r.converged:
                 raise ToleranceError(
                     f"momentum integral did not converge on [{lo!r}, {kmax!r}]"
+                    + context(scale * (qerr + r.err_est) / two_pi)
                 )
             value += r.value
             qerr += r.err_est
@@ -286,6 +335,7 @@ def force_exact(eta: float, spec: QuadratureSpec = QuadratureSpec()) -> ForceRes
         else:
             raise TailError(
                 f"tail model still inadmissible or dominant at kappa_max={kmax!r}"
+                + context(scale * (qerr / two_pi + delta * tail))
             )
 
     tail = _tail_value(kmax, eta)
@@ -314,7 +364,7 @@ def force_classic(a: float, spec: QuadratureSpec = QuadratureSpec()) -> float:
             return -K * math.exp(-w) / math.pi
         return -K / (math.pi * math.expm1(w))
 
-    r = integrate_semi_infinite(f, spec)
+    r = integrate_semi_infinite(lambda ks: [f(K) for K in ks.tolist()], spec)
     if not r.converged:
         raise ToleranceError(
             f"flat-background force integral did not converge (err_est={r.err_est:.3e})"
@@ -390,7 +440,7 @@ def force_perturbative(
         K = k_min + u
         return b * (-math.expm1(-2.0 * K * a)) / (4.0 * math.pi * K * K)
 
-    r = integrate_semi_infinite(f, spec)
+    r = integrate_semi_infinite(lambda us: [f(u) for u in us.tolist()], spec)
     if not r.converged:
         raise ToleranceError(
             f"perturbative force integral did not converge (err_est={r.err_est:.3e})"

@@ -8,6 +8,7 @@ import pytest
 from casimir_plate.airy_engine import (
     Z_SWITCH,
     airy_eval,
+    airy_scaled,
     airy_via_ode_oracle,
     log_deriv_ai,
     log_deriv_bi,
@@ -140,6 +141,41 @@ class TestZeta:
         assert zeta_gap(3.0, 3.0) == 0.0
         with pytest.raises(DomainError):
             zeta_gap(1.0, 2.0)
+
+
+class TestArrayEvaluator:
+    # float.hex of (ai_s, aip_s, bi_s, bip_s) from the per-argument scalar
+    # evaluator that airy_scaled replaced, one argument at a time
+    SCALAR = {
+        0.0: ("0x1.6b8c7962715b8p-2", "-0x1.0907f42b70f8bp-2", "0x1.3ad7a9b4a3ea9p-1", "0x1.cb0c1a680c8a1p-2"),
+        1.0: ("0x1.0dd68558fd413p-2", "-0x1.3d6a94e267aa1p-2", "0x1.3d65192816c26p-1", "0x1.ea37d289a30ecp-2"),
+        39.99: ("0x1.cb4abb10d37e4p-4", "-0x1.6b6a2f19934e8p-1", "0x1.cbaba2ccf5c7cp-3", "0x1.6afef181fec48p+0"),
+        40.0: ("0x1.cb4366404dfddp-4", "-0x1.6b6ffac2638c6p-1", "0x1.cba4432224211p-3", "0x1.6b04c5bf1bbb8p+0"),
+        41.0: ("0x1.c871968ee45f4p-4", "-0x1.6dae27b38abffp-1", "0x1.c8ce5ab45e6f1p-3", "0x1.6d4634e39ed84p+0"),
+        1e3: ("0x1.9af1e419aaad6p-5", "-0x1.961a9194c7ed1p+0", "0x1.9af29587658a0p-4", "0x1.96199c1bfa48ap+1"),
+        1e6: ("0x1.244f96d340c66p-7", "-0x1.1d75b94b7fc45p+3", "0x1.244f96d446548p-6", "0x1.1d75b94a1a2bfp+4"),
+        1e12: ("0x1.27cc3e7b0bfedp-12", "-0x1.1a18444610bc8p+8", "0x1.27cc3e7b0bfedp-11", "0x1.1a18444610bc8p+9"),
+        1e20: ("0x1.7a9f084b94795p-19", "-0x1.b8c5eaad7a269p+14", "0x1.7a9f084b94795p-18", "0x1.b8c5eaad7a269p+15"),
+    }
+
+    def test_mixed_array_equals_scalar_bits(self):
+        # both branches in one call; z = 40 (the slowest series element) sets
+        # the number of terms for every other series element
+        zs = list(self.SCALAR)
+        got = airy_scaled(np.array(zs))
+        assert got.shape == (4, len(zs))
+        for i, z in enumerate(zs):
+            assert tuple(v.hex() for v in got[:, i].tolist()) == self.SCALAR[z], z
+
+    def test_airy_eval_reads_the_same_values(self):
+        for z, bits in self.SCALAR.items():
+            v = airy_eval(z)
+            assert tuple(x.hex() for x in (v.ai_s, v.aip_s, v.bi_s, v.bip_s)) == bits
+
+    @pytest.mark.parametrize("bad", [[1.0, -1.0], [math.nan], [0.0, math.inf], [[1.0]]])
+    def test_rejects_bad_arrays(self, bad):
+        with pytest.raises(DomainError):
+            airy_scaled(np.array(bad))
 
 
 class TestDomain:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from casimir_plate import airy_engine, stress_kernel
-from casimir_plate.airy_engine import airy_eval
+from casimir_plate.airy_engine import airy_eval, airy_scaled
 from casimir_plate.errors import DomainError, TailError, ToleranceError
 from casimir_plate.quadrature import QuadratureSpec
 from casimir_plate.stress_kernel import (
@@ -99,6 +99,30 @@ class TestSinglePass:
             integrand_net(kappa, 1.0)
             assert calls == [kappa * kappa, kappa * kappa + 1.0]  # z1, z2 at eta = 1
 
+    def test_one_array_evaluation_per_quadrature_step(self, monkeypatch):
+        calls = []
+
+        def counting(z):
+            calls.append(np.array(z).tolist())
+            return airy_scaled(z)
+
+        # both bindings: the kernel resolves it in stress_kernel, airy_eval in airy_engine
+        monkeypatch.setattr(stress_kernel, "airy_scaled", counting)
+        monkeypatch.setattr(airy_engine, "airy_scaled", counting)
+        eta = 2.0
+        r = force_exact(eta)
+        steps = [z for z in calls if len(z) > 1]
+        # the first panel of a segment: 15 nodes; a bisection: 30; times (z1, z2)
+        assert {len(z) for z in steps} == {30, 60}
+        for z in steps:
+            m = len(z) // 2
+            z1, z2 = z[:m], z[m:]  # kappa^2 at the step's nodes, ascending
+            assert z1 == sorted(z1)
+            assert z2 == [x + eta ** (1.0 / 3.0) for x in z1]
+        # the rest are the tail checks' airy_eval calls, one argument each
+        tail = [z for z in calls if len(z) == 1]
+        assert len(tail) == 2 * (r.n_evals - sum(len(z) for z in steps) // 2)
+
     @pytest.mark.parametrize("eta", [1e-3, 1.0, 1e3])
     @pytest.mark.parametrize("kappa_sq", [1.0, 10.0, 39.0, 39.99, 40.0, 41.0, 100.0])
     def test_sides_equal_the_single_side_integrands(self, kappa_sq, eta):
@@ -147,6 +171,17 @@ class TestForceExact:
         assert r.kappa_max == 25.0
         assert r.f_eta == pytest.approx(F_ETA_1_KMAX25, rel=1e-10)
         assert r.f_eta == pytest.approx(F_ETA_1, rel=1e-9)
+
+    def test_errors_name_the_input(self):
+        # the cutoff loop runs out at eta = 1e-8; the message says for which call
+        with pytest.raises(ToleranceError) as info:
+            force_exact(1e-8, QuadratureSpec(rel_tol=1e-9))
+        msg = str(info.value)
+        assert msg.startswith("momentum integral did not converge on [320.0, 640.0]; ")
+        assert "eta=1e-08, rel_tol=1e-09, err_est=" in msg
+        with pytest.raises(TailError) as info:
+            force_exact(1.0, QuadratureSpec(kappa_max_policy=2.0))
+        assert str(info.value).endswith("; eta=1.0, rel_tol=1e-09")
 
     def test_fixed_cutoff_too_small_is_rejected(self):
         with pytest.raises(TailError):
