@@ -31,14 +31,17 @@ one-argument view of the same evaluator.
 independent of both evaluators: adaptive high-order integration of
 w'' = t w seeded with closed-form values at t = 0 (for Bi) and with the
 asymptotic series at t = 50 (for Ai, marched downward; the upward
-direction is exponentially unstable for the decaying solution).  It
-imports ``scipy.integrate`` on first use and computes its Ai seed on each
-call, so the production path (one ``airy_scaled`` call per quadrature step)
-never pays for it.
+direction is exponentially unstable for the decaying solution).  The first
+oracle call imports ``scipy.integrate``, computes the Ai seed and
+integrates both trajectories over the whole range with dense output; they
+are kept for the life of the process and every call evaluates them at its
+argument.  The production path (one ``airy_scaled`` call per quadrature
+step) never pays for any of it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -284,27 +287,28 @@ def _ode_rhs(t, y):
     return (y[1], t * y[0])
 
 
-def _integrate(t0: float, y0: tuple[float, float], t1: float) -> tuple[float, float]:
+@functools.cache
+def _trajectories():
+    """(Bi, Ai) dense-output solutions of w'' = t w over [0, 50], and the Ai seed.
+
+    Built by the first oracle call and kept; an integration that fails
+    raises and leaves nothing cached, so the next call tries again.
+    """
     from scipy.integrate import solve_ivp  # oracle only; kept off the import path
 
-    sol = solve_ivp(
-        _ode_rhs,
-        (t0, t1),
-        list(y0),
-        method="DOP853",
-        rtol=1e-13,
-        atol=1e-300,
-        t_eval=[t1],
-    )
-    if not sol.success:
-        raise OracleError(f"integration of w'' = t w failed: {sol.message}")
-    return float(sol.y[0, -1]), float(sol.y[1, -1])
-
-
-def _ai_seed() -> tuple[float, float]:
     ai_s, aip_s, _, _ = _asymptotic_scaled(np.array([_ODE_MAX]))[:, 0].tolist()
     e = math.exp(-zeta_of(_ODE_MAX))
-    return ai_s * e, aip_s * e
+    seed = (ai_s * e, aip_s * e)
+    sols = []
+    for t0, y0, t1 in ((0.0, (BI_ZERO, BIP_ZERO), _ODE_MAX), (_ODE_MAX, seed, 0.0)):
+        sol = solve_ivp(
+            _ode_rhs, (t0, t1), list(y0), method="DOP853",
+            rtol=1e-13, atol=1e-300, dense_output=True,
+        )
+        if not sol.success:
+            raise OracleError(f"integration of w'' = t w failed: {sol.message}")
+        sols.append(sol.sol)
+    return sols[0], sols[1], seed
 
 
 def _assemble_from_raw(z: float, ai: float, aip: float, bi: float, bip: float) -> AiryValues:
@@ -329,13 +333,18 @@ def airy_via_ode_oracle(z: float) -> AiryValues:
     far below double precision) and marched downward, the stable direction
     for the decaying solution.  The closed-form origin values give an
     end-to-end check of that sweep, exercised in the test suite.
+
+    Both trajectories span the whole range and are integrated once per
+    process, on the first call; each call reads their dense output at z
+    (within 2e-12 of 30-digit mpmath on [0, 50]).  z = 0 returns the
+    closed forms and z = 50 the Ai seed itself.
     """
     zf = _validate(z)
     if zf > _ODE_MAX:
         raise DomainError(f"oracle covers [0, {_ODE_MAX}], got {z!r}")
     if zf == 0.0:
         return _assemble_from_raw(0.0, AI_ZERO, AIP_ZERO, BI_ZERO, BIP_ZERO)
-    bi, bip = _integrate(0.0, (BI_ZERO, BIP_ZERO), zf)
-    seed = _ai_seed()
-    ai, aip = seed if zf == _ODE_MAX else _integrate(_ODE_MAX, seed, zf)
+    bi_sol, ai_sol, seed = _trajectories()
+    bi, bip = bi_sol(zf).tolist()
+    ai, aip = seed if zf == _ODE_MAX else ai_sol(zf).tolist()
     return _assemble_from_raw(zf, ai, aip, bi, bip)

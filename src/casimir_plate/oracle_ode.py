@@ -27,10 +27,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, ResolutionError
+from .errors import DomainError, ResolutionError, ToleranceError
 from .greens import PlateConfig
 from .quadrature import QuadratureSpec, integrate_finite
 
@@ -78,9 +79,13 @@ def _q_values(xs: np.ndarray, kappa: float, cfg: PlateConfig) -> np.ndarray:
 
 
 def _solve_banded_bvp(
-    xs: np.ndarray, q: np.ndarray, j_src: int, plate: str, stencil: int
+    xs: np.ndarray, q: np.ndarray, sources: Sequence[int], plate: str, stencil: int
 ) -> np.ndarray:
-    """Band solve of G'' - q G = -delta with plate at one edge, decay at the other.
+    """Band solves of G'' - q G = -delta with plate at one edge, decay at the other.
+
+    Returns one column per source node index, all from one ``solve_banded``
+    call on one factorization; each column carries the same bits as a
+    solve for its source alone.
 
     plate='lo': Dirichlet at xs[0], WKB closure at xs[-1];
     plate='hi': the mirror image.  The closure eliminates a ghost node
@@ -99,18 +104,20 @@ def _solve_banded_bvp(
 
     n = xs.size
     h = xs[1] - xs[0]
-    rhs = np.zeros(n)
+    cols = np.arange(len(sources))
+    src = np.asarray(sources)
+    rhs = np.zeros((n, cols.size))
     if stencil == 4:
         c = 1.0 - (h * h / 12.0) * q
         d = -2.0 * (1.0 + (5.0 * h * h / 12.0) * q)
         w = -h / 12.0
-        rhs[j_src - 1] += w
-        rhs[j_src] += 10.0 * w
-        rhs[j_src + 1] += w
+        rhs[src - 1, cols] += w
+        rhs[src, cols] += 10.0 * w
+        rhs[src + 1, cols] += w
     else:
         c = np.ones(n)
         d = -(2.0 + h * h * q)
-        rhs[j_src] = -h
+        rhs[src, cols] = -h
     ab = np.zeros((3, n))
     ab[0, 1:] = c[1:]
     ab[1, :] = d
@@ -133,7 +140,7 @@ def _solve_banded_bvp(
         rhs[0] = 0.0
     g = solve_banded((1, 1), ab, rhs)
     if stencil == 4:
-        g[j_src] += h / 12.0
+        g[src, cols] += h / 12.0
     return g
 
 
@@ -156,9 +163,8 @@ def _refined(grid: GridSpec) -> GridSpec:
     return GridSpec(grid.x_lo, grid.x_hi, 2 * grid.n - 1, grid.stencil)
 
 
-def _solve_region(
-    kappa: float, cfg: PlateConfig, xp: float, grid: GridSpec, plate: str, check: bool
-) -> tuple[np.ndarray, np.ndarray]:
+def _grid_values(kappa: float, cfg: PlateConfig, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and q on the grid, once the open end is padded by >= 8 decay lengths."""
     xs = np.linspace(grid.x_lo, grid.x_hi, grid.n)
     q = _q_values(xs, kappa, cfg)
     margin = _decay_margin(xs, q)
@@ -167,14 +173,26 @@ def _solve_region(
             f"domain too short: integral of sqrt(q) is {margin:.2f}, need >= 8 "
             "for the decay closure to be trustworthy"
         )
+    return xs, q
+
+
+def _source_index(xp: float, grid: GridSpec) -> int:
     j = int(round((xp - grid.x_lo) / grid.h))
     if not 2 <= j <= grid.n - 3:
         raise DomainError(f"source {xp!r} too close to the domain edge")
-    g = _solve_banded_bvp(xs, q, j, plate, grid.stencil)
+    return j
+
+
+def _solve_region(
+    kappa: float, cfg: PlateConfig, xp: float, grid: GridSpec, plate: str, check: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    xs, q = _grid_values(kappa, cfg, grid)
+    j = _source_index(xp, grid)
+    g = _solve_banded_bvp(xs, q, [j], plate, grid.stencil)[:, 0]
     if check:
         fine = _refined(grid)
         xs2 = np.linspace(fine.x_lo, fine.x_hi, fine.n)
-        g2 = _solve_banded_bvp(xs2, _q_values(xs2, kappa, cfg), 2 * j, plate, fine.stencil)
+        g2 = _solve_banded_bvp(xs2, _q_values(xs2, kappa, cfg), [2 * j], plate, fine.stencil)[:, 0]
         scale = float(np.max(np.abs(g))) or 1.0
         gap = float(np.max(np.abs(g - g2[::2]))) / scale
         if gap > 1e-5:
@@ -250,7 +268,8 @@ def integrand_from_fd(
     dimensionless integrands (divided by 1 when b = 0).
 
     eps is snapped to a whole number of grid cells; it must be resolved by
-    at least 4 of them.
+    at least 4 of them.  The two probes differ only in where the source
+    sits, so one band solve with a source column each serves both.
     """
     kappa = _common_checks(kappa, cfg)
     if side not in ("above", "below"):
@@ -266,20 +285,18 @@ def integrand_from_fd(
     q_plate = _momentum_factor(cfg) * kappa * kappa + cfg.b * cfg.a
     bcube = cfg.b ** (1.0 / 3.0) if cfg.b > 0.0 else 1.0
 
-    def slope_estimate(mult: int) -> tuple[float, float]:
-        dist = mult * j * h
-        if side == "above":
-            xp = grid.x_lo + mult * j * h
-            xs, g = _solve_region(kappa, cfg, xp, grid, "lo", False)
-            ratio = _edge_slope_lo(g, h)
-            return (ratio - 1.0) / dist - 0.5 * dist * q_plate, dist
-        xp = grid.x_hi - mult * j * h
-        xs, g = _solve_region(kappa, cfg, xp, grid, "hi", False)
-        ratio = -_edge_slope_hi(g, h)  # equals u(a - eps)/u(a)
-        return (1.0 - ratio) / dist + 0.5 * dist * q_plate, dist
-
-    s1, _ = slope_estimate(1)
-    s2, _ = slope_estimate(2)
+    xs, q = _grid_values(kappa, cfg, grid)
+    dists = (j * h, 2 * j * h)
+    if side == "above":
+        sources = [_source_index(grid.x_lo + d, grid) for d in dists]
+        g = _solve_banded_bvp(xs, q, sources, "lo", grid.stencil)
+        ratios = [_edge_slope_lo(g[:, k], h) for k in (0, 1)]
+        s1, s2 = [(r - 1.0) / d - 0.5 * d * q_plate for r, d in zip(ratios, dists)]
+    else:
+        sources = [_source_index(grid.x_hi - d, grid) for d in dists]
+        g = _solve_banded_bvp(xs, q, sources, "hi", grid.stencil)
+        ratios = [-_edge_slope_hi(g[:, k], h) for k in (0, 1)]  # u(a - eps)/u(a)
+        s1, s2 = [(1.0 - r) / d + 0.5 * d * q_plate for r, d in zip(ratios, dists)]
     s_ext = (4.0 * s1 - s2) / 3.0
     if side == "above":
         return s_ext / bcube
@@ -351,7 +368,8 @@ def force_from_fd(
     the shared adaptive quadrature, and the large-momentum remainder from
     the closed-form Lorentzian tail integral (re-derived inline so this
     path imports nothing from the stress module).  This is the fully
-    independent cross-check of the production force values.
+    independent cross-check of the production force values.  A cutoff
+    integral that misses spec's tolerance raises ToleranceError.
     """
     eta = float(eta)
     if not (math.isfinite(eta) and eta > 0.0):
@@ -368,6 +386,14 @@ def force_from_fd(
         return below - above
 
     r = integrate_finite(lambda ks: [net(k) for k in ks.tolist()], 0.0, float(kappa_max), spec)
+    scale = eta ** (2.0 / 3.0)
+    if not r.converged:
+        # err_est in units of f, as force_exact reports it
+        raise ToleranceError(
+            f"FD momentum integral did not converge on [0.0, {float(kappa_max)!r}]; "
+            f"eta={eta!r}, rel_tol={spec.rel_tol!r}, "
+            f"err_est={scale * r.err_est / (2.0 * math.pi):.3e}"
+        )
     s6 = eta ** (1.0 / 6.0)
     tail = math.atan(s6 / kappa_max) / (4.0 * math.pi * s6)
-    return eta ** (2.0 / 3.0) * (r.value / (2.0 * math.pi) + tail)
+    return scale * (r.value / (2.0 * math.pi) + tail)

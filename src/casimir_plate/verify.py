@@ -125,8 +125,9 @@ def suite_airy() -> list[CheckResult]:
         )
     out.append(CheckResult("asymptotic_series_switch_band", worst <= 5e-13, worst, 5e-13))
 
+    # the whole oracle range, so the series branch above Z_SWITCH is covered
     worst = 0.0
-    for z in np.linspace(0.0, 10.0, 21):
+    for z in np.linspace(0.0, 50.0, 101):
         v = ae.airy_eval(z)
         o = ae.airy_via_ode_oracle(z)
         worst = max(

@@ -1,10 +1,14 @@
 """Airy evaluation layer: closed-form anchors, scaling identities, oracle cross-checks."""
 
 import math
+import random
+import types
 
 import numpy as np
 import pytest
+import scipy.integrate
 
+from casimir_plate import airy_engine
 from casimir_plate.airy_engine import (
     Z_SWITCH,
     airy_eval,
@@ -15,7 +19,7 @@ from casimir_plate.airy_engine import (
     zeta_gap,
     zeta_of,
 )
-from casimir_plate.errors import DomainError
+from casimir_plate.errors import DomainError, OracleError
 
 # Values at z=0 in closed form (Gamma-function expressions).
 AI0 = 1.0 / (3.0 ** (2.0 / 3.0) * math.gamma(2.0 / 3.0))
@@ -212,3 +216,74 @@ class TestOdeOracle:
                          (got.bi, ref.bi), (got.bip, ref.bip)):
                 worst = max(worst, rel(g, r))
         assert worst <= 1e-10
+
+    def test_engine_matches_oracle_across_the_switch(self):
+        # the oracle's whole range: the series branch above Z_SWITCH is
+        # checked against the independent route too
+        zs = np.linspace(0.0, 50.0, 101)
+        assert zs.min() < Z_SWITCH < zs.max()
+        worst = 0.0
+        for z in zs:
+            ref = airy_via_ode_oracle(float(z))
+            got = airy_eval(float(z))
+            for g, r in ((got.ai_s, ref.ai_s), (got.aip_s, ref.aip_s),
+                         (got.bi_s, ref.bi_s), (got.bip_s, ref.bip_s)):
+                worst = max(worst, rel(g, r))
+        assert worst <= 1e-10
+
+    def test_matches_mpmath_at_seeded_points(self):
+        mp = pytest.importorskip("mpmath")
+        rng = random.Random(20261018)
+        worst = 0.0
+        with mp.workdps(30):
+            for z in [rng.uniform(0.0, 50.0) for _ in range(50)]:
+                v = airy_via_ode_oracle(z)
+                refs = (mp.airyai(z), mp.airyai(z, 1), mp.airybi(z), mp.airybi(z, 1))
+                for got, ref in zip((v.ai, v.aip, v.bi, v.bip), refs):
+                    worst = max(worst, float(abs((got - ref) / ref)))
+        assert worst <= 1e-11
+
+    def test_range_ends_return_their_anchors(self):
+        v = airy_via_ode_oracle(0.0)
+        anchors = (airy_engine.AI_ZERO, airy_engine.AIP_ZERO, airy_engine.BI_ZERO, airy_engine.BIP_ZERO)
+        assert (v.ai, v.aip, v.bi, v.bip) == anchors
+        seed = airy_engine._asymptotic_scaled(np.array([50.0]))[:2, 0] * math.exp(-zeta_of(50.0))
+        v = airy_via_ode_oracle(50.0)
+        assert (v.ai, v.aip) == tuple(seed.tolist())
+
+
+class TestOdeTrajectories:
+    """The oracle integrates each trajectory once per process and reuses it."""
+
+    @pytest.fixture
+    def solver(self, monkeypatch):
+        # starts from an empty cache; records each solve_ivp span, and makes
+        # every integration report failure while .fail is set
+        airy_engine._trajectories.cache_clear()
+        real = scipy.integrate.solve_ivp
+        log = types.SimpleNamespace(spans=[], fail=False)
+
+        def wrapped(fun, t_span, *args, **kwargs):
+            log.spans.append(tuple(t_span))
+            sol = real(fun, t_span, *args, **kwargs)
+            if log.fail:
+                sol.success, sol.message = False, "step size underflow"
+            return sol
+
+        monkeypatch.setattr(scipy.integrate, "solve_ivp", wrapped)
+        return log
+
+    def test_two_integrations_serve_every_call(self, solver):
+        for z in (0.5, 3.0, 17.0, 39.9, 41.0, 49.0, 3.0):
+            airy_via_ode_oracle(z)
+        assert solver.spans == [(0.0, 50.0), (50.0, 0.0)]
+
+    def test_failed_integration_raises_and_caches_nothing(self, solver):
+        solver.fail = True
+        with pytest.raises(OracleError, match="step size underflow"):
+            airy_via_ode_oracle(1.0)
+        solver.fail = False
+        solver.spans.clear()
+        v = airy_via_ode_oracle(1.0)
+        assert solver.spans == [(0.0, 50.0), (50.0, 0.0)]
+        assert v.ai == pytest.approx(ORACLE_AI_1, rel=1e-12)

@@ -182,17 +182,30 @@ class TestCurvePool:
 
 
 class TestImportFootprint:
-    def test_cli_import_loads_no_oracle_scipy(self):
-        code = (
-            "import sys, casimir_plate.cli; "
-            "print(sorted(m for m in ('scipy.integrate', 'scipy.linalg') if m in sys.modules))"
-        )
+    @staticmethod
+    def fresh_stdout(code):
+        """stdout of code run in a fresh interpreter that imports this package."""
         pkg_root = str(Path(cli.__file__).resolve().parents[1])
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [pkg_root, env.get("PYTHONPATH")]))
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        return proc.stdout.strip()
+
+    def test_cli_import_loads_no_oracle_scipy(self):
+        code = (
+            "import sys, casimir_plate.cli; "
+            "print(sorted(m for m in ('scipy.integrate', 'scipy.linalg') if m in sys.modules))"
+        )
+        assert self.fresh_stdout(code) == "[]"
+
+    def test_package_import_builds_no_ode_trajectory(self):
+        # the ODE oracle integrates its trajectories on first use, not at import
+        code = (
+            "import casimir_plate, casimir_plate.cli; "
+            "print(casimir_plate.airy_engine._trajectories.cache_info().currsize)"
+        )
+        assert self.fresh_stdout(code) == "0"
 
 
 class TestPerturb:
@@ -226,6 +239,18 @@ class TestVerify:
     def test_unknown_suite(self, capsys):
         rc, _ = run_cli(["verify", "--suite", "nonsense"], capsys)
         assert rc == 2
+
+    def test_ode_oracle_check_spans_the_switch(self, monkeypatch):
+        # the oracle's whole range, so the series branch is checked too
+        from casimir_plate import airy_engine, verify
+
+        zs = []
+        real = airy_engine.airy_via_ode_oracle
+        monkeypatch.setattr(airy_engine, "airy_via_ode_oracle", lambda z: zs.append(z) or real(z))
+        check = next(c for c in verify.suite_airy() if c.name == "eval_vs_ode_oracle")
+        assert check.passed
+        assert min(zs) == 0.0 and max(zs) == 50.0
+        assert sum(z > airy_engine.Z_SWITCH for z in zs) >= 10
 
 
 class TestPlot:

@@ -1,15 +1,24 @@
 """Golden bits: force values pinned to the last bit, plus evaluation counts.
 
-The hex strings are float.hex of results computed by the per-node scalar
-integrand that preceded the batched one.  Batching the force integral (one
-array call per quadrature step) must not move any of them: f_eta, err_est
-and kappa_max compare with ==, n_evals exactly, and a failing input keeps
-its error type and the old message as a prefix.
+The hex strings of the force_exact, force_classic and force_perturbative
+values are float.hex of results computed by the per-node scalar integrand
+that preceded the batched one.  Batching the force integral (one array
+call per quadrature step) must not move any of them: f_eta, err_est and
+kappa_max compare with ==, n_evals exactly, and a failing input keeps its
+error type and the old message as a prefix.  The force_from_fd values were
+taken when each FD probe (eps and 2 eps) still had a band solve of its
+own; solving both in one call must not move them either.
 """
 
 import pytest
 
-from casimir_plate import QuadratureSpec, force_classic, force_exact, force_perturbative
+from casimir_plate import (
+    QuadratureSpec,
+    force_classic,
+    force_exact,
+    force_from_fd,
+    force_perturbative,
+)
 from casimir_plate.errors import TailError, ToleranceError
 
 # (eta, rel_tol, pinned kappa_max): (f_eta, err_est, kappa_max, n_evals)
@@ -60,3 +69,16 @@ def test_force_classic_bits():
 
 def test_force_perturbative_bits():
     assert force_perturbative(1.0, 1.0, 1e-2).hex() == "0x1.620b469a89a54p-1"
+
+
+# eta: force_from_fd(eta) with its default cutoff and tolerance
+FORCE_FD = {
+    0.3: "0x1.9bf4376bace87p-5",
+    1.0: "0x1.d50033b343d6cp-4",
+    3.0: "0x1.c2b60e69ae0a0p-3",
+}
+
+
+@pytest.mark.parametrize("eta", list(FORCE_FD))
+def test_force_from_fd_bits(eta):
+    assert force_from_fd(eta).hex() == FORCE_FD[eta]

@@ -8,6 +8,7 @@ break every traced benchmark run.
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
@@ -39,3 +40,11 @@ def test_tracer_target_exists(module, attr):
 )
 def test_package_name_used_by_ops(name):
     assert hasattr(casimir_plate, name)
+
+
+def test_fd_integrand_grid_is_parameter_3():
+    # the tracer's FD hook reads the grid as args[3]
+    from casimir_plate import oracle_ode
+
+    params = list(inspect.signature(oracle_ode.integrand_from_fd).parameters)
+    assert params[3] == "grid"

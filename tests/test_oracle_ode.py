@@ -4,7 +4,8 @@ import math
 
 import pytest
 
-from casimir_plate.errors import DomainError, ResolutionError
+from casimir_plate import QuadratureSpec, oracle_ode
+from casimir_plate.errors import DomainError, ResolutionError, ToleranceError
 from casimir_plate.greens import PlateConfig, greens_free_above, greens_linear_above
 from casimir_plate.oracle_ode import (
     GridSpec,
@@ -118,6 +119,20 @@ class TestBandedSolver:
         # deep tail decays
         assert g[200] < g[5000] < g[9000]
 
+    @pytest.mark.parametrize("stencil", [2, 4])
+    @pytest.mark.parametrize("side, plate", [("above", "lo"), ("below", "hi")])
+    def test_two_source_solve_equals_one_source_solves(self, side, plate, stencil):
+        # the FD integrand solves its eps and 2 eps probes in one call
+        grid, eps = fd_setup(1.3, self.CFG, side, stencil=stencil)
+        xs, q = oracle_ode._grid_values(1.3, self.CFG, grid)
+        j = round(eps / grid.h)
+        sources = [j, 2 * j] if plate == "lo" else [grid.n - 1 - j, grid.n - 1 - 2 * j]
+        both = oracle_ode._solve_banded_bvp(xs, q, sources, plate, stencil)
+        assert both.shape == (grid.n, 2)
+        for k, src in enumerate(sources):
+            one = oracle_ode._solve_banded_bvp(xs, q, [src], plate, stencil)
+            assert both[:, k].tobytes() == one[:, 0].tobytes()
+
 
 class TestStressExtraction:
     def test_above_matches_closed_form(self):
@@ -156,6 +171,11 @@ class TestStressExtraction:
         with pytest.raises(ResolutionError):
             integrand_from_fd(1.0, cfg, "above", grid, grid.h)  # eps below 4h
 
+    def test_short_domain_rejected(self):
+        cfg = PlateConfig.from_eta(1.0)
+        with pytest.raises(DomainError, match="domain too short"):
+            integrand_from_fd(1.0, cfg, "above", GridSpec(cfg.a, cfg.a + 0.5, 2001), 0.01)
+
     def test_setup_geometry(self):
         cfg = PlateConfig.from_eta(1.0)
         grid, eps = fd_setup(1.0, cfg, "above")
@@ -171,3 +191,10 @@ class TestForcePipeline:
 
     def test_agrees_with_closed_form_route(self):
         assert rel(force_from_fd(1.0), force_exact(1.0).f_eta) <= 1e-4
+
+    def test_nonconvergence_raises_and_names_inputs(self):
+        spec = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-30, max_subdivisions=2)
+        with pytest.raises(ToleranceError) as info:
+            force_from_fd(1.0, spec=spec)
+        text = str(info.value)
+        assert "eta=1.0" in text and "rel_tol=1e-12" in text and "err_est=" in text
