@@ -29,8 +29,8 @@ one-argument view of the same evaluator.
 
 ``airy_via_ode_oracle`` provides reference values on [0, 50] by a route
 independent of both evaluators: adaptive high-order integration of
-w'' = t w seeded with closed-form values at t = 0 (for Bi) and with the
-asymptotic series at t = 50 (for Ai, marched downward; the upward
+w'' = t w seeded with closed-form values at t = 0 (for Bi) and with
+scipy's ``airye`` at t = 50 (for Ai, marched downward; the upward
 direction is exponentially unstable for the decaying solution).  The first
 oracle call imports ``scipy.integrate``, computes the Ai seed and
 integrates both trajectories over the whole range with dense output; they
@@ -77,7 +77,7 @@ BIP_ZERO = 3.0 ** (1.0 / 6.0) / math.gamma(1.0 / 3.0)
 # scipy below, asymptotic series above; both are good to a few ulp here.
 Z_SWITCH = 40.0
 
-_ODE_MAX = 50.0  # oracle range; the asymptotic seed sits at this point
+_ODE_MAX = 50.0  # oracle range; the Ai seed sits at this point
 
 
 @dataclass(frozen=True)
@@ -291,14 +291,14 @@ def _ode_rhs(t, y):
 def _trajectories():
     """(Bi, Ai) dense-output solutions of w'' = t w over [0, 50], and the Ai seed.
 
+    The seed is scipy's airye at 50, not the series airy_eval serves there.
     Built by the first oracle call and kept; an integration that fails
     raises and leaves nothing cached, so the next call tries again.
     """
     from scipy.integrate import solve_ivp  # oracle only; kept off the import path
 
-    ai_s, aip_s, _, _ = _asymptotic_scaled(np.array([_ODE_MAX]))[:, 0].tolist()
     e = math.exp(-zeta_of(_ODE_MAX))
-    seed = (ai_s * e, aip_s * e)
+    seed = tuple(float(v) * e for v in _scipy_airye(_ODE_MAX)[:2])
     sols = []
     for t0, y0, t1 in ((0.0, (BI_ZERO, BIP_ZERO), _ODE_MAX), (_ODE_MAX, seed, 0.0)):
         sol = solve_ivp(
@@ -329,14 +329,15 @@ def airy_via_ode_oracle(z: float) -> AiryValues:
     solution is the stable direction, so rounding noise stays bounded.  Ai
     upward is hopeless; any rounding injects a Bi component amplified by
     e^{2 zeta}, a factor ~1e18 already at t = 10.  Ai is therefore seeded
-    at t = 50 with the asymptotic series (whose truncation error there is
-    far below double precision) and marched downward, the stable direction
-    for the decaying solution.  The closed-form origin values give an
-    end-to-end check of that sweep, exercised in the test suite.
+    at t = 50 from scipy's ``airye`` (within 2e-16 of 40-digit mpmath there,
+    and separate code from the series airy_eval uses above Z_SWITCH) and
+    marched downward, the stable direction for the decaying solution.  The
+    closed-form origin values give an end-to-end check of that sweep,
+    exercised in the test suite.
 
     Both trajectories span the whole range and are integrated once per
     process, on the first call; each call reads their dense output at z
-    (within 2e-12 of 30-digit mpmath on [0, 50]).  z = 0 returns the
+    (within 2.1e-12 of 30-digit mpmath on [0, 50]).  z = 0 returns the
     closed forms and z = 50 the Ai seed itself.
     """
     zf = _validate(z)

@@ -272,8 +272,8 @@ def below_ratio_from_construction(kappa: float, cfg: PlateConfig) -> float:
 
     This is the stress integrand the below-plate construction implies,
     assembled from the u coefficients with the common exponent factored
-    out.  It must agree with the independently coded ratio in the stress
-    module; the agreement is a conformance test.
+    out.  It repeats the stress module's algebra on the same Airy values, so
+    agreement is no cross-check; verify.integrand_from_greens is the one.
     """
     kappa = _require_linear(cfg, kappa)
     parts = _BelowParts(kappa, cfg)

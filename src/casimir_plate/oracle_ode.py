@@ -312,50 +312,44 @@ def _inv_efold(target: float, q0: float, b: float) -> float:
     return ((1.5 * b * target + q0 * math.sqrt(q0)) ** (2.0 / 3.0) - q0) / b
 
 
-def fd_setup(
-    kappa: float,
-    cfg: PlateConfig,
-    side: str,
-    *,
-    nodes_per_eps: int = 16,
-    efolds: float = 14.0,
-    stencil: int = 4,
-) -> tuple[GridSpec, float]:
+_NODES_PER_EPS = 16  # grid cells across eps
+_EFOLDS = 14.0  # decay lengths of padding at the open end
+_STENCIL = 4
+
+
+def fd_setup(kappa: float, cfg: PlateConfig, side: str) -> tuple[GridSpec, float]:
     """Grid and eps tuned for integrand_from_fd.
 
     eps = 0.025/sqrt(q(a)) keeps the cubic extraction residual near 1e-5
-    relative; the grid resolves eps with nodes_per_eps cells and pads the
-    open end with ~efolds decay lengths so the truncation is invisible.
+    relative; the grid resolves eps with _NODES_PER_EPS cells and pads the
+    open end with ~_EFOLDS decay lengths so the truncation is invisible.
     """
     kappa = _common_checks(kappa, cfg)
     if side not in ("above", "below"):
         raise DomainError(f"side must be 'above' or 'below', got {side!r}")
     q_plate = _momentum_factor(cfg) * kappa * kappa + cfg.b * cfg.a
     eps = 0.025 / math.sqrt(q_plate)
-    h = eps / nodes_per_eps
+    h = eps / _NODES_PER_EPS
     if cfg.b == 0.0:
-        pad = efolds / math.sqrt(q_plate)
+        pad = _EFOLDS / math.sqrt(q_plate)
         span = pad if side == "above" else cfg.a + pad
     else:
         ks2 = _momentum_factor(cfg) * kappa * kappa
         if side == "above":
             # e-folds accumulated above the plate
-            q0 = q_plate
-            span = _inv_efold(efolds, q0, cfg.b)
+            span = _inv_efold(_EFOLDS, q_plate, cfg.b)
         else:
             # e-folds from the far side up to the plate; the stretch (0, a)
             # already contributes f_a of them
-            f_a = (
-                ((ks2 + cfg.b * cfg.a) ** 1.5 - ks2**1.5) / (1.5 * cfg.b)
-            )
-            need = max(efolds - f_a, 1.0)
+            f_a = ((ks2 + cfg.b * cfg.a) ** 1.5 - ks2**1.5) / (1.5 * cfg.b)
+            need = max(_EFOLDS - f_a, 1.0)
             span = cfg.a + _inv_efold(need, ks2, cfg.b)
     span = max(span, 8.0 * eps)
     n = max(int(math.ceil(span / h)) + 1, 1000)
     if side == "above":
-        grid = GridSpec(cfg.a, cfg.a + (n - 1) * h, n, stencil)
+        grid = GridSpec(cfg.a, cfg.a + (n - 1) * h, n, _STENCIL)
     else:
-        grid = GridSpec(cfg.a - (n - 1) * h, cfg.a, n, stencil)
+        grid = GridSpec(cfg.a - (n - 1) * h, cfg.a, n, _STENCIL)
     return grid, eps
 
 

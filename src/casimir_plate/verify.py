@@ -3,16 +3,21 @@
 Each suite re-tests the invariants that make the physics trustworthy:
 special-function identities, Green's function boundary structure, and the
 consistency web between the closed forms, the stress integrands, and the
-finite-difference oracle.  Checks are deliberately cheap (a few seconds
-for `all`); the exhaustive grids live in the test suite.
+finite-difference oracle.  ``CHECKS`` is their one table (suite, name,
+measure, threshold); a check passes when measure() <= threshold, a yes/no
+invariant counts its violations against threshold 0, and the test suite
+runs every row, so each threshold lives here only.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
+from scipy.special import airye
 
 from . import airy_engine as ae
 from . import greens as gr
@@ -20,8 +25,8 @@ from . import oracle_ode as oo
 from . import stress_kernel as sk
 from .errors import DomainError
 
-__all__ = ["CheckResult", "integrand_from_greens", "suite_airy", "suite_greens",
-           "suite_stress", "run", "SUITES"]
+__all__ = ["Check", "CheckResult", "CHECKS", "integrand_from_greens", "suite_airy",
+           "suite_greens", "suite_stress", "run", "SUITES"]
 
 
 @dataclass
@@ -32,12 +37,21 @@ class CheckResult:
     threshold: float
     detail: str = ""
 
-    def __post_init__(self):
-        # numpy scalars sneak in from the grid sweeps; JSON output needs
-        # plain Python types
-        self.passed = bool(self.passed)
-        self.measured = float(self.measured)
-        self.threshold = float(self.threshold)
+
+@dataclass(frozen=True)
+class Check:
+    """One row of CHECKS: passes when measure() <= threshold."""
+
+    suite: str
+    name: str
+    measure: Callable[[], float]
+    threshold: float
+    detail: str = ""
+
+    def run(self) -> CheckResult:
+        # numpy scalars and violation counts become plain floats for JSON
+        m, t = float(self.measure()), float(self.threshold)
+        return CheckResult(self.name, m <= t, m, t, self.detail)
 
 
 def _rel(x: float, ref: float) -> float:
@@ -69,15 +83,9 @@ def integrand_from_greens(kappa: float, cfg: gr.PlateConfig, side: str) -> float
     def plate_slope(xp: float, sgn: float) -> float:
         # 5-point one-sided d/dx at the plate, stepping toward the source
         d = sgn * eps / 8.0
-        g = [
-            gr.greens_linear_above(cfg.a + j * d, xp, kappa, cfg)
-            if sgn > 0
-            else gr.greens_linear_below(cfg.a + j * d, xp, kappa, cfg)
-            for j in range(5)
-        ]
-        return (-25.0 * g[0] + 48.0 * g[1] - 36.0 * g[2] + 16.0 * g[3] - 3.0 * g[4]) / (
-            12.0 * d
-        )
+        greens = gr.greens_linear_above if sgn > 0 else gr.greens_linear_below
+        g = [greens(cfg.a + j * d, xp, kappa, cfg) for j in range(5)]
+        return (-25.0 * g[0] + 48.0 * g[1] - 36.0 * g[2] + 16.0 * g[3] - 3.0 * g[4]) / (12.0 * d)
 
     def slope_estimate(e: float) -> float:
         if side == "above":
@@ -91,70 +99,60 @@ def integrand_from_greens(kappa: float, cfg: gr.PlateConfig, side: str) -> float
 
 
 # ---------------------------------------------------------------------------
-# Suites.
+# Measures: each returns the number its row compares with the threshold.
 
 
-def suite_airy() -> list[CheckResult]:
-    out: list[CheckResult] = []
+def _wronskian_scaled_grid() -> float:
+    zs = [0.0] + list(np.logspace(-3.0, 4.0, 120))
+    return max(abs(math.pi * ae.airy_eval(z).wronskian_scaled() - 1.0) for z in zs)
 
-    zs = [0.0] + list(np.logspace(-3.0, 4.0, 29))
-    worst = max(abs(math.pi * ae.airy_eval(z).wronskian_scaled() - 1.0) for z in zs)
-    out.append(CheckResult("wronskian_scaled_grid", worst <= 1e-10, worst, 1e-10))
 
-    grid = np.linspace(0.0, 30.0, 601)
-    vals = [ae.airy_eval(z) for z in grid]
-    mono = all(
-        v1.ai < v0.ai and v1.bi > v0.bi for v0, v1 in zip(vals, vals[1:])
-    )
-    out.append(CheckResult("ai_decreasing_bi_increasing", mono, 0.0 if mono else 1.0, 0.5))
+def _ai_decreasing_bi_increasing() -> int:
+    vals = [ae.airy_eval(z) for z in np.linspace(0.0, 30.0, 601)]
+    return sum(not (0.0 < v1.ai < v0.ai and v1.bi > v0.bi > 0.0)
+               for v0, v1 in zip(vals, vals[1:]))
 
-    # series vs library across the evaluator's internal switch
-    import scipy.special as _sp
 
-    band = np.linspace(36.0, 44.0, 17)
-    worst = 0.0
-    for z in band:
-        lib = _sp.airye(z)
-        own = ae._asymptotic_scaled(np.array([z]))[:, 0]
-        worst = max(
-            worst,
-            _rel(own[0], lib[0]),
-            _rel(own[1], lib[1]),
-            _rel(own[2], lib[2]),
-            _rel(own[3], lib[3]),
-        )
-    out.append(CheckResult("asymptotic_series_switch_band", worst <= 5e-13, worst, 5e-13))
+def _asymptotic_series_switch_band() -> float:
+    # the series and the dispatching evaluator against the library, in a
+    # band around the switch where both branches are accurate
+    band = np.linspace(ae.Z_SWITCH - 4.0, ae.Z_SWITCH + 4.0, 17)
+    lib = np.array(airye(band))
+    return max(np.max(np.abs(own - lib) / np.abs(lib))
+               for own in (ae._asymptotic_scaled(band), ae.airy_scaled(band)))
 
+
+def _eval_vs_ode_oracle() -> float:
     # the whole oracle range, so the series branch above Z_SWITCH is covered
-    worst = 0.0
-    for z in np.linspace(0.0, 50.0, 101):
-        v = ae.airy_eval(z)
-        o = ae.airy_via_ode_oracle(z)
-        worst = max(
-            worst,
-            _rel(v.ai_s, o.ai_s),
-            _rel(v.aip_s, o.aip_s),
-            _rel(v.bi_s, o.bi_s),
-            _rel(v.bip_s, o.bip_s),
-        )
-    out.append(CheckResult("eval_vs_ode_oracle", worst <= 1e-10, worst, 1e-10))
+    pairs = [(ae.airy_eval(z), ae.airy_via_ode_oracle(z)) for z in np.linspace(0.0, 50.0, 101)]
+    return max(_rel(getattr(v, f), getattr(o, f))
+               for v, o in pairs for f in ("ai_s", "aip_s", "bi_s", "bip_s"))
 
-    worst = 0.0
-    for z in [50.0, 100.0, 400.0, 1600.0]:
-        bound = 10.0 / z**2.5
-        da = abs(ae.log_deriv_ai(z) + math.sqrt(z) + 0.25 / z) / bound
-        db = abs(ae.log_deriv_bi(z) - math.sqrt(z) + 0.25 / z) / bound
-        worst = max(worst, da, db)
-    out.append(CheckResult("log_deriv_asymptotics", worst <= 1.0, worst, 1.0,
-                           "measured as fraction of the 10/z^{5/2} bound"))
 
-    ok = True
-    for z in np.logspace(0.0, 4.0, 9):
-        v = ae.airy_eval(float(z))
-        for f in (v.ai_s, v.aip_s, v.bi_s, v.bip_s):
-            ok = ok and math.isfinite(f) and f != 0.0
-    out.append(CheckResult("scaled_values_finite_to_1e4", ok, 0.0 if ok else 1.0, 0.5))
-    return out
+def _log_deriv_asymptotics() -> float:
+    return max(max(abs(ae.log_deriv_ai(z) + math.sqrt(z) + 0.25 / z),
+                   abs(ae.log_deriv_bi(z) - math.sqrt(z) + 0.25 / z)) / (10.0 / z**2.5)
+               for z in (50.0, 100.0, 400.0, 1e3, 1600.0, 1e4))
+
+
+def _scaled_values_finite_to_1e4() -> int:
+    # finite with the signs of Ai, Ai', Bi, Bi' (NaN fails every comparison)
+    vals = [ae.airy_eval(float(z)) for z in np.logspace(-2.0, 4.0, 40)]
+    return sum(not (0.0 < v.ai_s < math.inf and -math.inf < v.aip_s < 0.0
+                    and 0.0 < v.bi_s < math.inf and 0.0 < v.bip_s < math.inf) for v in vals)
+
+
+_CFG1 = gr.PlateConfig(a=1.0, b=1.0)
+
+
+def _dirichlet_zeros() -> float:
+    return max(abs(v) for v in (
+        gr.greens_free_between(0.8, 0.0, 1.3, 2.0),
+        gr.greens_free_between(2.0, 0.7, 1.3, 2.0),
+        gr.greens_free_above(1.0, 1.9, 1.3, 1.0),
+        gr.greens_linear_above(1.0, 1.6, 0.8, _CFG1),
+        gr.greens_linear_below(1.0, 0.4, 0.8, _CFG1),
+    ))
 
 
 def _jump_at(g_of_x, xp: float, d: float) -> float:
@@ -170,153 +168,158 @@ def _jump_at(g_of_x, xp: float, d: float) -> float:
     return 2.0 * j(d / 2.0) - j(d)
 
 
-def suite_greens() -> list[CheckResult]:
-    out: list[CheckResult] = []
-    cfg = gr.PlateConfig(a=1.0, b=1.0)
-
-    # Dirichlet zeros at every boundary of every form
-    z1 = gr.greens_free_between(0.8, 0.0, 1.3, 2.0)
-    z2 = gr.greens_free_between(2.0, 0.7, 1.3, 2.0)
-    z3 = gr.greens_free_above(1.0, 1.9, 1.3, 1.0)
-    z4 = gr.greens_linear_above(1.0, 1.6, 0.8, cfg)
-    z5 = gr.greens_linear_below(1.0, 0.4, 0.8, cfg)
-    worst = max(abs(v) for v in (z1, z2, z3, z4, z5))
-    out.append(CheckResult("dirichlet_zeros", worst == 0.0, worst, 0.0))
-
+def _derivative_jump_minus_one() -> float:
     # unit derivative jump at the source for all four constructors
-    worst = 0.0
     cases = [
-        ("between", lambda x: gr.greens_free_between(x, 0.37, 1.3, 2.0), 0.37),
-        ("above_free", lambda x: gr.greens_free_above(x, 1.61, 1.3, 1.0), 1.61),
-        ("above_linear", lambda x: gr.greens_linear_above(x, 1.4, 0.8, cfg), 1.4),
-        ("below_mid", lambda x: gr.greens_linear_below(x, 0.45, 0.8, cfg), 0.45),
-        ("below_neg", lambda x: gr.greens_linear_below(x, -0.3, 0.8, cfg), -0.3),
+        (lambda x: gr.greens_free_between(x, 0.37, 1.3, 2.0), 0.37),
+        (lambda x: gr.greens_free_above(x, 1.61, 1.3, 1.0), 1.61),
+        (lambda x: gr.greens_linear_above(x, 1.4, 0.8, _CFG1), 1.4),
+        (lambda x: gr.greens_linear_below(x, 0.45, 0.8, _CFG1), 0.45),
+        (lambda x: gr.greens_linear_below(x, -0.3, 0.8, _CFG1), -0.3),
     ]
-    for _, g, xp in cases:
-        worst = max(worst, abs(_jump_at(g, xp, 1e-3) + 1.0))
-    out.append(CheckResult("derivative_jump_minus_one", worst <= 1e-6, worst, 1e-6))
+    return max(abs(_jump_at(g, xp, 1e-3) + 1.0) for g, xp in cases)
 
-    pairs = [(1.2, 1.7), (1.05, 2.4)]
-    worst = max(
-        _rel(gr.greens_linear_above(x, y, 0.8, cfg), gr.greens_linear_above(y, x, 0.8, cfg))
-        for x, y in pairs
-    )
-    pairs = [(-0.4, 0.6), (0.2, 0.9), (-1.1, -0.2)]
-    worst = max(
-        worst,
-        max(
-            _rel(gr.greens_linear_below(x, y, 0.8, cfg), gr.greens_linear_below(y, x, 0.8, cfg))
-            for x, y in pairs
-        ),
-    )
-    out.append(CheckResult("symmetry_swap_args", worst <= 1e-12, worst, 1e-12))
 
-    vals = [gr.greens_linear_above(1.3 + t, 1.25, 0.8, cfg) for t in (0.1, 0.5, 1.0, 2.0, 4.0)]
-    mono = all(v0 > v1 > 0.0 for v0, v1 in zip(vals, vals[1:]))
-    vals = [gr.greens_linear_below(-0.1 - t, -0.05, 0.8, cfg) for t in (0.1, 0.5, 1.0, 2.0, 4.0)]
-    mono = mono and all(v0 > v1 > 0.0 for v0, v1 in zip(vals, vals[1:]))
-    out.append(CheckResult("decay_away_from_plate", mono, 0.0 if mono else 1.0, 0.5))
+def _symmetry_swap_args() -> float:
+    cases = [(gr.greens_linear_above, x, y) for x, y in ((1.2, 1.7), (1.05, 2.4))]
+    cases += [(gr.greens_linear_below, x, y) for x, y in ((-0.4, 0.6), (0.2, 0.9), (-1.1, -0.2))]
+    return max(_rel(g(x, y, 0.8, _CFG1), g(y, x, 0.8, _CFG1)) for g, x, y in cases)
 
-    # flat-background reduction at fixed physical momentum
+
+def _decay_away_from_plate() -> int:
+    ts = (0.1, 0.5, 1.0, 2.0, 4.0)
+    above = [gr.greens_linear_above(1.3 + t, 1.25, 0.8, _CFG1) for t in ts]
+    below = [gr.greens_linear_below(-0.1 - t, -0.05, 0.8, _CFG1) for t in ts]
+    return sum(not v0 > v1 > 0.0 for vals in (above, below) for v0, v1 in zip(vals, vals[1:]))
+
+
+def _flat_limit_reduction() -> float:
+    # eta -> 0 at fixed physical momentum recovers the flat kernel
     small = gr.PlateConfig(a=1.0, b=1e-6)
     kap = 1.0 / small.b ** (1.0 / 3.0)  # K = 1
-    worst = max(
-        _rel(
-            gr.greens_linear_above(x, xp, kap, small),
-            gr.greens_free_above(x, xp, 1.0, 1.0),
-        )
+    return max(
+        _rel(gr.greens_linear_above(x, xp, kap, small), gr.greens_free_above(x, xp, 1.0, 1.0))
         for x, xp in [(1.3, 1.7), (1.05, 2.0), (2.2, 2.6)]
     )
-    out.append(CheckResult("flat_limit_reduction", worst <= 1e-4, worst, 1e-4))
 
-    worst = 0.0
-    for eta in (0.5, 5.0):
-        c = gr.PlateConfig.from_eta(eta)
-        for kap in (0.0, 0.5, 1.0, 2.0, 5.0):
-            ratio = gr.below_ratio_from_construction(kap, c)
-            direct = sk.integrand_below(kap, eta)
-            worst = max(worst, _rel(ratio, direct))
-    out.append(CheckResult("below_construction_vs_printed_ratio", worst <= 1e-10, worst, 1e-10))
 
+def _fd_oracle_spot_above() -> float:
     # one spot of the finite-difference equivalence (full grid in the tests)
     grid = oo.GridSpec(1.0, 1.0 + 8.0, 8001, stencil=4)
     xp = 1.0 + 400 * grid.h
-    xs, g = oo.solve_bvp_above(1.0, cfg, xp, grid)
-    worst = max(
-        _rel(g[j], gr.greens_linear_above(xs[j], xp, 1.0, cfg))
-        for j in (100, 250, 400, 650, 1200)
-    )
-    out.append(CheckResult("fd_oracle_spot_above", worst <= 1e-5, worst, 1e-5))
-    return out
+    xs, g = oo.solve_bvp_above(1.0, _CFG1, xp, grid)
+    return max(_rel(g[j], gr.greens_linear_above(xs[j], xp, 1.0, _CFG1))
+               for j in (100, 250, 400, 650, 1200))
+
+
+def _flat_limit_net_zero() -> float:
+    return max(abs(sk.integrand_net(k, 0.0).net) for k in (0.0, 0.1, 1.0, 5.0, 20.0))
+
+
+def _kappa_zero_identity() -> float:
+    return max(_rel(sk.integrand_below(0.0, eta), -ae.log_deriv_bi(eta ** (1.0 / 3.0)))
+               for eta in (0.5, 1.0, 5.0))
+
+
+def _large_kappa_expansions() -> float:
+    kap, eta = 10.0, 1.0
+    base = -kap - eta ** (1.0 / 3.0) / (2.0 * kap)
+    return max(abs(sk.integrand_above(kap, eta) - (base - 0.25 / kap**2)),
+               abs(sk.integrand_below(kap, eta) - (base + 0.25 / kap**2)))
+
+
+def _net_positive_grid() -> int:
+    return sum(sk.integrand_net(k, float(eta)).net <= 0.0
+               for eta in np.logspace(-3.0, 3.0, 7)
+               for k in (0.0, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0))
+
+
+def _tail_admissible_at_default_cutoff() -> int:
+    return sum(not sk.tail_mismatch(10.0 * max(1.0, eta ** (1.0 / 6.0)), eta)[0]
+               for eta in (0.1, 1.0, 10.0))
+
+
+def _classic_two_plate_value() -> float:
+    return _rel(sk.force_classic(1.0), -math.pi / 24.0)
+
+
+def _perturbative_ir_log_step() -> float:
+    step = sk.force_perturbative(1.0, 1.0, 5e-3) - sk.force_perturbative(1.0, 1.0, 1e-2)
+    return abs(step / (math.log(2.0) / (2.0 * math.pi)) - 1.0)
+
+
+def _perturbative_identity() -> float:
+    # the printed b-parts of below and above (docs/numerics.md section 5)
+    # against the returned sides and the separately coded net
+    worst = 0.0
+    for K, a, b in itertools.product((1e-2, 0.1, 0.3, 1.0, 10.0, 100.0), (0.5, 1.0, 2.0),
+                                     (0.5, 1.0, 3.0)):
+        below, above, net = sk.perturbative_integrands(K, a, b)
+        part_b = b * (1.0 - 2.0 * K * a - 2.0 * math.exp(-2.0 * K * a)) / (4.0 * K * K)
+        part_a = -b * (1.0 + 2.0 * K * a) / (4.0 * K * K)
+        worst = max(worst, _rel(part_b - part_a, net),
+                    _rel(below, -K + part_b), _rel(above, -K + part_a))
+    return worst
+
+
+def _stress_rebuilt_from_greens() -> float:
+    # both sides, eta over four decades, kappa from 0 into the Airy-decay range
+    sides = (("above", sk.integrand_above), ("below", sk.integrand_below))
+    return max(_rel(integrand_from_greens(kap, gr.PlateConfig.from_eta(eta), side), own(kap, eta))
+               for eta in (0.01, 0.1, 0.5, 1.0, 5.0, 50.0)
+               for kap in (0.0, 0.3, 0.7, 1.5, 3.0, 6.0) for side, own in sides)
+
+
+def _force_eta1_positive() -> int:
+    return int(not sk.force_exact(1.0).f_eta > 0.0)
+
+
+_COUNT = "number of violations"
+
+CHECKS = (
+    Check("airy", "wronskian_scaled_grid", _wronskian_scaled_grid, 1e-10),
+    Check("airy", "ai_decreasing_bi_increasing", _ai_decreasing_bi_increasing, 0, _COUNT),
+    Check("airy", "asymptotic_series_switch_band", _asymptotic_series_switch_band, 5e-13),
+    Check("airy", "eval_vs_ode_oracle", _eval_vs_ode_oracle, 1e-10),
+    Check("airy", "log_deriv_asymptotics", _log_deriv_asymptotics, 1.0,
+          "measured as fraction of the 10/z^{5/2} bound"),
+    Check("airy", "scaled_values_finite_to_1e4", _scaled_values_finite_to_1e4, 0, _COUNT),
+    Check("greens", "dirichlet_zeros", _dirichlet_zeros, 0.0),
+    Check("greens", "derivative_jump_minus_one", _derivative_jump_minus_one, 1e-6),
+    Check("greens", "symmetry_swap_args", _symmetry_swap_args, 1e-12),
+    Check("greens", "decay_away_from_plate", _decay_away_from_plate, 0, _COUNT),
+    Check("greens", "flat_limit_reduction", _flat_limit_reduction, 1e-4),
+    Check("greens", "fd_oracle_spot_above", _fd_oracle_spot_above, 1e-5),
+    Check("stress", "flat_limit_net_zero", _flat_limit_net_zero, 0.0),
+    Check("stress", "kappa_zero_identity", _kappa_zero_identity, 1e-12),
+    Check("stress", "large_kappa_expansions", _large_kappa_expansions, 1e-3),
+    Check("stress", "net_positive_grid", _net_positive_grid, 0, _COUNT),
+    Check("stress", "tail_admissible_at_default_cutoff", _tail_admissible_at_default_cutoff,
+          0, _COUNT),
+    Check("stress", "classic_two_plate_value", _classic_two_plate_value, 1e-8),
+    Check("stress", "perturbative_ir_log_step", _perturbative_ir_log_step, 5e-2,
+          "growth per halving of k_min, in units of ln2/(2 pi)"),
+    Check("stress", "perturbative_identity", _perturbative_identity, 1e-12),
+    Check("stress", "stress_rebuilt_from_greens", _stress_rebuilt_from_greens, 1e-6),
+    Check("stress", "force_eta1_positive", _force_eta1_positive, 0,
+          "number of violations; the value itself is pinned in the test suite"),
+)
+
+
+def _suite(name: str) -> list[CheckResult]:
+    return [c.run() for c in CHECKS if c.suite == name]
+
+
+def suite_airy() -> list[CheckResult]:
+    return _suite("airy")
+
+
+def suite_greens() -> list[CheckResult]:
+    return _suite("greens")
 
 
 def suite_stress() -> list[CheckResult]:
-    out: list[CheckResult] = []
-
-    worst = max(abs(sk.integrand_net(k, 0.0).net) for k in (0.0, 0.1, 1.0, 5.0, 20.0))
-    out.append(CheckResult("flat_limit_net_zero", worst == 0.0, worst, 0.0))
-
-    worst = 0.0
-    for eta in (0.5, 1.0, 5.0):
-        s6sq = eta ** (1.0 / 3.0)
-        ref = -ae.log_deriv_bi(s6sq)
-        worst = max(worst, _rel(sk.integrand_below(0.0, eta), ref))
-    out.append(CheckResult("kappa_zero_identity", worst <= 1e-12, worst, 1e-12))
-
-    kap, eta = 10.0, 1.0
-    e3 = eta ** (1.0 / 3.0)
-    above_x = -kap - e3 / (2.0 * kap) - 1.0 / (4.0 * kap * kap)
-    below_x = -kap - e3 / (2.0 * kap) + 1.0 / (4.0 * kap * kap)
-    da = abs(sk.integrand_above(kap, eta) - above_x)
-    db = abs(sk.integrand_below(kap, eta) - below_x)
-    worst = max(da, db)
-    out.append(CheckResult("large_kappa_expansions", worst <= 1e-3, worst, 1e-3))
-
-    ok = True
-    worst_np = 0.0
-    for eta in (1e-3, 1.0, 1e3):
-        for k in (0.0, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0):
-            n = sk.integrand_net(k, eta).net
-            ok = ok and n > 0.0
-            worst_np = min(worst_np, n) if not ok else worst_np
-    out.append(CheckResult("net_positive_grid", ok, worst_np, 0.0,
-                           "most negative net seen" if not ok else ""))
-
-    ok = True
-    for eta in (0.1, 1.0, 10.0):
-        admissible, _ = sk.tail_mismatch(10.0 * max(1.0, eta ** (1.0 / 6.0)), eta)
-        ok = ok and admissible
-    out.append(CheckResult("tail_admissible_at_default_cutoff", ok, 0.0 if ok else 1.0, 0.5))
-
-    ref = -math.pi / 24.0
-    got = sk.force_classic(1.0)
-    m = _rel(got, ref)
-    out.append(CheckResult("classic_two_plate_value", m <= 1e-8, m, 1e-8))
-
-    p1 = sk.force_perturbative(1.0, 1.0, 1e-2)
-    p2 = sk.force_perturbative(1.0, 1.0, 5e-3)
-    step = (p2 - p1) / (math.log(2.0) / (2.0 * math.pi))
-    m = abs(step - 1.0)
-    out.append(CheckResult("perturbative_ir_log_step", m <= 5e-2, m, 5e-2,
-                           "growth per halving of k_min, in units of ln2/(2 pi)"))
-    lhs_b, lhs_a, lhs_n = sk.perturbative_integrands(0.3, 1.0, 1.0)
-    m = _rel(lhs_b - lhs_a, lhs_n)
-    out.append(CheckResult("perturbative_identity", m <= 1e-12, m, 1e-12))
-
-    worst = 0.0
-    for kap, eta in ((0.7, 1.0), (1.5, 5.0)):
-        c = gr.PlateConfig.from_eta(eta)
-        worst = max(
-            worst,
-            _rel(integrand_from_greens(kap, c, "above"), sk.integrand_above(kap, eta)),
-            _rel(integrand_from_greens(kap, c, "below"), sk.integrand_below(kap, eta)),
-        )
-    out.append(CheckResult("stress_rebuilt_from_greens", worst <= 1e-6, worst, 1e-6))
-
-    r = sk.force_exact(1.0)
-    out.append(CheckResult("force_eta1_positive", r.f_eta > 0.0, r.f_eta, 0.0,
-                           "value itself is pinned in the test suite"))
-    return out
+    return _suite("stress")
 
 
 SUITES = {"airy": suite_airy, "greens": suite_greens, "stress": suite_stress}
@@ -324,10 +327,7 @@ SUITES = {"airy": suite_airy, "greens": suite_greens, "stress": suite_stress}
 
 def run(suite: str) -> list[CheckResult]:
     if suite == "all":
-        res: list[CheckResult] = []
-        for name in ("airy", "greens", "stress"):
-            res.extend(SUITES[name]())
-        return res
+        return [r for name in SUITES for r in SUITES[name]()]
     if suite not in SUITES:
-        raise DomainError(f"unknown suite {suite!r}; choose from airy/greens/stress/all")
+        raise DomainError(f"unknown suite {suite!r}; choose from {'/'.join([*SUITES, 'all'])}")
     return SUITES[suite]()

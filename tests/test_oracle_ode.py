@@ -123,7 +123,7 @@ class TestBandedSolver:
     @pytest.mark.parametrize("side, plate", [("above", "lo"), ("below", "hi")])
     def test_two_source_solve_equals_one_source_solves(self, side, plate, stencil):
         # the FD integrand solves its eps and 2 eps probes in one call
-        grid, eps = fd_setup(1.3, self.CFG, side, stencil=stencil)
+        grid, eps = fd_setup(1.3, self.CFG, side)
         xs, q = oracle_ode._grid_values(1.3, self.CFG, grid)
         j = round(eps / grid.h)
         sources = [j, 2 * j] if plate == "lo" else [grid.n - 1 - j, grid.n - 1 - 2 * j]
