@@ -28,7 +28,6 @@ from .errors import (
     OracleError,
     ResolutionError,
     SingularityError,
-    TailError,
     ToleranceError,
 )
 from .greens import (
@@ -64,7 +63,6 @@ from .stress_kernel import (
     integrand_net,
     perturbative_integrands,
     tail_mismatch,
-    tail_model,
 )
 
 __version__ = "0.1.0"
@@ -82,7 +80,6 @@ __all__ = [
     "ResolutionError",
     "SingularityError",
     "StressIntegrandSample",
-    "TailError",
     "ToleranceError",
     "airy_eval",
     "airy_scaled",
@@ -105,7 +102,6 @@ __all__ = [
     "solve_bvp_above",
     "solve_bvp_full",
     "tail_mismatch",
-    "tail_model",
     "zeta_gap",
     "zeta_of",
     "__version__",

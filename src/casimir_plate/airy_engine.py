@@ -25,7 +25,10 @@ functions is accurate to machine precision from roughly z = 20 upward, so
 the two regimes overlap over a wide band and their agreement across that
 band is asserted in the test suite.  Each element gets the same bits it
 would get alone, so batching never changes a result; ``airy_eval`` is the
-one-argument view of the same evaluator.
+one-argument view of the same evaluator.  The two exponent-free
+combinations the force kernel needs, -(Ai Bi)'/(Ai Bi) and Ai' Bi + Ai Bi',
+are differences of nearly equal products at large z; above ``Z_SWITCH``
+they come from Cauchy products of the same series (``_product_terms``).
 
 ``airy_via_ode_oracle`` provides reference values on [0, 50] by a route
 independent of both evaluators: adaptive high-order integration of
@@ -156,6 +159,28 @@ _COEF = np.array([[(-1.0) ** _k * _U[_k], (-1.0) ** _k * _V[_k], _U[_k], _V[_k]]
 # times (rp/q, rp q, rp/q, rp q): the prefactors (0.5 rp)/q, (-0.5 rp) q, rp/q
 # and rp q of the four sums, bit for bit, because halving is exact
 _HALVES = np.array([[0.5], [-0.5], [1.0], [1.0]])
+# With A, A', B, B' the four sums above (sign folded in), the Cauchy products
+#   P = A' B - B' A = zeta^{-1} sum_m p_m zeta^{-2m}   (odd orders only)
+#   Q = A B         =           sum_m q_m zeta^{-2m}   (even orders only)
+# because the other orders cancel exactly; row m holds (p_m, q_m).
+_PQ = np.array([[2.0 * sum((-1.0) ** j * _V[j] * _U[k - j] for j in range(k + 1)),
+                 sum((-1.0) ** j * _U[j] * _U[k - 1 - j] for j in range(k))]
+                for k in range(1, _N_TERMS, 2)])
+
+
+def _stop_order(coef, x: float) -> int:
+    """First order k with coef[k] / x^k below 1e-20, or the last order.
+
+    x is the batch's smallest expansion variable, whose terms are the
+    largest, so one order serves every element: one that alone would have
+    stopped earlier only adds terms far below half an ulp of its sums.
+    """
+    p = 1.0
+    for last, c in enumerate(coef):
+        if c * p < 1e-20:
+            return last
+        p /= x
+    return last
 
 
 def _asymptotic_scaled(z: np.ndarray) -> np.ndarray:
@@ -177,12 +202,7 @@ def _asymptotic_scaled(z: np.ndarray) -> np.ndarray:
     zeta = (2.0 / 3.0) * z * np.sqrt(z)
     q = np.array([x**0.25 for x in z.tolist()])
     rp = 1.0 / math.sqrt(math.pi)
-    zeta_min = float(zeta.min())
-    p = 1.0
-    for last in range(_N_TERMS + 1):
-        if _U[last] * p < 1e-20:
-            break
-        p /= zeta_min
+    last = _stop_order(_U, float(zeta.min()))
     powers = np.empty((last + 1, z.size))
     powers[0] = 1.0
     powers[1:] = zeta
@@ -217,6 +237,41 @@ def airy_scaled(z) -> np.ndarray:
     out[:, low] = _scipy_airye(z[low])
     out[:, ~low] = _asymptotic_scaled(z[~low])
     return out
+
+
+def _product_series(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(-(Ai Bi)'/(Ai Bi), Ai' Bi + Ai Bi') from the product series at a 1-D array z.
+
+    -(Ai Bi)'/(Ai Bi) = sqrt(z) P/Q and Ai' Bi + Ai Bi' = -P/(2 pi), with P
+    and Q the Cauchy products of _PQ, summed in zeta^{-2} under the stop
+    rule of _asymptotic_scaled, so an element's bits do not depend on its
+    batch.  Accurate where the Airy series is (z >= 20 or so).
+    """
+    zeta = (2.0 / 3.0) * z * np.sqrt(z)
+    zeta_min = float(zeta.min())
+    last = _stop_order(np.abs(_PQ).max(axis=1), zeta_min * zeta_min)
+    powers = np.empty((last + 1, z.size))
+    powers[0] = 1.0
+    powers[1:] = zeta * zeta
+    powers = np.divide.accumulate(powers, axis=0)  # row m: zeta^{-2m}
+    p, q = np.add.accumulate(_PQ[: last + 1, :, None] * powers[:, None, :], axis=0)[-1]
+    return 1.5 * p / (z * q), -p / (2.0 * math.pi * zeta)  # sqrt(z)/zeta = 3/(2z)
+
+
+def _product_terms(z: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(-(Ai Bi)'/(Ai Bi), Ai' Bi + Ai Bi') at a 1-D array z, v = airy_scaled(z).
+
+    Both are exponent-free.  Below Z_SWITCH they are formed from v; at or
+    above it, where each is a difference of nearly equal products of v,
+    they come from _product_series.
+    """
+    ai, aip, bi, bip = v
+    lnd = -(aip / ai + bip / bi)
+    s = aip * bi + ai * bip
+    hi = z >= Z_SWITCH
+    if hi.any():
+        lnd[hi], s[hi] = _product_series(z[hi])
+    return lnd, s
 
 
 def _exp_soft(t: float) -> float:

@@ -12,15 +12,15 @@ environment, environment wins over defaults).
 
 Determinism contract: every command's output is a pure function of its
 flags, environment, and input files; curve output in particular does not
-depend on --jobs.  Files are written atomically (temp file, then rename)
-and use "\n" newlines regardless of platform.
+depend on --jobs, which is still parsed (and must be >= 1) but has no
+effect: every row is computed in-process.  Files are written atomically
+(temp file, then rename) and use "\n" newlines regardless of platform.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import itertools
 import json
 import math
 import os
@@ -118,11 +118,6 @@ def cmd_exact(args: argparse.Namespace) -> int:
 # curve
 
 
-def _row_worker(eta: float, spec: QuadratureSpec):
-    r = force_exact(eta, spec)
-    return (r.eta, r.f_eta, r.err_est, r.kappa_max, r.n_evals)
-
-
 def _curve_grid(eta_min: float, eta_max: float, points: int, spacing: str) -> list[float]:
     if points < 2:
         raise DomainError(f"need at least 2 points, got {points}")
@@ -174,19 +169,10 @@ def cmd_curve(args: argparse.Namespace) -> int:
         else:
             misses.append(eta)
 
-    # a fork-started pool starts every worker at once, so never ask for more
-    # than there are rows to compute or cores to run them
-    workers = min(args.jobs, len(misses), os.cpu_count() or 1)
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            computed = list(pool.map(_row_worker, misses, itertools.repeat(spec)))
-    else:
-        computed = [_row_worker(eta, spec) for eta in misses]
-    for eta, row in zip(misses, computed):
-        rows[eta] = row
-        cache[f"{eta!r}|{fp}"] = dict(zip(_ROW_FIELDS, row))
+    for eta in misses:
+        r = force_exact(eta, spec)
+        rows[eta] = (r.eta, r.f_eta, r.err_est, r.kappa_max, r.n_evals)
+        cache[f"{eta!r}|{fp}"] = dict(zip(_ROW_FIELDS, rows[eta]))
 
     lines = [_CSV_HEADER]
     for eta in grid:
@@ -388,7 +374,8 @@ def _build_parser() -> argparse.ArgumentParser:
     tol.add_argument("--rel-tol", type=float, default=None,
                      help="quadrature relative tolerance (default 1e-9; env CASIMIR_REL_TOL)")
     tol.add_argument("--kappa-max", type=float, default=None,
-                     help="fixed momentum cutoff instead of the adaptive one (env CASIMIR_KAPPA_MAX)")
+                     help="momentum scale k0 of the map kappa = k0 t/(1-t) that integrates the "
+                          "whole half line (default max(eta^(1/6), eta^(-1/3)); env CASIMIR_KAPPA_MAX)")
 
     p = sub.add_parser("exact", parents=[tol], help="force coefficient at one eta")
     p.add_argument("--eta", type=float, default=None)
@@ -403,7 +390,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, default=25)
     p.add_argument("--spacing", choices=("log", "lin"), default="log")
     p.add_argument("--out", required=True)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="accepted for compatibility; has no effect (rows are computed in-process)")
     p.add_argument("--cache", default=None, help="JSON result cache, keyed by eta and tolerance")
     p.set_defaults(func=cmd_curve)
 

@@ -5,7 +5,6 @@ __all__ = [
     "DomainError",
     "SingularityError",
     "ToleranceError",
-    "TailError",
     "OracleError",
     "ResolutionError",
 ]
@@ -25,10 +24,6 @@ class SingularityError(CasimirError, ArithmeticError):
 
 class ToleranceError(CasimirError, RuntimeError):
     """A computation could not reach its requested accuracy."""
-
-
-class TailError(CasimirError, RuntimeError):
-    """The analytic large-momentum tail model is not admissible at the given cutoff."""
 
 
 class OracleError(CasimirError, RuntimeError):

@@ -18,9 +18,7 @@ a fixed order, so the result does not depend on how f computes its values,
 only on the values themselves.
 
 No rule node ever touches a panel endpoint, so integrands may be left
-unevaluated (or singular but integrable) at interval ends.  The analytic
-tail beyond a momentum cutoff is the force layer's business, not this
-module's.
+unevaluated (or singular but integrable) at interval ends.
 """
 
 from __future__ import annotations
@@ -70,13 +68,16 @@ _WG = (
 )
 
 
+_KERNEL = "wronskian-split"  # change it whenever the force kernel's numbers move
+
+
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Tolerances and policies shared by all integrations.
 
-    ``kappa_max_policy`` belongs to the force computations: ``None`` means
-    the momentum cutoff is grown adaptively until the analytic tail model
-    is admissible; a positive number pins the cutoff to that value.
+    ``kappa_max_policy`` belongs to the force computations: the momentum
+    scale k0 of the map kappa = k0 t/(1 - t) over the whole half line;
+    ``None`` means max(eta^{1/6}, eta^{-1/3}).
     """
 
     rel_tol: float = 1e-9
@@ -93,13 +94,14 @@ class QuadratureSpec:
             raise DomainError("max_subdivisions must be >= 1")
         if self.kappa_max_policy is not None:
             k = float(self.kappa_max_policy)
-            if not (math.isfinite(k) and k > 0.0):
-                raise DomainError("fixed kappa_max must be finite and > 0")
+            # the map's far nodes reach about 1e16 k0, whose square must stay finite
+            if not 0.0 < k <= 1e100:
+                raise DomainError(f"fixed kappa_max must be > 0 and <= 1e100, got {k!r}")
 
     def fingerprint(self) -> str:
-        """Stable identity string; result caches key off this."""
+        """Stable identity of the kernel and tolerances; result caches key off this."""
         return (
-            f"rel={self.rel_tol!r};abs={self.abs_tol!r};"
+            f"kernel={_KERNEL};rel={self.rel_tol!r};abs={self.abs_tol!r};"
             f"sub={self.max_subdivisions};kmax={self.kappa_max_policy!r}"
         )
 

@@ -11,18 +11,18 @@ two coincident-limit slope ratios at the plate are
         D = Ai(z2) [Ai'(z1) Bi(z1) + Ai(z1) Bi'(z1)] - 2 Ai(z1) Ai'(z1) Bi(z2)
 
 and each diverges linearly in kappa while their difference decays like
-1/(2 kappa^2), so only the difference is ever integrated:
+1/(2 kappa^2).  The net integrand is therefore never formed as that
+difference but from its exact Wronskian rearrangement (``_sides``), and
 
-    f(eta) = eta^{2/3} [ integral_0^kmax dkappa/(2 pi) (below - above)
-                         + tail(kmax, eta) ]
+    f(eta) = eta^{2/3} integral_0^inf dkappa/(2 pi) net(kappa)
 
-with the analytic Lorentzian tail handling the remainder.  The integral
-hands the integrand a whole array of momenta per quadrature step
-(``_integrand_arrays``), which evaluates every z1 and z2 of the step in
-one ``airy_scaled`` call; the scalar integrands evaluate one ``airy_eval``
-at each of z1, z2 and read from the same formula (``_sides``).  N and D
-are evaluated in compensated form: the common factor e^{zeta_2 - 2 zeta_1} is
-removed analytically, which leaves every surviving term O(1) or
+is one integral over the whole half line, with no cutoff or tail model.
+The integral hands the integrand a whole array of momenta per quadrature
+step (``_integrand_arrays``), which evaluates every z1 and z2 of the step
+in one ``airy_scaled`` call; the scalar integrands evaluate one
+``airy_eval`` at each of z1, z2 and read from the same formula.  N and D
+are evaluated in compensated form: the common factor e^{zeta_2 - 2 zeta_1}
+is removed analytically, which leaves every surviving term O(1) or
 exponentially small.  The naive unscaled products underflow to zero near
 kappa ~ 8 and silently flip the sign of the ratio, so that route is
 forbidden rather than merely discouraged.
@@ -36,14 +36,14 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from .airy_engine import airy_eval, airy_scaled, zeta_gap
-from .errors import DomainError, SingularityError, TailError, ToleranceError
-from .quadrature import QuadratureSpec, integrate_finite, integrate_semi_infinite
+from .airy_engine import Z_SWITCH, _product_terms, airy_eval, airy_scaled
+from .errors import DomainError, SingularityError, ToleranceError
+from .quadrature import QuadratureSpec, integrate_semi_infinite
 
 __all__ = [
     "StressIntegrandSample",
@@ -51,7 +51,6 @@ __all__ = [
     "integrand_above",
     "integrand_below",
     "integrand_net",
-    "tail_model",
     "tail_mismatch",
     "force_exact",
     "force_classic",
@@ -62,11 +61,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class StressIntegrandSample:
-    """Integrand values at one momentum; net = below - above as computed.
+    """Integrand values at one momentum.
 
-    On the algebraic eta = 0 path the sides are not evaluated at all (the
-    cancellation is an identity, not a numerical statement), so ``above``
-    and ``below`` are None there and ``net`` is exactly 0.0.
+    net equals below - above mathematically but is computed without that
+    subtraction (``_sides``), so the two agree to a few ulp of |above|, the
+    rounding of the subtraction itself.  On the algebraic eta = 0 path the
+    sides are not evaluated at all (the cancellation is an identity, not a
+    numerical statement), so ``above`` and ``below`` are None there and
+    ``net`` is exactly 0.0.
     """
 
     kappa: float
@@ -118,7 +120,7 @@ def _check_eta_positive(eta: float) -> float:
 def _sides(
     kappa: np.ndarray, z1: np.ndarray, z2: np.ndarray, v: np.ndarray, eta: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(above, below, net = below - above) at every momentum of a 1-D array.
+    """(above, below, net) at every momentum of a 1-D array.
 
     v holds the scaled quadruples (ai_s, aip_s, bi_s, bip_s) as rows: the n
     columns at z1 = kappa^2, then the n at z2 = kappa^2 + eta^{1/3}.  above
@@ -130,28 +132,30 @@ def _sides(
         D_c = S ai2 E - 2 ai1 aip1 bi2
         S   = aip1 bi1 + ai1 bip1   (exponent-free combination)
 
-    This is the only copy of the formula.  The zeta difference is computed
-    by zeta_gap, never by subtracting the two zetas: at large kappa those
-    agree to all stored digits.  E is taken per element with math.exp,
-    because numpy's exp differs from it in the last bit on some arguments;
-    every other step is one correctly rounded numpy operation, so each
-    element gets the bits a scalar evaluation in the same order would give.
-    Callers validate kappa >= 0 and eta > 0.
+    net is not below - above, which cancels to 1/(2 kappa^2) from two
+    numbers of size kappa, but its exact Wronskian rearrangement
+    net = -(Ai Bi)'/(Ai Bi)(z2) + S E / (pi bi2 D_c), with the first term
+    and S from airy_engine._product_terms.  The zeta gap in E is formed
+    from eps = eta^{1/3}, never from z2 - z1, which carries the rounding
+    of z2 (docs/numerics.md section 2).  Every step is elementwise, so an
+    element's bits do not depend on its batch.  Callers validate
+    kappa >= 0 and eta > 0.
     """
     n = kappa.size
-    ai1, aip1, bi1, bip1 = v[:, :n]
+    ai1, aip1, _, _ = v[:, :n]
     ai2, aip2, bi2, bip2 = v[:, n:]
-    ee = np.array([math.exp(-2.0 * zeta_gap(b, a)) for a, b in zip(z1.tolist(), z2.tolist())])
-    s = aip1 * bi1 + ai1 * bip1
+    lnd, s = _product_terms(np.concatenate((z1, z2)), v)
+    s, lnd2 = s[:n], lnd[n:]
+    gap = (2.0 / 3.0) * eta ** (1.0 / 3.0) * (z2 * z2 + z2 * z1 + z1 * z1) / (
+        z2 * np.sqrt(z2) + z1 * np.sqrt(z1))
+    ee = np.exp(-2.0 * gap)
     a2 = 2.0 * ai1 * aip1
     num = a2 * bip2 - aip2 * s * ee
     den = s * ai2 * ee - a2 * bi2
     if not den.all():
         k = kappa[den == 0.0][0].item()
         raise SingularityError(f"below-plate denominator vanished at kappa={k!r}, eta={eta!r}")
-    above = aip2 / ai2
-    below = num / den
-    return above, below, below - above
+    return aip2 / ai2, num / den, lnd2 + s * ee / (math.pi * bi2 * den)
 
 
 def _z_pair(kappa, eta: float):
@@ -171,8 +175,8 @@ def _integrand_arrays(
 def _sample(kappa: float, eta: float) -> tuple[float, float, float]:
     """(above, below, net) at one momentum: one airy_eval at each of z1, z2.
 
-    Going through airy_eval keeps one-sample evaluations (the tail check)
-    visible to code that wraps it, such as perfbench/tracer.py.
+    Going through airy_eval keeps one-sample evaluations visible to code
+    that wraps it, such as perfbench/tracer.py.
     """
     z1, z2 = _z_pair(kappa, eta)
     v1 = airy_eval(z1)
@@ -194,7 +198,7 @@ def integrand_below(kappa: float, eta: float) -> float:
 
 
 def integrand_net(kappa: float, eta: float) -> StressIntegrandSample:
-    """Cancellation-safe difference below - above.
+    """Net integrand below - above, from its cancellation-free rearrangement.
 
     eta = 0 short-circuits to net = 0 exactly: the two sides coincide as an
     algebraic identity (Wronskian algebra), and no Airy function is
@@ -211,11 +215,9 @@ def integrand_net(kappa: float, eta: float) -> StressIntegrandSample:
 
 
 def tail_mismatch(kappa_max: float, eta: float) -> tuple[bool, float]:
-    """Admissibility of the Lorentzian tail model at the cutoff.
+    """(mismatch below 1 percent, relative mismatch) of net against 1/(2 z2) at kappa_max.
 
-    Returns (admissible, relative mismatch), where the model integrand is
-    1/(2 (kappa^2 + eta^{1/3})) and admissible means the mismatch against
-    the true net integrand at kappa_max is below 1 percent.
+    A probe of the large-momentum law, which verify checks.
     """
     net = integrand_net(kappa_max, eta).net
     model = 0.5 / (kappa_max * kappa_max + eta ** (1.0 / 3.0))
@@ -225,53 +227,35 @@ def tail_mismatch(kappa_max: float, eta: float) -> tuple[bool, float]:
     return delta < 0.01, delta
 
 
-def _tail_value(kappa_max: float, eta: float) -> float:
-    s6 = eta ** (1.0 / 6.0)
-    return math.atan(s6 / kappa_max) / (4.0 * math.pi * s6)
-
-
-def tail_model(kappa_max: float, eta: float) -> float:
-    """Analytic integral of the tail model beyond the cutoff.
-
-    integral_{kmax}^inf dkappa/(2 pi) 1/(2 (kappa^2 + eta^{1/3}))
-        = arctan(eta^{1/6}/kmax) / (4 pi eta^{1/6})
-
-    (the arctan-of-reciprocal form; the textbook pi/2 - arctan(kmax/s)
-    difference loses digits exactly where the tail is small).  Raises
-    TailError when the model is not admissible at this cutoff.
-    """
-    kappa_max = float(kappa_max)
-    if not (math.isfinite(kappa_max) and kappa_max > 0.0):
-        raise DomainError(f"kappa_max must be finite and > 0, got {kappa_max!r}")
-    eta = _check_eta_positive(eta)
-    ok, delta = tail_mismatch(kappa_max, eta)
-    if not ok:
-        raise TailError(
-            f"tail model mismatch {delta:.3e} at kappa_max={kappa_max!r}; "
-            "increase the cutoff"
-        )
-    return _tail_value(kappa_max, eta)
-
-
-_MAX_DOUBLINGS = 48
+# Relative rounding error of the integrated kernel, in units of the double
+# epsilon u, calibrated against mpmath (docs/numerics.md section 3): about
+# _ROUND_LIB u while scipy serves some z2 < Z_SWITCH, plus _ROUND_EPS u
+# divided by min(1, eps), eps = eta^{1/3}, from the cancellation between
+# the two terms of net at small eps.
+_ROUND_LIB = 1000.0
+_ROUND_EPS = 10.0
+# The |Kronrod - Gauss| estimate can undershoot the true quadrature error
+# (twice in scans of 8936 (eta, rel_tol) pairs, by up to 6.2x); force_exact
+# reports this multiple of it and asks the quadrature for as much less,
+# which left no undershoot in the same scans.
+_GK_MARGIN = 4.0
 
 
 def force_exact(eta: float, spec: QuadratureSpec = QuadratureSpec()) -> ForceResult:
     """Dimensionless force coefficient f(eta); pressure is f(eta)/a^2 at hbar = c = 1.
 
-    f(eta) = eta^{2/3} [ integral_0^kmax dkappa/(2 pi) net(kappa)
-                         + tail(kmax) ]
+    f(eta) = eta^{2/3} integral_0^inf dkappa/(2 pi) net(kappa)
 
+    as one integrate_semi_infinite call under kappa = k0 t/(1 - t).  The
+    map's scale k0 is spec.kappa_max_policy when set, otherwise
+    max(eta^{1/6}, eta^{-1/3}): sqrt(eps) at large eta, and at small eta
+    the crossover kappa ~ 1/eps where net turns from eps/kappa to
+    1/(2 kappa^2), eps = eta^{1/3}.  It is reported as kappa_max.  err_est is
+    _GK_MARGIN times the quadrature estimate plus the kernel's rounding
+    term, and a result whose err_est exceeds rel_tol * f raises
+    ToleranceError naming the input.
     eta = 0 returns exactly zero without integrating (the net integrand is
-    identically zero by the cancellation identity).  The cutoff either
-    comes from spec.kappa_max_policy or grows geometrically from
-    10 * max(1, eta^{1/6}) until the tail model is admissible and the
-    tail's error bound, (tail mismatch) * (tail value), is negligible at
-    the requested tolerance.  The tail value itself is part of f and is
-    never required to vanish: pushing the cutoff until it did would leave
-    the integrand with nothing but cancellation noise.  The same
-    mismatch * tail product enters the error estimate alongside the
-    quadrature estimate.
+    identically zero by the cancellation identity).
     """
     eta = float(eta)
     if not (math.isfinite(eta) and eta >= 0.0):
@@ -279,69 +263,27 @@ def force_exact(eta: float, spec: QuadratureSpec = QuadratureSpec()) -> ForceRes
     if eta == 0.0:
         return ForceResult(eta=0.0, f_eta=0.0, err_est=0.0, kappa_max=0.0, n_evals=0)
 
-    scale = eta ** (2.0 / 3.0)
-    two_pi = 2.0 * math.pi
+    k0 = spec.kappa_max_policy
+    k0 = max(eta ** (1.0 / 6.0), eta ** (-1.0 / 3.0)) if k0 is None else float(k0)
 
-    def net(kappa: np.ndarray) -> np.ndarray:
-        return _integrand_arrays(kappa, eta)[2]
+    def net(u: np.ndarray) -> np.ndarray:
+        return k0 * _integrand_arrays(k0 * u, eta)[2]
 
-    def context(err_est: Optional[float] = None) -> str:
-        # appended to every failure message so the failing call can be rerun
-        text = f"; eta={eta!r}, rel_tol={spec.rel_tol!r}"
-        return text if err_est is None else f"{text}, err_est={err_est:.3e}"
-
-    n_evals = 0
-    if spec.kappa_max_policy is not None:
-        kmax = float(spec.kappa_max_policy)
-        ok, delta = tail_mismatch(kmax, eta)
-        n_evals += 1
-        if not ok:
-            raise TailError(
-                f"fixed kappa_max={kmax!r} rejects the tail model "
-                f"(mismatch {delta:.3e}); raise the cutoff" + context()
-            )
-        r = integrate_finite(net, 0.0, kmax, spec)
-        if not r.converged:
-            raise ToleranceError(
-                f"momentum integral did not converge by kappa_max={kmax!r} "
-                f"(err_est={r.err_est:.3e}, n_evals={r.n_evals})" + context()
-            )
-        value = r.value
-        qerr = r.err_est
-        n_evals += r.n_evals
-    else:
-        kmax = 10.0 * max(1.0, eta ** (1.0 / 6.0))
-        value = 0.0
-        qerr = 0.0
-        delta = math.inf
-        lo = 0.0
-        for _ in range(_MAX_DOUBLINGS + 1):
-            r = integrate_finite(net, lo, kmax, spec)
-            if not r.converged:
-                raise ToleranceError(
-                    f"momentum integral did not converge on [{lo!r}, {kmax!r}]"
-                    + context(scale * (qerr + r.err_est) / two_pi)
-                )
-            value += r.value
-            qerr += r.err_est
-            n_evals += r.n_evals
-            ok, delta = tail_mismatch(kmax, eta)
-            n_evals += 1
-            tail = _tail_value(kmax, eta)
-            if ok and delta * tail <= 0.1 * spec.rel_tol * abs(value / two_pi + tail):
-                break
-            lo = kmax
-            kmax *= 2.0
-        else:
-            raise TailError(
-                f"tail model still inadmissible or dominant at kappa_max={kmax!r}"
-                + context(scale * (qerr / two_pi + delta * tail))
-            )
-
-    tail = _tail_value(kmax, eta)
-    f_eta = scale * (value / two_pi + tail)
-    err = scale * (qerr / two_pi + delta * tail)
-    return ForceResult(eta=eta, f_eta=f_eta, err_est=err, kappa_max=kmax, n_evals=n_evals)
+    eps = eta ** (1.0 / 3.0)
+    lib = _ROUND_LIB if eps < Z_SWITCH else 0.0
+    rounding = sys.float_info.epsilon * (lib + _ROUND_EPS / min(1.0, eps))
+    # the quadrature gets what the rounding term leaves of rel_tol
+    budget = (spec.rel_tol - rounding) / _GK_MARGIN
+    r = integrate_semi_infinite(net, replace(spec, rel_tol=budget) if budget > 0.0 else spec)
+    scale = eta ** (2.0 / 3.0) / (2.0 * math.pi)
+    f_eta = scale * r.value
+    err = _GK_MARGIN * scale * r.err_est + rounding * f_eta
+    if not (r.converged and err <= spec.rel_tol * f_eta):
+        raise ToleranceError(
+            f"momentum integral did not reach rel_tol (n_evals={r.n_evals}); "
+            f"eta={eta!r}, rel_tol={spec.rel_tol!r}, err_est={err:.3e}, f_eta={f_eta:.6e}"
+        )
+    return ForceResult(eta=eta, f_eta=f_eta, err_est=err, kappa_max=k0, n_evals=r.n_evals)
 
 
 def force_classic(a: float, spec: QuadratureSpec = QuadratureSpec()) -> float:

@@ -122,6 +122,17 @@ def _asymptotic_series_switch_band() -> float:
                for own in (ae._asymptotic_scaled(band), ae.airy_scaled(band)))
 
 
+def _product_series_switch_band() -> float:
+    # -(Ai Bi)'/(Ai Bi) and Ai' Bi + Ai Bi' from the product series against
+    # the same quantities formed from the library's quadruple, whose own
+    # cancellation (about 2 z^{3/2} ulp) sets the threshold
+    band = np.linspace(ae.Z_SWITCH - 4.0, ae.Z_SWITCH + 4.0, 17)
+    ai, aip, bi, bip = airye(band)
+    lib = (-(aip / ai + bip / bi), aip * bi + ai * bip)
+    return max(np.max(np.abs(own - ref) / np.abs(ref))
+               for own, ref in zip(ae._product_series(band), lib))
+
+
 def _eval_vs_ode_oracle() -> float:
     # the whole oracle range, so the series branch above Z_SWITCH is covered
     pairs = [(ae.airy_eval(z), ae.airy_via_ode_oracle(z)) for z in np.linspace(0.0, 50.0, 101)]
@@ -280,6 +291,7 @@ CHECKS = (
     Check("airy", "wronskian_scaled_grid", _wronskian_scaled_grid, 1e-10),
     Check("airy", "ai_decreasing_bi_increasing", _ai_decreasing_bi_increasing, 0, _COUNT),
     Check("airy", "asymptotic_series_switch_band", _asymptotic_series_switch_band, 5e-13),
+    Check("airy", "product_series_switch_band", _product_series_switch_band, 1e-12),
     Check("airy", "eval_vs_ode_oracle", _eval_vs_ode_oracle, 1e-10),
     Check("airy", "log_deriv_asymptotics", _log_deriv_asymptotics, 1.0,
           "measured as fraction of the 10/z^{5/2} bound"),

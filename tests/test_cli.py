@@ -118,6 +118,39 @@ class TestCurve:
         keys = list(json.loads(cache.read_text()))
         assert all("rel=1e-06" in k for k in keys)
 
+    def test_rows_cached_by_an_older_kernel_are_recomputed(self, tmp_path, capsys):
+        # a cache file written before the fingerprint named the kernel
+        from casimir_plate.cli import _curve_grid
+
+        old_fp = "rel=1e-06;abs=1e-14;sub=2000;kmax=None"
+        stale = {"eta": 0.0, "f_eta": 9.0, "err_est": 9.0, "kappa_max": 9.0, "n_evals": 9}
+        cache = tmp_path / "cache.json"
+        cache.write_text(json.dumps({f"{eta!r}|{old_fp}": stale
+                                     for eta in _curve_grid(0.1, 10.0, 5, "log")}))
+        fresh, out = tmp_path / "fresh.csv", tmp_path / "c.csv"
+        assert run_cli(["curve", *self.ARGS, "--out", str(fresh)], capsys)[0] == 0
+        rc, text = run_cli(["curve", *self.ARGS, "--out", str(out), "--cache", str(cache)], capsys)
+        assert rc == 0
+        assert "(5 computed, 0 cached)" in text
+        assert out.read_bytes() == fresh.read_bytes()
+
+    def test_jobs_has_no_effect_and_starts_no_pool(self, tmp_path, capsys, monkeypatch):
+        import concurrent.futures
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("curve started a process pool")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert run_cli(["curve", *self.ARGS, "--out", str(a), "--jobs", "1"], capsys)[0] == 0
+        assert run_cli(["curve", *self.ARGS, "--out", str(b), "--jobs", "64"], capsys)[0] == 0
+        assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_usage_error(self, tmp_path, capsys, jobs):
+        rc, _ = run_cli(["curve", *self.ARGS, "--out", str(tmp_path / "c.csv"), "--jobs", jobs], capsys)
+        assert rc == 2
+
     def test_corrupt_cache_is_usage_error(self, tmp_path, capsys):
         cache = tmp_path / "cache.json"
         cache.write_text("{not json")
@@ -141,44 +174,6 @@ class TestCurve:
         assert rc == 0
         etas = [float(l.split(",")[0]) for l in out.read_text().splitlines()[1:]]
         assert etas == pytest.approx([1.0, 2.0, 3.0])
-
-
-class TestCurvePool:
-    ARGS = ["curve", "--eta-min", "0.5", "--eta-max", "2", "--points", "3",
-            "--rel-tol", "1e-6", "--jobs", "10000"]
-
-    @pytest.fixture()
-    def pool_sizes(self, monkeypatch):
-        """Replace the process pool by an in-process fake that records max_workers."""
-        import concurrent.futures
-
-        sizes = []
-
-        class FakeExecutor:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakeExecutor)
-        return sizes
-
-    @pytest.mark.parametrize("cores, expected", [(8, [3]), (2, [2]), (None, [])])
-    def test_pool_is_capped_by_rows_and_cores(self, tmp_path, capsys, monkeypatch, pool_sizes,
-                                              cores, expected):
-        monkeypatch.setattr(os, "cpu_count", lambda: cores)
-        out = tmp_path / "c.csv"
-        rc, _ = run_cli([*self.ARGS, "--out", str(out)], capsys)
-        assert rc == 0
-        assert pool_sizes == expected  # one core (or unknown): no pool at all
-        assert len(out.read_text().splitlines()) == 4
 
 
 class TestImportFootprint:

@@ -41,6 +41,8 @@ class TestSpec:
             {"abs_tol": -1e-3},
             {"max_subdivisions": 0},
             {"kappa_max_policy": -5.0},
+            {"kappa_max_policy": 1e101},
+            {"kappa_max_policy": float("nan")},
         ],
     )
     def test_validation(self, kwargs):

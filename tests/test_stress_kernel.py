@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from casimir_plate import airy_engine, stress_kernel
-from casimir_plate.airy_engine import airy_eval, airy_scaled
-from casimir_plate.errors import DomainError, TailError, ToleranceError
-from casimir_plate.quadrature import QuadratureSpec
+from casimir_plate.airy_engine import Z_SWITCH, airy_eval, airy_scaled
+from casimir_plate.errors import DomainError, ToleranceError
+from casimir_plate.quadrature import QuadratureSpec, integrate_semi_infinite
 from casimir_plate.stress_kernel import (
     ForceResult,
     force_classic,
@@ -19,13 +19,12 @@ from casimir_plate.stress_kernel import (
     integrand_net,
     perturbative_integrands,
     tail_mismatch,
-    tail_model,
 )
 
 # Frozen once from this implementation and re-checked on every run; the
 # independent cross-checks live in test_oracle_ode.py / test_acceptance.py.
-F_ETA_1 = 0.11450293526925452
-F_ETA_1_KMAX25 = 0.11450293526757109
+F_ETA_1 = 0.11450293526930744
+F_ETA_1_KMAX25 = 0.1145029352693065
 PERTURB_1E2 = 0.6914922774929644
 PERTURB_5E3 = 0.8010182663036101
 
@@ -99,17 +98,32 @@ class TestSinglePass:
         monkeypatch.setattr(airy_engine, "airy_scaled", counting)
         eta = 2.0
         r = force_exact(eta)
-        steps = [z for z in calls if len(z) > 1]
-        # the first panel of a segment: 15 nodes; a bisection: 30; times (z1, z2)
-        assert {len(z) for z in steps} == {30, 60}
-        for z in steps:
+        # the first panel: 15 nodes; a bisection: 30; times (z1, z2)
+        assert {len(z) for z in calls} == {30, 60}
+        for z in calls:
             m = len(z) // 2
             z1, z2 = z[:m], z[m:]  # kappa^2 at the step's nodes, ascending
             assert z1 == sorted(z1)
             assert z2 == [x + eta ** (1.0 / 3.0) for x in z1]
-        # the rest are the tail checks' airy_eval calls, one argument each
-        tail = [z for z in calls if len(z) == 1]
-        assert len(tail) == 2 * (r.n_evals - sum(len(z) for z in steps) // 2)
+        assert sum(len(z) for z in calls) == 2 * r.n_evals
+
+    def test_one_quadrature_call_and_no_scalar_airy_call(self, monkeypatch):
+        quad = []
+
+        def counting(f, spec):
+            quad.append(spec)
+            return integrate_semi_infinite(f, spec)
+
+        def scalar(z):
+            raise AssertionError(f"scalar Airy evaluation at {z!r}")
+
+        monkeypatch.setattr(stress_kernel, "integrate_semi_infinite", counting)
+        monkeypatch.setattr(stress_kernel, "airy_eval", scalar)
+        monkeypatch.setattr(airy_engine, "airy_eval", scalar)
+        for eta, kmax in ((1e-6, None), (1.0, None), (1.0, 5.0), (1e9, None)):
+            quad.clear()
+            force_exact(eta, QuadratureSpec(kappa_max_policy=kmax))
+            assert len(quad) == 1
 
     @pytest.mark.parametrize("eta", [1e-3, 1.0, 1e3])
     @pytest.mark.parametrize("kappa_sq", [1.0, 10.0, 39.0, 39.99, 40.0, 41.0, 100.0])
@@ -119,24 +133,49 @@ class TestSinglePass:
         s = integrand_net(kappa, eta)
         assert s.above == integrand_above(kappa, eta)
         assert s.below == integrand_below(kappa, eta)
-        assert s.net == s.below - s.above
+        # net is formed without the subtraction, which itself rounds to ulp(above)
+        assert abs(s.net - (s.below - s.above)) <= 8.0 * math.ulp(abs(s.above))
+
+    @pytest.mark.parametrize("eta", [1e-12, 1e-3, 1.0, 1e3, 1e9])
+    def test_scalar_net_equals_its_batched_element(self, eta):
+        # momenta on both sides of Z_SWITCH in one batch, so both Airy branches
+        # and both product branches serve it
+        root = math.sqrt(Z_SWITCH)
+        kappa = np.array([0.0, 0.3, 1.0, root - 1e-9, root, root + 1e-9, 7.0, 60.0, 1e4, 1e8])
+        batched = stress_kernel._integrand_arrays(kappa, eta)[2]
+        assert [integrand_net(k, eta).net for k in kappa.tolist()] == batched.tolist()
+
+    @staticmethod
+    def mp_net_error(kappa_sq, eta):
+        """|net - below + above| / net at 40 digits, below - above in mpmath."""
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            z1 = mp.mpf(kappa_sq)
+            z2 = z1 + mp.cbrt(mp.mpf(eta))
+            a1, ap1 = mp.airyai(z1), mp.airyai(z1, 1)
+            b1, bp1 = mp.airybi(z1), mp.airybi(z1, 1)
+            a2, ap2 = mp.airyai(z2), mp.airyai(z2, 1)
+            b2, bp2 = mp.airybi(z2), mp.airybi(z2, 1)
+            s = ap1 * b1 + a1 * bp1
+            ref = (2 * a1 * ap1 * bp2 - ap2 * s) / (a2 * s - 2 * a1 * ap1 * b2) - ap2 / a2
+            return float(abs(integrand_net(math.sqrt(kappa_sq), eta).net - ref) / ref)
+
+    @pytest.mark.parametrize("eta", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("kappa_sq", [0.0, 39.0, 39.99, 40.0, 41.0, 1e4])
+    def test_net_matches_mpmath_at_the_crossover(self, kappa_sq, eta):
+        assert self.mp_net_error(kappa_sq, eta) <= 1e-12
+
+    def test_zeta_gap_is_formed_from_eps(self):
+        # z2 - z1 would carry the rounding of z2 = 4e4 + 1e-4: 2.5e-8 here
+        assert self.mp_net_error(4e4, 1e-12) <= 1e-12
 
 
 class TestTailModel:
-    def test_closed_form(self):
-        assert tail_model(10.0, 1.0) == pytest.approx(
-            math.atan(0.1) / (4.0 * math.pi), rel=1e-14
-        )
-
     def test_admissibility_boundary(self):
         ok, mismatch = tail_mismatch(10.0, 1.0)
         assert ok and mismatch <= 1e-5
         ok, mismatch = tail_mismatch(2.0, 1.0)
         assert not ok and mismatch > 1e-2
-
-    def test_model_rejected_below_admissibility(self):
-        with pytest.raises(TailError):
-            tail_model(2.0, 1.0)
 
     def test_mismatch_decreases_with_cutoff(self):
         ds = [tail_mismatch(k, 1.0)[1] for k in (5.0, 10.0, 20.0, 40.0)]
@@ -147,7 +186,7 @@ class TestForceExact:
     def test_pinned_value_and_metadata(self):
         r = force_exact(1.0)
         assert r.f_eta == pytest.approx(F_ETA_1, rel=1e-10)
-        assert r.kappa_max == 40.0
+        assert r.kappa_max == 1.0  # the map scale max(eta^{1/6}, eta^{-1/3})
         assert r.err_est <= 1e-9 * r.f_eta
         assert r.n_evals > 0
 
@@ -161,19 +200,19 @@ class TestForceExact:
         assert r.f_eta == pytest.approx(F_ETA_1, rel=1e-9)
 
     def test_errors_name_the_input(self):
-        # the cutoff loop runs out at eta = 1e-8; the message says for which call
+        # the kernel's rounding alone exceeds rel_tol at eta = 1e-12
         with pytest.raises(ToleranceError) as info:
-            force_exact(1e-8, QuadratureSpec(rel_tol=1e-9))
+            force_exact(1e-12, QuadratureSpec(rel_tol=1e-13))
         msg = str(info.value)
-        assert msg.startswith("momentum integral did not converge on [320.0, 640.0]; ")
-        assert "eta=1e-08, rel_tol=1e-09, err_est=" in msg
-        with pytest.raises(TailError) as info:
-            force_exact(1.0, QuadratureSpec(kappa_max_policy=2.0))
-        assert str(info.value).endswith("; eta=1.0, rel_tol=1e-09")
+        assert msg.startswith("momentum integral did not reach rel_tol")
+        assert "; eta=1e-12, rel_tol=1e-13, err_est=" in msg
 
-    def test_fixed_cutoff_too_small_is_rejected(self):
-        with pytest.raises(TailError):
-            force_exact(1.0, QuadratureSpec(kappa_max_policy=2.0))
+    def test_small_fixed_scale_is_only_a_map_scale(self):
+        # a pinned kappa_max maps the whole half line; no tail model to reject
+        r = force_exact(1.0, QuadratureSpec(kappa_max_policy=2.0))
+        assert r.kappa_max == 2.0
+        assert r.f_eta == pytest.approx(F_ETA_1, rel=1e-9)
+        assert r.err_est <= 1e-9 * r.f_eta
 
     def test_positive_across_decades(self):
         for eta in (1e-2, 1.0, 1e2):
