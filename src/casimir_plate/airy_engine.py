@@ -29,6 +29,11 @@ one-argument view of the same evaluator.  The two exponent-free
 combinations the force kernel needs, -(Ai Bi)'/(Ai Bi) and Ai' Bi + Ai Bi',
 are differences of nearly equal products at large z; above ``Z_SWITCH``
 they come from Cauchy products of the same series (``_product_terms``).
+``_net_terms`` serves the force kernel's quadrature steps: given the
+ascending z1 and z2 of a step, it cuts each at ``Z_SWITCH`` with
+``searchsorted``, makes one ``airye`` call on both heads and one series
+pass, with one zeta, on both tails, and computes only what the net needs.
+Its elements carry the bits ``airy_scaled`` and ``_product_terms`` give.
 
 ``airy_via_ode_oracle`` provides reference values on [0, 50] by a route
 independent of both evaluators: adaptive high-order integration of
@@ -38,7 +43,7 @@ direction is exponentially unstable for the decaying solution).  The first
 oracle call imports ``scipy.integrate``, computes the Ai seed and
 integrates both trajectories over the whole range with dense output; they
 are kept for the life of the process and every call evaluates them at its
-argument.  The production path (one ``airy_scaled`` call per quadrature
+argument.  The production path (one ``_net_terms`` call per quadrature
 step) never pays for any of it.
 """
 
@@ -168,6 +173,10 @@ _PQ = np.array([[2.0 * sum((-1.0) ** j * _V[j] * _U[k - j] for j in range(k + 1)
                 for k in range(1, _N_TERMS, 2)])
 
 
+# the stop-rule magnitudes of the product sums, one per order in zeta^{-2}
+_PQ_STOP = np.abs(_PQ).max(axis=1).tolist()
+
+
 def _stop_order(coef, x: float) -> int:
     """First order k with coef[k] / x^k below 1e-20, or the last order.
 
@@ -183,33 +192,49 @@ def _stop_order(coef, x: float) -> int:
     return last
 
 
-def _asymptotic_scaled(z: np.ndarray) -> np.ndarray:
-    """(ai_s, aip_s, bi_s, bip_s) rows from the large-z series at a 1-D array z.
+def _sum_orders(coef: np.ndarray, stop, x: np.ndarray) -> np.ndarray:
+    """Rows sum_k coef[k, r] x^{-k} at a 1-D array x, shape (rows, n).
 
-    Powers of 1/zeta are built by repeated division: zeta**k overflows
-    long before the series stops being useful (zeta ~ 1e30 at z ~ 1e20).
+    Orders 0..K are summed, K = _stop_order(stop, min x), one after
+    another as a scalar sum would (np.add.reduce promises no order, and
+    may sum pairwise).  Powers of 1/x are built by repeated division: x**k
+    overflows long before the series stops being useful.
+    """
+    last = _stop_order(stop, float(x.min()))
+    powers = np.empty((last + 1, x.size))
+    powers[0] = 1.0
+    powers[1:] = x
+    np.divide.accumulate(powers, axis=0, out=powers)  # row k: x^{-k}
+    return np.add.accumulate(coef[: last + 1, :, None] * powers[:, None, :], axis=0)[-1]
+
+
+def _zeta(z: np.ndarray) -> np.ndarray:
+    return (2.0 / 3.0) * z * np.sqrt(z)
+
+
+def _series_rows(z: np.ndarray, zeta: np.ndarray, rows: int) -> np.ndarray:
+    """The first rows of (ai_s, aip_s, bi_s, bip_s) from the large-z series at a 1-D array z.
+
     Stop rule: orders 0..K are summed, K being the first order at which
     every element's term u_k zeta^{-k} is below 1e-20 (at most _N_TERMS).
     The element with the smallest zeta has the largest terms, so it sets
     K.  For z >= 20 that comes well before the divergent turn of the
     series, and an element that alone would have stopped earlier gets the
     same bits: each of its sums is 1 +- 2e-3, and adding a later term,
-    smaller still than 1e-20, cannot change it.  The orders are added one
-    after another, as a scalar sum would.  z^{1/4} is taken per element
-    with Python's pow, because numpy's power differs from it in the last
-    bit on some arguments.
+    smaller still than 1e-20, cannot change it.  z^{1/4} is taken per
+    element with Python's pow, because numpy's power differs from it in
+    the last bit on some arguments.
     """
-    zeta = (2.0 / 3.0) * z * np.sqrt(z)
     q = np.array([x**0.25 for x in z.tolist()])
     rp = 1.0 / math.sqrt(math.pi)
-    last = _stop_order(_U, float(zeta.min()))
-    powers = np.empty((last + 1, z.size))
-    powers[0] = 1.0
-    powers[1:] = zeta
-    powers = np.divide.accumulate(powers, axis=0)  # row k: zeta^{-k}
-    terms = _COEF[: last + 1, :, None] * powers[:, None, :]
-    sums = np.add.accumulate(terms, axis=0)[-1]
-    return _HALVES * np.array((rp / q, rp * q, rp / q, rp * q)) * sums
+    inv, fwd = rp / q, rp * q
+    pre = _HALVES[:rows] * np.array((inv, fwd, inv, fwd)[:rows])
+    return pre * _sum_orders(_COEF[:, :rows], _U, zeta)
+
+
+def _asymptotic_scaled(z: np.ndarray) -> np.ndarray:
+    """(ai_s, aip_s, bi_s, bip_s) rows from the large-z series at a 1-D array z."""
+    return _series_rows(z, _zeta(z), 4)
 
 
 def airy_scaled(z) -> np.ndarray:
@@ -239,39 +264,71 @@ def airy_scaled(z) -> np.ndarray:
     return out
 
 
-def _product_series(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _product_series(z: np.ndarray, zeta=None) -> tuple[np.ndarray, np.ndarray]:
     """(-(Ai Bi)'/(Ai Bi), Ai' Bi + Ai Bi') from the product series at a 1-D array z.
 
     -(Ai Bi)'/(Ai Bi) = sqrt(z) P/Q and Ai' Bi + Ai Bi' = -P/(2 pi), with P
     and Q the Cauchy products of _PQ, summed in zeta^{-2} under the stop
-    rule of _asymptotic_scaled, so an element's bits do not depend on its
-    batch.  Accurate where the Airy series is (z >= 20 or so).
+    rule of _series_rows, so an element's bits do not depend on its batch.
+    Accurate where the Airy series is (z >= 20 or so).  zeta defaults to
+    zeta(z).
     """
-    zeta = (2.0 / 3.0) * z * np.sqrt(z)
-    zeta_min = float(zeta.min())
-    last = _stop_order(np.abs(_PQ).max(axis=1), zeta_min * zeta_min)
-    powers = np.empty((last + 1, z.size))
-    powers[0] = 1.0
-    powers[1:] = zeta * zeta
-    powers = np.divide.accumulate(powers, axis=0)  # row m: zeta^{-2m}
-    p, q = np.add.accumulate(_PQ[: last + 1, :, None] * powers[:, None, :], axis=0)[-1]
+    if zeta is None:
+        zeta = _zeta(z)
+    p, q = _sum_orders(_PQ, _PQ_STOP, zeta * zeta)
     return 1.5 * p / (z * q), -p / (2.0 * math.pi * zeta)  # sqrt(z)/zeta = 3/(2z)
 
 
+def _products_from_values(ai, aip, bi, bip) -> tuple[np.ndarray, np.ndarray]:
+    """(-(Ai Bi)'/(Ai Bi), Ai' Bi + Ai Bi') formed from scaled values; cancelling above Z_SWITCH."""
+    return -(aip / ai + bip / bi), aip * bi + ai * bip
+
+
 def _product_terms(z: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(-(Ai Bi)'/(Ai Bi), Ai' Bi + Ai Bi') at a 1-D array z, v = airy_scaled(z).
+    """(-(Ai Bi)'/(Ai Bi), Ai' Bi + Ai Bi') at an ascending 1-D array z, v = airy_scaled(z).
 
     Both are exponent-free.  Below Z_SWITCH they are formed from v; at or
     above it, where each is a difference of nearly equal products of v,
     they come from _product_series.
     """
-    ai, aip, bi, bip = v
-    lnd = -(aip / ai + bip / bi)
-    s = aip * bi + ai * bip
-    hi = z >= Z_SWITCH
-    if hi.any():
-        lnd[hi], s[hi] = _product_series(z[hi])
+    lnd, s = _products_from_values(*v)
+    i = int(z.searchsorted(Z_SWITCH))
+    if i < z.size:
+        lnd[i:], s[i:] = _product_series(z[i:])
     return lnd, s
+
+
+def _net_terms(z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
+    """Rows (ai_s, aip_s, bi_s, w) at ascending z1, then at ascending z2 >= z1; shape (4, 2n).
+
+    w is Ai' Bi + Ai Bi' at z1 and -(Ai Bi)'/(Ai Bi) at z2: with the scaled
+    values, everything the stress kernel's net needs.  Two searchsorted
+    cuts split z1 and z2 at Z_SWITCH; one ``airye`` call serves both heads,
+    and one series pass, with one zeta, both tails (bip_s is not needed
+    there and not computed).  The series stop order comes from the
+    smallest zeta of both tails together, as in airy_scaled and
+    _product_terms on the concatenated array, and every element gets
+    their bits.
+    """
+    n = z1.size
+    if n and not (z1[0] >= 0.0 and z2[-1] < math.inf):  # NaN fails too
+        raise DomainError(f"arguments must be finite and >= 0, got [{z1[0]!r}, {z2[-1]!r}]")
+    i1, i2 = int(z1.searchsorted(Z_SWITCH)), int(z2.searchsorted(Z_SWITCH))  # i2 <= i1
+    out = np.empty((4, 2 * n))
+    if i1:
+        ai, aip, bi, bip = _scipy_airye(np.concatenate((z1[:i1], z2[:i2])))
+        lnd, s = _products_from_values(ai, aip, bi, bip)
+        out[:, :i1] = ai[:i1], aip[:i1], bi[:i1], s[:i1]
+        out[:, n : n + i2] = ai[i1:], aip[i1:], bi[i1:], lnd[i1:]
+    if i2 < n:
+        m = n - i1
+        z = np.concatenate((z1[i1:], z2[i2:]))
+        zeta = _zeta(z)
+        rows = _series_rows(z, zeta, 3)
+        lnd, s = _product_series(z, zeta)
+        out[:3, i1:n], out[3, i1:n] = rows[:, :m], s[:m]
+        out[:3, n + i2 :], out[3, n + i2 :] = rows[:, m:], lnd[m:]
+    return out
 
 
 def _exp_soft(t: float) -> float:

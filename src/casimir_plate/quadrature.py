@@ -1,24 +1,28 @@
 """Deterministic adaptive quadrature built on a Gauss 7 / Kronrod 15 pair.
 
 Each panel is evaluated once with the 15-point Kronrod rule; the embedded
-7-point Gauss value supplies the error estimate.  The panel with the worst
-estimate is bisected until the summed estimate meets tolerance.  Panels are
-ordered by (estimate, left endpoint), a total order, and the final value is
-an exact compensated sum over panels, so identical inputs produce
-bit-identical results.  That property is load-bearing: the command-line
-layer promises byte-identical output across reruns and worker counts.
+7-point Gauss value supplies the error estimate.  The interval is never
+evaluated as one panel: the first step evaluates its two halves, and the
+panel with the worst estimate is then bisected until the summed estimate
+meets tolerance.  Panels are ordered by (estimate, left endpoint), a total
+order, and the final value is an exact compensated sum over panels, so
+identical inputs produce bit-identical results.  That property is
+load-bearing: the command-line layer promises byte-identical output across
+reruns and worker counts.
 
 Integrand contract: ``f`` takes a 1-D float array of nodes and returns a
 sequence of as many values (an array, or a list from a scalar function
-wrapped in a comprehension).  It is called once on the 15 nodes of the
-first panel and then once per bisection, on the 30 nodes of both children,
-so an array integrand pays its per-call overhead once per step.  The
-Kronrod and Gauss sums of each panel run node by node in Python floats in
-a fixed order, so the result does not depend on how f computes its values,
-only on the values themselves.
+wrapped in a comprehension).  It is called once per step, on the 30 nodes
+of both halves, in ascending order, so an array integrand pays its
+per-call overhead once per step.  The Kronrod and Gauss sums of each panel
+run node by node in Python floats in a fixed order, so the result does not
+depend on how f computes its values, only on the values themselves.
 
 No rule node ever touches a panel endpoint, so integrands may be left
-unevaluated (or singular but integrable) at interval ends.
+unevaluated (or singular but integrable) at interval ends.  A panel whose
+halves would have a node rounded onto an endpoint is at float resolution
+and is not refined further; the result then reports converged=False if
+the tolerance was not met.
 """
 
 from __future__ import annotations
@@ -68,7 +72,9 @@ _WG = (
 )
 
 
-_KERNEL = "wronskian-split"  # change it whenever the force kernel's numbers move
+# change it whenever a force result moves, n_evals included, so that cached
+# curve rows are recomputed rather than served stale
+_KERNEL = "wronskian-split+halves"
 
 
 @dataclass(frozen=True)
@@ -118,16 +124,29 @@ class QuadResult:
 Integrand = Callable[[np.ndarray], Sequence[float]]
 
 
-def _nodes(lo: float, hi: float) -> list[float]:
-    """The 15 Kronrod nodes of [lo, hi], ascending: c - dx_0 ... c ... c + dx_0."""
-    c = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    dx = [half * x for x in _XGK]
-    return [c - d for d in dx] + [c] + [c + d for d in reversed(dx)]
+# the 15 Kronrod abscissae of [-1, 1], ascending
+_X = np.array([-x for x in _XGK] + [0.0] + list(reversed(_XGK)))
+
+
+def _halves(lo: float, hi: float) -> Optional[tuple[float, np.ndarray]]:
+    """(mid, the 30 Kronrod nodes of [lo, mid] and [mid, hi], ascending).
+
+    None when a node would round onto an endpoint of its half: the panel
+    is then at float resolution and cannot be refined.  c + half * (-x) has
+    the bits of c - half * x, so each node is the one a scalar rule on the
+    half would use.
+    """
+    mid = 0.5 * (lo + hi)
+    c = np.array([0.5 * (lo + mid), 0.5 * (mid + hi)])
+    half = np.array([0.5 * (mid - lo), 0.5 * (hi - mid)])
+    x = (c[:, None] + half[:, None] * _X).ravel()
+    if not (lo < x[0] and x[14] < mid < x[15] and x[29] < hi):
+        return None
+    return mid, x
 
 
 def _gk15(fx: list[float], lo: float, hi: float) -> tuple[float, float]:
-    """Kronrod value and |Kronrod - Gauss| estimate from the values at _nodes(lo, hi)."""
+    """Kronrod value and |Kronrod - Gauss| estimate from the 15 values at the nodes of [lo, hi]."""
     half = 0.5 * (hi - lo)
     fc = fx[7]
     resk = _WGK[7] * fc
@@ -140,16 +159,6 @@ def _gk15(fx: list[float], lo: float, hi: float) -> tuple[float, float]:
     return resk * half, abs(resk - resg) * abs(half)
 
 
-def _panels(f: Integrand, *bounds: tuple[float, float]) -> list[tuple[float, float]]:
-    """(value, estimate) of each panel, from one call of f on all their nodes."""
-    x = [node for lo, hi in bounds for node in _nodes(lo, hi)]
-    fx = np.asarray(f(np.array(x)), dtype=float)
-    if fx.shape != (len(x),):
-        raise DomainError(f"integrand returned shape {fx.shape} for {len(x)} nodes")
-    fx = fx.tolist()
-    return [_gk15(fx[15 * i : 15 * i + 15], lo, hi) for i, (lo, hi) in enumerate(bounds)]
-
-
 def integrate_finite(
     f: Integrand,
     lo: float,
@@ -158,44 +167,52 @@ def integrate_finite(
 ) -> QuadResult:
     """Adaptive integral of f over [lo, hi]; f maps an array of nodes to values.
 
-    Worst-panel-first bisection; converged means the summed panel estimate
-    met max(rel_tol*|value|, abs_tol) within the subdivision budget.
+    The first step evaluates the two halves of [lo, hi]; every later step
+    bisects the worst panel.  Each step counts against max_subdivisions.
+    converged means the summed panel estimate met
+    max(rel_tol*|value|, abs_tol) within that budget.
     """
     if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi:
         raise DomainError(f"bad interval [{lo!r}, {hi!r}]")
     if lo == hi:
         return QuadResult(0.0, 0.0, 0, True)
 
-    ((val, err),) = _panels(f, (lo, hi))
     # heap entries: (-err, left, right, value); left endpoints are unique,
-    # which makes the ordering total and the refinement deterministic
-    heap = [(-err, lo, hi, val)]
-    total = val
-    total_err = err
-    n_evals = 15
+    # which makes the ordering total and the refinement deterministic.  The
+    # root enters with no value and no estimate: it is bisected before it
+    # is ever evaluated.
+    heap = [(-0.0, lo, hi, 0.0)]
+    total = 0.0
+    total_err = 0.0
     splits = 0
-    while total_err > max(spec.rel_tol * abs(total), spec.abs_tol):
+    while splits == 0 or total_err > max(spec.rel_tol * abs(total), spec.abs_tol):
         if splits >= spec.max_subdivisions:
             break
-        neg_err, plo, phi, pval = heapq.heappop(heap)
-        mid = 0.5 * (plo + phi)
-        if not (plo < mid < phi):
-            # interval is at rounding resolution; no further refinement possible
-            heapq.heappush(heap, (neg_err, plo, phi, pval))
+        neg_err, plo, phi, pval = heap[0]
+        step = _halves(plo, phi)
+        if step is None:
+            if splits == 0:
+                raise DomainError(f"interval [{lo!r}, {hi!r}] is too narrow for rule nodes")
             break
-        (v1, e1), (v2, e2) = _panels(f, (plo, mid), (mid, phi))
+        heapq.heappop(heap)
+        mid, x = step
+        fx = np.asarray(f(x), dtype=float)
+        if fx.shape != (30,):
+            raise DomainError(f"integrand returned shape {fx.shape} for 30 nodes")
+        fx = fx.tolist()
+        v1, e1 = _gk15(fx[:15], plo, mid)
+        v2, e2 = _gk15(fx[15:], mid, phi)
         total += (v1 + v2) - pval
         total_err += (e1 + e2) + neg_err
         heapq.heappush(heap, (-e1, plo, mid, v1))
         heapq.heappush(heap, (-e2, mid, phi, v2))
-        n_evals += 30
         splits += 1
 
     panels = sorted(heap, key=lambda p: p[1])
     value = math.fsum(p[3] for p in panels)
     err_est = math.fsum(-p[0] for p in panels)
     converged = err_est <= max(spec.rel_tol * abs(value), spec.abs_tol)
-    return QuadResult(value, err_est, n_evals, converged)
+    return QuadResult(value, err_est, 30 * splits, converged)
 
 
 def integrate_semi_infinite(

@@ -18,8 +18,8 @@ difference but from its exact Wronskian rearrangement (``_sides``), and
 
 is one integral over the whole half line, with no cutoff or tail model.
 The integral hands the integrand a whole array of momenta per quadrature
-step (``_integrand_arrays``), which evaluates every z1 and z2 of the step
-in one ``airy_scaled`` call; the scalar integrands evaluate one
+step (``_net_array``), which serves every z1 and z2 of the step with one
+``airy_engine._net_terms`` pass; the scalar integrands evaluate one
 ``airy_eval`` at each of z1, z2 and read from the same formula.  N and D
 are evaluated in compensated form: the common factor e^{zeta_2 - 2 zeta_1}
 is removed analytically, which leaves every surviving term O(1) or
@@ -41,7 +41,7 @@ from typing import Optional
 
 import numpy as np
 
-from .airy_engine import Z_SWITCH, _product_terms, airy_eval, airy_scaled
+from .airy_engine import Z_SWITCH, _net_terms, _product_terms, airy_eval
 from .errors import DomainError, SingularityError, ToleranceError
 from .quadrature import QuadratureSpec, integrate_semi_infinite
 
@@ -118,15 +118,17 @@ def _check_eta_positive(eta: float) -> float:
 
 
 def _sides(
-    kappa: np.ndarray, z1: np.ndarray, z2: np.ndarray, v: np.ndarray, eta: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    kappa: np.ndarray, z1: np.ndarray, z2: np.ndarray, t: np.ndarray, eta: float
+) -> tuple[Optional[np.ndarray], Optional[np.ndarray], np.ndarray]:
     """(above, below, net) at every momentum of a 1-D array.
 
-    v holds the scaled quadruples (ai_s, aip_s, bi_s, bip_s) as rows: the n
-    columns at z1 = kappa^2, then the n at z2 = kappa^2 + eta^{1/3}.  above
-    is ai2'/ai2.  below is the N/D form in compensated evaluation: with
-    E = e^{-2 (zeta_2 - zeta_1)} and scaled Airy values, the factored
-    ratio is
+    t holds the rows (ai_s, aip_s, bi_s, w) of airy_engine._net_terms, the
+    n columns at z1 = kappa^2, then the n at z2 = kappa^2 + eta^{1/3}, with
+    w = S at z1 and -(Ai Bi)'/(Ai Bi) at z2; net needs nothing else.  A
+    fifth row, bip_s, gives above and below as well; without it they are
+    None.  above is ai2'/ai2.  below is the N/D form in compensated
+    evaluation: with E = e^{-2 (zeta_2 - zeta_1)} and scaled Airy values,
+    the factored ratio is
 
         N_c = 2 ai1 aip1 bip2 - aip2 S E
         D_c = S ai2 E - 2 ai1 aip1 bi2
@@ -134,28 +136,28 @@ def _sides(
 
     net is not below - above, which cancels to 1/(2 kappa^2) from two
     numbers of size kappa, but its exact Wronskian rearrangement
-    net = -(Ai Bi)'/(Ai Bi)(z2) + S E / (pi bi2 D_c), with the first term
-    and S from airy_engine._product_terms.  The zeta gap in E is formed
-    from eps = eta^{1/3}, never from z2 - z1, which carries the rounding
-    of z2 (docs/numerics.md section 2).  Every step is elementwise, so an
-    element's bits do not depend on its batch.  Callers validate
-    kappa >= 0 and eta > 0.
+    net = -(Ai Bi)'/(Ai Bi)(z2) + S E / (pi bi2 D_c).  The zeta gap in E
+    is formed from eps = eta^{1/3}, never from z2 - z1, which carries the
+    rounding of z2 (docs/numerics.md section 2).  Every step is
+    elementwise, so an element's bits do not depend on its batch.  Callers
+    validate kappa >= 0 and eta > 0.
     """
     n = kappa.size
-    ai1, aip1, _, _ = v[:, :n]
-    ai2, aip2, bi2, bip2 = v[:, n:]
-    lnd, s = _product_terms(np.concatenate((z1, z2)), v)
-    s, lnd2 = s[:n], lnd[n:]
+    ai1, aip1, _, s = t[:4, :n]
+    ai2, aip2, bi2, lnd2 = t[:4, n:]
     gap = (2.0 / 3.0) * eta ** (1.0 / 3.0) * (z2 * z2 + z2 * z1 + z1 * z1) / (
         z2 * np.sqrt(z2) + z1 * np.sqrt(z1))
     ee = np.exp(-2.0 * gap)
     a2 = 2.0 * ai1 * aip1
-    num = a2 * bip2 - aip2 * s * ee
     den = s * ai2 * ee - a2 * bi2
     if not den.all():
         k = kappa[den == 0.0][0].item()
         raise SingularityError(f"below-plate denominator vanished at kappa={k!r}, eta={eta!r}")
-    return aip2 / ai2, num / den, lnd2 + s * ee / (math.pi * bi2 * den)
+    net = lnd2 + s * ee / (math.pi * bi2 * den)
+    if len(t) == 4:
+        return None, None, net
+    num = a2 * t[4, n:] - aip2 * s * ee
+    return aip2 / ai2, num / den, net
 
 
 def _z_pair(kappa, eta: float):
@@ -164,12 +166,23 @@ def _z_pair(kappa, eta: float):
     return z1, z1 + eta ** (1.0 / 3.0)
 
 
-def _integrand_arrays(
-    kappa: np.ndarray, eta: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(above, below, net) at an array of momenta, from one airy_scaled call on all z1, z2."""
+def _net_array(kappa: np.ndarray, eta: float) -> np.ndarray:
+    """net at a 1-D array of momenta, from one _net_terms pass on all z1 and z2.
+
+    Quadrature nodes arrive ascending; momenta in any other order are
+    sorted for the pass and put back, which moves no bit.
+    """
+    order = None
+    if (kappa[1:] < kappa[:-1]).any():
+        order = np.argsort(kappa, kind="stable")
+        kappa = kappa[order]
     z1, z2 = _z_pair(kappa, eta)
-    return _sides(kappa, z1, z2, airy_scaled(np.concatenate((z1, z2))), eta)
+    net = _sides(kappa, z1, z2, _net_terms(z1, z2), eta)[2]
+    if order is None:
+        return net
+    out = np.empty_like(net)
+    out[order] = net
+    return out
 
 
 def _sample(kappa: float, eta: float) -> tuple[float, float, float]:
@@ -183,7 +196,9 @@ def _sample(kappa: float, eta: float) -> tuple[float, float, float]:
     v2 = airy_eval(z2)
     v = np.array([[v1.ai_s, v2.ai_s], [v1.aip_s, v2.aip_s],
                   [v1.bi_s, v2.bi_s], [v1.bip_s, v2.bip_s]])
-    sides = _sides(np.array([kappa]), np.array([z1]), np.array([z2]), v, eta)
+    lnd, s = _product_terms(np.array([z1, z2]), v)
+    t = np.vstack((v[:3], (s[0], lnd[1]), v[3]))
+    sides = _sides(np.array([kappa]), np.array([z1]), np.array([z2]), t, eta)
     return tuple(x.item() for x in sides)
 
 
@@ -267,7 +282,7 @@ def force_exact(eta: float, spec: QuadratureSpec = QuadratureSpec()) -> ForceRes
     k0 = max(eta ** (1.0 / 6.0), eta ** (-1.0 / 3.0)) if k0 is None else float(k0)
 
     def net(u: np.ndarray) -> np.ndarray:
-        return k0 * _integrand_arrays(k0 * u, eta)[2]
+        return k0 * _net_array(k0 * u, eta)
 
     eps = eta ** (1.0 / 3.0)
     lib = _ROUND_LIB if eps < Z_SWITCH else 0.0

@@ -119,20 +119,23 @@ class TestCurve:
         assert all("rel=1e-06" in k for k in keys)
 
     def test_rows_cached_by_an_older_kernel_are_recomputed(self, tmp_path, capsys):
-        # a cache file written before the fingerprint named the kernel
+        # cache files written before the fingerprint named the kernel, and
+        # by the kernel whose first quadrature step was the whole interval
+        # (every n_evals 15 higher)
         from casimir_plate.cli import _curve_grid
 
-        old_fp = "rel=1e-06;abs=1e-14;sub=2000;kmax=None"
-        stale = {"eta": 0.0, "f_eta": 9.0, "err_est": 9.0, "kappa_max": 9.0, "n_evals": 9}
-        cache = tmp_path / "cache.json"
-        cache.write_text(json.dumps({f"{eta!r}|{old_fp}": stale
-                                     for eta in _curve_grid(0.1, 10.0, 5, "log")}))
-        fresh, out = tmp_path / "fresh.csv", tmp_path / "c.csv"
+        fresh = tmp_path / "fresh.csv"
         assert run_cli(["curve", *self.ARGS, "--out", str(fresh)], capsys)[0] == 0
-        rc, text = run_cli(["curve", *self.ARGS, "--out", str(out), "--cache", str(cache)], capsys)
-        assert rc == 0
-        assert "(5 computed, 0 cached)" in text
-        assert out.read_bytes() == fresh.read_bytes()
+        stale = {"eta": 0.0, "f_eta": 9.0, "err_est": 9.0, "kappa_max": 9.0, "n_evals": 9}
+        for old_fp in ("rel=1e-06;abs=1e-14;sub=2000;kmax=None",
+                       "kernel=wronskian-split;rel=1e-06;abs=1e-14;sub=2000;kmax=None"):
+            cache, out = tmp_path / "cache.json", tmp_path / "c.csv"
+            cache.write_text(json.dumps({f"{eta!r}|{old_fp}": stale
+                                         for eta in _curve_grid(0.1, 10.0, 5, "log")}))
+            rc, text = run_cli(["curve", *self.ARGS, "--out", str(out), "--cache", str(cache)], capsys)
+            assert rc == 0
+            assert "(5 computed, 0 cached)" in text, old_fp
+            assert out.read_bytes() == fresh.read_bytes()
 
     def test_jobs_has_no_effect_and_starts_no_pool(self, tmp_path, capsys, monkeypatch):
         import concurrent.futures

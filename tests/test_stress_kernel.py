@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from casimir_plate import airy_engine, stress_kernel
-from casimir_plate.airy_engine import Z_SWITCH, airy_eval, airy_scaled
+from casimir_plate.airy_engine import Z_SWITCH, airy_eval
 from casimir_plate.errors import DomainError, ToleranceError
 from casimir_plate.quadrature import QuadratureSpec, integrate_semi_infinite
 from casimir_plate.stress_kernel import (
@@ -87,25 +87,32 @@ class TestSinglePass:
             assert calls == [kappa * kappa, kappa * kappa + 1.0]  # z1, z2 at eta = 1
 
     def test_one_array_evaluation_per_quadrature_step(self, monkeypatch):
-        calls = []
+        momenta, calls = [], []
 
-        def counting(z):
-            calls.append(np.array(z).tolist())
-            return airy_scaled(z)
+        def batch(kappa, eta):
+            momenta.append(kappa.tolist())
+            return net_array(kappa, eta)
 
-        # both bindings: the kernel resolves it in stress_kernel, airy_eval in airy_engine
-        monkeypatch.setattr(stress_kernel, "airy_scaled", counting)
-        monkeypatch.setattr(airy_engine, "airy_scaled", counting)
+        def terms(z1, z2):
+            calls.append((z1.tolist(), z2.tolist()))
+            return net_terms(z1, z2)
+
+        def refuse(z):
+            raise AssertionError("the force path called airy_scaled")
+
+        net_array, net_terms = stress_kernel._net_array, stress_kernel._net_terms
+        monkeypatch.setattr(stress_kernel, "_net_array", batch)
+        monkeypatch.setattr(stress_kernel, "_net_terms", terms)
+        monkeypatch.setattr(airy_engine, "airy_scaled", refuse)
         eta = 2.0
         r = force_exact(eta)
-        # the first panel: 15 nodes; a bisection: 30; times (z1, z2)
-        assert {len(z) for z in calls} == {30, 60}
-        for z in calls:
-            m = len(z) // 2
-            z1, z2 = z[:m], z[m:]  # kappa^2 at the step's nodes, ascending
-            assert z1 == sorted(z1)
+        # every step: the 30 nodes of two panels, ascending, as (z1, z2)
+        assert len(momenta) == len(calls) == r.n_evals // 30
+        for kappa, (z1, z2) in zip(momenta, calls):
+            assert len(kappa) == 30
+            assert all(k0 < k1 for k0, k1 in zip(kappa, kappa[1:]))
+            assert z1 == [k * k for k in kappa]
             assert z2 == [x + eta ** (1.0 / 3.0) for x in z1]
-        assert sum(len(z) for z in calls) == 2 * r.n_evals
 
     def test_one_quadrature_call_and_no_scalar_airy_call(self, monkeypatch):
         quad = []
@@ -138,12 +145,27 @@ class TestSinglePass:
 
     @pytest.mark.parametrize("eta", [1e-12, 1e-3, 1.0, 1e3, 1e9])
     def test_scalar_net_equals_its_batched_element(self, eta):
-        # momenta on both sides of Z_SWITCH in one batch, so both Airy branches
-        # and both product branches serve it
         root = math.sqrt(Z_SWITCH)
-        kappa = np.array([0.0, 0.3, 1.0, root - 1e-9, root, root + 1e-9, 7.0, 60.0, 1e4, 1e8])
-        batched = stress_kernel._integrand_arrays(kappa, eta)[2]
-        assert [integrand_net(k, eta).net for k in kappa.tolist()] == batched.tolist()
+        batches = [
+            # momenta on both sides of Z_SWITCH in one batch, so both Airy
+            # branches and both product branches serve it
+            [0.0, 0.3, 1.0, root - 1e-9, root, root + 1e-9, 7.0, 60.0, 1e4, 1e8],
+            # unsorted, mixing momenta whose z1 and z2 are both below
+            # Z_SWITCH, straddle it (z1 < Z_SWITCH <= z2) and are both above
+            [60.0, 0.3, 1e8, root, 1.0, root - 1e-9, 0.0, 7.0, math.sqrt(39.5), 1e4],
+            # z1 < Z_SWITCH <= z2 next to z1 = 1e4 (sqrt(39.5) at eta >= 1,
+            # root - 1e-9 at every eta): the smallest zeta of the series batch
+            # is a z2, far below that of the batch's first element, z1 = 1e4
+            [math.sqrt(39.5), 100.0],
+            [root - 1e-9, 100.0],
+            # series batches of 2, 3 and 4 elements
+            [math.sqrt(41.0)],
+            [math.sqrt(39.5), math.sqrt(41.0)],
+            [math.sqrt(41.0), math.sqrt(50.0)],
+        ]
+        for kappa in batches:
+            batched = stress_kernel._net_array(np.array(kappa), eta)
+            assert [integrand_net(k, eta).net for k in kappa] == batched.tolist(), kappa
 
     @staticmethod
     def mp_net_error(kappa_sq, eta):
