@@ -28,12 +28,12 @@ would get alone, so batching never changes a result; ``airy_eval`` is the
 one-argument view of the same evaluator.  The two exponent-free
 combinations the force kernel needs, -(Ai Bi)'/(Ai Bi) and Ai' Bi + Ai Bi',
 are differences of nearly equal products at large z; above ``Z_SWITCH``
-they come from Cauchy products of the same series (``_product_terms``).
-``_net_terms`` serves the force kernel's quadrature steps: given the
-ascending z1 and z2 of a step, it cuts each at ``Z_SWITCH`` with
-``searchsorted``, makes one ``airye`` call on both heads and one series
-pass, with one zeta, on both tails, and computes only what the net needs.
-Its elements carry the bits ``airy_scaled`` and ``_product_terms`` give.
+they come from Cauchy products of the same series.  ``_net_terms`` is the
+one place that assembles them, for the force kernel's quadrature steps and
+its one-sample integrands alike: given ascending z1 and z2, it cuts each at
+``Z_SWITCH`` with ``searchsorted``, makes one ``airye`` call on both heads
+and one series pass, with one zeta, on both tails, and computes only what
+the net needs.  Its scaled values carry the bits ``airy_scaled`` gives.
 
 ``airy_via_ode_oracle`` provides reference values on [0, 50] by a route
 independent of both evaluators: adaptive high-order integration of
@@ -279,25 +279,6 @@ def _product_series(z: np.ndarray, zeta=None) -> tuple[np.ndarray, np.ndarray]:
     return 1.5 * p / (z * q), -p / (2.0 * math.pi * zeta)  # sqrt(z)/zeta = 3/(2z)
 
 
-def _products_from_values(ai, aip, bi, bip) -> tuple[np.ndarray, np.ndarray]:
-    """(-(Ai Bi)'/(Ai Bi), Ai' Bi + Ai Bi') formed from scaled values; cancelling above Z_SWITCH."""
-    return -(aip / ai + bip / bi), aip * bi + ai * bip
-
-
-def _product_terms(z: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(-(Ai Bi)'/(Ai Bi), Ai' Bi + Ai Bi') at an ascending 1-D array z, v = airy_scaled(z).
-
-    Both are exponent-free.  Below Z_SWITCH they are formed from v; at or
-    above it, where each is a difference of nearly equal products of v,
-    they come from _product_series.
-    """
-    lnd, s = _products_from_values(*v)
-    i = int(z.searchsorted(Z_SWITCH))
-    if i < z.size:
-        lnd[i:], s[i:] = _product_series(z[i:])
-    return lnd, s
-
-
 def _net_terms(z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
     """Rows (ai_s, aip_s, bi_s, w) at ascending z1, then at ascending z2 >= z1; shape (4, 2n).
 
@@ -306,9 +287,8 @@ def _net_terms(z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
     cuts split z1 and z2 at Z_SWITCH; one ``airye`` call serves both heads,
     and one series pass, with one zeta, both tails (bip_s is not needed
     there and not computed).  The series stop order comes from the
-    smallest zeta of both tails together, as in airy_scaled and
-    _product_terms on the concatenated array, and every element gets
-    their bits.
+    smallest zeta of both tails together, so an element's bits do not
+    depend on its batch, and ai_s, aip_s and bi_s are those of airy_scaled.
     """
     n = z1.size
     if n and not (z1[0] >= 0.0 and z2[-1] < math.inf):  # NaN fails too
@@ -316,8 +296,9 @@ def _net_terms(z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
     i1, i2 = int(z1.searchsorted(Z_SWITCH)), int(z2.searchsorted(Z_SWITCH))  # i2 <= i1
     out = np.empty((4, 2 * n))
     if i1:
+        # below the switch both are formed from the scaled values
         ai, aip, bi, bip = _scipy_airye(np.concatenate((z1[:i1], z2[:i2])))
-        lnd, s = _products_from_values(ai, aip, bi, bip)
+        s, lnd = aip * bi + ai * bip, -(aip / ai + bip / bi)
         out[:, :i1] = ai[:i1], aip[:i1], bi[:i1], s[:i1]
         out[:, n : n + i2] = ai[i1:], aip[i1:], bi[i1:], lnd[i1:]
     if i2 < n:

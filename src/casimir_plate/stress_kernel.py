@@ -20,7 +20,8 @@ is one integral over the whole half line, with no cutoff or tail model.
 The integral hands the integrand a whole array of momenta per quadrature
 step (``_net_array``), which serves every z1 and z2 of the step with one
 ``airy_engine._net_terms`` pass; the scalar integrands evaluate one
-``airy_eval`` at each of z1, z2 and read from the same formula.  N and D
+``airy_eval`` at each of z1, z2, take S and -(Ai Bi)'/(Ai Bi) from a
+one-element ``_net_terms`` pass and read from the same formula.  N and D
 are evaluated in compensated form: the common factor e^{zeta_2 - 2 zeta_1}
 is removed analytically, which leaves every surviving term O(1) or
 exponentially small.  The naive unscaled products underflow to zero near
@@ -41,7 +42,7 @@ from typing import Optional
 
 import numpy as np
 
-from .airy_engine import Z_SWITCH, _net_terms, _product_terms, airy_eval
+from .airy_engine import Z_SWITCH, _net_terms, airy_eval
 from .errors import DomainError, SingularityError, ToleranceError
 from .quadrature import QuadratureSpec, integrate_semi_infinite
 
@@ -167,37 +168,31 @@ def _z_pair(kappa, eta: float):
 
 
 def _net_array(kappa: np.ndarray, eta: float) -> np.ndarray:
-    """net at a 1-D array of momenta, from one _net_terms pass on all z1 and z2.
+    """net at an ascending 1-D array of momenta, from one _net_terms pass on all z1 and z2.
 
-    Quadrature nodes arrive ascending; momenta in any other order are
-    sorted for the pass and put back, which moves no bit.
+    Quadrature nodes arrive ascending, which is what lets _net_terms cut
+    the step at Z_SWITCH; any other order is a DomainError.
     """
-    order = None
-    if (kappa[1:] < kappa[:-1]).any():
-        order = np.argsort(kappa, kind="stable")
-        kappa = kappa[order]
+    if not (kappa[1:] >= kappa[:-1]).all():  # NaN fails too
+        raise DomainError("momenta must arrive in ascending order")
     z1, z2 = _z_pair(kappa, eta)
-    net = _sides(kappa, z1, z2, _net_terms(z1, z2), eta)[2]
-    if order is None:
-        return net
-    out = np.empty_like(net)
-    out[order] = net
-    return out
+    return _sides(kappa, z1, z2, _net_terms(z1, z2), eta)[2]
 
 
 def _sample(kappa: float, eta: float) -> tuple[float, float, float]:
     """(above, below, net) at one momentum: one airy_eval at each of z1, z2.
 
-    Going through airy_eval keeps one-sample evaluations visible to code
-    that wraps it, such as perfbench/tracer.py.
+    The scaled values come from airy_eval, which keeps one-sample
+    evaluations visible to code that wraps it, such as perfbench/tracer.py;
+    S at z1 and -(Ai Bi)'/(Ai Bi) at z2 from the _net_terms pass the force
+    path makes, on the one-element pair.
     """
     z1, z2 = _z_pair(kappa, eta)
     v1 = airy_eval(z1)
     v2 = airy_eval(z2)
-    v = np.array([[v1.ai_s, v2.ai_s], [v1.aip_s, v2.aip_s],
-                  [v1.bi_s, v2.bi_s], [v1.bip_s, v2.bip_s]])
-    lnd, s = _product_terms(np.array([z1, z2]), v)
-    t = np.vstack((v[:3], (s[0], lnd[1]), v[3]))
+    w = _net_terms(np.array([z1]), np.array([z2]))[3]
+    t = np.array([[v1.ai_s, v2.ai_s], [v1.aip_s, v2.aip_s], [v1.bi_s, v2.bi_s],
+                  w, [v1.bip_s, v2.bip_s]])
     sides = _sides(np.array([kappa]), np.array([z1]), np.array([z2]), t, eta)
     return tuple(x.item() for x in sides)
 

@@ -141,6 +141,33 @@ class TestArrayEvaluator:
             v = airy_eval(z)
             assert tuple(x.hex() for x in (v.ai_s, v.aip_s, v.bi_s, v.bip_s)) == bits
 
+    def test_net_terms_read_the_same_values(self):
+        # z1 and z2 = z1 + 0.5 on both sides of Z_SWITCH: 39.99 -> 40.49
+        # straddles it, and z1 = 40 sets the series' stop order for the batch
+        z1 = np.array(list(self.SCALAR))
+        z2 = z1 + 0.5
+        t = airy_engine._net_terms(z1, z2)
+        n = z1.size
+        for i, z in enumerate(z1.tolist()):
+            assert tuple(v.hex() for v in t[:3, i].tolist()) == self.SCALAR[z][:3], z
+        for i, z in enumerate(z2.tolist()):
+            assert t[:3, n + i].tolist() == airy_scaled(np.array([z]))[:3, 0].tolist(), z
+
+    @pytest.mark.parametrize("z", [1.0, 39.99, 40.0, 41.0, 1e3])
+    def test_net_terms_products_match_mpmath(self, z):
+        # S = Ai' Bi + Ai Bi' at z1, -(Ai Bi)'/(Ai Bi) at z2: formed from
+        # the values below Z_SWITCH, where they cancel (2.5e-13 at 39.99),
+        # and from the product series at or above it
+        mp = pytest.importorskip("mpmath")
+        s_got, lnd_got = airy_engine._net_terms(np.array([z]), np.array([z]))[3].tolist()
+        bound = 1e-12 if z < airy_engine.Z_SWITCH else 1e-15
+        with mp.workdps(40):
+            x = mp.mpf(z)
+            a, ap, b, bp = mp.airyai(x), mp.airyai(x, 1), mp.airybi(x), mp.airybi(x, 1)
+            s = ap * b + a * bp
+            assert rel(s_got, float(s)) <= bound
+            assert rel(lnd_got, float(-s / (a * b))) <= bound
+
     @pytest.mark.parametrize("bad", [[1.0, -1.0], [math.nan], [0.0, math.inf], [[1.0]]])
     def test_rejects_bad_arrays(self, bad):
         with pytest.raises(DomainError):

@@ -150,8 +150,8 @@ class TestSinglePass:
             # momenta on both sides of Z_SWITCH in one batch, so both Airy
             # branches and both product branches serve it
             [0.0, 0.3, 1.0, root - 1e-9, root, root + 1e-9, 7.0, 60.0, 1e4, 1e8],
-            # unsorted, mixing momenta whose z1 and z2 are both below
-            # Z_SWITCH, straddle it (z1 < Z_SWITCH <= z2) and are both above
+            # mixing momenta whose z1 and z2 are both below Z_SWITCH,
+            # straddle it (z1 < Z_SWITCH <= z2) and are both above
             [60.0, 0.3, 1e8, root, 1.0, root - 1e-9, 0.0, 7.0, math.sqrt(39.5), 1e4],
             # z1 < Z_SWITCH <= z2 next to z1 = 1e4 (sqrt(39.5) at eta >= 1,
             # root - 1e-9 at every eta): the smallest zeta of the series batch
@@ -164,8 +164,14 @@ class TestSinglePass:
             [math.sqrt(41.0), math.sqrt(50.0)],
         ]
         for kappa in batches:
+            kappa = sorted(kappa)  # the order quadrature nodes arrive in
             batched = stress_kernel._net_array(np.array(kappa), eta)
             assert [integrand_net(k, eta).net for k in kappa] == batched.tolist(), kappa
+
+    @pytest.mark.parametrize("kappa", [[2.0, 1.0], [0.0, 7.0, 60.0, 1.0], [0.0, math.nan, 1.0]])
+    def test_batch_out_of_order_rejected(self, kappa):
+        with pytest.raises(DomainError, match="ascending"):
+            stress_kernel._net_array(np.array(kappa), 1.0)
 
     @staticmethod
     def mp_net_error(kappa_sq, eta):
