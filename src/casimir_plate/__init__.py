@@ -32,7 +32,6 @@ from .errors import (
 )
 from .greens import (
     PlateConfig,
-    below_ratio_from_construction,
     greens_free_above,
     greens_free_between,
     greens_linear_above,
@@ -84,7 +83,6 @@ __all__ = [
     "airy_eval",
     "airy_scaled",
     "airy_via_ode_oracle",
-    "below_ratio_from_construction",
     "fd_setup",
     "force_classic",
     "force_exact",

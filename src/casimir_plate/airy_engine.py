@@ -264,17 +264,14 @@ def airy_scaled(z) -> np.ndarray:
     return out
 
 
-def _product_series(z: np.ndarray, zeta=None) -> tuple[np.ndarray, np.ndarray]:
+def _product_series(z: np.ndarray, zeta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(-(Ai Bi)'/(Ai Bi), Ai' Bi + Ai Bi') from the product series at a 1-D array z.
 
     -(Ai Bi)'/(Ai Bi) = sqrt(z) P/Q and Ai' Bi + Ai Bi' = -P/(2 pi), with P
     and Q the Cauchy products of _PQ, summed in zeta^{-2} under the stop
     rule of _series_rows, so an element's bits do not depend on its batch.
-    Accurate where the Airy series is (z >= 20 or so).  zeta defaults to
-    zeta(z).
+    Accurate where the Airy series is (z >= 20 or so).
     """
-    if zeta is None:
-        zeta = _zeta(z)
     p, q = _sum_orders(_PQ, _PQ_STOP, zeta * zeta)
     return 1.5 * p / (z * q), -p / (2.0 * math.pi * zeta)  # sqrt(z)/zeta = 3/(2z)
 

@@ -45,7 +45,6 @@ __all__ = [
     "greens_free_above",
     "greens_linear_above",
     "greens_linear_below",
-    "below_ratio_from_construction",
 ]
 
 
@@ -274,6 +273,9 @@ def below_ratio_from_construction(kappa: float, cfg: PlateConfig) -> float:
     assembled from the u coefficients with the common exponent factored
     out.  It repeats the stress module's algebra on the same Airy values, so
     agreement is no cross-check; verify.integrand_from_greens is the one.
+    Nothing in the package calls it and the package does not export it; it
+    stays only because perfbench/tracer.py binds it by name, and goes when
+    the tracer reads package counters instead (ROADMAP item 3).
     """
     kappa = _require_linear(cfg, kappa)
     parts = _BelowParts(kappa, cfg)

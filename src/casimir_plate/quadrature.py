@@ -114,6 +114,13 @@ class QuadratureSpec:
 
 @dataclass(frozen=True)
 class QuadResult:
+    """value, err_est (the summed estimates of the panels evaluated), n_evals, converged.
+
+    err_est bounds the error only when converged is True: a panel at float
+    resolution is not refined further, and the part of the integral it
+    cannot resolve is in no estimate.
+    """
+
     value: float
     err_est: float
     n_evals: int
@@ -170,7 +177,10 @@ def integrate_finite(
     The first step evaluates the two halves of [lo, hi]; every later step
     bisects the worst panel.  Each step counts against max_subdivisions.
     converged means the summed panel estimate met
-    max(rel_tol*|value|, abs_tol) within that budget.
+    max(rel_tol*|value|, abs_tol) within that budget.  err_est is the sum
+    of the estimates of the panels that were evaluated; it bounds the
+    error only when converged is True (when refinement stops at a panel at
+    float resolution, what that panel cannot resolve is in no estimate).
     """
     if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi:
         raise DomainError(f"bad interval [{lo!r}, {hi!r}]")

@@ -19,14 +19,14 @@ difference but from its exact Wronskian rearrangement (``_sides``), and
 is one integral over the whole half line, with no cutoff or tail model.
 The integral hands the integrand a whole array of momenta per quadrature
 step (``_net_array``), which serves every z1 and z2 of the step with one
-``airy_engine._net_terms`` pass; the scalar integrands evaluate one
-``airy_eval`` at each of z1, z2, take S and -(Ai Bi)'/(Ai Bi) from a
-one-element ``_net_terms`` pass and read from the same formula.  N and D
-are evaluated in compensated form: the common factor e^{zeta_2 - 2 zeta_1}
-is removed analytically, which leaves every surviving term O(1) or
-exponentially small.  The naive unscaled products underflow to zero near
-kappa ~ 8 and silently flip the sign of the ratio, so that route is
-forbidden rather than merely discouraged.
+``airy_engine._net_terms`` pass.  A one-momentum sample is the same pass
+on the pair (z1, z2): above is ai2'/ai2 from its rows, net comes from
+``_sides``, and below = above + net, which equals N/D exactly; N/D
+itself is never evaluated.  D enters net in compensated form: the
+common factor e^{zeta_2 - 2 zeta_1} is removed analytically, which leaves
+every surviving term O(1) or exponentially small.  The naive unscaled
+products underflow to zero near kappa ~ 8 and silently flip the sign of
+the ratio, so that route is forbidden rather than merely discouraged.
 
 The flat-background benchmark (two plates, attractive -pi/(24 a^2)) and the
 leading-order perturbative estimate (infrared divergent by design; it
@@ -42,7 +42,7 @@ from typing import Optional
 
 import numpy as np
 
-from .airy_engine import Z_SWITCH, _net_terms, airy_eval
+from .airy_engine import Z_SWITCH, _net_terms
 from .errors import DomainError, SingularityError, ToleranceError
 from .quadrature import QuadratureSpec, integrate_semi_infinite
 
@@ -64,9 +64,9 @@ __all__ = [
 class StressIntegrandSample:
     """Integrand values at one momentum.
 
-    net equals below - above mathematically but is computed without that
-    subtraction (``_sides``), so the two agree to a few ulp of |above|, the
-    rounding of the subtraction itself.  On the algebraic eta = 0 path the
+    net is computed without the subtraction below - above (``_sides``),
+    and below is then above + net, the N/D form rearranged, so
+    below == above + net holds exactly.  On the algebraic eta = 0 path the
     sides are not evaluated at all (the cancellation is an identity, not a
     numerical statement), so ``above`` and ``below`` are None there and
     ``net`` is exactly 0.0.
@@ -120,45 +120,35 @@ def _check_eta_positive(eta: float) -> float:
 
 def _sides(
     kappa: np.ndarray, z1: np.ndarray, z2: np.ndarray, t: np.ndarray, eta: float
-) -> tuple[Optional[np.ndarray], Optional[np.ndarray], np.ndarray]:
-    """(above, below, net) at every momentum of a 1-D array.
+) -> np.ndarray:
+    """net at every momentum of a 1-D array.
 
     t holds the rows (ai_s, aip_s, bi_s, w) of airy_engine._net_terms, the
     n columns at z1 = kappa^2, then the n at z2 = kappa^2 + eta^{1/3}, with
-    w = S at z1 and -(Ai Bi)'/(Ai Bi) at z2; net needs nothing else.  A
-    fifth row, bip_s, gives above and below as well; without it they are
-    None.  above is ai2'/ai2.  below is the N/D form in compensated
-    evaluation: with E = e^{-2 (zeta_2 - zeta_1)} and scaled Airy values,
-    the factored ratio is
+    w = S at z1 and -(Ai Bi)'/(Ai Bi) at z2.  net is not below - above,
+    which cancels to 1/(2 kappa^2) from two numbers of size kappa, but its
+    exact Wronskian rearrangement
 
-        N_c = 2 ai1 aip1 bip2 - aip2 S E
-        D_c = S ai2 E - 2 ai1 aip1 bi2
-        S   = aip1 bi1 + ai1 bip1   (exponent-free combination)
+        net = -(Ai Bi)'/(Ai Bi)(z2) + S E / (pi bi2 D_c)
+        D_c = S ai2 E - 2 ai1 aip1 bi2,   E = e^{-2 (zeta_2 - zeta_1)}
 
-    net is not below - above, which cancels to 1/(2 kappa^2) from two
-    numbers of size kappa, but its exact Wronskian rearrangement
-    net = -(Ai Bi)'/(Ai Bi)(z2) + S E / (pi bi2 D_c).  The zeta gap in E
-    is formed from eps = eta^{1/3}, never from z2 - z1, which carries the
+    with scaled Airy values and S = aip1 bi1 + ai1 bip1.  The zeta gap in
+    E is formed from eps = eta^{1/3}, never from z2 - z1, which carries the
     rounding of z2 (docs/numerics.md section 2).  Every step is
     elementwise, so an element's bits do not depend on its batch.  Callers
     validate kappa >= 0 and eta > 0.
     """
     n = kappa.size
-    ai1, aip1, _, s = t[:4, :n]
-    ai2, aip2, bi2, lnd2 = t[:4, n:]
+    ai1, aip1, _, s = t[:, :n]
+    ai2, _, bi2, lnd2 = t[:, n:]
     gap = (2.0 / 3.0) * eta ** (1.0 / 3.0) * (z2 * z2 + z2 * z1 + z1 * z1) / (
         z2 * np.sqrt(z2) + z1 * np.sqrt(z1))
     ee = np.exp(-2.0 * gap)
-    a2 = 2.0 * ai1 * aip1
-    den = s * ai2 * ee - a2 * bi2
+    den = s * ai2 * ee - 2.0 * ai1 * aip1 * bi2
     if not den.all():
         k = kappa[den == 0.0][0].item()
         raise SingularityError(f"below-plate denominator vanished at kappa={k!r}, eta={eta!r}")
-    net = lnd2 + s * ee / (math.pi * bi2 * den)
-    if len(t) == 4:
-        return None, None, net
-    num = a2 * t[4, n:] - aip2 * s * ee
-    return aip2 / ai2, num / den, net
+    return lnd2 + s * ee / (math.pi * bi2 * den)
 
 
 def _z_pair(kappa, eta: float):
@@ -176,25 +166,21 @@ def _net_array(kappa: np.ndarray, eta: float) -> np.ndarray:
     if not (kappa[1:] >= kappa[:-1]).all():  # NaN fails too
         raise DomainError("momenta must arrive in ascending order")
     z1, z2 = _z_pair(kappa, eta)
-    return _sides(kappa, z1, z2, _net_terms(z1, z2), eta)[2]
+    return _sides(kappa, z1, z2, _net_terms(z1, z2), eta)
 
 
 def _sample(kappa: float, eta: float) -> tuple[float, float, float]:
-    """(above, below, net) at one momentum: one airy_eval at each of z1, z2.
+    """(above, below, net) at one momentum, from one _net_terms pass on the pair (z1, z2).
 
-    The scaled values come from airy_eval, which keeps one-sample
-    evaluations visible to code that wraps it, such as perfbench/tracer.py;
-    S at z1 and -(Ai Bi)'/(Ai Bi) at z2 from the _net_terms pass the force
-    path makes, on the one-element pair.
+    above is ai2'/ai2, read from that pass; net comes from _sides, and
+    below is above + net, which equals the N/D form exactly.
     """
-    z1, z2 = _z_pair(kappa, eta)
-    v1 = airy_eval(z1)
-    v2 = airy_eval(z2)
-    w = _net_terms(np.array([z1]), np.array([z2]))[3]
-    t = np.array([[v1.ai_s, v2.ai_s], [v1.aip_s, v2.aip_s], [v1.bi_s, v2.bi_s],
-                  w, [v1.bip_s, v2.bip_s]])
-    sides = _sides(np.array([kappa]), np.array([z1]), np.array([z2]), t, eta)
-    return tuple(x.item() for x in sides)
+    k = np.array([kappa])
+    z1, z2 = _z_pair(k, eta)
+    t = _net_terms(z1, z2)
+    net = _sides(k, z1, z2, t, eta).item()
+    above = t[1, 1].item() / t[0, 1].item()
+    return above, above + net, net
 
 
 def integrand_above(kappa: float, eta: float) -> float:
@@ -203,7 +189,7 @@ def integrand_above(kappa: float, eta: float) -> float:
 
 
 def integrand_below(kappa: float, eta: float) -> float:
-    """Slope ratio just below the plate (the N/D form), compensated evaluation."""
+    """Slope ratio just below the plate, the N/D form, evaluated as above + net."""
     return _sample(_check_kappa(kappa), _check_eta_positive(eta))[1]
 
 

@@ -69,9 +69,9 @@ def integrand_from_greens(kappa: float, cfg: gr.PlateConfig, side: str) -> float
     Same extraction recipe as oracle_ode.integrand_from_fd (plate derivative
     with the source eps away, analytic removal of the linear eps term, one
     Richardson step), but with G sampled from greens_linear_above/below
-    instead of a band solve.  Agreement with integrand_above/below therefore
-    tests that the Green's functions and the printed stress ratios encode
-    the same physics, with no shared algebra beyond the Airy engine.
+    instead of a band solve.  integrand_below is above + net, so agreement
+    with integrand_above/below tests the production net formula against
+    the Green's functions, with no shared algebra beyond the Airy engine.
     """
     if side not in ("above", "below"):
         raise DomainError(f"side must be 'above' or 'below', got {side!r}")
@@ -130,7 +130,7 @@ def _product_series_switch_band() -> float:
     ai, aip, bi, bip = airye(band)
     lib = (-(aip / ai + bip / bi), aip * bi + ai * bip)
     return max(np.max(np.abs(own - ref) / np.abs(ref))
-               for own, ref in zip(ae._product_series(band), lib))
+               for own, ref in zip(ae._product_series(band, ae._zeta(band)), lib))
 
 
 def _eval_vs_ode_oracle() -> float:

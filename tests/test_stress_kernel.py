@@ -69,22 +69,27 @@ class TestIntegrandAnchors:
 
 
 class TestSinglePass:
-    """integrand_net reads both sides from one Airy evaluation at each of z1, z2."""
+    """A sample of the integrands is one _net_terms pass on the pair (z1, z2)."""
 
-    def test_two_airy_evaluations_per_sample(self, monkeypatch):
+    def test_one_net_terms_pass_per_sample(self, monkeypatch):
         calls = []
 
-        def counting(z):
-            calls.append(z)
-            return airy_eval(z)
+        def terms(z1, z2):
+            calls.append((z1.tolist(), z2.tolist()))
+            return net_terms(z1, z2)
 
-        # both bindings: a helper such as log_deriv_ai resolves it in airy_engine
-        monkeypatch.setattr(stress_kernel, "airy_eval", counting)
-        monkeypatch.setattr(airy_engine, "airy_eval", counting)
+        def refuse(z):
+            raise AssertionError(f"per-argument Airy evaluation at {z!r}")
+
+        assert not hasattr(stress_kernel, "airy_eval")
+        net_terms = stress_kernel._net_terms
+        monkeypatch.setattr(stress_kernel, "_net_terms", terms)
+        monkeypatch.setattr(airy_engine, "airy_eval", refuse)
+        monkeypatch.setattr(airy_engine, "airy_scaled", refuse)
         for kappa in (0.0, 3.0, 12.0):
             calls.clear()
             integrand_net(kappa, 1.0)
-            assert calls == [kappa * kappa, kappa * kappa + 1.0]  # z1, z2 at eta = 1
+            assert calls == [([kappa * kappa], [kappa * kappa + 1.0])]  # z1, z2 at eta = 1
 
     def test_one_array_evaluation_per_quadrature_step(self, monkeypatch):
         momenta, calls = [], []
@@ -125,7 +130,6 @@ class TestSinglePass:
             raise AssertionError(f"scalar Airy evaluation at {z!r}")
 
         monkeypatch.setattr(stress_kernel, "integrate_semi_infinite", counting)
-        monkeypatch.setattr(stress_kernel, "airy_eval", scalar)
         monkeypatch.setattr(airy_engine, "airy_eval", scalar)
         for eta, kmax in ((1e-6, None), (1.0, None), (1.0, 5.0), (1e9, None)):
             quad.clear()
@@ -140,8 +144,8 @@ class TestSinglePass:
         s = integrand_net(kappa, eta)
         assert s.above == integrand_above(kappa, eta)
         assert s.below == integrand_below(kappa, eta)
-        # net is formed without the subtraction, which itself rounds to ulp(above)
-        assert abs(s.net - (s.below - s.above)) <= 8.0 * math.ulp(abs(s.above))
+        # net is formed without the subtraction; below is read from it
+        assert s.below == s.above + s.net
 
     @pytest.mark.parametrize("eta", [1e-12, 1e-3, 1.0, 1e3, 1e9])
     def test_scalar_net_equals_its_batched_element(self, eta):
@@ -174,8 +178,8 @@ class TestSinglePass:
             stress_kernel._net_array(np.array(kappa), 1.0)
 
     @staticmethod
-    def mp_net_error(kappa_sq, eta):
-        """|net - below + above| / net at 40 digits, below - above in mpmath."""
+    def mp_errors(kappa_sq, eta):
+        """Relative errors of (net, above, below) against 40-digit mpmath; net as below - above there."""
         mp = pytest.importorskip("mpmath")
         with mp.workdps(40):
             z1 = mp.mpf(kappa_sq)
@@ -185,17 +189,21 @@ class TestSinglePass:
             a2, ap2 = mp.airyai(z2), mp.airyai(z2, 1)
             b2, bp2 = mp.airybi(z2), mp.airybi(z2, 1)
             s = ap1 * b1 + a1 * bp1
-            ref = (2 * a1 * ap1 * bp2 - ap2 * s) / (a2 * s - 2 * a1 * ap1 * b2) - ap2 / a2
-            return float(abs(integrand_net(math.sqrt(kappa_sq), eta).net - ref) / ref)
+            above = ap2 / a2
+            below = (2 * a1 * ap1 * bp2 - ap2 * s) / (a2 * s - 2 * a1 * ap1 * b2)
+        own = integrand_net(math.sqrt(kappa_sq), eta)
+        return [float(abs(x - ref) / abs(ref))
+                for x, ref in zip((own.net, own.above, own.below), (below - above, above, below))]
 
     @pytest.mark.parametrize("eta", [1e-3, 1.0, 1e3])
-    @pytest.mark.parametrize("kappa_sq", [0.0, 39.0, 39.99, 40.0, 41.0, 1e4])
+    @pytest.mark.parametrize("kappa_sq", [0.0, 1.0, 10.0, 39.0, 39.99, 40.0, 41.0, 100.0, 1e4])
     def test_net_matches_mpmath_at_the_crossover(self, kappa_sq, eta):
-        assert self.mp_net_error(kappa_sq, eta) <= 1e-12
+        # above is worst at (1, 1), 7.7e-14: airye is off at z2 = 2
+        assert max(self.mp_errors(kappa_sq, eta)) <= 1e-12
 
     def test_zeta_gap_is_formed_from_eps(self):
         # z2 - z1 would carry the rounding of z2 = 4e4 + 1e-4: 2.5e-8 here
-        assert self.mp_net_error(4e4, 1e-12) <= 1e-12
+        assert max(self.mp_errors(4e4, 1e-12)) <= 1e-12
 
 
 class TestTailModel:
