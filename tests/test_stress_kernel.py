@@ -198,7 +198,7 @@ class TestSinglePass:
     @pytest.mark.parametrize("eta", [1e-3, 1.0, 1e3])
     @pytest.mark.parametrize("kappa_sq", [0.0, 1.0, 10.0, 39.0, 39.99, 40.0, 41.0, 100.0, 1e4])
     def test_net_matches_mpmath_at_the_crossover(self, kappa_sq, eta):
-        # above is worst at (1, 1), 7.7e-14: airye is off at z2 = 2
+        # net and above are worst at (1, 1), 5.1e-13 and 7.7e-14: airye is off at z2 = 2
         assert max(self.mp_errors(kappa_sq, eta)) <= 1e-12
 
     def test_zeta_gap_is_formed_from_eps(self):
