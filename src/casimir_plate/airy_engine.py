@@ -17,29 +17,36 @@ turns into ai_s * bip_s - aip_s * bi_s = 1/pi with no exponentials left,
 and that identity is the main conformance handle of the whole module.
 
 ``airy_scaled`` evaluates the scaled quadruple on a whole array of
-arguments: scipy's scaled evaluator serves the elements below ``Z_SWITCH``
-in one call and an in-house asymptotic series serves the rest as array
-operations.  scipy's evaluator degrades to NaN near z ~ 1e6 while the force
-integrals need arguments up to ~1e20; the asymptotic series of the scaled
+arguments: a Taylor table serves the elements below ``Z_SWITCH`` and an
+in-house asymptotic series serves the rest, each as array operations.
+The table holds, at the nodes j/8 of [0, Z_SWITCH], 16 Taylor coefficients
+of each scaled function, which follow from the value and slope at the
+node because Ai and Bi solve w'' = z w; it is built once per process from
+one scipy ``airye`` call, which is all scipy does for the evaluator.  An
+argument takes its nearest node, so its error is the node's seed error
+(``airye``'s own) plus a few ulp.  The asymptotic series of the scaled
 functions is accurate to machine precision from roughly z = 20 upward, so
 the two regimes overlap over a wide band and their agreement across that
-band is asserted in the test suite.  Each element gets the same bits it
-would get alone, so batching never changes a result; ``airy_eval`` is the
-one-argument view of the same evaluator.  The two exponent-free
+band is asserted in the test suite (scipy's evaluator itself degrades to
+NaN near z ~ 1e6, while the force integrals need arguments up to ~1e20).
+Each element gets the same bits it would get alone, so batching never
+changes a result; ``airy_eval`` is the one-argument view of the same
+evaluator.  The two exponent-free
 combinations the force kernel needs, -(Ai Bi)'/(Ai Bi) and Ai' Bi + Ai Bi',
 are differences of nearly equal products at large z; above ``Z_SWITCH``
 they come from Cauchy products of the same series.  ``_net_terms`` is the
 one place that assembles them, for the force kernel's quadrature steps and
 its one-sample integrands alike: given ascending z1 and z2, it cuts each at
-``Z_SWITCH`` with ``searchsorted``, makes one ``airye`` call on both heads
-and one series pass, with one zeta, on both tails, and computes only what
-the net needs.  Its scaled values carry the bits ``airy_scaled`` gives.
+``Z_SWITCH`` with ``searchsorted``, makes one table pass on both heads and
+one series pass, with one zeta, on both tails, and computes only what the
+net needs.  Its scaled values carry the bits ``airy_scaled`` gives.
 
 ``airy_via_ode_oracle`` provides reference values on [0, 50] by a route
 independent of both evaluators: adaptive high-order integration of
 w'' = t w seeded with closed-form values at t = 0 (for Bi) and with
 scipy's ``airye`` at t = 50 (for Ai, marched downward; the upward
-direction is exponentially unstable for the decaying solution).  The first
+direction is exponentially unstable for the decaying solution); besides
+the table's seeds, that is scipy's only Airy call.  The first
 oracle call imports ``scipy.integrate``, computes the Ai seed and
 integrates both trajectories over the whole range with dense output; they
 are kept for the life of the process and every call evaluates them at its
@@ -82,7 +89,8 @@ AIP_ZERO = -(3.0 ** (-1.0 / 3.0)) / math.gamma(1.0 / 3.0)
 BI_ZERO = 3.0 ** (-1.0 / 6.0) / math.gamma(2.0 / 3.0)
 BIP_ZERO = 3.0 ** (1.0 / 6.0) / math.gamma(1.0 / 3.0)
 
-# scipy below, asymptotic series above; both are good to a few ulp here.
+# the Taylor table below, the asymptotic series at and above; both are good
+# to a few ulp here
 Z_SWITCH = 40.0
 
 _ODE_MAX = 50.0  # oracle range; the Ai seed sits at this point
@@ -237,10 +245,75 @@ def _asymptotic_scaled(z: np.ndarray) -> np.ndarray:
     return _series_rows(z, _zeta(z), 4)
 
 
+# ---------------------------------------------------------------------------
+# Taylor table below Z_SWITCH.
+#
+# Ai and Bi solve w'' = z w (DLMF 9.2), so about a node z_j the Taylor
+# coefficients of either solution obey (n+2)(n+1) c_{n+2} = z_j c_n + c_{n-1}
+# from its value and slope at z_j.  Seeded with the scaled values there,
+# the sums give Ai e^{zeta_j} and Bi e^{-zeta_j} at z, and a factor
+# e^{+-(zeta(z) - zeta_j)} rescales them to z.  The nodes are j/8: the
+# step is a power of two, so 8 z and d = z - z_j are exact, and |d| <= 1/16.
+
+_NODE_STEP = 0.125
+_ORDERS = 16  # orders 0..15: at z = 40, |d| = 1/16, the last term is below 1e-18 of the sum
+# the rescale's exponents per (3/2) gap: e^{+gap} for ai_s, aip_s, e^{-gap} for bi_s, bip_s
+_GAP_SIGNS = (2.0 / 3.0) * np.array([1.0, 1.0, -1.0, -1.0])
+
+
+@functools.cache
+def _taylor_table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(coefficients, z_j, sqrt(z_j)) on the nodes j/8 of [0, Z_SWITCH], built once.
+
+    One scipy ``airye`` call seeds every node.  coefficients[j, r, k] is
+    the coefficient of d^k about node j in row r of (ai_s, aip_s, bi_s,
+    bip_s).  sqrt(z_j) is the smallest subnormal at node 0 instead of 0,
+    so the gap's denominator never vanishes; z = 0 gets gap 0 exactly.
+    """
+    zj = np.arange(int(Z_SWITCH / _NODE_STEP) + 1) * _NODE_STEP
+    ai, aip, bi, bip = _scipy_airye(zj)
+    c = np.empty((_ORDERS + 1, 2, zj.size))  # Taylor coefficients of the Ai and Bi solutions
+    c[0], c[1] = (ai, bi), (aip, bip)
+    c[2] = zj * c[0] / 2.0
+    for n in range(1, _ORDERS - 1):
+        c[n + 2] = (zj * c[n] + c[n - 1]) / ((n + 2) * (n + 1))
+    slope = np.arange(1, _ORDERS + 1)[:, None, None] * c[1:]  # order k: (k+1) c_{k+1}
+    coef = np.stack((c[:_ORDERS, 0], slope[:, 0], c[:_ORDERS, 1], slope[:, 1]), axis=1)
+    roots = np.sqrt(zj)
+    roots[0] = 5e-324
+    return np.ascontiguousarray(coef.transpose(2, 1, 0)), zj, roots
+
+
+def _taylor_scaled(z: np.ndarray) -> np.ndarray:
+    """(ai_s, aip_s, bi_s, bip_s) rows, shape (4, n), at a 1-D array of 0 <= z < Z_SWITCH.
+
+    One gather of the nearest node's coefficients, the powers of
+    d = z - z_j, one contraction, and the rescale by e^{+-gap},
+    gap = zeta(z) - zeta(z_j) formed from d without cancellation, by
+    zeta_gap's identity taken through square roots,
+    a^{3/2} - b^{3/2} = (a - b)(a + sqrt(ab) + b)/(sqrt(a) + sqrt(b)).
+    The contraction sums each element's 16 terms on their own, and every
+    other step is elementwise, so an element's bits do not depend on its
+    batch.
+    """
+    coef, nodes, roots = _taylor_table()
+    j = np.rint(z * (1.0 / _NODE_STEP)).astype(np.intp)
+    zj = nodes[j]
+    d = z - zj
+    powers = np.empty((z.size, _ORDERS))
+    powers[:, 0] = 1.0
+    powers[:, 1:] = d[:, None]
+    np.multiply.accumulate(powers, axis=1, out=powers)  # column k: d^k
+    sums = np.einsum("mrk,mk->mr", coef[j], powers)
+    rz, rzj = np.sqrt(z), roots[j]
+    gap = d * (z + rz * rzj + zj) / (rz + rzj)  # times 3/2
+    return (sums * np.exp(gap[:, None] * _GAP_SIGNS)).T
+
+
 def airy_scaled(z) -> np.ndarray:
     """Scaled (ai_s, aip_s, bi_s, bip_s) rows, shape (4, n), at a 1-D array of n z >= 0.
 
-    One scipy ``airye`` call serves the elements below Z_SWITCH and one
+    One Taylor-table pass serves the elements below Z_SWITCH and one
     array pass of the asymptotic series the rest.  Every element equals,
     bit for bit, what a one-element array holding it returns.
     """
@@ -254,12 +327,12 @@ def airy_scaled(z) -> np.ndarray:
         bad = z[~((z >= 0.0) & (z < math.inf))][0]
         raise DomainError(f"argument must be finite and >= 0, got {bad.item()!r}")
     if z_max < Z_SWITCH:
-        return np.array(_scipy_airye(z))
+        return _taylor_scaled(z)
     if z_min >= Z_SWITCH:
         return _asymptotic_scaled(z)
     low = z < Z_SWITCH
     out = np.empty((4, z.size))
-    out[:, low] = _scipy_airye(z[low])
+    out[:, low] = _taylor_scaled(z[low])
     out[:, ~low] = _asymptotic_scaled(z[~low])
     return out
 
@@ -281,7 +354,7 @@ def _net_terms(z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
 
     w is Ai' Bi + Ai Bi' at z1 and -(Ai Bi)'/(Ai Bi) at z2: with the scaled
     values, everything the stress kernel's net needs.  Two searchsorted
-    cuts split z1 and z2 at Z_SWITCH; one ``airye`` call serves both heads,
+    cuts split z1 and z2 at Z_SWITCH; one table pass serves both heads,
     and one series pass, with one zeta, both tails (bip_s is not needed
     there and not computed).  The series stop order comes from the
     smallest zeta of both tails together, so an element's bits do not
@@ -294,7 +367,7 @@ def _net_terms(z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
     out = np.empty((4, 2 * n))
     if i1:
         # below the switch both are formed from the scaled values
-        ai, aip, bi, bip = _scipy_airye(np.concatenate((z1[:i1], z2[:i2])))
+        ai, aip, bi, bip = _taylor_scaled(np.concatenate((z1[:i1], z2[:i2])))
         s, lnd = aip * bi + ai * bip, -(aip / ai + bip / bi)
         out[:, :i1] = ai[:i1], aip[:i1], bi[:i1], s[:i1]
         out[:, n : n + i2] = ai[i1:], aip[i1:], bi[i1:], lnd[i1:]

@@ -2,9 +2,10 @@
 
 Each panel is evaluated once with the 15-point Kronrod rule; the embedded
 7-point Gauss value supplies the error estimate.  The interval is never
-evaluated as one panel: the first step evaluates its two halves, and the
-panel with the worst estimate is then bisected until the summed estimate
-meets tolerance.  Panels are ordered by (estimate, left endpoint), a total
+evaluated as one panel: the first step evaluates its two halves, and
+every later step bisects the panels with the worst estimates, as many as
+it takes for the estimates left to meet tolerance, until the summed
+estimate meets it.  Panels are ordered by (estimate, left endpoint), a total
 order, and the final value is an exact compensated sum over panels, so
 identical inputs produce bit-identical results.  That property is
 load-bearing: the command-line layer promises byte-identical output across
@@ -13,10 +14,11 @@ reruns and worker counts.
 Integrand contract: ``f`` takes a 1-D float array of nodes and returns a
 sequence of as many values (an array, or a list from a scalar function
 wrapped in a comprehension).  It is called once per step, on the 30 nodes
-of both halves, in ascending order, so an array integrand pays its
-per-call overhead once per step.  The Kronrod and Gauss sums of each panel
-run node by node in Python floats in a fixed order, so the result does not
-depend on how f computes its values, only on the values themselves.
+of the halves of every panel the step bisects, in ascending order, so an
+array integrand pays its per-call overhead once per step.  The Kronrod and
+Gauss sums of each panel run node by node in Python floats in a fixed
+order, so the result does not depend on how f computes its values, only
+on the values themselves.
 
 No rule node ever touches a panel endpoint, so integrands may be left
 unevaluated (or singular but integrable) at interval ends.  A panel whose
@@ -74,7 +76,7 @@ _WG = (
 
 # change it whenever a force result moves, n_evals included, so that cached
 # curve rows are recomputed rather than served stale
-_KERNEL = "wronskian-split+halves"
+_KERNEL = "wronskian-split+halves+taylor"
 
 
 @dataclass(frozen=True)
@@ -174,8 +176,10 @@ def integrate_finite(
 ) -> QuadResult:
     """Adaptive integral of f over [lo, hi]; f maps an array of nodes to values.
 
-    The first step evaluates the two halves of [lo, hi]; every later step
-    bisects the worst panel.  Each step counts against max_subdivisions.
+    The first step evaluates the two halves of [lo, hi].  Every later step
+    pops the worst panels until the estimates left would meet
+    max(rel_tol*|value|, abs_tol), then evaluates the halves of all of
+    them in one call.  Each bisection counts against max_subdivisions.
     converged means the summed panel estimate met
     max(rel_tol*|value|, abs_tol) within that budget.  err_est is the sum
     of the estimates of the panels that were evaluated; it bounds the
@@ -195,28 +199,35 @@ def integrate_finite(
     total = 0.0
     total_err = 0.0
     splits = 0
-    while splits == 0 or total_err > max(spec.rel_tol * abs(total), spec.abs_tol):
-        if splits >= spec.max_subdivisions:
+    tol = spec.abs_tol  # max(rel_tol*|total|, abs_tol) at total = 0
+    while splits == 0 or total_err > tol:
+        # pop the worst panels until the estimates left would meet tol
+        step, left_err = [], total_err
+        while heap and splits + len(step) < spec.max_subdivisions and (
+                not step or left_err > tol):
+            halves = _halves(heap[0][1], heap[0][2])
+            if halves is None:
+                if splits == 0:
+                    raise DomainError(f"interval [{lo!r}, {hi!r}] is too narrow for rule nodes")
+                break
+            step.append((heapq.heappop(heap), *halves))
+            left_err += step[-1][0][0]
+        if not step:
             break
-        neg_err, plo, phi, pval = heap[0]
-        step = _halves(plo, phi)
-        if step is None:
-            if splits == 0:
-                raise DomainError(f"interval [{lo!r}, {hi!r}] is too narrow for rule nodes")
-            break
-        heapq.heappop(heap)
-        mid, x = step
-        fx = np.asarray(f(x), dtype=float)
-        if fx.shape != (30,):
-            raise DomainError(f"integrand returned shape {fx.shape} for 30 nodes")
+        step.sort(key=lambda s: s[0][1])  # ascending nodes
+        fx = np.asarray(f(np.concatenate([x for _, _, x in step])), dtype=float)
+        if fx.shape != (30 * len(step),):
+            raise DomainError(f"integrand returned shape {fx.shape} for {30 * len(step)} nodes")
         fx = fx.tolist()
-        v1, e1 = _gk15(fx[:15], plo, mid)
-        v2, e2 = _gk15(fx[15:], mid, phi)
-        total += (v1 + v2) - pval
-        total_err += (e1 + e2) + neg_err
-        heapq.heappush(heap, (-e1, plo, mid, v1))
-        heapq.heappush(heap, (-e2, mid, phi, v2))
-        splits += 1
+        for i, ((neg_err, plo, phi, pval), mid, _) in enumerate(step):
+            v1, e1 = _gk15(fx[30 * i : 30 * i + 15], plo, mid)
+            v2, e2 = _gk15(fx[30 * i + 15 : 30 * i + 30], mid, phi)
+            total += (v1 + v2) - pval
+            total_err += (e1 + e2) + neg_err
+            heapq.heappush(heap, (-e1, plo, mid, v1))
+            heapq.heappush(heap, (-e2, mid, phi, v2))
+        splits += len(step)
+        tol = max(spec.rel_tol * abs(total), spec.abs_tol)
 
     panels = sorted(heap, key=lambda p: p[1])
     value = math.fsum(p[3] for p in panels)

@@ -225,7 +225,8 @@ def tail_mismatch(kappa_max: float, eta: float) -> tuple[bool, float]:
 
 # Relative rounding error of the integrated kernel, in units of the double
 # epsilon u, calibrated against mpmath (docs/numerics.md section 3): about
-# _ROUND_LIB u while scipy serves some z2 < Z_SWITCH, plus _ROUND_EPS u
+# _ROUND_LIB u while the Taylor table, which carries airye's error, serves
+# some z2 < Z_SWITCH, plus _ROUND_EPS u
 # divided by min(1, eps), eps = eta^{1/3}, from the cancellation between
 # the two terms of net at small eps.
 _ROUND_LIB = 1000.0

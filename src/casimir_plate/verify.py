@@ -113,10 +113,15 @@ def _ai_decreasing_bi_increasing() -> int:
                for v0, v1 in zip(vals, vals[1:]))
 
 
+# 1/16 moves a grid of halves off the Taylor table's nodes j/8, onto cell
+# edges, where a node's own value (airye's bits) cannot answer for the table
+_OFF_NODE = 1.0 / 16.0
+
+
 def _asymptotic_series_switch_band() -> float:
     # the series and the dispatching evaluator against the library, in a
     # band around the switch where both branches are accurate
-    band = np.linspace(ae.Z_SWITCH - 4.0, ae.Z_SWITCH + 4.0, 17)
+    band = np.linspace(ae.Z_SWITCH - 4.0, ae.Z_SWITCH + 4.0, 17) + _OFF_NODE
     lib = np.array(airye(band))
     return max(np.max(np.abs(own - lib) / np.abs(lib))
                for own in (ae._asymptotic_scaled(band), ae.airy_scaled(band)))
@@ -134,8 +139,11 @@ def _product_series_switch_band() -> float:
 
 
 def _eval_vs_ode_oracle() -> float:
-    # the whole oracle range, so the series branch above Z_SWITCH is covered
-    pairs = [(ae.airy_eval(z), ae.airy_via_ode_oracle(z)) for z in np.linspace(0.0, 50.0, 101)]
+    # the whole oracle range, so the series branch above Z_SWITCH is covered;
+    # the ends stay, the closed forms at 0 and the oracle's Ai seed at 50
+    zs = np.linspace(0.0, 50.0, 101)
+    zs[1:-1] += _OFF_NODE
+    pairs = [(ae.airy_eval(z), ae.airy_via_ode_oracle(z)) for z in zs]
     return max(_rel(getattr(v, f), getattr(o, f))
                for v, o in pairs for f in ("ai_s", "aip_s", "bi_s", "bip_s"))
 

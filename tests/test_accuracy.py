@@ -34,8 +34,8 @@ def test_error_estimate_bounds_the_mpmath_error(rel_tol):
             continue
         assert abs(r.f_eta - ref) <= r.err_est <= rel_tol * r.f_eta, eta
     # only the kernel's rounding floor refuses: 10 u/eps is 1e-12 at eta = 1e-8
-    # and 2.2e-13 at 1e-6, where the quadrature's share falls below its noise
-    assert refused == ([] if rel_tol > 1e-12 else [1e-8, 1e-6])
+    # (2.2e-13 at 1e-6, which the quadrature now meets within the rest)
+    assert refused == ([] if rel_tol > 1e-12 else [1e-8])
 
 
 # Inputs whose Gauss-Kronrod estimate once undershot the true error, with

@@ -113,12 +113,14 @@ class TestZeta:
 
 
 class TestArrayEvaluator:
-    # float.hex of (ai_s, aip_s, bi_s, bip_s) from the per-argument scalar
-    # evaluator that airy_scaled replaced, one argument at a time
+    # float.hex of (ai_s, aip_s, bi_s, bip_s), one argument at a time: at
+    # the table nodes 0 and 1 airye's own bits, at 39.99 the Taylor table's
+    # (0.04-1.3 u from 40-digit mpmath; airye's 0.1-2.2 u), at and above
+    # Z_SWITCH the asymptotic series'
     SCALAR = {
         0.0: ("0x1.6b8c7962715b8p-2", "-0x1.0907f42b70f8bp-2", "0x1.3ad7a9b4a3ea9p-1", "0x1.cb0c1a680c8a1p-2"),
         1.0: ("0x1.0dd68558fd413p-2", "-0x1.3d6a94e267aa1p-2", "0x1.3d65192816c26p-1", "0x1.ea37d289a30ecp-2"),
-        39.99: ("0x1.cb4abb10d37e4p-4", "-0x1.6b6a2f19934e8p-1", "0x1.cbaba2ccf5c7cp-3", "0x1.6afef181fec48p+0"),
+        39.99: ("0x1.cb4abb10d37e5p-4", "-0x1.6b6a2f19934e5p-1", "0x1.cbaba2ccf5c7bp-3", "0x1.6afef181fec46p+0"),
         40.0: ("0x1.cb4366404dfddp-4", "-0x1.6b6ffac2638c6p-1", "0x1.cba4432224211p-3", "0x1.6b04c5bf1bbb8p+0"),
         41.0: ("0x1.c871968ee45f4p-4", "-0x1.6dae27b38abffp-1", "0x1.c8ce5ab45e6f1p-3", "0x1.6d4634e39ed84p+0"),
         1e3: ("0x1.9af1e419aaad6p-5", "-0x1.961a9194c7ed1p+0", "0x1.9af29587658a0p-4", "0x1.96199c1bfa48ap+1"),
@@ -156,7 +158,7 @@ class TestArrayEvaluator:
     @pytest.mark.parametrize("z", [1.0, 39.99, 40.0, 41.0, 1e3])
     def test_net_terms_products_match_mpmath(self, z):
         # S = Ai' Bi + Ai Bi' at z1, -(Ai Bi)'/(Ai Bi) at z2: formed from
-        # the values below Z_SWITCH, where they cancel (2.5e-13 at 39.99),
+        # the values below Z_SWITCH, where they cancel (5.9e-14 at 39.99),
         # and from the product series at or above it
         mp = pytest.importorskip("mpmath")
         s_got, lnd_got = airy_engine._net_terms(np.array([z]), np.array([z]))[3].tolist()
@@ -172,6 +174,86 @@ class TestArrayEvaluator:
     def test_rejects_bad_arrays(self, bad):
         with pytest.raises(DomainError):
             airy_scaled(np.array(bad))
+
+
+def _seeded_mp(z, seed, zj):
+    """Scaled rows at z of the exact solutions through airye's values at node zj, in mpmath.
+
+    The Taylor series of each solution about zj, summed to 30 orders, and
+    the exact e^{+-(zeta(z) - zeta(zj))}: what the table would return with
+    no truncation and no rounding after its seeds.
+    """
+    mp = pytest.importorskip("mpmath")
+    d = mp.mpf(z) - zj
+    rows = []
+    for w0, w1 in ((seed[0], seed[1]), (seed[2], seed[3])):
+        c = [mp.mpf(w0), mp.mpf(w1), zj * mp.mpf(w0) / 2]
+        for n in range(1, 30):
+            c.append((zj * c[n] + c[n - 1]) / ((n + 2) * (n + 1)))
+        rows += [mp.fsum(cn * d**n for n, cn in enumerate(c)),
+                 mp.fsum(n * cn * d ** (n - 1) for n, cn in enumerate(c) if n)]
+    e = mp.exp(mp.mpf(2) / 3 * (mp.mpf(z) ** 1.5 - mp.mpf(zj) ** 1.5))
+    return [rows[0] * e, rows[1] * e, rows[2] / e, rows[3] / e]
+
+
+class TestTaylorTable:
+    """The Taylor table that serves every argument below Z_SWITCH."""
+
+    def test_accuracy_against_mpmath(self):
+        # seeded off-node points, cell edges (|z - z_j| = 1/16, the largest)
+        # and both sides of Z_SWITCH, against 40-digit mpmath: within 1e-13,
+        # and at most 8 u further from it than airye's seed carries to z
+        # (the table inherits its nearest node's error: 190 u for Ai on
+        # [1, 5), 148 u for Bi on [5, 20))
+        mp = pytest.importorskip("mpmath")
+        rng = random.Random(20261018)
+        u = 2.0**-52
+        zs = [rng.uniform(0.0, 40.0) for _ in range(500)] + [j / 8.0 + 1.0 / 16.0 for j in range(0, 320, 8)]
+        zs += [1e-300, 39.9375, math.nextafter(40.0, 0.0), 40.0, 40.0 + 1.0 / 16.0, 41.0]
+        got = airy_scaled(np.array(sorted(zs)))
+        with mp.workdps(40):
+            for i, z in enumerate(sorted(zs)):
+                x = mp.mpf(z)
+                e = mp.exp(mp.mpf(2) / 3 * x**1.5)
+                ref = (mp.airyai(x) * e, mp.airyai(x, 1) * e, mp.airybi(x) / e, mp.airybi(x, 1) / e)
+                if z < airy_engine.Z_SWITCH:
+                    zj = round(8.0 * z) / 8.0
+                    carried = _seeded_mp(z, [float(v) for v in airye(zj)], mp.mpf(zj))
+                else:
+                    carried = [mp.mpf(float(v)) for v in airye(z)]
+                for r in range(4):
+                    err = abs(got[r, i] - ref[r]) / abs(ref[r])
+                    assert err <= 1e-13, (z, r)
+                    assert err <= abs(carried[r] - ref[r]) / abs(ref[r]) + 8.0 * u, (z, r)
+
+    def test_nodes_return_the_seeds(self):
+        nodes = np.arange(320) / 8.0  # 40 is the series'; the table's last node serves [39.9375, 40)
+        assert (airy_scaled(nodes) == np.array(airye(nodes))).all()
+
+    def test_bits_do_not_depend_on_the_batch(self):
+        # both sides of every 16th cell edge, seeded draws, the switch
+        rng = random.Random(7)
+        edges = [j / 8.0 + 1.0 / 16.0 for j in range(0, 320, 16)]
+        zs = [math.nextafter(e, s) for e in edges for s in (0.0, 50.0)] + edges
+        zs += [rng.uniform(0.0, 45.0) for _ in range(200)] + [0.0, 39.99, 40.0]
+        batch = airy_scaled(np.array(zs))
+        for i, z in enumerate(zs):
+            assert batch[:, i].tolist() == airy_scaled(np.array([z]))[:, 0].tolist(), z
+        z1 = np.sort(np.array(zs))
+        t = airy_engine._net_terms(z1, z1 + 0.3)
+        for i, z in enumerate(z1.tolist()):
+            assert t[:, i].tolist() == airy_engine._net_terms(np.array([z]), np.array([z + 0.3]))[:, 0].tolist()
+
+    def test_force_path_makes_no_airye_call(self, monkeypatch):
+        from casimir_plate import QuadratureSpec, force_exact
+
+        def refuse(z):
+            raise AssertionError("airye called after the table was built")
+
+        airy_engine._taylor_table()
+        monkeypatch.setattr(airy_engine, "_scipy_airye", refuse)
+        for eta, kmax in ((1e-3, None), (1.0, None), (0.03, 5.0), (1e3, None)):
+            assert force_exact(eta, QuadratureSpec(kappa_max_policy=kmax)).f_eta > 0.0
 
 
 class TestDomain:
@@ -200,8 +282,10 @@ class TestOdeOracle:
         assert abs(w - 1.0 / math.pi) <= 1e-9
 
     def test_engine_matches_oracle_on_unit_interval_grid(self):
+        # a quarter step, shifted by 1/16 onto cell edges of the Taylor table,
+        # where d = z - z_j is largest (a node returns airye's own bits)
         worst = 0.0
-        for z in np.linspace(0.0, 10.0, 41):
+        for z in np.linspace(0.0, 10.0, 41) + 1.0 / 16.0:
             ref = airy_via_ode_oracle(float(z))
             got = airy_eval(float(z))
             for g, r in ((got.ai, ref.ai), (got.aip, ref.aip),

@@ -119,16 +119,18 @@ class TestCurve:
         assert all("rel=1e-06" in k for k in keys)
 
     def test_rows_cached_by_an_older_kernel_are_recomputed(self, tmp_path, capsys):
-        # cache files written before the fingerprint named the kernel, and
-        # by the kernel whose first quadrature step was the whole interval
-        # (every n_evals 15 higher)
+        # cache files written before the fingerprint named the kernel, by
+        # the kernel whose first quadrature step was the whole interval
+        # (every n_evals 15 higher), and by the one whose values below
+        # Z_SWITCH came from airye at every argument
         from casimir_plate.cli import _curve_grid
 
         fresh = tmp_path / "fresh.csv"
         assert run_cli(["curve", *self.ARGS, "--out", str(fresh)], capsys)[0] == 0
         stale = {"eta": 0.0, "f_eta": 9.0, "err_est": 9.0, "kappa_max": 9.0, "n_evals": 9}
         for old_fp in ("rel=1e-06;abs=1e-14;sub=2000;kmax=None",
-                       "kernel=wronskian-split;rel=1e-06;abs=1e-14;sub=2000;kmax=None"):
+                       "kernel=wronskian-split;rel=1e-06;abs=1e-14;sub=2000;kmax=None",
+                       "kernel=wronskian-split+halves;rel=1e-06;abs=1e-14;sub=2000;kmax=None"):
             cache, out = tmp_path / "cache.json", tmp_path / "c.csv"
             cache.write_text(json.dumps({f"{eta!r}|{old_fp}": stale
                                          for eta in _curve_grid(0.1, 10.0, 5, "log")}))

@@ -1,9 +1,9 @@
 """Golden bits: force values pinned to the last bit, plus evaluation counts.
 
 The hex strings of the force_exact values are float.hex of results of the
-split-formula kernel integrated over the whole half line in one call;
-each value's difference from the mpmath reference is recorded in
-CHANGES.md.  f_eta, err_est and kappa_max compare with ==, n_evals
+split-formula kernel integrated over the whole half line in one call,
+with the Airy values below Z_SWITCH from the Taylor table; each value's
+difference from the mpmath reference is recorded in CHANGES.md.  f_eta, err_est and kappa_max compare with ==, n_evals
 exactly, and a failing input keeps its error type and message prefix.
 The force_classic and force_perturbative values date from the per-node
 scalar integrand, and the force_from_fd values from the time each FD
@@ -24,21 +24,21 @@ from casimir_plate.errors import ToleranceError
 
 # (eta, rel_tol, pinned kappa_max): (f_eta, err_est, kappa_max, n_evals)
 FORCE = {
-    (1e-3, 1e-6, None): ("0x1.dfda36efab999p-12", "0x1.648790ea295bdp-32", "0x1.3ffffffffffffp+3", 60),
-    (1e-3, 1e-9, None): ("0x1.dfda36efb38bdp-12", "0x1.e334d406aa9bfp-43", "0x1.3ffffffffffffp+3", 150),
-    (1.0, 1e-6, None): ("0x1.d50107a452d4dp-4", "0x1.692f6a6482f34p-24", "0x1.0000000000000p+0", 30),
-    (1.0, 1e-9, None): ("0x1.d50107a471610p-4", "0x1.1fe694a611f3dp-34", "0x1.0000000000000p+0", 90),
-    (1e3, 1e-6, None): ("0x1.fa1d095f1ceefp+1", "0x1.c535471d49f73p-27", "0x1.94c583ada5b52p+1", 30),
-    (1e3, 1e-9, None): ("0x1.fa1d095f1ce9dp+1", "0x1.7a53cbb2e665ep-39", "0x1.94c583ada5b52p+1", 90),
+    (1e-3, 1e-6, None): ("0x1.dfda36efab9bfp-12", "0x1.648791883f3a0p-32", "0x1.3ffffffffffffp+3", 60),
+    (1e-3, 1e-9, None): ("0x1.dfda36efb390dp-12", "0x1.e33206f001e9dp-43", "0x1.3ffffffffffffp+3", 150),
+    (1.0, 1e-6, None): ("0x1.d50107a452d08p-4", "0x1.692f68e3fe412p-24", "0x1.0000000000000p+0", 30),
+    (1.0, 1e-9, None): ("0x1.d50107a4715cap-4", "0x1.1fe563123b850p-34", "0x1.0000000000000p+0", 90),
+    (1e3, 1e-6, None): ("0x1.fa1d095f1ce66p+1", "0x1.c535fa29e99c2p-27", "0x1.94c583ada5b52p+1", 30),
+    (1e3, 1e-9, None): ("0x1.fa1d095f1cf10p+1", "0x1.6ad8d66df92a8p-39", "0x1.94c583ada5b52p+1", 90),
     (1e6, 1e-6, None): ("0x1.f40009999cceap+6", "0x1.c73d6a1d8018bp-22", "0x1.3ffffffffffffp+3", 30),
     (1e6, 1e-9, None): ("0x1.f40009999cceap+6", "0x1.ef234ae6bf75cp-35", "0x1.3ffffffffffffp+3", 90),
     # deep refinement
-    (1.0, 1e-11, None): ("0x1.d50107a471609p-4", "0x1.57697fc583ddep-42", "0x1.0000000000000p+0", 120),
+    (1.0, 1e-11, None): ("0x1.d50107a4715cbp-4", "0x1.560a15c21e04ep-42", "0x1.0000000000000p+0", 120),
     # pinned map scale
-    (1.0, 1e-6, 5.0): ("0x1.d50107a4715b8p-4", "0x1.42ed7974dc3d9p-30", "0x1.4000000000000p+2", 60),
-    (0.03, 1e-9, 5.0): ("0x1.13dca4967070bp-7", "0x1.6ae37ed01e965p-42", "0x1.4000000000000p+2", 120),
+    (1.0, 1e-6, 5.0): ("0x1.d50107a471569p-4", "0x1.42ed66fe985a1p-30", "0x1.4000000000000p+2", 60),
+    (0.03, 1e-9, 5.0): ("0x1.13dca49670710p-7", "0x1.6af008c25b564p-42", "0x1.4000000000000p+2", 120),
     # small eta
-    (1e-8, 1e-9, None): ("0x1.6ee7179a76f04p-27", "0x1.1e177750e0fa7p-58", "0x1.d028ac9478910p+8", 300),
+    (1e-8, 1e-9, None): ("0x1.6ee7179a76c6dp-27", "0x1.1df4b79ee65c0p-58", "0x1.d028ac9478910p+8", 300),
 }
 
 # (eta, rel_tol, pinned kappa_max): (error type, message prefix)

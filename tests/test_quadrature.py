@@ -179,6 +179,8 @@ def _reference_gk15(f, lo, hi):
 
 class TestArrayContract:
     def test_one_call_per_step(self):
+        # each step evaluates the halves of every panel it bisects, 30 nodes
+        # each, in one ascending call
         calls = []
 
         def counting(x):
@@ -188,9 +190,25 @@ class TestArrayContract:
             return np.sqrt(x)
 
         r = integrate_finite(counting, 0.0, 1.0)
-        splits = (r.n_evals - 30) // 30
-        assert splits >= 3  # the endpoint singularity forces bisections
-        assert calls == [30] * (1 + splits)
+        assert calls[0] == 30 and all(n % 30 == 0 for n in calls)
+        assert sum(calls) == r.n_evals
+        assert len(calls) >= 4  # the endpoint singularity forces bisections
+
+    def test_a_step_bisects_every_panel_the_tolerance_needs(self):
+        # a kink in the middle of each half: the first step leaves both
+        # halves far above tolerance, and the next step bisects both at once
+        calls = []
+
+        def kinks(x):
+            calls.append(x.tolist())
+            return np.abs(x - 0.25) + np.abs(x - 0.75)
+
+        r = integrate_finite(kinks, 0.0, 1.0, QuadratureSpec(rel_tol=1e-6))
+        assert r.converged
+        assert [len(c) for c in calls[:2]] == [30, 60]
+        # the budget caps a step: one bisection is left after the first
+        one = integrate_finite(kinks, 0.0, 1.0, QuadratureSpec(rel_tol=1e-6, max_subdivisions=2))
+        assert one.n_evals == 60 and not one.converged
 
     @pytest.mark.parametrize(
         "f, lo, hi",

@@ -111,13 +111,30 @@ class TestSinglePass:
         monkeypatch.setattr(airy_engine, "airy_scaled", refuse)
         eta = 2.0
         r = force_exact(eta)
-        # every step: the 30 nodes of two panels, ascending, as (z1, z2)
-        assert len(momenta) == len(calls) == r.n_evals // 30
+        # every step: the 30 nodes of each panel it bisects, strictly
+        # ascending, as (z1, z2); the steps together make n_evals
+        assert len(momenta) == len(calls) >= 2
+        assert sum(len(kappa) for kappa in momenta) == r.n_evals
         for kappa, (z1, z2) in zip(momenta, calls):
-            assert len(kappa) == 30
+            assert len(kappa) % 30 == 0
             assert all(k0 < k1 for k0, k1 in zip(kappa, kappa[1:]))
             assert z1 == [k * k for k in kappa]
             assert z2 == [x + eta ** (1.0 / 3.0) for x in z1]
+
+    def test_one_step_bisects_both_halves(self, monkeypatch):
+        # eta = 1e3 at rel_tol 1e-9: the halves, then both halves bisected
+        # in one call (one bisection per step would make three calls)
+        sizes = []
+
+        def batch(kappa, eta):
+            sizes.append(kappa.size)
+            return net_array(kappa, eta)
+
+        net_array = stress_kernel._net_array
+        monkeypatch.setattr(stress_kernel, "_net_array", batch)
+        r = force_exact(1e3, QuadratureSpec(rel_tol=1e-9))
+        assert sizes == [30, 60]
+        assert r.n_evals == 90
 
     def test_one_quadrature_call_and_no_scalar_airy_call(self, monkeypatch):
         quad = []
