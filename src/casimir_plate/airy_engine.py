@@ -121,26 +121,26 @@ class AiryValues:
         return self.ai_s * self.bip_s - self.aip_s * self.bi_s
 
 
-def zeta_of(z: float) -> float:
-    """zeta(z) = (2/3) z^{3/2} for z >= 0."""
-    return (2.0 / 3.0) * z * math.sqrt(z)
+def zeta_of(z):
+    """zeta(z) = (2/3) z^{3/2} for z >= 0, elementwise on arrays."""
+    return (2.0 / 3.0) * z * np.sqrt(z)
 
 
-def zeta_gap(z_hi: float, z_lo: float) -> float:
-    """zeta(z_hi) - zeta(z_lo) without cancellation for nearby arguments.
+def zeta_gap(z_hi, z_lo):
+    """zeta(z_hi) - zeta(z_lo) without cancellation for nearby arguments, elementwise.
 
     Uses a^{3/2} - b^{3/2} = (a - b)(a^2 + ab + b^2)/(a^{3/2} + b^{3/2}),
     exact in the reals.  Direct subtraction of the two zetas loses every
     significant digit once (z_hi - z_lo)/z_hi drops toward machine epsilon,
     which happens routinely in the force integrand at large momentum.
+    Equal arguments give 0 exactly.
     """
-    if z_hi < z_lo:
+    z_hi, z_lo = np.asarray(z_hi, dtype=float), np.asarray(z_lo, dtype=float)
+    if (z_hi < z_lo).any():
         raise DomainError("zeta_gap expects z_hi >= z_lo")
-    if z_hi == z_lo:
-        return 0.0
     num = (z_hi - z_lo) * (z_hi * z_hi + z_hi * z_lo + z_lo * z_lo)
-    den = z_hi * math.sqrt(z_hi) + z_lo * math.sqrt(z_lo)
-    return (2.0 / 3.0) * num / den
+    den = z_hi * np.sqrt(z_hi) + z_lo * np.sqrt(z_lo)
+    return np.divide((2.0 / 3.0) * num, den, out=np.zeros(num.shape), where=den > 0.0)[()]
 
 
 # ---------------------------------------------------------------------------
@@ -216,10 +216,6 @@ def _sum_orders(coef: np.ndarray, stop, x: np.ndarray) -> np.ndarray:
     return np.add.accumulate(coef[: last + 1, :, None] * powers[:, None, :], axis=0)[-1]
 
 
-def _zeta(z: np.ndarray) -> np.ndarray:
-    return (2.0 / 3.0) * z * np.sqrt(z)
-
-
 def _series_rows(z: np.ndarray, zeta: np.ndarray, rows: int) -> np.ndarray:
     """The first rows of (ai_s, aip_s, bi_s, bip_s) from the large-z series at a 1-D array z.
 
@@ -242,7 +238,7 @@ def _series_rows(z: np.ndarray, zeta: np.ndarray, rows: int) -> np.ndarray:
 
 def _asymptotic_scaled(z: np.ndarray) -> np.ndarray:
     """(ai_s, aip_s, bi_s, bip_s) rows from the large-z series at a 1-D array z."""
-    return _series_rows(z, _zeta(z), 4)
+    return _series_rows(z, zeta_of(z), 4)
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +370,7 @@ def _net_terms(z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
     if i2 < n:
         m = n - i1
         z = np.concatenate((z1[i1:], z2[i2:]))
-        zeta = _zeta(z)
+        zeta = zeta_of(z)
         rows = _series_rows(z, zeta, 3)
         lnd, s = _product_series(z, zeta)
         out[:3, i1:n], out[3, i1:n] = rows[:, :m], s[:m]

@@ -28,6 +28,12 @@ rotated (Euclidean) closed forms actually evaluated are:
 Every hyperbolic form is assembled from decaying exponentials, and every
 Airy form from scaled values with exponents tracked as (mantissa, exponent)
 pairs, so no intermediate can overflow regardless of K a or kappa.
+
+The two linear constructors are array-first: x and x' may be floats or
+arrays that broadcast together, a float pair being the 0-d case, and each
+construction evaluates every Airy argument it needs (kappa^2, y(a) and each
+point's y(|x|)) in one ``airy_scaled`` call.  Every step after it is
+elementwise, so an element gets the bits it would get alone.
 """
 
 from __future__ import annotations
@@ -36,7 +42,9 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .airy_engine import airy_eval, zeta_gap
+import numpy as np
+
+from .airy_engine import airy_scaled, zeta_gap, zeta_of
 from .errors import DomainError, SingularityError
 
 __all__ = [
@@ -62,10 +70,8 @@ class PlateConfig:
     eta: Optional[float] = None
 
     def __post_init__(self):
-        a = float(self.a)
+        a = _check_length(self.a, "plate height a")
         b = float(self.b)
-        if not (math.isfinite(a) and a > 0.0):
-            raise DomainError(f"plate height a must be finite and > 0, got {self.a!r}")
         if not (math.isfinite(b) and b >= 0.0):
             raise DomainError(f"potential slope b must be finite and >= 0, got {self.b!r}")
         derived = b * a**3
@@ -84,7 +90,15 @@ class PlateConfig:
         eta = float(eta)
         if not (math.isfinite(eta) and eta >= 0.0):
             raise DomainError(f"eta must be finite and >= 0, got {eta!r}")
-        return cls(a=float(a), b=eta / float(a) ** 3)
+        a = _check_length(a, "plate height a")
+        return cls(a=a, b=eta / a**3)
+
+
+def _check_length(a: float, what: str) -> float:
+    a = float(a)
+    if not (math.isfinite(a) and a > 0.0):
+        raise DomainError(f"{what} must be finite and > 0, got {a!r}")
+    return a
 
 
 def _check_momentum(K: float) -> float:
@@ -101,9 +115,7 @@ def greens_free_between(x: float, xp: float, K: float, a: float) -> float:
     points are sorted so the closed form is evaluated with x' <= x.
     """
     K = _check_momentum(K)
-    a = float(a)
-    if not (math.isfinite(a) and a > 0.0):
-        raise DomainError(f"plate separation must be > 0, got {a!r}")
+    a = _check_length(a, "plate separation")
     hi, lo = (x, xp) if x >= xp else (xp, x)
     if lo < 0.0 or hi > a:
         raise DomainError(f"points must satisfy 0 <= x, x' <= {a}, got {x!r}, {xp!r}")
@@ -118,7 +130,7 @@ def greens_free_between(x: float, xp: float, K: float, a: float) -> float:
 def greens_free_above(x: float, xp: float, K: float, a: float) -> float:
     """Flat background above a single Dirichlet plate at a; decay at infinity."""
     K = _check_momentum(K)
-    a = float(a)
+    a = _check_length(a, "plate height")
     lo, hi = (x, xp) if x <= xp else (xp, x)
     if lo < a:
         raise DomainError(f"both points must lie at or above the plate {a!r}")
@@ -135,7 +147,30 @@ def _require_linear(cfg: PlateConfig, kappa: float) -> float:
     return kappa
 
 
-def greens_linear_above(x: float, xp: float, kappa: float, cfg: PlateConfig) -> float:
+def _ordered(x, xp) -> tuple[np.ndarray, np.ndarray]:
+    """(x_<, x_>) elementwise over x and x' broadcast together; both must be finite."""
+    x, xp = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(xp, dtype=float))
+    if not (np.isfinite(x).all() and np.isfinite(xp).all()):
+        raise DomainError(f"points must be finite, got x = {x.tolist()!r}, x' = {xp.tolist()!r}")
+    return np.minimum(x, xp), np.maximum(x, xp)
+
+
+def _airy_rows(kappa: float, cfg: PlateConfig, s: np.ndarray):
+    """Scaled Airy rows at z1 = kappa^2, za = z1 + w and y(s) = z1 + (|s|/a) w, w = eta^{1/3}.
+
+    One airy_scaled call serves all three; returns w, (z1, za, y(s)) and
+    the rows (ai_s, aip_s, bi_s, bip_s) at each, those at y(s) of shape
+    (4, *s.shape).
+    """
+    w = cfg.eta ** (1.0 / 3.0)
+    z1 = kappa * kappa
+    za = z1 + w
+    y = z1 + (np.abs(s) / cfg.a) * w
+    rows = airy_scaled(np.concatenate(([z1, za], y.ravel())))
+    return w, (z1, za, y), (rows[:, 0], rows[:, 1], rows[:, 2:].reshape((4,) + y.shape))
+
+
+def greens_linear_above(x, xp, kappa: float, cfg: PlateConfig):
     """Linear background above the plate: Ai decay outside, Dirichlet at a.
 
     Evaluated from scaled Airy values; the two bracket terms carry the
@@ -143,127 +178,77 @@ def greens_linear_above(x: float, xp: float, kappa: float, cfg: PlateConfig) -> 
     both <= 1 in this region, so nothing can overflow.
     """
     kappa = _require_linear(cfg, kappa)
-    lo, hi = sorted((float(x), float(xp)))
-    if lo < cfg.a:
+    lo, hi = _ordered(x, xp)
+    if (lo < cfg.a).any():
         raise DomainError(f"both points must lie at or above the plate {cfg.a!r}")
-    w = cfg.eta ** (1.0 / 3.0)
-    k2 = kappa * kappa
-    ya = k2 + w
-    yi = k2 + (lo / cfg.a) * w
-    yo = k2 + (hi / cfg.a) * w
-    va = airy_eval(ya)
-    vi = airy_eval(yi)
-    vo = airy_eval(yo)
+    w, (_, ya, (yi, yo)), (_, va, (ai, _, bi, _)) = _airy_rows(kappa, cfg, np.stack((lo, hi)))
     d_oi = zeta_gap(yo, yi)
     d_ia = zeta_gap(yi, ya)
-    bracket = va.ai_s * vi.bi_s * math.exp(-d_oi) - vi.ai_s * va.bi_s * math.exp(
-        -(d_oi + 2.0 * d_ia)
-    )
-    return math.pi * cfg.a / w * (vo.ai_s / va.ai_s) * bracket
+    bracket = va[0] * bi[0] * np.exp(-d_oi) - ai[0] * va[2] * np.exp(-(d_oi + 2.0 * d_ia))
+    return (math.pi * cfg.a / w * (ai[1] / va[0]) * bracket)[()]
 
 
-def _esum(terms) -> tuple[float, float]:
-    """Sum of m_i * e^{E_i} represented as (mantissa, exponent).
+def _kink_terms(v1) -> tuple[float, float]:
+    """(S1, P mantissa) from the scaled rows at kappa^2.
 
-    The largest exponent is factored out so the mantissa sum stays O(1);
-    term order is preserved, keeping the rounding deterministic.
+    S1 = (Ai Bi)'(kappa^2) carries no exponent (the e^{+-zeta} factors
+    cancel termwise); P = 2 Ai Ai'(kappa^2) carries e^{-2 zeta_1}.
     """
-    live = [(m, e) for m, e in terms if m != 0.0]
-    if not live:
-        return 0.0, 0.0
-    emax = max(e for _, e in live)
-    return math.fsum(m * math.exp(e - emax) for m, e in live), emax
+    return v1[1] * v1[2] + v1[0] * v1[3], 2.0 * v1[0] * v1[1]
 
 
-class _BelowParts:
-    """Left/right homogeneous solutions below the plate, exponent-carried.
+def _pair_sum(m1, e1, m2, e2):
+    """m1 e^{e1} + m2 e^{e2} as (mantissa, exponent), elementwise.
 
-    u decays as x -> -infinity: pure Ai(kappa^2 - (x/a) eta^{1/3}) there,
-    continued across the kink at 0 as pi [S1 Ai(y) - P Bi(y)] with
-    y = kappa^2 + (x/a) eta^{1/3}, S1 = (Ai Bi)'(kappa^2) and
-    P = 2 Ai(kappa^2) Ai'(kappa^2); value and slope are continuous at 0 by
-    the Wronskian.  v vanishes at the plate: Ai(y_a) Bi(y) - Bi(y_a) Ai(y)
-    on [0, a), continued below 0 as gamma Ai + delta Bi of the reflected
-    argument with the same matching rule.  All coefficients are kept as
-    (mantissa, exponent) pairs in zeta units.
+    The larger exponent of the nonzero terms is factored out, so the
+    mantissa sum stays O(1).  A zero term (S1 vanishes at kappa = 0) does
+    not choose it, and its factor is clipped at 1 so it cannot overflow.
     """
-
-    def __init__(self, kappa: float, cfg: PlateConfig):
-        self.cfg = cfg
-        self.w = cfg.eta ** (1.0 / 3.0)
-        self.z1 = kappa * kappa
-        self.za = self.z1 + self.w
-        self.v1 = airy_eval(self.z1)
-        self.va = airy_eval(self.za)
-        v1 = self.v1
-        # S1 carries no exponent (the e^{+-zeta} factors cancel termwise);
-        # P carries e^{-2 zeta_1}
-        self.s1 = v1.aip_s * v1.bi_s + v1.ai_s * v1.bip_s
-        self.p_m = 2.0 * v1.ai_s * v1.aip_s
-
-    def _y_up(self, xx: float) -> float:
-        return self.z1 + (xx / self.cfg.a) * self.w
-
-    def _y_down(self, xx: float) -> float:
-        return self.z1 - (xx / self.cfg.a) * self.w
-
-    def u(self, xx: float) -> tuple[float, float]:
-        if xx <= 0.0:
-            vv = airy_eval(self._y_down(xx))
-            return vv.ai_s, -vv.zeta
-        vv = airy_eval(self._y_up(xx))
-        return _esum(
-            [
-                (math.pi * self.s1 * vv.ai_s, -vv.zeta),
-                (-math.pi * self.p_m * vv.bi_s, vv.zeta - 2.0 * self.v1.zeta),
-            ]
-        )
-
-    def v(self, xx: float) -> tuple[float, float]:
-        va = self.va
-        if xx >= 0.0:
-            vv = airy_eval(self._y_up(xx))
-            return _esum(
-                [
-                    (va.ai_s * vv.bi_s, vv.zeta - va.zeta),
-                    (-va.bi_s * vv.ai_s, va.zeta - vv.zeta),
-                ]
-            )
-        v1 = self.v1
-        gm, ge = _esum(
-            [
-                (2.0 * math.pi * va.ai_s * v1.bi_s * v1.bip_s, 2.0 * v1.zeta - va.zeta),
-                (-math.pi * va.bi_s * self.s1, va.zeta),
-            ]
-        )
-        dm, de = _esum(
-            [
-                (math.pi * va.bi_s * self.p_m, va.zeta - 2.0 * v1.zeta),
-                (-math.pi * va.ai_s * self.s1, -va.zeta),
-            ]
-        )
-        vv = airy_eval(self._y_down(xx))
-        return _esum([(gm * vv.ai_s, ge - vv.zeta), (dm * vv.bi_s, de + vv.zeta)])
+    emax = np.where(m2 == 0.0, e1, np.where(m1 == 0.0, e2, np.maximum(e1, e2)))
+    return (m1 * np.exp(np.minimum(e1 - emax, 0.0))
+            + m2 * np.exp(np.minimum(e2 - emax, 0.0))), emax
 
 
-def greens_linear_below(x: float, xp: float, kappa: float, cfg: PlateConfig) -> float:
-    """Linear background below the plate; both points < a, either side of 0.
+def greens_linear_below(x, xp, kappa: float, cfg: PlateConfig):
+    """Linear background below the plate; both points <= a, either side of 0.
 
     G = -pi a eta^{-1/3} u(x_<) v(x_>) / u(a): the Wronskian of the two
     homogeneous solutions reduces to (eta^{1/3} / (pi a)) u(a), which fixes
-    the unit derivative jump at the source.
+    the unit derivative jump at the source.  u decays as x -> -infinity:
+    pure Ai(y) there, continued across the kink at 0 as pi [S1 Ai(y) - P Bi(y)]
+    with S1 = (Ai Bi)'(kappa^2) and P = 2 Ai(kappa^2) Ai'(kappa^2); value and
+    slope are continuous at 0 by the Wronskian.  v vanishes at the plate:
+    Ai(y_a) Bi(y) - Bi(y_a) Ai(y) on [0, a), continued below 0 as
+    gamma Ai(y) + delta Bi(y) with the same matching rule.  On both sides
+    y = kappa^2 + (|x|/a) eta^{1/3}, and every term is kept as a
+    (mantissa, exponent) pair in zeta units.
     """
     kappa = _require_linear(cfg, kappa)
-    lo, hi = sorted((float(x), float(xp)))
-    if hi > cfg.a:
+    lo, hi = _ordered(x, xp)
+    if (hi > cfg.a).any():
         raise DomainError(f"both points must lie at or below the plate {cfg.a!r}")
-    parts = _BelowParts(kappa, cfg)
-    mu, eu = parts.u(lo)
-    mv, ev = parts.v(hi)
-    ma, ea = parts.u(cfg.a)
-    if ma == 0.0:
+    w, (z1, za, y), (v1, va, (ai, _, bi, _)) = _airy_rows(kappa, cfg, np.stack((lo, hi)))
+    e1, ea, e = zeta_of(z1), zeta_of(za), zeta_of(y)
+    s1, p_m = _kink_terms(v1)
+
+    def u_right(ai_y, bi_y, e_y):
+        return _pair_sum(math.pi * s1 * ai_y, -e_y, -math.pi * p_m * bi_y, e_y - 2.0 * e1)
+
+    mu, eu = u_right(ai[0], bi[0], e[0])
+    left = lo <= 0.0
+    mu, eu = np.where(left, ai[0], mu), np.where(left, -e[0], eu)
+    mn, en = u_right(va[0], va[2], ea)  # the normalization u(a)
+    if mn == 0.0:
         raise SingularityError("normalization u(a) vanished; numerical fault")
-    return -math.pi * cfg.a / parts.w * (mu * mv / ma) * math.exp(eu + ev - ea) + 0.0
+    # v right of the kink (mr, er) and left of it, gamma Ai + delta Bi (ml, el)
+    mr, er = _pair_sum(va[0] * bi[1], e[1] - ea, -va[2] * ai[1], ea - e[1])
+    gm, ge = _pair_sum(2.0 * math.pi * va[0] * v1[2] * v1[3], 2.0 * e1 - ea,
+                       -math.pi * va[2] * s1, ea)
+    dm, de = _pair_sum(math.pi * va[2] * p_m, ea - 2.0 * e1, -math.pi * va[0] * s1, -ea)
+    ml, el = _pair_sum(gm * ai[1], ge - e[1], dm * bi[1], de + e[1])
+    right = hi >= 0.0
+    mv, ev = np.where(right, mr, ml), np.where(right, er, el)
+    return (-math.pi * cfg.a / w * (mu * mv / mn) * np.exp(eu + ev - en) + 0.0)[()]
 
 
 def below_ratio_from_construction(kappa: float, cfg: PlateConfig) -> float:
@@ -278,11 +263,11 @@ def below_ratio_from_construction(kappa: float, cfg: PlateConfig) -> float:
     the tracer reads package counters instead (ROADMAP item 3).
     """
     kappa = _require_linear(cfg, kappa)
-    parts = _BelowParts(kappa, cfg)
-    va = parts.va
-    ee = math.exp(-2.0 * zeta_gap(parts.za, parts.z1))
-    num = parts.p_m * va.bip_s - parts.s1 * va.aip_s * ee
-    den = parts.s1 * va.ai_s * ee - parts.p_m * va.bi_s
+    _, (z1, za, _), (v1, va, _) = _airy_rows(kappa, cfg, np.empty(0))
+    s1, p_m = _kink_terms(v1)
+    ee = math.exp(-2.0 * zeta_gap(za, z1))
+    num = p_m * va[3] - s1 * va[1] * ee
+    den = s1 * va[0] * ee - p_m * va[2]
     if den == 0.0:
         raise SingularityError("slope-ratio denominator vanished")
-    return num / den
+    return float(num / den)

@@ -78,24 +78,19 @@ def integrand_from_greens(kappa: float, cfg: gr.PlateConfig, side: str) -> float
     kfac = cfg.b ** (2.0 / 3.0)
     q_plate = kfac * kappa * kappa + cfg.b * cfg.a
     bcube = cfg.b ** (1.0 / 3.0)
+    sgn = 1.0 if side == "above" else -1.0
+    greens = gr.greens_linear_above if side == "above" else gr.greens_linear_below
+    # sources eps and 2 eps from the plate; one greens call serves the
+    # 5-point one-sided plate derivative of both, in steps of eps/8 toward the source
     eps = 0.003 / math.sqrt(q_plate)
-
-    def plate_slope(xp: float, sgn: float) -> float:
-        # 5-point one-sided d/dx at the plate, stepping toward the source
-        d = sgn * eps / 8.0
-        greens = gr.greens_linear_above if sgn > 0 else gr.greens_linear_below
-        g = [greens(cfg.a + j * d, xp, kappa, cfg) for j in range(5)]
-        return (-25.0 * g[0] + 48.0 * g[1] - 36.0 * g[2] + 16.0 * g[3] - 3.0 * g[4]) / (12.0 * d)
-
-    def slope_estimate(e: float) -> float:
-        if side == "above":
-            r = plate_slope(cfg.a + e, +1.0)
-            return (r - 1.0) / e - 0.5 * e * q_plate
-        r = -plate_slope(cfg.a - e, -1.0)  # equals u(a - e)/u(a)
-        return (1.0 - r) / e + 0.5 * e * q_plate
-
-    s_ext = (4.0 * slope_estimate(eps) - slope_estimate(2.0 * eps)) / 3.0
-    return s_ext / bcube if side == "above" else -s_ext / bcube
+    e = np.array([eps, 2.0 * eps])
+    d = sgn * eps / 8.0
+    g = greens(cfg.a + np.arange(5.0)[:, None] * d, cfg.a + sgn * e, kappa, cfg)
+    r = sgn * oo._edge_slope_lo(g, d)  # below, u(a - e)/u(a)
+    # the integrand is s_ext/b^{1/3} above, from s = (r - 1)/e - e q/2, and
+    # -s_ext/b^{1/3} below, from s = (1 - r)/e + e q/2 = -t: one t serves both
+    t = (r - 1.0) / e - 0.5 * e * q_plate
+    return float((4.0 * t[0] - t[1]) / 3.0 / bcube)
 
 
 # ---------------------------------------------------------------------------
@@ -103,14 +98,16 @@ def integrand_from_greens(kappa: float, cfg: gr.PlateConfig, side: str) -> float
 
 
 def _wronskian_scaled_grid() -> float:
-    zs = [0.0] + list(np.logspace(-3.0, 4.0, 120))
-    return max(abs(math.pi * ae.airy_eval(z).wronskian_scaled() - 1.0) for z in zs)
+    ai, aip, bi, bip = ae.airy_scaled(np.concatenate(([0.0], np.logspace(-3.0, 4.0, 120))))
+    return np.max(np.abs(math.pi * (ai * bip - aip * bi) - 1.0))
 
 
 def _ai_decreasing_bi_increasing() -> int:
-    vals = [ae.airy_eval(z) for z in np.linspace(0.0, 30.0, 601)]
-    return sum(not (0.0 < v1.ai < v0.ai and v1.bi > v0.bi > 0.0)
-               for v0, v1 in zip(vals, vals[1:]))
+    zs = np.linspace(0.0, 30.0, 601)
+    ai_s, _, bi_s, _ = ae.airy_scaled(zs)
+    zeta = ae.zeta_of(zs)
+    ai, bi = ai_s * np.exp(-zeta), bi_s * np.exp(zeta)
+    return np.sum(~((0.0 < ai[1:]) & (ai[1:] < ai[:-1]) & (bi[1:] > bi[:-1]) & (bi[:-1] > 0.0)))
 
 
 # 1/16 moves a grid of halves off the Taylor table's nodes j/8, onto cell
@@ -135,7 +132,7 @@ def _product_series_switch_band() -> float:
     ai, aip, bi, bip = airye(band)
     lib = (-(aip / ai + bip / bi), aip * bi + ai * bip)
     return max(np.max(np.abs(own - ref) / np.abs(ref))
-               for own, ref in zip(ae._product_series(band, ae._zeta(band)), lib))
+               for own, ref in zip(ae._product_series(band, ae.zeta_of(band)), lib))
 
 
 def _eval_vs_ode_oracle() -> float:
@@ -143,9 +140,9 @@ def _eval_vs_ode_oracle() -> float:
     # the ends stay, the closed forms at 0 and the oracle's Ai seed at 50
     zs = np.linspace(0.0, 50.0, 101)
     zs[1:-1] += _OFF_NODE
-    pairs = [(ae.airy_eval(z), ae.airy_via_ode_oracle(z)) for z in zs]
-    return max(_rel(getattr(v, f), getattr(o, f))
-               for v, o in pairs for f in ("ai_s", "aip_s", "bi_s", "bip_s"))
+    oracle = np.array([[o.ai_s, o.aip_s, o.bi_s, o.bip_s]
+                       for o in map(ae.airy_via_ode_oracle, zs)]).T
+    return np.max(np.abs(ae.airy_scaled(zs) - oracle) / np.abs(oracle))
 
 
 def _log_deriv_asymptotics() -> float:
@@ -156,9 +153,9 @@ def _log_deriv_asymptotics() -> float:
 
 def _scaled_values_finite_to_1e4() -> int:
     # finite with the signs of Ai, Ai', Bi, Bi' (NaN fails every comparison)
-    vals = [ae.airy_eval(float(z)) for z in np.logspace(-2.0, 4.0, 40)]
-    return sum(not (0.0 < v.ai_s < math.inf and -math.inf < v.aip_s < 0.0
-                    and 0.0 < v.bi_s < math.inf and 0.0 < v.bip_s < math.inf) for v in vals)
+    ai, aip, bi, bip = ae.airy_scaled(np.logspace(-2.0, 4.0, 40))
+    return np.sum(~((0.0 < ai) & (ai < math.inf) & (-math.inf < aip) & (aip < 0.0)
+                    & (0.0 < bi) & (bi < math.inf) & (0.0 < bip) & (bip < math.inf)))
 
 
 _CFG1 = gr.PlateConfig(a=1.0, b=1.0)
@@ -206,10 +203,10 @@ def _symmetry_swap_args() -> float:
 
 
 def _decay_away_from_plate() -> int:
-    ts = (0.1, 0.5, 1.0, 2.0, 4.0)
-    above = [gr.greens_linear_above(1.3 + t, 1.25, 0.8, _CFG1) for t in ts]
-    below = [gr.greens_linear_below(-0.1 - t, -0.05, 0.8, _CFG1) for t in ts]
-    return sum(not v0 > v1 > 0.0 for vals in (above, below) for v0, v1 in zip(vals, vals[1:]))
+    ts = np.array([0.1, 0.5, 1.0, 2.0, 4.0])
+    above = gr.greens_linear_above(1.3 + ts, 1.25, 0.8, _CFG1)
+    below = gr.greens_linear_below(-0.1 - ts, -0.05, 0.8, _CFG1)
+    return sum(np.sum(~((v[:-1] > v[1:]) & (v[1:] > 0.0))) for v in (above, below))
 
 
 def _flat_limit_reduction() -> float:
@@ -227,8 +224,8 @@ def _fd_oracle_spot_above() -> float:
     grid = oo.GridSpec(1.0, 1.0 + 8.0, 8001, stencil=4)
     xp = 1.0 + 400 * grid.h
     xs, g = oo.solve_bvp_above(1.0, _CFG1, xp, grid)
-    return max(_rel(g[j], gr.greens_linear_above(xs[j], xp, 1.0, _CFG1))
-               for j in (100, 250, 400, 650, 1200))
+    j = np.array([100, 250, 400, 650, 1200])
+    return max(map(_rel, g[j], gr.greens_linear_above(xs[j], xp, 1.0, _CFG1)))
 
 
 def _flat_limit_net_zero() -> float:
@@ -248,9 +245,9 @@ def _large_kappa_expansions() -> float:
 
 
 def _net_positive_grid() -> int:
-    return sum(sk.integrand_net(k, float(eta)).net <= 0.0
-               for eta in np.logspace(-3.0, 3.0, 7)
-               for k in (0.0, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0))
+    kappa = np.array([0.0, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0])
+    return sum(np.sum(sk._net_array(kappa, float(eta)) <= 0.0)
+               for eta in np.logspace(-3.0, 3.0, 7))
 
 
 def _tail_admissible_at_default_cutoff() -> int:

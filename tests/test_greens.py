@@ -2,12 +2,14 @@
 
 import math
 
+import numpy as np
 import pytest
 
-from casimir_plate import oracle_ode
+from casimir_plate import airy_engine, greens, oracle_ode
 from casimir_plate.errors import DomainError
 from casimir_plate.greens import (
     PlateConfig,
+    below_ratio_from_construction,
     greens_free_above,
     greens_free_between,
     greens_linear_above,
@@ -54,6 +56,11 @@ class TestPlateConfig:
         with pytest.raises(DomainError):
             PlateConfig(a=a, b=b)
 
+    @pytest.mark.parametrize("a", [0.0, -1.0, math.nan, math.inf])
+    def test_from_eta_names_a_bad_height(self, a):
+        with pytest.raises(DomainError, match="plate height a"):
+            PlateConfig.from_eta(1.0, a=a)
+
 
 class TestFlatBackgroundKernels:
     def test_between_pinned_value(self):
@@ -97,6 +104,11 @@ class TestFlatBackgroundKernels:
             greens_free_between(0.5, -0.1, 1.0, 2.0)
         with pytest.raises(DomainError):
             greens_free_above(0.5, 1.5, 1.0, 1.0)
+
+    @pytest.mark.parametrize("a", [math.nan, math.inf, 0.0])
+    def test_above_rejects_a_bad_plate_height(self, a):
+        with pytest.raises(DomainError, match="plate height"):
+            greens_free_above(1.0, 2.0, 1.0, a)
 
 
 class TestLinearBackgroundAbove:
@@ -168,8 +180,76 @@ class TestLinearBackgroundBelow:
         grid = oracle_ode.GridSpec(-9.0, 1.0, 10001, stencil=4)
         xp = 1.0 - 900 * grid.h
         xs, g = oracle_ode.solve_bvp_full(0.5, cfg, xp, grid)
-        worst = max(
-            rel(g[j], greens_linear_below(xs[j], xp, 0.5, cfg))
-            for j in (7500, 8500, 9200, 9600, 9900)
-        )
+        j = np.array([7500, 8500, 9200, 9600, 9900])
+        worst = max(map(rel, g[j], greens_linear_below(xs[j], xp, 0.5, cfg)))
         assert worst <= 1e-5
+
+
+class TestArrayFirst:
+    """The linear constructors broadcast x and x'; a float pair is the 0-d case."""
+
+    CFG = PlateConfig.from_eta(5.0)
+    # both sides of the kink, at 0, and at the plate, each pair also swapped
+    BELOW = [(-2.0, -0.3), (-0.5, 0.5), (0.0, 0.6), (-0.7, 0.0), (0.0, 0.0), (0.2, 0.9),
+             (1.0, 0.4), (-1.5, 1.0), (1.0, 1.0)]
+    ABOVE = [(1.0, 1.7), (1.2, 1.2), (1.05, 2.4), (3.0, 1.3), (1.0, 1.0)]
+
+    @pytest.mark.parametrize("kappa", [0.0, 0.8, 7.0])
+    @pytest.mark.parametrize("construct, pairs", [(greens_linear_below, BELOW),
+                                                  (greens_linear_above, ABOVE)],
+                             ids=["below", "above"])
+    def test_array_equals_the_scalar_calls(self, construct, pairs, kappa):
+        pairs = pairs + [(xp, x) for x, xp in pairs]
+        x, xp = np.array(pairs).T
+        got = construct(x, xp, kappa, self.CFG)
+        want = [construct(a, b, kappa, self.CFG) for a, b in pairs]
+        assert got.shape == x.shape
+        assert [v.hex() for v in got.tolist()] == [float(v).hex() for v in want]
+        at_plate = [float(v).hex() for (a, b), v in zip(pairs, want) if self.CFG.a in (a, b)]
+        assert at_plate and set(at_plate) == {"0x0.0p+0"}
+
+    def test_broadcast_shape(self):
+        x = np.linspace(-1.0, 0.9, 4)[:, None]
+        xp = np.array([-0.2, 0.3, 0.95])
+        got = greens_linear_below(x, xp, 0.8, self.CFG)
+        assert got.shape == (4, 3)
+        assert got[2, 1] == greens_linear_below(float(x[2, 0]), 0.3, 0.8, self.CFG)
+
+    @pytest.mark.parametrize("call", [
+        lambda cfg: greens_linear_above(np.array([1.0, 1.4, 2.0]), 1.5, 0.8, cfg),
+        lambda cfg: greens_linear_below(np.array([-1.0, 0.0, 0.4]), 0.6, 0.8, cfg),
+        lambda cfg: greens_linear_below(-0.3, 0.2, 0.8, cfg),
+        lambda cfg: below_ratio_from_construction(0.8, cfg),
+    ], ids=["above", "below", "below-scalar", "ratio"])
+    def test_one_airy_scaled_call_per_construction(self, monkeypatch, call):
+        calls = []
+
+        def counted(z):
+            calls.append(np.array(z))
+            return airy_engine.airy_scaled(z)
+
+        def refuse(z):
+            raise AssertionError("airy_eval called")
+
+        monkeypatch.setattr(greens, "airy_scaled", counted)
+        monkeypatch.setattr(airy_engine, "airy_eval", refuse)
+        assert not hasattr(greens, "airy_eval")
+        call(self.CFG)
+        assert len(calls) == 1
+
+    def test_large_arguments_stay_finite_and_symmetric(self):
+        cfg = PlateConfig.from_eta(1.0)
+        for g, x, xp in ((greens_linear_below, -30.0, -29.5), (greens_linear_below, -30.0, 0.5),
+                         (greens_linear_above, cfg.a + 30.0, cfg.a + 29.5),
+                         (greens_linear_above, cfg.a + 30.0, cfg.a + 1.0)):
+            there, back = g(x, xp, 20.0, cfg), g(xp, x, 20.0, cfg)
+            assert math.isfinite(there) and there > 0.0
+            assert there == back
+        near = greens_linear_below(-30.0, -29.5, 20.0, cfg)
+        assert 0.0 < near < 1.0 / 40.0
+
+    @pytest.mark.parametrize("construct", [greens_linear_above, greens_linear_below])
+    @pytest.mark.parametrize("x, xp", [(math.nan, 0.5), (0.5, math.inf), ([0.5, math.nan], 0.7)])
+    def test_non_finite_points_are_named(self, construct, x, xp):
+        with pytest.raises(DomainError, match="points must be finite"):
+            construct(x, xp, 1.0, self.CFG)
