@@ -17,8 +17,6 @@ from .airy_engine import (
     airy_eval,
     airy_scaled,
     airy_via_ode_oracle,
-    log_deriv_ai,
-    log_deriv_bi,
     zeta_gap,
     zeta_of,
 )
@@ -53,15 +51,11 @@ from .quadrature import (
 )
 from .stress_kernel import (
     ForceResult,
-    StressIntegrandSample,
     force_classic,
     force_exact,
     force_perturbative,
-    integrand_above,
-    integrand_below,
     integrand_net,
     perturbative_integrands,
-    tail_mismatch,
 )
 
 __version__ = "0.1.0"
@@ -78,7 +72,6 @@ __all__ = [
     "QuadratureSpec",
     "ResolutionError",
     "SingularityError",
-    "StressIntegrandSample",
     "ToleranceError",
     "airy_eval",
     "airy_scaled",
@@ -92,14 +85,13 @@ __all__ = [
     "greens_free_between",
     "greens_linear_above",
     "greens_linear_below",
-    "integrand_above",
-    "integrand_below",
     "integrand_from_fd",
     "integrand_net",
+    "integrate_finite",
+    "integrate_semi_infinite",
     "perturbative_integrands",
     "solve_bvp_above",
     "solve_bvp_full",
-    "tail_mismatch",
     "zeta_gap",
     "zeta_of",
     "__version__",

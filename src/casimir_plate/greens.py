@@ -62,7 +62,8 @@ class PlateConfig:
 
     ``eta`` is derived storage: it is always recomputed from a and b on
     construction, and a caller-supplied value is only checked against the
-    recomputation.
+    recomputation.  A height whose a^3 (or, with b > 0, b a^3; from_eta's
+    eta/a^3) leaves the float range is a DomainError naming a.
     """
 
     a: float
@@ -74,7 +75,11 @@ class PlateConfig:
         b = float(self.b)
         if not (math.isfinite(b) and b >= 0.0):
             raise DomainError(f"potential slope b must be finite and >= 0, got {self.b!r}")
-        derived = b * a**3
+        derived = b * _cube(a)
+        if b > 0.0 and not 0.0 < derived < math.inf:
+            raise DomainError(
+                f"plate height a = {a!r} with b = {b!r} puts eta = b*a^3 outside the float range"
+            )
         if self.eta is not None and not math.isclose(
             float(self.eta), derived, rel_tol=1e-12, abs_tol=0.0
         ):
@@ -91,7 +96,12 @@ class PlateConfig:
         if not (math.isfinite(eta) and eta >= 0.0):
             raise DomainError(f"eta must be finite and >= 0, got {eta!r}")
         a = _check_length(a, "plate height a")
-        return cls(a=a, b=eta / a**3)
+        b = eta / _cube(a)
+        if not (math.isfinite(b) and (b > 0.0 or eta == 0.0)):
+            raise DomainError(
+                f"plate height a = {a!r} with eta = {eta!r} puts b = eta/a^3 outside the float range"
+            )
+        return cls(a=a, b=b)
 
 
 def _check_length(a: float, what: str) -> float:
@@ -99,6 +109,17 @@ def _check_length(a: float, what: str) -> float:
     if not (math.isfinite(a) and a > 0.0):
         raise DomainError(f"{what} must be finite and > 0, got {a!r}")
     return a
+
+
+def _cube(a: float) -> float:
+    """a^3 of a checked plate height, or a DomainError if it leaves the float range."""
+    try:
+        cube = a**3
+    except OverflowError:
+        cube = math.inf
+    if not 0.0 < cube < math.inf:
+        raise DomainError(f"plate height a = {a!r} has a^3 outside the float range")
+    return cube
 
 
 def _check_momentum(K: float) -> float:
@@ -116,7 +137,7 @@ def greens_free_between(x: float, xp: float, K: float, a: float) -> float:
     """
     K = _check_momentum(K)
     a = _check_length(a, "plate separation")
-    hi, lo = (x, xp) if x >= xp else (xp, x)
+    lo, hi = map(float, _ordered(x, xp))
     if lo < 0.0 or hi > a:
         raise DomainError(f"points must satisfy 0 <= x, x' <= {a}, got {x!r}, {xp!r}")
     # sinh sinh / sinh rewritten with negative exponentials only:
@@ -131,7 +152,7 @@ def greens_free_above(x: float, xp: float, K: float, a: float) -> float:
     """Flat background above a single Dirichlet plate at a; decay at infinity."""
     K = _check_momentum(K)
     a = _check_length(a, "plate height")
-    lo, hi = (x, xp) if x <= xp else (xp, x)
+    lo, hi = map(float, _ordered(x, xp))
     if lo < a:
         raise DomainError(f"both points must lie at or above the plate {a!r}")
     # e^{-K(x' - a)} sinh(K (x - a)) / K with x the inner point, stabilized:

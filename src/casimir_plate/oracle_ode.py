@@ -12,11 +12,12 @@ to reproduce the stress integrands.  Agreement with the closed forms is
 the package's primary correctness evidence, so this module deliberately
 shares nothing with them except the quadrature.
 
-Delta source discretization: the source enters as a density of unit
-integral, 1/h at the node nearest x' for the order-2 stencil, spread with
-weights (1, 10, 1)/12 over the neighbors for the order-4 (Numerov) one.
-docs/numerics.md derives both along with the plate-derivative extraction
-used by integrand_from_fd.
+The operator is discretized with Numerov weighting, and the delta source
+enters as a density of unit integral spread with weights (1, 10, 1)/12
+over the node nearest x' and its neighbors.  Both sides of the plate go
+through one plate-first extraction (_plate_integrand), which
+verify.integrand_from_greens also uses on closed-form samples.
+docs/numerics.md section 6 derives the discretization and the extraction.
 
 Flat-background convention: when cfg.b == 0 (used only by the eta = 0
 cross-checks) kappa is read as the physical momentum K and the integrand
@@ -52,7 +53,6 @@ class GridSpec:
     x_lo: float
     x_hi: float
     n: int = 4001
-    stencil: int = 2
 
     def __post_init__(self):
         if not (math.isfinite(self.x_lo) and math.isfinite(self.x_hi)):
@@ -61,8 +61,6 @@ class GridSpec:
             raise DomainError(f"need x_lo < x_hi, got [{self.x_lo!r}, {self.x_hi!r}]")
         if int(self.n) < 1000:
             raise DomainError(f"grid needs at least 1000 points, got {self.n!r}")
-        if self.stencil not in (2, 4):
-            raise DomainError(f"stencil order must be 2 or 4, got {self.stencil!r}")
 
     @property
     def h(self) -> float:
@@ -79,7 +77,7 @@ def _q_values(xs: np.ndarray, kappa: float, cfg: PlateConfig) -> np.ndarray:
 
 
 def _solve_banded_bvp(
-    xs: np.ndarray, q: np.ndarray, sources: Sequence[int], plate: str, stencil: int
+    xs: np.ndarray, q: np.ndarray, sources: Sequence[int], plate: str
 ) -> np.ndarray:
     """Band solves of G'' - q G = -delta with plate at one edge, decay at the other.
 
@@ -94,7 +92,7 @@ def _solve_banded_bvp(
     e^{-2 integral sqrt(q)} across the pad, which the grid builders keep
     at ~e^{-28}.
 
-    The spread source dents the order-4 solution at the source node by
+    The spread source dents the Numerov solution at the source node by
     exactly -h/12 (the discrete Laplace kernel is piecewise linear in
     |j - m|, and the (1, 10, 1)/12 weights average |j - m| to 1/6 at the
     kink while leaving every other node exact), so that node is corrected
@@ -107,17 +105,12 @@ def _solve_banded_bvp(
     cols = np.arange(len(sources))
     src = np.asarray(sources)
     rhs = np.zeros((n, cols.size))
-    if stencil == 4:
-        c = 1.0 - (h * h / 12.0) * q
-        d = -2.0 * (1.0 + (5.0 * h * h / 12.0) * q)
-        w = -h / 12.0
-        rhs[src - 1, cols] += w
-        rhs[src, cols] += 10.0 * w
-        rhs[src + 1, cols] += w
-    else:
-        c = np.ones(n)
-        d = -(2.0 + h * h * q)
-        rhs[src, cols] = -h
+    c = 1.0 - (h * h / 12.0) * q
+    d = -2.0 * (1.0 + (5.0 * h * h / 12.0) * q)
+    w = -h / 12.0
+    rhs[src - 1, cols] += w
+    rhs[src, cols] += 10.0 * w
+    rhs[src + 1, cols] += w
     ab = np.zeros((3, n))
     ab[0, 1:] = c[1:]
     ab[1, :] = d
@@ -139,8 +132,7 @@ def _solve_banded_bvp(
         ab[1, 0] = -(2.0 + 2.0 * h * s + h * h * q[0])
         rhs[0] = 0.0
     g = solve_banded((1, 1), ab, rhs)
-    if stencil == 4:
-        g[src, cols] += h / 12.0
+    g[src, cols] += h / 12.0
     return g
 
 
@@ -159,8 +151,17 @@ def _common_checks(kappa: float, cfg: PlateConfig) -> float:
     return kappa
 
 
-def _refined(grid: GridSpec) -> GridSpec:
-    return GridSpec(grid.x_lo, grid.x_hi, 2 * grid.n - 1, grid.stencil)
+def _plate_side(side: str) -> tuple[str, float]:
+    """(grid edge at the plate, direction away from it) for 'above' or 'below'."""
+    if side == "above":
+        return "lo", 1.0
+    if side == "below":
+        return "hi", -1.0
+    raise DomainError(f"side must be 'above' or 'below', got {side!r}")
+
+
+def _q_plate(kappa: float, cfg: PlateConfig) -> float:
+    return _momentum_factor(cfg) * kappa * kappa + cfg.b * cfg.a
 
 
 def _grid_values(kappa: float, cfg: PlateConfig, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -183,16 +184,21 @@ def _source_index(xp: float, grid: GridSpec) -> int:
     return j
 
 
-def _solve_region(
-    kappa: float, cfg: PlateConfig, xp: float, grid: GridSpec, plate: str, check: bool
+def _solve_bvp(
+    kappa: float, cfg: PlateConfig, xp: float, grid: GridSpec, check: bool, plate: str
 ) -> tuple[np.ndarray, np.ndarray]:
+    kappa = _common_checks(kappa, cfg)
+    edge, verb = (grid.x_lo, "start") if plate == "lo" else (grid.x_hi, "end")
+    if abs(edge - cfg.a) > 1e-12 * max(1.0, abs(cfg.a)):
+        raise DomainError(f"grid must {verb} at the plate x = {cfg.a!r}")
+    if not grid.x_lo < xp < grid.x_hi:
+        raise DomainError(f"source must lie inside the grid, got {xp!r}")
     xs, q = _grid_values(kappa, cfg, grid)
     j = _source_index(xp, grid)
-    g = _solve_banded_bvp(xs, q, [j], plate, grid.stencil)[:, 0]
+    g = _solve_banded_bvp(xs, q, [j], plate)[:, 0]
     if check:
-        fine = _refined(grid)
-        xs2 = np.linspace(fine.x_lo, fine.x_hi, fine.n)
-        g2 = _solve_banded_bvp(xs2, _q_values(xs2, kappa, cfg), [2 * j], plate, fine.stencil)[:, 0]
+        xs2 = np.linspace(grid.x_lo, grid.x_hi, 2 * grid.n - 1)
+        g2 = _solve_banded_bvp(xs2, _q_values(xs2, kappa, cfg), [2 * j], plate)[:, 0]
         scale = float(np.max(np.abs(g))) or 1.0
         gap = float(np.max(np.abs(g - g2[::2]))) / scale
         if gap > 1e-5:
@@ -212,12 +218,7 @@ def solve_bvp_above(
     node.  check=True re-solves on a doubled grid and raises
     ResolutionError if common nodes disagree beyond 1e-5 of the peak.
     """
-    kappa = _common_checks(kappa, cfg)
-    if abs(grid.x_lo - cfg.a) > 1e-12 * max(1.0, abs(cfg.a)):
-        raise DomainError(f"grid must start at the plate x = {cfg.a!r}")
-    if not grid.x_lo < xp < grid.x_hi:
-        raise DomainError(f"source must lie inside the grid, got {xp!r}")
-    return _solve_region(kappa, cfg, xp, grid, "lo", check)
+    return _solve_bvp(kappa, cfg, xp, grid, check, "lo")
 
 
 def solve_bvp_full(
@@ -225,28 +226,40 @@ def solve_bvp_full(
 ) -> tuple[np.ndarray, np.ndarray]:
     """G(x, xp) below the plate on [-X, a]: Dirichlet at a, decay toward -infinity.
 
-    The potential kink at x = 0 needs no special treatment: the stencil
-    just sees V = b |x| pointwise.
+    The grid must end at the plate; otherwise as solve_bvp_above.  The
+    potential kink at x = 0 needs no special treatment: the Numerov rows
+    just see V = b |x| pointwise.
     """
-    kappa = _common_checks(kappa, cfg)
-    if abs(grid.x_hi - cfg.a) > 1e-12 * max(1.0, abs(cfg.a)):
-        raise DomainError(f"grid must end at the plate x = {cfg.a!r}")
-    if not grid.x_lo < xp < grid.x_hi:
-        raise DomainError(f"source must lie inside the grid, got {xp!r}")
-    return _solve_region(kappa, cfg, xp, grid, "hi", check)
+    return _solve_bvp(kappa, cfg, xp, grid, check, "hi")
 
 
 # ---------------------------------------------------------------------------
 # Stress integrands by pure finite differences.
 
 
-def _edge_slope_lo(g: np.ndarray, h: float) -> float:
+def _edge_slope_lo(g: Sequence[float], h: float) -> float:
     # 5-point one-sided first derivative at the left edge, O(h^4)
     return (-25.0 * g[0] + 48.0 * g[1] - 36.0 * g[2] + 16.0 * g[3] - 3.0 * g[4]) / (12.0 * h)
 
 
-def _edge_slope_hi(g: np.ndarray, h: float) -> float:
-    return (25.0 * g[-1] - 48.0 * g[-2] + 36.0 * g[-3] - 16.0 * g[-4] + 3.0 * g[-5]) / (12.0 * h)
+def _plate_integrand(
+    g: np.ndarray, h: float, e: Sequence[float], kappa: float, cfg: PlateConfig
+) -> float:
+    """Stress integrand from G sampled plate-first, with sources e = (eps, 2 eps) away.
+
+    Row k of g is k steps h from the plate toward the sources, one column
+    per source.  In the distance s from the plate, the slope of G there is
+    the exact ratio r = w(eps)/w(0) of the solution w that decays away from
+    the plate, and t = (r - 1)/eps - eps q(a)/2 = w'/w + O(eps^2) (w'' = q w
+    fixes the linear term); one Richardson step over (eps, 2 eps) removes
+    the quadratic one, and the result is divided by b^{1/3} (by 1 when b = 0).
+    """
+    q_plate = _q_plate(kappa, cfg)
+    # two columns: plain floats are cheaper than numpy's 2-element arithmetic
+    t1, t2 = [(_edge_slope_lo(col, h) - 1.0) / d - 0.5 * d * q_plate
+              for col, d in zip(g[:5].T.tolist(), e)]
+    bcube = cfg.b ** (1.0 / 3.0) if cfg.b > 0.0 else 1.0
+    return float((4.0 * t1 - t2) / 3.0 / bcube)
 
 
 def integrand_from_fd(
@@ -254,26 +267,14 @@ def integrand_from_fd(
 ) -> float:
     """Coincident-limit stress integrand at the plate, Airy-free route.
 
-    The plate derivative of G with the source eps away is an exact ratio of
-    the one-sided homogeneous solution w:
-
-        d_x G(a, a + eps) = + w(a + eps)/w(a)      (above)
-        d_x G(a, a - eps) = - u(a - eps)/u(a)      (below)
-
-    so the slope ratio w'(a)/w(a) is recovered from the expansion
-    (ratio - 1)/eps = w'/w + eps q(a)/2 + O(eps^2): the linear coefficient
-    is known exactly (w'' = q w with w(a) = plate value), gets subtracted
-    analytically, and one Richardson step over (eps, 2 eps) removes the
-    quadratic term.  The result is divided by b^{1/3} to match the
-    dimensionless integrands (divided by 1 when b = 0).
-
-    eps is snapped to a whole number of grid cells; it must be resolved by
-    at least 4 of them.  The two probes differ only in where the source
-    sits, so one band solve with a source column each serves both.
+    One band solve takes a source column at eps and one at 2 eps from the
+    plate (the probes differ only in where the source sits); the columns,
+    turned plate-first on the below side, go to _plate_integrand.  eps is
+    snapped to a whole number of grid cells; it must be resolved by at
+    least 4 of them.
     """
     kappa = _common_checks(kappa, cfg)
-    if side not in ("above", "below"):
-        raise DomainError(f"side must be 'above' or 'below', got {side!r}")
+    plate, away = _plate_side(side)
     h = grid.h
     j = int(round(float(eps) / h))
     if j < 4:
@@ -282,25 +283,11 @@ def integrand_from_fd(
         )
     if 2 * j > grid.n - 6:
         raise ResolutionError("grid too short for the 2*eps solve")
-    q_plate = _momentum_factor(cfg) * kappa * kappa + cfg.b * cfg.a
-    bcube = cfg.b ** (1.0 / 3.0) if cfg.b > 0.0 else 1.0
-
     xs, q = _grid_values(kappa, cfg, grid)
-    dists = (j * h, 2 * j * h)
-    if side == "above":
-        sources = [_source_index(grid.x_lo + d, grid) for d in dists]
-        g = _solve_banded_bvp(xs, q, sources, "lo", grid.stencil)
-        ratios = [_edge_slope_lo(g[:, k], h) for k in (0, 1)]
-        s1, s2 = [(r - 1.0) / d - 0.5 * d * q_plate for r, d in zip(ratios, dists)]
-    else:
-        sources = [_source_index(grid.x_hi - d, grid) for d in dists]
-        g = _solve_banded_bvp(xs, q, sources, "hi", grid.stencil)
-        ratios = [-_edge_slope_hi(g[:, k], h) for k in (0, 1)]  # u(a - eps)/u(a)
-        s1, s2 = [(1.0 - r) / d + 0.5 * d * q_plate for r, d in zip(ratios, dists)]
-    s_ext = (4.0 * s1 - s2) / 3.0
-    if side == "above":
-        return s_ext / bcube
-    return -s_ext / bcube
+    e = (j * h, 2 * j * h)
+    edge = grid.x_lo if plate == "lo" else grid.x_hi
+    g = _solve_banded_bvp(xs, q, [_source_index(edge + away * d, grid) for d in e], plate)
+    return _plate_integrand(g if plate == "lo" else g[::-1], h, e, kappa, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +301,6 @@ def _inv_efold(target: float, q0: float, b: float) -> float:
 
 _NODES_PER_EPS = 16  # grid cells across eps
 _EFOLDS = 14.0  # decay lengths of padding at the open end
-_STENCIL = 4
 
 
 def fd_setup(kappa: float, cfg: PlateConfig, side: str) -> tuple[GridSpec, float]:
@@ -325,32 +311,27 @@ def fd_setup(kappa: float, cfg: PlateConfig, side: str) -> tuple[GridSpec, float
     open end with ~_EFOLDS decay lengths so the truncation is invisible.
     """
     kappa = _common_checks(kappa, cfg)
-    if side not in ("above", "below"):
-        raise DomainError(f"side must be 'above' or 'below', got {side!r}")
-    q_plate = _momentum_factor(cfg) * kappa * kappa + cfg.b * cfg.a
+    plate, _ = _plate_side(side)
+    q_plate = _q_plate(kappa, cfg)
     eps = 0.025 / math.sqrt(q_plate)
     h = eps / _NODES_PER_EPS
     if cfg.b == 0.0:
         pad = _EFOLDS / math.sqrt(q_plate)
-        span = pad if side == "above" else cfg.a + pad
+        span = pad if plate == "lo" else cfg.a + pad
+    elif plate == "lo":
+        # e-folds accumulated above the plate
+        span = _inv_efold(_EFOLDS, q_plate, cfg.b)
     else:
+        # e-folds from the far side up to the plate; the stretch (0, a)
+        # already contributes f_a of them
         ks2 = _momentum_factor(cfg) * kappa * kappa
-        if side == "above":
-            # e-folds accumulated above the plate
-            span = _inv_efold(_EFOLDS, q_plate, cfg.b)
-        else:
-            # e-folds from the far side up to the plate; the stretch (0, a)
-            # already contributes f_a of them
-            f_a = ((ks2 + cfg.b * cfg.a) ** 1.5 - ks2**1.5) / (1.5 * cfg.b)
-            need = max(_EFOLDS - f_a, 1.0)
-            span = cfg.a + _inv_efold(need, ks2, cfg.b)
+        f_a = ((ks2 + cfg.b * cfg.a) ** 1.5 - ks2**1.5) / (1.5 * cfg.b)
+        span = cfg.a + _inv_efold(max(_EFOLDS - f_a, 1.0), ks2, cfg.b)
     span = max(span, 8.0 * eps)
     n = max(int(math.ceil(span / h)) + 1, 1000)
-    if side == "above":
-        grid = GridSpec(cfg.a, cfg.a + (n - 1) * h, n, _STENCIL)
-    else:
-        grid = GridSpec(cfg.a - (n - 1) * h, cfg.a, n, _STENCIL)
-    return grid, eps
+    if plate == "lo":
+        return GridSpec(cfg.a, cfg.a + (n - 1) * h, n), eps
+    return GridSpec(cfg.a - (n - 1) * h, cfg.a, n), eps
 
 
 def force_from_fd(

@@ -66,31 +66,22 @@ def _rel(x: float, ref: float) -> float:
 def integrand_from_greens(kappa: float, cfg: gr.PlateConfig, side: str) -> float:
     """Coincident-limit stress integrand rebuilt from the closed-form G.
 
-    Same extraction recipe as oracle_ode.integrand_from_fd (plate derivative
-    with the source eps away, analytic removal of the linear eps term, one
-    Richardson step), but with G sampled from greens_linear_above/below
+    The extraction of oracle_ode.integrand_from_fd (plate derivative with
+    the source eps and 2 eps away, analytic removal of the linear eps term,
+    one Richardson step), but with G sampled from greens_linear_above/below
     instead of a band solve.  integrand_below is above + net, so agreement
     with integrand_above/below tests the production net formula against
     the Green's functions, with no shared algebra beyond the Airy engine.
     """
-    if side not in ("above", "below"):
-        raise DomainError(f"side must be 'above' or 'below', got {side!r}")
-    kfac = cfg.b ** (2.0 / 3.0)
-    q_plate = kfac * kappa * kappa + cfg.b * cfg.a
-    bcube = cfg.b ** (1.0 / 3.0)
-    sgn = 1.0 if side == "above" else -1.0
-    greens = gr.greens_linear_above if side == "above" else gr.greens_linear_below
-    # sources eps and 2 eps from the plate; one greens call serves the
-    # 5-point one-sided plate derivative of both, in steps of eps/8 toward the source
-    eps = 0.003 / math.sqrt(q_plate)
+    _, away = oo._plate_side(side)
+    greens = gr.greens_linear_above if away > 0.0 else gr.greens_linear_below
+    # one greens call serves the 5-point plate derivative of both sources,
+    # sampled plate-first in steps of eps/8 toward them
+    eps = 0.003 / math.sqrt(oo._q_plate(kappa, cfg))
     e = np.array([eps, 2.0 * eps])
-    d = sgn * eps / 8.0
-    g = greens(cfg.a + np.arange(5.0)[:, None] * d, cfg.a + sgn * e, kappa, cfg)
-    r = sgn * oo._edge_slope_lo(g, d)  # below, u(a - e)/u(a)
-    # the integrand is s_ext/b^{1/3} above, from s = (r - 1)/e - e q/2, and
-    # -s_ext/b^{1/3} below, from s = (1 - r)/e + e q/2 = -t: one t serves both
-    t = (r - 1.0) / e - 0.5 * e * q_plate
-    return float((4.0 * t[0] - t[1]) / 3.0 / bcube)
+    h = eps / 8.0
+    g = greens(cfg.a + np.arange(5.0)[:, None] * (away * h), cfg.a + away * e, kappa, cfg)
+    return oo._plate_integrand(g, h, e, kappa, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +212,7 @@ def _flat_limit_reduction() -> float:
 
 def _fd_oracle_spot_above() -> float:
     # one spot of the finite-difference equivalence (full grid in the tests)
-    grid = oo.GridSpec(1.0, 1.0 + 8.0, 8001, stencil=4)
+    grid = oo.GridSpec(1.0, 1.0 + 8.0, 8001)
     xp = 1.0 + 400 * grid.h
     xs, g = oo.solve_bvp_above(1.0, _CFG1, xp, grid)
     j = np.array([100, 250, 400, 650, 1200])

@@ -88,12 +88,12 @@ def test_criterion_3_greens_match_fd_oracle(capsys):
     for eta in (0.5, 5.0):
         cfg = PlateConfig.from_eta(eta)
         for kappa in (0.3, 1.0, 3.0):
-            grid = GridSpec(1.0, 9.0, 8001, stencil=4)
+            grid = GridSpec(1.0, 9.0, 8001)
             xp = 1.0 + 900 * grid.h
             xs, g = solve_bvp_above(kappa, cfg, xp, grid)
             j = np.array([150, 400, 700, 1400, 2500])
             worst = max(worst, *map(rel, g[j], greens_linear_above(xs[j], xp, kappa, cfg)))
-            grid = GridSpec(-9.0, 1.0, 10001, stencil=4)
+            grid = GridSpec(-9.0, 1.0, 10001)
             xp = 1.0 - 900 * grid.h
             xs, g = solve_bvp_full(kappa, cfg, xp, grid)
             j = 10001 - np.array([151, 401, 701, 1401, 2501])

@@ -56,6 +56,13 @@ class TestExact:
         rc, _ = run_cli(["exact", "--eta", "1", "--a", "1", "--b", "1"], capsys)
         assert rc == 2
 
+    @pytest.mark.parametrize("a", ["1e-110", "1e110"])
+    def test_height_whose_cube_leaves_the_float_range_is_usage_error(self, capsys, a):
+        rc = cli.main(["exact", "--a", a, "--b", "1", "--json"])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert f"plate height a = {float(a)!r}" in captured.err
+
     def test_one_of_eta_or_geometry_required(self, capsys):
         rc, _ = run_cli(["exact"], capsys)
         assert rc == 2

@@ -8,12 +8,15 @@ exactly, and a failing input keeps its error type and message prefix.
 The force_classic and force_perturbative values date from the per-node
 scalar integrand, and the force_from_fd values from the time each FD
 probe (eps and 2 eps) had a band solve of its own; later changes have
-not moved any of them.
+not moved any of them.  The one-sample FD and Green's-function integrands
+date from the time each side had an extraction formula of its own, and
+the FD oracle an order-2 stencil beside Numerov.
 """
 
 import pytest
 
 from casimir_plate import (
+    PlateConfig,
     QuadratureSpec,
     force_classic,
     force_exact,
@@ -21,6 +24,8 @@ from casimir_plate import (
     force_perturbative,
 )
 from casimir_plate.errors import ToleranceError
+from casimir_plate.oracle_ode import fd_setup, integrand_from_fd
+from casimir_plate.verify import integrand_from_greens
 
 # (eta, rel_tol, pinned kappa_max): (f_eta, err_est, kappa_max, n_evals)
 FORCE = {
@@ -86,3 +91,41 @@ FORCE_FD = {
 @pytest.mark.parametrize("eta", list(FORCE_FD))
 def test_force_from_fd_bits(eta):
     assert force_from_fd(eta).hex() == FORCE_FD[eta]
+
+
+# (kappa, eta, side): integrand_from_fd on fd_setup's grid; eta = 0 is the
+# flat background (PlateConfig(a=1, b=0)), where kappa is the momentum
+INTEGRAND_FD = {
+    (0.0, 1.0, "above"): "-0x1.2d235ca470aaap+0",
+    (0.0, 1.0, "below"): "-0x1.8b64f3bd739fcp-1",
+    (1.5, 0.5, "above"): "-0x1.d1ad277f0ba62p+0",
+    (1.5, 0.5, "below"): "-0x1.ab0c999c3047ap+0",
+    (0.7, 0.0, "above"): "-0x1.66667a7cd220bp-1",
+    (0.7, 0.0, "below"): "-0x1.66667a7ca3353p-1",
+}
+
+# (kappa, eta, side): verify.integrand_from_greens
+INTEGRAND_GREENS = {
+    (0.0, 1.0, "above"): "-0x1.2d236fafe2503p+0",
+    (0.0, 1.0, "below"): "-0x1.8b64af5a400cbp-1",
+    (1.5, 0.5, "above"): "-0x1.d1ad18236381ep+0",
+    (1.5, 0.5, "below"): "-0x1.ab0c77d5aa98fp+0",
+}
+
+
+def _cfg(eta):
+    return PlateConfig.from_eta(eta) if eta > 0.0 else PlateConfig(a=1.0, b=0.0)
+
+
+@pytest.mark.parametrize("case", list(INTEGRAND_FD), ids=[repr(c) for c in INTEGRAND_FD])
+def test_integrand_from_fd_bits(case):
+    kappa, eta, side = case
+    cfg = _cfg(eta)
+    grid, eps = fd_setup(kappa, cfg, side)
+    assert integrand_from_fd(kappa, cfg, side, grid, eps).hex() == INTEGRAND_FD[case]
+
+
+@pytest.mark.parametrize("case", list(INTEGRAND_GREENS), ids=[repr(c) for c in INTEGRAND_GREENS])
+def test_integrand_from_greens_bits(case):
+    kappa, eta, side = case
+    assert integrand_from_greens(kappa, _cfg(eta), side).hex() == INTEGRAND_GREENS[case]

@@ -61,6 +61,28 @@ class TestPlateConfig:
         with pytest.raises(DomainError, match="plate height a"):
             PlateConfig.from_eta(1.0, a=a)
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: PlateConfig(a=1e-110, b=1.0),  # a^3 underflows to 0
+            lambda: PlateConfig(a=1e110, b=1.0),  # a^3 overflows
+            lambda: PlateConfig(a=1e110, b=0.0),
+            lambda: PlateConfig(a=1e-100, b=1e-300),  # b a^3 underflows
+            lambda: PlateConfig(a=1e100, b=1e300),  # b a^3 overflows
+            lambda: PlateConfig.from_eta(1.0, a=1e-110),
+            lambda: PlateConfig.from_eta(1.0, a=1e110),
+            lambda: PlateConfig.from_eta(1e300, a=1e-10),  # eta / a^3 overflows
+            lambda: PlateConfig.from_eta(1e-300, a=1e10),  # eta / a^3 underflows
+        ],
+    )
+    def test_cube_outside_the_float_range_names_a(self, make):
+        with pytest.raises(DomainError, match="plate height a = "):
+            make()
+
+    def test_extreme_heights_inside_the_float_range_still_build(self):
+        assert PlateConfig(a=1e-100, b=1.0).eta == 1e-100**3
+        assert PlateConfig.from_eta(0.0, a=1e100).b == 0.0
+
 
 class TestFlatBackgroundKernels:
     def test_between_pinned_value(self):
@@ -80,6 +102,13 @@ class TestFlatBackgroundKernels:
         assert greens_free_between(0.7, 2.0, 1.0, 2.0) == 0.0
         assert greens_free_above(3.1, 2.0, 1.0, 2.0) == 0.0
         assert greens_free_above(2.0, 3.1, 1.0, 2.0) == 0.0
+
+    @pytest.mark.parametrize("x, xp", [(math.nan, 0.5), (0.5, math.nan), (math.inf, 0.5)])
+    def test_non_finite_points_are_named(self, x, xp):
+        with pytest.raises(DomainError, match="points must be finite"):
+            greens_free_between(x, xp, 1.0, 2.0)
+        with pytest.raises(DomainError, match="points must be finite"):
+            greens_free_above(x + 2.0, xp + 2.0, 1.0, 1.0)
 
     def test_symmetry(self):
         for x, xp in ((0.3, 1.2), (0.5, 1.9), (1.0, 0.1)):
@@ -177,7 +206,7 @@ class TestLinearBackgroundBelow:
 
     def test_fd_oracle_spot(self):
         cfg = PlateConfig.from_eta(0.5)
-        grid = oracle_ode.GridSpec(-9.0, 1.0, 10001, stencil=4)
+        grid = oracle_ode.GridSpec(-9.0, 1.0, 10001)
         xp = 1.0 - 900 * grid.h
         xs, g = oracle_ode.solve_bvp_full(0.5, cfg, xp, grid)
         j = np.array([7500, 8500, 9200, 9600, 9900])
