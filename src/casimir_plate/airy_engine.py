@@ -21,17 +21,20 @@ arguments: a Taylor table serves the elements below ``Z_SWITCH`` and an
 in-house asymptotic series serves the rest, each as array operations.
 The table holds, at the nodes j/8 of [0, Z_SWITCH], 16 Taylor coefficients
 of each scaled function, which follow from the value and slope at the
-node because Ai and Bi solve w'' = z w; it is built once per process from
-one scipy ``airye`` call, which is all scipy does for the evaluator.  An
-argument takes its nearest node, so its error is the node's seed error
-(``airye``'s own) plus a few ulp.  The asymptotic series of the scaled
-functions is accurate to machine precision from roughly z = 20 upward, so
-the two regimes overlap over a wide band and their agreement across that
-band is asserted in the test suite (scipy's evaluator itself degrades to
-NaN near z ~ 1e6, while the force integrals need arguments up to ~1e20).
-Each element gets the same bits it would get alone, so batching never
-changes a result; ``airy_eval`` is the one-argument view of the same
-evaluator.  The two exponent-free
+node because Ai and Bi solve w'' = z w.  Those seeds are marched along
+the same equation once per process, each solution in its stable
+direction: Bi up from its closed forms at 0, Ai down from the series at
+``Z_SWITCH``, and Ai is then rescaled at every node to the Wronskian.
+Every seed is within 8 ulp of 40-digit mpmath, and the errors of
+neighbouring nodes follow one another, so differences across a cell edge
+keep them small.  No library Airy function is called on this path, and
+importing the module loads no scipy.  The asymptotic series of
+the scaled functions is accurate to machine precision from roughly z = 20
+upward, so the two regimes overlap over a wide band and their agreement
+across that band is asserted in the test suite (the force integrals need
+arguments up to ~1e20).  Each element gets the same bits it would get
+alone, so batching never changes a result; ``airy_eval`` is the
+one-argument view of the same evaluator.  The two exponent-free
 combinations the force kernel needs, -(Ai Bi)'/(Ai Bi) and Ai' Bi + Ai Bi',
 are differences of nearly equal products at large z; above ``Z_SWITCH``
 they come from Cauchy products of the same series.  ``_net_terms`` is the
@@ -45,13 +48,12 @@ net needs.  Its scaled values carry the bits ``airy_scaled`` gives.
 independent of both evaluators: adaptive high-order integration of
 w'' = t w seeded with closed-form values at t = 0 (for Bi) and with
 scipy's ``airye`` at t = 50 (for Ai, marched downward; the upward
-direction is exponentially unstable for the decaying solution); besides
-the table's seeds, that is scipy's only Airy call.  The first
-oracle call imports ``scipy.integrate``, computes the Ai seed and
-integrates both trajectories over the whole range with dense output; they
-are kept for the life of the process and every call evaluates them at its
-argument.  The production path (one ``_net_terms`` call per quadrature
-step) never pays for any of it.
+direction is exponentially unstable for the decaying solution).  The
+first oracle call imports ``solve_ivp`` and ``airye``, computes the Ai
+seed and integrates both trajectories over the whole range with dense
+output; they are kept for the life of the process and every call
+evaluates them at its argument.  The production path (one
+``_net_terms`` call per quadrature step) never pays for any of it.
 """
 
 from __future__ import annotations
@@ -61,7 +63,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import airye as _scipy_airye
 
 from .errors import DomainError, OracleError
 
@@ -255,19 +256,82 @@ _NODE_STEP = 0.125
 _ORDERS = 16  # orders 0..15: at z = 40, |d| = 1/16, the last term is below 1e-18 of the sum
 # the rescale's exponents per (3/2) gap: e^{+gap} for ai_s, aip_s, e^{-gap} for bi_s, bip_s
 _GAP_SIGNS = (2.0 / 3.0) * np.array([1.0, 1.0, -1.0, -1.0])
+# orders 0..19 per march step of 1/8; 18 left Bi up to 11 u from mpmath, 19
+# and more give the same seeds
+_MARCH_ORDERS = 20
+
+
+def _march() -> np.ndarray:
+    """Scaled (ai_s, aip_s, bi_s, bip_s) at the nodes j/8 of [0, Z_SWITCH], shape (4, n).
+
+    Each solution is carried node to node in its stable direction: Bi up
+    from the closed forms at 0, Ai down from the asymptotic series at
+    Z_SWITCH (DLMF 9.7).  A step of +-1/8 sums the Taylor series about the
+    node, coefficients from (n+2)(n+1) c_{n+2} = z_j c_n + c_{n-1}, in
+    Horner form for the value and the slope, and multiplies both by
+    e^{-gap}, gap = zeta(z_{j+1}) - zeta(z_j) formed without cancellation
+    and divided by the exact 3/2 (multiplying by a rounded 2/3 biases
+    every step the same way).  Ai lands on AI_ZERO and AIP_ZERO, and Bi
+    on the series at Z_SWITCH, within 10 u and 6.5 u (u the double epsilon).
+    """
+    zs = [j * _NODE_STEP for j in range(int(Z_SWITCH / _NODE_STEP) + 1)]
+    hi, lo = np.array(zs[1:]), np.array(zs[:-1])
+    gap = _NODE_STEP * (hi * hi + hi * lo + lo * lo) / (hi * np.sqrt(hi) + lo * np.sqrt(lo)) / 1.5
+    shrink = np.exp(-gap).tolist()  # cell j: [z_j, z_{j+1}]
+    div = [float((n + 2) * (n + 1)) for n in range(_MARCH_ORDERS - 2)]
+    ks = range(_MARCH_ORDERS - 1, 0, -1)
+
+    def step(z: float, w: float, p: float, h: float, e: float) -> tuple[float, float]:
+        c = [w, p, z * w / 2.0]
+        for n in range(1, _MARCH_ORDERS - 2):
+            c.append((z * c[n] + c[n - 1]) / div[n])
+        v = s = 0.0
+        for k in ks:
+            v = v * h + c[k]
+            s = s * h + k * c[k]
+        return (v * h + w) * e, s * e
+
+    n = len(zs)
+    out = np.empty((4, n))
+    w, p = BI_ZERO, BIP_ZERO
+    out[2:, 0] = w, p
+    for j in range(n - 1):
+        w, p = step(zs[j], w, p, _NODE_STEP, shrink[j])
+        out[2:, j + 1] = w, p
+    w, p = _asymptotic_scaled(np.array([Z_SWITCH]))[:2, 0].tolist()
+    out[:2, -1] = w, p
+    for j in range(n - 1, 0, -1):
+        w, p = step(zs[j], w, p, -_NODE_STEP, shrink[j - 1])
+        out[:2, j - 1] = w, p
+    return out
+
+
+def _seeds() -> np.ndarray:
+    """The table's seeds: the march, with Ai rescaled to the Wronskian at every node.
+
+    Bi starts from its closed forms, and ai_s bip_s - aip_s bi_s = 1/pi
+    (DLMF 9.2.7) then fixes the scale of Ai, whose march error is mostly
+    one common factor of value and slope (5.5-15 u in the Wronskian).
+    Left in, that bias has one sign over the whole table and does not
+    average out of the force integral at small eps.
+    """
+    ai, aip, bi, bip = out = _march()
+    wronskian = math.pi * (ai * bip - aip * bi)
+    out[:2] /= wronskian
+    return out
 
 
 @functools.cache
 def _taylor_table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(coefficients, z_j, sqrt(z_j)) on the nodes j/8 of [0, Z_SWITCH], built once.
 
-    One scipy ``airye`` call seeds every node.  coefficients[j, r, k] is
-    the coefficient of d^k about node j in row r of (ai_s, aip_s, bi_s,
+    _seeds gives every node's values.  coefficients[j, r, k] is the
+    coefficient of d^k about node j in row r of (ai_s, aip_s, bi_s,
     bip_s).  sqrt(z_j) is the smallest subnormal at node 0 instead of 0,
     so the gap's denominator never vanishes; z = 0 gets gap 0 exactly.
     """
-    zj = np.arange(int(Z_SWITCH / _NODE_STEP) + 1) * _NODE_STEP
-    ai, aip, bi, bip = _scipy_airye(zj)
+    ai, aip, bi, bip = _seeds()
+    zj = np.arange(ai.size) * _NODE_STEP
     c = np.empty((_ORDERS + 1, 2, zj.size))  # Taylor coefficients of the Ai and Bi solutions
     c[0], c[1] = (ai, bi), (aip, bip)
     c[2] = zj * c[0] / 2.0
@@ -455,9 +519,10 @@ def _trajectories():
     raises and leaves nothing cached, so the next call tries again.
     """
     from scipy.integrate import solve_ivp  # oracle only; kept off the import path
+    from scipy.special import airye  # a seed from outside the package
 
     e = math.exp(-zeta_of(_ODE_MAX))
-    seed = tuple(float(v) * e for v in _scipy_airye(_ODE_MAX)[:2])
+    seed = tuple(float(v) * e for v in airye(_ODE_MAX)[:2])
     sols = []
     for t0, y0, t1 in ((0.0, (BI_ZERO, BIP_ZERO), _ODE_MAX), (_ODE_MAX, seed, 0.0)):
         sol = solve_ivp(

@@ -27,6 +27,7 @@ normalization divides by 1 instead of b^{1/3}.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -59,7 +60,11 @@ class GridSpec:
             raise DomainError("grid bounds must be finite")
         if not self.x_lo < self.x_hi:
             raise DomainError(f"need x_lo < x_hi, got [{self.x_lo!r}, {self.x_hi!r}]")
-        if int(self.n) < 1000:
+        try:
+            operator.index(self.n)
+        except TypeError:
+            raise DomainError(f"grid size n must be an integer, got {self.n!r}") from None
+        if self.n < 1000:
             raise DomainError(f"grid needs at least 1000 points, got {self.n!r}")
 
     @property

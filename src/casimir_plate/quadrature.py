@@ -76,7 +76,7 @@ _WG = (
 
 # change it whenever a force result moves, n_evals included, so that cached
 # curve rows are recomputed rather than served stale
-_KERNEL = "wronskian-split+halves+taylor"
+_KERNEL = "wronskian-split+halves+taylor-march"
 
 
 @dataclass(frozen=True)

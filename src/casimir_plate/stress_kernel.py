@@ -224,12 +224,12 @@ def tail_mismatch(kappa_max: float, eta: float) -> tuple[bool, float]:
 
 
 # Relative rounding error of the integrated kernel, in units of the double
-# epsilon u, calibrated against mpmath (docs/numerics.md section 3): about
-# _ROUND_LIB u while the Taylor table, which carries airye's error, serves
-# some z2 < Z_SWITCH, plus _ROUND_EPS u
+# epsilon u, calibrated against mpmath (docs/numerics.md section 3):
+# _ROUND_LIB u while the Taylor table serves some z2 < Z_SWITCH (at most
+# 68 u measured, 38 u beyond the quadrature's estimate), plus _ROUND_EPS u
 # divided by min(1, eps), eps = eta^{1/3}, from the cancellation between
 # the two terms of net at small eps.
-_ROUND_LIB = 1000.0
+_ROUND_LIB = 100.0
 _ROUND_EPS = 10.0
 # The |Kronrod - Gauss| estimate can undershoot the true quadrature error
 # (twice in scans of 8936 (eta, rel_tol) pairs, by up to 6.2x); force_exact

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import airye
 
 from . import airy_engine as ae
 from . import greens as gr
@@ -102,13 +101,15 @@ def _ai_decreasing_bi_increasing() -> int:
 
 
 # 1/16 moves a grid of halves off the Taylor table's nodes j/8, onto cell
-# edges, where a node's own value (airye's bits) cannot answer for the table
+# edges, where a node's own value (its marched seed) cannot answer for the table
 _OFF_NODE = 1.0 / 16.0
 
 
 def _asymptotic_series_switch_band() -> float:
     # the series and the dispatching evaluator against the library, in a
     # band around the switch where both branches are accurate
+    from scipy.special import airye  # a library reference, kept off the import path
+
     band = np.linspace(ae.Z_SWITCH - 4.0, ae.Z_SWITCH + 4.0, 17) + _OFF_NODE
     lib = np.array(airye(band))
     return max(np.max(np.abs(own - lib) / np.abs(lib))
@@ -119,6 +120,8 @@ def _product_series_switch_band() -> float:
     # -(Ai Bi)'/(Ai Bi) and Ai' Bi + Ai Bi' from the product series against
     # the same quantities formed from the library's quadruple, whose own
     # cancellation (about 2 z^{3/2} ulp) sets the threshold
+    from scipy.special import airye  # a library reference, kept off the import path
+
     band = np.linspace(ae.Z_SWITCH - 4.0, ae.Z_SWITCH + 4.0, 17)
     ai, aip, bi, bip = airye(band)
     lib = (-(aip / ai + bip / bi), aip * bi + ai * bip)

@@ -114,13 +114,13 @@ class TestZeta:
 
 class TestArrayEvaluator:
     # float.hex of (ai_s, aip_s, bi_s, bip_s), one argument at a time: at
-    # the table nodes 0 and 1 airye's own bits, at 39.99 the Taylor table's
-    # (0.04-1.3 u from 40-digit mpmath; airye's 0.1-2.2 u), at and above
-    # Z_SWITCH the asymptotic series'
+    # the table nodes 0 and 1 the seeds (at 0 the closed forms; 0.3-1.5 u
+    # from 40-digit mpmath), at 39.99 the Taylor table's (6.6-7.8 u), at
+    # and above Z_SWITCH the asymptotic series'
     SCALAR = {
-        0.0: ("0x1.6b8c7962715b8p-2", "-0x1.0907f42b70f8bp-2", "0x1.3ad7a9b4a3ea9p-1", "0x1.cb0c1a680c8a1p-2"),
-        1.0: ("0x1.0dd68558fd413p-2", "-0x1.3d6a94e267aa1p-2", "0x1.3d65192816c26p-1", "0x1.ea37d289a30ecp-2"),
-        39.99: ("0x1.cb4abb10d37e5p-4", "-0x1.6b6a2f19934e5p-1", "0x1.cbaba2ccf5c7bp-3", "0x1.6afef181fec46p+0"),
+        0.0: ("0x1.6b8c7962715b9p-2", "-0x1.0907f42b70f8bp-2", "0x1.3ad7a9b4a3ea9p-1", "0x1.cb0c1a680c8a0p-2"),
+        1.0: ("0x1.0dd68558fd413p-2", "-0x1.3d6a94e267aa2p-2", "0x1.3d65192816c24p-1", "0x1.ea37d289a30ebp-2"),
+        39.99: ("0x1.cb4abb10d37f1p-4", "-0x1.6b6a2f19934efp-1", "0x1.cbaba2ccf5c6fp-3", "0x1.6afef181fec3ep+0"),
         40.0: ("0x1.cb4366404dfddp-4", "-0x1.6b6ffac2638c6p-1", "0x1.cba4432224211p-3", "0x1.6b04c5bf1bbb8p+0"),
         41.0: ("0x1.c871968ee45f4p-4", "-0x1.6dae27b38abffp-1", "0x1.c8ce5ab45e6f1p-3", "0x1.6d4634e39ed84p+0"),
         1e3: ("0x1.9af1e419aaad6p-5", "-0x1.961a9194c7ed1p+0", "0x1.9af29587658a0p-4", "0x1.96199c1bfa48ap+1"),
@@ -177,7 +177,7 @@ class TestArrayEvaluator:
 
 
 def _seeded_mp(z, seed, zj):
-    """Scaled rows at z of the exact solutions through airye's values at node zj, in mpmath.
+    """Scaled rows at z of the exact solutions through the seeds at node zj, in mpmath.
 
     The Taylor series of each solution about zj, summed to 30 orders, and
     the exact e^{+-(zeta(z) - zeta(zj))}: what the table would return with
@@ -196,39 +196,88 @@ def _seeded_mp(z, seed, zj):
     return [rows[0] * e, rows[1] * e, rows[2] / e, rows[3] / e]
 
 
+def _mp_scaled(z):
+    """(ai_s, aip_s, bi_s, bip_s) at z in mpmath, at the working precision."""
+    mp = pytest.importorskip("mpmath")
+    x = mp.mpf(z)
+    e = mp.exp(mp.mpf(2) / 3 * x**1.5)
+    return (mp.airyai(x) * e, mp.airyai(x, 1) * e, mp.airybi(x) / e, mp.airybi(x, 1) / e)
+
+
+U = 2.0**-52
+
+
+class TestMarch:
+    """The seeds of the Taylor table, carried node to node along w'' = z w."""
+
+    def test_downward_march_lands_on_the_closed_forms(self):
+        # Ai starts from the series at Z_SWITCH and ends at z = 0 (10.0 and 9.5 u)
+        ai, aip = airy_engine._march()[:2, 0].tolist()
+        assert abs(ai / airy_engine.AI_ZERO - 1.0) <= 16.0 * U
+        assert abs(aip / airy_engine.AIP_ZERO - 1.0) <= 16.0 * U
+
+    def test_upward_march_reaches_the_series(self):
+        # Bi starts from the closed forms at 0 and ends at Z_SWITCH (6.5 u both)
+        bi, bip = airy_engine._march()[2:, -1].tolist()
+        s_bi, s_bip = airy_engine._asymptotic_scaled(np.array([airy_engine.Z_SWITCH]))[2:, 0].tolist()
+        assert abs(bi / s_bi - 1.0) <= 16.0 * U
+        assert abs(bip / s_bip - 1.0) <= 16.0 * U
+
+    def test_starts_are_the_closed_forms_and_the_series(self):
+        march = airy_engine._march()
+        assert march[2:, 0].tolist() == [airy_engine.BI_ZERO, airy_engine.BIP_ZERO]
+        series = airy_engine._asymptotic_scaled(np.array([airy_engine.Z_SWITCH]))
+        assert march[:2, -1].tolist() == series[:2, 0].tolist()
+
+    def test_wronskian_rescale_is_a_small_correction(self):
+        # the march's Wronskian is 5.5-15 u low at every node; the seeds'
+        # is 1/pi to a rounding
+        for seeds, bound in ((airy_engine._march(), 32.0), (airy_engine._seeds(), 2.0)):
+            ai, aip, bi, bip = seeds
+            assert np.max(np.abs(math.pi * (ai * bip - aip * bi) - 1.0)) <= bound * U
+
+    def test_every_node_against_mpmath(self):
+        # the march within 12.4, 12.3, 6.3 and 7.0 u, the seeds within 7.5,
+        # 7.2, 6.3 and 7.0 u
+        mp = pytest.importorskip("mpmath")
+        march, seeds = airy_engine._march(), airy_engine._seeds()
+        with mp.workdps(40):
+            for j in range(seeds.shape[1]):
+                for r, ref in enumerate(_mp_scaled(j / 8.0)):
+                    for got in (march[r, j], seeds[r, j]):
+                        assert abs(got - ref) <= 32.0 * U * abs(ref), (j, r)
+
+
 class TestTaylorTable:
     """The Taylor table that serves every argument below Z_SWITCH."""
 
     def test_accuracy_against_mpmath(self):
         # seeded off-node points, cell edges (|z - z_j| = 1/16, the largest)
         # and both sides of Z_SWITCH, against 40-digit mpmath: within 1e-13,
-        # and at most 8 u further from it than airye's seed carries to z
-        # (the table inherits its nearest node's error: 190 u for Ai on
-        # [1, 5), 148 u for Bi on [5, 20))
+        # and at most 8 u further from it than the table's seeds carry to z
+        # (at or above Z_SWITCH, than airye there)
         mp = pytest.importorskip("mpmath")
         rng = random.Random(20261018)
-        u = 2.0**-52
+        seeds = airy_engine._seeds()
         zs = [rng.uniform(0.0, 40.0) for _ in range(500)] + [j / 8.0 + 1.0 / 16.0 for j in range(0, 320, 8)]
         zs += [1e-300, 39.9375, math.nextafter(40.0, 0.0), 40.0, 40.0 + 1.0 / 16.0, 41.0]
         got = airy_scaled(np.array(sorted(zs)))
         with mp.workdps(40):
             for i, z in enumerate(sorted(zs)):
-                x = mp.mpf(z)
-                e = mp.exp(mp.mpf(2) / 3 * x**1.5)
-                ref = (mp.airyai(x) * e, mp.airyai(x, 1) * e, mp.airybi(x) / e, mp.airybi(x, 1) / e)
+                ref = _mp_scaled(z)
                 if z < airy_engine.Z_SWITCH:
-                    zj = round(8.0 * z) / 8.0
-                    carried = _seeded_mp(z, [float(v) for v in airye(zj)], mp.mpf(zj))
+                    j = round(8.0 * z)
+                    carried = _seeded_mp(z, seeds[:, j].tolist(), mp.mpf(j) / 8)
                 else:
                     carried = [mp.mpf(float(v)) for v in airye(z)]
                 for r in range(4):
                     err = abs(got[r, i] - ref[r]) / abs(ref[r])
                     assert err <= 1e-13, (z, r)
-                    assert err <= abs(carried[r] - ref[r]) / abs(ref[r]) + 8.0 * u, (z, r)
+                    assert err <= abs(carried[r] - ref[r]) / abs(ref[r]) + 8.0 * U, (z, r)
 
     def test_nodes_return_the_seeds(self):
         nodes = np.arange(320) / 8.0  # 40 is the series'; the table's last node serves [39.9375, 40)
-        assert (airy_scaled(nodes) == np.array(airye(nodes))).all()
+        assert (airy_scaled(nodes) == airy_engine._seeds()[:, :320]).all()
 
     def test_bits_do_not_depend_on_the_batch(self):
         # both sides of every 16th cell edge, seeded draws, the switch
@@ -243,17 +292,6 @@ class TestTaylorTable:
         t = airy_engine._net_terms(z1, z1 + 0.3)
         for i, z in enumerate(z1.tolist()):
             assert t[:, i].tolist() == airy_engine._net_terms(np.array([z]), np.array([z + 0.3]))[:, 0].tolist()
-
-    def test_force_path_makes_no_airye_call(self, monkeypatch):
-        from casimir_plate import QuadratureSpec, force_exact
-
-        def refuse(z):
-            raise AssertionError("airye called after the table was built")
-
-        airy_engine._taylor_table()
-        monkeypatch.setattr(airy_engine, "_scipy_airye", refuse)
-        for eta, kmax in ((1e-3, None), (1.0, None), (0.03, 5.0), (1e3, None)):
-            assert force_exact(eta, QuadratureSpec(kappa_max_policy=kmax)).f_eta > 0.0
 
 
 class TestDomain:
@@ -283,7 +321,7 @@ class TestOdeOracle:
 
     def test_engine_matches_oracle_on_unit_interval_grid(self):
         # a quarter step, shifted by 1/16 onto cell edges of the Taylor table,
-        # where d = z - z_j is largest (a node returns airye's own bits)
+        # where d = z - z_j is largest (a node returns its seed)
         worst = 0.0
         for z in np.linspace(0.0, 10.0, 41) + 1.0 / 16.0:
             ref = airy_via_ode_oracle(float(z))

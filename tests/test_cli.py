@@ -128,8 +128,9 @@ class TestCurve:
     def test_rows_cached_by_an_older_kernel_are_recomputed(self, tmp_path, capsys):
         # cache files written before the fingerprint named the kernel, by
         # the kernel whose first quadrature step was the whole interval
-        # (every n_evals 15 higher), and by the one whose values below
-        # Z_SWITCH came from airye at every argument
+        # (every n_evals 15 higher), by the one whose values below Z_SWITCH
+        # came from airye at every argument, and by the Taylor table seeded
+        # by airye
         from casimir_plate.cli import _curve_grid
 
         fresh = tmp_path / "fresh.csv"
@@ -137,7 +138,8 @@ class TestCurve:
         stale = {"eta": 0.0, "f_eta": 9.0, "err_est": 9.0, "kappa_max": 9.0, "n_evals": 9}
         for old_fp in ("rel=1e-06;abs=1e-14;sub=2000;kmax=None",
                        "kernel=wronskian-split;rel=1e-06;abs=1e-14;sub=2000;kmax=None",
-                       "kernel=wronskian-split+halves;rel=1e-06;abs=1e-14;sub=2000;kmax=None"):
+                       "kernel=wronskian-split+halves;rel=1e-06;abs=1e-14;sub=2000;kmax=None",
+                       "kernel=wronskian-split+halves+taylor;rel=1e-06;abs=1e-14;sub=2000;kmax=None"):
             cache, out = tmp_path / "cache.json", tmp_path / "c.csv"
             cache.write_text(json.dumps({f"{eta!r}|{old_fp}": stale
                                          for eta in _curve_grid(0.1, 10.0, 5, "log")}))
@@ -202,9 +204,19 @@ class TestImportFootprint:
     def test_cli_import_loads_no_oracle_scipy(self):
         code = (
             "import sys, casimir_plate.cli; "
-            "print(sorted(m for m in ('scipy.integrate', 'scipy.linalg') if m in sys.modules))"
+            "print(sorted(m for m in ('scipy.integrate', 'scipy.linalg', 'scipy.special') if m in sys.modules))"
         )
         assert self.fresh_stdout(code) == "[]"
+
+    def test_package_import_and_force_path_load_no_scipy_special(self):
+        # a force builds the Taylor table, whose seeds need no library Airy call
+        code = (
+            "import sys, casimir_plate; "
+            "print('scipy.special' in sys.modules); "
+            "[casimir_plate.force_exact(eta) for eta in (1e-3, 1.0, 1e3)]; "
+            "print('scipy.special' in sys.modules)"
+        )
+        assert self.fresh_stdout(code) == "False\nFalse"
 
     def test_package_import_builds_no_ode_trajectory(self):
         # the ODE oracle integrates its trajectories on first use, not at import

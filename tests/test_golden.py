@@ -2,15 +2,18 @@
 
 The hex strings of the force_exact values are float.hex of results of the
 split-formula kernel integrated over the whole half line in one call,
-with the Airy values below Z_SWITCH from the Taylor table; each value's
-difference from the mpmath reference is recorded in CHANGES.md.  f_eta, err_est and kappa_max compare with ==, n_evals
-exactly, and a failing input keeps its error type and message prefix.
+with the Airy values below Z_SWITCH from the Taylor table whose seeds are
+marched along w'' = z w; each value's difference from the mpmath
+reference is recorded in CHANGES.md.  f_eta, err_est and kappa_max
+compare with ==, n_evals exactly, and a failing input keeps its error
+type and message prefix.
 The force_classic and force_perturbative values date from the per-node
 scalar integrand, and the force_from_fd values from the time each FD
 probe (eps and 2 eps) had a band solve of its own; later changes have
-not moved any of them.  The one-sample FD and Green's-function integrands
-date from the time each side had an extraction formula of its own, and
-the FD oracle an order-2 stencil beside Numerov.
+not moved any of them.  The one-sample FD integrands date from the time
+each side had an extraction formula of its own, and the FD oracle an
+order-2 stencil beside Numerov; the Green's-function integrands, like the
+force_exact values, from the marched seeds.
 """
 
 import pytest
@@ -29,22 +32,21 @@ from casimir_plate.verify import integrand_from_greens
 
 # (eta, rel_tol, pinned kappa_max): (f_eta, err_est, kappa_max, n_evals)
 FORCE = {
-    (1e-3, 1e-6, None): ("0x1.dfda36efab9bfp-12", "0x1.648791883f3a0p-32", "0x1.3ffffffffffffp+3", 60),
-    (1e-3, 1e-9, None): ("0x1.dfda36efb390dp-12", "0x1.e33206f001e9dp-43", "0x1.3ffffffffffffp+3", 150),
-    (1.0, 1e-6, None): ("0x1.d50107a452d08p-4", "0x1.692f68e3fe412p-24", "0x1.0000000000000p+0", 30),
-    (1.0, 1e-9, None): ("0x1.d50107a4715cap-4", "0x1.1fe563123b850p-34", "0x1.0000000000000p+0", 90),
-    (1e3, 1e-6, None): ("0x1.fa1d095f1ce66p+1", "0x1.c535fa29e99c2p-27", "0x1.94c583ada5b52p+1", 30),
-    (1e3, 1e-9, None): ("0x1.fa1d095f1cf10p+1", "0x1.6ad8d66df92a8p-39", "0x1.94c583ada5b52p+1", 90),
+    (1e-3, 1e-6, None): ("0x1.dfda36efabd35p-12", "0x1.64877b775a134p-32", "0x1.3ffffffffffffp+3", 60),
+    (1e-3, 1e-9, None): ("0x1.dfda36efb38a3p-12", "0x1.e3017c33d9935p-43", "0x1.3ffffffffffffp+3", 150),
+    (1.0, 1e-6, None): ("0x1.d50107a452c3dp-4", "0x1.692f64a5ec3c3p-24", "0x1.0000000000000p+0", 30),
+    (1.0, 1e-9, None): ("0x1.d50107a4714d1p-4", "0x1.1fc53f68b7afcp-34", "0x1.0000000000000p+0", 90),
+    (1e3, 1e-6, None): ("0x1.fa1d095f1cf14p+1", "0x1.c52e023e141d3p-27", "0x1.94c583ada5b52p+1", 30),
+    (1e3, 1e-9, None): ("0x1.fa1d095f1cefdp+1", "0x1.021b2b3dab597p-39", "0x1.94c583ada5b52p+1", 90),
     (1e6, 1e-6, None): ("0x1.f40009999cceap+6", "0x1.c73d6a1d8018bp-22", "0x1.3ffffffffffffp+3", 30),
     (1e6, 1e-9, None): ("0x1.f40009999cceap+6", "0x1.ef234ae6bf75cp-35", "0x1.3ffffffffffffp+3", 90),
     # deep refinement
-    (1.0, 1e-11, None): ("0x1.d50107a4715cbp-4", "0x1.560a15c21e04ep-42", "0x1.0000000000000p+0", 120),
+    (1.0, 1e-11, None): ("0x1.d50107a4714d4p-4", "0x1.35bdaddd6d2f3p-42", "0x1.0000000000000p+0", 120),
     # pinned map scale
-    (1.0, 1e-6, 5.0): ("0x1.d50107a471569p-4", "0x1.42ed66fe985a1p-30", "0x1.4000000000000p+2", 60),
-    (0.03, 1e-9, 5.0): ("0x1.13dca49670710p-7", "0x1.6af008c25b564p-42", "0x1.4000000000000p+2", 120),
+    (1.0, 1e-6, 5.0): ("0x1.d50107a4714bep-4", "0x1.42eb8beaf12fcp-30", "0x1.4000000000000p+2", 60),
+    (0.03, 1e-9, 5.0): ("0x1.13dca496706adp-7", "0x1.695fb24ff9fd3p-42", "0x1.4000000000000p+2", 120),
     # small eta
-    (1e-8, 1e-9, None): ("0x1.6ee7179a76c6dp-27", "0x1.1df4b79ee65c0p-58", "0x1.d028ac9478910p+8", 300),
-}
+    (1e-8, 1e-9, None): ("0x1.6ee7179a76b6fp-27", "0x1.1d759d6254cfdp-58", "0x1.d028ac9478910p+8", 300),}
 
 # (eta, rel_tol, pinned kappa_max): (error type, message prefix)
 FAILURES = {
@@ -106,10 +108,10 @@ INTEGRAND_FD = {
 
 # (kappa, eta, side): verify.integrand_from_greens
 INTEGRAND_GREENS = {
-    (0.0, 1.0, "above"): "-0x1.2d236fafe2503p+0",
+    (0.0, 1.0, "above"): "-0x1.2d236faf7f313p+0",
     (0.0, 1.0, "below"): "-0x1.8b64af5a400cbp-1",
-    (1.5, 0.5, "above"): "-0x1.d1ad18236381ep+0",
-    (1.5, 0.5, "below"): "-0x1.ab0c77d5aa98fp+0",
+    (1.5, 0.5, "above"): "-0x1.d1ad1829e6a1ap+0",
+    (1.5, 0.5, "below"): "-0x1.ab0c77d38b7f7p+0",
 }
 
 

@@ -44,6 +44,12 @@ class TestGridSpec:
         with pytest.raises(DomainError):
             GridSpec(*args)
 
+    @pytest.mark.parametrize("n", [4000.5, 4001.0, "4001"])
+    def test_non_integral_size_is_named(self, n):
+        # np.linspace would die on it with a bare TypeError
+        with pytest.raises(DomainError, match="grid size n must be an integer"):
+            GridSpec(1.0, 9.0, n)
+
 
 class TestBandedSolver:
     CFG = PlateConfig.from_eta(1.0)

@@ -195,10 +195,10 @@ class TestSinglePass:
             stress_kernel._net_array(np.array(kappa), 1.0)
 
     @staticmethod
-    def mp_errors(kappa_sq, eta):
-        """Relative errors of (net, above, below) against 40-digit mpmath; net as below - above there."""
+    def mp_errors(kappa_sq, eta, digits=40):
+        """Relative errors of (net, above, below) against mpmath; net as below - above there."""
         mp = pytest.importorskip("mpmath")
-        with mp.workdps(40):
+        with mp.workdps(digits):
             z1 = mp.mpf(kappa_sq)
             z2 = z1 + mp.cbrt(mp.mpf(eta))
             a1, ap1 = mp.airyai(z1), mp.airyai(z1, 1)
@@ -215,8 +215,16 @@ class TestSinglePass:
     @pytest.mark.parametrize("eta", [1e-3, 1.0, 1e3])
     @pytest.mark.parametrize("kappa_sq", [0.0, 1.0, 10.0, 39.0, 39.99, 40.0, 41.0, 100.0, 1e4])
     def test_net_matches_mpmath_at_the_crossover(self, kappa_sq, eta):
-        # net and above are worst at (1, 1), 5.1e-13 and 7.7e-14: airye is off at z2 = 2
+        # net is worst at (39, 1e-3), 1.5e-13, and above at (40, 1e3), 4.9e-16
         assert max(self.mp_errors(kappa_sq, eta)) <= 1e-12
+
+    @pytest.mark.parametrize("eta", [1e-6, 1e-4])
+    @pytest.mark.parametrize("kappa_sq", [0.5, 1.0, 2.0625, 5.0625, 10.0625])
+    def test_net_at_small_eps_matches_mpmath(self, kappa_sq, eta):
+        # net is a difference of two O(1) terms down to eps ~ 0.01, so seeds
+        # whose errors differ from node to node show where z1 and z2 = z1 + eps
+        # take different nodes, as at 2.0625 (worst 1.9e-13, at (10.0625, 1e-6))
+        assert max(self.mp_errors(kappa_sq, eta, digits=50)) <= 3e-12
 
     def test_zeta_gap_is_formed_from_eps(self):
         # z2 - z1 would carry the rounding of z2 = 4e4 + 1e-4: 2.5e-8 here
