@@ -374,8 +374,8 @@ def _build_parser() -> argparse.ArgumentParser:
     tol.add_argument("--rel-tol", type=float, default=None,
                      help="quadrature relative tolerance (default 1e-9; env CASIMIR_REL_TOL)")
     tol.add_argument("--kappa-max", type=float, default=None,
-                     help="momentum scale k0 of the map kappa = k0 t/(1-t) that integrates the "
-                          "whole half line (default max(eta^(1/6), eta^(-1/3)); env CASIMIR_KAPPA_MAX)")
+                     help="momentum scale k0 of the half-line rule's nodes kappa = k0 u, at most "
+                          "3.9e34 (default max(eta^(1/6), eta^(-1/3)); env CASIMIR_KAPPA_MAX)")
 
     p = sub.add_parser("exact", parents=[tol], help="force coefficient at one eta")
     p.add_argument("--eta", type=float, default=None)

@@ -345,7 +345,7 @@ def force_from_fd(
     """f(eta) recomputed end to end through the finite-difference route.
 
     Integrand values come from integrand_from_fd, the cutoff integral from
-    the shared adaptive quadrature, and the large-momentum remainder from
+    adaptive Gauss-Kronrod (not force_exact's rule), and the remainder from
     the closed-form Lorentzian tail integral (re-derived inline so this
     path imports nothing from the stress module).  This is the fully
     independent cross-check of the production force values.  A cutoff

@@ -1,36 +1,32 @@
-"""Deterministic adaptive quadrature built on a Gauss 7 / Kronrod 15 pair.
+"""Deterministic quadrature: adaptive Gauss 7 / Kronrod 15 on a finite
+interval, a nested exp-sinh rule on the half line.
 
-Each panel is evaluated once with the 15-point Kronrod rule; the embedded
-7-point Gauss value supplies the error estimate.  The interval is never
-evaluated as one panel: the first step evaluates its two halves, and
-every later step bisects the panels with the worst estimates, as many as
-it takes for the estimates left to meet tolerance, until the summed
-estimate meets it.  Panels are ordered by (estimate, left endpoint), a total
-order, and the final value is an exact compensated sum over panels, so
-identical inputs produce bit-identical results.  That property is
-load-bearing: the command-line layer promises byte-identical output across
-reruns and worker counts.
+Finite intervals: the first step evaluates the two halves of the interval
+with the 15-point Kronrod rule, whose embedded 7-point Gauss value gives
+each panel's estimate; every later step bisects the worst panels, as many
+as it takes for the estimates left to meet tolerance.  Panels are ordered
+by (estimate, left endpoint), a total order.
 
-Integrand contract: ``f`` takes a 1-D float array of nodes and returns a
-sequence of as many values (an array, or a list from a scalar function
-wrapped in a comprehension).  It is called once per step, on the 30 nodes
-of the halves of every panel the step bisects, in ascending order, so an
-array integrand pays its per-call overhead once per step.  The Kronrod and
-Gauss sums of each panel run node by node in Python floats in a fixed
-order, so the result does not depend on how f computes its values, only
-on the values themselves.
+The half line: the trapezoidal rule in s on kappa = e^{pi sinh s},
+|s| <= _S, at h = 1/16, then h/2, h/4, h/8 (Takahasi and Mori, Publ. RIMS
+9, 1974), each level evaluating only the nodes the coarser one lacks.  The
+estimate is the difference from the coarser level plus h times the two
+terms at the window's edges (Bailey, Jeyabalan and Li, Exp. Math. 14, 2005).
 
-No rule node ever touches a panel endpoint, so integrands may be left
-unevaluated (or singular but integrable) at interval ends.  A panel whose
-halves would have a node rounded onto an endpoint is at float resolution
-and is not refined further; the result then reports converged=False if
-the tolerance was not met.
+Integrand contract: ``f`` takes a 1-D float array of nodes and returns as
+many values (an array, or a list from a scalar function wrapped in a
+comprehension).  It is called once per step, on the nodes the step adds,
+in ascending order; no node touches an interval end.  Every final sum is
+exact (math.fsum), so the result depends only on the values f returns,
+and identical inputs give bit-identical results: the command-line layer
+promises byte-identical output across reruns and worker counts.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -38,12 +34,7 @@ import numpy as np
 
 from .errors import DomainError
 
-__all__ = [
-    "QuadratureSpec",
-    "QuadResult",
-    "integrate_finite",
-    "integrate_semi_infinite",
-]
+__all__ = ["QuadratureSpec", "QuadResult", "integrate_finite", "integrate_semi_infinite"]
 
 # Kronrod-15 abscissae (positive half, descending) and weights; the Gauss-7
 # subset sits at indices 1, 3, 5 plus the center.  Standard tabulated values.
@@ -74,9 +65,29 @@ _WG = (
 )
 
 
+# The exp-sinh nodes u = e^{pi sinh s} and weights pi cosh(s) u at s = k/_FINE,
+# |s| <= _S.  Level h = step/_FINE holds the k divisible by step; _LEVELS
+# lists (step, the indices a level adds, the indices it sums), ascending.
+_S = 3.2
+_FINE = 128
+_K = np.arange(-int(_S * _FINE), int(_S * _FINE) + 1)
+_U = np.exp(math.pi * np.sinh(_K / _FINE))
+_W = math.pi * np.cosh(_K / _FINE) * _U
+_LEVELS = [
+    (st, np.flatnonzero((_K % st == 0) & ((_K % (2 * st) != 0) | (st == 8))),
+     np.flatnonzero(_K % st == 0))
+    for st in (8, 4, 2, 1)
+]
+_COARSE = np.flatnonzero(_K % 16 == 0)  # h = 1/8, held by the first level
+# the force kernel squares zeta = (2/3) z^{3/2}, z = kappa^2 + eps
+# (airy_engine._product_series): a scale k0 up to this keeps (k0 u)^6 below
+# an eighth of the float range at the farthest node, room for eps <= kappa^2
+_K0_MAX = (sys.float_info.max / 8.0) ** (1.0 / 6.0) / _U[-1].item()
+
+
 # change it whenever a force result moves, n_evals included, so that cached
 # curve rows are recomputed rather than served stale
-_KERNEL = "wronskian-split+halves+taylor-march"
+_KERNEL = "wronskian-split+exp-sinh+taylor-march"
 
 
 @dataclass(frozen=True)
@@ -84,8 +95,9 @@ class QuadratureSpec:
     """Tolerances and policies shared by all integrations.
 
     ``kappa_max_policy`` belongs to the force computations: the momentum
-    scale k0 of the map kappa = k0 t/(1 - t) over the whole half line;
-    ``None`` means max(eta^{1/6}, eta^{-1/3}).
+    scale k0 of the half-line rule's nodes kappa = k0 u, at most _K0_MAX;
+    ``None`` means max(eta^{1/6}, eta^{-1/3}).  ``max_subdivisions`` caps
+    the bisections of integrate_finite.
     """
 
     rel_tol: float = 1e-9
@@ -102,9 +114,8 @@ class QuadratureSpec:
             raise DomainError("max_subdivisions must be >= 1")
         if self.kappa_max_policy is not None:
             k = float(self.kappa_max_policy)
-            # the map's far nodes reach about 1e16 k0, whose square must stay finite
-            if not 0.0 < k <= 1e100:
-                raise DomainError(f"fixed kappa_max must be > 0 and <= 1e100, got {k!r}")
+            if not 0.0 < k <= _K0_MAX:
+                raise DomainError(f"fixed kappa_max must be > 0 and <= {_K0_MAX!r}, got {k!r}")
 
     def fingerprint(self) -> str:
         """Stable identity of the kernel and tolerances; result caches key off this."""
@@ -116,17 +127,17 @@ class QuadratureSpec:
 
 @dataclass(frozen=True)
 class QuadResult:
-    """value, err_est (the summed estimates of the panels evaluated), n_evals, converged.
+    """value, err_est, n_evals, converged, and edge, the window-edge part of err_est.
 
-    err_est bounds the error only when converged is True: a panel at float
-    resolution is not refined further, and the part of the integral it
-    cannot resolve is in no estimate.
+    err_est bounds the error only when converged is True.  edge is 0 on a
+    finite interval.
     """
 
     value: float
     err_est: float
     n_evals: int
     converged: bool
+    edge: float = 0.0
 
 
 # f: 1-D array of nodes -> as many values
@@ -176,15 +187,11 @@ def integrate_finite(
 ) -> QuadResult:
     """Adaptive integral of f over [lo, hi]; f maps an array of nodes to values.
 
-    The first step evaluates the two halves of [lo, hi].  Every later step
-    pops the worst panels until the estimates left would meet
-    max(rel_tol*|value|, abs_tol), then evaluates the halves of all of
-    them in one call.  Each bisection counts against max_subdivisions.
-    converged means the summed panel estimate met
-    max(rel_tol*|value|, abs_tol) within that budget.  err_est is the sum
-    of the estimates of the panels that were evaluated; it bounds the
-    error only when converged is True (when refinement stops at a panel at
-    float resolution, what that panel cannot resolve is in no estimate).
+    Each step pops the worst panels until the estimates left would meet
+    max(rel_tol*|value|, abs_tol) and evaluates all their halves in one
+    call; each bisection counts against max_subdivisions.  A panel at
+    float resolution is not refined, and converged is False if the summed
+    estimate, err_est, missed the tolerance.
     """
     if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi:
         raise DomainError(f"bad interval [{lo!r}, {hi!r}]")
@@ -242,12 +249,28 @@ def integrate_semi_infinite(
 ) -> QuadResult:
     """Integral of f over [0, infinity); f maps an array of nodes to values.
 
-    The half line is mapped to (0, 1) by kappa = t/(1-t) and the
-    transformed integrand is handled by the finite-interval routine; f must
-    decay faster than kappa^{-1-delta} for the transform to be integrable.
+    The first call evaluates all 103 nodes of h = 1/16, which hold those of
+    2h; each later call the odd nodes of the next level.  err_est is
+    |T_h - T_2h| + h (|first term| + |last term|); the edge terms make a
+    window that cuts off part of the integral visible.  converged means
+    err_est met max(rel_tol*|value|, abs_tol) by h = 1/128.
     """
-    def g(t: np.ndarray) -> np.ndarray:
-        r = 1.0 - t
-        return np.asarray(f(t / r), dtype=float) / (r * r)
-
-    return integrate_finite(g, 0.0, 1.0, spec)
+    terms = np.zeros(_U.size)  # w f(u) at the nodes evaluated so far
+    coarse, n = None, 0
+    for step, new, on in _LEVELS:
+        fx = np.asarray(f(_U[new]), dtype=float)
+        if fx.shape != new.shape:
+            raise DomainError(f"integrand returned shape {fx.shape} for {new.size} nodes")
+        terms[new] = _W[new] * fx
+        n += new.size
+        h = step / _FINE
+        if coarse is None:
+            coarse = 2.0 * h * math.fsum(terms[_COARSE].tolist())
+        value = h * math.fsum(terms[on].tolist())
+        edge = h * (abs(terms[on[0]]) + abs(terms[on[-1]])).item()
+        err = abs(value - coarse) + edge
+        converged = err <= max(spec.rel_tol * abs(value), spec.abs_tol)
+        if converged:
+            break
+        coarse = value
+    return QuadResult(value, err, n, converged, edge)

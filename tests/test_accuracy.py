@@ -38,9 +38,11 @@ def test_error_estimate_bounds_the_mpmath_error(rel_tol):
     assert refused == ([] if rel_tol > 1e-12 else [1e-8])
 
 
-# Inputs whose Gauss-Kronrod estimate once undershot the true error, with
-# their references from perfbench/refgen.py's force_mp (34 digits, agreeing
-# with the 26-digit value to 1e-17 or better).
+# Inputs where an adaptive Gauss-Kronrod estimate undershot the true error,
+# with their references from perfbench/refgen.py's force_mp (34 digits,
+# agreeing with the 26-digit value to 1e-17 or better).  The nested
+# exp-sinh estimate must hold on every one; (3.459e-5, 3e-5) is where the
+# Gauss-Kronrod estimate read 5.1e-6 against a true error of 8.0e-6.
 HARD = {
     2.2670899410414915e-08: 2.322418363173963642557e-8,
     3.5481338923357605e-10: 4.417260658466713368585e-10,
@@ -51,16 +53,9 @@ HARD = {
 }
 
 
-# err_est undershoots here: after 45 evaluations the relative error is 8.0e-6
-# against an err_est of 5.1e-6 (within rel_tol, so no tolerance miss)
-UNDERSHOOT = pytest.mark.xfail(strict=True, reason="Gauss-Kronrod estimate fooled at 2 panels")
-
-
 @pytest.mark.parametrize("eta", list(HARD))
 @pytest.mark.parametrize("rel_tol", [3e-5, 3e-6, 1e-6, 1e-8])
-def test_error_estimate_holds_where_the_quadrature_was_fooled(eta, rel_tol, request):
-    if (eta, rel_tol) == (3.459197909661869e-05, 3e-5):
-        request.applymarker(UNDERSHOOT)
+def test_error_estimate_holds_where_the_quadrature_was_fooled(eta, rel_tol):
     r = force_exact(eta, QuadratureSpec(rel_tol=rel_tol))
     assert abs(r.f_eta - HARD[eta]) <= r.err_est <= rel_tol * r.f_eta
 

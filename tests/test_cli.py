@@ -129,8 +129,8 @@ class TestCurve:
         # cache files written before the fingerprint named the kernel, by
         # the kernel whose first quadrature step was the whole interval
         # (every n_evals 15 higher), by the one whose values below Z_SWITCH
-        # came from airye at every argument, and by the Taylor table seeded
-        # by airye
+        # came from airye at every argument, by the Taylor table seeded by
+        # airye, and by adaptive Gauss-Kronrod on the half line
         from casimir_plate.cli import _curve_grid
 
         fresh = tmp_path / "fresh.csv"
@@ -139,7 +139,8 @@ class TestCurve:
         for old_fp in ("rel=1e-06;abs=1e-14;sub=2000;kmax=None",
                        "kernel=wronskian-split;rel=1e-06;abs=1e-14;sub=2000;kmax=None",
                        "kernel=wronskian-split+halves;rel=1e-06;abs=1e-14;sub=2000;kmax=None",
-                       "kernel=wronskian-split+halves+taylor;rel=1e-06;abs=1e-14;sub=2000;kmax=None"):
+                       "kernel=wronskian-split+halves+taylor;rel=1e-06;abs=1e-14;sub=2000;kmax=None",
+                       "kernel=wronskian-split+halves+taylor-march;rel=1e-06;abs=1e-14;sub=2000;kmax=None"):
             cache, out = tmp_path / "cache.json", tmp_path / "c.csv"
             cache.write_text(json.dumps({f"{eta!r}|{old_fp}": stale
                                          for eta in _curve_grid(0.1, 10.0, 5, "log")}))

@@ -1,14 +1,14 @@
 """Golden bits: force values pinned to the last bit, plus evaluation counts.
 
 The hex strings of the force_exact values are float.hex of results of the
-split-formula kernel integrated over the whole half line in one call,
-with the Airy values below Z_SWITCH from the Taylor table whose seeds are
-marched along w'' = z w; each value's difference from the mpmath
-reference is recorded in CHANGES.md.  f_eta, err_est and kappa_max
-compare with ==, n_evals exactly, and a failing input keeps its error
-type and message prefix.
-The force_classic and force_perturbative values date from the per-node
-scalar integrand, and the force_from_fd values from the time each FD
+split-formula kernel integrated over the whole half line in one call of
+the nested exp-sinh rule, with the Airy values below Z_SWITCH from the
+Taylor table whose seeds are marched along w'' = z w; each value's
+difference from the mpmath reference is recorded in CHANGES.md.  f_eta,
+err_est and kappa_max compare with ==, n_evals exactly, and a failing
+input keeps its error type and message prefix.
+The force_classic and force_perturbative values date from the exp-sinh
+rule as well, and the force_from_fd values from the time each FD
 probe (eps and 2 eps) had a band solve of its own; later changes have
 not moved any of them.  The one-sample FD integrands date from the time
 each side had an extraction formula of its own, and the FD oracle an
@@ -32,21 +32,22 @@ from casimir_plate.verify import integrand_from_greens
 
 # (eta, rel_tol, pinned kappa_max): (f_eta, err_est, kappa_max, n_evals)
 FORCE = {
-    (1e-3, 1e-6, None): ("0x1.dfda36efabd35p-12", "0x1.64877b775a134p-32", "0x1.3ffffffffffffp+3", 60),
-    (1e-3, 1e-9, None): ("0x1.dfda36efb38a3p-12", "0x1.e3017c33d9935p-43", "0x1.3ffffffffffffp+3", 150),
-    (1.0, 1e-6, None): ("0x1.d50107a452c3dp-4", "0x1.692f64a5ec3c3p-24", "0x1.0000000000000p+0", 30),
-    (1.0, 1e-9, None): ("0x1.d50107a4714d1p-4", "0x1.1fc53f68b7afcp-34", "0x1.0000000000000p+0", 90),
-    (1e3, 1e-6, None): ("0x1.fa1d095f1cf14p+1", "0x1.c52e023e141d3p-27", "0x1.94c583ada5b52p+1", 30),
-    (1e3, 1e-9, None): ("0x1.fa1d095f1cefdp+1", "0x1.021b2b3dab597p-39", "0x1.94c583ada5b52p+1", 90),
-    (1e6, 1e-6, None): ("0x1.f40009999cceap+6", "0x1.c73d6a1d8018bp-22", "0x1.3ffffffffffffp+3", 30),
-    (1e6, 1e-9, None): ("0x1.f40009999cceap+6", "0x1.ef234ae6bf75cp-35", "0x1.3ffffffffffffp+3", 90),
+    (1e-3, 1e-6, None): ("0x1.dfda36efb38a1p-12", "0x1.b2898166963fcp-41", "0x1.3ffffffffffffp+3", 103),
+    (1e-3, 1e-9, None): ("0x1.dfda36efb38b2p-12", "0x1.884f147a12b40p-56", "0x1.3ffffffffffffp+3", 205),
+    (1.0, 1e-6, None): ("0x1.d50107a4714aep-4", "0x1.5894ddaa1f6c1p-38", "0x1.0000000000000p+0", 103),
+    (1.0, 1e-9, None): ("0x1.d50107a4714aep-4", "0x1.5894ddaa1f6c1p-38", "0x1.0000000000000p+0", 103),
+    (1e3, 1e-6, None): ("0x1.fa1d095f1ce9ap+1", "0x1.e7f9326853ac1p-35", "0x1.94c583ada5b52p+1", 103),
+    (1e3, 1e-9, None): ("0x1.fa1d095f1ce9ap+1", "0x1.e7f9326853ac1p-35", "0x1.94c583ada5b52p+1", 103),
+    (1e6, 1e-6, None): ("0x1.f40009999cceap+6", "0x1.fe7ada8908ca9p-30", "0x1.3ffffffffffffp+3", 103),
+    (1e6, 1e-9, None): ("0x1.f40009999cceap+6", "0x1.fe7ada8908ca9p-30", "0x1.3ffffffffffffp+3", 103),
     # deep refinement
-    (1.0, 1e-11, None): ("0x1.d50107a4714d4p-4", "0x1.35bdaddd6d2f3p-42", "0x1.0000000000000p+0", 120),
+    (1.0, 1e-11, None): ("0x1.d50107a4714d3p-4", "0x1.ddae0b7db240bp-49", "0x1.0000000000000p+0", 205),
     # pinned map scale
-    (1.0, 1e-6, 5.0): ("0x1.d50107a4714bep-4", "0x1.42eb8beaf12fcp-30", "0x1.4000000000000p+2", 60),
-    (0.03, 1e-9, 5.0): ("0x1.13dca496706adp-7", "0x1.695fb24ff9fd3p-42", "0x1.4000000000000p+2", 120),
+    (1.0, 1e-6, 5.0): ("0x1.d50107a471499p-4", "0x1.2328074dd0aefp-35", "0x1.4000000000000p+2", 103),
+    (0.03, 1e-9, 5.0): ("0x1.13dca496706a1p-7", "0x1.1365feca3a731p-38", "0x1.4000000000000p+2", 103),
     # small eta
-    (1e-8, 1e-9, None): ("0x1.6ee7179a76b6fp-27", "0x1.1d759d6254cfdp-58", "0x1.d028ac9478910p+8", 300),}
+    (1e-8, 1e-9, None): ("0x1.6ee7179a77664p-27", "0x1.7fdf874730580p-60", "0x1.d028ac9478910p+8", 205),
+}
 
 # (eta, rel_tol, pinned kappa_max): (error type, message prefix)
 FAILURES = {
@@ -75,11 +76,11 @@ def test_force_exact_failures_keep_type_and_text(case):
 
 
 def test_force_classic_bits():
-    assert force_classic(1.0).hex() == "-0x1.0c152382d7364p-3"
+    assert force_classic(1.0).hex() == "-0x1.0c152382d7366p-3"
 
 
 def test_force_perturbative_bits():
-    assert force_perturbative(1.0, 1.0, 1e-2).hex() == "0x1.620b469a89a54p-1"
+    assert force_perturbative(1.0, 1.0, 1e-2).hex() == "0x1.620b469a89a55p-1"
 
 
 # eta: force_from_fd(eta) with its default cutoff and tolerance

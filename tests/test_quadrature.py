@@ -1,4 +1,4 @@
-"""Adaptive Gauss-Kronrod layer: exactness, convergence, half-line mapping, determinism.
+"""Quadrature: adaptive Gauss-Kronrod on finite intervals, the nested exp-sinh rule on the half line.
 
 Integrands follow the array contract: a 1-D array of nodes in, as many values out.
 """
@@ -42,6 +42,7 @@ class TestSpec:
             {"max_subdivisions": 0},
             {"kappa_max_policy": -5.0},
             {"kappa_max_policy": 1e101},
+            {"kappa_max_policy": 1e35},
             {"kappa_max_policy": float("nan")},
         ],
     )
@@ -110,13 +111,46 @@ class TestSemiInfinite:
         assert r.value == pytest.approx(math.pi / 2.0, rel=1e-11)
 
     def test_no_node_rounds_onto_the_mapped_endpoint(self):
-        # a k^{-1.1} tail cannot meet rel_tol 1e-15: bisection runs into
-        # panels at float resolution next to t = 1, where a node rounded onto
-        # 1.0 would hand f kappa = inf and divide by (1 - t)^2 = 0
+        # a k^{-1.1} tail cannot meet rel_tol 1e-15: every level is tried,
+        # and f never sees kappa = inf or 0, whose weight would be 0 * inf
         spec = QuadratureSpec(rel_tol=1e-15, abs_tol=1e-300)
         r = integrate_semi_infinite(lambda k: 1.0 / (1.0 + k * k) ** 0.55, spec)
         assert math.isfinite(r.value) and math.isfinite(r.err_est)
         assert not r.converged
+
+    def test_edge_term_reports_a_cut_off_window(self):
+        # the window ends at kappa = 4.3e16, where a k^{-1.1} tail still
+        # holds 0.2 of 10.68; the edge terms, not the level difference, say so
+        r = integrate_semi_infinite(lambda k: 1.0 / (1.0 + k * k) ** 0.55)
+        assert not r.converged and r.n_evals == 819
+        assert r.edge > r.err_est - r.edge > 0.0
+        assert r.edge > 1e-9 * r.value
+
+    def test_levels_are_nested_and_no_node_is_evaluated_twice(self):
+        # |sin k| has a kink at every multiple of pi: no level meets 1e-9,
+        # so all four are evaluated, each adding the midpoints of the last
+        calls = []
+
+        def kinks(k):
+            calls.append(k.tolist())
+            return np.abs(np.sin(k)) / (1.0 + k * k)
+
+        r = integrate_semi_infinite(kinks)
+        assert [len(c) for c in calls] == [103, 102, 204, 410]
+        assert r.n_evals == 819 and not r.converged
+        level = calls[0]
+        for new in calls[1:]:
+            # the new nodes alternate with the old ones (at h = 1/128 the
+            # window gains s = +-409/128, one node past each end)
+            merged = sorted(level + new)
+            assert len(set(merged)) == len(merged)
+            assert new in (merged[1::2], merged[::2])
+            level = merged
+
+    def test_results_are_python_floats(self):
+        r = integrate_semi_infinite(lambda k: np.exp(-k))
+        assert type(r.value) is float and type(r.err_est) is float and type(r.edge) is float
+        assert r.value == pytest.approx(1.0, rel=1e-13)
 
 
 class TestToleranceSurface:

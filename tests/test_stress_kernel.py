@@ -1,6 +1,8 @@
 """Stress integrands and force integrals: cancellation laws, limits, pinned forces."""
 
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ import pytest
 from casimir_plate import airy_engine, stress_kernel
 from casimir_plate.airy_engine import Z_SWITCH, airy_eval
 from casimir_plate.errors import DomainError, ToleranceError
-from casimir_plate.quadrature import QuadratureSpec, integrate_semi_infinite
+from casimir_plate.quadrature import _K0_MAX, QuadratureSpec
 from casimir_plate.stress_kernel import (
     ForceResult,
     force_classic,
@@ -91,7 +93,10 @@ class TestSinglePass:
             integrand_net(kappa, 1.0)
             assert calls == [([kappa * kappa], [kappa * kappa + 1.0])]  # z1, z2 at eta = 1
 
-    def test_one_array_evaluation_per_quadrature_step(self, monkeypatch):
+    def test_one_kernel_call_on_103_ascending_nodes(self, monkeypatch):
+        # eta = 1 at rel_tol 1e-9: the first level (h = 1/16, which holds
+        # h = 1/8) already meets the tolerance, in one _net_array call and
+        # one _net_terms pass on its (z1, z2), with no Airy call beside it
         momenta, calls = [], []
 
         def batch(kappa, eta):
@@ -103,55 +108,45 @@ class TestSinglePass:
             return net_terms(z1, z2)
 
         def refuse(z):
-            raise AssertionError("the force path called airy_scaled")
+            raise AssertionError(f"Airy evaluation outside _net_terms at {z!r}")
 
         net_array, net_terms = stress_kernel._net_array, stress_kernel._net_terms
         monkeypatch.setattr(stress_kernel, "_net_array", batch)
         monkeypatch.setattr(stress_kernel, "_net_terms", terms)
         monkeypatch.setattr(airy_engine, "airy_scaled", refuse)
-        eta = 2.0
-        r = force_exact(eta)
-        # every step: the 30 nodes of each panel it bisects, strictly
-        # ascending, as (z1, z2); the steps together make n_evals
-        assert len(momenta) == len(calls) >= 2
-        assert sum(len(kappa) for kappa in momenta) == r.n_evals
-        for kappa, (z1, z2) in zip(momenta, calls):
-            assert len(kappa) % 30 == 0
-            assert all(k0 < k1 for k0, k1 in zip(kappa, kappa[1:]))
-            assert z1 == [k * k for k in kappa]
-            assert z2 == [x + eta ** (1.0 / 3.0) for x in z1]
+        monkeypatch.setattr(airy_engine, "airy_eval", refuse)
+        eta = 1.0
+        r = force_exact(eta, QuadratureSpec(rel_tol=1e-9))
+        assert len(momenta) == len(calls) == 1
+        (kappa,), ((z1, z2),) = momenta, calls
+        assert len(kappa) == r.n_evals == 103
+        assert all(k0 < k1 for k0, k1 in zip(kappa, kappa[1:]))
+        assert z1 == [k * k for k in kappa]
+        assert z2 == [x + eta ** (1.0 / 3.0) for x in z1]
 
-    def test_one_step_bisects_both_halves(self, monkeypatch):
-        # eta = 1e3 at rel_tol 1e-9: the halves, then both halves bisected
-        # in one call (one bisection per step would make three calls)
-        sizes = []
+    def test_a_second_level_evaluates_only_the_new_odd_nodes(self, monkeypatch):
+        # eta = 1e-3 at rel_tol 1e-9 needs h = 1/32: the second call holds
+        # the 102 nodes between those of the first, and no node is repeated
+        momenta = []
 
         def batch(kappa, eta):
-            sizes.append(kappa.size)
+            momenta.append(kappa.tolist())
             return net_array(kappa, eta)
 
         net_array = stress_kernel._net_array
         monkeypatch.setattr(stress_kernel, "_net_array", batch)
-        r = force_exact(1e3, QuadratureSpec(rel_tol=1e-9))
-        assert sizes == [30, 60]
-        assert r.n_evals == 90
+        r = force_exact(1e-3, QuadratureSpec(rel_tol=1e-9))
+        first, second = momenta
+        assert (len(first), len(second), r.n_evals) == (103, 102, 205)
+        assert all(a < b < c for a, b, c in zip(first, second, first[1:]))
 
-    def test_one_quadrature_call_and_no_scalar_airy_call(self, monkeypatch):
-        quad = []
-
-        def counting(f, spec):
-            quad.append(spec)
-            return integrate_semi_infinite(f, spec)
-
+    @pytest.mark.parametrize("eta, kmax", [(1e-6, None), (1.0, 5.0), (1e9, None)])
+    def test_no_scalar_airy_call(self, eta, kmax, monkeypatch):
         def scalar(z):
             raise AssertionError(f"scalar Airy evaluation at {z!r}")
 
-        monkeypatch.setattr(stress_kernel, "integrate_semi_infinite", counting)
         monkeypatch.setattr(airy_engine, "airy_eval", scalar)
-        for eta, kmax in ((1e-6, None), (1.0, None), (1.0, 5.0), (1e9, None)):
-            quad.clear()
-            force_exact(eta, QuadratureSpec(kappa_max_policy=kmax))
-            assert len(quad) == 1
+        force_exact(eta, QuadratureSpec(kappa_max_policy=kmax))
 
     @pytest.mark.parametrize("eta", [1e-3, 1.0, 1e3])
     @pytest.mark.parametrize("kappa_sq", [1.0, 10.0, 39.0, 39.99, 40.0, 41.0, 100.0])
@@ -247,6 +242,8 @@ class TestForceExact:
     def test_pinned_value_and_metadata(self):
         r = force_exact(1.0)
         assert r.f_eta == pytest.approx(F_ETA_1, rel=1e-10)
+        # Python floats: an np.float64 would print as np.float64(...) in JSON and CSV
+        assert type(r.f_eta) is float and type(r.err_est) is float
         assert r.kappa_max == 1.0  # the map scale max(eta^{1/6}, eta^{-1/3})
         assert r.err_est <= 1e-9 * r.f_eta
         assert r.n_evals > 0
@@ -267,6 +264,39 @@ class TestForceExact:
         msg = str(info.value)
         assert msg.startswith("momentum integral did not reach rel_tol")
         assert "; eta=1e-12, rel_tol=1e-13, err_est=" in msg
+
+    def test_errors_name_the_largest_part_of_err_est(self, monkeypatch):
+        cases = [
+            # eps = 1e-4: 10 u/eps is 2.2e-12 of f, above rel_tol
+            ((1e-12, QuadratureSpec(rel_tol=1e-13)), "rounding"),
+            # a scale 1e10 puts the nearest node at kappa ~ 2e-7, where net
+            # is still 0.4: the window cuts off 1e-7 of the integral
+            ((1.0, QuadratureSpec(kappa_max_policy=1e10)), "window edge"),
+        ]
+        for args, part in cases:
+            with pytest.raises(ToleranceError, match=f"largest part: {part}\\); eta="):
+                force_exact(*args)
+        # an integrand no level resolves: |sin(kappa)| has a kink at every pi
+        monkeypatch.setattr(stress_kernel, "_net_array",
+                            lambda k, eta: np.abs(np.sin(k)) / (1.0 + k * k))
+        with pytest.raises(ToleranceError, match="n_evals=819, largest part: level difference"):
+            force_exact(1.0)
+
+    def test_pinned_scale_bound(self):
+        # just below the bound the farthest node's zeta^2 stays finite: an
+        # answer or a ToleranceError, never an overflow warning; above, the
+        # spec refuses the scale and names the bound
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ToleranceError, match="window edge"):
+                force_exact(1.0, QuadratureSpec(kappa_max_policy=_K0_MAX))
+        with pytest.raises(DomainError, match=re.escape(f"<= {_K0_MAX!r}, got")):
+            QuadratureSpec(kappa_max_policy=math.nextafter(_K0_MAX, math.inf))
+
+    @pytest.mark.parametrize("eta", [1e-105, 1e208, 1e300])
+    def test_eta_whose_scale_would_overflow_is_a_domain_error(self, eta):
+        with pytest.raises(DomainError, match=re.escape(f"eta={eta!r} with k0=")):
+            force_exact(eta)
 
     def test_small_fixed_scale_is_only_a_map_scale(self):
         # a pinned kappa_max maps the whole half line; no tail model to reject
