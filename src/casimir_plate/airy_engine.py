@@ -37,8 +37,12 @@ alone, so batching never changes a result; ``airy_eval`` is the
 one-argument view of the same evaluator.  The two exponent-free
 combinations the force kernel needs, -(Ai Bi)'/(Ai Bi) and Ai' Bi + Ai Bi',
 are differences of nearly equal products at large z; above ``Z_SWITCH``
-they come from Cauchy products of the same series.  ``_net_terms``
-assembles them, and only what the net needs, for every force evaluation.
+they come from Cauchy products of the same series.  ``_net_terms`` is the
+one place that assembles them, for the force kernel's quadrature steps and
+its one-sample integrands alike: given ascending z1 and z2, it cuts each at
+``Z_SWITCH`` with ``searchsorted``, makes one table pass on both heads and
+one series pass, with one zeta, on both tails, and computes only what the
+net needs.  Its scaled values carry the bits ``airy_scaled`` gives.
 
 ``airy_via_ode_oracle`` provides reference values on [0, 50] by a route
 independent of both evaluators: adaptive high-order integration of

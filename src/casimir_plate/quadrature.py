@@ -1,25 +1,39 @@
 """Deterministic quadrature: adaptive Gauss 7 / Kronrod 15 on a finite
 interval, a nested exp-sinh rule on the half line.
 
-Finite intervals: the first step evaluates the two halves of the interval
-with the 15-point Kronrod rule, whose embedded 7-point Gauss value gives
-each panel's estimate; every later step bisects the worst panels, as many
-as it takes for the estimates left to meet tolerance.  Panels are ordered
-by (estimate, left endpoint), a total order.
+Each panel is evaluated once with the 15-point Kronrod rule; the embedded
+7-point Gauss value supplies the error estimate.  The interval is never
+evaluated as one panel: the first step evaluates its two halves, and
+every later step bisects the panels with the worst estimates, as many as
+it takes for the estimates left to meet tolerance, until the summed
+estimate meets it.  Panels are ordered by (estimate, left endpoint), a total
+order, and the final value is an exact compensated sum over panels, so
+identical inputs produce bit-identical results.  That property is
+load-bearing: the command-line layer promises byte-identical output across
+reruns and worker counts.
+
+Integrand contract: ``f`` takes a 1-D float array of nodes and returns a
+sequence of as many values (an array, or a list from a scalar function
+wrapped in a comprehension).  It is called once per step, on the 30 nodes
+of the halves of every panel the step bisects, in ascending order, so an
+array integrand pays its per-call overhead once per step.  The Kronrod and
+Gauss sums of each panel run node by node in Python floats in a fixed
+order, so the result does not depend on how f computes its values, only
+on the values themselves.
+
+No rule node ever touches a panel endpoint, so integrands may be left
+unevaluated (or singular but integrable) at interval ends.  A panel whose
+halves would have a node rounded onto an endpoint is at float resolution
+and is not refined further; the result then reports converged=False if
+the tolerance was not met.
 
 The half line: the trapezoidal rule in s on kappa = e^{pi sinh s},
 |s| <= _S, at h = 1/16, then h/2, h/4, h/8 (Takahasi and Mori, Publ. RIMS
-9, 1974), each level evaluating only the nodes the coarser one lacks.  The
-estimate is the difference from the coarser level plus h times the two
-terms at the window's edges (Bailey, Jeyabalan and Li, Exp. Math. 14, 2005).
-
-Integrand contract: ``f`` takes a 1-D float array of nodes and returns as
-many values (an array, or a list from a scalar function wrapped in a
-comprehension).  It is called once per step, on the nodes the step adds,
-in ascending order; no node touches an interval end.  Every final sum is
-exact (math.fsum), so the result depends only on the values f returns,
-and identical inputs give bit-identical results: the command-line layer
-promises byte-identical output across reruns and worker counts.
+9, 1974), each level evaluating only the nodes the coarser one lacks in one
+ascending call of f, and summed with math.fsum.  The estimate is the
+difference from the coarser level (Bailey, Jeyabalan and Li, Exp. Math.
+14, 2005) plus the part of the integral beyond each edge of the window,
+which no level difference sees.
 """
 
 from __future__ import annotations
@@ -34,7 +48,12 @@ import numpy as np
 
 from .errors import DomainError
 
-__all__ = ["QuadratureSpec", "QuadResult", "integrate_finite", "integrate_semi_infinite"]
+__all__ = [
+    "QuadratureSpec",
+    "QuadResult",
+    "integrate_finite",
+    "integrate_semi_infinite",
+]
 
 # Kronrod-15 abscissae (positive half, descending) and weights; the Gauss-7
 # subset sits at indices 1, 3, 5 plus the center.  Standard tabulated values.
@@ -79,6 +98,7 @@ _LEVELS = [
     for st in (8, 4, 2, 1)
 ]
 _COARSE = np.flatnonzero(_K % 16 == 0)  # h = 1/8, held by the first level
+_ENDS = _LEVELS[0][1][[0, 1, -1, -2]]  # the first level's two outermost nodes at each end
 # the force kernel squares zeta = (2/3) z^{3/2}, z = kappa^2 + eps
 # (airy_engine._product_series): a scale k0 up to this keeps (k0 u)^6 below
 # an eighth of the float range at the farthest node, room for eps <= kappa^2
@@ -87,7 +107,7 @@ _K0_MAX = (sys.float_info.max / 8.0) ** (1.0 / 6.0) / _U[-1].item()
 
 # change it whenever a force result moves, n_evals included, so that cached
 # curve rows are recomputed rather than served stale
-_KERNEL = "wronskian-split+exp-sinh+taylor-march"
+_KERNEL = "wronskian-split+exp-sinh-tails+taylor-march"
 
 
 @dataclass(frozen=True)
@@ -129,8 +149,9 @@ class QuadratureSpec:
 class QuadResult:
     """value, err_est, n_evals, converged, and edge, the window-edge part of err_est.
 
-    err_est bounds the error only when converged is True.  edge is 0 on a
-    finite interval.
+    err_est bounds the error only when converged is True: a panel at float
+    resolution is not refined further, and the part of the integral it
+    cannot resolve is in no estimate.  edge is 0 on a finite interval.
     """
 
     value: float
@@ -187,11 +208,15 @@ def integrate_finite(
 ) -> QuadResult:
     """Adaptive integral of f over [lo, hi]; f maps an array of nodes to values.
 
-    Each step pops the worst panels until the estimates left would meet
-    max(rel_tol*|value|, abs_tol) and evaluates all their halves in one
-    call; each bisection counts against max_subdivisions.  A panel at
-    float resolution is not refined, and converged is False if the summed
-    estimate, err_est, missed the tolerance.
+    The first step evaluates the two halves of [lo, hi].  Every later step
+    pops the worst panels until the estimates left would meet
+    max(rel_tol*|value|, abs_tol), then evaluates the halves of all of
+    them in one call.  Each bisection counts against max_subdivisions.
+    converged means the summed panel estimate met
+    max(rel_tol*|value|, abs_tol) within that budget.  err_est is the sum
+    of the estimates of the panels that were evaluated; it bounds the
+    error only when converged is True (when refinement stops at a panel at
+    float resolution, what that panel cannot resolve is in no estimate).
     """
     if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi:
         raise DomainError(f"bad interval [{lo!r}, {hi!r}]")
@@ -243,6 +268,20 @@ def integrate_finite(
     return QuadResult(value, err_est, 30 * splits, converged)
 
 
+def _tail(end: float, inner: float) -> float:
+    """The integral beyond a window edge whose terms are end there and inner 1/16 inside it.
+
+    |end| / rate, at the decay rate ln|inner/end| / (1/16) of the terms
+    over that step; a decay whose rate grows outward, as every
+    e^{-c pi sinh s} tail does, leaves less beyond the edge than this.  inf
+    when the terms do not decay towards the edge.
+    """
+    end, inner = abs(end), abs(inner)
+    if end == 0.0:
+        return 0.0
+    return end / (16.0 * math.log(inner / end)) if inner > end else math.inf
+
+
 def integrate_semi_infinite(
     f: Integrand,
     spec: QuadratureSpec = QuadratureSpec(),
@@ -251,12 +290,15 @@ def integrate_semi_infinite(
 
     The first call evaluates all 103 nodes of h = 1/16, which hold those of
     2h; each later call the odd nodes of the next level.  err_est is
-    |T_h - T_2h| + h (|first term| + |last term|); the edge terms make a
-    window that cuts off part of the integral visible.  converged means
-    err_est met max(rel_tol*|value|, abs_tol) by h = 1/128.
+    |T_h - T_2h| + edge, where edge estimates the integral beyond the two
+    ends of the window (_tail) from the first level's terms, the same at
+    every level: when it alone misses the tolerance the result is not
+    converged after the first level, since no refinement reaches what the
+    window cuts off.
+    converged means err_est met max(rel_tol*|value|, abs_tol) by h = 1/128.
     """
     terms = np.zeros(_U.size)  # w f(u) at the nodes evaluated so far
-    coarse, n = None, 0
+    coarse, edge, n = None, 0.0, 0
     for step, new, on in _LEVELS:
         fx = np.asarray(f(_U[new]), dtype=float)
         if fx.shape != new.shape:
@@ -266,11 +308,12 @@ def integrate_semi_infinite(
         h = step / _FINE
         if coarse is None:
             coarse = 2.0 * h * math.fsum(terms[_COARSE].tolist())
+            t = terms[_ENDS].tolist()
+            edge = _tail(t[0], t[1]) + _tail(t[2], t[3])
         value = h * math.fsum(terms[on].tolist())
-        edge = h * (abs(terms[on[0]]) + abs(terms[on[-1]])).item()
         err = abs(value - coarse) + edge
-        converged = err <= max(spec.rel_tol * abs(value), spec.abs_tol)
-        if converged:
+        tol = max(spec.rel_tol * abs(value), spec.abs_tol)
+        if err <= tol or edge > tol:
             break
         coarse = value
-    return QuadResult(value, err, n, converged, edge)
+    return QuadResult(value, err, n, err <= tol, edge)

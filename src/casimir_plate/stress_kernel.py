@@ -17,14 +17,16 @@ difference but from its exact Wronskian rearrangement (``_sides``), and
     f(eta) = eta^{2/3} integral_0^inf dkappa/(2 pi) net(kappa)
 
 is one integral over the whole half line, with no cutoff or tail model.
-Each quadrature step's momenta are one ``_net_array`` call, one
-``airy_engine._net_terms`` pass; a one-momentum sample is the same pass,
-and below = above + net equals N/D exactly, which is never evaluated.
-D enters net in compensated form: the common factor e^{zeta_2 - 2 zeta_1}
-is removed analytically, which leaves every surviving term O(1) or
-exponentially small.  The naive unscaled products underflow to zero near
-kappa ~ 8 and silently flip the sign of the ratio, so that route is
-forbidden rather than merely discouraged.
+The integral hands the integrand a whole array of momenta per quadrature
+step (``_net_array``), which serves every z1 and z2 of the step with one
+``airy_engine._net_terms`` pass.  A one-momentum sample is the same pass
+on the pair (z1, z2): above is ai2'/ai2 from its rows, net comes from
+``_sides``, and below = above + net, which equals N/D exactly; N/D
+itself is never evaluated.  D enters net in compensated form: the
+common factor e^{zeta_2 - 2 zeta_1} is removed analytically, which leaves
+every surviving term O(1) or exponentially small.  The naive unscaled
+products underflow to zero near kappa ~ 8 and silently flip the sign of
+the ratio, so that route is forbidden rather than merely discouraged.
 
 The flat-background benchmark (two plates, attractive -pi/(24 a^2)) and the
 leading-order perturbative estimate (infrared divergent by design; it
@@ -102,12 +104,18 @@ class ForceResult:
         }
 
 
-def _check(name: str, x: float, positive: bool = False) -> float:
-    """float(x), or DomainError unless x is finite and >= 0 (> 0 if positive)."""
-    x = float(x)
-    if not (math.isfinite(x) and (x > 0.0 if positive else x >= 0.0)):
-        raise DomainError(f"{name} must be finite and {'>' if positive else '>='} 0, got {x!r}")
-    return x
+def _check_kappa(kappa: float) -> float:
+    kappa = float(kappa)
+    if not (math.isfinite(kappa) and kappa >= 0.0):
+        raise DomainError(f"kappa must be finite and >= 0, got {kappa!r}")
+    return kappa
+
+
+def _check_eta_positive(eta: float) -> float:
+    eta = float(eta)
+    if not (math.isfinite(eta) and eta > 0.0):
+        raise DomainError(f"eta must be finite and > 0, got {eta!r}")
+    return eta
 
 
 def _sides(
@@ -177,12 +185,12 @@ def _sample(kappa: float, eta: float) -> tuple[float, float, float]:
 
 def integrand_above(kappa: float, eta: float) -> float:
     """Slope ratio just above the plate: Ai'(z)/Ai(z) at z = kappa^2 + eta^{1/3}."""
-    return _sample(_check("kappa", kappa), _check("eta", eta, True))[0]
+    return _sample(_check_kappa(kappa), _check_eta_positive(eta))[0]
 
 
 def integrand_below(kappa: float, eta: float) -> float:
     """Slope ratio just below the plate, the N/D form, evaluated as above + net."""
-    return _sample(_check("kappa", kappa), _check("eta", eta, True))[1]
+    return _sample(_check_kappa(kappa), _check_eta_positive(eta))[1]
 
 
 def integrand_net(kappa: float, eta: float) -> StressIntegrandSample:
@@ -192,7 +200,10 @@ def integrand_net(kappa: float, eta: float) -> StressIntegrandSample:
     algebraic identity (Wronskian algebra), and no Airy function is
     evaluated on that path.
     """
-    kappa, eta = _check("kappa", kappa), _check("eta", eta)
+    kappa = _check_kappa(kappa)
+    eta = float(eta)
+    if not (math.isfinite(eta) and eta >= 0.0):
+        raise DomainError(f"eta must be finite and >= 0, got {eta!r}")
     if eta == 0.0:
         return StressIntegrandSample(kappa=kappa, above=None, below=None, net=0.0)
     above, below, net = _sample(kappa, eta)
@@ -233,13 +244,16 @@ def force_exact(eta: float, spec: QuadratureSpec = QuadratureSpec()) -> ForceRes
     where net turns from eps/kappa to 1/(2 kappa^2), eps = eta^{1/3}.  It
     is reported as kappa_max.  err_est is the quadrature estimate plus the
     kernel's rounding term, and a result whose err_est exceeds rel_tol * f
-    raises ToleranceError naming the input and the largest part of err_est.
+    raises ToleranceError naming the input and the part of err_est that
+    missed: the level difference, the window edge or rounding.
     A k0 above the spec's bound on a pinned one (default k0 at eta outside
     [1.6e-104, 3.7e207]) raises DomainError.
     eta = 0 returns exactly zero without integrating (the net integrand is
     identically zero by the cancellation identity).
     """
-    eta = _check("eta", eta)
+    eta = float(eta)
+    if not (math.isfinite(eta) and eta >= 0.0):
+        raise DomainError(f"eta must be finite and >= 0, got {eta!r}")
     if eta == 0.0:
         return ForceResult(eta=0.0, f_eta=0.0, err_est=0.0, kappa_max=0.0, n_evals=0)
 
@@ -257,16 +271,20 @@ def force_exact(eta: float, spec: QuadratureSpec = QuadratureSpec()) -> ForceRes
     rounding = sys.float_info.epsilon * (lib + _ROUND_EPS / min(1.0, eps))
     # the quadrature gets what the rounding term leaves of rel_tol
     budget = spec.rel_tol - rounding
-    r = integrate_semi_infinite(net, replace(spec, rel_tol=budget) if budget > 0.0 else spec)
+    qspec = replace(spec, rel_tol=budget) if budget > 0.0 else spec
+    r = integrate_semi_infinite(net, qspec)
     scale = eta ** (2.0 / 3.0) / (2.0 * math.pi)
     f_eta = scale * r.value
     err = scale * r.err_est + rounding * f_eta
     if not (r.converged and err <= spec.rel_tol * f_eta):
-        parts = {"level difference": scale * (r.err_est - r.edge),
-                 "window edge": scale * r.edge, "rounding": rounding * f_eta}
+        # a window edge that alone misses the quadrature's tolerance stops it
+        # at the first level; otherwise the finest level ran out
+        edge_missed = r.edge > max(qspec.rel_tol * abs(r.value), qspec.abs_tol)
+        cause = ("rounding" if r.converged
+                 else "window edge" if edge_missed else "level difference")
         raise ToleranceError(
-            f"momentum integral did not reach rel_tol (n_evals={r.n_evals}, largest part: "
-            f"{max(parts, key=parts.get)}); eta={eta!r}, rel_tol={spec.rel_tol!r}, "
+            f"momentum integral did not reach rel_tol (n_evals={r.n_evals}, cause: "
+            f"{cause}); eta={eta!r}, rel_tol={spec.rel_tol!r}, "
             f"err_est={err:.3e}, f_eta={f_eta:.6e}"
         )
     return ForceResult(eta=eta, f_eta=f_eta, err_est=err, kappa_max=k0, n_evals=r.n_evals)
@@ -280,7 +298,9 @@ def force_classic(a: float, spec: QuadratureSpec = QuadratureSpec()) -> float:
     is in docs/numerics.md.  The K -> 0 limit of the integrand is the
     finite value -1/(2 pi a), and the quadrature never evaluates K = 0.
     """
-    a = _check("plate separation", a, True)
+    a = float(a)
+    if not (math.isfinite(a) and a > 0.0):
+        raise DomainError(f"plate separation must be finite and > 0, got {a!r}")
 
     def f(K: float) -> float:
         w = 2.0 * K * a
@@ -311,7 +331,15 @@ def perturbative_integrands(K: float, a: float, b: float) -> tuple[float, float,
     the infrared divergence that makes the perturbative route an estimate
     rather than an answer.
     """
-    K, a, b = _check("K", K, True), _check("a", a, True), _check("b", b)
+    K = float(K)
+    a = float(a)
+    b = float(b)
+    if not (math.isfinite(K) and K > 0.0):
+        raise DomainError(f"K must be finite and > 0, got {K!r}")
+    if not (math.isfinite(a) and a > 0.0):
+        raise DomainError(f"a must be finite and > 0, got {a!r}")
+    if not (math.isfinite(b) and b >= 0.0):
+        raise DomainError(f"b must be finite and >= 0, got {b!r}")
     em = math.exp(-2.0 * K * a)
     k2_4 = 4.0 * K * K
     part_below = b * (1.0 - 2.0 * K * a - 2.0 * em) / k2_4
@@ -344,7 +372,15 @@ def force_perturbative(
     k_min << 1/a: the cutoff dependence is the point of this operation, so
     it is quarantined from the exact force entirely.
     """
-    a, b, k_min = _check("a", a, True), _check("b", b), _check("k_min", k_min, True)
+    a = float(a)
+    b = float(b)
+    k_min = float(k_min)
+    if not (math.isfinite(a) and a > 0.0):
+        raise DomainError(f"a must be finite and > 0, got {a!r}")
+    if not (math.isfinite(b) and b >= 0.0):
+        raise DomainError(f"b must be finite and >= 0, got {b!r}")
+    if not (math.isfinite(k_min) and k_min > 0.0):
+        raise DomainError(f"k_min must be finite and > 0, got {k_min!r}")
 
     def f(u: float) -> float:
         K = k_min + u

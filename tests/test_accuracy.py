@@ -60,6 +60,24 @@ def test_error_estimate_holds_where_the_quadrature_was_fooled(eta, rel_tol):
     assert abs(r.f_eta - HARD[eta]) <= r.err_est <= rel_tol * r.f_eta
 
 
+@pytest.mark.parametrize("rel_tol", [1e-6, 1e-9, 1e-12])
+def test_pinned_scales_meet_their_tolerance_or_raise(rel_tol):
+    # from 1e-11 to 1e11 in quarter decades, 1e-8 and 1.2e-8 among them:
+    # the far scales move the window off the integrand, and the part it
+    # cuts off must show in err_est at every level, or the scale is refused
+    answered = []
+    for k0 in [10.0 ** (e / 4) for e in range(-44, 45)] + [1.2e-8]:
+        try:
+            r = force_exact(1.0, QuadratureSpec(rel_tol=rel_tol, kappa_max_policy=k0))
+        except ToleranceError as exc:
+            assert "cause: window edge" in str(exc), k0
+            continue
+        assert abs(r.f_eta - REF[1.0]) <= r.err_est <= rel_tol * r.f_eta, k0
+        answered.append(k0)
+    assert {1e-3, 1.0, 1e3} <= set(answered)
+    assert 1e-11 not in answered and 1e11 not in answered
+
+
 def _log_uniform(lo, hi):
     return st.floats(math.log10(lo), math.log10(hi)).map(lambda x: 10.0**x)
 

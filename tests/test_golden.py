@@ -32,21 +32,21 @@ from casimir_plate.verify import integrand_from_greens
 
 # (eta, rel_tol, pinned kappa_max): (f_eta, err_est, kappa_max, n_evals)
 FORCE = {
-    (1e-3, 1e-6, None): ("0x1.dfda36efb38a1p-12", "0x1.b2898166963fcp-41", "0x1.3ffffffffffffp+3", 103),
-    (1e-3, 1e-9, None): ("0x1.dfda36efb38b2p-12", "0x1.884f147a12b40p-56", "0x1.3ffffffffffffp+3", 205),
-    (1.0, 1e-6, None): ("0x1.d50107a4714aep-4", "0x1.5894ddaa1f6c1p-38", "0x1.0000000000000p+0", 103),
-    (1.0, 1e-9, None): ("0x1.d50107a4714aep-4", "0x1.5894ddaa1f6c1p-38", "0x1.0000000000000p+0", 103),
-    (1e3, 1e-6, None): ("0x1.fa1d095f1ce9ap+1", "0x1.e7f9326853ac1p-35", "0x1.94c583ada5b52p+1", 103),
-    (1e3, 1e-9, None): ("0x1.fa1d095f1ce9ap+1", "0x1.e7f9326853ac1p-35", "0x1.94c583ada5b52p+1", 103),
-    (1e6, 1e-6, None): ("0x1.f40009999cceap+6", "0x1.fe7ada8908ca9p-30", "0x1.3ffffffffffffp+3", 103),
-    (1e6, 1e-9, None): ("0x1.f40009999cceap+6", "0x1.fe7ada8908ca9p-30", "0x1.3ffffffffffffp+3", 103),
+    (1e-3, 1e-6, None): ("0x1.dfda36efb38a1p-12", "0x1.b2897ee61fcc8p-41", "0x1.3ffffffffffffp+3", 103),
+    (1e-3, 1e-9, None): ("0x1.dfda36efb38b2p-12", "0x1.882f4c110348dp-56", "0x1.3ffffffffffffp+3", 205),
+    (1.0, 1e-6, None): ("0x1.d50107a4714aep-4", "0x1.5894c1e56a2fap-38", "0x1.0000000000000p+0", 103),
+    (1.0, 1e-9, None): ("0x1.d50107a4714aep-4", "0x1.5894c1e56a2fap-38", "0x1.0000000000000p+0", 103),
+    (1e3, 1e-6, None): ("0x1.fa1d095f1ce9ap+1", "0x1.e7f8b8f05f551p-35", "0x1.94c583ada5b52p+1", 103),
+    (1e3, 1e-9, None): ("0x1.fa1d095f1ce9ap+1", "0x1.e7f8b8f05f551p-35", "0x1.94c583ada5b52p+1", 103),
+    (1e6, 1e-6, None): ("0x1.f40009999cceap+6", "0x1.fe7a628e22065p-30", "0x1.3ffffffffffffp+3", 103),
+    (1e6, 1e-9, None): ("0x1.f40009999cceap+6", "0x1.fe7a628e22065p-30", "0x1.3ffffffffffffp+3", 103),
     # deep refinement
-    (1.0, 1e-11, None): ("0x1.d50107a4714d3p-4", "0x1.ddae0b7db240bp-49", "0x1.0000000000000p+0", 205),
+    (1.0, 1e-11, None): ("0x1.d50107a4714d3p-4", "0x1.dd97ff3233de6p-49", "0x1.0000000000000p+0", 205),
     # pinned map scale
-    (1.0, 1e-6, 5.0): ("0x1.d50107a471499p-4", "0x1.2328074dd0aefp-35", "0x1.4000000000000p+2", 103),
-    (0.03, 1e-9, 5.0): ("0x1.13dca496706a1p-7", "0x1.1365feca3a731p-38", "0x1.4000000000000p+2", 103),
+    (1.0, 1e-6, 5.0): ("0x1.d50107a471499p-4", "0x1.2327ff29c6a96p-35", "0x1.4000000000000p+2", 103),
+    (0.03, 1e-9, 5.0): ("0x1.13dca496706a1p-7", "0x1.1365fad2f9d3bp-38", "0x1.4000000000000p+2", 103),
     # small eta
-    (1e-8, 1e-9, None): ("0x1.6ee7179a77664p-27", "0x1.7fdf874730580p-60", "0x1.d028ac9478910p+8", 205),
+    (1e-8, 1e-9, None): ("0x1.6ee7179a77664p-27", "0x1.7fdf48429ec5dp-60", "0x1.d028ac9478910p+8", 205),
 }
 
 # (eta, rel_tol, pinned kappa_max): (error type, message prefix)

@@ -111,20 +111,45 @@ class TestSemiInfinite:
         assert r.value == pytest.approx(math.pi / 2.0, rel=1e-11)
 
     def test_no_node_rounds_onto_the_mapped_endpoint(self):
-        # a k^{-1.1} tail cannot meet rel_tol 1e-15: every level is tried,
-        # and f never sees kappa = inf or 0, whose weight would be 0 * inf
+        # |sin k| cannot meet rel_tol 1e-15: every level is tried, and f
+        # never sees kappa = inf or 0, whose weight would be 0 * inf
+        seen = []
+
+        def kinks(k):
+            seen.extend(k.tolist())
+            return np.abs(np.sin(k)) / (1.0 + k * k)
+
         spec = QuadratureSpec(rel_tol=1e-15, abs_tol=1e-300)
-        r = integrate_semi_infinite(lambda k: 1.0 / (1.0 + k * k) ** 0.55, spec)
+        r = integrate_semi_infinite(kinks, spec)
+        assert len(seen) == r.n_evals == 819
+        assert 0.0 < min(seen) and max(seen) < math.inf
         assert math.isfinite(r.value) and math.isfinite(r.err_est)
         assert not r.converged
 
     def test_edge_term_reports_a_cut_off_window(self):
         # the window ends at kappa = 4.3e16, where a k^{-1.1} tail still
-        # holds 0.2 of 10.68; the edge terms, not the level difference, say so
+        # holds 0.2 of 10.68; the edge term, not the level difference, says
+        # so, and no level is refined past the first
         r = integrate_semi_infinite(lambda k: 1.0 / (1.0 + k * k) ** 0.55)
-        assert not r.converged and r.n_evals == 819
+        assert not r.converged and r.n_evals == 103
         assert r.edge > r.err_est - r.edge > 0.0
         assert r.edge > 1e-9 * r.value
+
+    @pytest.mark.parametrize("rel_tol", [1e-9, 1e-2, 5e-2])
+    def test_edge_term_bounds_what_the_window_cuts_off(self, rel_tol):
+        # the cut-off tail does not shrink with h, and neither may its
+        # estimate: err_est holds the true error at any tolerance it meets
+        exact = math.sqrt(math.pi) * math.gamma(0.05) / (2.0 * math.gamma(0.55))
+        r = integrate_semi_infinite(lambda k: 1.0 / (1.0 + k * k) ** 0.55,
+                                    QuadratureSpec(rel_tol=rel_tol))
+        assert abs(r.value - exact) <= r.err_est
+        assert r.converged == (rel_tol == 5e-2)
+
+    def test_tail_is_infinite_where_the_terms_do_not_decay(self):
+        # 1/k on the half line diverges at both ends
+        r = integrate_semi_infinite(lambda k: 1.0 / k)
+        assert r.edge == r.err_est == math.inf and not r.converged
+        assert r.n_evals == 103
 
     def test_levels_are_nested_and_no_node_is_evaluated_twice(self):
         # |sin k| has a kink at every multiple of pi: no level meets 1e-9,

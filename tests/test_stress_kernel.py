@@ -265,7 +265,7 @@ class TestForceExact:
         assert msg.startswith("momentum integral did not reach rel_tol")
         assert "; eta=1e-12, rel_tol=1e-13, err_est=" in msg
 
-    def test_errors_name_the_largest_part_of_err_est(self, monkeypatch):
+    def test_errors_name_the_part_that_missed(self, monkeypatch):
         cases = [
             # eps = 1e-4: 10 u/eps is 2.2e-12 of f, above rel_tol
             ((1e-12, QuadratureSpec(rel_tol=1e-13)), "rounding"),
@@ -274,12 +274,12 @@ class TestForceExact:
             ((1.0, QuadratureSpec(kappa_max_policy=1e10)), "window edge"),
         ]
         for args, part in cases:
-            with pytest.raises(ToleranceError, match=f"largest part: {part}\\); eta="):
+            with pytest.raises(ToleranceError, match=f"cause: {part}\\); eta="):
                 force_exact(*args)
         # an integrand no level resolves: |sin(kappa)| has a kink at every pi
         monkeypatch.setattr(stress_kernel, "_net_array",
                             lambda k, eta: np.abs(np.sin(k)) / (1.0 + k * k))
-        with pytest.raises(ToleranceError, match="n_evals=819, largest part: level difference"):
+        with pytest.raises(ToleranceError, match="n_evals=819, cause: level difference"):
             force_exact(1.0)
 
     def test_pinned_scale_bound(self):
