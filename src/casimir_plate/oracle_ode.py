@@ -28,12 +28,13 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, ResolutionError, ToleranceError
+from .errors import DomainError, OracleError, ResolutionError, ToleranceError
 from .greens import PlateConfig
 from .quadrature import QuadratureSpec, integrate_finite
 
@@ -86,9 +87,11 @@ def _solve_banded_bvp(
 ) -> np.ndarray:
     """Band solves of G'' - q G = -delta with plate at one edge, decay at the other.
 
-    Returns one column per source node index, all from one ``solve_banded``
-    call on one factorization; each column carries the same bits as a
-    solve for its source alone.
+    Returns one column per source node index, all from one LAPACK
+    ``dgtsv`` call on one factorization; each column carries the same bits
+    as a solve for its source alone.  Callers have checked that the band
+    is finite (_grid_values), so an ``info`` other than 0 is an internal
+    fault.
 
     plate='lo': Dirichlet at xs[0], WKB closure at xs[-1];
     plate='hi': the mirror image.  The closure eliminates a ghost node
@@ -103,41 +106,36 @@ def _solve_banded_bvp(
     kink while leaving every other node exact), so that node is corrected
     after the solve; the residual there is O(h^3 q).
     """
-    from scipy.linalg import solve_banded  # oracle only; kept off the import path
+    from scipy.linalg.lapack import dgtsv  # oracle only; kept off the import path
 
     n = xs.size
     h = xs[1] - xs[0]
-    cols = np.arange(len(sources))
-    src = np.asarray(sources)
-    rhs = np.zeros((n, cols.size))
-    c = 1.0 - (h * h / 12.0) * q
-    d = -2.0 * (1.0 + (5.0 * h * h / 12.0) * q)
-    w = -h / 12.0
-    rhs[src - 1, cols] += w
-    rhs[src, cols] += 10.0 * w
-    rhs[src + 1, cols] += w
-    ab = np.zeros((3, n))
-    ab[0, 1:] = c[1:]
-    ab[1, :] = d
-    ab[2, :-1] = c[:-1]
-    if plate == "lo":
-        ab[1, 0] = 1.0
-        ab[0, 1] = 0.0
-        rhs[0] = 0.0
-        s = math.sqrt(q[-1])
-        ab[2, n - 2] = 2.0
-        ab[1, n - 1] = -(2.0 + 2.0 * h * s + h * h * q[-1])
-        rhs[n - 1] = 0.0
+    # row i: c_{i-1} g_{i-1} + d_i g_i + c_{i+1} g_{i+1} with c = 1 - (h^2/12) q
+    # and d = -2 (1 + (5 h^2/12) q), each built in place
+    dl = q * -(h * h / 12.0)
+    dl += 1.0
+    du = dl[1:].copy()
+    dl = dl[:-1]
+    d = q * (5.0 * h * h / 12.0)
+    d += 1.0
+    d *= -2.0
+    if plate == "lo":  # Dirichlet row first, closure row last
+        d[0], du[0] = 1.0, 0.0
+        dl[n - 2], end = 2.0, n - 1
     else:
-        ab[1, n - 1] = 1.0
-        ab[2, n - 2] = 0.0
-        rhs[n - 1] = 0.0
-        s = math.sqrt(q[0])
-        ab[0, 1] = 2.0
-        ab[1, 0] = -(2.0 + 2.0 * h * s + h * h * q[0])
-        rhs[0] = 0.0
-    g = solve_banded((1, 1), ab, rhs)
-    g[src, cols] += h / 12.0
+        d[n - 1], dl[n - 2] = 1.0, 0.0
+        du[0], end = 2.0, 0
+    d[end] = -(2.0 + 2.0 * h * math.sqrt(q[end]) + h * h * q[end])
+    w = -h / 12.0
+    rhs = np.zeros((n, len(sources)), order="F")
+    for col, j in enumerate(sources):
+        rhs[j - 1 : j + 2, col] = (w, 10.0 * w, w)
+    g, info = dgtsv(dl, d, du, rhs, overwrite_dl=1, overwrite_d=1, overwrite_du=1,
+                    overwrite_b=1)[3:]
+    if info != 0:
+        raise OracleError(f"tridiagonal solve failed: LAPACK dgtsv returned info={info}")
+    for col, j in enumerate(sources):
+        g[j, col] += h / 12.0
     return g
 
 
@@ -169,10 +167,24 @@ def _q_plate(kappa: float, cfg: PlateConfig) -> float:
     return _momentum_factor(cfg) * kappa * kappa + cfg.b * cfg.a
 
 
+# bound on the largest products the FD grid forms: with h^2 q below it at
+# the grid's ends, d = -2 (1 + (5 h^2/12) q) and the closure
+# -(2 + 2 h sqrt(q) + h^2 q) stay finite; fd_setup's padding takes q(a)^{3/2}
+_BAND_MAX = sys.float_info.max / 16.0
+
+
 def _grid_values(kappa: float, cfg: PlateConfig, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and q on the grid, once the open end is padded by >= 8 decay lengths."""
     xs = np.linspace(grid.x_lo, grid.x_hi, grid.n)
     q = _q_values(xs, kappa, cfg)
+    # q = b^{2/3} kappa^2 + b |x|, and with it every band entry, peaks at an
+    # end of the grid, so two products stand in for a pass over the band
+    h, q_lo, q_hi = float(xs[1] - xs[0]), float(q[0]), float(q[-1])
+    if not (h * h * q_lo < _BAND_MAX and h * h * q_hi < _BAND_MAX):  # NaN fails too
+        raise DomainError(
+            f"kappa={kappa!r} overflows the finite-difference band: q reaches "
+            f"{max(q_lo, q_hi):.3e} at an end of the grid (h = {h:.3e})"
+        )
     margin = _decay_margin(xs, q)
     if margin < 8.0:
         raise DomainError(
@@ -318,6 +330,11 @@ def fd_setup(kappa: float, cfg: PlateConfig, side: str) -> tuple[GridSpec, float
     kappa = _common_checks(kappa, cfg)
     plate, _ = _plate_side(side)
     q_plate = _q_plate(kappa, cfg)
+    if not q_plate * math.sqrt(q_plate) < _BAND_MAX:  # the padding takes q(a)^{3/2}
+        raise DomainError(
+            f"kappa={kappa!r} is too large for the finite-difference grid: "
+            f"q(a) = {q_plate:.3e}, whose 3/2 power overflows"
+        )
     eps = 0.025 / math.sqrt(q_plate)
     h = eps / _NODES_PER_EPS
     if cfg.b == 0.0:

@@ -233,6 +233,14 @@ _ROUND_LIB = 100.0
 _ROUND_EPS = 10.0
 
 
+def _refusal(n_evals: int, cause: str, eta: float, spec: QuadratureSpec, err: str,
+             k0: float) -> ToleranceError:
+    return ToleranceError(
+        f"momentum integral did not reach rel_tol (n_evals={n_evals}, cause: {cause}); "
+        f"eta={eta!r}, rel_tol={spec.rel_tol!r}, err_est={err}, k0={k0!r}"
+    )
+
+
 def force_exact(eta: float, spec: QuadratureSpec = QuadratureSpec()) -> ForceResult:
     """Dimensionless force coefficient f(eta); pressure is f(eta)/a^2 at hbar = c = 1.
 
@@ -244,8 +252,11 @@ def force_exact(eta: float, spec: QuadratureSpec = QuadratureSpec()) -> ForceRes
     where net turns from eps/kappa to 1/(2 kappa^2), eps = eta^{1/3}.  It
     is reported as kappa_max.  err_est is the quadrature estimate plus the
     kernel's rounding term, and a result whose err_est exceeds rel_tol * f
-    raises ToleranceError naming the input and the part of err_est that
-    missed: the level difference, the window edge or rounding.
+    raises ToleranceError naming the input (eta, rel_tol, k0) and the part
+    of err_est that missed: the level difference, the window edge or
+    rounding.  When the rounding term alone exceeds rel_tol, that error is
+    raised before any node is evaluated (n_evals=0); an integral that
+    comes out zero or negative is refused the same way.
     A k0 above the spec's bound on a pinned one (default k0 at eta outside
     [1.6e-104, 3.7e207]) raises DomainError.
     eta = 0 returns exactly zero without integrating (the net integrand is
@@ -269,24 +280,26 @@ def force_exact(eta: float, spec: QuadratureSpec = QuadratureSpec()) -> ForceRes
     eps = eta ** (1.0 / 3.0)
     lib = _ROUND_LIB if eps < Z_SWITCH else 0.0
     rounding = sys.float_info.epsilon * (lib + _ROUND_EPS / min(1.0, eps))
-    # the quadrature gets what the rounding term leaves of rel_tol
+    # the quadrature gets what the rounding term leaves of rel_tol; when
+    # nothing is left, no integral can meet it
     budget = spec.rel_tol - rounding
-    qspec = replace(spec, rel_tol=budget) if budget > 0.0 else spec
+    if not budget > 0.0:
+        raise _refusal(0, "rounding", eta, spec, f"{rounding:.3e} * f_eta", k0)
+    qspec = replace(spec, rel_tol=budget)
     r = integrate_semi_infinite(net, qspec)
     scale = eta ** (2.0 / 3.0) / (2.0 * math.pi)
     f_eta = scale * r.value
-    err = scale * r.err_est + rounding * f_eta
-    if not (r.converged and err <= spec.rel_tol * f_eta):
+    err = scale * r.err_est + rounding * abs(f_eta)
+    # f(eta) > 0 for every eta > 0; zero or below is the kernel's rounding
+    # on a vanishing integral, or every node of a tiny pinned k0 underflowing
+    if not (r.converged and f_eta > 0.0 and err <= spec.rel_tol * f_eta):
         # a window edge that alone misses the quadrature's tolerance stops it
         # at the first level; otherwise the finest level ran out
         edge_missed = r.edge > max(qspec.rel_tol * abs(r.value), qspec.abs_tol)
-        cause = ("rounding" if r.converged
+        cause = ("value not positive" if r.converged and not f_eta > 0.0
+                 else "rounding" if r.converged
                  else "window edge" if edge_missed else "level difference")
-        raise ToleranceError(
-            f"momentum integral did not reach rel_tol (n_evals={r.n_evals}, cause: "
-            f"{cause}); eta={eta!r}, rel_tol={spec.rel_tol!r}, "
-            f"err_est={err:.3e}, f_eta={f_eta:.6e}"
-        )
+        raise _refusal(r.n_evals, cause, eta, spec, f"{err:.3e}, f_eta={f_eta:.6e}", k0)
     return ForceResult(eta=eta, f_eta=f_eta, err_est=err, kappa_max=k0, n_evals=r.n_evals)
 
 

@@ -1,11 +1,12 @@
 """Finite-difference BVP oracle: discretization order, closures, and the FD force pipeline."""
 
 import math
+import re
 
 import pytest
 
 from casimir_plate import QuadratureSpec, oracle_ode
-from casimir_plate.errors import DomainError, ResolutionError, ToleranceError
+from casimir_plate.errors import DomainError, OracleError, ResolutionError, ToleranceError
 from casimir_plate.greens import PlateConfig, greens_free_above, greens_linear_above
 from casimir_plate.oracle_ode import (
     GridSpec,
@@ -150,6 +151,51 @@ class TestBandedSolver:
         for k, src in enumerate(sources):
             one = oracle_ode._solve_banded_bvp(xs, q, [src], plate)
             assert both[:, k].tobytes() == one[:, 0].tobytes()
+
+
+    def test_failed_factorization_is_typed(self, monkeypatch):
+        # the band is diagonally dominant, so only a LAPACK fault gives info != 0
+        import scipy.linalg.lapack
+
+        def singular(dl, d, du, b, **overwrite):
+            return dl, d, du, b, 7
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dgtsv", singular)
+        with pytest.raises(OracleError, match="dgtsv returned info=7"):
+            solve_bvp_above(1.0, self.CFG, 3.0, GridSpec(1.0, 9.0, 4001))
+
+
+class TestOverflowingMomentum:
+    # q = b^{2/3} kappa^2 + b |x| overflows at kappa ~ 1.3e154 (b = 1), and
+    # the grid's padding takes q(a)^{3/2}, which overflows from kappa ~ 1.8e102
+    CFG = PlateConfig.from_eta(1.0)
+
+    @pytest.mark.parametrize("kappa", [1e103, 1e154, 1e155, 1e200])
+    @pytest.mark.parametrize("side", ["above", "below"])
+    def test_setup_names_kappa(self, kappa, side):
+        with pytest.raises(DomainError, match=re.escape(f"kappa={kappa!r} is too large")):
+            fd_setup(kappa, self.CFG, side)
+
+    @pytest.mark.parametrize("kappa", [1e155, 1e200])
+    @pytest.mark.parametrize(
+        "solve, grid, xp",
+        [(solve_bvp_above, GridSpec(1.0, 9.0, 4001), 3.0),
+         (solve_bvp_full, GridSpec(-9.0, 1.0, 4001), -3.0)],
+    )
+    def test_solvers_name_kappa(self, kappa, solve, grid, xp):
+        with pytest.raises(DomainError, match=re.escape(f"kappa={kappa!r} overflows the")):
+            solve(kappa, self.CFG, xp, grid)
+
+    @pytest.mark.parametrize("side", ["above", "below"])
+    def test_integrand_names_kappa(self, side):
+        grid, eps = fd_setup(1.0, self.CFG, side)
+        with pytest.raises(DomainError, match=re.escape("kappa=1e+200 overflows the")):
+            integrand_from_fd(1e200, self.CFG, side, grid, eps)
+
+    def test_wide_grid_overflowing_the_band_is_named(self):
+        # q stays finite here, but h^2 q at the far end does not
+        with pytest.raises(DomainError, match="kappa=1.0 overflows the finite-difference band"):
+            solve_bvp_above(1.0, self.CFG, 1e298, GridSpec(1.0, 1e300, 1001))
 
 
 class TestStressExtraction:

@@ -265,9 +265,43 @@ class TestForceExact:
         assert msg.startswith("momentum integral did not reach rel_tol")
         assert "; eta=1e-12, rel_tol=1e-13, err_est=" in msg
 
+    @pytest.mark.parametrize("rel_tol, cause", [
+        # rounding alone: 10 u/eps is 2.2e+85 at eps = 1e-100
+        (1e-9, "n_evals=0, cause: rounding"),
+        # a tolerance that leaves a budget: the tiny integral rounds below 0
+        (1e100, "n_evals=103, cause: value not positive"),
+    ])
+    def test_negative_force_names_the_input(self, rel_tol, cause):
+        with pytest.raises(ToleranceError) as info:
+            force_exact(1e-300, QuadratureSpec(rel_tol=rel_tol, kappa_max_policy=1.0))
+        msg = str(info.value)
+        assert f"{cause}); eta=1e-300, rel_tol={rel_tol!r}, err_est=" in msg
+        assert msg.endswith(", k0=1.0")
+
+    @pytest.mark.parametrize("eta, rel_tol", [(1e-8, 1e-12), (1e-30, 1e-9), (1e-12, 1e-13)])
+    def test_rounding_over_rel_tol_refuses_before_integrating(self, monkeypatch, eta, rel_tol):
+        def never(kappa, eta):
+            raise AssertionError("the kernel was evaluated")
+
+        monkeypatch.setattr(stress_kernel, "_net_array", never)
+        with pytest.raises(ToleranceError) as info:
+            force_exact(eta, QuadratureSpec(rel_tol=rel_tol))
+        msg = str(info.value)
+        assert msg.startswith("momentum integral did not reach rel_tol (n_evals=0, ")
+        assert f"cause: rounding); eta={eta!r}, rel_tol={rel_tol!r}, err_est=" in msg
+
+    def test_underflowing_pinned_scale_is_refused(self):
+        # every node k0 u is 0 or subnormal: the integral is exactly 0 and,
+        # unchecked, would meet rel_tol * 0 with err_est 0; f(1) is 0.1145
+        with pytest.raises(ToleranceError) as info:
+            force_exact(1.0, QuadratureSpec(kappa_max_policy=5e-324))
+        msg = str(info.value)
+        assert "cause: value not positive); eta=1.0, rel_tol=1e-09, err_est=" in msg
+        assert msg.endswith(", k0=5e-324")
+
     def test_errors_name_the_part_that_missed(self, monkeypatch):
         cases = [
-            # eps = 1e-4: 10 u/eps is 2.2e-12 of f, above rel_tol
+            # eps = 1e-4: 10 u/eps is 2.2e-11 of f, above rel_tol
             ((1e-12, QuadratureSpec(rel_tol=1e-13)), "rounding"),
             # a scale 1e10 puts the nearest node at kappa ~ 2e-7, where net
             # is still 0.4: the window cuts off 1e-7 of the integral
