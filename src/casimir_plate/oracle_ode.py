@@ -82,7 +82,7 @@ def _q_values(xs: np.ndarray, kappa: float, cfg: PlateConfig) -> np.ndarray:
     return _momentum_factor(cfg) * kappa * kappa + cfg.b * np.abs(xs)
 
 
-def _solve_banded_bvp(
+def _solve_tridiagonal_bvp(
     xs: np.ndarray, q: np.ndarray, sources: Sequence[int], plate: str
 ) -> np.ndarray:
     """Band solves of G'' - q G = -delta with plate at one edge, decay at the other.
@@ -112,10 +112,9 @@ def _solve_banded_bvp(
     h = xs[1] - xs[0]
     # row i: c_{i-1} g_{i-1} + d_i g_i + c_{i+1} g_{i+1} with c = 1 - (h^2/12) q
     # and d = -2 (1 + (5 h^2/12) q), each built in place
-    dl = q * -(h * h / 12.0)
-    dl += 1.0
-    du = dl[1:].copy()
-    dl = dl[:-1]
+    c = q * -(h * h / 12.0)
+    c += 1.0
+    dl, du = c[:-1], c[1:].copy()  # apart: dgtsv overwrites both
     d = q * (5.0 * h * h / 12.0)
     d += 1.0
     d *= -2.0
@@ -212,10 +211,10 @@ def _solve_bvp(
         raise DomainError(f"source must lie inside the grid, got {xp!r}")
     xs, q = _grid_values(kappa, cfg, grid)
     j = _source_index(xp, grid)
-    g = _solve_banded_bvp(xs, q, [j], plate)[:, 0]
+    g = _solve_tridiagonal_bvp(xs, q, [j], plate)[:, 0]
     if check:
         xs2 = np.linspace(grid.x_lo, grid.x_hi, 2 * grid.n - 1)
-        g2 = _solve_banded_bvp(xs2, _q_values(xs2, kappa, cfg), [2 * j], plate)[:, 0]
+        g2 = _solve_tridiagonal_bvp(xs2, _q_values(xs2, kappa, cfg), [2 * j], plate)[:, 0]
         scale = float(np.max(np.abs(g))) or 1.0
         gap = float(np.max(np.abs(g - g2[::2]))) / scale
         if gap > 1e-5:
@@ -303,7 +302,7 @@ def integrand_from_fd(
     xs, q = _grid_values(kappa, cfg, grid)
     e = (j * h, 2 * j * h)
     edge = grid.x_lo if plate == "lo" else grid.x_hi
-    g = _solve_banded_bvp(xs, q, [_source_index(edge + away * d, grid) for d in e], plate)
+    g = _solve_tridiagonal_bvp(xs, q, [_source_index(edge + away * d, grid) for d in e], plate)
     return _plate_integrand(g if plate == "lo" else g[::-1], h, e, kappa, cfg)
 
 

@@ -146,10 +146,10 @@ class TestBandedSolver:
         j = round(eps / grid.h)
         steps = [k * j for k in range(1, n_sources + 1)]
         sources = steps if plate == "lo" else [grid.n - 1 - s for s in steps]
-        both = oracle_ode._solve_banded_bvp(xs, q, sources, plate)
+        both = oracle_ode._solve_tridiagonal_bvp(xs, q, sources, plate)
         assert both.shape == (grid.n, n_sources)
         for k, src in enumerate(sources):
-            one = oracle_ode._solve_banded_bvp(xs, q, [src], plate)
+            one = oracle_ode._solve_tridiagonal_bvp(xs, q, [src], plate)
             assert both[:, k].tobytes() == one[:, 0].tobytes()
 
 
