@@ -152,7 +152,6 @@ class TestBandedSolver:
             one = oracle_ode._solve_tridiagonal_bvp(xs, q, [src], plate)
             assert both[:, k].tobytes() == one[:, 0].tobytes()
 
-
     def test_failed_factorization_is_typed(self, monkeypatch):
         # the band is diagonally dominant, so only a LAPACK fault gives info != 0
         import scipy.linalg.lapack
