@@ -7,9 +7,10 @@ Green's functions, checked against a finite-difference oracle that never
 touches an Airy function, and exposed through the casimir-plate CLI.
 
 Layout: airy_engine (scaled special functions), greens (closed-form
-propagators), stress_kernel (integrands, forces), quadrature (adaptive
-Gauss-Kronrod), oracle_ode (independent checks), verify (invariant
-suites), cli (presentation).
+propagators), stress_kernel (integrands, forces), quadrature (exp-sinh
+on the half line, adaptive Gauss-Kronrod on a finite interval), oracle_ode
+(independent checks), verify (invariant suites), cli (presentation),
+errors (exception types and the one scalar argument check).
 """
 
 from .airy_engine import (

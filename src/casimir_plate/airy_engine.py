@@ -64,7 +64,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, OracleError
+from .errors import DomainError, OracleError, check_real
 
 __all__ = [
     "AiryValues",
@@ -451,23 +451,13 @@ def _exp_soft(t: float) -> float:
     return math.exp(t)
 
 
-def _validate(z: float) -> float:
-    try:
-        zf = float(z)
-    except (TypeError, ValueError):
-        raise DomainError(f"argument must be a real number, got {z!r}") from None
-    if not math.isfinite(zf) or zf < 0.0:
-        raise DomainError(f"argument must be finite and >= 0, got {z!r}")
-    return zf
-
-
 def airy_eval(z: float) -> AiryValues:
     """Evaluate Ai, Bi and derivatives at z >= 0.
 
     Scaled fields are accurate over the whole domain; raw fields saturate
     gracefully once e^{+-zeta} leaves the representable range.
     """
-    zf = _validate(z)
+    zf = check_real(z, "argument z")
     zeta = zeta_of(zf)
     ai_s, aip_s, bi_s, bip_s = airy_scaled(np.array([zf]))[:, 0].tolist()
     em = _exp_soft(-zeta)
@@ -564,7 +554,7 @@ def airy_via_ode_oracle(z: float) -> AiryValues:
     (within 2.1e-12 of 30-digit mpmath on [0, 50]).  z = 0 returns the
     closed forms and z = 50 the Ai seed itself.
     """
-    zf = _validate(z)
+    zf = check_real(z, "argument z")
     if zf > _ODE_MAX:
         raise DomainError(f"oracle covers [0, {_ODE_MAX}], got {z!r}")
     if zf == 0.0:

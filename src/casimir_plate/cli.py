@@ -190,11 +190,8 @@ def cmd_curve(args: argparse.Namespace) -> int:
 
 
 def cmd_classic(args: argparse.Namespace) -> int:
-    a = float(args.a)
-    if not (math.isfinite(a) and a > 0.0):
-        raise DomainError(f"--a must be > 0, got {a!r}")
-    spec = _resolve_spec(args)
-    numeric = force_classic(a, spec)
+    a = args.a
+    numeric = force_classic(a, _resolve_spec(args))
     analytic = -math.pi / (24.0 * a * a)
     rel = abs(numeric - analytic) / abs(analytic)
     print(f"numeric   = {_fmt(numeric)}")
@@ -205,13 +202,7 @@ def cmd_classic(args: argparse.Namespace) -> int:
 
 
 def cmd_perturb(args: argparse.Namespace) -> int:
-    a, b, k_min = float(args.a), float(args.b), float(args.k_min)
-    if not (math.isfinite(a) and a > 0.0):
-        raise DomainError(f"--a must be > 0, got {a!r}")
-    if not (math.isfinite(b) and b >= 0.0):
-        raise DomainError(f"--b must be >= 0, got {b!r}")
-    if not (math.isfinite(k_min) and k_min > 0.0):
-        raise DomainError(f"--k-min must be > 0, got {k_min!r}")
+    a, b, k_min = args.a, args.b, args.k_min
     spec = _resolve_spec(args)
     v1 = force_perturbative(a, b, k_min, spec)
     v2 = force_perturbative(a, b, k_min / 2.0, spec)

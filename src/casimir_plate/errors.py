@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one scalar argument check."""
+
+import math
 
 __all__ = [
     "CasimirError",
@@ -7,6 +9,7 @@ __all__ = [
     "ToleranceError",
     "OracleError",
     "ResolutionError",
+    "check_real",
 ]
 
 
@@ -32,3 +35,16 @@ class OracleError(CasimirError, RuntimeError):
 
 class ResolutionError(OracleError):
     """A finite-difference grid is too coarse for the requested check."""
+
+
+def check_real(value, name: str, *, strict: bool = False) -> float:
+    """float(value) if it is finite and >= 0 (> 0 when strict), else a DomainError naming it."""
+    try:
+        v = float(value)
+    except OverflowError:  # an int beyond the float range
+        v = math.inf if value > 0 else -math.inf
+    except (TypeError, ValueError):
+        raise DomainError(f"{name} must be a real number, got {value!r}") from None
+    if not (math.isfinite(v) and (v > 0.0 if strict else v >= 0.0)):
+        raise DomainError(f"{name} must be finite and {'>' if strict else '>='} 0, got {v!r}")
+    return v

@@ -45,7 +45,7 @@ from typing import Optional
 import numpy as np
 
 from .airy_engine import airy_scaled, zeta_gap, zeta_of
-from .errors import DomainError, SingularityError
+from .errors import DomainError, SingularityError, check_real
 
 __all__ = [
     "PlateConfig",
@@ -71,17 +71,15 @@ class PlateConfig:
     eta: Optional[float] = None
 
     def __post_init__(self):
-        a = _check_length(self.a, "plate height a")
-        b = float(self.b)
-        if not (math.isfinite(b) and b >= 0.0):
-            raise DomainError(f"potential slope b must be finite and >= 0, got {self.b!r}")
+        a = check_real(self.a, "plate height a", strict=True)
+        b = check_real(self.b, "potential slope b")
         derived = b * _cube(a)
         if b > 0.0 and not 0.0 < derived < math.inf:
             raise DomainError(
                 f"plate height a = {a!r} with b = {b!r} puts eta = b*a^3 outside the float range"
             )
         if self.eta is not None and not math.isclose(
-            float(self.eta), derived, rel_tol=1e-12, abs_tol=0.0
+            check_real(self.eta, "eta"), derived, rel_tol=1e-12, abs_tol=0.0
         ):
             raise DomainError(
                 f"eta must equal b*a^3 = {derived!r}, got {self.eta!r}"
@@ -92,23 +90,14 @@ class PlateConfig:
 
     @classmethod
     def from_eta(cls, eta: float, a: float = 1.0) -> "PlateConfig":
-        eta = float(eta)
-        if not (math.isfinite(eta) and eta >= 0.0):
-            raise DomainError(f"eta must be finite and >= 0, got {eta!r}")
-        a = _check_length(a, "plate height a")
+        eta = check_real(eta, "eta")
+        a = check_real(a, "plate height a", strict=True)
         b = eta / _cube(a)
         if not (math.isfinite(b) and (b > 0.0 or eta == 0.0)):
             raise DomainError(
                 f"plate height a = {a!r} with eta = {eta!r} puts b = eta/a^3 outside the float range"
             )
         return cls(a=a, b=b)
-
-
-def _check_length(a: float, what: str) -> float:
-    a = float(a)
-    if not (math.isfinite(a) and a > 0.0):
-        raise DomainError(f"{what} must be finite and > 0, got {a!r}")
-    return a
 
 
 def _cube(a: float) -> float:
@@ -122,21 +111,14 @@ def _cube(a: float) -> float:
     return cube
 
 
-def _check_momentum(K: float) -> float:
-    K = float(K)
-    if not (math.isfinite(K) and K > 0.0):
-        raise DomainError(f"momentum must be finite and > 0, got {K!r}")
-    return K
-
-
 def greens_free_between(x: float, xp: float, K: float, a: float) -> float:
     """Flat background between Dirichlet plates at 0 and a.
 
     Orderings are interchangeable (the kernel is symmetric); internally the
     points are sorted so the closed form is evaluated with x' <= x.
     """
-    K = _check_momentum(K)
-    a = _check_length(a, "plate separation")
+    K = check_real(K, "momentum K", strict=True)
+    a = check_real(a, "plate separation a", strict=True)
     lo, hi = map(float, _ordered(x, xp))
     if lo < 0.0 or hi > a:
         raise DomainError(f"points must satisfy 0 <= x, x' <= {a}, got {x!r}, {xp!r}")
@@ -150,8 +132,8 @@ def greens_free_between(x: float, xp: float, K: float, a: float) -> float:
 
 def greens_free_above(x: float, xp: float, K: float, a: float) -> float:
     """Flat background above a single Dirichlet plate at a; decay at infinity."""
-    K = _check_momentum(K)
-    a = _check_length(a, "plate height")
+    K = check_real(K, "momentum K", strict=True)
+    a = check_real(a, "plate height a", strict=True)
     lo, hi = map(float, _ordered(x, xp))
     if lo < a:
         raise DomainError(f"both points must lie at or above the plate {a!r}")
@@ -160,9 +142,7 @@ def greens_free_above(x: float, xp: float, K: float, a: float) -> float:
 
 
 def _require_linear(cfg: PlateConfig, kappa: float) -> float:
-    kappa = float(kappa)
-    if not (math.isfinite(kappa) and kappa >= 0.0):
-        raise DomainError(f"kappa must be finite and >= 0, got {kappa!r}")
+    kappa = check_real(kappa, "kappa")
     if cfg.eta == 0.0:
         raise DomainError("eta = 0 has no linear-background form; use the flat-background kernels")
     return kappa
@@ -281,7 +261,7 @@ def below_ratio_from_construction(kappa: float, cfg: PlateConfig) -> float:
     agreement is no cross-check; verify.integrand_from_greens is the one.
     Nothing in the package calls it and the package does not export it; it
     stays only because perfbench/tracer.py binds it by name, and goes when
-    the tracer reads package counters instead (ROADMAP item 3).
+    the tracer reads package counters instead (ROADMAP item 1).
     """
     kappa = _require_linear(cfg, kappa)
     _, (z1, za, _), (v1, va, _) = _airy_rows(kappa, cfg, np.empty(0))

@@ -34,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, OracleError, ResolutionError, ToleranceError
+from .errors import DomainError, OracleError, ResolutionError, ToleranceError, check_real
 from .greens import PlateConfig
 from .quadrature import QuadratureSpec, integrate_finite
 
@@ -145,9 +145,7 @@ def _decay_margin(xs: np.ndarray, q: np.ndarray) -> float:
 
 
 def _common_checks(kappa: float, cfg: PlateConfig) -> float:
-    kappa = float(kappa)
-    if not (math.isfinite(kappa) and kappa >= 0.0):
-        raise DomainError(f"kappa must be finite and >= 0, got {kappa!r}")
+    kappa = check_real(kappa, "kappa")
     if cfg.b == 0.0 and kappa == 0.0:
         raise DomainError("flat background with zero momentum has no decaying solution")
     return kappa
@@ -292,7 +290,7 @@ def integrand_from_fd(
     kappa = _common_checks(kappa, cfg)
     plate, away = _plate_side(side)
     h = grid.h
-    j = int(round(float(eps) / h))
+    j = int(round(check_real(eps, "eps", strict=True) / h))
     if j < 4:
         raise ResolutionError(
             f"eps = {eps!r} spans fewer than 4 grid cells (h = {h!r}); refine the grid"
@@ -367,9 +365,8 @@ def force_from_fd(
     independent cross-check of the production force values.  A cutoff
     integral that misses spec's tolerance raises ToleranceError.
     """
-    eta = float(eta)
-    if not (math.isfinite(eta) and eta > 0.0):
-        raise DomainError(f"eta must be finite and > 0, got {eta!r}")
+    eta = check_real(eta, "eta", strict=True)
+    kappa_max = check_real(kappa_max, "kappa_max", strict=True)
     cfg = PlateConfig.from_eta(eta)
     if spec is None:
         spec = QuadratureSpec(rel_tol=1e-6, abs_tol=1e-12, max_subdivisions=200)
@@ -381,12 +378,12 @@ def force_from_fd(
         below = integrand_from_fd(k, cfg, "below", grid_b, eps_b)
         return below - above
 
-    r = integrate_finite(lambda ks: [net(k) for k in ks.tolist()], 0.0, float(kappa_max), spec)
+    r = integrate_finite(lambda ks: [net(k) for k in ks.tolist()], 0.0, kappa_max, spec)
     scale = eta ** (2.0 / 3.0)
     if not r.converged:
         # err_est in units of f, as force_exact reports it
         raise ToleranceError(
-            f"FD momentum integral did not converge on [0.0, {float(kappa_max)!r}]; "
+            f"FD momentum integral did not converge on [0.0, {kappa_max!r}]; "
             f"eta={eta!r}, rel_tol={spec.rel_tol!r}, "
             f"err_est={scale * r.err_est / (2.0 * math.pi):.3e}"
         )

@@ -40,13 +40,14 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_real
 
 __all__ = [
     "QuadratureSpec",
@@ -126,16 +127,21 @@ class QuadratureSpec:
     kappa_max_policy: Optional[float] = None
 
     def __post_init__(self):
-        if not (math.isfinite(self.rel_tol) and self.rel_tol > 0.0):
-            raise DomainError(f"rel_tol must be finite and > 0, got {self.rel_tol!r}")
-        if not (math.isfinite(self.abs_tol) and self.abs_tol > 0.0):
-            raise DomainError(f"abs_tol must be finite and > 0, got {self.abs_tol!r}")
-        if int(self.max_subdivisions) < 1:
-            raise DomainError("max_subdivisions must be >= 1")
+        object.__setattr__(self, "rel_tol", check_real(self.rel_tol, "rel_tol", strict=True))
+        object.__setattr__(self, "abs_tol", check_real(self.abs_tol, "abs_tol", strict=True))
+        try:
+            n = operator.index(self.max_subdivisions)
+        except TypeError:
+            n = 0
+        if n < 1:
+            raise DomainError(
+                f"max_subdivisions must be an integer >= 1, got {self.max_subdivisions!r}")
+        object.__setattr__(self, "max_subdivisions", n)
         if self.kappa_max_policy is not None:
-            k = float(self.kappa_max_policy)
-            if not 0.0 < k <= _K0_MAX:
-                raise DomainError(f"fixed kappa_max must be > 0 and <= {_K0_MAX!r}, got {k!r}")
+            k = check_real(self.kappa_max_policy, "kappa_max_policy", strict=True)
+            if k > _K0_MAX:
+                raise DomainError(f"kappa_max_policy must be <= {_K0_MAX!r}, got {k!r}")
+            object.__setattr__(self, "kappa_max_policy", k)
 
     def fingerprint(self) -> str:
         """Stable identity of the kernel and tolerances; result caches key off this."""

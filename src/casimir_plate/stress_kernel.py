@@ -43,7 +43,7 @@ from typing import Optional
 import numpy as np
 
 from .airy_engine import Z_SWITCH, _net_terms
-from .errors import DomainError, SingularityError, ToleranceError
+from .errors import DomainError, SingularityError, ToleranceError, check_real
 from .quadrature import _K0_MAX, QuadratureSpec, integrate_semi_infinite
 
 __all__ = [
@@ -102,20 +102,6 @@ class ForceResult:
             "kappa_max": self.kappa_max,
             "n_evals": self.n_evals,
         }
-
-
-def _check_kappa(kappa: float) -> float:
-    kappa = float(kappa)
-    if not (math.isfinite(kappa) and kappa >= 0.0):
-        raise DomainError(f"kappa must be finite and >= 0, got {kappa!r}")
-    return kappa
-
-
-def _check_eta_positive(eta: float) -> float:
-    eta = float(eta)
-    if not (math.isfinite(eta) and eta > 0.0):
-        raise DomainError(f"eta must be finite and > 0, got {eta!r}")
-    return eta
 
 
 def _sides(
@@ -185,12 +171,12 @@ def _sample(kappa: float, eta: float) -> tuple[float, float, float]:
 
 def integrand_above(kappa: float, eta: float) -> float:
     """Slope ratio just above the plate: Ai'(z)/Ai(z) at z = kappa^2 + eta^{1/3}."""
-    return _sample(_check_kappa(kappa), _check_eta_positive(eta))[0]
+    return _sample(check_real(kappa, "kappa"), check_real(eta, "eta", strict=True))[0]
 
 
 def integrand_below(kappa: float, eta: float) -> float:
     """Slope ratio just below the plate, the N/D form, evaluated as above + net."""
-    return _sample(_check_kappa(kappa), _check_eta_positive(eta))[1]
+    return _sample(check_real(kappa, "kappa"), check_real(eta, "eta", strict=True))[1]
 
 
 def integrand_net(kappa: float, eta: float) -> StressIntegrandSample:
@@ -200,10 +186,8 @@ def integrand_net(kappa: float, eta: float) -> StressIntegrandSample:
     algebraic identity (Wronskian algebra), and no Airy function is
     evaluated on that path.
     """
-    kappa = _check_kappa(kappa)
-    eta = float(eta)
-    if not (math.isfinite(eta) and eta >= 0.0):
-        raise DomainError(f"eta must be finite and >= 0, got {eta!r}")
+    kappa = check_real(kappa, "kappa")
+    eta = check_real(eta, "eta")
     if eta == 0.0:
         return StressIntegrandSample(kappa=kappa, above=None, below=None, net=0.0)
     above, below, net = _sample(kappa, eta)
@@ -262,14 +246,11 @@ def force_exact(eta: float, spec: QuadratureSpec = QuadratureSpec()) -> ForceRes
     eta = 0 returns exactly zero without integrating (the net integrand is
     identically zero by the cancellation identity).
     """
-    eta = float(eta)
-    if not (math.isfinite(eta) and eta >= 0.0):
-        raise DomainError(f"eta must be finite and >= 0, got {eta!r}")
+    eta = check_real(eta, "eta")
     if eta == 0.0:
         return ForceResult(eta=0.0, f_eta=0.0, err_est=0.0, kappa_max=0.0, n_evals=0)
 
-    k0 = spec.kappa_max_policy
-    k0 = max(eta ** (1.0 / 6.0), eta ** (-1.0 / 3.0)) if k0 is None else float(k0)
+    k0 = spec.kappa_max_policy or max(eta ** (1.0 / 6.0), eta ** (-1.0 / 3.0))
     if k0 > _K0_MAX or eta > sys.float_info.max / 8.0:  # the spec holds a pinned k0
         raise DomainError(f"eta={eta!r} with k0={k0!r} is out of range (k0 <= {_K0_MAX!r}, "
                           "eta <= 2.2e307): the farthest node's zeta^2 would overflow")
@@ -311,9 +292,7 @@ def force_classic(a: float, spec: QuadratureSpec = QuadratureSpec()) -> float:
     is in docs/numerics.md.  The K -> 0 limit of the integrand is the
     finite value -1/(2 pi a), and the quadrature never evaluates K = 0.
     """
-    a = float(a)
-    if not (math.isfinite(a) and a > 0.0):
-        raise DomainError(f"plate separation must be finite and > 0, got {a!r}")
+    a = check_real(a, "plate separation a", strict=True)
 
     def f(K: float) -> float:
         w = 2.0 * K * a
@@ -338,39 +317,18 @@ def perturbative_integrands(K: float, a: float, b: float) -> tuple[float, float,
     above = -K - b (1 + 2 K a) / (4 K^2)
     net   =  b (1 - e^{-2 K a}) / (2 K^2)
 
-    The three printed forms satisfy net = below - above identically; the
-    function re-checks that to 1e-12 relative on every call and treats a
-    violation as an internal fault.  net blows up like a b / K as K -> 0:
+    The three printed forms satisfy net = below - above identically
+    (verify's perturbative_identity checks it).  net blows up like a b / K as K -> 0:
     the infrared divergence that makes the perturbative route an estimate
     rather than an answer.
     """
-    K = float(K)
-    a = float(a)
-    b = float(b)
-    if not (math.isfinite(K) and K > 0.0):
-        raise DomainError(f"K must be finite and > 0, got {K!r}")
-    if not (math.isfinite(a) and a > 0.0):
-        raise DomainError(f"a must be finite and > 0, got {a!r}")
-    if not (math.isfinite(b) and b >= 0.0):
-        raise DomainError(f"b must be finite and >= 0, got {b!r}")
-    em = math.exp(-2.0 * K * a)
+    K = check_real(K, "K", strict=True)
+    a = check_real(a, "a", strict=True)
+    b = check_real(b, "b")
     k2_4 = 4.0 * K * K
-    part_below = b * (1.0 - 2.0 * K * a - 2.0 * em) / k2_4
-    part_above = -b * (1.0 + 2.0 * K * a) / k2_4
-    below = -K + part_below
-    above = -K + part_above
+    below = -K + b * (1.0 - 2.0 * K * a - 2.0 * math.exp(-2.0 * K * a)) / k2_4
+    above = -K - b * (1.0 + 2.0 * K * a) / k2_4
     net = b * (-math.expm1(-2.0 * K * a)) / (2.0 * K * K)
-    # check on the b-parts: the -K pieces cancel symbolically, and comparing
-    # after that cancellation keeps the check conditioned like the identity
-    # itself instead of like ulp(K).  The absolute floor covers the regime
-    # Ka << 1 where the parts are ~1/(2Ka) times larger than net and their
-    # own rounding (a few ulp of the parts) would otherwise read as a
-    # violation; a genuine algebra fault is O(net), far above the floor.
-    floor = 32.0 * sys.float_info.epsilon * max(abs(part_below), abs(part_above))
-    if not math.isclose(part_below - part_above, net, rel_tol=1e-12, abs_tol=floor):
-        raise ToleranceError(
-            f"perturbative identity net = below - above violated at K={K!r}"
-        )
     return below, above, net
 
 
@@ -385,15 +343,9 @@ def force_perturbative(
     k_min << 1/a: the cutoff dependence is the point of this operation, so
     it is quarantined from the exact force entirely.
     """
-    a = float(a)
-    b = float(b)
-    k_min = float(k_min)
-    if not (math.isfinite(a) and a > 0.0):
-        raise DomainError(f"a must be finite and > 0, got {a!r}")
-    if not (math.isfinite(b) and b >= 0.0):
-        raise DomainError(f"b must be finite and >= 0, got {b!r}")
-    if not (math.isfinite(k_min) and k_min > 0.0):
-        raise DomainError(f"k_min must be finite and > 0, got {k_min!r}")
+    a = check_real(a, "a", strict=True)
+    b = check_real(b, "b")
+    k_min = check_real(k_min, "k_min", strict=True)
 
     def f(u: float) -> float:
         K = k_min + u

@@ -83,6 +83,15 @@ class TestClassic:
         assert rc == 2
 
 
+@pytest.mark.parametrize(
+    "argv, name",
+    [(["classic", "--a", "-1"], "a"), (["perturb", "--a", "1", "--b", "-1", "--k-min", "1"], "b")],
+)
+def test_library_refusal_is_a_usage_error_naming_the_parameter(argv, name, capsys):
+    assert cli.main(argv) == 2
+    assert f" {name} must be finite" in capsys.readouterr().err
+
+
 class TestCurve:
     ARGS = ["--eta-min", "0.1", "--eta-max", "10", "--points", "5", "--rel-tol", "1e-6"]
 

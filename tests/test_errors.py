@@ -1,0 +1,99 @@
+"""The refusal rule: a scalar argument that is not a finite real in range is a DomainError naming it."""
+
+import math
+
+import pytest
+
+from casimir_plate import (
+    DomainError,
+    PlateConfig,
+    QuadratureSpec,
+    airy_eval,
+    airy_via_ode_oracle,
+    fd_setup,
+    force_classic,
+    force_exact,
+    force_from_fd,
+    force_perturbative,
+    greens_free_above,
+    greens_free_between,
+    greens_linear_above,
+    greens_linear_below,
+    integrand_from_fd,
+    integrand_net,
+)
+from casimir_plate.errors import check_real
+from casimir_plate.stress_kernel import integrand_above, integrand_below, perturbative_integrands
+
+CFG = PlateConfig.from_eta(1.0)
+FD = fd_setup(1.0, CFG, "above")
+
+# (entry point and parameter, call with the value, name in the message, a value below its range)
+ROWS = [
+    ("force_exact", lambda v: force_exact(v), "eta", -1.0),
+    ("force_from_fd", lambda v: force_from_fd(v), "eta", 0.0),
+    ("force_from_fd.kappa_max", lambda v: force_from_fd(1.0, kappa_max=v), "kappa_max", 0.0),
+    ("integrand_net.kappa", lambda v: integrand_net(v, 1.0), "kappa", -1.0),
+    ("integrand_net.eta", lambda v: integrand_net(1.0, v), "eta", -1.0),
+    ("integrand_above.kappa", lambda v: integrand_above(v, 1.0), "kappa", -1.0),
+    ("integrand_above.eta", lambda v: integrand_above(1.0, v), "eta", 0.0),
+    ("integrand_below.kappa", lambda v: integrand_below(v, 1.0), "kappa", -1.0),
+    ("integrand_below.eta", lambda v: integrand_below(1.0, v), "eta", 0.0),
+    ("force_classic", lambda v: force_classic(v), "a", 0.0),
+    ("force_perturbative.a", lambda v: force_perturbative(v, 1.0, 0.1), "a", 0.0),
+    ("force_perturbative.b", lambda v: force_perturbative(1.0, v, 0.1), "b", -1.0),
+    ("force_perturbative.k_min", lambda v: force_perturbative(1.0, 1.0, v), "k_min", 0.0),
+    ("perturbative_integrands.K", lambda v: perturbative_integrands(v, 1.0, 1.0), "K", 0.0),
+    ("perturbative_integrands.a", lambda v: perturbative_integrands(1.0, v, 1.0), "a", 0.0),
+    ("perturbative_integrands.b", lambda v: perturbative_integrands(1.0, 1.0, v), "b", -1.0),
+    ("PlateConfig.a", lambda v: PlateConfig(a=v, b=1.0), "a", 0.0),
+    ("PlateConfig.b", lambda v: PlateConfig(a=1.0, b=v), "b", -1.0),
+    ("PlateConfig.eta", lambda v: PlateConfig(a=1.0, b=1.0, eta=v), "eta", -1.0),
+    ("PlateConfig.from_eta.eta", lambda v: PlateConfig.from_eta(v), "eta", -1.0),
+    ("PlateConfig.from_eta.a", lambda v: PlateConfig.from_eta(1.0, a=v), "a", 0.0),
+    ("QuadratureSpec.rel_tol", lambda v: QuadratureSpec(rel_tol=v), "rel_tol", 0.0),
+    ("QuadratureSpec.abs_tol", lambda v: QuadratureSpec(abs_tol=v), "abs_tol", 0.0),
+    ("QuadratureSpec.max_subdivisions", lambda v: QuadratureSpec(max_subdivisions=v),
+     "max_subdivisions", 0),
+    ("QuadratureSpec.kappa_max_policy", lambda v: QuadratureSpec(kappa_max_policy=v),
+     "kappa_max_policy", 0.0),
+    ("greens_free_between.K", lambda v: greens_free_between(0.5, 0.5, v, 1.0), "K", 0.0),
+    ("greens_free_between.a", lambda v: greens_free_between(0.5, 0.5, 1.0, v), "a", 0.0),
+    ("greens_free_above.K", lambda v: greens_free_above(2.0, 2.0, v, 1.0), "K", 0.0),
+    ("greens_free_above.a", lambda v: greens_free_above(2.0, 2.0, 1.0, v), "a", 0.0),
+    ("greens_linear_above", lambda v: greens_linear_above(1.5, 1.5, v, CFG), "kappa", -1.0),
+    ("greens_linear_below", lambda v: greens_linear_below(0.5, 0.5, v, CFG), "kappa", -1.0),
+    ("fd_setup", lambda v: fd_setup(v, CFG, "above"), "kappa", -1.0),
+    ("integrand_from_fd.kappa", lambda v: integrand_from_fd(v, CFG, "above", *FD), "kappa", -1.0),
+    ("integrand_from_fd.eps", lambda v: integrand_from_fd(1.0, CFG, "above", FD[0], v), "eps", 0.0),
+    ("airy_eval", lambda v: airy_eval(v), "z", -1.0),
+    ("airy_via_ode_oracle", lambda v: airy_via_ode_oracle(v), "z", -1.0),
+]
+
+# parameters for which None is a valid value
+OPTIONAL = {"PlateConfig.eta", "QuadratureSpec.kappa_max_policy"}
+
+
+def _cases():
+    for label, call, name, below in ROWS:
+        for value in (None, "x", math.nan, math.inf, below):
+            if value is None and label in OPTIONAL:
+                continue
+            yield pytest.param(call, name, value, id=f"{label}-{value!r}")
+
+
+@pytest.mark.parametrize("call, name, value", _cases())
+def test_bad_scalar_is_a_domain_error_naming_it(call, name, value):
+    with pytest.raises(DomainError, match=rf"\b{name} must be"):
+        call(value)
+
+
+def test_check_real():
+    assert check_real(2, "x") == 2.0 and type(check_real(2, "x")) is float
+    assert check_real(0.0, "x") == 0.0
+    with pytest.raises(DomainError, match="x must be finite and > 0, got 0.0"):
+        check_real(0.0, "x", strict=True)
+    with pytest.raises(DomainError, match="x must be a real number, got None"):
+        check_real(None, "x")
+    with pytest.raises(DomainError, match="x must be finite and >= 0, got inf"):
+        check_real(10**400, "x")  # an int beyond the float range

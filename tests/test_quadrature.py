@@ -40,6 +40,8 @@ class TestSpec:
             {"rel_tol": 0.0},
             {"abs_tol": -1e-3},
             {"max_subdivisions": 0},
+            {"max_subdivisions": 2.5},
+            {"max_subdivisions": float("nan")},
             {"kappa_max_policy": -5.0},
             {"kappa_max_policy": 1e101},
             {"kappa_max_policy": 1e35},
@@ -47,7 +49,7 @@ class TestSpec:
         ],
     )
     def test_validation(self, kwargs):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=next(iter(kwargs))):
             QuadratureSpec(**kwargs)
 
 
