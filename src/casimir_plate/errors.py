@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and its one scalar argument check."""
+"""Exception types shared across the package, and its scalar argument checks."""
 
 import math
 
@@ -9,6 +9,7 @@ __all__ = [
     "ToleranceError",
     "OracleError",
     "ResolutionError",
+    "as_real",
     "check_real",
 ]
 
@@ -37,14 +38,19 @@ class ResolutionError(OracleError):
     """A finite-difference grid is too coarse for the requested check."""
 
 
-def check_real(value, name: str, *, strict: bool = False) -> float:
-    """float(value) if it is finite and >= 0 (> 0 when strict), else a DomainError naming it."""
+def as_real(value, name: str) -> float:
+    """float(value), +-inf for an int beyond the float range, else a DomainError naming it."""
     try:
-        v = float(value)
-    except OverflowError:  # an int beyond the float range
-        v = math.inf if value > 0 else -math.inf
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
     except (TypeError, ValueError):
         raise DomainError(f"{name} must be a real number, got {value!r}") from None
+
+
+def check_real(value, name: str, *, strict: bool = False) -> float:
+    """float(value) if it is finite and >= 0 (> 0 when strict), else a DomainError naming it."""
+    v = as_real(value, name)
     if not (math.isfinite(v) and (v > 0.0 if strict else v >= 0.0)):
         raise DomainError(f"{name} must be finite and {'>' if strict else '>='} 0, got {v!r}")
     return v

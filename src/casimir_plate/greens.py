@@ -33,14 +33,14 @@ The two linear constructors are array-first: x and x' may be floats or
 arrays that broadcast together, a float pair being the 0-d case, and each
 construction evaluates every Airy argument it needs (kappa^2, y(a) and each
 point's y(|x|)) in one ``airy_scaled`` call.  Every step after it is
-elementwise, so an element gets the bits it would get alone.
+elementwise, so an element gets the bits it would get alone.  Points that
+are not finite reals are a DomainError naming x and x'.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -60,33 +60,26 @@ __all__ = [
 class PlateConfig:
     """Plate at height a > 0 over the kink of V(x) = b |x|; eta = b a^3.
 
-    ``eta`` is derived storage: it is always recomputed from a and b on
-    construction, and a caller-supplied value is only checked against the
-    recomputation.  A height whose a^3 (or, with b > 0, b a^3; from_eta's
-    eta/a^3) leaves the float range is a DomainError naming a.
+    ``eta`` is derived on construction and is not a constructor argument.
+    A height whose a^3 (or, with b > 0, b a^3; from_eta's eta/a^3) leaves
+    the float range is a DomainError naming a.
     """
 
     a: float
     b: float
-    eta: Optional[float] = None
+    eta: float = field(init=False)
 
     def __post_init__(self):
         a = check_real(self.a, "plate height a", strict=True)
         b = check_real(self.b, "potential slope b")
-        derived = b * _cube(a)
-        if b > 0.0 and not 0.0 < derived < math.inf:
+        eta = b * _cube(a)
+        if b > 0.0 and not 0.0 < eta < math.inf:
             raise DomainError(
                 f"plate height a = {a!r} with b = {b!r} puts eta = b*a^3 outside the float range"
             )
-        if self.eta is not None and not math.isclose(
-            check_real(self.eta, "eta"), derived, rel_tol=1e-12, abs_tol=0.0
-        ):
-            raise DomainError(
-                f"eta must equal b*a^3 = {derived!r}, got {self.eta!r}"
-            )
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
-        object.__setattr__(self, "eta", derived)
+        object.__setattr__(self, "eta", eta)
 
     @classmethod
     def from_eta(cls, eta: float, a: float = 1.0) -> "PlateConfig":
@@ -149,11 +142,16 @@ def _require_linear(cfg: PlateConfig, kappa: float) -> float:
 
 
 def _ordered(x, xp) -> tuple[np.ndarray, np.ndarray]:
-    """(x_<, x_>) elementwise over x and x' broadcast together; both must be finite."""
-    x, xp = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(xp, dtype=float))
-    if not (np.isfinite(x).all() and np.isfinite(xp).all()):
-        raise DomainError(f"points must be finite, got x = {x.tolist()!r}, x' = {xp.tolist()!r}")
-    return np.minimum(x, xp), np.maximum(x, xp)
+    """(x_<, x_>) elementwise over x and x' broadcast together; both must be finite reals."""
+    try:
+        u, v = np.asarray(x, dtype=float), np.asarray(xp, dtype=float)
+        finite = np.isfinite(u).all() and np.isfinite(v).all()
+    except (TypeError, ValueError):  # not numbers
+        finite = False
+    if not finite:
+        raise DomainError(f"points must be finite reals, got x = {x!r}, x' = {xp!r}")
+    u, v = np.broadcast_arrays(u, v)
+    return np.minimum(u, v), np.maximum(u, v)
 
 
 def _airy_rows(kappa: float, cfg: PlateConfig, s: np.ndarray):

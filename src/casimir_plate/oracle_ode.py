@@ -10,7 +10,8 @@ system with a Dirichlet zero at the plate and a WKB decay closure
 G' = -sqrt(q) G at the truncated open end, and differentiated numerically
 to reproduce the stress integrands.  Agreement with the closed forms is
 the package's primary correctness evidence, so this module deliberately
-shares nothing with them except the quadrature.
+shares nothing with them except the quadrature: force_from_fd(eta) runs
+integrate_finite at a fixed cutoff and tolerance (_KAPPA_MAX, _FD_SPEC).
 
 The operator is discretized with Numerov weighting, and the delta source
 enters as a density of unit integral spread with weights (1, 10, 1)/12
@@ -34,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, OracleError, ResolutionError, ToleranceError, check_real
+from .errors import DomainError, OracleError, ResolutionError, ToleranceError, as_real, check_real
 from .greens import PlateConfig
 from .quadrature import QuadratureSpec, integrate_finite
 
@@ -57,8 +58,11 @@ class GridSpec:
     n: int = 4001
 
     def __post_init__(self):
-        if not (math.isfinite(self.x_lo) and math.isfinite(self.x_hi)):
-            raise DomainError("grid bounds must be finite")
+        for name in ("x_lo", "x_hi"):
+            v = as_real(getattr(self, name), f"grid bound {name}")
+            if not math.isfinite(v):
+                raise DomainError(f"grid bound {name} must be finite, got {v!r}")
+            object.__setattr__(self, name, v)
         if not self.x_lo < self.x_hi:
             raise DomainError(f"need x_lo < x_hi, got [{self.x_lo!r}, {self.x_hi!r}]")
         try:
@@ -205,8 +209,9 @@ def _solve_bvp(
     edge, verb = (grid.x_lo, "start") if plate == "lo" else (grid.x_hi, "end")
     if abs(edge - cfg.a) > 1e-12 * max(1.0, abs(cfg.a)):
         raise DomainError(f"grid must {verb} at the plate x = {cfg.a!r}")
+    xp = as_real(xp, "source xp")
     if not grid.x_lo < xp < grid.x_hi:
-        raise DomainError(f"source must lie inside the grid, got {xp!r}")
+        raise DomainError(f"source xp must be inside the grid, got {xp!r}")
     xs, q = _grid_values(kappa, cfg, grid)
     j = _source_index(xp, grid)
     g = _solve_tridiagonal_bvp(xs, q, [j], plate)[:, 0]
@@ -353,23 +358,23 @@ def fd_setup(kappa: float, cfg: PlateConfig, side: str) -> tuple[GridSpec, float
     return GridSpec(cfg.a - (n - 1) * h, cfg.a, n), eps
 
 
-def force_from_fd(
-    eta: float, *, kappa_max: float = 12.0, spec: QuadratureSpec = None
-) -> float:
+_KAPPA_MAX = 12.0
+_FD_SPEC = QuadratureSpec(rel_tol=1e-6, abs_tol=1e-12)
+
+
+def force_from_fd(eta: float) -> float:
     """f(eta) recomputed end to end through the finite-difference route.
 
-    Integrand values come from integrand_from_fd, the cutoff integral from
-    adaptive Gauss-Kronrod (not force_exact's rule), and the remainder from
-    the closed-form Lorentzian tail integral (re-derived inline so this
-    path imports nothing from the stress module).  This is the fully
-    independent cross-check of the production force values.  A cutoff
-    integral that misses spec's tolerance raises ToleranceError.
+    Integrand values come from integrand_from_fd, the integral up to the
+    cutoff _KAPPA_MAX from adaptive Gauss-Kronrod (not force_exact's rule),
+    and the remainder from the closed-form Lorentzian tail integral
+    (re-derived inline so this path imports nothing from the stress
+    module).  This is the fully independent cross-check of the production
+    force values.  A cutoff integral that misses _FD_SPEC's tolerance
+    raises ToleranceError.
     """
     eta = check_real(eta, "eta", strict=True)
-    kappa_max = check_real(kappa_max, "kappa_max", strict=True)
     cfg = PlateConfig.from_eta(eta)
-    if spec is None:
-        spec = QuadratureSpec(rel_tol=1e-6, abs_tol=1e-12, max_subdivisions=200)
 
     def net(k: float) -> float:
         grid_a, eps_a = fd_setup(k, cfg, "above")
@@ -378,15 +383,15 @@ def force_from_fd(
         below = integrand_from_fd(k, cfg, "below", grid_b, eps_b)
         return below - above
 
-    r = integrate_finite(lambda ks: [net(k) for k in ks.tolist()], 0.0, kappa_max, spec)
+    r = integrate_finite(lambda ks: [net(k) for k in ks.tolist()], 0.0, _KAPPA_MAX, _FD_SPEC)
     scale = eta ** (2.0 / 3.0)
     if not r.converged:
         # err_est in units of f, as force_exact reports it
         raise ToleranceError(
-            f"FD momentum integral did not converge on [0.0, {kappa_max!r}]; "
-            f"eta={eta!r}, rel_tol={spec.rel_tol!r}, "
+            f"FD momentum integral did not converge on [0.0, {_KAPPA_MAX!r}]; "
+            f"eta={eta!r}, rel_tol={_FD_SPEC.rel_tol!r}, "
             f"err_est={scale * r.err_est / (2.0 * math.pi):.3e}"
         )
     s6 = eta ** (1.0 / 6.0)
-    tail = math.atan(s6 / kappa_max) / (4.0 * math.pi * s6)
+    tail = math.atan(s6 / _KAPPA_MAX) / (4.0 * math.pi * s6)
     return scale * (r.value / (2.0 * math.pi) + tail)

@@ -4,22 +4,21 @@ interval, a nested exp-sinh rule on the half line.
 Each panel is evaluated once with the 15-point Kronrod rule; the embedded
 7-point Gauss value supplies the error estimate.  The interval is never
 evaluated as one panel: the first step evaluates its two halves, and
-every later step bisects the panels with the worst estimates, as many as
-it takes for the estimates left to meet tolerance, until the summed
-estimate meets it.  Panels are ordered by (estimate, left endpoint), a total
-order, and the final value is an exact compensated sum over panels, so
-identical inputs produce bit-identical results.  That property is
-load-bearing: the command-line layer promises byte-identical output across
-reruns and worker counts.
+every later step bisects the panel with the worst estimate (QAG in
+Piessens et al., QUADPACK, 1983), until the summed estimate meets
+tolerance or _MAX_SUBDIVISIONS bisections are spent.  Panels are ordered
+by (estimate, left endpoint), a total order, and the final value is an
+exact compensated sum over panels, so identical inputs produce
+bit-identical results.  That property is load-bearing: the command-line
+layer promises byte-identical output across reruns and worker counts.
 
 Integrand contract: ``f`` takes a 1-D float array of nodes and returns a
 sequence of as many values (an array, or a list from a scalar function
 wrapped in a comprehension).  It is called once per step, on the 30 nodes
-of the halves of every panel the step bisects, in ascending order, so an
-array integrand pays its per-call overhead once per step.  The Kronrod and
-Gauss sums of each panel run node by node in Python floats in a fixed
-order, so the result does not depend on how f computes its values, only
-on the values themselves.
+of the two halves of the panel the step bisects, in ascending order.  The
+Kronrod and Gauss sums of each panel run node by node in Python floats in
+a fixed order, so the result does not depend on how f computes its
+values, only on the values themselves.
 
 No rule node ever touches a panel endpoint, so integrands may be left
 unevaluated (or singular but integrable) at interval ends.  A panel whose
@@ -40,7 +39,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import operator
 import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -106,6 +104,9 @@ _ENDS = _LEVELS[0][1][[0, 1, -1, -2]]  # the first level's two outermost nodes a
 _K0_MAX = (sys.float_info.max / 8.0) ** (1.0 / 6.0) / _U[-1].item()
 
 
+# bisections integrate_finite may spend on one interval, the first included
+_MAX_SUBDIVISIONS = 200
+
 # change it whenever a force result moves, n_evals included, so that cached
 # curve rows are recomputed rather than served stale
 _KERNEL = "wronskian-split+exp-sinh-tails+taylor-march"
@@ -117,26 +118,16 @@ class QuadratureSpec:
 
     ``kappa_max_policy`` belongs to the force computations: the momentum
     scale k0 of the half-line rule's nodes kappa = k0 u, at most _K0_MAX;
-    ``None`` means max(eta^{1/6}, eta^{-1/3}).  ``max_subdivisions`` caps
-    the bisections of integrate_finite.
+    ``None`` means max(eta^{1/6}, eta^{-1/3}).
     """
 
     rel_tol: float = 1e-9
     abs_tol: float = 1e-14
-    max_subdivisions: int = 2000
     kappa_max_policy: Optional[float] = None
 
     def __post_init__(self):
         object.__setattr__(self, "rel_tol", check_real(self.rel_tol, "rel_tol", strict=True))
         object.__setattr__(self, "abs_tol", check_real(self.abs_tol, "abs_tol", strict=True))
-        try:
-            n = operator.index(self.max_subdivisions)
-        except TypeError:
-            n = 0
-        if n < 1:
-            raise DomainError(
-                f"max_subdivisions must be an integer >= 1, got {self.max_subdivisions!r}")
-        object.__setattr__(self, "max_subdivisions", n)
         if self.kappa_max_policy is not None:
             k = check_real(self.kappa_max_policy, "kappa_max_policy", strict=True)
             if k > _K0_MAX:
@@ -147,7 +138,7 @@ class QuadratureSpec:
         """Stable identity of the kernel and tolerances; result caches key off this."""
         return (
             f"kernel={_KERNEL};rel={self.rel_tol!r};abs={self.abs_tol!r};"
-            f"sub={self.max_subdivisions};kmax={self.kappa_max_policy!r}"
+            f"kmax={self.kappa_max_policy!r}"
         )
 
 
@@ -215,10 +206,9 @@ def integrate_finite(
     """Adaptive integral of f over [lo, hi]; f maps an array of nodes to values.
 
     The first step evaluates the two halves of [lo, hi].  Every later step
-    pops the worst panels until the estimates left would meet
-    max(rel_tol*|value|, abs_tol), then evaluates the halves of all of
-    them in one call.  Each bisection counts against max_subdivisions.
-    converged means the summed panel estimate met
+    pops the panel with the worst estimate and evaluates its two halves in
+    one call.  Each bisection, the first included, counts against
+    _MAX_SUBDIVISIONS.  converged means the summed panel estimate met
     max(rel_tol*|value|, abs_tol) within that budget.  err_est is the sum
     of the estimates of the panels that were evaluated; it bounds the
     error only when converged is True (when refinement stops at a panel at
@@ -238,33 +228,25 @@ def integrate_finite(
     total_err = 0.0
     splits = 0
     tol = spec.abs_tol  # max(rel_tol*|total|, abs_tol) at total = 0
-    while splits == 0 or total_err > tol:
-        # pop the worst panels until the estimates left would meet tol
-        step, left_err = [], total_err
-        while heap and splits + len(step) < spec.max_subdivisions and (
-                not step or left_err > tol):
-            halves = _halves(heap[0][1], heap[0][2])
-            if halves is None:
-                if splits == 0:
-                    raise DomainError(f"interval [{lo!r}, {hi!r}] is too narrow for rule nodes")
-                break
-            step.append((heapq.heappop(heap), *halves))
-            left_err += step[-1][0][0]
-        if not step:
+    while splits == 0 or (total_err > tol and splits < _MAX_SUBDIVISIONS):
+        halves = _halves(heap[0][1], heap[0][2])
+        if halves is None:
+            if splits == 0:
+                raise DomainError(f"interval [{lo!r}, {hi!r}] is too narrow for rule nodes")
             break
-        step.sort(key=lambda s: s[0][1])  # ascending nodes
-        fx = np.asarray(f(np.concatenate([x for _, _, x in step])), dtype=float)
-        if fx.shape != (30 * len(step),):
-            raise DomainError(f"integrand returned shape {fx.shape} for {30 * len(step)} nodes")
+        neg_err, plo, phi, pval = heapq.heappop(heap)
+        mid, x = halves
+        fx = np.asarray(f(x), dtype=float)
+        if fx.shape != (30,):
+            raise DomainError(f"integrand returned shape {fx.shape} for 30 nodes")
         fx = fx.tolist()
-        for i, ((neg_err, plo, phi, pval), mid, _) in enumerate(step):
-            v1, e1 = _gk15(fx[30 * i : 30 * i + 15], plo, mid)
-            v2, e2 = _gk15(fx[30 * i + 15 : 30 * i + 30], mid, phi)
-            total += (v1 + v2) - pval
-            total_err += (e1 + e2) + neg_err
-            heapq.heappush(heap, (-e1, plo, mid, v1))
-            heapq.heappush(heap, (-e2, mid, phi, v2))
-        splits += len(step)
+        v1, e1 = _gk15(fx[:15], plo, mid)
+        v2, e2 = _gk15(fx[15:], mid, phi)
+        total += (v1 + v2) - pval
+        total_err += (e1 + e2) + neg_err
+        heapq.heappush(heap, (-e1, plo, mid, v1))
+        heapq.heappush(heap, (-e2, mid, phi, v2))
+        splits += 1
         tol = max(spec.rel_tol * abs(total), spec.abs_tol)
 
     panels = sorted(heap, key=lambda p: p[1])

@@ -305,7 +305,8 @@ def force_classic(a: float, spec: QuadratureSpec = QuadratureSpec()) -> float:
     r = integrate_semi_infinite(lambda ks: [f(K) for K in ks.tolist()], spec)
     if not r.converged:
         raise ToleranceError(
-            f"flat-background force integral did not converge (err_est={r.err_est:.3e})"
+            f"flat-background force integral did not converge (n_evals={r.n_evals}); "
+            f"a={a!r}, rel_tol={spec.rel_tol!r}, err_est={r.err_est:.3e}"
         )
     return r.value
 
@@ -354,6 +355,7 @@ def force_perturbative(
     r = integrate_semi_infinite(lambda us: [f(u) for u in us.tolist()], spec)
     if not r.converged:
         raise ToleranceError(
-            f"perturbative force integral did not converge (err_est={r.err_est:.3e})"
+            f"perturbative force integral did not converge (n_evals={r.n_evals}); a={a!r}, "
+            f"b={b!r}, k_min={k_min!r}, rel_tol={spec.rel_tol!r}, err_est={r.err_est:.3e}"
         )
     return r.value

@@ -248,6 +248,10 @@ class TestPerturb:
         rc, _ = run_cli(["perturb", "--a", "1", "--b", "1", "--k-min", "0"], capsys)
         assert rc == 2
 
+    def test_refused_cutoff_is_named(self, capsys):
+        assert cli.main(["perturb", "--a", "1", "--b", "1", "--k-min", "1e-18"]) == 1
+        assert "k_min=1e-18" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_json_report_conforms_to_schema(self, capsys):

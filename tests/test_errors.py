@@ -1,4 +1,4 @@
-"""The refusal rule: a scalar argument that is not a finite real in range is a DomainError naming it."""
+"""The refusal rule: an argument that is not a finite real in range is a DomainError naming it."""
 
 import math
 
@@ -23,16 +23,18 @@ from casimir_plate import (
     integrand_net,
 )
 from casimir_plate.errors import check_real
+from casimir_plate.oracle_ode import GridSpec, solve_bvp_above, solve_bvp_full
 from casimir_plate.stress_kernel import integrand_above, integrand_below, perturbative_integrands
 
 CFG = PlateConfig.from_eta(1.0)
 FD = fd_setup(1.0, CFG, "above")
+ABOVE, BELOW = GridSpec(1.0, 9.0, 1000), GridSpec(-7.0, 1.0, 1000)
 
-# (entry point and parameter, call with the value, name in the message, a value below its range)
+# (entry point and parameter, call with the value, name in the message, a value
+# below its range, or None for points and bounds, whose range is set by others)
 ROWS = [
     ("force_exact", lambda v: force_exact(v), "eta", -1.0),
     ("force_from_fd", lambda v: force_from_fd(v), "eta", 0.0),
-    ("force_from_fd.kappa_max", lambda v: force_from_fd(1.0, kappa_max=v), "kappa_max", 0.0),
     ("integrand_net.kappa", lambda v: integrand_net(v, 1.0), "kappa", -1.0),
     ("integrand_net.eta", lambda v: integrand_net(1.0, v), "eta", -1.0),
     ("integrand_above.kappa", lambda v: integrand_above(v, 1.0), "kappa", -1.0),
@@ -48,13 +50,10 @@ ROWS = [
     ("perturbative_integrands.b", lambda v: perturbative_integrands(1.0, 1.0, v), "b", -1.0),
     ("PlateConfig.a", lambda v: PlateConfig(a=v, b=1.0), "a", 0.0),
     ("PlateConfig.b", lambda v: PlateConfig(a=1.0, b=v), "b", -1.0),
-    ("PlateConfig.eta", lambda v: PlateConfig(a=1.0, b=1.0, eta=v), "eta", -1.0),
     ("PlateConfig.from_eta.eta", lambda v: PlateConfig.from_eta(v), "eta", -1.0),
     ("PlateConfig.from_eta.a", lambda v: PlateConfig.from_eta(1.0, a=v), "a", 0.0),
     ("QuadratureSpec.rel_tol", lambda v: QuadratureSpec(rel_tol=v), "rel_tol", 0.0),
     ("QuadratureSpec.abs_tol", lambda v: QuadratureSpec(abs_tol=v), "abs_tol", 0.0),
-    ("QuadratureSpec.max_subdivisions", lambda v: QuadratureSpec(max_subdivisions=v),
-     "max_subdivisions", 0),
     ("QuadratureSpec.kappa_max_policy", lambda v: QuadratureSpec(kappa_max_policy=v),
      "kappa_max_policy", 0.0),
     ("greens_free_between.K", lambda v: greens_free_between(0.5, 0.5, v, 1.0), "K", 0.0),
@@ -68,15 +67,24 @@ ROWS = [
     ("integrand_from_fd.eps", lambda v: integrand_from_fd(1.0, CFG, "above", FD[0], v), "eps", 0.0),
     ("airy_eval", lambda v: airy_eval(v), "z", -1.0),
     ("airy_via_ode_oracle", lambda v: airy_via_ode_oracle(v), "z", -1.0),
+    ("greens_free_between.x", lambda v: greens_free_between(v, 0.5, 1.0, 2.0), "points", None),
+    ("greens_free_between.xp", lambda v: greens_free_between(0.5, v, 1.0, 2.0), "points", None),
+    ("greens_free_above.x", lambda v: greens_free_above(v, 2.0, 1.0, 1.0), "points", None),
+    ("greens_linear_above.x", lambda v: greens_linear_above(v, 1.5, 1.0, CFG), "points", None),
+    ("greens_linear_below.x", lambda v: greens_linear_below(v, 0.5, 1.0, CFG), "points", None),
+    ("solve_bvp_above.xp", lambda v: solve_bvp_above(1.0, CFG, v, ABOVE), "source xp", 0.5),
+    ("solve_bvp_full.xp", lambda v: solve_bvp_full(1.0, CFG, v, BELOW), "source xp", -8.0),
+    ("GridSpec.x_lo", lambda v: GridSpec(v, 1.0, 1000), "x_lo", None),
+    ("GridSpec.x_hi", lambda v: GridSpec(0.0, v, 1000), "x_hi", None),
 ]
 
 # parameters for which None is a valid value
-OPTIONAL = {"PlateConfig.eta", "QuadratureSpec.kappa_max_policy"}
+OPTIONAL = {"QuadratureSpec.kappa_max_policy"}
 
 
 def _cases():
     for label, call, name, below in ROWS:
-        for value in (None, "x", math.nan, math.inf, below):
+        for value in (None, "x", math.nan, math.inf) + (() if below is None else (below,)):
             if value is None and label in OPTIONAL:
                 continue
             yield pytest.param(call, name, value, id=f"{label}-{value!r}")

@@ -46,11 +46,6 @@ class TestPlateConfig:
         assert cfg.b == 5.0
         assert cfg.eta == 5.0
 
-    def test_explicit_eta_must_match(self):
-        assert PlateConfig(a=1.0, b=1.0, eta=1.0).eta == 1.0
-        with pytest.raises(DomainError):
-            PlateConfig(a=1.0, b=1.0, eta=2.0)
-
     @pytest.mark.parametrize("a,b", [(0.0, 1.0), (-1.0, 1.0), (1.0, -0.5), (math.nan, 1.0)])
     def test_validation(self, a, b):
         with pytest.raises(DomainError):

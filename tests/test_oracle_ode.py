@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from casimir_plate import QuadratureSpec, oracle_ode
+from casimir_plate import QuadratureSpec, airy_engine, greens, oracle_ode, quadrature, stress_kernel
 from casimir_plate.errors import DomainError, OracleError, ResolutionError, ToleranceError
 from casimir_plate.greens import PlateConfig, greens_free_above, greens_linear_above
 from casimir_plate.oracle_ode import (
@@ -264,9 +264,30 @@ class TestForcePipeline:
     def test_agrees_with_closed_form_route(self):
         assert rel(force_from_fd(1.0), force_exact(1.0).f_eta) <= 1e-4
 
-    def test_nonconvergence_raises_and_names_inputs(self):
-        spec = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-30, max_subdivisions=2)
+    def test_route_reaches_no_airy_code(self, monkeypatch):
+        # the FD force is an independent check only while it stays Airy-free:
+        # every Airy kernel (airy_scaled, the table, series and product rows
+        # behind it, _net_terms, and stress_kernel's _net_array and _sides)
+        # raises here, wherever the package binds it
+        airy_code = ("airy_scaled", "_taylor_scaled", "_series_rows", "_product_series",
+                     "_net_terms", "_net_array", "_sides")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the finite-difference route called Airy code")
+
+        for mod in (airy_engine, greens, oracle_ode, stress_kernel):
+            for name in airy_code:
+                if hasattr(mod, name):
+                    monkeypatch.setattr(mod, name, refuse)
+        assert force_from_fd(1.0) == pytest.approx(FORCE_FD_ETA_1, rel=1e-6)
+        cfg = PlateConfig.from_eta(1.0)
+        for side in ("above", "below"):
+            assert math.isfinite(integrand_from_fd(1.5, cfg, side, *fd_setup(1.5, cfg, side)))
+
+    def test_nonconvergence_raises_and_names_inputs(self, monkeypatch):
+        monkeypatch.setattr(oracle_ode, "_FD_SPEC", QuadratureSpec(rel_tol=1e-12, abs_tol=1e-30))
+        monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", 2)
         with pytest.raises(ToleranceError) as info:
-            force_from_fd(1.0, spec=spec)
+            force_from_fd(1.0)
         text = str(info.value)
         assert "eta=1.0" in text and "rel_tol=1e-12" in text and "err_est=" in text

@@ -374,6 +374,13 @@ class TestForceClassic:
         with pytest.raises(DomainError):
             force_classic(0.0)
 
+    def test_refusal_names_its_inputs(self):
+        # the integrand's scale K ~ 1/a = 1e10 is far from the rule's unit
+        # scale, and no level meets rel_tol
+        with pytest.raises(ToleranceError) as info:
+            force_classic(1e-10)
+        assert "; a=1e-10, rel_tol=1e-09, err_est=" in str(info.value)
+
 
 class TestPerturbative:
     def test_free_field_limit(self):
@@ -404,3 +411,8 @@ class TestPerturbative:
     def test_domain_error_on_cutoff(self):
         with pytest.raises(DomainError):
             force_perturbative(1.0, 1.0, 0.0)
+
+    def test_refusal_names_its_inputs(self):
+        with pytest.raises(ToleranceError) as info:
+            force_perturbative(1.0, 1.0, 1e-18)
+        assert "; a=1.0, b=1.0, k_min=1e-18, rel_tol=1e-09, err_est=inf" in str(info.value)
