@@ -39,6 +39,9 @@ class TestSpec:
             {"rel_tol": -1.0},
             {"rel_tol": 0.0},
             {"abs_tol": -1e-3},
+            {"abs_tol": 0.0},
+            {"rel_tol": float("inf")},
+            {"abs_tol": float("nan")},
             {"kappa_max_policy": -5.0},
             {"kappa_max_policy": 1e101},
             {"kappa_max_policy": 1e35},
