@@ -33,16 +33,18 @@ the scaled functions is accurate to machine precision from roughly z = 20
 upward, so the two regimes overlap over a wide band and their agreement
 across that band is asserted in the test suite (the force integrals need
 arguments up to ~1e20).  Each element gets the same bits it would get
-alone, so batching never changes a result; ``airy_eval`` is the
-one-argument view of the same evaluator.  The two exponent-free
-combinations the force kernel needs, -(Ai Bi)'/(Ai Bi) and Ai' Bi + Ai Bi',
+alone, so neither batching nor order ever changes a result; ``airy_eval``
+is the one-argument view of the same evaluator.  The two exponent-free
+combinations the force kernel needs, Ai' Bi + Ai Bi' and -(Ai Bi)'/(Ai Bi),
 are differences of nearly equal products at large z; above ``Z_SWITCH``
 they come from Cauchy products of the same series.  ``_net_terms`` is the
 one place that assembles them, for the force kernel's quadrature steps and
-its one-sample integrands alike: given ascending z1 and z2, it cuts each at
-``Z_SWITCH`` with ``searchsorted``, makes one table pass on both heads and
-one series pass, with one zeta, on both tails, and computes only what the
-net needs.  Its scaled values carry the bits ``airy_scaled`` gives.
+its one-sample integrands alike: it returns the rows (ai_s, aip_s, bi_s,
+S, L) at every element of one array of arguments in any order.
+``airy_scaled`` and ``_net_terms`` share one dispatcher, ``_branches``,
+which validates the array and splits it at ``Z_SWITCH`` by a mask: one
+table pass below, one series pass, with one zeta, at and above.  The
+scaled values of ``_net_terms`` carry the bits ``airy_scaled`` gives.
 
 ``airy_via_ode_oracle`` provides reference values on [0, 50] by a route
 independent of both evaluators: adaptive high-order integration of
@@ -230,7 +232,7 @@ def _series_rows(z: np.ndarray, zeta: np.ndarray, rows: int) -> np.ndarray:
     element with Python's pow, because numpy's power differs from it in
     the last bit on some arguments.
     """
-    q = np.array([x**0.25 for x in z.tolist()])
+    q = np.fromiter((x**0.25 for x in z.tolist()), float, z.size)
     rp = 1.0 / math.sqrt(math.pi)
     inv, fwd = rp / q, rp * q
     pre = _HALVES[:rows] * np.array((inv, fwd, inv, fwd)[:rows])
@@ -370,6 +372,34 @@ def _taylor_scaled(z: np.ndarray) -> np.ndarray:
     return (sums * np.exp(gap[:, None] * _GAP_SIGNS)).T
 
 
+def _branches(z, rows: int, table, series) -> np.ndarray:
+    """Rows, shape (rows, n), at a 1-D array of n z >= 0 in any order.
+
+    The one place that validates z and splits it at Z_SWITCH: table(z)
+    serves the elements below, series(z) those at and above, each one
+    array pass, and a mask puts their columns back in place.
+    """
+    z = np.asarray(z, dtype=float)
+    if z.ndim != 1:
+        raise DomainError(f"expected a 1-D array of arguments, got shape {z.shape}")
+    if not z.size:
+        return np.empty((rows, 0))
+    z_min, z_max = z.min(), z.max()
+    if not (z_min >= 0.0 and z_max < math.inf):  # NaN fails too
+        bad = z[~((z >= 0.0) & (z < math.inf))][0]
+        raise DomainError(f"argument must be finite and >= 0, got {bad.item()!r}")
+    if z_max < Z_SWITCH:
+        return table(z)
+    if z_min >= Z_SWITCH:
+        return series(z)
+    low = z < Z_SWITCH
+    high = ~low
+    out = np.empty((rows, z.size))
+    out[:, low] = table(z[low])
+    out[:, high] = series(z[high])
+    return out
+
+
 def airy_scaled(z) -> np.ndarray:
     """Scaled (ai_s, aip_s, bi_s, bip_s) rows, shape (4, n), at a 1-D array of n z >= 0.
 
@@ -377,69 +407,39 @@ def airy_scaled(z) -> np.ndarray:
     array pass of the asymptotic series the rest.  Every element equals,
     bit for bit, what a one-element array holding it returns.
     """
-    z = np.asarray(z, dtype=float)
-    if z.ndim != 1:
-        raise DomainError(f"expected a 1-D array of arguments, got shape {z.shape}")
-    if not z.size:
-        return np.empty((4, 0))
-    z_min, z_max = z.min(), z.max()
-    if not (z_min >= 0.0 and z_max < math.inf):  # NaN fails too
-        bad = z[~((z >= 0.0) & (z < math.inf))][0]
-        raise DomainError(f"argument must be finite and >= 0, got {bad.item()!r}")
-    if z_max < Z_SWITCH:
-        return _taylor_scaled(z)
-    if z_min >= Z_SWITCH:
-        return _asymptotic_scaled(z)
-    low = z < Z_SWITCH
-    out = np.empty((4, z.size))
-    out[:, low] = _taylor_scaled(z[low])
-    out[:, ~low] = _asymptotic_scaled(z[~low])
-    return out
+    return _branches(z, 4, _taylor_scaled, _asymptotic_scaled)
 
 
-def _product_series(z: np.ndarray, zeta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(-(Ai Bi)'/(Ai Bi), Ai' Bi + Ai Bi') from the product series at a 1-D array z.
+def _table_terms(z: np.ndarray) -> np.ndarray:
+    """_net_terms' rows from the table's scaled values at a 1-D array of z < Z_SWITCH."""
+    ai, aip, bi, bip = _taylor_scaled(z)
+    return np.array((ai, aip, bi, aip * bi + ai * bip, -(aip / ai + bip / bi)))
 
-    -(Ai Bi)'/(Ai Bi) = sqrt(z) P/Q and Ai' Bi + Ai Bi' = -P/(2 pi), with P
-    and Q the Cauchy products of _PQ, summed in zeta^{-2} under the stop
-    rule of _series_rows, so an element's bits do not depend on its batch.
-    Accurate where the Airy series is (z >= 20 or so).
+
+def _series_terms(z: np.ndarray) -> np.ndarray:
+    """_net_terms' rows from the series at a 1-D array z, accurate from z ~ 20 upward.
+
+    S = -P/(2 pi) and L = sqrt(z) P/Q, with P and Q the Cauchy products of
+    _PQ, summed in zeta^{-2} under the stop rule of _series_rows, so an
+    element's bits do not depend on its batch.
     """
+    zeta = zeta_of(z)
     p, q = _sum_orders(_PQ, _PQ_STOP, zeta * zeta)
-    return 1.5 * p / (z * q), -p / (2.0 * math.pi * zeta)  # sqrt(z)/zeta = 3/(2z)
+    s, lnd = -p / (2.0 * math.pi * zeta), 1.5 * p / (z * q)  # sqrt(z)/zeta = 3/(2z)
+    return np.concatenate((_series_rows(z, zeta, 3), (s, lnd)))
 
 
-def _net_terms(z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
-    """Rows (ai_s, aip_s, bi_s, w) at ascending z1, then at ascending z2 >= z1; shape (4, 2n).
+def _net_terms(z) -> np.ndarray:
+    """Rows (ai_s, aip_s, bi_s, S, L), shape (5, n), at a 1-D array of n z >= 0 in any order.
 
-    w is Ai' Bi + Ai Bi' at z1 and -(Ai Bi)'/(Ai Bi) at z2: with the scaled
-    values, everything the stress kernel's net needs.  Two searchsorted
-    cuts split z1 and z2 at Z_SWITCH; one table pass serves both heads,
-    and one series pass, with one zeta, both tails (bip_s is not needed
-    there and not computed).  The series stop order comes from the
-    smallest zeta of both tails together, so an element's bits do not
-    depend on its batch, and ai_s, aip_s and bi_s are those of airy_scaled.
+    S = Ai' Bi + Ai Bi' and L = -(Ai Bi)'/(Ai Bi): with the scaled values,
+    everything the stress kernel's net needs.  Below Z_SWITCH both are
+    formed from the table's scaled values; at and above it they come from
+    the product series, and bip_s is not computed there.  ai_s, aip_s and
+    bi_s are those of airy_scaled, and every element has the bits of its
+    one-element call.
     """
-    n = z1.size
-    if n and not (z1[0] >= 0.0 and z2[-1] < math.inf):  # NaN fails too
-        raise DomainError(f"arguments must be finite and >= 0, got [{z1[0]!r}, {z2[-1]!r}]")
-    i1, i2 = int(z1.searchsorted(Z_SWITCH)), int(z2.searchsorted(Z_SWITCH))  # i2 <= i1
-    out = np.empty((4, 2 * n))
-    if i1:
-        # below the switch both are formed from the scaled values
-        ai, aip, bi, bip = _taylor_scaled(np.concatenate((z1[:i1], z2[:i2])))
-        s, lnd = aip * bi + ai * bip, -(aip / ai + bip / bi)
-        out[:, :i1] = ai[:i1], aip[:i1], bi[:i1], s[:i1]
-        out[:, n : n + i2] = ai[i1:], aip[i1:], bi[i1:], lnd[i1:]
-    if i2 < n:
-        m = n - i1
-        z = np.concatenate((z1[i1:], z2[i2:]))
-        zeta = zeta_of(z)
-        rows = _series_rows(z, zeta, 3)
-        lnd, s = _product_series(z, zeta)
-        out[:3, i1:n], out[3, i1:n] = rows[:, :m], s[:m]
-        out[:3, n + i2 :], out[3, n + i2 :] = rows[:, m:], lnd[m:]
-    return out
+    return _branches(z, 5, _table_terms, _series_terms)
 
 
 def _exp_soft(t: float) -> float:

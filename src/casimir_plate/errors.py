@@ -48,9 +48,11 @@ def as_real(value, name: str) -> float:
         raise DomainError(f"{name} must be a real number, got {value!r}") from None
 
 
-def check_real(value, name: str, *, strict: bool = False) -> float:
-    """float(value) if it is finite and >= 0 (> 0 when strict), else a DomainError naming it."""
+def check_real(value, name: str, *, strict: bool = False, upper: float = math.inf) -> float:
+    """float(value) if it is finite, >= 0 (> 0 when strict) and <= upper, else a DomainError naming it."""
     v = as_real(value, name)
     if not (math.isfinite(v) and (v > 0.0 if strict else v >= 0.0)):
         raise DomainError(f"{name} must be finite and {'>' if strict else '>='} 0, got {v!r}")
+    if v > upper:
+        raise DomainError(f"{name} must be <= {upper!r}, got {v!r}")
     return v

@@ -189,7 +189,7 @@ def _grid_values(kappa: float, cfg: PlateConfig, grid: GridSpec) -> tuple[np.nda
     margin = _decay_margin(xs, q)
     if margin < 8.0:
         raise DomainError(
-            f"domain too short: integral of sqrt(q) is {margin:.2f}, need >= 8 "
+            f"kappa={kappa!r}: domain too short: integral of sqrt(q) is {margin:.2f}, need >= 8 "
             "for the decay closure to be trustworthy"
         )
     return xs, q
@@ -353,9 +353,11 @@ def fd_setup(kappa: float, cfg: PlateConfig, side: str) -> tuple[GridSpec, float
         span = cfg.a + _inv_efold(max(_EFOLDS - f_a, 1.0), ks2, cfg.b)
     span = max(span, 8.0 * eps)
     n = max(int(math.ceil(span / h)) + 1, 1000)
-    if plate == "lo":
-        return GridSpec(cfg.a, cfg.a + (n - 1) * h, n), eps
-    return GridSpec(cfg.a - (n - 1) * h, cfg.a, n), eps
+    lo, hi = (cfg.a, cfg.a + (n - 1) * h) if plate == "lo" else (cfg.a - (n - 1) * h, cfg.a)
+    if not lo < hi:
+        raise DomainError(f"kappa={kappa!r} is too large for the finite-difference grid: "
+                          f"its span {(n - 1) * h:.3e} vanishes beside the plate at a = {cfg.a!r}")
+    return GridSpec(lo, hi, n), eps
 
 
 _KAPPA_MAX = 12.0

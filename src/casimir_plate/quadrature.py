@@ -15,10 +15,10 @@ layer promises byte-identical output across reruns and worker counts.
 Integrand contract: ``f`` takes a 1-D float array of nodes and returns a
 sequence of as many values (an array, or a list from a scalar function
 wrapped in a comprehension).  It is called once per step, on the 30 nodes
-of the two halves of the panel the step bisects, in ascending order.  The
-Kronrod and Gauss sums of each panel run node by node in Python floats in
-a fixed order, so the result does not depend on how f computes its
-values, only on the values themselves.
+of the two halves of the panel the step bisects.  The Kronrod and Gauss
+sums of each panel run node by node in Python floats in a fixed order, so
+the result does not depend on how f computes its values, only on the
+values themselves.
 
 No rule node ever touches a panel endpoint, so integrands may be left
 unevaluated (or singular but integrable) at interval ends.  A panel whose
@@ -29,7 +29,7 @@ the tolerance was not met.
 The half line: the trapezoidal rule in s on kappa = e^{pi sinh s},
 |s| <= _S, at h = 1/16, then h/2, h/4, h/8 (Takahasi and Mori, Publ. RIMS
 9, 1974), each level evaluating only the nodes the coarser one lacks in one
-ascending call of f, and summed with math.fsum.  The estimate is the
+call of f, and summed with math.fsum.  The estimate is the
 difference from the coarser level (Bailey, Jeyabalan and Li, Exp. Math.
 14, 2005) plus the part of the integral beyond each edge of the window,
 which no level difference sees.
@@ -99,9 +99,11 @@ _LEVELS = [
 _COARSE = np.flatnonzero(_K % 16 == 0)  # h = 1/8, held by the first level
 _ENDS = _LEVELS[0][1][[0, 1, -1, -2]]  # the first level's two outermost nodes at each end
 # the force kernel squares zeta = (2/3) z^{3/2}, z = kappa^2 + eps
-# (airy_engine._product_series): a scale k0 up to this keeps (k0 u)^6 below
-# an eighth of the float range at the farthest node, room for eps <= kappa^2
-_K0_MAX = (sys.float_info.max / 8.0) ** (1.0 / 6.0) / _U[-1].item()
+# (airy_engine._series_terms): a momentum up to _KAPPA_MAX keeps kappa^6
+# below an eighth of the float range, room for eps <= kappa^2, and a scale
+# k0 up to _K0_MAX keeps the farthest node k0 u there
+_KAPPA_MAX = (sys.float_info.max / 8.0) ** (1.0 / 6.0)
+_K0_MAX = _KAPPA_MAX / _U[-1].item()
 
 
 # bisections integrate_finite may spend on one interval, the first included
@@ -129,9 +131,7 @@ class QuadratureSpec:
         object.__setattr__(self, "rel_tol", check_real(self.rel_tol, "rel_tol", strict=True))
         object.__setattr__(self, "abs_tol", check_real(self.abs_tol, "abs_tol", strict=True))
         if self.kappa_max_policy is not None:
-            k = check_real(self.kappa_max_policy, "kappa_max_policy", strict=True)
-            if k > _K0_MAX:
-                raise DomainError(f"kappa_max_policy must be <= {_K0_MAX!r}, got {k!r}")
+            k = check_real(self.kappa_max_policy, "kappa_max_policy", strict=True, upper=_K0_MAX)
             object.__setattr__(self, "kappa_max_policy", k)
 
     def fingerprint(self) -> str:

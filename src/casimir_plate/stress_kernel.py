@@ -12,16 +12,16 @@ two coincident-limit slope ratios at the plate are
 
 and each diverges linearly in kappa while their difference decays like
 1/(2 kappa^2).  The net integrand is therefore never formed as that
-difference but from its exact Wronskian rearrangement (``_sides``), and
+difference but from its exact Wronskian rearrangement (``_net_above``),
+and
 
     f(eta) = eta^{2/3} integral_0^inf dkappa/(2 pi) net(kappa)
 
 is one integral over the whole half line, with no cutoff or tail model.
-The integral hands the integrand a whole array of momenta per quadrature
-step (``_net_array``), which serves every z1 and z2 of the step with one
-``airy_engine._net_terms`` pass.  A one-momentum sample is the same pass
-on the pair (z1, z2): above is ai2'/ai2 from its rows, net comes from
-``_sides``, and below = above + net, which equals N/D exactly; N/D
+``_net_above`` takes a whole array of momenta in any order, a quadrature
+step's or a single sample's, and serves every z1 and z2 of it with one
+``airy_engine._net_terms`` pass.  It returns net and above = ai2'/ai2;
+a sample's below is above + net, which equals N/D exactly, and N/D
 itself is never evaluated.  D enters net in compensated form: the
 common factor e^{zeta_2 - 2 zeta_1} is removed analytically, which leaves
 every surviving term O(1) or exponentially small.  The naive unscaled
@@ -44,7 +44,7 @@ import numpy as np
 
 from .airy_engine import Z_SWITCH, _net_terms
 from .errors import DomainError, SingularityError, ToleranceError, check_real
-from .quadrature import _K0_MAX, QuadratureSpec, integrate_semi_infinite
+from .quadrature import _K0_MAX, _KAPPA_MAX, QuadratureSpec, integrate_semi_infinite
 
 __all__ = [
     "StressIntegrandSample",
@@ -64,7 +64,7 @@ __all__ = [
 class StressIntegrandSample:
     """Integrand values at one momentum.
 
-    net is computed without the subtraction below - above (``_sides``),
+    net is computed without the subtraction below - above (``_net_above``),
     and below is then above + net, the N/D form rearranged, so
     below == above + net holds exactly.  On the algebraic eta = 0 path the
     sides are not evaluated at all (the cancellation is an identity, not a
@@ -104,29 +104,30 @@ class ForceResult:
         }
 
 
-def _sides(
-    kappa: np.ndarray, z1: np.ndarray, z2: np.ndarray, t: np.ndarray, eta: float
-) -> np.ndarray:
-    """net at every momentum of a 1-D array.
+def _net_above(kappa: np.ndarray, eta: float) -> tuple[np.ndarray, np.ndarray]:
+    """(net, above) at every momentum of a 1-D array, in any order.
 
-    t holds the rows (ai_s, aip_s, bi_s, w) of airy_engine._net_terms, the
-    n columns at z1 = kappa^2, then the n at z2 = kappa^2 + eta^{1/3}, with
-    w = S at z1 and -(Ai Bi)'/(Ai Bi) at z2.  net is not below - above,
-    which cancels to 1/(2 kappa^2) from two numbers of size kappa, but its
-    exact Wronskian rearrangement
+    One airy_engine._net_terms pass serves z1 = kappa^2 and
+    z2 = kappa^2 + eta^{1/3} together; above is Ai'/Ai at z2.  net is not
+    below - above, which cancels to 1/(2 kappa^2) from two numbers of size
+    kappa, but its exact Wronskian rearrangement
 
-        net = -(Ai Bi)'/(Ai Bi)(z2) + S E / (pi bi2 D_c)
+        net = L(z2) + S E / (pi bi2 D_c)
         D_c = S ai2 E - 2 ai1 aip1 bi2,   E = e^{-2 (zeta_2 - zeta_1)}
 
-    with scaled Airy values and S = aip1 bi1 + ai1 bip1.  The zeta gap in
-    E is formed from eps = eta^{1/3}, never from z2 - z1, which carries the
-    rounding of z2 (docs/numerics.md section 2).  Every step is
-    elementwise, so an element's bits do not depend on its batch.  Callers
-    validate kappa >= 0 and eta > 0.
+    with scaled Airy values, S = Ai' Bi + Ai Bi' at z1 and
+    L = -(Ai Bi)'/(Ai Bi).  The zeta gap in E is formed from eps =
+    eta^{1/3}, never from z2 - z1, which carries the rounding of z2
+    (docs/numerics.md section 2).  Every step is elementwise, so an
+    element's bits do not depend on its batch or its place in it.  Callers
+    validate 0 <= kappa <= _KAPPA_MAX and eta > 0.
     """
     n = kappa.size
-    ai1, aip1, _, s = t[:, :n]
-    ai2, _, bi2, lnd2 = t[:, n:]
+    z1 = kappa * kappa
+    z2 = z1 + eta ** (1.0 / 3.0)
+    # each row of _net_terms, split into its z1 and z2 halves
+    (ai1, ai2), (aip1, aip2), (_, bi2), (s, _), (_, lnd2) = _net_terms(
+        np.concatenate((z1, z2))).reshape(5, 2, n)
     gap = (2.0 / 3.0) * eta ** (1.0 / 3.0) * (z2 * z2 + z2 * z1 + z1 * z1) / (
         z2 * np.sqrt(z2) + z1 * np.sqrt(z1))
     ee = np.exp(-2.0 * gap)
@@ -134,49 +135,27 @@ def _sides(
     if not den.all():
         k = kappa[den == 0.0][0].item()
         raise SingularityError(f"below-plate denominator vanished at kappa={k!r}, eta={eta!r}")
-    return lnd2 + s * ee / (math.pi * bi2 * den)
+    return lnd2 + s * ee / (math.pi * bi2 * den), aip2 / ai2
 
 
-def _z_pair(kappa, eta: float):
-    """z1 = kappa^2 and z2 = kappa^2 + eta^{1/3}, for a float or an array of kappa."""
-    z1 = kappa * kappa
-    return z1, z1 + eta ** (1.0 / 3.0)
-
-
-def _net_array(kappa: np.ndarray, eta: float) -> np.ndarray:
-    """net at an ascending 1-D array of momenta, from one _net_terms pass on all z1 and z2.
-
-    Quadrature nodes arrive ascending, which is what lets _net_terms cut
-    the step at Z_SWITCH; any other order is a DomainError.
-    """
-    if not (kappa[1:] >= kappa[:-1]).all():  # NaN fails too
-        raise DomainError("momenta must arrive in ascending order")
-    z1, z2 = _z_pair(kappa, eta)
-    return _sides(kappa, z1, z2, _net_terms(z1, z2), eta)
-
-
-def _sample(kappa: float, eta: float) -> tuple[float, float, float]:
-    """(above, below, net) at one momentum, from one _net_terms pass on the pair (z1, z2).
-
-    above is ai2'/ai2, read from that pass; net comes from _sides, and
-    below is above + net, which equals the N/D form exactly.
-    """
-    k = np.array([kappa])
-    z1, z2 = _z_pair(k, eta)
-    t = _net_terms(z1, z2)
-    net = _sides(k, z1, z2, t, eta).item()
-    above = t[1, 1].item() / t[0, 1].item()
-    return above, above + net, net
+def _integrand(kappa, eta, strict: bool) -> StressIntegrandSample:
+    """The checked one-momentum view of _net_above; kappa beyond _KAPPA_MAX is refused unsquared."""
+    kappa = check_real(kappa, "kappa", upper=_KAPPA_MAX)
+    eta = check_real(eta, "eta", strict=strict)
+    if eta == 0.0:
+        return StressIntegrandSample(kappa=kappa, above=None, below=None, net=0.0)
+    net, above = (v.item() for v in _net_above(np.array([kappa]), eta))
+    return StressIntegrandSample(kappa=kappa, above=above, below=above + net, net=net)
 
 
 def integrand_above(kappa: float, eta: float) -> float:
     """Slope ratio just above the plate: Ai'(z)/Ai(z) at z = kappa^2 + eta^{1/3}."""
-    return _sample(check_real(kappa, "kappa"), check_real(eta, "eta", strict=True))[0]
+    return _integrand(kappa, eta, strict=True).above
 
 
 def integrand_below(kappa: float, eta: float) -> float:
     """Slope ratio just below the plate, the N/D form, evaluated as above + net."""
-    return _sample(check_real(kappa, "kappa"), check_real(eta, "eta", strict=True))[1]
+    return _integrand(kappa, eta, strict=True).below
 
 
 def integrand_net(kappa: float, eta: float) -> StressIntegrandSample:
@@ -184,14 +163,10 @@ def integrand_net(kappa: float, eta: float) -> StressIntegrandSample:
 
     eta = 0 short-circuits to net = 0 exactly: the two sides coincide as an
     algebraic identity (Wronskian algebra), and no Airy function is
-    evaluated on that path.
+    evaluated on that path.  kappa must be at most _KAPPA_MAX, the farthest
+    node force_exact evaluates.
     """
-    kappa = check_real(kappa, "kappa")
-    eta = check_real(eta, "eta")
-    if eta == 0.0:
-        return StressIntegrandSample(kappa=kappa, above=None, below=None, net=0.0)
-    above, below, net = _sample(kappa, eta)
-    return StressIntegrandSample(kappa=kappa, above=above, below=below, net=net)
+    return _integrand(kappa, eta, strict=False)
 
 
 def tail_mismatch(kappa_max: float, eta: float) -> tuple[bool, float]:
@@ -256,7 +231,7 @@ def force_exact(eta: float, spec: QuadratureSpec = QuadratureSpec()) -> ForceRes
                           "eta <= 2.2e307): the farthest node's zeta^2 would overflow")
 
     def net(u: np.ndarray) -> np.ndarray:
-        return k0 * _net_array(k0 * u, eta)
+        return k0 * _net_above(k0 * u, eta)[0]
 
     eps = eta ** (1.0 / 3.0)
     lib = _ROUND_LIB if eps < Z_SWITCH else 0.0
@@ -284,6 +259,10 @@ def force_exact(eta: float, spec: QuadratureSpec = QuadratureSpec()) -> ForceRes
     return ForceResult(eta=eta, f_eta=f_eta, err_est=err, kappa_max=k0, n_evals=r.n_evals)
 
 
+# the smallest separation whose -pi/(24 a^2) is a float
+_A_MIN = math.sqrt(math.pi / 24.0) / math.sqrt(sys.float_info.max)
+
+
 def force_classic(a: float, spec: QuadratureSpec = QuadratureSpec()) -> float:
     """Attraction between two flat-background plates a apart: -pi/(24 a^2).
 
@@ -291,8 +270,12 @@ def force_classic(a: float, spec: QuadratureSpec = QuadratureSpec()) -> float:
     to the kernel K (coth(K a) - 1) = 2 K / (e^{2 K a} - 1); the derivation
     is in docs/numerics.md.  The K -> 0 limit of the integrand is the
     finite value -1/(2 pi a), and the quadrature never evaluates K = 0.
+    An a whose answer overflows (below _A_MIN) raises DomainError.
     """
     a = check_real(a, "plate separation a", strict=True)
+    if a < _A_MIN:
+        raise DomainError(f"plate separation a must be >= {_A_MIN!r}, below which "
+                          f"-pi/(24 a^2) overflows, got {a!r}")
 
     def f(K: float) -> float:
         w = 2.0 * K * a

@@ -117,16 +117,16 @@ def _asymptotic_series_switch_band() -> float:
 
 
 def _product_series_switch_band() -> float:
-    # -(Ai Bi)'/(Ai Bi) and Ai' Bi + Ai Bi' from the product series against
+    # Ai' Bi + Ai Bi' and -(Ai Bi)'/(Ai Bi) from the product series against
     # the same quantities formed from the library's quadruple, whose own
     # cancellation (about 2 z^{3/2} ulp) sets the threshold
     from scipy.special import airye  # a library reference, kept off the import path
 
     band = np.linspace(ae.Z_SWITCH - 4.0, ae.Z_SWITCH + 4.0, 17)
     ai, aip, bi, bip = airye(band)
-    lib = (-(aip / ai + bip / bi), aip * bi + ai * bip)
+    lib = (aip * bi + ai * bip, -(aip / ai + bip / bi))
     return max(np.max(np.abs(own - ref) / np.abs(ref))
-               for own, ref in zip(ae._product_series(band, ae.zeta_of(band)), lib))
+               for own, ref in zip(ae._series_terms(band)[3:], lib))
 
 
 def _eval_vs_ode_oracle() -> float:
@@ -240,7 +240,7 @@ def _large_kappa_expansions() -> float:
 
 def _net_positive_grid() -> int:
     kappa = np.array([0.0, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0])
-    return sum(np.sum(sk._net_array(kappa, float(eta)) <= 0.0)
+    return sum(np.sum(sk._net_above(kappa, float(eta))[0] <= 0.0)
                for eta in np.logspace(-3.0, 3.0, 7))
 
 

@@ -11,6 +11,7 @@ from scipy.special import airye
 
 from casimir_plate import airy_engine
 from casimir_plate.airy_engine import (
+    Z_SWITCH,
     airy_eval,
     airy_scaled,
     airy_via_ode_oracle,
@@ -144,16 +145,36 @@ class TestArrayEvaluator:
             assert tuple(x.hex() for x in (v.ai_s, v.aip_s, v.bi_s, v.bip_s)) == bits
 
     def test_net_terms_read_the_same_values(self):
-        # z1 and z2 = z1 + 0.5 on both sides of Z_SWITCH: 39.99 -> 40.49
-        # straddles it, and z1 = 40 sets the series' stop order for the batch
-        z1 = np.array(list(self.SCALAR))
-        z2 = z1 + 0.5
-        t = airy_engine._net_terms(z1, z2)
-        n = z1.size
-        for i, z in enumerate(z1.tolist()):
-            assert tuple(v.hex() for v in t[:3, i].tolist()) == self.SCALAR[z][:3], z
-        for i, z in enumerate(z2.tolist()):
-            assert t[:3, n + i].tolist() == airy_scaled(np.array([z]))[:3, 0].tolist(), z
+        # z and z + 0.5 in one array, on both sides of Z_SWITCH: 39.99 ->
+        # 40.49 straddles it, and z = 40 sets the series' stop order
+        zs = list(self.SCALAR) + [z + 0.5 for z in self.SCALAR]
+        t = airy_engine._net_terms(np.array(zs))
+        assert t.shape == (5, len(zs))
+        for i, z in enumerate(zs):
+            assert t[:3, i].tolist() == airy_scaled(np.array([z]))[:3, 0].tolist(), z
+            if z in self.SCALAR:
+                assert tuple(v.hex() for v in t[:3, i].tolist()) == self.SCALAR[z][:3], z
+
+    @pytest.mark.parametrize("branches", [("table",), ("series",), ("table", "series")],
+                             ids=["table", "series", "mixed"])
+    def test_net_terms_take_any_order(self, branches):
+        # every column of a shuffled array carries the bits of its element's
+        # one-element call; repeated elements, 0 and Z_SWITCH itself (which
+        # the series serves) join the arrays of their branch
+        rng = random.Random(11)
+
+        def draw(branch):
+            return rng.uniform(0.0, 39.99) if branch == "table" else Z_SWITCH * math.exp(rng.uniform(0.0, 40.0))
+
+        ends = {"table": 0.0, "series": Z_SWITCH}
+        for _ in range(25):
+            zs = [draw(rng.choice(branches)) for _ in range(rng.randint(1, 40))]
+            zs += zs[:2] + [ends[b] for b in branches]
+            rng.shuffle(zs)
+            t = airy_engine._net_terms(np.array(zs))
+            assert t.shape == (5, len(zs))
+            for i, z in enumerate(zs):
+                assert t[:, i].tolist() == airy_engine._net_terms(np.array([z]))[:, 0].tolist(), z
 
     @pytest.mark.parametrize("z", [1.0, 39.99, 40.0, 41.0, 1e3])
     def test_net_terms_products_match_mpmath(self, z):
@@ -161,7 +182,7 @@ class TestArrayEvaluator:
         # the values below Z_SWITCH, where they cancel (5.9e-14 at 39.99),
         # and from the product series at or above it
         mp = pytest.importorskip("mpmath")
-        s_got, lnd_got = airy_engine._net_terms(np.array([z]), np.array([z]))[3].tolist()
+        s_got, lnd_got = airy_engine._net_terms(np.array([z]))[3:, 0].tolist()
         bound = 1e-12 if z < airy_engine.Z_SWITCH else 1e-15
         with mp.workdps(40):
             x = mp.mpf(z)
@@ -174,6 +195,8 @@ class TestArrayEvaluator:
     def test_rejects_bad_arrays(self, bad):
         with pytest.raises(DomainError):
             airy_scaled(np.array(bad))
+        with pytest.raises(DomainError):
+            airy_engine._net_terms(np.array(bad))
 
 
 def _seeded_mp(z, seed, zj):
@@ -288,10 +311,9 @@ class TestTaylorTable:
         batch = airy_scaled(np.array(zs))
         for i, z in enumerate(zs):
             assert batch[:, i].tolist() == airy_scaled(np.array([z]))[:, 0].tolist(), z
-        z1 = np.sort(np.array(zs))
-        t = airy_engine._net_terms(z1, z1 + 0.3)
-        for i, z in enumerate(z1.tolist()):
-            assert t[:, i].tolist() == airy_engine._net_terms(np.array([z]), np.array([z + 0.3]))[:, 0].tolist()
+        t = airy_engine._net_terms(np.array(zs))
+        for i, z in enumerate(zs):
+            assert t[:, i].tolist() == airy_engine._net_terms(np.array([z]))[:, 0].tolist(), z
 
 
 class TestDomain:

@@ -82,6 +82,11 @@ class TestClassic:
         rc, _ = run_cli(["classic", "--a", "0"], capsys)
         assert rc == 2
 
+    def test_separation_whose_force_overflows_is_a_usage_error(self, capsys):
+        assert cli.main(["classic", "--a", "1e-300"]) == 2
+        err = capsys.readouterr().err
+        assert " a must be >= " in err and "got 1e-300" in err and "Traceback" not in err
+
 
 @pytest.mark.parametrize(
     "argv, name",

@@ -96,6 +96,27 @@ def test_bad_scalar_is_a_domain_error_naming_it(call, name, value):
         call(value)
 
 
+# finite momenta beyond the finite-difference grid's reach: (entry point,
+# call with the value, the value, the refusal's text); the samples' and
+# force_classic's range refusals are tested in test_stress_kernel.py
+RANGE = [
+    ("fd_setup.above", lambda v: fd_setup(v, CFG, "above"), 1e20, "kappa=1e+20 is too large"),
+    ("fd_setup.below", lambda v: fd_setup(v, CFG, "below"), 1e102, "kappa=1e+102 is too large"),
+    ("integrand_from_fd.above", lambda v: integrand_from_fd(v, CFG, "above", *fd_setup(v, CFG, "above")),
+     3e5, "kappa=300000.0: domain too short"),
+    ("integrand_from_fd.below", lambda v: integrand_from_fd(v, CFG, "below", *fd_setup(v, CFG, "below")),
+     1e8, "kappa=100000000.0: domain too short"),
+]
+
+
+@pytest.mark.parametrize("call, value, text",
+                         [pytest.param(c, v, t, id=f"{label}-{v!r}") for label, c, v, t in RANGE])
+def test_value_beyond_its_range_is_a_domain_error_naming_it(call, value, text):
+    with pytest.raises(DomainError) as info:
+        call(value)
+    assert text in str(info.value) and repr(value) in str(info.value)
+
+
 def test_check_real():
     assert check_real(2, "x") == 2.0 and type(check_real(2, "x")) is float
     assert check_real(0.0, "x") == 0.0
@@ -105,3 +126,6 @@ def test_check_real():
         check_real(None, "x")
     with pytest.raises(DomainError, match="x must be finite and >= 0, got inf"):
         check_real(10**400, "x")  # an int beyond the float range
+    assert check_real(2.0, "x", upper=2.0) == 2.0
+    with pytest.raises(DomainError, match="x must be <= 2.0, got 2.5"):
+        check_real(2.5, "x", upper=2.0)

@@ -267,10 +267,10 @@ class TestForcePipeline:
     def test_route_reaches_no_airy_code(self, monkeypatch):
         # the FD force is an independent check only while it stays Airy-free:
         # every Airy kernel (airy_scaled, the table, series and product rows
-        # behind it, _net_terms, and stress_kernel's _net_array and _sides)
-        # raises here, wherever the package binds it
-        airy_code = ("airy_scaled", "_taylor_scaled", "_series_rows", "_product_series",
-                     "_net_terms", "_net_array", "_sides")
+        # behind it, _net_terms, and stress_kernel's _net_above) raises
+        # here, wherever the package binds it
+        airy_code = ("airy_scaled", "_taylor_scaled", "_series_rows", "_series_terms",
+                     "_net_terms", "_net_above")
 
         def refuse(*args, **kwargs):
             raise AssertionError("the finite-difference route called Airy code")

@@ -10,7 +10,7 @@ import pytest
 from casimir_plate import airy_engine, stress_kernel
 from casimir_plate.airy_engine import Z_SWITCH, airy_eval
 from casimir_plate.errors import DomainError, ToleranceError
-from casimir_plate.quadrature import _K0_MAX, QuadratureSpec
+from casimir_plate.quadrature import _K0_MAX, _KAPPA_MAX, _U, QuadratureSpec
 from casimir_plate.stress_kernel import (
     ForceResult,
     force_classic,
@@ -69,16 +69,36 @@ class TestIntegrandAnchors:
         with pytest.raises(DomainError):
             integrand_below(1.0, -2.0)
 
+    @pytest.mark.parametrize("kappa", [3e51, 1e154, 1e155, 1e300])
+    @pytest.mark.parametrize("sample", [integrand_above, integrand_below, integrand_net,
+                                        tail_mismatch])
+    def test_momentum_beyond_the_farthest_node_is_refused(self, sample, kappa):
+        # refused before kappa is squared: no overflow warning, no nan, and
+        # the message names kappa and the bound, the farthest node
+        # force_exact evaluates
+        assert _KAPPA_MAX == _K0_MAX * _U[-1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError) as info:
+                sample(kappa, 1.0)
+        assert str(info.value) == f"kappa must be <= {_KAPPA_MAX!r}, got {kappa!r}"
+
+    def test_momentum_at_the_farthest_node_is_served(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = integrand_net(_KAPPA_MAX, 1.0)
+        assert s.net == pytest.approx(0.5 / _KAPPA_MAX**2, rel=1e-12)
+
 
 class TestSinglePass:
-    """A sample of the integrands is one _net_terms pass on the pair (z1, z2)."""
+    """A sample of the integrands is one _net_terms pass on z1 and z2 together."""
 
     def test_one_net_terms_pass_per_sample(self, monkeypatch):
         calls = []
 
-        def terms(z1, z2):
-            calls.append((z1.tolist(), z2.tolist()))
-            return net_terms(z1, z2)
+        def terms(z):
+            calls.append(z.tolist())
+            return net_terms(z)
 
         def refuse(z):
             raise AssertionError(f"per-argument Airy evaluation at {z!r}")
@@ -91,38 +111,38 @@ class TestSinglePass:
         for kappa in (0.0, 3.0, 12.0):
             calls.clear()
             integrand_net(kappa, 1.0)
-            assert calls == [([kappa * kappa], [kappa * kappa + 1.0])]  # z1, z2 at eta = 1
+            assert calls == [[kappa * kappa, kappa * kappa + 1.0]]  # z1, z2 at eta = 1
 
     def test_one_kernel_call_on_103_ascending_nodes(self, monkeypatch):
         # eta = 1 at rel_tol 1e-9: the first level (h = 1/16, which holds
-        # h = 1/8) already meets the tolerance, in one _net_array call and
-        # one _net_terms pass on its (z1, z2), with no Airy call beside it
+        # h = 1/8) already meets the tolerance, in one _net_above call and
+        # one _net_terms pass on its z1 and z2, with no Airy call beside it
         momenta, calls = [], []
 
         def batch(kappa, eta):
             momenta.append(kappa.tolist())
-            return net_array(kappa, eta)
+            return net_above(kappa, eta)
 
-        def terms(z1, z2):
-            calls.append((z1.tolist(), z2.tolist()))
-            return net_terms(z1, z2)
+        def terms(z):
+            calls.append(z.tolist())
+            return net_terms(z)
 
         def refuse(z):
             raise AssertionError(f"Airy evaluation outside _net_terms at {z!r}")
 
-        net_array, net_terms = stress_kernel._net_array, stress_kernel._net_terms
-        monkeypatch.setattr(stress_kernel, "_net_array", batch)
+        net_above, net_terms = stress_kernel._net_above, stress_kernel._net_terms
+        monkeypatch.setattr(stress_kernel, "_net_above", batch)
         monkeypatch.setattr(stress_kernel, "_net_terms", terms)
         monkeypatch.setattr(airy_engine, "airy_scaled", refuse)
         monkeypatch.setattr(airy_engine, "airy_eval", refuse)
         eta = 1.0
         r = force_exact(eta, QuadratureSpec(rel_tol=1e-9))
         assert len(momenta) == len(calls) == 1
-        (kappa,), ((z1, z2),) = momenta, calls
+        (kappa,), (z,) = momenta, calls
         assert len(kappa) == r.n_evals == 103
-        assert all(k0 < k1 for k0, k1 in zip(kappa, kappa[1:]))
-        assert z1 == [k * k for k in kappa]
-        assert z2 == [x + eta ** (1.0 / 3.0) for x in z1]
+        assert all(k0 < k1 for k0, k1 in zip(kappa, kappa[1:]))  # no node repeated
+        z1 = [k * k for k in kappa]
+        assert z == z1 + [x + eta ** (1.0 / 3.0) for x in z1]
 
     def test_a_second_level_evaluates_only_the_new_odd_nodes(self, monkeypatch):
         # eta = 1e-3 at rel_tol 1e-9 needs h = 1/32: the second call holds
@@ -131,10 +151,10 @@ class TestSinglePass:
 
         def batch(kappa, eta):
             momenta.append(kappa.tolist())
-            return net_array(kappa, eta)
+            return net_above(kappa, eta)
 
-        net_array = stress_kernel._net_array
-        monkeypatch.setattr(stress_kernel, "_net_array", batch)
+        net_above = stress_kernel._net_above
+        monkeypatch.setattr(stress_kernel, "_net_above", batch)
         r = force_exact(1e-3, QuadratureSpec(rel_tol=1e-9))
         first, second = momenta
         assert (len(first), len(second), r.n_evals) == (103, 102, 205)
@@ -180,14 +200,12 @@ class TestSinglePass:
             [math.sqrt(41.0), math.sqrt(50.0)],
         ]
         for kappa in batches:
-            kappa = sorted(kappa)  # the order quadrature nodes arrive in
-            batched = stress_kernel._net_array(np.array(kappa), eta)
-            assert [integrand_net(k, eta).net for k in kappa] == batched.tolist(), kappa
-
-    @pytest.mark.parametrize("kappa", [[2.0, 1.0], [0.0, 7.0, 60.0, 1.0], [0.0, math.nan, 1.0]])
-    def test_batch_out_of_order_rejected(self, kappa):
-        with pytest.raises(DomainError, match="ascending"):
-            stress_kernel._net_array(np.array(kappa), 1.0)
+            # as listed, and reversed: momenta may arrive in any order
+            for order in (kappa, kappa[::-1]):
+                net, above = stress_kernel._net_above(np.array(order), eta)
+                samples = [integrand_net(k, eta) for k in order]
+                assert [s.net for s in samples] == net.tolist(), order
+                assert [s.above for s in samples] == above.tolist(), order
 
     @staticmethod
     def mp_errors(kappa_sq, eta, digits=40):
@@ -283,7 +301,7 @@ class TestForceExact:
         def never(kappa, eta):
             raise AssertionError("the kernel was evaluated")
 
-        monkeypatch.setattr(stress_kernel, "_net_array", never)
+        monkeypatch.setattr(stress_kernel, "_net_above", never)
         with pytest.raises(ToleranceError) as info:
             force_exact(eta, QuadratureSpec(rel_tol=rel_tol))
         msg = str(info.value)
@@ -311,8 +329,8 @@ class TestForceExact:
             with pytest.raises(ToleranceError, match=f"cause: {part}\\); eta="):
                 force_exact(*args)
         # an integrand no level resolves: |sin(kappa)| has a kink at every pi
-        monkeypatch.setattr(stress_kernel, "_net_array",
-                            lambda k, eta: np.abs(np.sin(k)) / (1.0 + k * k))
+        monkeypatch.setattr(stress_kernel, "_net_above",
+                            lambda k, eta: (np.abs(np.sin(k)) / (1.0 + k * k), None))
         with pytest.raises(ToleranceError, match="n_evals=819, cause: level difference"):
             force_exact(1.0)
 
@@ -380,6 +398,18 @@ class TestForceClassic:
         with pytest.raises(ToleranceError) as info:
             force_classic(1e-10)
         assert "; a=1e-10, rel_tol=1e-09, err_est=" in str(info.value)
+
+    @pytest.mark.parametrize("a", [1e-300, 5e-324, 2.6984323550097483e-155])
+    def test_separation_whose_force_overflows_is_refused(self, a):
+        # -pi/(24 a^2) is -inf below 2.6984323550097488e-155: refused before
+        # any node is evaluated, with no overflow warning on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError) as info:
+                force_classic(a)
+        assert str(info.value).startswith("plate separation a must be >= 2.6984323550097488e-155")
+        assert str(info.value).endswith(f", got {a!r}")
+        assert math.isinf(-math.pi / 24.0 / a / a)
 
 
 class TestPerturbative:
