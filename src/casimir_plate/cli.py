@@ -6,9 +6,9 @@ Subcommands: exact (single force value), curve (sweep to CSV), classic
 physics modules stay print-free.
 
 Exit codes: 0 success, 1 numerical or verification failure, 2 usage error.
-Environment overrides: CASIMIR_REL_TOL and CASIMIR_KAPPA_MAX feed the
-quadrature contract when the matching flags are absent (flags win over
-environment, environment wins over defaults).
+Environment overrides: CASIMIR_REL_TOL and CASIMIR_KAPPA_MAX (exact and
+curve only) feed the quadrature contract when the matching flags are
+absent (flags win over environment, environment wins over defaults).
 
 Determinism contract: every command's output is a pure function of its
 flags, environment, and input files; curve output in particular does not
@@ -53,12 +53,11 @@ def _env_float(name: str) -> float | None:
 
 def _resolve_spec(args: argparse.Namespace) -> QuadratureSpec:
     rel = args.rel_tol if args.rel_tol is not None else _env_float("CASIMIR_REL_TOL")
-    kmax = args.kappa_max if args.kappa_max is not None else _env_float("CASIMIR_KAPPA_MAX")
-    kwargs = {}
-    if rel is not None:
-        kwargs["rel_tol"] = rel
-    if kmax is not None:
-        kwargs["kappa_max_policy"] = kmax
+    kwargs = {} if rel is None else {"rel_tol": rel}
+    if "kappa_max" in args:  # only exact and curve take a pinned k0
+        kmax = args.kappa_max if args.kappa_max is not None else _env_float("CASIMIR_KAPPA_MAX")
+        if kmax is not None:
+            kwargs["kappa_max_policy"] = kmax
     return QuadratureSpec(**kwargs)
 
 
@@ -361,9 +360,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    tol = argparse.ArgumentParser(add_help=False)
-    tol.add_argument("--rel-tol", type=float, default=None,
+    rel = argparse.ArgumentParser(add_help=False)
+    rel.add_argument("--rel-tol", type=float, default=None,
                      help="quadrature relative tolerance (default 1e-9; env CASIMIR_REL_TOL)")
+    tol = argparse.ArgumentParser(add_help=False, parents=[rel])
     tol.add_argument("--kappa-max", type=float, default=None,
                      help="momentum scale k0 of the half-line rule's nodes kappa = k0 u, at most "
                           "3.9e34 (default max(eta^(1/6), eta^(-1/3)); env CASIMIR_KAPPA_MAX)")
@@ -386,11 +386,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache", default=None, help="JSON result cache, keyed by eta and tolerance")
     p.set_defaults(func=cmd_curve)
 
-    p = sub.add_parser("classic", parents=[tol], help="flat two-plate force against -pi/(24 a^2)")
+    p = sub.add_parser("classic", parents=[rel], help="flat two-plate force against -pi/(24 a^2)")
     p.add_argument("--a", type=float, required=True)
     p.set_defaults(func=cmd_classic)
 
-    p = sub.add_parser("perturb", parents=[tol], help="IR-cutoff dependence of the perturbative estimate")
+    p = sub.add_parser("perturb", parents=[rel], help="IR-cutoff dependence of the perturbative estimate")
     p.add_argument("--a", type=float, required=True)
     p.add_argument("--b", type=float, required=True)
     p.add_argument("--k-min", type=float, required=True)

@@ -15,7 +15,8 @@ integrate_finite at a fixed cutoff and tolerance (_KAPPA_MAX, _FD_SPEC).
 
 The operator is discretized with Numerov weighting, and the delta source
 enters as a density of unit integral spread with weights (1, 10, 1)/12
-over the node nearest x' and its neighbors.  Both sides of the plate go
+over the node nearest x' and its neighbors.  Every solve takes one
+checked path (_solve) to one LAPACK call, and both sides of the plate go
 through one plate-first extraction (_plate_integrand), which
 verify.integrand_from_greens also uses on closed-form samples.
 docs/numerics.md section 6 derives the discretization and the extraction.
@@ -80,10 +81,6 @@ class GridSpec:
 def _momentum_factor(cfg: PlateConfig) -> float:
     # b = 0 reads kappa as the physical momentum (flat-background checks)
     return cfg.b ** (2.0 / 3.0) if cfg.b > 0.0 else 1.0
-
-
-def _q_values(xs: np.ndarray, kappa: float, cfg: PlateConfig) -> np.ndarray:
-    return _momentum_factor(cfg) * kappa * kappa + cfg.b * np.abs(xs)
 
 
 def _solve_tridiagonal_bvp(
@@ -177,7 +174,7 @@ _BAND_MAX = sys.float_info.max / 16.0
 def _grid_values(kappa: float, cfg: PlateConfig, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and q on the grid, once the open end is padded by >= 8 decay lengths."""
     xs = np.linspace(grid.x_lo, grid.x_hi, grid.n)
-    q = _q_values(xs, kappa, cfg)
+    q = _momentum_factor(cfg) * kappa * kappa + cfg.b * np.abs(xs)
     # q = b^{2/3} kappa^2 + b |x|, and with it every band entry, peaks at an
     # end of the grid, so two products stand in for a pass over the band
     h, q_lo, q_hi = float(xs[1] - xs[0]), float(q[0]), float(q[-1])
@@ -196,52 +193,48 @@ def _grid_values(kappa: float, cfg: PlateConfig, grid: GridSpec) -> tuple[np.nda
 
 
 def _source_index(xp: float, grid: GridSpec) -> int:
+    """The node nearest xp, which must be a finite real inside the grid and off its edges."""
+    xp = as_real(xp, "source xp")
+    if not grid.x_lo < xp < grid.x_hi:
+        raise DomainError(f"source xp must be inside the grid, got {xp!r}")
     j = int(round((xp - grid.x_lo) / grid.h))
     if not 2 <= j <= grid.n - 3:
         raise DomainError(f"source {xp!r} too close to the domain edge")
     return j
 
 
-def _solve_bvp(
-    kappa: float, cfg: PlateConfig, xp: float, grid: GridSpec, check: bool, plate: str
-) -> tuple[np.ndarray, np.ndarray]:
+def _solve(
+    kappa: float, cfg: PlateConfig, side: str, grid: GridSpec, sources: Sequence[float]
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Every FD band solve: (checked kappa, nodes, G with one column per source).
+
+    Checks kappa, the side, the grid edge at the plate, each source and the
+    band, in that order, then makes the one _solve_tridiagonal_bvp call.
+    """
     kappa = _common_checks(kappa, cfg)
+    plate, _ = _plate_side(side)
     edge, verb = (grid.x_lo, "start") if plate == "lo" else (grid.x_hi, "end")
     if abs(edge - cfg.a) > 1e-12 * max(1.0, abs(cfg.a)):
         raise DomainError(f"grid must {verb} at the plate x = {cfg.a!r}")
-    xp = as_real(xp, "source xp")
-    if not grid.x_lo < xp < grid.x_hi:
-        raise DomainError(f"source xp must be inside the grid, got {xp!r}")
+    nodes = [_source_index(xp, grid) for xp in sources]
     xs, q = _grid_values(kappa, cfg, grid)
-    j = _source_index(xp, grid)
-    g = _solve_tridiagonal_bvp(xs, q, [j], plate)[:, 0]
-    if check:
-        xs2 = np.linspace(grid.x_lo, grid.x_hi, 2 * grid.n - 1)
-        g2 = _solve_tridiagonal_bvp(xs2, _q_values(xs2, kappa, cfg), [2 * j], plate)[:, 0]
-        scale = float(np.max(np.abs(g))) or 1.0
-        gap = float(np.max(np.abs(g - g2[::2]))) / scale
-        if gap > 1e-5:
-            raise ResolutionError(
-                f"grid refinement changes the solution by {gap:.2e} (> 1e-5); "
-                f"increase n beyond {grid.n}"
-            )
-    return xs, g
+    return kappa, xs, _solve_tridiagonal_bvp(xs, q, nodes, plate)
 
 
 def solve_bvp_above(
-    kappa: float, cfg: PlateConfig, xp: float, grid: GridSpec, *, check: bool = False
+    kappa: float, cfg: PlateConfig, xp: float, grid: GridSpec
 ) -> tuple[np.ndarray, np.ndarray]:
     """G(x, xp) above the plate: Dirichlet at x = a, decay toward +infinity.
 
     The grid must start at the plate; the source is snapped to the nearest
-    node.  check=True re-solves on a doubled grid and raises
-    ResolutionError if common nodes disagree beyond 1e-5 of the peak.
+    node.
     """
-    return _solve_bvp(kappa, cfg, xp, grid, check, "lo")
+    _, xs, g = _solve(kappa, cfg, "above", grid, [xp])
+    return xs, g[:, 0]
 
 
 def solve_bvp_full(
-    kappa: float, cfg: PlateConfig, xp: float, grid: GridSpec, *, check: bool = False
+    kappa: float, cfg: PlateConfig, xp: float, grid: GridSpec
 ) -> tuple[np.ndarray, np.ndarray]:
     """G(x, xp) below the plate on [-X, a]: Dirichlet at a, decay toward -infinity.
 
@@ -249,7 +242,8 @@ def solve_bvp_full(
     potential kink at x = 0 needs no special treatment: the Numerov rows
     just see V = b |x| pointwise.
     """
-    return _solve_bvp(kappa, cfg, xp, grid, check, "hi")
+    _, xs, g = _solve(kappa, cfg, "below", grid, [xp])
+    return xs, g[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -290,10 +284,8 @@ def integrand_from_fd(
     plate (the probes differ only in where the source sits); the columns,
     turned plate-first on the below side, go to _plate_integrand.  eps is
     snapped to a whole number of grid cells; it must be resolved by at
-    least 4 of them.
+    least 4 of them.  The grid must meet the plate on the given side.
     """
-    kappa = _common_checks(kappa, cfg)
-    plate, away = _plate_side(side)
     h = grid.h
     j = int(round(check_real(eps, "eps", strict=True) / h))
     if j < 4:
@@ -302,11 +294,10 @@ def integrand_from_fd(
         )
     if 2 * j > grid.n - 6:
         raise ResolutionError("grid too short for the 2*eps solve")
-    xs, q = _grid_values(kappa, cfg, grid)
     e = (j * h, 2 * j * h)
-    edge = grid.x_lo if plate == "lo" else grid.x_hi
-    g = _solve_tridiagonal_bvp(xs, q, [_source_index(edge + away * d, grid) for d in e], plate)
-    return _plate_integrand(g if plate == "lo" else g[::-1], h, e, kappa, cfg)
+    away = 1.0 if side == "above" else -1.0  # _solve refuses any other side
+    kappa, _, g = _solve(kappa, cfg, side, grid, [cfg.a + away * d for d in e])
+    return _plate_integrand(g if away > 0.0 else g[::-1], h, e, kappa, cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -100,9 +100,10 @@ _COARSE = np.flatnonzero(_K % 16 == 0)  # h = 1/8, held by the first level
 _ENDS = _LEVELS[0][1][[0, 1, -1, -2]]  # the first level's two outermost nodes at each end
 # the force kernel squares zeta = (2/3) z^{3/2}, z = kappa^2 + eps
 # (airy_engine._series_terms): a momentum up to _KAPPA_MAX keeps kappa^6
-# below an eighth of the float range, room for eps <= kappa^2, and a scale
-# k0 up to _K0_MAX keeps the farthest node k0 u there
-_KAPPA_MAX = (sys.float_info.max / 8.0) ** (1.0 / 6.0)
+# below an eighth of the float range, room for eps <= kappa^2 (eta up to
+# _ETA_MAX), and a scale k0 up to _K0_MAX keeps the farthest node k0 u there
+_ETA_MAX = sys.float_info.max / 8.0
+_KAPPA_MAX = _ETA_MAX ** (1.0 / 6.0)
 _K0_MAX = _KAPPA_MAX / _U[-1].item()
 
 

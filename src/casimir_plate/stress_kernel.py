@@ -44,7 +44,7 @@ import numpy as np
 
 from .airy_engine import Z_SWITCH, _net_terms
 from .errors import DomainError, SingularityError, ToleranceError, check_real
-from .quadrature import _K0_MAX, _KAPPA_MAX, QuadratureSpec, integrate_semi_infinite
+from .quadrature import _ETA_MAX, _K0_MAX, _KAPPA_MAX, QuadratureSpec, integrate_semi_infinite
 
 __all__ = [
     "StressIntegrandSample",
@@ -141,7 +141,7 @@ def _net_above(kappa: np.ndarray, eta: float) -> tuple[np.ndarray, np.ndarray]:
 def _integrand(kappa, eta, strict: bool) -> StressIntegrandSample:
     """The checked one-momentum view of _net_above; kappa beyond _KAPPA_MAX is refused unsquared."""
     kappa = check_real(kappa, "kappa", upper=_KAPPA_MAX)
-    eta = check_real(eta, "eta", strict=strict)
+    eta = check_real(eta, "eta", strict=strict, upper=_ETA_MAX)
     if eta == 0.0:
         return StressIntegrandSample(kappa=kappa, above=None, below=None, net=0.0)
     net, above = (v.item() for v in _net_above(np.array([kappa]), eta))
@@ -226,7 +226,7 @@ def force_exact(eta: float, spec: QuadratureSpec = QuadratureSpec()) -> ForceRes
         return ForceResult(eta=0.0, f_eta=0.0, err_est=0.0, kappa_max=0.0, n_evals=0)
 
     k0 = spec.kappa_max_policy or max(eta ** (1.0 / 6.0), eta ** (-1.0 / 3.0))
-    if k0 > _K0_MAX or eta > sys.float_info.max / 8.0:  # the spec holds a pinned k0
+    if k0 > _K0_MAX or eta > _ETA_MAX:  # the spec holds a pinned k0
         raise DomainError(f"eta={eta!r} with k0={k0!r} is out of range (k0 <= {_K0_MAX!r}, "
                           "eta <= 2.2e307): the farthest node's zeta^2 would overflow")
 

@@ -365,6 +365,16 @@ class TestEnvironmentOverrides:
         assert rc == 0
         assert json.loads(out)["kappa_max"] == 25.0
 
+    @pytest.mark.parametrize("argv", [["classic", "--a", "1"],
+                                      ["perturb", "--a", "1", "--b", "1", "--k-min", "1e-2"]])
+    def test_kappa_max_is_not_taken_where_nothing_reads_it(self, argv, capsys, monkeypatch):
+        # neither flat-background integral has a k0: the flag is a usage
+        # error, and the environment variable is not read at all
+        assert run_cli(argv + ["--kappa-max", "5"], capsys)[0] == 2
+        monkeypatch.setenv("CASIMIR_KAPPA_MAX", "banana")
+        assert run_cli(argv, capsys)[0] == 0
+        assert run_cli(argv + ["--rel-tol", "1e-8"], capsys)[0] == 0
+
 
 class TestConsoleScript:
     @pytest.mark.skipif(shutil.which("casimir-plate") is None,

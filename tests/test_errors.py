@@ -24,7 +24,12 @@ from casimir_plate import (
 )
 from casimir_plate.errors import check_real
 from casimir_plate.oracle_ode import GridSpec, solve_bvp_above, solve_bvp_full
-from casimir_plate.stress_kernel import integrand_above, integrand_below, perturbative_integrands
+from casimir_plate.stress_kernel import (
+    integrand_above,
+    integrand_below,
+    perturbative_integrands,
+    tail_mismatch,
+)
 
 CFG = PlateConfig.from_eta(1.0)
 FD = fd_setup(1.0, CFG, "above")
@@ -96,10 +101,14 @@ def test_bad_scalar_is_a_domain_error_naming_it(call, name, value):
         call(value)
 
 
-# finite momenta beyond the finite-difference grid's reach: (entry point,
-# call with the value, the value, the refusal's text); the samples' and
-# force_classic's range refusals are tested in test_stress_kernel.py
+# finite values beyond their range: (entry point, call with the value, the
+# value, the refusal's text).  Momenta beyond the finite-difference grid's
+# reach, and eta beyond the one-momentum samples' (force_exact's bound, where
+# zeta^2 would overflow); the samples' kappa and force_classic's range
+# refusals are tested in test_stress_kernel.py
 RANGE = [
+    ("integrand_net.eta", lambda v: integrand_net(1.6e51, v), 1e308, "eta must be <= "),
+    ("tail_mismatch.eta", lambda v: tail_mismatch(1.6e51, v), 1e308, "eta must be <= "),
     ("fd_setup.above", lambda v: fd_setup(v, CFG, "above"), 1e20, "kappa=1e+20 is too large"),
     ("fd_setup.below", lambda v: fd_setup(v, CFG, "below"), 1e102, "kappa=1e+102 is too large"),
     ("integrand_from_fd.above", lambda v: integrand_from_fd(v, CFG, "above", *fd_setup(v, CFG, "above")),

@@ -20,6 +20,9 @@ from casimir_plate.stress_kernel import force_exact, integrand_above, integrand_
 
 # Frozen pipeline output; agreement with force_exact is re-asserted below.
 FORCE_FD_ETA_1 = 0.11450214572345424
+# integrand_from_fd at kappa = 0.5, eta = 1 on the fd_setup grids, also frozen
+INTEGRAND_FD_ABOVE = -1.269377697053729
+INTEGRAND_FD_BELOW = -0.9281179742904974
 
 
 def rel(x, y):
@@ -93,15 +96,19 @@ class TestBandedSolver:
             errs.append(abs(g[j] - greens_linear_above(x_probe, xp, 1.0, self.CFG)))
         assert errs[0] / errs[1] >= 12.0
 
-    def test_self_check_passes_on_adequate_grid(self):
-        grid = GridSpec(1.0, 9.0, 3001)
-        solve_bvp_above(1.0, self.CFG, 3.0, grid, check=True)
-
-    def test_self_check_flags_coarse_grid(self):
-        # h = 0.2 on [1, 200]: the doubled grid moves the solution by 5.35e-4
-        grid = GridSpec(1.0, 200.0, 1000)
-        with pytest.raises(ResolutionError, match="5.35e-04"):
-            solve_bvp_above(1.0, self.CFG, 3.0, grid, check=True)
+    @pytest.mark.parametrize("eta, kappa", [(0.01, 0.0), (1.0, 3.0)])
+    @pytest.mark.parametrize("side, solve", [("above", solve_bvp_above), ("below", solve_bvp_full)])
+    def test_production_grid_is_resolved(self, side, solve, eta, kappa):
+        # docs/numerics.md section 6: on an fd_setup grid of n nodes and its
+        # doubled grid of 2n - 1, the solutions for the source eps from the
+        # plate agree on the common nodes within 1e-5 of the peak (at most
+        # 2.4e-7 here, below the plate at eta = 0.01 where the grid crosses x = 0)
+        cfg = PlateConfig.from_eta(eta)
+        grid, eps = fd_setup(kappa, cfg, side)
+        xp = cfg.a + (eps if side == "above" else -eps)
+        _, g = solve(kappa, cfg, xp, grid)
+        _, fine = solve(kappa, cfg, xp, GridSpec(grid.x_lo, grid.x_hi, 2 * grid.n - 1))
+        assert max(abs(g - fine[::2])) <= 1e-5 * max(abs(g))
 
     def test_short_domain_rejected(self):
         # decay margin integral ~ 1 e-fold here, far below the closure's needs
@@ -125,6 +132,16 @@ class TestBandedSolver:
     def test_grid_must_meet_the_plate(self, solve, bounds, verb):
         with pytest.raises(DomainError, match=f"grid must {verb} at the plate"):
             solve(1.0, self.CFG, 0.9, GridSpec(*bounds, 4001))
+        # integrand_from_fd takes the same check: its own grid moved off the
+        # plate, or the other side's grid, would give a wrong number
+        # (-1.666 and -2.655 above, against -1.520), not a refusal
+        side = "above" if verb == "start" else "below"
+        misplaced = {"start": [("above", 0.5), ("below", 0.0)], "end": [("below", -0.3)]}
+        for grid_side, shift in misplaced[verb]:
+            grid, eps = fd_setup(1.0, self.CFG, grid_side)
+            moved = GridSpec(grid.x_lo + shift, grid.x_hi + shift, grid.n)
+            with pytest.raises(DomainError, match=f"grid must {verb} at the plate"):
+                integrand_from_fd(1.0, self.CFG, side, moved, eps)
 
     def test_full_solver_handles_kink_region(self):
         cfg = PlateConfig.from_eta(5.0)
@@ -259,7 +276,13 @@ class TestStressExtraction:
 
 class TestForcePipeline:
     def test_pinned_value(self):
-        assert force_from_fd(1.0) == pytest.approx(FORCE_FD_ETA_1, rel=1e-6)
+        assert force_from_fd(1.0) == FORCE_FD_ETA_1
+
+    @pytest.mark.parametrize("side, pinned", [("above", INTEGRAND_FD_ABOVE),
+                                              ("below", INTEGRAND_FD_BELOW)])
+    def test_pinned_integrands(self, side, pinned):
+        cfg = PlateConfig.from_eta(1.0)
+        assert integrand_from_fd(0.5, cfg, side, *fd_setup(0.5, cfg, side)) == pinned
 
     def test_agrees_with_closed_form_route(self):
         assert rel(force_from_fd(1.0), force_exact(1.0).f_eta) <= 1e-4

@@ -89,6 +89,16 @@ class TestIntegrandAnchors:
             s = integrand_net(_KAPPA_MAX, 1.0)
         assert s.net == pytest.approx(0.5 / _KAPPA_MAX**2, rel=1e-12)
 
+    @pytest.mark.parametrize("kappa", [_KAPPA_MAX, 1e20, 0.0])
+    def test_largest_eta_is_served(self, kappa):
+        # force_exact's bound on eta holds for the samples too: at it every
+        # momentum up to the farthest node stays finite, and beyond it the
+        # samples refuse eta (tests/test_errors.py)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = integrand_net(kappa, stress_kernel._ETA_MAX)
+        assert all(math.isfinite(v) for v in (s.above, s.below, s.net)) and s.net > 0.0
+
 
 class TestSinglePass:
     """A sample of the integrands is one _net_terms pass on z1 and z2 together."""
