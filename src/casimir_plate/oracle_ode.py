@@ -18,8 +18,9 @@ enters as a density of unit integral spread with weights (1, 10, 1)/12
 over the node nearest x' and its neighbors.  Every solve takes one
 checked path (_solve) to one LAPACK call, and both sides of the plate go
 through one plate-first extraction (_plate_integrand), which
-verify.integrand_from_greens also uses on closed-form samples.
-docs/numerics.md section 6 derives the discretization and the extraction.
+verify.integrand_from_greens also uses on closed-form samples.  Grids
+have one spacing, grid.h, and one padding rule, _span; docs/numerics.md
+section 6 derives the discretization, the extraction and the grid.
 
 Flat-background convention: when cfg.b == 0 (used only by the eta = 0
 cross-checks) kappa is read as the physical momentum K and the integrand
@@ -84,7 +85,7 @@ def _momentum_factor(cfg: PlateConfig) -> float:
 
 
 def _solve_tridiagonal_bvp(
-    xs: np.ndarray, q: np.ndarray, sources: Sequence[int], plate: str
+    h: float, q: np.ndarray, sources: Sequence[int], plate: str
 ) -> np.ndarray:
     """Band solves of G'' - q G = -delta with plate at one edge, decay at the other.
 
@@ -94,12 +95,12 @@ def _solve_tridiagonal_bvp(
     is finite (_grid_values), so an ``info`` other than 0 is an internal
     fault.
 
-    plate='lo': Dirichlet at xs[0], WKB closure at xs[-1];
-    plate='hi': the mirror image.  The closure eliminates a ghost node
-    through the centered first derivative, so it is second-order like the
-    boundary region it sits in; the closure error itself is suppressed by
-    e^{-2 integral sqrt(q)} across the pad, which the grid builders keep
-    at ~e^{-28}.
+    q is sampled on nodes h apart.  plate='lo': Dirichlet at the first node,
+    WKB closure at the last; plate='hi': the mirror image.  The closure
+    eliminates a ghost node through the centered first derivative, so it is
+    second-order like the boundary region it sits in; the closure error
+    itself is suppressed by e^{-2 integral sqrt(q)} across the pad, which
+    fd_setup keeps at e^{-28}.
 
     The spread source dents the Numerov solution at the source node by
     exactly -h/12 (the discrete Laplace kernel is piecewise linear in
@@ -109,8 +110,7 @@ def _solve_tridiagonal_bvp(
     """
     from scipy.linalg.lapack import dgtsv  # oracle only; kept off the import path
 
-    n = xs.size
-    h = xs[1] - xs[0]
+    n = q.size
     # row i: c_{i-1} g_{i-1} + d_i g_i + c_{i+1} g_{i+1} with c = 1 - (h^2/12) q
     # and d = -2 (1 + (5 h^2/12) q), each built in place
     c = q * -(h * h / 12.0)
@@ -139,12 +139,6 @@ def _solve_tridiagonal_bvp(
     return g
 
 
-def _decay_margin(xs: np.ndarray, q: np.ndarray) -> float:
-    sq = np.sqrt(np.maximum(q, 0.0))
-    h = xs[1] - xs[0]
-    return float((0.5 * (sq[0] + sq[-1]) + sq[1:-1].sum()) * h)
-
-
 def _common_checks(kappa: float, cfg: PlateConfig) -> float:
     kappa = check_real(kappa, "kappa")
     if cfg.b == 0.0 and kappa == 0.0:
@@ -165,9 +159,9 @@ def _q_plate(kappa: float, cfg: PlateConfig) -> float:
     return _momentum_factor(cfg) * kappa * kappa + cfg.b * cfg.a
 
 
-# bound on the largest products the FD grid forms: with h^2 q below it at
-# the grid's ends, d = -2 (1 + (5 h^2/12) q) and the closure
-# -(2 + 2 h sqrt(q) + h^2 q) stay finite; fd_setup's padding takes q(a)^{3/2}
+# bound on the largest products the FD grid forms: with h^2 q below it at the
+# grid's ends, d = -2 (1 + (5 h^2/12) q) and the closure -(2 + 2 h sqrt(q) + h^2 q)
+# stay finite
 _BAND_MAX = sys.float_info.max / 16.0
 
 
@@ -177,13 +171,14 @@ def _grid_values(kappa: float, cfg: PlateConfig, grid: GridSpec) -> tuple[np.nda
     q = _momentum_factor(cfg) * kappa * kappa + cfg.b * np.abs(xs)
     # q = b^{2/3} kappa^2 + b |x|, and with it every band entry, peaks at an
     # end of the grid, so two products stand in for a pass over the band
-    h, q_lo, q_hi = float(xs[1] - xs[0]), float(q[0]), float(q[-1])
+    h, q_lo, q_hi = grid.h, float(q[0]), float(q[-1])
     if not (h * h * q_lo < _BAND_MAX and h * h * q_hi < _BAND_MAX):  # NaN fails too
         raise DomainError(
             f"kappa={kappa!r} overflows the finite-difference band: q reaches "
             f"{max(q_lo, q_hi):.3e} at an end of the grid (h = {h:.3e})"
         )
-    margin = _decay_margin(xs, q)
+    sq = np.sqrt(q)  # the decay margin: e-folds of the closure, by the trapezoid rule
+    margin = float((0.5 * (sq[0] + sq[-1]) + sq[1:-1].sum()) * h)
     if margin < 8.0:
         raise DomainError(
             f"kappa={kappa!r}: domain too short: integral of sqrt(q) is {margin:.2f}, need >= 8 "
@@ -218,7 +213,7 @@ def _solve(
         raise DomainError(f"grid must {verb} at the plate x = {cfg.a!r}")
     nodes = [_source_index(xp, grid) for xp in sources]
     xs, q = _grid_values(kappa, cfg, grid)
-    return kappa, xs, _solve_tridiagonal_bvp(xs, q, nodes, plate)
+    return kappa, xs, _solve_tridiagonal_bvp(grid.h, q, nodes, plate)
 
 
 def solve_bvp_above(
@@ -295,7 +290,7 @@ def integrand_from_fd(
     if 2 * j > grid.n - 6:
         raise ResolutionError("grid too short for the 2*eps solve")
     e = (j * h, 2 * j * h)
-    away = 1.0 if side == "above" else -1.0  # _solve refuses any other side
+    _, away = _plate_side(side)
     kappa, _, g = _solve(kappa, cfg, side, grid, [cfg.a + away * d for d in e])
     return _plate_integrand(g if away > 0.0 else g[::-1], h, e, kappa, cfg)
 
@@ -304,50 +299,52 @@ def integrand_from_fd(
 # Tuned grid construction for the extraction above.
 
 
-def _inv_efold(target: float, q0: float, b: float) -> float:
-    """Distance L with integral_0^L sqrt(q0 + b t) dt = target (b > 0)."""
-    return ((1.5 * b * target + q0 * math.sqrt(q0)) ** (2.0 / 3.0) - q0) / b
+def _span(q0: float, slope: float, efolds: float) -> float:
+    """Distance t over which sqrt(q0 + slope s), s in [0, t], integrates to efolds.
+
+    t = 1.5 efolds (A + B)/(A^2 + A B + B^2) from A^3 - B^3 = 1.5 slope efolds,
+    B = sqrt(q0), A = sqrt(q0 + slope t): it needs no slope != 0, does not
+    cancel, and cannot overflow with A, B in units of m = max(B, (1.5 efolds |slope|)^{1/3}).
+    """
+    root, c = math.sqrt(q0), abs(slope) ** (1.0 / 3.0)
+    m = max(root, (1.5 * efolds) ** (1.0 / 3.0) * c)
+    u, v = root / m, c / m
+    w = max(u**3 + math.copysign(1.5 * efolds * v**3, slope), 0.0) ** (1.0 / 3.0)
+    return 1.5 * efolds * (w + u) / (w * w + w * u + u * u) / m
 
 
 _NODES_PER_EPS = 16  # grid cells across eps
 _EFOLDS = 14.0  # decay lengths of padding at the open end
+_MIN_ULPS = 2.0  # least spacing h, in units of ulp(a)
 
 
 def fd_setup(kappa: float, cfg: PlateConfig, side: str) -> tuple[GridSpec, float]:
     """Grid and eps tuned for integrand_from_fd.
 
     eps = 0.025/sqrt(q(a)) keeps the cubic extraction residual near 1e-5
-    relative; the grid resolves eps with _NODES_PER_EPS cells and pads the
-    open end with ~_EFOLDS decay lengths so the truncation is invisible.
+    relative; h = eps/_NODES_PER_EPS.  The grid (>= 1000 nodes) ends where
+    sqrt(q) has integrated to _EFOLDS, below the plate inside (0, a) if that
+    holds them.  h below _MIN_ULPS ulp(a), where a source a +- j h may round
+    to another node, is a DomainError naming kappa.
     """
     kappa = _common_checks(kappa, cfg)
-    plate, _ = _plate_side(side)
+    plate, away = _plate_side(side)
     q_plate = _q_plate(kappa, cfg)
-    if not q_plate * math.sqrt(q_plate) < _BAND_MAX:  # the padding takes q(a)^{3/2}
-        raise DomainError(
-            f"kappa={kappa!r} is too large for the finite-difference grid: "
-            f"q(a) = {q_plate:.3e}, whose 3/2 power overflows"
-        )
     eps = 0.025 / math.sqrt(q_plate)
     h = eps / _NODES_PER_EPS
-    if cfg.b == 0.0:
-        pad = _EFOLDS / math.sqrt(q_plate)
-        span = pad if plate == "lo" else cfg.a + pad
-    elif plate == "lo":
-        # e-folds accumulated above the plate
-        span = _inv_efold(_EFOLDS, q_plate, cfg.b)
-    else:
-        # e-folds from the far side up to the plate; the stretch (0, a)
-        # already contributes f_a of them
+    if not h >= _MIN_ULPS * math.ulp(cfg.a):
+        raise DomainError(f"kappa={kappa!r} is too large for the finite-difference grid: "
+                          f"its spacing h = {h:.3e} is below {_MIN_ULPS:g} ulp of a = {cfg.a!r}")
+    span = _span(q_plate, away * cfg.b, _EFOLDS)
+    if plate == "hi":
+        # (0, a) holds f_a = (2/3) (A^3 - B^3)/b e-folds, A = sqrt(q(a)), B = sqrt(q(0))
         ks2 = _momentum_factor(cfg) * kappa * kappa
-        f_a = ((ks2 + cfg.b * cfg.a) ** 1.5 - ks2**1.5) / (1.5 * cfg.b)
-        span = cfg.a + _inv_efold(max(_EFOLDS - f_a, 1.0), ks2, cfg.b)
-    span = max(span, 8.0 * eps)
+        r = math.sqrt(ks2 / q_plate)
+        f_a = 2.0 / 3.0 * cfg.a * math.sqrt(q_plate) * (1.0 + r + r * r) / (1.0 + r)
+        if f_a < _EFOLDS:
+            span = cfg.a + _span(ks2, cfg.b, _EFOLDS - f_a)
     n = max(int(math.ceil(span / h)) + 1, 1000)
     lo, hi = (cfg.a, cfg.a + (n - 1) * h) if plate == "lo" else (cfg.a - (n - 1) * h, cfg.a)
-    if not lo < hi:
-        raise DomainError(f"kappa={kappa!r} is too large for the finite-difference grid: "
-                          f"its span {(n - 1) * h:.3e} vanishes beside the plate at a = {cfg.a!r}")
     return GridSpec(lo, hi, n), eps
 
 

@@ -112,9 +112,9 @@ RANGE = [
     ("fd_setup.above", lambda v: fd_setup(v, CFG, "above"), 1e20, "kappa=1e+20 is too large"),
     ("fd_setup.below", lambda v: fd_setup(v, CFG, "below"), 1e102, "kappa=1e+102 is too large"),
     ("integrand_from_fd.above", lambda v: integrand_from_fd(v, CFG, "above", *fd_setup(v, CFG, "above")),
-     3e5, "kappa=300000.0: domain too short"),
+     3.52e12, "kappa=3520000000000.0 is too large"),
     ("integrand_from_fd.below", lambda v: integrand_from_fd(v, CFG, "below", *fd_setup(v, CFG, "below")),
-     1e8, "kappa=100000000.0: domain too short"),
+     3.52e12, "kappa=3520000000000.0 is too large"),
 ]
 
 

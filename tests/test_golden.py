@@ -8,12 +8,12 @@ difference from the mpmath reference is recorded in CHANGES.md.  f_eta,
 err_est and kappa_max compare with ==, n_evals exactly, and a failing
 input keeps its error type and message prefix.
 The force_classic and force_perturbative values date from the exp-sinh
-rule as well, and the force_from_fd values from the time each FD
-probe (eps and 2 eps) had a band solve of its own; later changes have
-not moved any of them.  The one-sample FD integrands date from the time
-each side had an extraction formula of its own, and the FD oracle an
-order-2 stencil beside Numerov; the Green's-function integrands, like the
-force_exact values, from the marched seeds.
+rule as well.  The force_from_fd values and the one-sample FD integrands
+date from the change that gave every FD grid one padding rule and one
+spacing, grid.h, in the band, the decay margin and the extraction; it
+moved each of them by at most 2.9e-10 relative (CHANGES.md).  The
+Green's-function integrands, like the force_exact values, date from the
+marched seeds.
 """
 
 import pytest
@@ -85,9 +85,9 @@ def test_force_perturbative_bits():
 
 # eta: force_from_fd(eta) with its default cutoff and tolerance
 FORCE_FD = {
-    0.3: "0x1.9bf4376bace87p-5",
-    1.0: "0x1.d50033b343d6cp-4",
-    3.0: "0x1.c2b60e69ae0a0p-3",
+    0.3: "0x1.9bf4376adfa72p-5",
+    1.0: "0x1.d50033b584317p-4",
+    3.0: "0x1.c2b60e6852055p-3",
 }
 
 
@@ -99,12 +99,12 @@ def test_force_from_fd_bits(eta):
 # (kappa, eta, side): integrand_from_fd on fd_setup's grid; eta = 0 is the
 # flat background (PlateConfig(a=1, b=0)), where kappa is the momentum
 INTEGRAND_FD = {
-    (0.0, 1.0, "above"): "-0x1.2d235ca470aaap+0",
-    (0.0, 1.0, "below"): "-0x1.8b64f3bd739fcp-1",
-    (1.5, 0.5, "above"): "-0x1.d1ad277f0ba62p+0",
-    (1.5, 0.5, "below"): "-0x1.ab0c999c3047ap+0",
-    (0.7, 0.0, "above"): "-0x1.66667a7cd220bp-1",
-    (0.7, 0.0, "below"): "-0x1.66667a7ca3353p-1",
+    (0.0, 1.0, "above"): "-0x1.2d235ca46ddf7p+0",
+    (0.0, 1.0, "below"): "-0x1.8b64f3bd8a843p-1",
+    (1.5, 0.5, "above"): "-0x1.d1ad277f0a9f9p+0",
+    (1.5, 0.5, "below"): "-0x1.ab0c999c1e029p+0",
+    (0.7, 0.0, "above"): "-0x1.66667a7cd011dp-1",
+    (0.7, 0.0, "below"): "-0x1.66667a7c932cdp-1",
 }
 
 # (kappa, eta, side): verify.integrand_from_greens

@@ -3,6 +3,7 @@
 import math
 import re
 
+import numpy as np
 import pytest
 
 from casimir_plate import QuadratureSpec, airy_engine, greens, oracle_ode, quadrature, stress_kernel
@@ -19,10 +20,10 @@ from casimir_plate.oracle_ode import (
 from casimir_plate.stress_kernel import force_exact, integrand_above, integrand_below, integrand_net
 
 # Frozen pipeline output; agreement with force_exact is re-asserted below.
-FORCE_FD_ETA_1 = 0.11450214572345424
+FORCE_FD_ETA_1 = 0.11450214575621619
 # integrand_from_fd at kappa = 0.5, eta = 1 on the fd_setup grids, also frozen
-INTEGRAND_FD_ABOVE = -1.269377697053729
-INTEGRAND_FD_BELOW = -0.9281179742904974
+INTEGRAND_FD_ABOVE = -1.2693776970539845
+INTEGRAND_FD_BELOW = -0.9281179742754117
 
 
 def rel(x, y):
@@ -159,14 +160,14 @@ class TestBandedSolver:
         # the FD integrand solves its eps and 2 eps probes in one call; each
         # column of a many-source solve carries its one-source bits
         grid, eps = fd_setup(1.3, self.CFG, side)
-        xs, q = oracle_ode._grid_values(1.3, self.CFG, grid)
+        _, q = oracle_ode._grid_values(1.3, self.CFG, grid)
         j = round(eps / grid.h)
         steps = [k * j for k in range(1, n_sources + 1)]
         sources = steps if plate == "lo" else [grid.n - 1 - s for s in steps]
-        both = oracle_ode._solve_tridiagonal_bvp(xs, q, sources, plate)
+        both = oracle_ode._solve_tridiagonal_bvp(grid.h, q, sources, plate)
         assert both.shape == (grid.n, n_sources)
         for k, src in enumerate(sources):
-            one = oracle_ode._solve_tridiagonal_bvp(xs, q, [src], plate)
+            one = oracle_ode._solve_tridiagonal_bvp(grid.h, q, [src], plate)
             assert both[:, k].tobytes() == one[:, 0].tobytes()
 
     def test_failed_factorization_is_typed(self, monkeypatch):
@@ -181,9 +182,53 @@ class TestBandedSolver:
             solve_bvp_above(1.0, self.CFG, 3.0, GridSpec(1.0, 9.0, 4001))
 
 
+class TestGridSize:
+    # fd_setup pads each grid to _EFOLDS = 14 e-folds of sqrt(q) at the spacing
+    # eps/16, wherever kappa and eta put the plate
+
+    @staticmethod
+    def _setups():
+        for eta in [10.0**d for d in range(-6, 7)]:
+            for kappa in (0.0, 0.1, 0.5, 1.0, 3.0, 12.0, 100.0, 1e4):
+                yield kappa, PlateConfig.from_eta(eta)
+        for kappa in (0.7, 20.0):
+            yield kappa, PlateConfig(a=1.0, b=0.0)
+
+    @pytest.mark.parametrize("side", ["above", "below"])
+    def test_grids_hold_the_padding_they_ask_for(self, side):
+        for kappa, cfg in self._setups():
+            grid, _ = fd_setup(kappa, cfg, side)
+            where = (kappa, cfg, side, grid.n)
+            assert grid.n <= 16000, where
+            if grid.n > 1000:  # the node floor pads further
+                sq = np.sqrt(oracle_ode._grid_values(kappa, cfg, grid)[1])
+                efolds = (sq.sum() - 0.5 * (sq[0] + sq[-1])) * grid.h  # trapezoid rule
+                assert 14.0 - 1e-6 <= efolds <= 14.05, where
+
+    @pytest.mark.parametrize("kappa", [1e3, 1e5, 1e8, 1e11])
+    @pytest.mark.parametrize("side, closed_form", [("above", integrand_above),
+                                                   ("below", integrand_below)])
+    def test_large_momentum_is_answered(self, kappa, side, closed_form):
+        cfg = PlateConfig.from_eta(1.0)
+        grid, eps = fd_setup(kappa, cfg, side)
+        assert grid.n <= 9000
+        got = integrand_from_fd(kappa, cfg, side, grid, eps)
+        assert rel(got, closed_form(kappa, 1.0)) <= 2e-6
+
+    @pytest.mark.parametrize("s", [1e-100, 1e60])
+    @pytest.mark.parametrize("kappa", [0.0, 1.0, 12.0])
+    @pytest.mark.parametrize("side", ["above", "below"])
+    def test_size_is_scale_invariant(self, s, kappa, side):
+        # a -> s a, b -> b/s^3 keeps eta and stretches x by s; at s = 1e-100,
+        # b = 1e300, an unscaled padding formula would overflow
+        n = fd_setup(kappa, PlateConfig(a=1.0, b=1.0), side)[0].n
+        assert abs(fd_setup(kappa, PlateConfig(a=s, b=s**-3), side)[0].n - n) <= 1
+
+
 class TestOverflowingMomentum:
     # q = b^{2/3} kappa^2 + b |x| overflows at kappa ~ 1.3e154 (b = 1), and
-    # the grid's padding takes q(a)^{3/2}, which overflows from kappa ~ 1.8e102
+    # fd_setup refuses every kappa whose spacing h falls below 2 ulp(a), from
+    # kappa ~ 3.5e12 at eta = 1
     CFG = PlateConfig.from_eta(1.0)
 
     @pytest.mark.parametrize("kappa", [1e103, 1e154, 1e155, 1e200])
