@@ -1,30 +1,20 @@
-"""Brute-force finite-difference verification layer.
+"""Brute-force finite-difference verification layer, with no Airy function in any path.
 
-Everything here re-derives the physics with no Airy function anywhere in
-the code path: the Euclidean mode equation
-
-    G'' - q(x) G = -delta(x - x'),   q(x) = b^{2/3} kappa^2 + b |x|
-
-is discretized on a uniform grid in physical x, solved as a banded linear
-system with a Dirichlet zero at the plate and a WKB decay closure
-G' = -sqrt(q) G at the truncated open end, and differentiated numerically
-to reproduce the stress integrands.  Agreement with the closed forms is
-the package's primary correctness evidence, so this module deliberately
-shares nothing with them except the quadrature: force_from_fd(eta) runs
-integrate_finite at a fixed cutoff and tolerance (_KAPPA_MAX, _FD_SPEC).
-
-The operator is discretized with Numerov weighting, and the delta source
-enters as a density of unit integral spread with weights (1, 10, 1)/12
-over the node nearest x' and its neighbors.  Every solve takes one
-checked path (_solve) to one LAPACK call, and both sides of the plate go
-through one plate-first extraction (_plate_integrand), which
-verify.integrand_from_greens also uses on closed-form samples.  Grids
-have one spacing, grid.h, and one padding rule, _span; docs/numerics.md
-section 6 derives the discretization, the extraction and the grid.
-
-Flat-background convention: when cfg.b == 0 (used only by the eta = 0
-cross-checks) kappa is read as the physical momentum K and the integrand
-normalization divides by 1 instead of b^{1/3}.
+The mode equation w'' = q(x) w, q(x) = b^{2/3} kappa^2 + b |x|, is
+discretized with Numerov weighting on a uniform grid in physical x and
+solved as one tridiagonal system with the plate on a node and a WKB decay
+closure at each open end; every solve takes one checked path (_solve).  It
+serves two problems.  G'' - q G = -delta(x - x'), G = 0 at the plate
+(solve_bvp_above/_full), gives one side's stress integrand by the
+plate-first extraction _plate_integrand (integrand_from_fd on an fd_setup
+grid; verify.integrand_from_greens runs it on closed-form samples).
+w = 1 at the plate, decaying both ways, gives the net integrand as one
+positive integral (_net_fd, the variable-phase form), and force_from_fd
+the force over the whole momentum half line.  The module shares nothing
+with the closed forms except the quadrature; docs/numerics.md section 6
+derives the discretization, the extraction, the identity and the grids.
+When cfg.b == 0 (the eta = 0 cross-checks) kappa is the physical momentum
+K and integrands divide by 1 instead of b^{1/3}.
 """
 
 from __future__ import annotations
@@ -33,7 +23,7 @@ import math
 import operator
 import sys
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -41,14 +31,8 @@ from .errors import DomainError, OracleError, ResolutionError, ToleranceError, a
 from .greens import PlateConfig
 from .quadrature import QuadratureSpec, integrate_finite
 
-__all__ = [
-    "GridSpec",
-    "solve_bvp_above",
-    "solve_bvp_full",
-    "integrand_from_fd",
-    "fd_setup",
-    "force_from_fd",
-]
+__all__ = ["GridSpec", "solve_bvp_above", "solve_bvp_full", "integrand_from_fd", "fd_setup",
+           "force_from_fd"]
 
 
 @dataclass(frozen=True)
@@ -79,38 +63,27 @@ class GridSpec:
         return (self.x_hi - self.x_lo) / (self.n - 1)
 
 
-def _momentum_factor(cfg: PlateConfig) -> float:
-    # b = 0 reads kappa as the physical momentum (flat-background checks)
+def _momentum_factor(cfg: PlateConfig) -> float:  # b = 0: kappa is the physical momentum
     return cfg.b ** (2.0 / 3.0) if cfg.b > 0.0 else 1.0
 
 
-def _solve_tridiagonal_bvp(
-    h: float, q: np.ndarray, sources: Sequence[int], plate: str
-) -> np.ndarray:
-    """Band solves of G'' - q G = -delta with plate at one edge, decay at the other.
+def _solve_tridiagonal_bvp(h: float, q: np.ndarray, sources: Optional[Sequence[int]],
+                           plate: str, kink: int = -1, jump: float = 0.0) -> np.ndarray:
+    """Band solves of w'' = q w, the plate on the first, last or middle node ('lo', 'hi', 'mid').
 
-    Returns one column per source node index, all from one LAPACK
-    ``dgtsv`` call on one factorization; each column carries the same bits
-    as a solve for its source alone.  Callers have checked that the band
-    is finite (_grid_values), so an ``info`` other than 0 is an internal
-    fault.
-
-    q is sampled on nodes h apart.  plate='lo': Dirichlet at the first node,
-    WKB closure at the last; plate='hi': the mirror image.  The closure
-    eliminates a ghost node through the centered first derivative, so it is
-    second-order like the boundary region it sits in; the closure error
-    itself is suppressed by e^{-2 integral sqrt(q)} across the pad, which
-    fd_setup keeps at e^{-28}.
-
-    The spread source dents the Numerov solution at the source node by
-    exactly -h/12 (the discrete Laplace kernel is piecewise linear in
-    |j - m|, and the (1, 10, 1)/12 weights average |j - m| to 1/6 at the
-    kink while leaving every other node exact), so that node is corrected
-    after the solve; the residual there is O(h^3 q).
+    sources None: one column, w = 1 at the plate; else one column per
+    source node of G'' - q G = -delta, G = 0 at the plate, each with the
+    bits of a solve for its source alone.  The plate row decouples the two
+    sides; each open end gets the WKB closure through a centered ghost
+    node.  Numerov's rows miss the exact solution by h^3 jump w/12 where q'
+    jumps by jump, which row kink's diagonal takes back; the spread source
+    dents its node by exactly -h/12, corrected after the solve.  The band
+    is checked finite (_grid_values), so LAPACK info != 0 is a fault.
     """
     from scipy.linalg.lapack import dgtsv  # oracle only; kept off the import path
 
     n = q.size
+    at = {"lo": 0, "hi": n - 1, "mid": (n - 1) // 2}[plate]
     # row i: c_{i-1} g_{i-1} + d_i g_i + c_{i+1} g_{i+1} with c = 1 - (h^2/12) q
     # and d = -2 (1 + (5 h^2/12) q), each built in place
     c = q * -(h * h / 12.0)
@@ -119,22 +92,28 @@ def _solve_tridiagonal_bvp(
     d = q * (5.0 * h * h / 12.0)
     d += 1.0
     d *= -2.0
-    if plate == "lo":  # Dirichlet row first, closure row last
-        d[0], du[0] = 1.0, 0.0
-        dl[n - 2], end = 2.0, n - 1
+    if kink >= 0:
+        d[kink] -= h * h * h * jump / 12.0
+    if at > 0:  # closure row first
+        d[0], du[0] = -(2.0 + 2.0 * h * math.sqrt(q[0]) + h * h * q[0]), 2.0
+        dl[at - 1] = 0.0
+    if at < n - 1:  # closure row last
+        d[n - 1], dl[n - 2] = -(2.0 + 2.0 * h * math.sqrt(q[n - 1]) + h * h * q[n - 1]), 2.0
+        du[at] = 0.0
+    d[at] = 1.0
+    if sources is None:
+        rhs = np.zeros((n, 1))
+        rhs[at] = 1.0
     else:
-        d[n - 1], dl[n - 2] = 1.0, 0.0
-        du[0], end = 2.0, 0
-    d[end] = -(2.0 + 2.0 * h * math.sqrt(q[end]) + h * h * q[end])
-    w = -h / 12.0
-    rhs = np.zeros((n, len(sources)), order="F")
-    for col, j in enumerate(sources):
-        rhs[j - 1 : j + 2, col] = (w, 10.0 * w, w)
+        w = -h / 12.0
+        rhs = np.zeros((n, len(sources)), order="F")
+        for col, j in enumerate(sources):
+            rhs[j - 1 : j + 2, col] = (w, 10.0 * w, w)
     g, info = dgtsv(dl, d, du, rhs, overwrite_dl=1, overwrite_d=1, overwrite_du=1,
                     overwrite_b=1)[3:]
     if info != 0:
         raise OracleError(f"tridiagonal solve failed: LAPACK dgtsv returned info={info}")
-    for col, j in enumerate(sources):
+    for col, j in enumerate(sources or ()):
         g[j, col] += h / 12.0
     return g
 
@@ -173,17 +152,13 @@ def _grid_values(kappa: float, cfg: PlateConfig, grid: GridSpec) -> tuple[np.nda
     # end of the grid, so two products stand in for a pass over the band
     h, q_lo, q_hi = grid.h, float(q[0]), float(q[-1])
     if not (h * h * q_lo < _BAND_MAX and h * h * q_hi < _BAND_MAX):  # NaN fails too
-        raise DomainError(
-            f"kappa={kappa!r} overflows the finite-difference band: q reaches "
-            f"{max(q_lo, q_hi):.3e} at an end of the grid (h = {h:.3e})"
-        )
+        raise DomainError(f"kappa={kappa!r} overflows the finite-difference band: q reaches "
+                          f"{max(q_lo, q_hi):.3e} at an end of the grid (h = {h:.3e})")
     sq = np.sqrt(q)  # the decay margin: e-folds of the closure, by the trapezoid rule
     margin = float((0.5 * (sq[0] + sq[-1]) + sq[1:-1].sum()) * h)
     if margin < 8.0:
-        raise DomainError(
-            f"kappa={kappa!r}: domain too short: integral of sqrt(q) is {margin:.2f}, need >= 8 "
-            "for the decay closure to be trustworthy"
-        )
+        raise DomainError(f"kappa={kappa!r}: domain too short: integral of sqrt(q) is "
+                          f"{margin:.2f}, need >= 8 for the decay closure to be trustworthy")
     return xs, q
 
 
@@ -198,95 +173,77 @@ def _source_index(xp: float, grid: GridSpec) -> int:
     return j
 
 
-def _solve(
-    kappa: float, cfg: PlateConfig, side: str, grid: GridSpec, sources: Sequence[float]
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Every FD band solve: (checked kappa, nodes, G with one column per source).
+def _solve(kappa: float, cfg: PlateConfig, side: str, grid: GridSpec,
+           sources: Optional[Sequence[float]] = None) -> tuple[float, np.ndarray, np.ndarray]:
+    """Every FD band solve: (checked kappa, nodes, one solution column per source).
 
-    Checks kappa, the side, the grid edge at the plate, each source and the
-    band, in that order, then makes the one _solve_tridiagonal_bvp call.
+    The grid starts ('above') or ends ('below') at the plate, or, for side
+    'both' with no sources, has it as its middle node.  Checks kappa, the
+    side, the plate node, each source and the band, in that order, then
+    makes the one _solve_tridiagonal_bvp call; no sources solves for w = 1
+    at the plate.  A node on the kink x = 0 (to 1e-6 h) gets the kink row.
     """
     kappa = _common_checks(kappa, cfg)
-    plate, _ = _plate_side(side)
-    edge, verb = (grid.x_lo, "start") if plate == "lo" else (grid.x_hi, "end")
-    if abs(edge - cfg.a) > 1e-12 * max(1.0, abs(cfg.a)):
+    if side == "both" and sources is None:
+        plate, verb = "mid", "center"
+        at = grid.x_lo + (grid.n - 1) // 2 * grid.h if grid.n % 2 else math.nan
+    else:
+        plate, _ = _plate_side(side)
+        verb, at = ("start", grid.x_lo) if plate == "lo" else ("end", grid.x_hi)
+    if not abs(at - cfg.a) <= 1e-12 * max(1.0, abs(cfg.a)):
         raise DomainError(f"grid must {verb} at the plate x = {cfg.a!r}")
-    nodes = [_source_index(xp, grid) for xp in sources]
+    nodes = None if sources is None else [_source_index(xp, grid) for xp in sources]
     xs, q = _grid_values(kappa, cfg, grid)
-    return kappa, xs, _solve_tridiagonal_bvp(grid.h, q, nodes, plate)
+    h = grid.h
+    j = round(-grid.x_lo / h) if grid.x_lo < 0.0 < grid.x_hi else -1  # the node nearest x = 0
+    kink = j if j >= 0 and abs(xs[j]) <= 1e-6 * h else -1
+    return kappa, xs, _solve_tridiagonal_bvp(h, q, nodes, plate, kink, 2.0 * cfg.b)
 
 
-def solve_bvp_above(
-    kappa: float, cfg: PlateConfig, xp: float, grid: GridSpec
-) -> tuple[np.ndarray, np.ndarray]:
-    """G(x, xp) above the plate: Dirichlet at x = a, decay toward +infinity.
-
-    The grid must start at the plate; the source is snapped to the nearest
-    node.
-    """
+def solve_bvp_above(kappa: float, cfg: PlateConfig, xp: float,
+                    grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """G(x, xp) above the plate on a grid starting at it; xp snaps to the nearest node."""
     _, xs, g = _solve(kappa, cfg, "above", grid, [xp])
     return xs, g[:, 0]
 
 
-def solve_bvp_full(
-    kappa: float, cfg: PlateConfig, xp: float, grid: GridSpec
-) -> tuple[np.ndarray, np.ndarray]:
-    """G(x, xp) below the plate on [-X, a]: Dirichlet at a, decay toward -infinity.
-
-    The grid must end at the plate; otherwise as solve_bvp_above.  The
-    potential kink at x = 0 needs no special treatment: the Numerov rows
-    just see V = b |x| pointwise.
-    """
+def solve_bvp_full(kappa: float, cfg: PlateConfig, xp: float,
+                   grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """G(x, xp) below the plate on a grid ending at it; a node on x = 0 gets the kink row."""
     _, xs, g = _solve(kappa, cfg, "below", grid, [xp])
     return xs, g[:, 0]
 
 
-# ---------------------------------------------------------------------------
-# Stress integrands by pure finite differences.
+def _plate_integrand(g: np.ndarray, h: float, e: Sequence[float], kappa: float,
+                     cfg: PlateConfig) -> float:
+    """Stress integrand from G sampled plate-first (row k at k h), sources e = (eps, 2 eps) away.
 
-
-def _edge_slope_lo(g: Sequence[float], h: float) -> float:
-    # 5-point one-sided first derivative at the left edge, O(h^4)
-    return (-25.0 * g[0] + 48.0 * g[1] - 36.0 * g[2] + 16.0 * g[3] - 3.0 * g[4]) / (12.0 * h)
-
-
-def _plate_integrand(
-    g: np.ndarray, h: float, e: Sequence[float], kappa: float, cfg: PlateConfig
-) -> float:
-    """Stress integrand from G sampled plate-first, with sources e = (eps, 2 eps) away.
-
-    Row k of g is k steps h from the plate toward the sources, one column
-    per source.  In the distance s from the plate, the slope of G there is
-    the exact ratio r = w(eps)/w(0) of the solution w that decays away from
-    the plate, and t = (r - 1)/eps - eps q(a)/2 = w'/w + O(eps^2) (w'' = q w
-    fixes the linear term); one Richardson step over (eps, 2 eps) removes
-    the quadratic one, and the result is divided by b^{1/3} (by 1 when b = 0).
+    The slope of G at the plate is the ratio r = w(eps)/w(0) of the
+    solution w decaying away from it, and t = (r - 1)/eps - eps q(a)/2 =
+    w'/w + O(eps^2); one Richardson step over (eps, 2 eps) removes the
+    quadratic term, and the result is divided by b^{1/3} (by 1 when b = 0).
     """
     q_plate = _q_plate(kappa, cfg)
-    # two columns: plain floats are cheaper than numpy's 2-element arithmetic
-    t1, t2 = [(_edge_slope_lo(col, h) - 1.0) / d - 0.5 * d * q_plate
-              for col, d in zip(g[:5].T.tolist(), e)]
+    # two columns, as plain floats; the slope is the 5-point one-sided O(h^4) rule
+    t1, t2 = [((-25.0 * g0 + 48.0 * g1 - 36.0 * g2 + 16.0 * g3 - 3.0 * g4) / (12.0 * h) - 1.0) / d
+              - 0.5 * d * q_plate for (g0, g1, g2, g3, g4), d in zip(g[:5].T.tolist(), e)]
     bcube = cfg.b ** (1.0 / 3.0) if cfg.b > 0.0 else 1.0
     return float((4.0 * t1 - t2) / 3.0 / bcube)
 
 
-def integrand_from_fd(
-    kappa: float, cfg: PlateConfig, side: str, grid: GridSpec, eps: float
-) -> float:
-    """Coincident-limit stress integrand at the plate, Airy-free route.
+def integrand_from_fd(kappa: float, cfg: PlateConfig, side: str, grid: GridSpec,
+                      eps: float) -> float:
+    """Coincident-limit stress integrand at the plate on one side, Airy-free.
 
-    One band solve takes a source column at eps and one at 2 eps from the
-    plate (the probes differ only in where the source sits); the columns,
-    turned plate-first on the below side, go to _plate_integrand.  eps is
-    snapped to a whole number of grid cells; it must be resolved by at
-    least 4 of them.  The grid must meet the plate on the given side.
+    One band solve of sources eps and 2 eps from the plate, eps snapped to
+    a whole number (>= 4) of cells, feeds _plate_integrand, plate-first.
+    The grid must meet the plate on the given side.
     """
     h = grid.h
     j = int(round(check_real(eps, "eps", strict=True) / h))
     if j < 4:
-        raise ResolutionError(
-            f"eps = {eps!r} spans fewer than 4 grid cells (h = {h!r}); refine the grid"
-        )
+        raise ResolutionError(f"eps = {eps!r} spans fewer than 4 grid cells (h = {h!r}); "
+                              "refine the grid")
     if 2 * j > grid.n - 6:
         raise ResolutionError("grid too short for the 2*eps solve")
     e = (j * h, 2 * j * h)
@@ -295,16 +252,12 @@ def integrand_from_fd(
     return _plate_integrand(g if away > 0.0 else g[::-1], h, e, kappa, cfg)
 
 
-# ---------------------------------------------------------------------------
-# Tuned grid construction for the extraction above.
-
-
 def _span(q0: float, slope: float, efolds: float) -> float:
     """Distance t over which sqrt(q0 + slope s), s in [0, t], integrates to efolds.
 
-    t = 1.5 efolds (A + B)/(A^2 + A B + B^2) from A^3 - B^3 = 1.5 slope efolds,
-    B = sqrt(q0), A = sqrt(q0 + slope t): it needs no slope != 0, does not
-    cancel, and cannot overflow with A, B in units of m = max(B, (1.5 efolds |slope|)^{1/3}).
+    t = 1.5 efolds (A + B)/(A^2 + A B + B^2), B = sqrt(q0), A = sqrt(q0 + slope t),
+    from A^3 - B^3 = 1.5 slope efolds: no slope != 0 needed, no cancellation, and
+    no overflow with A, B in units of m = max(B, (1.5 efolds |slope|)^{1/3}).
     """
     root, c = math.sqrt(q0), abs(slope) ** (1.0 / 3.0)
     m = max(root, (1.5 * efolds) ** (1.0 / 3.0) * c)
@@ -313,75 +266,121 @@ def _span(q0: float, slope: float, efolds: float) -> float:
     return 1.5 * efolds * (w + u) / (w * w + w * u + u * u) / m
 
 
-_NODES_PER_EPS = 16  # grid cells across eps
+_NODES_PER_EPS = 16  # grid cells across 0.025/sqrt(q(a)), the largest eps
+_EPS_SLOPE = 0.2  # largest eps as a fraction of q(a)/b
 _EFOLDS = 14.0  # decay lengths of padding at the open end
 _MIN_ULPS = 2.0  # least spacing h, in units of ulp(a)
+
+
+def _reach(kappa: float, cfg: PlateConfig, side: str, efolds: float) -> float:
+    """Distance from the plate over which sqrt(q) integrates to efolds on a side (_span)."""
+    q_plate = _q_plate(kappa, cfg)
+    if side == "above":
+        return _span(q_plate, cfg.b, efolds)
+    # (0, a) holds f_a = (2/3) (A^3 - B^3)/b e-folds, A = sqrt(q(a)), B = sqrt(q(0))
+    ks2 = _momentum_factor(cfg) * kappa * kappa
+    r = math.sqrt(ks2 / q_plate)
+    f_a = 2.0 / 3.0 * cfg.a * math.sqrt(q_plate) * (1.0 + r + r * r) / (1.0 + r)
+    if f_a < efolds:
+        return cfg.a + _span(ks2, cfg.b, efolds - f_a)
+    return _span(q_plate, -cfg.b, efolds)
 
 
 def fd_setup(kappa: float, cfg: PlateConfig, side: str) -> tuple[GridSpec, float]:
     """Grid and eps tuned for integrand_from_fd.
 
-    eps = 0.025/sqrt(q(a)) keeps the cubic extraction residual near 1e-5
-    relative; h = eps/_NODES_PER_EPS.  The grid (>= 1000 nodes) ends where
-    sqrt(q) has integrated to _EFOLDS, below the plate inside (0, a) if that
-    holds them.  h below _MIN_ULPS ulp(a), where a source a +- j h may round
-    to another node, is a DomainError naming kappa.
+    eps = 0.025/sqrt(q(a)) keeps the extraction residual near 1e-5, at most
+    _EPS_SLOPE q(a)/b (q moves by a fifth across it) and a/4 (both probes
+    short of the kink).  h = 0.025/sqrt(q(a))/_NODES_PER_EPS, or eps/4 if
+    smaller; the grid (>= 1000 nodes) reaches _EFOLDS.  h below _MIN_ULPS
+    ulp(a), where a source may round to another node, is a DomainError.
     """
     kappa = _common_checks(kappa, cfg)
-    plate, away = _plate_side(side)
+    plate, _ = _plate_side(side)
     q_plate = _q_plate(kappa, cfg)
-    eps = 0.025 / math.sqrt(q_plate)
-    h = eps / _NODES_PER_EPS
+    widest = 0.025 / math.sqrt(q_plate)
+    eps = min(widest, 0.25 * cfg.a)
+    if cfg.b * eps > _EPS_SLOPE * q_plate:
+        eps = _EPS_SLOPE * q_plate / cfg.b
+    h = min(widest / _NODES_PER_EPS, 0.25 * eps)
     if not h >= _MIN_ULPS * math.ulp(cfg.a):
         raise DomainError(f"kappa={kappa!r} is too large for the finite-difference grid: "
                           f"its spacing h = {h:.3e} is below {_MIN_ULPS:g} ulp of a = {cfg.a!r}")
-    span = _span(q_plate, away * cfg.b, _EFOLDS)
-    if plate == "hi":
-        # (0, a) holds f_a = (2/3) (A^3 - B^3)/b e-folds, A = sqrt(q(a)), B = sqrt(q(0))
-        ks2 = _momentum_factor(cfg) * kappa * kappa
-        r = math.sqrt(ks2 / q_plate)
-        f_a = 2.0 / 3.0 * cfg.a * math.sqrt(q_plate) * (1.0 + r + r * r) / (1.0 + r)
-        if f_a < _EFOLDS:
-            span = cfg.a + _span(ks2, cfg.b, _EFOLDS - f_a)
-    n = max(int(math.ceil(span / h)) + 1, 1000)
+    n = max(int(math.ceil(_reach(kappa, cfg, side, _EFOLDS) / h)) + 1, 1000)
     lo, hi = (cfg.a, cfg.a + (n - 1) * h) if plate == "lo" else (cfg.a - (n - 1) * h, cfg.a)
     return GridSpec(lo, hi, n), eps
 
 
-_KAPPA_MAX = 12.0
-_FD_SPEC = QuadratureSpec(rel_tol=1e-6, abs_tol=1e-12)
+_NET_CELLS = 800  # least cells a side on the coarse grid
+_NET_DENSITY = 50.0  # least coarse cells per decay length 1/sqrt(q(a))
+_NET_EFOLDS = 16.0  # e-folds of sqrt(q) the net grids reach on either side
 
 
-def force_from_fd(eta: float) -> float:
-    """f(eta) recomputed end to end through the finite-difference route.
+def _net_simpson(kappa: float, cfg: PlateConfig, m: int, p: int) -> float:
+    """net by Simpson's rule on p cells of a/m a side of the plate (m, p even); see _net_fd."""
+    grid = GridSpec(cfg.a - p * (cfg.a / m), cfg.a + p * (cfg.a / m), 2 * p + 1)
+    w = _solve(kappa, cfg, "both", grid)[2][:, 0]
+    f = np.minimum(np.arange(p + 1) * grid.h, cfg.a)  # 2 b min(a, s) w_a w_b / (2 b)
+    f *= w[p:]
+    f *= w[p::-1]
+    simpson = float(f[0] + f[p] + 4.0 * f[1::2].sum() + 2.0 * f[2:p:2].sum())
+    scale = 2.0 * cfg.b / (cfg.b ** (1.0 / 3.0) if cfg.b > 0.0 else 1.0)
+    return scale * grid.h / 3.0 * simpson
 
-    Integrand values come from integrand_from_fd, the integral up to the
-    cutoff _KAPPA_MAX from adaptive Gauss-Kronrod (not force_exact's rule),
-    and the remainder from the closed-form Lorentzian tail integral
-    (re-derived inline so this path imports nothing from the stress
-    module).  This is the fully independent cross-check of the production
-    force values.  A cutoff integral that misses _FD_SPEC's tolerance
-    raises ToleranceError.
+
+def _net_fd(kappa: float, cfg: PlateConfig) -> tuple[float, float]:
+    """(net, err_est) at one momentum from the variable-phase form, one positive integral,
+
+        net b^{1/3} = integral_0^inf 2 b min(a, s) w_a(s) w_b(s) ds,
+
+    s the distance from the plate, w_a and w_b (one _solve) decaying away
+    from it above and below with w(0) = 1.  Spacing a/m, m even, puts the
+    kink s = a on a Simpson panel edge; the weight is formed from s, never
+    as q_a - q_b.  One Richardson step over m and 2m on nested grids
+    removes the h^4 term; err_est is its size.
+    """
+    kappa = _common_checks(kappa, cfg)
+    reach = max(_reach(kappa, cfg, side, _NET_EFOLDS) for side in ("above", "below"))
+    cells = max(_NET_CELLS / reach, _NET_DENSITY * math.sqrt(_q_plate(kappa, cfg)))
+    m = 2 * math.ceil(cfg.a * cells / 2.0)
+    p = 2 * math.ceil(reach * m / (2.0 * cfg.a))
+    coarse, fine = _net_simpson(kappa, cfg, m, p), _net_simpson(kappa, cfg, 2 * m, 2 * p)
+    step = (fine - coarse) / 15.0
+    return fine + step, abs(step)
+
+
+_FD_SPEC = QuadratureSpec(rel_tol=1e-9)
+
+
+def _force_fd(eta: float) -> tuple[float, float]:
+    """(f(eta), err_est): eta^{2/3}/(2 pi) times the integral of _net_fd over kappa >= 0.
+
+    integrate_finite (not force_exact's rule) runs over kappa = k0 t/(1 - t),
+    t in [0, 1), with no cutoff; k0 = max(eta^{1/6}, eta^{-1/3}) is where
+    net turns over.  err_est is the quadrature's plus f times the largest
+    relative sample err_est, a bound on the samples' part as every sample
+    is positive.  A miss of _FD_SPEC raises ToleranceError naming eta.
     """
     eta = check_real(eta, "eta", strict=True)
     cfg = PlateConfig.from_eta(eta)
+    k0 = max(eta ** (1.0 / 6.0), eta ** (-1.0 / 3.0))
+    worst = 0.0
 
-    def net(k: float) -> float:
-        grid_a, eps_a = fd_setup(k, cfg, "above")
-        grid_b, eps_b = fd_setup(k, cfg, "below")
-        above = integrand_from_fd(k, cfg, "above", grid_a, eps_a)
-        below = integrand_from_fd(k, cfg, "below", grid_b, eps_b)
-        return below - above
+    def integrand(ts: np.ndarray) -> list[float]:
+        nonlocal worst
+        samples = [(t, *_net_fd(k0 * t / (1.0 - t), cfg)) for t in ts.tolist()]
+        worst = max(worst, *(err / net for _, net, err in samples))
+        return [k0 * net / ((1.0 - t) * (1.0 - t)) for t, net, _ in samples]
 
-    r = integrate_finite(lambda ks: [net(k) for k in ks.tolist()], 0.0, _KAPPA_MAX, _FD_SPEC)
-    scale = eta ** (2.0 / 3.0)
-    if not r.converged:
-        # err_est in units of f, as force_exact reports it
-        raise ToleranceError(
-            f"FD momentum integral did not converge on [0.0, {_KAPPA_MAX!r}]; "
-            f"eta={eta!r}, rel_tol={_FD_SPEC.rel_tol!r}, "
-            f"err_est={scale * r.err_est / (2.0 * math.pi):.3e}"
-        )
-    s6 = eta ** (1.0 / 6.0)
-    tail = math.atan(s6 / _KAPPA_MAX) / (4.0 * math.pi * s6)
-    return scale * (r.value / (2.0 * math.pi) + tail)
+    r = integrate_finite(integrand, 0.0, 1.0, _FD_SPEC)
+    scale = eta ** (2.0 / 3.0) / (2.0 * math.pi)
+    if not r.converged:  # err_est in units of f, as force_exact reports it
+        raise ToleranceError(f"FD momentum integral did not converge on kappa in [0, inf); "
+                             f"eta={eta!r}, rel_tol={_FD_SPEC.rel_tol!r}, "
+                             f"err_est={scale * r.err_est:.3e}")
+    return scale * r.value, scale * r.err_est + worst * scale * abs(r.value)
+
+
+def force_from_fd(eta: float) -> float:
+    """f(eta) end to end by the finite-difference route (_force_fd), Airy-free throughout."""
+    return _force_fd(eta)[0]

@@ -280,6 +280,17 @@ def _stress_rebuilt_from_greens() -> float:
                for kap in (0.0, 0.3, 0.7, 1.5, 3.0, 6.0) for side, own in sides)
 
 
+def _fd_net_at_kernel_crossovers() -> float:
+    # the variable-phase FD net against the kernel where its branches meet:
+    # z2 = kappa^2 + eps at Z_SWITCH and at the far edge of the Taylor
+    # table's last cell, and the small-eta crossover kappa = 1/eps
+    z2s = (ae.Z_SWITCH, ae.Z_SWITCH - 0.5 * ae._NODE_STEP)
+    cases = [(math.sqrt(z2 - eta ** (1.0 / 3.0)), eta) for eta in (1e-3, 1.0, 1e3) for z2 in z2s]
+    cases += [(eta ** (-1.0 / 3.0), eta) for eta in (1e-3, 1e-6)]
+    return max(_rel(oo._net_fd(kap, gr.PlateConfig.from_eta(eta))[0], sk.integrand_net(kap, eta).net)
+               for kap, eta in cases)
+
+
 def _force_eta1_positive() -> int:
     return int(not sk.force_exact(1.0).f_eta > 0.0)
 
@@ -312,6 +323,7 @@ CHECKS = (
           "growth per halving of k_min, in units of ln2/(2 pi)"),
     Check("stress", "perturbative_identity", _perturbative_identity, 1e-12),
     Check("stress", "stress_rebuilt_from_greens", _stress_rebuilt_from_greens, 1e-6),
+    Check("stress", "fd_net_at_kernel_crossovers", _fd_net_at_kernel_crossovers, 1e-8),
     Check("stress", "force_eta1_positive", _force_eta1_positive, 0,
           "number of violations; the value itself is pinned in the test suite"),
 )

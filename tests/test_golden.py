@@ -8,12 +8,13 @@ difference from the mpmath reference is recorded in CHANGES.md.  f_eta,
 err_est and kappa_max compare with ==, n_evals exactly, and a failing
 input keeps its error type and message prefix.
 The force_classic and force_perturbative values date from the exp-sinh
-rule as well.  The force_from_fd values and the one-sample FD integrands
-date from the change that gave every FD grid one padding rule and one
-spacing, grid.h, in the band, the decay margin and the extraction; it
-moved each of them by at most 2.9e-10 relative (CHANGES.md).  The
-Green's-function integrands, like the force_exact values, date from the
-marched seeds.
+rule as well.  The force_from_fd values date from the variable-phase FD
+route (net as one positive integral over the whole momentum half line),
+within 4.3e-13 relative of mpmath (CHANGES.md).  The one-sample FD
+integrands date from the change that gave every FD grid one padding rule
+and one spacing, except (0, 1, below), which moved by 1.4e-7 when a grid
+node on the kink x = 0 got Numerov's kink row.  The Green's-function
+integrands, like the force_exact values, date from the marched seeds.
 """
 
 import pytest
@@ -83,11 +84,11 @@ def test_force_perturbative_bits():
     assert force_perturbative(1.0, 1.0, 1e-2).hex() == "0x1.620b469a89a55p-1"
 
 
-# eta: force_from_fd(eta) with its default cutoff and tolerance
+# eta: force_from_fd(eta) at its default tolerance
 FORCE_FD = {
-    0.3: "0x1.9bf4376adfa72p-5",
-    1.0: "0x1.d50033b584317p-4",
-    3.0: "0x1.c2b60e6852055p-3",
+    0.3: "0x1.9bf526a64b9ddp-5",
+    1.0: "0x1.d50107a470c43p-4",
+    3.0: "0x1.c2b6c3b3d50f0p-3",
 }
 
 
@@ -100,7 +101,7 @@ def test_force_from_fd_bits(eta):
 # flat background (PlateConfig(a=1, b=0)), where kappa is the momentum
 INTEGRAND_FD = {
     (0.0, 1.0, "above"): "-0x1.2d235ca46ddf7p+0",
-    (0.0, 1.0, "below"): "-0x1.8b64f3bd8a843p-1",
+    (0.0, 1.0, "below"): "-0x1.8b64f7481dd4fp-1",
     (1.5, 0.5, "above"): "-0x1.d1ad277f0a9f9p+0",
     (1.5, 0.5, "below"): "-0x1.ab0c999c1e029p+0",
     (0.7, 0.0, "above"): "-0x1.66667a7cd011dp-1",

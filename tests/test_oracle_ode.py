@@ -1,7 +1,9 @@
 """Finite-difference BVP oracle: discretization order, closures, and the FD force pipeline."""
 
+import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,8 +21,8 @@ from casimir_plate.oracle_ode import (
 )
 from casimir_plate.stress_kernel import force_exact, integrand_above, integrand_below, integrand_net
 
-# Frozen pipeline output; agreement with force_exact is re-asserted below.
-FORCE_FD_ETA_1 = 0.11450214575621619
+# Frozen pipeline output, 2.6e-13 from mpmath; agreement with force_exact is re-asserted below.
+FORCE_FD_ETA_1 = 0.11450293526927262
 # integrand_from_fd at kappa = 0.5, eta = 1 on the fd_setup grids, also frozen
 INTEGRAND_FD_ABOVE = -1.2693776970539845
 INTEGRAND_FD_BELOW = -0.9281179742754117
@@ -318,6 +320,16 @@ class TestStressExtraction:
         grid, eps = fd_setup(1.0, cfg, "below")
         assert grid.x_hi == cfg.a
 
+    @pytest.mark.parametrize("side, closed_form", [("above", integrand_above),
+                                                   ("below", integrand_below)])
+    def test_eps_follows_the_slope_of_q(self, side, closed_form):
+        # at eta = 1e-3, kappa = 1e-3 q doubles within q(a)/b = 1.0; eps =
+        # 0.025/sqrt(q(a)) = 0.79 alone left the sides 5e-5 (above) and
+        # 2.4e-4 (below) off, eps = 0.2 q(a)/b leaves 1.2e-6 and 1.3e-6
+        cfg = PlateConfig.from_eta(1e-3)
+        got = integrand_from_fd(1e-3, cfg, side, *fd_setup(1e-3, cfg, side))
+        assert rel(got, closed_form(1e-3, 1e-3)) <= 1e-5
+
 
 class TestForcePipeline:
     def test_pinned_value(self):
@@ -330,7 +342,10 @@ class TestForcePipeline:
         assert integrand_from_fd(0.5, cfg, side, *fd_setup(0.5, cfg, side)) == pinned
 
     def test_agrees_with_closed_form_route(self):
-        assert rel(force_from_fd(1.0), force_exact(1.0).f_eta) <= 1e-4
+        # each route states its error; they must agree within the sum
+        exact = force_exact(1.0)
+        fd, fd_err = oracle_ode._force_fd(1.0)
+        assert abs(exact.f_eta - fd) <= exact.err_est + fd_err
 
     def test_route_reaches_no_airy_code(self, monkeypatch):
         # the FD force is an independent check only while it stays Airy-free:
@@ -359,3 +374,66 @@ class TestForcePipeline:
             force_from_fd(1.0)
         text = str(info.value)
         assert "eta=1.0" in text and "rel_tol=1e-12" in text and "err_est=" in text
+
+
+REFS = json.loads((Path(__file__).resolve().parent.parent / "perfbench" / "refs.json").read_text())
+REF = {r["eta"]: float(r["f"]) for r in REFS["refs"]}
+
+
+class TestNetIntegral:
+    # net as one positive integral: the samples and the force they make
+    ETAS = (1e-3, 0.01, 1.0, 1e4)
+    KAPPAS = (0.0, 1e-3, 0.1, 0.5, 3.0, 10.0, 100.0, 1e4)
+
+    @pytest.mark.parametrize("eta", [0.03, 0.1, 0.3, 1.0, 3.0, 10.0, 30.0, 100.0,
+                                     1e-3, 0.01, 1e6])
+    def test_error_estimate_bounds_the_mpmath_error(self, eta):
+        f, err = oracle_ode._force_fd(eta)
+        assert abs(f - REF[eta]) <= err <= 1e-8 * f
+
+    def test_samples_match_the_closed_form_net(self):
+        for eta in self.ETAS:
+            cfg = PlateConfig.from_eta(eta)
+            for kappa in self.KAPPAS:
+                net, err = oracle_ode._net_fd(kappa, cfg)
+                gap = abs(net - integrand_net(kappa, eta).net)
+                assert gap <= err <= 1e-8 * net, (eta, kappa)
+
+    def test_integrand_is_nonnegative_on_every_node(self, monkeypatch):
+        solve, seen = oracle_ode._solve, []
+
+        def record(kappa, cfg, side, grid, sources=None):
+            out = solve(kappa, cfg, side, grid, sources)
+            seen.append((cfg, grid, out[2][:, 0]))
+            return out
+
+        monkeypatch.setattr(oracle_ode, "_solve", record)
+        for eta in self.ETAS:
+            for kappa in self.KAPPAS:
+                oracle_ode._net_fd(kappa, PlateConfig.from_eta(eta))
+        assert len(seen) == 2 * len(self.ETAS) * len(self.KAPPAS)
+        for cfg, grid, w in seen:
+            p = (grid.n - 1) // 2
+            s = np.arange(p + 1) * grid.h
+            assert (2.0 * cfg.b * np.minimum(cfg.a, s) * w[p:] * w[p::-1] >= 0.0).all()
+
+    def test_kink_row_makes_the_sample_fourth_order(self, monkeypatch):
+        # eta = 1, kappa = 0: halving h cuts the error 16.0x; without the
+        # kink row, 4.0x (second order, 1.5e-5 at m = 60)
+        cfg, ref = PlateConfig.from_eta(1.0), integrand_net(0.0, 1.0).net
+
+        def ratio():
+            errs = [abs(oracle_ode._net_simpson(0.0, cfg, m, 10 * m) - ref) for m in (60, 120)]
+            return errs[0] / errs[1]
+
+        assert ratio() >= 12.0
+        band = oracle_ode._solve_tridiagonal_bvp
+        monkeypatch.setattr(oracle_ode, "_solve_tridiagonal_bvp",
+                            lambda h, q, sources, plate, kink, jump: band(h, q, sources, plate))
+        assert ratio() < 5.0
+
+    def test_two_sided_grid_must_center_on_the_plate(self):
+        cfg = PlateConfig.from_eta(1.0)
+        for grid in (GridSpec(0.0, 2.0, 2000), GridSpec(0.5, 2.0, 2001)):
+            with pytest.raises(DomainError, match="grid must center at the plate"):
+                oracle_ode._solve(1.0, cfg, "both", grid)
