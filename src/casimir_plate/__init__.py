@@ -25,7 +25,6 @@ from .errors import (
     CasimirError,
     DomainError,
     OracleError,
-    ResolutionError,
     SingularityError,
     ToleranceError,
 )
@@ -71,7 +70,6 @@ __all__ = [
     "PlateConfig",
     "QuadResult",
     "QuadratureSpec",
-    "ResolutionError",
     "SingularityError",
     "ToleranceError",
     "airy_eval",

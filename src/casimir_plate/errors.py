@@ -8,7 +8,6 @@ __all__ = [
     "SingularityError",
     "ToleranceError",
     "OracleError",
-    "ResolutionError",
     "as_real",
     "check_real",
 ]
@@ -32,10 +31,6 @@ class ToleranceError(CasimirError, RuntimeError):
 
 class OracleError(CasimirError, RuntimeError):
     """A verification oracle failed internally (infrastructure, not a physics result)."""
-
-
-class ResolutionError(OracleError):
-    """A finite-difference grid is too coarse for the requested check."""
 
 
 def as_real(value, name: str) -> float:

@@ -3,18 +3,18 @@
 The mode equation w'' = q(x) w, q(x) = b^{2/3} kappa^2 + b |x|, is
 discretized with Numerov weighting on a uniform grid in physical x and
 solved as one tridiagonal system with the plate on a node and a WKB decay
-closure at each open end; every solve takes one checked path (_solve).  It
-serves two problems.  G'' - q G = -delta(x - x'), G = 0 at the plate
-(solve_bvp_above/_full), gives one side's stress integrand by the
-plate-first extraction _plate_integrand (integrand_from_fd on an fd_setup
-grid; verify.integrand_from_greens runs it on closed-form samples).
-w = 1 at the plate, decaying both ways, gives the net integrand as one
-positive integral (_net_fd, the variable-phase form), and force_from_fd
-the force over the whole momentum half line.  The module shares nothing
-with the closed forms except the quadrature; docs/numerics.md section 6
-derives the discretization, the extraction, the identity and the grids.
-When cfg.b == 0 (the eta = 0 cross-checks) kappa is the physical momentum
-K and integrands divide by 1 instead of b^{1/3}.
+closure at each open end; every solve takes one checked path (_solve).
+Its one problem is the solution w that decays away from the plate with
+w = 1 on it.  One side's stress integrand is the slope of w at the plate
+(integrand_from_fd on an fd_setup grid); the net integrand is one
+positive integral over both sides (_net_fd, the variable-phase form), and
+force_from_fd integrates it over the whole momentum half line.  The same
+band with a unit source and G = 0 at the plate gives the Green's function
+(solve_bvp_above/_full).  The module shares nothing with the closed forms
+except the quadrature; docs/numerics.md section 6 derives the
+discretization, the slope, the identity and the grids.  When cfg.b == 0
+(the eta = 0 cross-checks) kappa is the physical momentum K and
+integrands divide by 1 instead of b^{1/3}.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainError, OracleError, ResolutionError, ToleranceError, as_real, check_real
+from .errors import DomainError, OracleError, ToleranceError, as_real, check_real
 from .greens import PlateConfig
 from .quadrature import QuadratureSpec, integrate_finite
 
@@ -67,18 +67,21 @@ def _momentum_factor(cfg: PlateConfig) -> float:  # b = 0: kappa is the physical
     return cfg.b ** (2.0 / 3.0) if cfg.b > 0.0 else 1.0
 
 
-def _solve_tridiagonal_bvp(h: float, q: np.ndarray, sources: Optional[Sequence[int]],
-                           plate: str, kink: int = -1, jump: float = 0.0) -> np.ndarray:
-    """Band solves of w'' = q w, the plate on the first, last or middle node ('lo', 'hi', 'mid').
+def _bcube(cfg: PlateConfig) -> float:  # integrands divide by b^{1/3}, by 1 when b = 0
+    return cfg.b ** (1.0 / 3.0) if cfg.b > 0.0 else 1.0
 
-    sources None: one column, w = 1 at the plate; else one column per
-    source node of G'' - q G = -delta, G = 0 at the plate, each with the
-    bits of a solve for its source alone.  The plate row decouples the two
-    sides; each open end gets the WKB closure through a centered ghost
-    node.  Numerov's rows miss the exact solution by h^3 jump w/12 where q'
-    jumps by jump, which row kink's diagonal takes back; the spread source
-    dents its node by exactly -h/12, corrected after the solve.  The band
-    is checked finite (_grid_values), so LAPACK info != 0 is a fault.
+
+def _solve_tridiagonal_bvp(h: float, q: np.ndarray, source: Optional[int], plate: str,
+                           kink: int = -1, jump: float = 0.0) -> np.ndarray:
+    """Band solve of w'' = q w, the plate on the first, last or middle node ('lo', 'hi', 'mid').
+
+    source None: w = 1 at the plate; else G'' - q G = -delta at node
+    source, G = 0 at the plate.  The plate row decouples the two sides;
+    each open end gets the WKB closure through a centered ghost node.
+    Numerov's rows miss the exact solution by h^3 jump w/12 where q' jumps
+    by jump, which row kink's diagonal takes back; the spread source dents
+    its node by exactly -h/12, corrected after the solve.  The band is
+    checked finite (_grid_values), so LAPACK info != 0 is a fault.
     """
     from scipy.linalg.lapack import dgtsv  # oracle only; kept off the import path
 
@@ -101,20 +104,18 @@ def _solve_tridiagonal_bvp(h: float, q: np.ndarray, sources: Optional[Sequence[i
         d[n - 1], dl[n - 2] = -(2.0 + 2.0 * h * math.sqrt(q[n - 1]) + h * h * q[n - 1]), 2.0
         du[at] = 0.0
     d[at] = 1.0
-    if sources is None:
-        rhs = np.zeros((n, 1))
+    rhs = np.zeros(n)
+    if source is None:
         rhs[at] = 1.0
     else:
         w = -h / 12.0
-        rhs = np.zeros((n, len(sources)), order="F")
-        for col, j in enumerate(sources):
-            rhs[j - 1 : j + 2, col] = (w, 10.0 * w, w)
+        rhs[source - 1 : source + 2] = (w, 10.0 * w, w)
     g, info = dgtsv(dl, d, du, rhs, overwrite_dl=1, overwrite_d=1, overwrite_du=1,
                     overwrite_b=1)[3:]
     if info != 0:
         raise OracleError(f"tridiagonal solve failed: LAPACK dgtsv returned info={info}")
-    for col, j in enumerate(sources or ()):
-        g[j, col] += h / 12.0
+    if source is not None:
+        g[source] += h / 12.0
     return g
 
 
@@ -173,18 +174,21 @@ def _source_index(xp: float, grid: GridSpec) -> int:
     return j
 
 
+_W1 = object()  # _solve's source when there is none: w = 1 at the plate
+
+
 def _solve(kappa: float, cfg: PlateConfig, side: str, grid: GridSpec,
-           sources: Optional[Sequence[float]] = None) -> tuple[float, np.ndarray, np.ndarray]:
-    """Every FD band solve: (checked kappa, nodes, one solution column per source).
+           xp: object = _W1) -> tuple[float, np.ndarray, np.ndarray]:
+    """Every FD band solve: (checked kappa, nodes, solution).
 
     The grid starts ('above') or ends ('below') at the plate, or, for side
-    'both' with no sources, has it as its middle node.  Checks kappa, the
-    side, the plate node, each source and the band, in that order, then
-    makes the one _solve_tridiagonal_bvp call; no sources solves for w = 1
+    'both' with no source, has it as its middle node.  Checks kappa, the
+    side, the plate node, the source xp and the band, in that order, then
+    makes the one _solve_tridiagonal_bvp call; no source solves for w = 1
     at the plate.  A node on the kink x = 0 (to 1e-6 h) gets the kink row.
     """
     kappa = _common_checks(kappa, cfg)
-    if side == "both" and sources is None:
+    if side == "both" and xp is _W1:
         plate, verb = "mid", "center"
         at = grid.x_lo + (grid.n - 1) // 2 * grid.h if grid.n % 2 else math.nan
     else:
@@ -192,64 +196,43 @@ def _solve(kappa: float, cfg: PlateConfig, side: str, grid: GridSpec,
         verb, at = ("start", grid.x_lo) if plate == "lo" else ("end", grid.x_hi)
     if not abs(at - cfg.a) <= 1e-12 * max(1.0, abs(cfg.a)):
         raise DomainError(f"grid must {verb} at the plate x = {cfg.a!r}")
-    nodes = None if sources is None else [_source_index(xp, grid) for xp in sources]
+    node = None if xp is _W1 else _source_index(xp, grid)
     xs, q = _grid_values(kappa, cfg, grid)
     h = grid.h
     j = round(-grid.x_lo / h) if grid.x_lo < 0.0 < grid.x_hi else -1  # the node nearest x = 0
     kink = j if j >= 0 and abs(xs[j]) <= 1e-6 * h else -1
-    return kappa, xs, _solve_tridiagonal_bvp(h, q, nodes, plate, kink, 2.0 * cfg.b)
+    return kappa, xs, _solve_tridiagonal_bvp(h, q, node, plate, kink, 2.0 * cfg.b)
 
 
 def solve_bvp_above(kappa: float, cfg: PlateConfig, xp: float,
                     grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     """G(x, xp) above the plate on a grid starting at it; xp snaps to the nearest node."""
-    _, xs, g = _solve(kappa, cfg, "above", grid, [xp])
-    return xs, g[:, 0]
+    return _solve(kappa, cfg, "above", grid, xp)[1:]
 
 
 def solve_bvp_full(kappa: float, cfg: PlateConfig, xp: float,
                    grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     """G(x, xp) below the plate on a grid ending at it; a node on x = 0 gets the kink row."""
-    _, xs, g = _solve(kappa, cfg, "below", grid, [xp])
-    return xs, g[:, 0]
+    return _solve(kappa, cfg, "below", grid, xp)[1:]
 
 
-def _plate_integrand(g: np.ndarray, h: float, e: Sequence[float], kappa: float,
-                     cfg: PlateConfig) -> float:
-    """Stress integrand from G sampled plate-first (row k at k h), sources e = (eps, 2 eps) away.
-
-    The slope of G at the plate is the ratio r = w(eps)/w(0) of the
-    solution w decaying away from it, and t = (r - 1)/eps - eps q(a)/2 =
-    w'/w + O(eps^2); one Richardson step over (eps, 2 eps) removes the
-    quadratic term, and the result is divided by b^{1/3} (by 1 when b = 0).
-    """
-    q_plate = _q_plate(kappa, cfg)
-    # two columns, as plain floats; the slope is the 5-point one-sided O(h^4) rule
-    t1, t2 = [((-25.0 * g0 + 48.0 * g1 - 36.0 * g2 + 16.0 * g3 - 3.0 * g4) / (12.0 * h) - 1.0) / d
-              - 0.5 * d * q_plate for (g0, g1, g2, g3, g4), d in zip(g[:5].T.tolist(), e)]
-    bcube = cfg.b ** (1.0 / 3.0) if cfg.b > 0.0 else 1.0
-    return float((4.0 * t1 - t2) / 3.0 / bcube)
+def _plate_slope(g: Sequence[float], h: float) -> float:
+    """d/ds at s = 0 of samples g[k] at s = k h, by the 5-point one-sided O(h^4) rule."""
+    return (-25.0 * g[0] + 48.0 * g[1] - 36.0 * g[2] + 16.0 * g[3] - 3.0 * g[4]) / (12.0 * h)
 
 
-def integrand_from_fd(kappa: float, cfg: PlateConfig, side: str, grid: GridSpec,
-                      eps: float) -> float:
+def integrand_from_fd(kappa: float, cfg: PlateConfig, side: str, grid: GridSpec) -> float:
     """Coincident-limit stress integrand at the plate on one side, Airy-free.
 
-    One band solve of sources eps and 2 eps from the plate, eps snapped to
-    a whole number (>= 4) of cells, feeds _plate_integrand, plate-first.
-    The grid must meet the plate on the given side.
+    w'(0) of the solution w decaying away from the plate with w(0) = 1 (one
+    _solve), by the 5-point one-sided O(h^4) slope on w read plate-first,
+    divided by b^{1/3} (by 1 when b = 0).  The grid must meet the plate on
+    the given side; fd_setup's puts x = 0, where q' jumps, on a node at
+    least 16 cells from the plate.
     """
-    h = grid.h
-    j = int(round(check_real(eps, "eps", strict=True) / h))
-    if j < 4:
-        raise ResolutionError(f"eps = {eps!r} spans fewer than 4 grid cells (h = {h!r}); "
-                              "refine the grid")
-    if 2 * j > grid.n - 6:
-        raise ResolutionError("grid too short for the 2*eps solve")
-    e = (j * h, 2 * j * h)
     _, away = _plate_side(side)
-    kappa, _, g = _solve(kappa, cfg, side, grid, [cfg.a + away * d for d in e])
-    return _plate_integrand(g if away > 0.0 else g[::-1], h, e, kappa, cfg)
+    kappa, _, w = _solve(kappa, cfg, side, grid)
+    return _plate_slope((w[:5] if away > 0.0 else w[:-6:-1]).tolist(), grid.h) / _bcube(cfg)
 
 
 def _span(q0: float, slope: float, efolds: float) -> float:
@@ -266,10 +249,7 @@ def _span(q0: float, slope: float, efolds: float) -> float:
     return 1.5 * efolds * (w + u) / (w * w + w * u + u * u) / m
 
 
-_NODES_PER_EPS = 16  # grid cells across 0.025/sqrt(q(a)), the largest eps
-_EPS_SLOPE = 0.2  # largest eps as a fraction of q(a)/b
-_EFOLDS = 14.0  # decay lengths of padding at the open end
-_MIN_ULPS = 2.0  # least spacing h, in units of ulp(a)
+_EFOLDS = 16.0  # e-folds of sqrt(q) every grid reaches from the plate
 
 
 def _reach(kappa: float, cfg: PlateConfig, side: str, efolds: float) -> float:
@@ -286,45 +266,43 @@ def _reach(kappa: float, cfg: PlateConfig, side: str, efolds: float) -> float:
     return _span(q_plate, -cfg.b, efolds)
 
 
-def fd_setup(kappa: float, cfg: PlateConfig, side: str) -> tuple[GridSpec, float]:
-    """Grid and eps tuned for integrand_from_fd.
+_DENSITY = 640.0  # least cells per decay length 1/sqrt(q(a)) on a one-side grid
 
-    eps = 0.025/sqrt(q(a)) keeps the extraction residual near 1e-5, at most
-    _EPS_SLOPE q(a)/b (q moves by a fifth across it) and a/4 (both probes
-    short of the kink).  h = 0.025/sqrt(q(a))/_NODES_PER_EPS, or eps/4 if
-    smaller; the grid (>= 1000 nodes) reaches _EFOLDS.  h below _MIN_ULPS
-    ulp(a), where a source may round to another node, is a DomainError.
+
+def fd_setup(kappa: float, cfg: PlateConfig, side: str) -> GridSpec:
+    """Grid for integrand_from_fd, from the plate to _EFOLDS e-folds, >= 1000 nodes.
+
+    Spacing h = a/m, m >= 16 the least whole number with h <=
+    1/(_DENSITY sqrt(q(a))): a grid that reaches x = 0 has it on a node,
+    which gets the kink row, and the slope's 5 nodes stay clear of it.  A
+    reach below ulp(a), where the grid would collapse onto the plate, is a
+    DomainError naming kappa.
     """
     kappa = _common_checks(kappa, cfg)
     plate, _ = _plate_side(side)
-    q_plate = _q_plate(kappa, cfg)
-    widest = 0.025 / math.sqrt(q_plate)
-    eps = min(widest, 0.25 * cfg.a)
-    if cfg.b * eps > _EPS_SLOPE * q_plate:
-        eps = _EPS_SLOPE * q_plate / cfg.b
-    h = min(widest / _NODES_PER_EPS, 0.25 * eps)
-    if not h >= _MIN_ULPS * math.ulp(cfg.a):
+    reach = _reach(kappa, cfg, side, _EFOLDS)
+    if not reach >= math.ulp(cfg.a):  # NaN too, where q(a) overflows
         raise DomainError(f"kappa={kappa!r} is too large for the finite-difference grid: "
-                          f"its spacing h = {h:.3e} is below {_MIN_ULPS:g} ulp of a = {cfg.a!r}")
-    n = max(int(math.ceil(_reach(kappa, cfg, side, _EFOLDS) / h)) + 1, 1000)
+                          f"it would span {reach:.3e}, below one ulp of a = {cfg.a!r}")
+    h = cfg.a / max(16, math.ceil(_DENSITY * cfg.a * math.sqrt(_q_plate(kappa, cfg))))
+    n = max(math.ceil(reach / h) + 1, 1000)
     lo, hi = (cfg.a, cfg.a + (n - 1) * h) if plate == "lo" else (cfg.a - (n - 1) * h, cfg.a)
-    return GridSpec(lo, hi, n), eps
+    return GridSpec(lo, hi, n)
 
 
 _NET_CELLS = 800  # least cells a side on the coarse grid
 _NET_DENSITY = 50.0  # least coarse cells per decay length 1/sqrt(q(a))
-_NET_EFOLDS = 16.0  # e-folds of sqrt(q) the net grids reach on either side
 
 
 def _net_simpson(kappa: float, cfg: PlateConfig, m: int, p: int) -> float:
     """net by Simpson's rule on p cells of a/m a side of the plate (m, p even); see _net_fd."""
     grid = GridSpec(cfg.a - p * (cfg.a / m), cfg.a + p * (cfg.a / m), 2 * p + 1)
-    w = _solve(kappa, cfg, "both", grid)[2][:, 0]
+    w = _solve(kappa, cfg, "both", grid)[2]
     f = np.minimum(np.arange(p + 1) * grid.h, cfg.a)  # 2 b min(a, s) w_a w_b / (2 b)
     f *= w[p:]
     f *= w[p::-1]
     simpson = float(f[0] + f[p] + 4.0 * f[1::2].sum() + 2.0 * f[2:p:2].sum())
-    scale = 2.0 * cfg.b / (cfg.b ** (1.0 / 3.0) if cfg.b > 0.0 else 1.0)
+    scale = 2.0 * cfg.b / _bcube(cfg)
     return scale * grid.h / 3.0 * simpson
 
 
@@ -340,7 +318,7 @@ def _net_fd(kappa: float, cfg: PlateConfig) -> tuple[float, float]:
     removes the h^4 term; err_est is its size.
     """
     kappa = _common_checks(kappa, cfg)
-    reach = max(_reach(kappa, cfg, side, _NET_EFOLDS) for side in ("above", "below"))
+    reach = max(_reach(kappa, cfg, side, _EFOLDS) for side in ("above", "below"))
     cells = max(_NET_CELLS / reach, _NET_DENSITY * math.sqrt(_q_plate(kappa, cfg)))
     m = 2 * math.ceil(cfg.a * cells / 2.0)
     p = 2 * math.ceil(reach * m / (2.0 * cfg.a))

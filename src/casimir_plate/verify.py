@@ -65,22 +65,31 @@ def _rel(x: float, ref: float) -> float:
 def integrand_from_greens(kappa: float, cfg: gr.PlateConfig, side: str) -> float:
     """Coincident-limit stress integrand rebuilt from the closed-form G.
 
-    The extraction of oracle_ode.integrand_from_fd (plate derivative with
-    the source eps and 2 eps away, analytic removal of the linear eps term,
-    one Richardson step), but with G sampled from greens_linear_above/below
-    instead of a band solve.  integrand_below is above + net, so agreement
-    with integrand_above/below tests the production net formula against
-    the Green's functions, with no shared algebra beyond the Airy engine.
+    With the source eps from the plate, the slope of G there is the ratio
+    r = w(eps)/w(0) of the solution w decaying away from it, and t =
+    (r - 1)/eps - eps q(a)/2 = w'/w + O(eps^2); one Richardson step over
+    (eps, 2 eps) removes the quadratic term, and the result is divided by
+    b^{1/3} (by 1 when b = 0).  eps = 0.003/sqrt(q(a)), at most a/4 (both
+    sources short of the kink) and 0.2 q(a)/b (q moves by a fifth across
+    it).  G comes from greens_linear_above/below, so agreement with
+    integrand_above/below (below is above + net) tests the production net
+    formula against the Green's functions, with no shared algebra beyond
+    the Airy engine.
     """
     _, away = oo._plate_side(side)
     greens = gr.greens_linear_above if away > 0.0 else gr.greens_linear_below
-    # one greens call serves the 5-point plate derivative of both sources,
-    # sampled plate-first in steps of eps/8 toward them
-    eps = 0.003 / math.sqrt(oo._q_plate(kappa, cfg))
+    q_plate = oo._q_plate(kappa, cfg)
+    eps = min(0.003 / math.sqrt(q_plate), 0.25 * cfg.a)
+    if cfg.b * eps > 0.2 * q_plate:
+        eps = 0.2 * q_plate / cfg.b
+    # one greens call serves the plate slope of both sources, sampled
+    # plate-first in steps of eps/8 toward them
     e = np.array([eps, 2.0 * eps])
     h = eps / 8.0
     g = greens(cfg.a + np.arange(5.0)[:, None] * (away * h), cfg.a + away * e, kappa, cfg)
-    return oo._plate_integrand(g, h, e, kappa, cfg)
+    t1, t2 = [(oo._plate_slope(col, h) - 1.0) / d - 0.5 * d * q_plate
+              for col, d in zip(g.T.tolist(), e)]
+    return float((4.0 * t1 - t2) / 3.0 / oo._bcube(cfg))
 
 
 # ---------------------------------------------------------------------------

@@ -68,8 +68,7 @@ ROWS = [
     ("greens_linear_above", lambda v: greens_linear_above(1.5, 1.5, v, CFG), "kappa", -1.0),
     ("greens_linear_below", lambda v: greens_linear_below(0.5, 0.5, v, CFG), "kappa", -1.0),
     ("fd_setup", lambda v: fd_setup(v, CFG, "above"), "kappa", -1.0),
-    ("integrand_from_fd.kappa", lambda v: integrand_from_fd(v, CFG, "above", *FD), "kappa", -1.0),
-    ("integrand_from_fd.eps", lambda v: integrand_from_fd(1.0, CFG, "above", FD[0], v), "eps", 0.0),
+    ("integrand_from_fd.kappa", lambda v: integrand_from_fd(v, CFG, "above", FD), "kappa", -1.0),
     ("airy_eval", lambda v: airy_eval(v), "z", -1.0),
     ("airy_via_ode_oracle", lambda v: airy_via_ode_oracle(v), "z", -1.0),
     ("greens_free_between.x", lambda v: greens_free_between(v, 0.5, 1.0, 2.0), "points", None),
@@ -111,10 +110,10 @@ RANGE = [
     ("tail_mismatch.eta", lambda v: tail_mismatch(1.6e51, v), 1e308, "eta must be <= "),
     ("fd_setup.above", lambda v: fd_setup(v, CFG, "above"), 1e20, "kappa=1e+20 is too large"),
     ("fd_setup.below", lambda v: fd_setup(v, CFG, "below"), 1e102, "kappa=1e+102 is too large"),
-    ("integrand_from_fd.above", lambda v: integrand_from_fd(v, CFG, "above", *fd_setup(v, CFG, "above")),
-     3.52e12, "kappa=3520000000000.0 is too large"),
-    ("integrand_from_fd.below", lambda v: integrand_from_fd(v, CFG, "below", *fd_setup(v, CFG, "below")),
-     3.52e12, "kappa=3520000000000.0 is too large"),
+    ("integrand_from_fd.above", lambda v: integrand_from_fd(v, CFG, "above", fd_setup(v, CFG, "above")),
+     7.21e16, "kappa=7.21e+16 is too large"),
+    ("integrand_from_fd.below", lambda v: integrand_from_fd(v, CFG, "below", fd_setup(v, CFG, "below")),
+     7.21e16, "kappa=7.21e+16 is too large"),
 ]
 
 

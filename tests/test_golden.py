@@ -10,12 +10,15 @@ input keeps its error type and message prefix.
 The force_classic and force_perturbative values date from the exp-sinh
 rule as well.  The force_from_fd values date from the variable-phase FD
 route (net as one positive integral over the whole momentum half line),
-within 4.3e-13 relative of mpmath (CHANGES.md).  The one-sample FD
-integrands date from the change that gave every FD grid one padding rule
-and one spacing, except (0, 1, below), which moved by 1.4e-7 when a grid
-node on the kink x = 0 got Numerov's kink row.  The Green's-function
+within 4.3e-13 relative of mpmath (CHANGES.md); the net sample and the two
+Green's-function columns of the band solver date from the same change,
+which gave a grid node on x = 0 the kink row.  The one-sample FD
+integrands date from the change that took them as the plate slope of the
+w(0) = 1 solve, 3.3e-13 to 3.0e-11 from mpmath.  The Green's-function
 integrands, like the force_exact values, date from the marched seeds.
 """
+
+import math
 
 import pytest
 
@@ -28,7 +31,14 @@ from casimir_plate import (
     force_perturbative,
 )
 from casimir_plate.errors import ToleranceError
-from casimir_plate.oracle_ode import fd_setup, integrand_from_fd
+from casimir_plate import oracle_ode
+from casimir_plate.oracle_ode import (
+    GridSpec,
+    fd_setup,
+    integrand_from_fd,
+    solve_bvp_above,
+    solve_bvp_full,
+)
 from casimir_plate.verify import integrand_from_greens
 
 # (eta, rel_tol, pinned kappa_max): (f_eta, err_est, kappa_max, n_evals)
@@ -97,15 +107,48 @@ def test_force_from_fd_bits(eta):
     assert force_from_fd(eta).hex() == FORCE_FD[eta]
 
 
+def test_fd_force_and_net_sample_bits():
+    # (value, err_est) of the FD force at eta = 1 and of one net sample there
+    cfg = PlateConfig.from_eta(1.0)
+    assert [v.hex() for v in oracle_ode._force_fd(1.0)] == [
+        "0x1.d50107a470c43p-4", "0x1.b83a1b9d5cf6cp-32"]
+    assert [v.hex() for v in oracle_ode._net_fd(1.0, cfg)] == [
+        "0x1.d989bf84ca554p-3", "0x1.5bba355555555p-33"]
+
+
+# one Green's-function column per solver: (solver, kappa, eta, grid, source
+# node) -> {node: value} and the correctly rounded sum of the whole column;
+# the below grid has a node on the kink x = 0 (node 9000)
+BVP_COLUMNS = {
+    "above": ((solve_bvp_above, 1.0, 1.0, (1.0, 9.0, 4001), 400), {
+        1: "0x1.1a8b913080098p-11", 399: "0x1.18af3749a5745p-2", 400: "0x1.19be2d8228aa1p-2",
+        401: "0x1.18c1a89267cefp-2", 1000: "0x1.c7d31f64d8061p-6", 4000: "0x1.bda9231197d3cp-29",
+    }, "0x1.e725372153cc9p+6"),
+    "full": ((solve_bvp_full, 0.8, 5.0, (-9.0, 1.0, 10001), 9100), {
+        1: "0x1.9397e0ff1e9f1p-65", 8000: "0x1.7ae5bd06e0cadp-6", 9099: "0x1.18b64966f47a5p-2",
+        9100: "0x1.192f3809c6cd0p-2", 9101: "0x1.18a22d7c1e1abp-2", 10000: "0x0.0p+0",
+    }, "0x1.c9ca10655014fp+7"),
+}
+
+
+@pytest.mark.parametrize("case", list(BVP_COLUMNS))
+def test_bvp_column_bits(case):
+    (solve, kappa, eta, bounds, j), nodes, total = BVP_COLUMNS[case]
+    grid = GridSpec(*bounds)
+    _, g = solve(kappa, PlateConfig.from_eta(eta), bounds[0] + j * grid.h, grid)
+    assert {k: g[k].hex() for k in nodes} == nodes
+    assert math.fsum(g).hex() == total
+
+
 # (kappa, eta, side): integrand_from_fd on fd_setup's grid; eta = 0 is the
 # flat background (PlateConfig(a=1, b=0)), where kappa is the momentum
 INTEGRAND_FD = {
-    (0.0, 1.0, "above"): "-0x1.2d235ca46ddf7p+0",
-    (0.0, 1.0, "below"): "-0x1.8b64f7481dd4fp-1",
-    (1.5, 0.5, "above"): "-0x1.d1ad277f0a9f9p+0",
-    (1.5, 0.5, "below"): "-0x1.ab0c999c1e029p+0",
-    (0.7, 0.0, "above"): "-0x1.66667a7cd011dp-1",
-    (0.7, 0.0, "below"): "-0x1.66667a7c932cdp-1",
+    (0.0, 1.0, "above"): "-0x1.2d236fba77f15p+0",
+    (0.0, 1.0, "below"): "-0x1.8b64af35dd87fp-1",
+    (1.5, 0.5, "above"): "-0x1.d1ad182cd5b94p+0",
+    (1.5, 0.5, "below"): "-0x1.ab0c77b17bfbdp+0",
+    (0.7, 0.0, "above"): "-0x1.6666666675b2bp-1",
+    (0.7, 0.0, "below"): "-0x1.6666666637f00p-1",
 }
 
 # (kappa, eta, side): verify.integrand_from_greens
@@ -125,8 +168,8 @@ def _cfg(eta):
 def test_integrand_from_fd_bits(case):
     kappa, eta, side = case
     cfg = _cfg(eta)
-    grid, eps = fd_setup(kappa, cfg, side)
-    assert integrand_from_fd(kappa, cfg, side, grid, eps).hex() == INTEGRAND_FD[case]
+    got = integrand_from_fd(kappa, cfg, side, fd_setup(kappa, cfg, side))
+    assert got.hex() == INTEGRAND_FD[case]
 
 
 @pytest.mark.parametrize("case", list(INTEGRAND_GREENS), ids=[repr(c) for c in INTEGRAND_GREENS])

@@ -1,5 +1,6 @@
 """Finite-difference BVP oracle: discretization order, closures, and the FD force pipeline."""
 
+import ast
 import json
 import math
 import re
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from casimir_plate import QuadratureSpec, airy_engine, greens, oracle_ode, quadrature, stress_kernel
-from casimir_plate.errors import DomainError, OracleError, ResolutionError, ToleranceError
+from casimir_plate.errors import DomainError, OracleError, ToleranceError
 from casimir_plate.greens import PlateConfig, greens_free_above, greens_linear_above
 from casimir_plate.oracle_ode import (
     GridSpec,
@@ -24,8 +25,9 @@ from casimir_plate.stress_kernel import force_exact, integrand_above, integrand_
 # Frozen pipeline output, 2.6e-13 from mpmath; agreement with force_exact is re-asserted below.
 FORCE_FD_ETA_1 = 0.11450293526927262
 # integrand_from_fd at kappa = 0.5, eta = 1 on the fd_setup grids, also frozen
-INTEGRAND_FD_ABOVE = -1.2693776970539845
-INTEGRAND_FD_BELOW = -0.9281179742754117
+# (2.8e-12 and 4.4e-12 from mpmath)
+INTEGRAND_FD_ABOVE = -1.269378278502948
+INTEGRAND_FD_BELOW = -0.9281158727674682
 
 
 def rel(x, y):
@@ -102,13 +104,12 @@ class TestBandedSolver:
     @pytest.mark.parametrize("eta, kappa", [(0.01, 0.0), (1.0, 3.0)])
     @pytest.mark.parametrize("side, solve", [("above", solve_bvp_above), ("below", solve_bvp_full)])
     def test_production_grid_is_resolved(self, side, solve, eta, kappa):
-        # docs/numerics.md section 6: on an fd_setup grid of n nodes and its
-        # doubled grid of 2n - 1, the solutions for the source eps from the
-        # plate agree on the common nodes within 1e-5 of the peak (at most
-        # 2.4e-7 here, below the plate at eta = 0.01 where the grid crosses x = 0)
+        # on an fd_setup grid of n nodes and its doubled grid of 2n - 1, the
+        # Green's functions for a source 16 cells from the plate agree on the
+        # common nodes within 1e-5 of the peak (at most 1.2e-9 here)
         cfg = PlateConfig.from_eta(eta)
-        grid, eps = fd_setup(kappa, cfg, side)
-        xp = cfg.a + (eps if side == "above" else -eps)
+        grid = fd_setup(kappa, cfg, side)
+        xp = cfg.a + 16 * (grid.h if side == "above" else -grid.h)
         _, g = solve(kappa, cfg, xp, grid)
         _, fine = solve(kappa, cfg, xp, GridSpec(grid.x_lo, grid.x_hi, 2 * grid.n - 1))
         assert max(abs(g - fine[::2])) <= 1e-5 * max(abs(g))
@@ -136,15 +137,14 @@ class TestBandedSolver:
         with pytest.raises(DomainError, match=f"grid must {verb} at the plate"):
             solve(1.0, self.CFG, 0.9, GridSpec(*bounds, 4001))
         # integrand_from_fd takes the same check: its own grid moved off the
-        # plate, or the other side's grid, would give a wrong number
-        # (-1.666 and -2.655 above, against -1.520), not a refusal
+        # plate, or the other side's grid, would give a wrong number, not a refusal
         side = "above" if verb == "start" else "below"
         misplaced = {"start": [("above", 0.5), ("below", 0.0)], "end": [("below", -0.3)]}
         for grid_side, shift in misplaced[verb]:
-            grid, eps = fd_setup(1.0, self.CFG, grid_side)
+            grid = fd_setup(1.0, self.CFG, grid_side)
             moved = GridSpec(grid.x_lo + shift, grid.x_hi + shift, grid.n)
             with pytest.raises(DomainError, match=f"grid must {verb} at the plate"):
-                integrand_from_fd(1.0, self.CFG, side, moved, eps)
+                integrand_from_fd(1.0, self.CFG, side, moved)
 
     def test_full_solver_handles_kink_region(self):
         cfg = PlateConfig.from_eta(5.0)
@@ -155,22 +155,6 @@ class TestBandedSolver:
         assert g[9100] > 0.0
         # deep tail decays
         assert g[200] < g[5000] < g[9000]
-
-    @pytest.mark.parametrize("n_sources", [2, 4])
-    @pytest.mark.parametrize("side, plate", [("above", "lo"), ("below", "hi")])
-    def test_two_source_solve_equals_one_source_solves(self, side, plate, n_sources):
-        # the FD integrand solves its eps and 2 eps probes in one call; each
-        # column of a many-source solve carries its one-source bits
-        grid, eps = fd_setup(1.3, self.CFG, side)
-        _, q = oracle_ode._grid_values(1.3, self.CFG, grid)
-        j = round(eps / grid.h)
-        steps = [k * j for k in range(1, n_sources + 1)]
-        sources = steps if plate == "lo" else [grid.n - 1 - s for s in steps]
-        both = oracle_ode._solve_tridiagonal_bvp(grid.h, q, sources, plate)
-        assert both.shape == (grid.n, n_sources)
-        for k, src in enumerate(sources):
-            one = oracle_ode._solve_tridiagonal_bvp(grid.h, q, [src], plate)
-            assert both[:, k].tobytes() == one[:, 0].tobytes()
 
     def test_failed_factorization_is_typed(self, monkeypatch):
         # the band is diagonally dominant, so only a LAPACK fault gives info != 0
@@ -185,8 +169,8 @@ class TestBandedSolver:
 
 
 class TestGridSize:
-    # fd_setup pads each grid to _EFOLDS = 14 e-folds of sqrt(q) at the spacing
-    # eps/16, wherever kappa and eta put the plate
+    # fd_setup pads each grid to _EFOLDS = 16 e-folds of sqrt(q) at the spacing
+    # a/m, wherever kappa and eta put the plate
 
     @staticmethod
     def _setups():
@@ -199,23 +183,24 @@ class TestGridSize:
     @pytest.mark.parametrize("side", ["above", "below"])
     def test_grids_hold_the_padding_they_ask_for(self, side):
         for kappa, cfg in self._setups():
-            grid, _ = fd_setup(kappa, cfg, side)
+            grid = fd_setup(kappa, cfg, side)
             where = (kappa, cfg, side, grid.n)
             assert grid.n <= 16000, where
             if grid.n > 1000:  # the node floor pads further
                 sq = np.sqrt(oracle_ode._grid_values(kappa, cfg, grid)[1])
                 efolds = (sq.sum() - 0.5 * (sq[0] + sq[-1])) * grid.h  # trapezoid rule
-                assert 14.0 - 1e-6 <= efolds <= 14.05, where
+                assert 16.0 - 1e-6 <= efolds <= 16.05, where
 
-    @pytest.mark.parametrize("kappa", [1e3, 1e5, 1e8, 1e11])
+    @pytest.mark.parametrize("kappa", [1e3, 1e5, 1e8, 1e11, 7.2e16])
     @pytest.mark.parametrize("side, closed_form", [("above", integrand_above),
                                                    ("below", integrand_below)])
     def test_large_momentum_is_answered(self, kappa, side, closed_form):
+        # up to where the grid, about 10,240 cells of a/m, spans one ulp of a
         cfg = PlateConfig.from_eta(1.0)
-        grid, eps = fd_setup(kappa, cfg, side)
-        assert grid.n <= 9000
-        got = integrand_from_fd(kappa, cfg, side, grid, eps)
-        assert rel(got, closed_form(kappa, 1.0)) <= 2e-6
+        grid = fd_setup(kappa, cfg, side)
+        assert grid.n <= 10300
+        got = integrand_from_fd(kappa, cfg, side, grid)
+        assert rel(got, closed_form(kappa, 1.0)) <= 1e-9
 
     @pytest.mark.parametrize("s", [1e-100, 1e60])
     @pytest.mark.parametrize("kappa", [0.0, 1.0, 12.0])
@@ -223,14 +208,14 @@ class TestGridSize:
     def test_size_is_scale_invariant(self, s, kappa, side):
         # a -> s a, b -> b/s^3 keeps eta and stretches x by s; at s = 1e-100,
         # b = 1e300, an unscaled padding formula would overflow
-        n = fd_setup(kappa, PlateConfig(a=1.0, b=1.0), side)[0].n
-        assert abs(fd_setup(kappa, PlateConfig(a=s, b=s**-3), side)[0].n - n) <= 1
+        n = fd_setup(kappa, PlateConfig(a=1.0, b=1.0), side).n
+        assert abs(fd_setup(kappa, PlateConfig(a=s, b=s**-3), side).n - n) <= 1
 
 
 class TestOverflowingMomentum:
     # q = b^{2/3} kappa^2 + b |x| overflows at kappa ~ 1.3e154 (b = 1), and
-    # fd_setup refuses every kappa whose spacing h falls below 2 ulp(a), from
-    # kappa ~ 3.5e12 at eta = 1
+    # fd_setup refuses every kappa whose grid would span less than ulp(a),
+    # from kappa ~ 7.2e16 at eta = 1
     CFG = PlateConfig.from_eta(1.0)
 
     @pytest.mark.parametrize("kappa", [1e103, 1e154, 1e155, 1e200])
@@ -251,9 +236,9 @@ class TestOverflowingMomentum:
 
     @pytest.mark.parametrize("side", ["above", "below"])
     def test_integrand_names_kappa(self, side):
-        grid, eps = fd_setup(1.0, self.CFG, side)
+        grid = fd_setup(1.0, self.CFG, side)
         with pytest.raises(DomainError, match=re.escape("kappa=1e+200 overflows the")):
-            integrand_from_fd(1e200, self.CFG, side, grid, eps)
+            integrand_from_fd(1e200, self.CFG, side, grid)
 
     def test_wide_grid_overflowing_the_band_is_named(self):
         # q stays finite here, but h^2 q at the far end does not
@@ -262,73 +247,61 @@ class TestOverflowingMomentum:
 
 
 class TestStressExtraction:
-    def test_above_matches_closed_form(self):
-        cfg = PlateConfig.from_eta(1.0)
-        grid, eps = fd_setup(1.0, cfg, "above")
-        got = integrand_from_fd(1.0, cfg, "above", grid, eps)
-        assert rel(got, integrand_above(1.0, 1.0)) <= 1e-4
+    ETAS = (1e-6, 1e-3, 0.01, 1.0, 100.0, 1e4, 1e6)
+    KAPPAS = (0.0, 1e-3, 0.1, 0.5, 1.0, 3.0, 10.0, 100.0, 1e4, 1e8)
 
-    def test_below_matches_closed_form_at_kappa_zero(self):
-        cfg = PlateConfig.from_eta(1.0)
-        grid, eps = fd_setup(0.0, cfg, "below")
-        got = integrand_from_fd(0.0, cfg, "below", grid, eps)
-        assert rel(got, integrand_below(0.0, 1.0)) <= 1e-4
+    @pytest.mark.parametrize("side, closed_form", [("above", integrand_above),
+                                                   ("below", integrand_below)])
+    def test_sides_match_the_closed_forms(self, side, closed_form):
+        # the slope of the w(0) = 1 solve at the plate, within 6.7e-11 here
+        for eta in self.ETAS:
+            cfg = PlateConfig.from_eta(eta)
+            for kappa in self.KAPPAS:
+                got = integrand_from_fd(kappa, cfg, side, fd_setup(kappa, cfg, side))
+                assert rel(got, closed_form(kappa, eta)) <= 1e-9, (eta, kappa)
 
     def test_net_from_fd_at_moderate_momentum(self):
         cfg = PlateConfig.from_eta(0.5)
         net_fd = 0.0
         for side, sign in (("below", 1.0), ("above", -1.0)):
-            grid, eps = fd_setup(1.5, cfg, side)
-            net_fd += sign * integrand_from_fd(1.5, cfg, side, grid, eps)
-        assert rel(net_fd, integrand_net(1.5, 0.5).net) <= 1e-4
+            net_fd += sign * integrand_from_fd(1.5, cfg, side, fd_setup(1.5, cfg, side))
+        assert rel(net_fd, integrand_net(1.5, 0.5).net) <= 1e-8
 
     def test_flat_background_sides_cancel(self):
         cfg0 = PlateConfig(a=1.0, b=0.0)
-        vals = {}
-        for side in ("above", "below"):
-            grid, eps = fd_setup(0.7, cfg0, side)
-            vals[side] = integrand_from_fd(0.7, cfg0, side, grid, eps)
+        vals = {side: integrand_from_fd(0.7, cfg0, side, fd_setup(0.7, cfg0, side))
+                for side in ("above", "below")}
         # with no potential gradient the two sides agree and net ~ 0
-        assert abs(vals["below"] - vals["above"]) <= 1e-8
-        assert vals["above"] == pytest.approx(-0.7, rel=1e-5)
+        assert abs(vals["below"] - vals["above"]) <= 1e-10
+        assert vals["above"] == pytest.approx(-0.7, rel=1e-10)
 
-    @pytest.mark.parametrize("side", ["Above", "", "left"])
+    @pytest.mark.parametrize("side", ["Above", "", "left", "both"])
     def test_unknown_side_is_named(self, side):
         cfg = PlateConfig.from_eta(1.0)
-        grid, eps = fd_setup(1.0, cfg, "above")
+        grid = fd_setup(1.0, cfg, "above")
         for call in (lambda: fd_setup(1.0, cfg, side),
-                     lambda: integrand_from_fd(1.0, cfg, side, grid, eps)):
+                     lambda: integrand_from_fd(1.0, cfg, side, grid)):
             with pytest.raises(DomainError, match="side must be 'above' or 'below'"):
                 call()
-
-    def test_probe_separation_must_resolve(self):
-        cfg = PlateConfig.from_eta(1.0)
-        grid, eps = fd_setup(1.0, cfg, "above")
-        with pytest.raises(ResolutionError):
-            integrand_from_fd(1.0, cfg, "above", grid, grid.h)  # eps below 4h
 
     def test_short_domain_rejected(self):
         cfg = PlateConfig.from_eta(1.0)
         with pytest.raises(DomainError, match="domain too short"):
-            integrand_from_fd(1.0, cfg, "above", GridSpec(cfg.a, cfg.a + 0.5, 2001), 0.01)
+            integrand_from_fd(1.0, cfg, "above", GridSpec(cfg.a, cfg.a + 0.5, 2001))
 
     def test_setup_geometry(self):
-        cfg = PlateConfig.from_eta(1.0)
-        grid, eps = fd_setup(1.0, cfg, "above")
-        assert grid.x_lo == cfg.a
-        assert eps / grid.h >= 4.0
-        grid, eps = fd_setup(1.0, cfg, "below")
-        assert grid.x_hi == cfg.a
-
-    @pytest.mark.parametrize("side, closed_form", [("above", integrand_above),
-                                                   ("below", integrand_below)])
-    def test_eps_follows_the_slope_of_q(self, side, closed_form):
-        # at eta = 1e-3, kappa = 1e-3 q doubles within q(a)/b = 1.0; eps =
-        # 0.025/sqrt(q(a)) = 0.79 alone left the sides 5e-5 (above) and
-        # 2.4e-4 (below) off, eps = 0.2 q(a)/b leaves 1.2e-6 and 1.3e-6
+        # spacing a/m, m >= 16: a below grid that reaches x = 0 has a node on
+        # it, at least 16 cells from the plate
         cfg = PlateConfig.from_eta(1e-3)
-        got = integrand_from_fd(1e-3, cfg, side, *fd_setup(1e-3, cfg, side))
-        assert rel(got, closed_form(1e-3, 1e-3)) <= 1e-5
+        for kappa in (0.0, 1e-3, 0.1, 1.0):
+            grid = fd_setup(kappa, cfg, "above")
+            assert grid.x_lo == cfg.a
+            m = cfg.a / grid.h
+            assert abs(m - round(m)) <= 1e-9 * m and m >= 16.0
+            grid = fd_setup(kappa, cfg, "below")
+            assert grid.x_hi == cfg.a and grid.x_lo < 0.0
+            k = round(-grid.x_lo / grid.h)
+            assert abs(grid.x_lo + k * grid.h) <= 1e-9 * grid.h and grid.n - 1 - k >= 16
 
 
 class TestForcePipeline:
@@ -339,7 +312,7 @@ class TestForcePipeline:
                                               ("below", INTEGRAND_FD_BELOW)])
     def test_pinned_integrands(self, side, pinned):
         cfg = PlateConfig.from_eta(1.0)
-        assert integrand_from_fd(0.5, cfg, side, *fd_setup(0.5, cfg, side)) == pinned
+        assert integrand_from_fd(0.5, cfg, side, fd_setup(0.5, cfg, side)) == pinned
 
     def test_agrees_with_closed_form_route(self):
         # each route states its error; they must agree within the sum
@@ -365,7 +338,7 @@ class TestForcePipeline:
         assert force_from_fd(1.0) == pytest.approx(FORCE_FD_ETA_1, rel=1e-6)
         cfg = PlateConfig.from_eta(1.0)
         for side in ("above", "below"):
-            assert math.isfinite(integrand_from_fd(1.5, cfg, side, *fd_setup(1.5, cfg, side)))
+            assert math.isfinite(integrand_from_fd(1.5, cfg, side, fd_setup(1.5, cfg, side)))
 
     def test_nonconvergence_raises_and_names_inputs(self, monkeypatch):
         monkeypatch.setattr(oracle_ode, "_FD_SPEC", QuadratureSpec(rel_tol=1e-12, abs_tol=1e-30))
@@ -402,9 +375,9 @@ class TestNetIntegral:
     def test_integrand_is_nonnegative_on_every_node(self, monkeypatch):
         solve, seen = oracle_ode._solve, []
 
-        def record(kappa, cfg, side, grid, sources=None):
-            out = solve(kappa, cfg, side, grid, sources)
-            seen.append((cfg, grid, out[2][:, 0]))
+        def record(kappa, cfg, side, grid, xp=oracle_ode._W1):
+            out = solve(kappa, cfg, side, grid, xp)
+            seen.append((cfg, grid, out[2]))
             return out
 
         monkeypatch.setattr(oracle_ode, "_solve", record)
@@ -429,7 +402,7 @@ class TestNetIntegral:
         assert ratio() >= 12.0
         band = oracle_ode._solve_tridiagonal_bvp
         monkeypatch.setattr(oracle_ode, "_solve_tridiagonal_bvp",
-                            lambda h, q, sources, plate, kink, jump: band(h, q, sources, plate))
+                            lambda h, q, source, plate, kink, jump: band(h, q, source, plate))
         assert ratio() < 5.0
 
     def test_two_sided_grid_must_center_on_the_plate(self):
@@ -437,3 +410,20 @@ class TestNetIntegral:
         for grid in (GridSpec(0.0, 2.0, 2000), GridSpec(0.5, 2.0, 2001)):
             with pytest.raises(DomainError, match="grid must center at the plate"):
                 oracle_ode._solve(1.0, cfg, "both", grid)
+
+
+def test_oracle_imports_no_airy_code():
+    # the dual route holds only while the FD oracle shares nothing with the
+    # closed forms: from the package it may take errors, the quadrature and
+    # PlateConfig, and nothing else (airy_engine and stress_kernel above all)
+    tree = ast.parse(Path(oracle_ode.__file__).read_text())
+    taken = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or "casimir_plate" in (node.module or "")):
+            module = (node.module or "").rpartition(".")[2]
+            taken |= {(module, alias.name) for alias in node.names}
+        elif isinstance(node, ast.Import):
+            assert not any("casimir_plate" in alias.name for alias in node.names)
+    allowed = {"errors", "quadrature"}
+    assert {m for m, name in taken if (m, name) != ("greens", "PlateConfig")} <= allowed, taken
+    assert ("greens", "PlateConfig") in taken

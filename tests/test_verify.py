@@ -8,6 +8,7 @@ import pytest
 from casimir_plate import cli, verify
 from casimir_plate.errors import DomainError
 from casimir_plate.greens import PlateConfig
+from casimir_plate.stress_kernel import integrand_above, integrand_below
 
 
 @pytest.mark.parametrize("check", verify.CHECKS, ids=lambda c: c.name)
@@ -39,6 +40,16 @@ def test_unknown_suite_names_the_choices():
 def test_integrand_from_greens_rejects_unknown_side(side):
     with pytest.raises(DomainError, match="side must be 'above' or 'below'"):
         verify.integrand_from_greens(1.0, PlateConfig.from_eta(1.0), side)
+
+
+@pytest.mark.parametrize("kappa", [0.0, 1e-3, 0.1])
+@pytest.mark.parametrize("side, closed_form", [("above", integrand_above),
+                                               ("below", integrand_below)])
+def test_integrand_from_greens_at_small_eta(kappa, side, closed_form):
+    # eps = 0.003/sqrt(q(a)) alone is 3 > a here: the sources crossed the kink
+    # and the sides were 1.6e-4 (below) and 3.0e-6 (above) off
+    got = verify.integrand_from_greens(kappa, PlateConfig.from_eta(1e-6), side)
+    assert abs(got / closed_form(kappa, 1e-6) - 1.0) <= 1e-8
 
 
 def test_cli_classic_exit_reads_the_table_row(monkeypatch, capsys):
