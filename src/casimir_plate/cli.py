@@ -6,9 +6,10 @@ Subcommands: exact (single force value), curve (sweep to CSV), classic
 physics modules stay print-free.
 
 Exit codes: 0 success, 1 numerical or verification failure, 2 usage error.
-Environment overrides: CASIMIR_REL_TOL and CASIMIR_KAPPA_MAX (exact and
-curve only) feed the quadrature contract when the matching flags are
-absent (flags win over environment, environment wins over defaults).
+Environment overrides: CASIMIR_REL_TOL (exact, curve and classic) and
+CASIMIR_KAPPA_MAX (exact and curve) feed the quadrature contract when the
+matching flags are absent (flags win over environment, environment wins
+over defaults).  perturb is a closed form and reads neither.
 
 Determinism contract: every command's output is a pure function of its
 flags, environment, and input files; curve output in particular does not
@@ -202,9 +203,8 @@ def cmd_classic(args: argparse.Namespace) -> int:
 
 def cmd_perturb(args: argparse.Namespace) -> int:
     a, b, k_min = args.a, args.b, args.k_min
-    spec = _resolve_spec(args)
-    v1 = force_perturbative(a, b, k_min, spec)
-    v2 = force_perturbative(a, b, k_min / 2.0, spec)
+    v1 = force_perturbative(a, b, k_min)
+    v2 = force_perturbative(a, b, k_min / 2.0)
     print(f"k_min     = {_fmt(k_min)}  ->  {_fmt(v1)}")
     print(f"k_min/2   = {_fmt(k_min / 2.0)}  ->  {_fmt(v2)}")
     print(f"increase  = {_fmt(v2 - v1)}")
@@ -390,7 +390,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=float, required=True)
     p.set_defaults(func=cmd_classic)
 
-    p = sub.add_parser("perturb", parents=[rel], help="IR-cutoff dependence of the perturbative estimate")
+    p = sub.add_parser("perturb", help="IR-cutoff dependence of the perturbative estimate")
     p.add_argument("--a", type=float, required=True)
     p.add_argument("--b", type=float, required=True)
     p.add_argument("--k-min", type=float, required=True)

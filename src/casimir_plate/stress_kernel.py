@@ -28,9 +28,12 @@ every surviving term O(1) or exponentially small.  The naive unscaled
 products underflow to zero near kappa ~ 8 and silently flip the sign of
 the ratio, so that route is forbidden rather than merely discouraged.
 
-The flat-background benchmark (two plates, attractive -pi/(24 a^2)) and the
-leading-order perturbative estimate (infrared divergent by design; it
-exists to demonstrate why the exact route is needed) live here as well.
+The two flat-background references live here as well.  The two-plate
+benchmark (attractive, -pi/(24 a^2)) is one integral on the a-free
+variable t = 2 K a, scaled by 1/a^2.  The leading-order perturbative
+estimate (infrared divergent by design; it exists to demonstrate why the
+exact route is needed) is a closed form in the exponential integral E1,
+with no quadrature.
 """
 
 from __future__ import annotations
@@ -259,39 +262,30 @@ def force_exact(eta: float, spec: QuadratureSpec = QuadratureSpec()) -> ForceRes
     return ForceResult(eta=eta, f_eta=f_eta, err_est=err, kappa_max=k0, n_evals=r.n_evals)
 
 
-# the smallest separation whose -pi/(24 a^2) is a float
+# the separations whose -pi/(24 a^2) is a normal float
 _A_MIN = math.sqrt(math.pi / 24.0) / math.sqrt(sys.float_info.max)
+_A_MAX = math.sqrt(math.pi / 24.0 / sys.float_info.min)
 
 
 def force_classic(a: float, spec: QuadratureSpec = QuadratureSpec()) -> float:
     """Attraction between two flat-background plates a apart: -pi/(24 a^2).
 
     The coincident-limit stress difference of the two flat kernels reduces
-    to the kernel K (coth(K a) - 1) = 2 K / (e^{2 K a} - 1); the derivation
-    is in docs/numerics.md.  The K -> 0 limit of the integrand is the
-    finite value -1/(2 pi a), and the quadrature never evaluates K = 0.
-    An a whose answer overflows (below _A_MIN) raises DomainError.
+    to -integral_0^inf dK/pi K / (e^{2 K a} - 1) = -I/(4 pi a^2), with
+    I = integral_0^inf t/(e^t - 1) dt on the a-free t = 2 K a (docs/numerics.md
+    section 4).  An a outside [_A_MIN, _A_MAX] raises DomainError.
     """
     a = check_real(a, "plate separation a", strict=True)
-    if a < _A_MIN:
-        raise DomainError(f"plate separation a must be >= {_A_MIN!r}, below which "
-                          f"-pi/(24 a^2) overflows, got {a!r}")
-
-    def f(K: float) -> float:
-        w = 2.0 * K * a
-        if w > 700.0:
-            # e^w - 1 == e^w to machine precision; K e^{-w} underflows to -0.0
-            # long before K matters, so this branch cannot overflow
-            return -K * math.exp(-w) / math.pi
-        return -K / (math.pi * math.expm1(w))
-
-    r = integrate_semi_infinite(lambda ks: [f(K) for K in ks.tolist()], spec)
+    if not _A_MIN <= a <= _A_MAX:
+        raise DomainError(f"plate separation a must be in [{_A_MIN!r}, {_A_MAX!r}], outside "
+                          f"which -pi/(24 a^2) is not a normal float, got {a!r}")
+    # t e^{-t} / (1 - e^{-t}): no overflow at large t, and 1 as t -> 0
+    r = integrate_semi_infinite(lambda t: t * np.exp(-t) / -np.expm1(-t), spec)
     if not r.converged:
-        raise ToleranceError(
-            f"flat-background force integral did not converge (n_evals={r.n_evals}); "
-            f"a={a!r}, rel_tol={spec.rel_tol!r}, err_est={r.err_est:.3e}"
-        )
-    return r.value
+        raise ToleranceError(f"flat-background force integral did not converge (n_evals={r.n_evals}"
+                             f"); a={a!r}, rel_tol={spec.rel_tol!r}, err_est={r.err_est:.3e}")
+    # a^2 is never formed: it leaves the normal floats inside the range
+    return -r.value / (4.0 * math.pi * a) / a
 
 
 def perturbative_integrands(K: float, a: float, b: float) -> tuple[float, float, float]:
@@ -316,29 +310,45 @@ def perturbative_integrands(K: float, a: float, b: float) -> tuple[float, float,
     return below, above, net
 
 
-def force_perturbative(
-    a: float, b: float, k_min: float, spec: QuadratureSpec = QuadratureSpec()
-) -> float:
-    """Leading-order net force with an explicit infrared cutoff.
+_EULER = 0.5772156649015329
 
-    b * integral_{k_min}^inf dK/(2 pi) (1 - e^{-2 K a}) / (2 K^2).
 
-    Positive, and grows like (a b / 2 pi) ln 2 per halving of k_min once
-    k_min << 1/a: the cutoff dependence is the point of this operation, so
-    it is quarantined from the exact force entirely.
+def _e1(c: float) -> float:
+    """E1(c), c > 0, to 3e-16: the series DLMF 6.6.2 (fsum) up to c = 1, and above
+    it the even continued fraction DLMF 6.9.1, summed up from a depth that converges."""
+    if c <= 1.0:
+        terms, term, n = [-_EULER, -math.log(c)], -1.0, 0
+        while abs(term) > 1e-17:  # E1 >= 0.219 here
+            n += 1
+            term *= -c / n
+            terms.append(term / n)
+        return math.fsum(terms)
+    t = 0.0
+    for n in range(int(100.0 / c) + 8, 0, -1):
+        t = n * n / (c + (2 * n + 1) - t)
+    return math.exp(-c) / (c + 1.0 - t)
+
+
+def force_perturbative(a: float, b: float, k_min: float) -> float:
+    """Leading-order net force with an explicit infrared cutoff k_min.
+
+    b integral_{k_min}^inf dK/(2 pi) (1 - e^{-2 K a}) / (2 K^2) = (a b / 2 pi) [phi(c) + E1(c)]
+    by parts, c = 2 a k_min, phi(c) = (1 - e^{-c})/c (docs/numerics.md section 5).  It grows
+    by (a b / 2 pi) ln 2 per halving of k_min << 1/a: that cutoff dependence is the point, so
+    it is quarantined from the exact force.  Where a b / 2 pi or the force is not a normal
+    float (as where c overflows), DomainError names a, b and k_min.
     """
     a = check_real(a, "a", strict=True)
     b = check_real(b, "b")
     k_min = check_real(k_min, "k_min", strict=True)
-
-    def f(u: float) -> float:
-        K = k_min + u
-        return b * (-math.expm1(-2.0 * K * a)) / (4.0 * math.pi * K * K)
-
-    r = integrate_semi_infinite(lambda us: [f(u) for u in us.tolist()], spec)
-    if not r.converged:
-        raise ToleranceError(
-            f"perturbative force integral did not converge (n_evals={r.n_evals}); a={a!r}, "
-            f"b={b!r}, k_min={k_min!r}, rel_tol={spec.rel_tol!r}, err_est={r.err_est:.3e}"
-        )
-    return r.value
+    scale = a * b / (2.0 * math.pi)
+    c = 2.0 * a * k_min
+    if c < sys.float_info.min:
+        # c has lost bits to underflow; phi(c) + E1(c) = 1 - gamma - ln c to the last bit
+        force = scale * (1.0 - _EULER - math.log(2.0 * a) - math.log(k_min))
+    else:
+        force = scale * (-math.expm1(-c) / c + _e1(c))  # 0 where c overflows
+    if b > 0.0 and not (scale >= sys.float_info.min and sys.float_info.min <= force < math.inf):
+        raise DomainError(f"perturbative force at a={a!r}, b={b!r}, k_min={k_min!r} is out of "
+                          f"range: a b / 2 pi = {scale!r}, c = {c!r}, force = {force!r}")
+    return force

@@ -82,10 +82,11 @@ class TestClassic:
         rc, _ = run_cli(["classic", "--a", "0"], capsys)
         assert rc == 2
 
-    def test_separation_whose_force_overflows_is_a_usage_error(self, capsys):
-        assert cli.main(["classic", "--a", "1e-300"]) == 2
+    @pytest.mark.parametrize("a", ["1e-300", "1e160"])
+    def test_separation_whose_force_is_not_a_normal_float_is_a_usage_error(self, a, capsys):
+        assert cli.main(["classic", "--a", a]) == 2
         err = capsys.readouterr().err
-        assert " a must be >= " in err and "got 1e-300" in err and "Traceback" not in err
+        assert " a must be in [" in err and f"got {float(a)!r}" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize(
@@ -253,9 +254,17 @@ class TestPerturb:
         rc, _ = run_cli(["perturb", "--a", "1", "--b", "1", "--k-min", "0"], capsys)
         assert rc == 2
 
-    def test_refused_cutoff_is_named(self, capsys):
-        assert cli.main(["perturb", "--a", "1", "--b", "1", "--k-min", "1e-18"]) == 1
-        assert "k_min=1e-18" in capsys.readouterr().err
+    @pytest.mark.parametrize("k_min", ["1e-18", "1e-300"])
+    def test_deep_cutoff_is_answered(self, k_min, capsys):
+        # the closed form answers every cutoff; far below 1/a the step is ln2/(2 pi)
+        rc, out = run_cli(["perturb", "--a", "1", "--b", "1", "--k-min", k_min], capsys)
+        assert rc == 0
+        step = float(out.split("increase  = ")[1].split()[0])
+        assert step == pytest.approx(math.log(2.0) / (2.0 * math.pi), rel=1e-9)
+
+    def test_out_of_range_force_is_a_usage_error_naming_its_inputs(self, capsys):
+        assert cli.main(["perturb", "--a", "1e308", "--b", "10", "--k-min", "1"]) == 2
+        assert "a=1e+308, b=10.0, k_min=1.0" in capsys.readouterr().err
 
 
 class TestVerify:
@@ -368,12 +377,21 @@ class TestEnvironmentOverrides:
     @pytest.mark.parametrize("argv", [["classic", "--a", "1"],
                                       ["perturb", "--a", "1", "--b", "1", "--k-min", "1e-2"]])
     def test_kappa_max_is_not_taken_where_nothing_reads_it(self, argv, capsys, monkeypatch):
-        # neither flat-background integral has a k0: the flag is a usage
+        # neither flat-background reference has a k0: the flag is a usage
         # error, and the environment variable is not read at all
         assert run_cli(argv + ["--kappa-max", "5"], capsys)[0] == 2
         monkeypatch.setenv("CASIMIR_KAPPA_MAX", "banana")
         assert run_cli(argv, capsys)[0] == 0
-        assert run_cli(argv + ["--rel-tol", "1e-8"], capsys)[0] == 0
+        if argv[0] == "classic":
+            assert run_cli(argv + ["--rel-tol", "1e-8"], capsys)[0] == 0
+
+    def test_rel_tol_is_not_taken_where_nothing_reads_it(self, capsys, monkeypatch):
+        # the perturbative estimate is a closed form: no tolerance to set
+        argv = ["perturb", "--a", "1", "--b", "1", "--k-min", "1e-2"]
+        assert run_cli(argv + ["--rel-tol", "1e-6"], capsys)[0] == 2
+        rc, out = run_cli(argv, capsys)
+        monkeypatch.setenv("CASIMIR_REL_TOL", "banana")
+        assert run_cli(argv, capsys) == (rc, out) and rc == 0
 
 
 class TestConsoleScript:

@@ -102,10 +102,16 @@ def test_bad_scalar_is_a_domain_error_naming_it(call, name, value):
 
 # finite values beyond their range: (entry point, call with the value, the
 # value, the refusal's text).  Momenta beyond the finite-difference grid's
-# reach, and eta beyond the one-momentum samples' (force_exact's bound, where
-# zeta^2 would overflow); the samples' kappa and force_classic's range
-# refusals are tested in test_stress_kernel.py
+# reach, eta beyond the one-momentum samples' (force_exact's bound, where
+# zeta^2 would overflow), a separation whose -pi/(24 a^2) is subnormal, and
+# perturbative inputs whose scale a b / 2 pi overflows or whose c = 2 a k_min
+# does; the samples' kappa and force_classic's lower bound are tested in
+# test_stress_kernel.py
 RANGE = [
+    ("force_classic.a", lambda v: force_classic(v), 1e160, "plate separation a must be in ["),
+    ("force_perturbative.scale", lambda v: force_perturbative(v, 10.0, 1.0), 1e308,
+     "a b / 2 pi = inf"),
+    ("force_perturbative.c", lambda v: force_perturbative(1e300, 1.0, v), 1e10, "c = inf"),
     ("integrand_net.eta", lambda v: integrand_net(1.6e51, v), 1e308, "eta must be <= "),
     ("tail_mismatch.eta", lambda v: tail_mismatch(1.6e51, v), 1e308, "eta must be <= "),
     ("fd_setup.above", lambda v: fd_setup(v, CFG, "above"), 1e20, "kappa=1e+20 is too large"),

@@ -7,12 +7,14 @@ Taylor table whose seeds are marched along w'' = z w; each value's
 difference from the mpmath reference is recorded in CHANGES.md.  f_eta,
 err_est and kappa_max compare with ==, n_evals exactly, and a failing
 input keeps its error type and message prefix.
-The force_classic and force_perturbative values date from the exp-sinh
-rule as well.  The force_from_fd values date from the variable-phase FD
-route (net as one positive integral over the whole momentum half line),
-within 4.3e-13 relative of mpmath (CHANGES.md); the net sample and the two
-Green's-function columns of the band solver date from the same change,
-which gave a grid node on x = 0 the kink row.  The one-sample FD
+The force_classic value dates from the exp-sinh rule as well, and kept
+its bits when the integral moved to the a-free variable t = 2 K a.  The
+force_perturbative value dates from its closed form through E1, and is
+the correctly rounded mpmath value.  The force_from_fd values date from
+the variable-phase FD route (net as one positive integral over the whole
+momentum half line), within 4.3e-13 relative of mpmath (CHANGES.md); the
+net sample and the two Green's-function columns of the band solver date
+from the same change, which gave a grid node on x = 0 the kink row.  The one-sample FD
 integrands date from the change that took them as the plate slope of the
 w(0) = 1 solve, 3.3e-13 to 3.0e-11 from mpmath.  The Green's-function
 integrands, like the force_exact values, date from the marched seeds.
@@ -91,7 +93,7 @@ def test_force_classic_bits():
 
 
 def test_force_perturbative_bits():
-    assert force_perturbative(1.0, 1.0, 1e-2).hex() == "0x1.620b469a89a55p-1"
+    assert force_perturbative(1.0, 1.0, 1e-2).hex() == "0x1.620b469a89a56p-1"
 
 
 # eta: force_from_fd(eta) at its default tolerance

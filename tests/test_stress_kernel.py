@@ -2,6 +2,7 @@
 
 import math
 import re
+import sys
 import warnings
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from casimir_plate import airy_engine, stress_kernel
 from casimir_plate.airy_engine import Z_SWITCH, airy_eval
 from casimir_plate.errors import DomainError, ToleranceError
-from casimir_plate.quadrature import _K0_MAX, _KAPPA_MAX, _U, QuadratureSpec
+from casimir_plate.quadrature import _K0_MAX, _KAPPA_MAX, _U, QuadratureSpec, integrate_semi_infinite
 from casimir_plate.stress_kernel import (
     ForceResult,
     force_classic,
@@ -402,30 +403,44 @@ class TestForceClassic:
         with pytest.raises(DomainError):
             force_classic(0.0)
 
-    def test_refusal_names_its_inputs(self):
-        # the integrand's scale K ~ 1/a = 1e10 is far from the rule's unit
-        # scale, and no level meets rel_tol
-        with pytest.raises(ToleranceError) as info:
-            force_classic(1e-10)
-        assert "; a=1e-10, rel_tol=1e-09, err_est=" in str(info.value)
+    def test_every_answered_decade_matches_mpmath(self):
+        # one integral on t = 2 K a serves every a: every tenth decade from
+        # _A_MIN up, and _A_MAX itself, within 4e-16 of -pi/(24 a^2)
+        mp = pytest.importorskip("mpmath")
+        seps = [stress_kernel._A_MIN * 10.0 ** (10 * k) for k in range(31)]
+        with mp.workdps(40):
+            for a in seps + [stress_kernel._A_MAX]:
+                ref = -mp.pi / (24 * mp.mpf(a) ** 2)
+                assert abs((mp.mpf(force_classic(a)) - ref) / ref) <= 4e-16, a
 
-    @pytest.mark.parametrize("a", [1e-300, 5e-324, 2.6984323550097483e-155])
-    def test_separation_whose_force_overflows_is_refused(self, a):
-        # -pi/(24 a^2) is -inf below 2.6984323550097488e-155: refused before
-        # any node is evaluated, with no overflow warning on the way
+    def test_refusal_names_its_inputs(self):
+        # below 2e-17 relative the window's edge alone misses the tolerance
+        with pytest.raises(ToleranceError) as info:
+            force_classic(1e-10, QuadratureSpec(rel_tol=1e-18, abs_tol=1e-300))
+        assert "; a=1e-10, rel_tol=1e-18, err_est=" in str(info.value)
+
+    @pytest.mark.parametrize("a", [1e-300, 5e-324, 2.6984323550097483e-155,
+                                   2.4254766597456885e+153, 1e160, 1.7976931348623157e308])
+    def test_separation_whose_force_is_not_a_normal_float_is_refused(self, a):
+        # -pi/(24 a^2) is -inf below 2.6984323550097488e-155 and subnormal
+        # above 2.425476659745688e+153: refused before any node is evaluated,
+        # with no overflow warning on the way
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DomainError) as info:
                 force_classic(a)
-        assert str(info.value).startswith("plate separation a must be >= 2.6984323550097488e-155")
+        assert str(info.value).startswith(
+            "plate separation a must be in [2.6984323550097488e-155, 2.425476659745688e+153]")
         assert str(info.value).endswith(f", got {a!r}")
-        assert math.isinf(-math.pi / 24.0 / a / a)
+        force = -math.pi / 24.0 / a / a
+        assert math.isinf(force) or -force < sys.float_info.min
 
 
 class TestPerturbative:
     def test_free_field_limit(self):
         below, above, net = perturbative_integrands(0.5, 1.0, 0.0)
         assert below == -0.5 and above == -0.5 and net == 0.0
+        assert force_perturbative(1.0, 0.0, 1e-2) == 0.0
 
     def test_infrared_divergence_shape(self):
         # net*K/(a*b) -> 1 as K -> 0, the log-divergent density
@@ -452,7 +467,44 @@ class TestPerturbative:
         with pytest.raises(DomainError):
             force_perturbative(1.0, 1.0, 0.0)
 
-    def test_refusal_names_its_inputs(self):
-        with pytest.raises(ToleranceError) as info:
-            force_perturbative(1.0, 1.0, 1e-18)
-        assert "; a=1.0, b=1.0, k_min=1e-18, rel_tol=1e-09, err_est=inf" in str(info.value)
+    def test_e1_matches_mpmath(self):
+        # a log grid over the series and the continued fraction, and the
+        # switch between them at c = 1
+        mp = pytest.importorskip("mpmath")
+        grid = np.concatenate((np.logspace(-320, math.log10(700.0), 331), np.linspace(0.9, 1.1, 21)))
+        with mp.workdps(40):
+            for c in grid.tolist():
+                ref = mp.e1(mp.mpf(c))
+                assert abs((mp.mpf(stress_kernel._e1(c)) - ref) / ref) <= 5e-16, c
+
+    @pytest.mark.parametrize("a, b", [(1.0, 1.0), (0.3, 2.7), (1e-10, 1.0)])
+    def test_matches_mpmath_down_to_the_smallest_cutoff(self, a, b):
+        # (a b / 2 pi) [(1 - e^{-c})/c + E1(c)] at 40 digits; at a = 0.3 and
+        # 1e-10 the smallest cutoffs make c = 2 a k_min lose bits or vanish
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            for k_min in (5e-324, 1e-300, 1e-40, 1e-18, 1e-10, 1e-6, 1e-3, 1e-2, 0.1, 1.0, 10.0,
+                          300.0):
+                c = 2 * mp.mpf(a) * mp.mpf(k_min)
+                ref = mp.mpf(a) * b / (2 * mp.pi) * (-mp.expm1(-c) / c + mp.e1(c))
+                assert abs((mp.mpf(force_perturbative(a, b, k_min)) - ref) / ref) <= 1e-15, k_min
+
+    @pytest.mark.parametrize("k_min", [1e-3, 1e-2, 0.1, 1.0, 10.0])
+    def test_closed_form_agrees_with_the_quadrature_route(self, k_min):
+        # the route the closed form replaced, kept here as a reference: the
+        # net integrand over K = k_min + u on the exp-sinh rule
+        def net(us):
+            return [perturbative_integrands(k_min + u, 1.0, 1.0)[2] / (2.0 * math.pi)
+                    for u in us.tolist()]
+
+        r = integrate_semi_infinite(net)
+        assert r.converged
+        assert abs(force_perturbative(1.0, 1.0, k_min) - r.value) <= r.err_est
+
+    def test_deep_ir_step_is_ln2_over_2pi(self):
+        # far below 1/a each halving adds (a b / 2 pi) ln 2, down to the
+        # smallest float
+        step = math.log(2.0) / (2.0 * math.pi)
+        for k_min in (1e-10, 1e-100, 1e-300, 1e-323):
+            inc = force_perturbative(1.0, 1.0, k_min / 2.0) - force_perturbative(1.0, 1.0, k_min)
+            assert inc == pytest.approx(step, rel=1e-9), k_min
