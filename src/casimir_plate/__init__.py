@@ -10,8 +10,15 @@ Layout: airy_engine (scaled special functions), greens (closed-form
 propagators), stress_kernel (integrands, forces), quadrature (exp-sinh
 on the half line, adaptive Gauss-Kronrod on a finite interval), oracle_ode
 (independent checks), verify (invariant suites), cli (presentation),
-errors (exception types and the one scalar argument check).
+errors (exception types and the argument checks, PlateConfig among them).
+
+The force path (errors, airy_engine, quadrature, stress_kernel) loads with
+the package; the names of greens and oracle_ode load their module on first
+use, and verify loads only when imported.
 """
+
+import importlib
+import types
 
 from .airy_engine import (
     AiryValues,
@@ -25,23 +32,9 @@ from .errors import (
     CasimirError,
     DomainError,
     OracleError,
+    PlateConfig,
     SingularityError,
     ToleranceError,
-)
-from .greens import (
-    PlateConfig,
-    greens_free_above,
-    greens_free_between,
-    greens_linear_above,
-    greens_linear_below,
-)
-from .oracle_ode import (
-    GridSpec,
-    fd_setup,
-    force_from_fd,
-    integrand_from_fd,
-    solve_bvp_above,
-    solve_bvp_full,
 )
 from .quadrature import (
     QuadratureSpec,
@@ -60,38 +53,22 @@ from .stress_kernel import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AiryValues",
-    "CasimirError",
-    "DomainError",
-    "ForceResult",
-    "GridSpec",
-    "OracleError",
-    "PlateConfig",
-    "QuadResult",
-    "QuadratureSpec",
-    "SingularityError",
-    "ToleranceError",
-    "airy_eval",
-    "airy_scaled",
-    "airy_via_ode_oracle",
-    "fd_setup",
-    "force_classic",
-    "force_exact",
-    "force_from_fd",
-    "force_perturbative",
-    "greens_free_above",
-    "greens_free_between",
-    "greens_linear_above",
-    "greens_linear_below",
-    "integrand_from_fd",
-    "integrand_net",
-    "integrate_finite",
-    "integrate_semi_infinite",
-    "perturbative_integrands",
-    "solve_bvp_above",
-    "solve_bvp_full",
-    "zeta_gap",
-    "zeta_of",
-    "__version__",
-]
+# name -> defining module, for the names resolved on first use
+_LAZY = {
+    **dict.fromkeys(("greens_free_above", "greens_free_between", "greens_linear_above",
+                     "greens_linear_below"), "greens"),
+    **dict.fromkeys(("GridSpec", "fd_setup", "force_from_fd", "integrand_from_fd",
+                     "solve_bvp_above", "solve_bvp_full"), "oracle_ode"),
+}
+
+__all__ = sorted([*_LAZY, *(name for name, value in globals().items() if not (
+    name.startswith("_") or isinstance(value, types.ModuleType)))]) + ["__version__"]
+
+
+def __getattr__(name: str):
+    """Import the module of a lazy name, cache the name here and return it."""
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value

@@ -1,6 +1,12 @@
-"""Exception types shared across the package, and its scalar argument checks."""
+"""Exception types and the argument checks the package shares.
+
+The checks are the scalar ones (as_real, check_real) and PlateConfig, the
+checked plate geometry that the closed forms, the FD oracle and the CLI all
+take; it lives here so that none of them imports another for it.
+"""
 
 import math
+from dataclasses import dataclass, field
 
 __all__ = [
     "CasimirError",
@@ -8,6 +14,7 @@ __all__ = [
     "SingularityError",
     "ToleranceError",
     "OracleError",
+    "PlateConfig",
     "as_real",
     "check_real",
 ]
@@ -51,3 +58,45 @@ def check_real(value, name: str, *, strict: bool = False, upper: float = math.in
     if v > upper:
         raise DomainError(f"{name} must be <= {upper!r}, got {v!r}")
     return v
+
+
+@dataclass(frozen=True)
+class PlateConfig:
+    """Plate at height a > 0 over the kink of V(x) = b |x|; eta = b a^3.
+
+    ``eta`` is derived on construction and is not a constructor argument.
+    A height whose a^3 (or, with b > 0, b a^3) leaves the float range is a
+    DomainError naming a.
+    """
+
+    a: float
+    b: float
+    eta: float = field(init=False)
+
+    def __post_init__(self):
+        a = check_real(self.a, "plate height a", strict=True)
+        b = check_real(self.b, "potential slope b")
+        eta = b * _cube(a)
+        if b > 0.0 and not 0.0 < eta < math.inf:
+            raise DomainError(
+                f"plate height a = {a!r} with b = {b!r} puts eta = b*a^3 outside the float range"
+            )
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "eta", eta)
+
+    @classmethod
+    def from_eta(cls, eta: float) -> "PlateConfig":
+        """The plate at a = 1, where b = eta."""
+        return cls(a=1.0, b=check_real(eta, "eta"))
+
+
+def _cube(a: float) -> float:
+    """a^3 of a checked plate height, or a DomainError if it leaves the float range."""
+    try:
+        cube = a**3
+    except OverflowError:
+        cube = math.inf
+    if not 0.0 < cube < math.inf:
+        raise DomainError(f"plate height a = {a!r} has a^3 outside the float range")
+    return cube

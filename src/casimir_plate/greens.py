@@ -34,18 +34,18 @@ arrays that broadcast together, a float pair being the 0-d case, and each
 construction evaluates every Airy argument it needs (kappa^2, y(a) and each
 point's y(|x|)) in one ``airy_scaled`` call.  Every step after it is
 elementwise, so an element gets the bits it would get alone.  Points that
-are not finite reals are a DomainError naming x and x'.
+are not finite reals are a DomainError naming x and x'.  Their plate is a
+PlateConfig, defined in errors and re-exported here.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .airy_engine import airy_scaled, zeta_gap, zeta_of
-from .errors import DomainError, SingularityError, check_real
+from .errors import DomainError, PlateConfig, SingularityError, check_real
 
 __all__ = [
     "PlateConfig",
@@ -54,54 +54,6 @@ __all__ = [
     "greens_linear_above",
     "greens_linear_below",
 ]
-
-
-@dataclass(frozen=True)
-class PlateConfig:
-    """Plate at height a > 0 over the kink of V(x) = b |x|; eta = b a^3.
-
-    ``eta`` is derived on construction and is not a constructor argument.
-    A height whose a^3 (or, with b > 0, b a^3; from_eta's eta/a^3) leaves
-    the float range is a DomainError naming a.
-    """
-
-    a: float
-    b: float
-    eta: float = field(init=False)
-
-    def __post_init__(self):
-        a = check_real(self.a, "plate height a", strict=True)
-        b = check_real(self.b, "potential slope b")
-        eta = b * _cube(a)
-        if b > 0.0 and not 0.0 < eta < math.inf:
-            raise DomainError(
-                f"plate height a = {a!r} with b = {b!r} puts eta = b*a^3 outside the float range"
-            )
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "eta", eta)
-
-    @classmethod
-    def from_eta(cls, eta: float, a: float = 1.0) -> "PlateConfig":
-        eta = check_real(eta, "eta")
-        a = check_real(a, "plate height a", strict=True)
-        b = eta / _cube(a)
-        if not (math.isfinite(b) and (b > 0.0 or eta == 0.0)):
-            raise DomainError(
-                f"plate height a = {a!r} with eta = {eta!r} puts b = eta/a^3 outside the float range"
-            )
-        return cls(a=a, b=b)
-
-
-def _cube(a: float) -> float:
-    """a^3 of a checked plate height, or a DomainError if it leaves the float range."""
-    try:
-        cube = a**3
-    except OverflowError:
-        cube = math.inf
-    if not 0.0 < cube < math.inf:
-        raise DomainError(f"plate height a = {a!r} has a^3 outside the float range")
-    return cube
 
 
 def greens_free_between(x: float, xp: float, K: float, a: float) -> float:

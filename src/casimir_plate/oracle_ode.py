@@ -11,8 +11,9 @@ positive integral over both sides (_net_fd, the variable-phase form), and
 force_from_fd integrates it over the whole momentum half line.  The same
 band with a unit source and G = 0 at the plate gives the Green's function
 (solve_bvp_above/_full).  The module shares nothing with the closed forms
-except the quadrature; docs/numerics.md section 6 derives the
-discretization, the slope, the identity and the grids.  When cfg.b == 0
+except the quadrature; the PlateConfig it takes lives in errors, not in
+greens.  docs/numerics.md section 6 derives the discretization, the
+slope, the identity and the grids.  When cfg.b == 0
 (the eta = 0 cross-checks) kappa is the physical momentum K and
 integrands divide by 1 instead of b^{1/3}.
 """
@@ -27,8 +28,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainError, OracleError, ToleranceError, as_real, check_real
-from .greens import PlateConfig
+from .errors import DomainError, OracleError, PlateConfig, ToleranceError, as_real, check_real
 from .quadrature import QuadratureSpec, integrate_finite
 
 __all__ = ["GridSpec", "solve_bvp_above", "solve_bvp_full", "integrand_from_fd", "fd_setup",

@@ -207,15 +207,47 @@ class TestCurve:
 
 
 class TestImportFootprint:
+    # run one command after `import casimir_plate`, then print its exit code
+    # and which oracle and scipy modules are loaded
+    RUN_AND_LIST = "\n".join([
+        "import contextlib, io, sys",
+        "import casimir_plate, casimir_plate.cli",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    rc = casimir_plate.cli.main(sys.argv[1:])",
+        "oracles = ('casimir_plate.greens', 'casimir_plate.oracle_ode', 'casimir_plate.verify')",
+        "print(rc, sorted(m for m in sys.modules if m in oracles or m.startswith('scipy')))",
+    ])
+
     @staticmethod
-    def fresh_stdout(code):
-        """stdout of code run in a fresh interpreter that imports this package."""
+    def fresh_stdout(code, *args):
+        """stdout of code run with args in a fresh interpreter that imports this package."""
         pkg_root = str(Path(cli.__file__).resolve().parents[1])
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [pkg_root, env.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                              env=env)
         assert proc.returncode == 0, proc.stderr
         return proc.stdout.strip()
+
+    @pytest.mark.parametrize("argv", [
+        ["exact", "--eta", "1", "--json"],
+        ["exact", "--a", "2", "--b", "0.125"],
+        ["curve", "--eta-min", "0.5", "--eta-max", "2", "--points", "3", "--out", "{tmp}/c.csv"],
+        ["perturb", "--a", "1", "--b", "1", "--k-min", "1e-2"],
+        ["plot", "--input", "{tmp}/in.csv", "--output", "{tmp}/out.svg"],
+    ], ids=["exact-eta", "exact-ab", "curve", "perturb", "plot"])
+    def test_force_path_commands_load_no_oracle_or_scipy(self, argv, tmp_path):
+        (tmp_path / "in.csv").write_text(f"{CSV_HEADER}\n1.0,0.1,1e-12,1.0,9\n2.0,0.2,1e-12,1.0,9\n")
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        assert self.fresh_stdout(self.RUN_AND_LIST, *argv) == "0 []"
+
+    def test_verify_loads_the_oracles(self):
+        # the same probe sees them when a command does load them
+        rc, loaded = self.fresh_stdout(self.RUN_AND_LIST, "verify", "--suite", "airy").split(" ", 1)
+        assert rc == "0"
+        for module in ("'casimir_plate.greens'", "'casimir_plate.oracle_ode'",
+                       "'casimir_plate.verify'", "'scipy.integrate'"):
+            assert module in loaded
 
     def test_cli_import_loads_no_oracle_scipy(self):
         code = (
@@ -262,6 +294,11 @@ class TestPerturb:
         step = float(out.split("increase  = ")[1].split()[0])
         assert step == pytest.approx(math.log(2.0) / (2.0 * math.pi), rel=1e-9)
 
+    def test_cutoff_whose_half_underflows_is_a_usage_error_naming_it(self, capsys):
+        assert cli.main(["perturb", "--a", "1", "--b", "1", "--k-min", "5e-324"]) == 2
+        err = capsys.readouterr().err
+        assert "--k-min 5e-324" in err and "underflows" in err
+
     def test_out_of_range_force_is_a_usage_error_naming_its_inputs(self, capsys):
         assert cli.main(["perturb", "--a", "1e308", "--b", "10", "--k-min", "1"]) == 2
         assert "a=1e+308, b=10.0, k_min=1.0" in capsys.readouterr().err
@@ -284,8 +321,9 @@ class TestVerify:
         assert "[FAIL]" not in out
 
     def test_unknown_suite(self, capsys):
-        rc, _ = run_cli(["verify", "--suite", "nonsense"], capsys)
-        assert rc == 2
+        assert cli.main(["verify", "--suite", "nonsense"]) == 2
+        err = capsys.readouterr().err
+        assert all(suite in err for suite in ("nonsense", "airy", "greens", "stress"))
 
     def test_ode_oracle_check_spans_the_switch(self, monkeypatch):
         # the oracle's whole range, so the series branch is checked too

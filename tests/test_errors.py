@@ -56,7 +56,6 @@ ROWS = [
     ("PlateConfig.a", lambda v: PlateConfig(a=v, b=1.0), "a", 0.0),
     ("PlateConfig.b", lambda v: PlateConfig(a=1.0, b=v), "b", -1.0),
     ("PlateConfig.from_eta.eta", lambda v: PlateConfig.from_eta(v), "eta", -1.0),
-    ("PlateConfig.from_eta.a", lambda v: PlateConfig.from_eta(1.0, a=v), "a", 0.0),
     ("QuadratureSpec.rel_tol", lambda v: QuadratureSpec(rel_tol=v), "rel_tol", 0.0),
     ("QuadratureSpec.abs_tol", lambda v: QuadratureSpec(abs_tol=v), "abs_tol", 0.0),
     ("QuadratureSpec.kappa_max_policy", lambda v: QuadratureSpec(kappa_max_policy=v),

@@ -9,6 +9,9 @@ break every traced benchmark run.
 import importlib
 import importlib.util
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -34,12 +37,24 @@ def test_tracer_target_exists(module, attr):
     assert callable(getattr(home, attr))
 
 
-@pytest.mark.parametrize(
-    "name",
-    ["QuadratureSpec", "force_exact", "force_from_fd", "airy_via_ode_oracle", "CasimirError"],
-)
+OPS_NAMES = ["QuadratureSpec", "force_exact", "force_from_fd", "airy_via_ode_oracle", "CasimirError"]
+
+
+@pytest.mark.parametrize("name", OPS_NAMES)
 def test_package_name_used_by_ops(name):
     assert hasattr(casimir_plate, name)
+
+
+def test_ops_names_resolve_after_a_bare_package_import():
+    # a name resolved on first use goes through the package's __getattr__
+    # only in a process that has not yet imported its module, as in the
+    # benchmark's worker
+    pkg_root = str(Path(casimir_plate.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [pkg_root, env.get("PYTHONPATH")]))
+    code = f"import casimir_plate; [getattr(casimir_plate, name) for name in {OPS_NAMES!r}]"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_fd_integrand_grid_is_parameter_3():
