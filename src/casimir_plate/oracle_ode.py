@@ -2,20 +2,16 @@
 
 The mode equation w'' = q(x) w, q(x) = b^{2/3} kappa^2 + b |x|, is
 discretized with Numerov weighting on a uniform grid in physical x and
-solved as one tridiagonal system with the plate on a node and a WKB decay
-closure at each open end; every solve takes one checked path (_solve).
-Its one problem is the solution w that decays away from the plate with
-w = 1 on it.  One side's stress integrand is the slope of w at the plate
-(integrand_from_fd on an fd_setup grid); the net integrand is one
-positive integral over both sides (_net_fd, the variable-phase form), and
-force_from_fd integrates it over the whole momentum half line.  The same
-band with a unit source and G = 0 at the plate gives the Green's function
-(solve_bvp_above/_full).  The module shares nothing with the closed forms
-except the quadrature; the PlateConfig it takes lives in errors, not in
-greens.  docs/numerics.md section 6 derives the discretization, the
-slope, the identity and the grids.  When cfg.b == 0
-(the eta = 0 cross-checks) kappa is the physical momentum K and
-integrands divide by 1 instead of b^{1/3}.
+solved as one tridiagonal system, the plate on a node and a WKB decay
+closure at each open end, on one checked path (_solve), for w decaying
+away from the plate with w = 1 on it.  Its slope there is one side's
+stress integrand (integrand_from_fd); the net integrand is one positive
+integral over both sides (_net_fd, on two nested grids sharing their
+nodes), which force_from_fd integrates over all momenta.  With a unit
+source and G = 0 at the plate the band gives the Green's function
+(solve_bvp_above/_full).  Nothing but the quadrature and errors is shared
+with the closed forms; docs/numerics.md section 6 derives it all.  When
+cfg.b == 0 (the eta = 0 cross-checks) kappa is the physical momentum K.
 """
 
 from __future__ import annotations
@@ -88,13 +84,12 @@ def _solve_tridiagonal_bvp(h: float, q: np.ndarray, source: Optional[int], plate
     n = q.size
     at = {"lo": 0, "hi": n - 1, "mid": (n - 1) // 2}[plate]
     # row i: c_{i-1} g_{i-1} + d_i g_i + c_{i+1} g_{i+1} with c = 1 - (h^2/12) q
-    # and d = -2 (1 + (5 h^2/12) q), each built in place
+    # and d = -2 (1 + (5 h^2/12) q) = -2 (5 h^2/12) q - 2 (doubling is exact), in place
     c = q * -(h * h / 12.0)
     c += 1.0
     dl, du = c[:-1], c[1:].copy()  # apart: dgtsv overwrites both
-    d = q * (5.0 * h * h / 12.0)
-    d += 1.0
-    d *= -2.0
+    d = q * (-2.0 * (5.0 * h * h / 12.0))
+    d -= 2.0
     if kink >= 0:
         d[kink] -= h * h * h * jump / 12.0
     if at > 0:  # closure row first
@@ -145,22 +140,30 @@ def _q_plate(kappa: float, cfg: PlateConfig) -> float:
 _BAND_MAX = sys.float_info.max / 16.0
 
 
-def _grid_values(kappa: float, cfg: PlateConfig, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and q on the grid, once the open end is padded by >= 8 decay lengths."""
-    xs = np.linspace(grid.x_lo, grid.x_hi, grid.n)
-    q = _momentum_factor(cfg) * kappa * kappa + cfg.b * np.abs(xs)
+def _nodes(kappa: float, cfg: PlateConfig, grid: GridSpec) -> tuple:  # x, q, sqrt(q), unchecked
+    xs = np.arange(grid.n, dtype=float)  # np.linspace's nodes i h + x_lo, built in place
+    xs *= grid.h
+    xs += grid.x_lo
+    xs[-1] = grid.x_hi
+    q = np.abs(xs) * cfg.b
+    q += _momentum_factor(cfg) * kappa * kappa
+    return xs, q, np.sqrt(q)
+
+
+def _grid_values(kappa: float, cfg: PlateConfig, grid: GridSpec, values: tuple = ()) -> tuple:
+    """values, else _nodes, once the band is finite and the open end padded >= 8 e-folds."""
+    xs, q, sq = values = values or _nodes(kappa, cfg, grid)
     # q = b^{2/3} kappa^2 + b |x|, and with it every band entry, peaks at an
     # end of the grid, so two products stand in for a pass over the band
     h, q_lo, q_hi = grid.h, float(q[0]), float(q[-1])
     if not (h * h * q_lo < _BAND_MAX and h * h * q_hi < _BAND_MAX):  # NaN fails too
         raise DomainError(f"kappa={kappa!r} overflows the finite-difference band: q reaches "
                           f"{max(q_lo, q_hi):.3e} at an end of the grid (h = {h:.3e})")
-    sq = np.sqrt(q)  # the decay margin: e-folds of the closure, by the trapezoid rule
-    margin = float((0.5 * (sq[0] + sq[-1]) + sq[1:-1].sum()) * h)
+    margin = float((0.5 * (sq[0] + sq[-1]) + sq[1:-1].sum()) * h)  # closure e-folds, trapezoid
     if margin < 8.0:
         raise DomainError(f"kappa={kappa!r}: domain too short: integral of sqrt(q) is "
                           f"{margin:.2f}, need >= 8 for the decay closure to be trustworthy")
-    return xs, q
+    return values
 
 
 def _source_index(xp: float, grid: GridSpec) -> int:
@@ -177,8 +180,8 @@ def _source_index(xp: float, grid: GridSpec) -> int:
 _W1 = object()  # _solve's source when there is none: w = 1 at the plate
 
 
-def _solve(kappa: float, cfg: PlateConfig, side: str, grid: GridSpec,
-           xp: object = _W1) -> tuple[float, np.ndarray, np.ndarray]:
+def _solve(kappa: float, cfg: PlateConfig, side: str, grid: GridSpec, xp: object = _W1,
+           values: tuple = ()) -> tuple[float, np.ndarray, np.ndarray]:
     """Every FD band solve: (checked kappa, nodes, solution).
 
     The grid starts ('above') or ends ('below') at the plate, or, for side
@@ -197,7 +200,7 @@ def _solve(kappa: float, cfg: PlateConfig, side: str, grid: GridSpec,
     if not abs(at - cfg.a) <= 1e-12 * max(1.0, abs(cfg.a)):
         raise DomainError(f"grid must {verb} at the plate x = {cfg.a!r}")
     node = None if xp is _W1 else _source_index(xp, grid)
-    xs, q = _grid_values(kappa, cfg, grid)
+    xs, q, _ = _grid_values(kappa, cfg, grid, values)
     h = grid.h
     j = round(-grid.x_lo / h) if grid.x_lo < 0.0 < grid.x_hi else -1  # the node nearest x = 0
     kink = j if j >= 0 and abs(xs[j]) <= 1e-6 * h else -1
@@ -294,16 +297,25 @@ _NET_CELLS = 800  # least cells a side on the coarse grid
 _NET_DENSITY = 50.0  # least coarse cells per decay length 1/sqrt(q(a))
 
 
-def _net_simpson(kappa: float, cfg: PlateConfig, m: int, p: int) -> float:
-    """net by Simpson's rule on p cells of a/m a side of the plate (m, p even); see _net_fd."""
-    grid = GridSpec(cfg.a - p * (cfg.a / m), cfg.a + p * (cfg.a / m), 2 * p + 1)
-    w = _solve(kappa, cfg, "both", grid)[2]
-    f = np.minimum(np.arange(p + 1) * grid.h, cfg.a)  # 2 b min(a, s) w_a w_b / (2 b)
-    f *= w[p:]
+def _net_grid(cfg: PlateConfig, m: int, p: int) -> GridSpec:  # p cells of a/m a side
+    return GridSpec(cfg.a - p * (cfg.a / m), cfg.a + p * (cfg.a / m), 2 * p + 1)
+
+
+def _net_values(kappa: float, cfg: PlateConfig, grid: GridSpec) -> tuple:
+    """_nodes on a _net_grid, then the weights min(a, s) at the distances s = k h, k <= p."""
+    s = np.arange(grid.n // 2 + 1) * grid.h
+    return (*_nodes(kappa, cfg, grid), np.minimum(s, cfg.a, out=s))
+
+
+def _net_simpson(kappa: float, cfg: PlateConfig, grid: GridSpec, values: tuple = ()) -> float:
+    """net by Simpson's rule on a _net_grid (m, p even) and its _net_values, if given."""
+    p = grid.n // 2
+    values = values or _net_values(kappa, cfg, grid)
+    w = _solve(kappa, cfg, "both", grid, values=values[:3])[2]
+    f = values[3] * w[p:]  # 2 b min(a, s) w_a w_b / (2 b)
     f *= w[p::-1]
     simpson = float(f[0] + f[p] + 4.0 * f[1::2].sum() + 2.0 * f[2:p:2].sum())
-    scale = 2.0 * cfg.b / _bcube(cfg)
-    return scale * grid.h / 3.0 * simpson
+    return 2.0 * cfg.b / _bcube(cfg) * grid.h / 3.0 * simpson
 
 
 def _net_fd(kappa: float, cfg: PlateConfig) -> tuple[float, float]:
@@ -314,17 +326,21 @@ def _net_fd(kappa: float, cfg: PlateConfig) -> tuple[float, float]:
     s the distance from the plate, w_a and w_b (one _solve) decaying away
     from it above and below with w(0) = 1.  Spacing a/m, m even, puts the
     kink s = a on a Simpson panel edge; the weight is formed from s, never
-    as q_a - q_b.  One Richardson step over m and 2m on nested grids
-    removes the h^4 term; err_est is its size.
+    as q_a - q_b.  One Richardson step over m and 2m removes the h^4 term;
+    err_est is its size.  The coarse grid takes the fine grid's _net_values'
+    even entries, bit for bit its own, and runs every check of _solve.
     """
     kappa = _common_checks(kappa, cfg)
     reach = max(_reach(kappa, cfg, side, _EFOLDS) for side in ("above", "below"))
     cells = max(_NET_CELLS / reach, _NET_DENSITY * math.sqrt(_q_plate(kappa, cfg)))
     m = 2 * math.ceil(cfg.a * cells / 2.0)
     p = 2 * math.ceil(reach * m / (2.0 * cfg.a))
-    coarse, fine = _net_simpson(kappa, cfg, m, p), _net_simpson(kappa, cfg, 2 * m, 2 * p)
-    step = (fine - coarse) / 15.0
-    return fine + step, abs(step)
+    coarse, fine = _net_grid(cfg, m, p), _net_grid(cfg, 2 * m, 2 * p)
+    values = _net_values(kappa, cfg, fine)
+    s_m = _net_simpson(kappa, cfg, coarse, tuple(v[::2] for v in values))
+    s_2m = _net_simpson(kappa, cfg, fine, values)
+    step = (s_2m - s_m) / 15.0
+    return s_2m + step, abs(step)
 
 
 _FD_SPEC = QuadratureSpec(rel_tol=1e-9)

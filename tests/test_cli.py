@@ -249,13 +249,6 @@ class TestImportFootprint:
                        "'casimir_plate.verify'", "'scipy.integrate'"):
             assert module in loaded
 
-    def test_cli_import_loads_no_oracle_scipy(self):
-        code = (
-            "import sys, casimir_plate.cli; "
-            "print(sorted(m for m in ('scipy.integrate', 'scipy.linalg', 'scipy.special') if m in sys.modules))"
-        )
-        assert self.fresh_stdout(code) == "[]"
-
     def test_package_import_and_force_path_load_no_scipy_special(self):
         # a force builds the Taylor table, whose seeds need no library Airy call
         code = (

@@ -118,6 +118,35 @@ def test_fd_force_and_net_sample_bits():
         "0x1.d989bf84ca554p-3", "0x1.5bba355555555p-33"]
 
 
+# (kappa, eta): (value, err_est) of one FD net sample.  m is set by the
+# reach at eta <= 1 and kappa <= 3, by the density elsewhere; the grid
+# holds x = 0 (the kink row) where m < p: eta <= 1 with kappa <= 3, and
+# (100, 1e-3)
+NET_FD = {
+    (0.0, 1e-3): ("0x1.8c8eac002c74fp-4", "0x1.4211eeeeeeeefp-39"),
+    (0.0, 1.0): ("0x1.9dc4607df74cbp-2", "0x1.d704e55555555p-34"),
+    (0.0, 1e4): ("0x1.7c464e24ac542p-6", "0x1.1457cdbbbbbbcp-34"),
+    (1e-3, 1e-3): ("0x1.8c8e9ff905148p-4", "0x1.4213d55555555p-39"),
+    (1e-3, 1.0): ("0x1.9dc44ca7d909ap-2", "0x1.d6fffdddddddep-34"),
+    (1e-3, 1e4): ("0x1.7c464cfc75789p-6", "0x1.13e6ba2222222p-34"),
+    (3.0, 1e-3): ("0x1.914138d10d0b7p-6", "0x1.24890e4444444p-35"),
+    (3.0, 1.0): ("0x1.98fbe4c07466bp-5", "0x1.00b0ec0000000p-33"),
+    (3.0, 1e4): ("0x1.0c3582d0e5388p-6", "0x1.85b22fbbbbbbcp-35"),
+    (100.0, 1e-3): ("0x1.a36d1bc338c1ap-15", "0x1.2c0148ccccccdp-43"),
+    (100.0, 1.0): ("0x1.a3637230af3eep-15", "0x1.305f9b7777777p-43"),
+    (100.0, 1e4): ("0x1.a287595b78672p-15", "0x1.302c175555555p-43"),
+    (1e4, 1e-3): ("0x1.5798ee1d45b35p-28", "0x1.f35f775555555p-57"),
+    (1e4, 1.0): ("0x1.5798ede962623p-28", "0x1.f36e471111111p-57"),
+    (1e4, 1e4): ("0x1.5798e94915ec7p-28", "0x1.f3712ceeeeeefp-57"),
+}
+
+
+@pytest.mark.parametrize("kappa, eta", list(NET_FD))
+def test_net_fd_sample_bits(kappa, eta):
+    net = oracle_ode._net_fd(kappa, PlateConfig.from_eta(eta))
+    assert tuple(v.hex() for v in net) == NET_FD[kappa, eta]
+
+
 # one Green's-function column per solver: (solver, kappa, eta, grid, source
 # node) -> {node: value} and the correctly rounded sum of the whole column;
 # the below grid has a node on the kink x = 0 (node 9000)

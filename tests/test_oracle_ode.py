@@ -375,8 +375,8 @@ class TestNetIntegral:
     def test_integrand_is_nonnegative_on_every_node(self, monkeypatch):
         solve, seen = oracle_ode._solve, []
 
-        def record(kappa, cfg, side, grid, xp=oracle_ode._W1):
-            out = solve(kappa, cfg, side, grid, xp)
+        def record(kappa, cfg, side, grid, xp=oracle_ode._W1, values=None):
+            out = solve(kappa, cfg, side, grid, xp, values)
             seen.append((cfg, grid, out[2]))
             return out
 
@@ -390,13 +390,40 @@ class TestNetIntegral:
             s = np.arange(p + 1) * grid.h
             assert (2.0 * cfg.b * np.minimum(cfg.a, s) * w[p:] * w[p::-1] >= 0.0).all()
 
+    def test_coarse_grid_is_the_fine_grids_even_nodes(self, monkeypatch):
+        # each sample forms its arrays once on the fine grid; the coarse grid's
+        # nodes, q, sqrt(q) and weights, its every other entry, must be bit for
+        # bit the ones it forms itself (its nodes np.linspace's), and so must
+        # its Simpson value
+        simpson, seen = oracle_ode._net_simpson, []
+
+        def record(kappa, cfg, grid, values=None):
+            seen.append((grid, values))
+            return simpson(kappa, cfg, grid, values)
+
+        monkeypatch.setattr(oracle_ode, "_net_simpson", record)
+        for eta in [10.0 ** (k / 2.0) for k in range(-6, 13)]:
+            cfg = PlateConfig.from_eta(eta)
+            for kappa in [0.0] + [10.0 ** (k / 2.0) for k in range(-6, 9)]:
+                seen.clear()
+                oracle_ode._net_fd(kappa, cfg)
+                (grid, coarse), (fine_grid, fine) = seen
+                assert (fine_grid.x_lo, fine_grid.x_hi) == (grid.x_lo, grid.x_hi)
+                assert (fine_grid.n, fine_grid.h) == (2 * grid.n - 1, grid.h / 2.0)
+                own = oracle_ode._net_values(kappa, cfg, grid)
+                assert own[0].tobytes() == np.linspace(grid.x_lo, grid.x_hi, grid.n).tobytes()
+                for mine, nested, full in zip(own, coarse, fine):
+                    assert mine.tobytes() == nested.tobytes() == full[::2].tobytes(), (eta, kappa)
+                assert simpson(kappa, cfg, grid, coarse) == simpson(kappa, cfg, grid)
+
     def test_kink_row_makes_the_sample_fourth_order(self, monkeypatch):
         # eta = 1, kappa = 0: halving h cuts the error 16.0x; without the
         # kink row, 4.0x (second order, 1.5e-5 at m = 60)
         cfg, ref = PlateConfig.from_eta(1.0), integrand_net(0.0, 1.0).net
 
         def ratio():
-            errs = [abs(oracle_ode._net_simpson(0.0, cfg, m, 10 * m) - ref) for m in (60, 120)]
+            grids = [oracle_ode._net_grid(cfg, m, 10 * m) for m in (60, 120)]
+            errs = [abs(oracle_ode._net_simpson(0.0, cfg, grid) - ref) for grid in grids]
             return errs[0] / errs[1]
 
         assert ratio() >= 12.0
