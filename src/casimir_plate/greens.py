@@ -208,7 +208,9 @@ def below_ratio_from_construction(kappa: float, cfg: PlateConfig) -> float:
     This is the stress integrand the below-plate construction implies,
     assembled from the u coefficients with the common exponent factored
     out.  It repeats the stress module's algebra on the same Airy values, so
-    agreement is no cross-check; verify.integrand_from_greens is the one.
+    agreement is no cross-check; verify's stress_sides_from_fd (the sides
+    against the Airy-free FD oracle) and fd_oracle_spots (the FD G against
+    greens_linear_above/below) are the cross-checks.
     Nothing in the package calls it and the package does not export it; it
     stays only because perfbench/tracer.py binds it by name, and goes when
     the tracer reads package counters instead (ROADMAP item 1).

@@ -256,17 +256,25 @@ _EFOLDS = 16.0  # e-folds of sqrt(q) every grid reaches from the plate
 
 
 def _reach(kappa: float, cfg: PlateConfig, side: str, efolds: float) -> float:
-    """Distance from the plate over which sqrt(q) integrates to efolds on a side (_span)."""
+    """Distance from the plate over which sqrt(q) integrates to efolds on a side (_span).
+
+    A reach below ulp(a), where a grid would collapse onto the plate, is a
+    DomainError naming kappa, and so is a NaN one, where q(a) overflows.
+    """
     q_plate = _q_plate(kappa, cfg)
     if side == "above":
-        return _span(q_plate, cfg.b, efolds)
-    # (0, a) holds f_a = (2/3) (A^3 - B^3)/b e-folds, A = sqrt(q(a)), B = sqrt(q(0))
-    ks2 = _momentum_factor(cfg) * kappa * kappa
-    r = math.sqrt(ks2 / q_plate)
-    f_a = 2.0 / 3.0 * cfg.a * math.sqrt(q_plate) * (1.0 + r + r * r) / (1.0 + r)
-    if f_a < efolds:
-        return cfg.a + _span(ks2, cfg.b, efolds - f_a)
-    return _span(q_plate, -cfg.b, efolds)
+        reach = _span(q_plate, cfg.b, efolds)
+    else:
+        # (0, a) holds f_a = (2/3) (A^3 - B^3)/b e-folds, A = sqrt(q(a)), B = sqrt(q(0))
+        ks2 = _momentum_factor(cfg) * kappa * kappa
+        r = math.sqrt(ks2 / q_plate)
+        f_a = 2.0 / 3.0 * cfg.a * math.sqrt(q_plate) * (1.0 + r + r * r) / (1.0 + r)
+        reach = (cfg.a + _span(ks2, cfg.b, efolds - f_a) if f_a < efolds
+                 else _span(q_plate, -cfg.b, efolds))
+    if not reach >= math.ulp(cfg.a):  # NaN fails too
+        raise DomainError(f"kappa={kappa!r} is too large for the finite-difference grid: "
+                          f"it would span {reach:.3e}, below one ulp of a = {cfg.a!r}")
+    return reach
 
 
 _DENSITY = 640.0  # least cells per decay length 1/sqrt(q(a)) on a one-side grid
@@ -277,16 +285,12 @@ def fd_setup(kappa: float, cfg: PlateConfig, side: str) -> GridSpec:
 
     Spacing h = a/m, m >= 16 the least whole number with h <=
     1/(_DENSITY sqrt(q(a))): a grid that reaches x = 0 has it on a node,
-    which gets the kink row, and the slope's 5 nodes stay clear of it.  A
-    reach below ulp(a), where the grid would collapse onto the plate, is a
-    DomainError naming kappa.
+    which gets the kink row, and the slope's 5 nodes stay clear of it.
+    _reach refuses a kappa whose grid would collapse onto the plate.
     """
     kappa = _common_checks(kappa, cfg)
     plate, _ = _plate_side(side)
     reach = _reach(kappa, cfg, side, _EFOLDS)
-    if not reach >= math.ulp(cfg.a):  # NaN too, where q(a) overflows
-        raise DomainError(f"kappa={kappa!r} is too large for the finite-difference grid: "
-                          f"it would span {reach:.3e}, below one ulp of a = {cfg.a!r}")
     h = cfg.a / max(16, math.ceil(_DENSITY * cfg.a * math.sqrt(_q_plate(kappa, cfg))))
     n = max(math.ceil(reach / h) + 1, 1000)
     lo, hi = (cfg.a, cfg.a + (n - 1) * h) if plate == "lo" else (cfg.a - (n - 1) * h, cfg.a)

@@ -16,8 +16,7 @@ momentum half line), within 4.3e-13 relative of mpmath (CHANGES.md); the
 net sample and the two Green's-function columns of the band solver date
 from the same change, which gave a grid node on x = 0 the kink row.  The one-sample FD
 integrands date from the change that took them as the plate slope of the
-w(0) = 1 solve, 3.3e-13 to 3.0e-11 from mpmath.  The Green's-function
-integrands, like the force_exact values, date from the marched seeds.
+w(0) = 1 solve, 3.3e-13 to 3.0e-11 from mpmath.
 """
 
 import math
@@ -41,7 +40,6 @@ from casimir_plate.oracle_ode import (
     solve_bvp_above,
     solve_bvp_full,
 )
-from casimir_plate.verify import integrand_from_greens
 
 # (eta, rel_tol, pinned kappa_max): (f_eta, err_est, kappa_max, n_evals)
 FORCE = {
@@ -182,14 +180,6 @@ INTEGRAND_FD = {
     (0.7, 0.0, "below"): "-0x1.6666666637f00p-1",
 }
 
-# (kappa, eta, side): verify.integrand_from_greens
-INTEGRAND_GREENS = {
-    (0.0, 1.0, "above"): "-0x1.2d236faf7f313p+0",
-    (0.0, 1.0, "below"): "-0x1.8b64af5a400cbp-1",
-    (1.5, 0.5, "above"): "-0x1.d1ad1829e6a1ap+0",
-    (1.5, 0.5, "below"): "-0x1.ab0c77d38b7f7p+0",
-}
-
 
 def _cfg(eta):
     return PlateConfig.from_eta(eta) if eta > 0.0 else PlateConfig(a=1.0, b=0.0)
@@ -201,9 +191,3 @@ def test_integrand_from_fd_bits(case):
     cfg = _cfg(eta)
     got = integrand_from_fd(kappa, cfg, side, fd_setup(kappa, cfg, side))
     assert got.hex() == INTEGRAND_FD[case]
-
-
-@pytest.mark.parametrize("case", list(INTEGRAND_GREENS), ids=[repr(c) for c in INTEGRAND_GREENS])
-def test_integrand_from_greens_bits(case):
-    kappa, eta, side = case
-    assert integrand_from_greens(kappa, _cfg(eta), side).hex() == INTEGRAND_GREENS[case]

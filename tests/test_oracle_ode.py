@@ -4,6 +4,7 @@ import ast
 import json
 import math
 import re
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -214,15 +215,17 @@ class TestGridSize:
 
 class TestOverflowingMomentum:
     # q = b^{2/3} kappa^2 + b |x| overflows at kappa ~ 1.3e154 (b = 1), and
-    # fd_setup refuses every kappa whose grid would span less than ulp(a),
-    # from kappa ~ 7.2e16 at eta = 1
+    # fd_setup and the net sample refuse every kappa whose grid would span
+    # less than ulp(a), from kappa ~ 7.2e16 at eta = 1 (one check, in _reach)
     CFG = PlateConfig.from_eta(1.0)
 
-    @pytest.mark.parametrize("kappa", [1e103, 1e154, 1e155, 1e200])
-    @pytest.mark.parametrize("side", ["above", "below"])
-    def test_setup_names_kappa(self, kappa, side):
+    @pytest.mark.parametrize("kappa", [3e17, 1e103, 1e154, 1e155, 1e200])
+    @pytest.mark.parametrize("setup", [partial(fd_setup, side="above"),
+                                       partial(fd_setup, side="below"), oracle_ode._net_fd],
+                             ids=["above", "below", "net"])
+    def test_setup_names_kappa(self, kappa, setup):
         with pytest.raises(DomainError, match=re.escape(f"kappa={kappa!r} is too large")):
-            fd_setup(kappa, self.CFG, side)
+            setup(kappa, self.CFG)
 
     @pytest.mark.parametrize("kappa", [1e155, 1e200])
     @pytest.mark.parametrize(

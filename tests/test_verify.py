@@ -7,8 +7,6 @@ import pytest
 
 from casimir_plate import cli, verify
 from casimir_plate.errors import DomainError
-from casimir_plate.greens import PlateConfig
-from casimir_plate.stress_kernel import integrand_above, integrand_below
 
 
 @pytest.mark.parametrize("check", verify.CHECKS, ids=lambda c: c.name)
@@ -36,20 +34,17 @@ def test_unknown_suite_names_the_choices():
         verify.run("nonsense")
 
 
-@pytest.mark.parametrize("side", ["left", "", "Above"])
-def test_integrand_from_greens_rejects_unknown_side(side):
-    with pytest.raises(DomainError, match="side must be 'above' or 'below'"):
-        verify.integrand_from_greens(1.0, PlateConfig.from_eta(1.0), side)
+# cli classic takes its exit code from this row and measures 8.1e-14 at
+# --rel-tol 1e-6, so its bound stays where the CLI needs it
+_LOOSE_BY_DESIGN = {"classic_two_plate_value"}
 
 
-@pytest.mark.parametrize("kappa", [0.0, 1e-3, 0.1])
-@pytest.mark.parametrize("side, closed_form", [("above", integrand_above),
-                                               ("below", integrand_below)])
-def test_integrand_from_greens_at_small_eta(kappa, side, closed_form):
-    # eps = 0.003/sqrt(q(a)) alone is 3 > a here: the sources crossed the kink
-    # and the sides were 1.6e-4 (below) and 3.0e-6 (above) off
-    got = verify.integrand_from_greens(kappa, PlateConfig.from_eta(1e-6), side)
-    assert abs(got / closed_form(kappa, 1e-6) - 1.0) <= 1e-8
+def test_thresholds_sit_near_their_measurements():
+    # a bound far above its row's value cannot catch a regression of that
+    # size; rows measuring 0 are exempt, and a count's bound is 0 anyway
+    for c, r in zip(verify.CHECKS, verify.run("all")):
+        if r.measured and c.name not in _LOOSE_BY_DESIGN:
+            assert c.threshold <= 100.0 * r.measured, (c.name, r.measured, c.threshold)
 
 
 def test_cli_classic_exit_reads_the_table_row(monkeypatch, capsys):
