@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from casimir_plate import cli, verify
+from casimir_plate import cli, greens, stress_kernel, verify
 from casimir_plate.errors import DomainError
 
 
@@ -45,6 +45,33 @@ def test_thresholds_sit_near_their_measurements():
     for c, r in zip(verify.CHECKS, verify.run("all")):
         if r.measured and c.name not in _LOOSE_BY_DESIGN:
             assert c.threshold <= 100.0 * r.measured, (c.name, r.measured, c.threshold)
+
+
+def _row(name):
+    return next(c for c in verify.CHECKS if c.name == name).run()
+
+
+@pytest.mark.parametrize("side", ["above", "below"])
+@pytest.mark.parametrize("eta_max", [math.inf, 1e-3], ids=["all_eta", "small_eta"])
+def test_stress_sides_row_catches_a_wrong_side(monkeypatch, side, eta_max):
+    # a 1e-8 error in one side, everywhere or only below eta = 1e-3 (where
+    # the old eps probe was 1.6e-4 off), takes the row over its 1e-9 bound
+    name = f"integrand_{side}"
+    true = getattr(stress_kernel, name)
+    monkeypatch.setattr(stress_kernel, name,
+                        lambda k, eta: true(k, eta) * (1.0 + 1e-8 * (eta < eta_max)))
+    r = _row("stress_sides_from_fd")
+    assert not r.passed and r.measured == pytest.approx(1e-8, rel=0.05)
+
+
+@pytest.mark.parametrize("side", ["above", "below"])
+def test_fd_oracle_spots_catch_a_wrong_green(monkeypatch, side):
+    # the closed-form G of either side, 1e-8 off, fails the two-sided G row
+    name = f"greens_linear_{side}"
+    true = getattr(greens, name)
+    monkeypatch.setattr(greens, name, lambda *args: true(*args) * (1.0 + 1e-8))
+    r = _row("fd_oracle_spots")
+    assert not r.passed and r.measured == pytest.approx(1e-8, rel=0.05)
 
 
 def test_cli_classic_exit_reads_the_table_row(monkeypatch, capsys):
