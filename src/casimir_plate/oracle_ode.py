@@ -7,15 +7,17 @@ closure at each open end, on one checked path (_solve), for w decaying
 away from the plate with w = 1 on it.  Its slope there is one side's
 stress integrand (integrand_from_fd); the net integrand is one positive
 integral over both sides (_net_fd, on two nested grids sharing their
-nodes), which force_from_fd integrates over all momenta.  With a unit
-source and G = 0 at the plate the band gives the Green's function
-(solve_bvp_above/_full).  Nothing but the quadrature and errors is shared
-with the closed forms; docs/numerics.md section 6 derives it all.  When
+nodes), which force_from_fd integrates over all momenta by its own nested
+Clenshaw-Curtis rule (_cc_level).  With a unit source and G = 0 at the
+plate the band gives the Green's function (solve_bvp_above/_full).
+Nothing but QuadratureSpec and errors is shared with the closed forms;
+docs/numerics.md section 6 derives it all.  When
 cfg.b == 0 (the eta = 0 cross-checks) kappa is the physical momentum K.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import sys
@@ -25,7 +27,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DomainError, OracleError, PlateConfig, ToleranceError, as_real, check_real
-from .quadrature import QuadratureSpec, integrate_finite
+from .quadrature import QuadratureSpec
 
 __all__ = ["GridSpec", "solve_bvp_above", "solve_bvp_full", "integrand_from_fd", "fd_setup",
            "force_from_fd"]
@@ -67,6 +69,13 @@ def _bcube(cfg: PlateConfig) -> float:  # integrands divide by b^{1/3}, by 1 whe
     return cfg.b ** (1.0 / 3.0) if cfg.b > 0.0 else 1.0
 
 
+@functools.cache
+def _dgtsv():  # LAPACK's tridiagonal solver, bound on first use: scipy stays off the import path
+    from scipy.linalg.lapack import dgtsv
+
+    return dgtsv
+
+
 def _solve_tridiagonal_bvp(h: float, q: np.ndarray, source: Optional[int], plate: str,
                            kink: int = -1, jump: float = 0.0) -> np.ndarray:
     """Band solve of w'' = q w, the plate on the first, last or middle node ('lo', 'hi', 'mid').
@@ -79,8 +88,6 @@ def _solve_tridiagonal_bvp(h: float, q: np.ndarray, source: Optional[int], plate
     its node by exactly -h/12, corrected after the solve.  The band is
     checked finite (_grid_values), so LAPACK info != 0 is a fault.
     """
-    from scipy.linalg.lapack import dgtsv  # oracle only; kept off the import path
-
     n = q.size
     at = {"lo": 0, "hi": n - 1, "mid": (n - 1) // 2}[plate]
     # row i: c_{i-1} g_{i-1} + d_i g_i + c_{i+1} g_{i+1} with c = 1 - (h^2/12) q
@@ -105,7 +112,7 @@ def _solve_tridiagonal_bvp(h: float, q: np.ndarray, source: Optional[int], plate
     else:
         w = -h / 12.0
         rhs[source - 1 : source + 2] = (w, 10.0 * w, w)
-    g, info = dgtsv(dl, d, du, rhs, overwrite_dl=1, overwrite_d=1, overwrite_du=1,
+    g, info = _dgtsv()(dl, d, du, rhs, overwrite_dl=1, overwrite_d=1, overwrite_du=1,
                     overwrite_b=1)[3:]
     if info != 0:
         raise OracleError(f"tridiagonal solve failed: LAPACK dgtsv returned info={info}")
@@ -145,7 +152,8 @@ def _nodes(kappa: float, cfg: PlateConfig, grid: GridSpec) -> tuple:  # x, q, sq
     xs *= grid.h
     xs += grid.x_lo
     xs[-1] = grid.x_hi
-    q = np.abs(xs) * cfg.b
+    q = np.abs(xs)
+    q *= cfg.b
     q += _momentum_factor(cfg) * kappa * kappa
     return xs, q, np.sqrt(q)
 
@@ -307,7 +315,8 @@ def _net_grid(cfg: PlateConfig, m: int, p: int) -> GridSpec:  # p cells of a/m a
 
 def _net_values(kappa: float, cfg: PlateConfig, grid: GridSpec) -> tuple:
     """_nodes on a _net_grid, then the weights min(a, s) at the distances s = k h, k <= p."""
-    s = np.arange(grid.n // 2 + 1) * grid.h
+    s = np.arange(grid.n // 2 + 1, dtype=float)
+    s *= grid.h
     return (*_nodes(kappa, cfg, grid), np.minimum(s, cfg.a, out=s))
 
 
@@ -348,35 +357,78 @@ def _net_fd(kappa: float, cfg: PlateConfig) -> tuple[float, float]:
 
 
 _FD_SPEC = QuadratureSpec(rel_tol=1e-9)
+_CC_FIRST = 8  # intervals of the first Clenshaw-Curtis level
+_CC_MAX = 1024  # intervals of the last; eta = 1e-8 stops at 512
+
+
+@functools.cache
+def _cc_level(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(t, 1 - t, weights) of the n-interval Clenshaw-Curtis rule on [0, 1], n even.
+
+    t_j = sin^2(theta_j/2) and 1 - t_j = cos^2(theta_j/2), theta_j = j pi/n,
+    so nothing cancels near either end, and theta_j, hence every node, has
+    the bits of node 2j of level 2n.  The weights are
+    w_j = (c_j/2n) (1 - sum_{k=1}^{n/2} b_k cos(2 pi k j/n)/(4k^2 - 1)),
+    c_j = 1 at the ends and 2 inside, b_k = 1 at k = n/2 and 2 below, each
+    sum taken by math.fsum over libm cosines of arguments reduced mod 2 pi.
+    """
+    half = [j * math.pi / (2 * n) for j in range(n + 1)]  # theta_j/2
+    t = np.square([math.sin(x) for x in half])
+    u = np.square([math.cos(x) for x in half])
+    cosines = np.array([math.cos(2.0 * math.pi * min(m, n - m) / n) for m in range(n)])
+    k = np.arange(1, n // 2 + 1)
+    b = np.where(k == n // 2, 1.0, 2.0) / (4.0 * k * k - 1.0)
+    sums = [math.fsum(row) for row in (b * cosines[np.outer(np.arange(n + 1), k) % n]).tolist()]
+    w = np.array([1.0 - s for s in sums]) / n
+    w[[0, -1]] *= 0.5
+    for a in (t, u, w):  # every caller shares the cached arrays
+        a.flags.writeable = False
+    return t, u, w
 
 
 def _force_fd(eta: float) -> tuple[float, float]:
     """(f(eta), err_est): eta^{2/3}/(2 pi) times the integral of _net_fd over kappa >= 0.
 
-    integrate_finite (not force_exact's rule) runs over kappa = k0 t/(1 - t),
-    t in [0, 1), with no cutoff; k0 = max(eta^{1/6}, eta^{-1/3}) is where
-    net turns over.  err_est is the quadrature's plus f times the largest
-    relative sample err_est, a bound on the samples' part as every sample
-    is positive.  A miss of _FD_SPEC raises ToleranceError naming eta.
+    Nested Clenshaw-Curtis (_cc_level, not force_exact's rule) runs over
+    kappa = k0 t/(1 - t), t in [0, 1], with no cutoff; k0 = max(eta^{1/6},
+    eta^{-1/3}) is where net turns over.  The node t = 1 is never sampled:
+    as net -> 1/(2 kappa^2), the integrand k0 net/(1 - t)^2 tends to 1/(2 k0)
+    there.  Each level after _CC_FIRST intervals doubles them and samples
+    only the nodes the coarser level lacks, in one pass; its weighted
+    values are summed with one math.fsum.  It stops when |I_n - I_{n/2}|
+    meets _FD_SPEC; err_est is that difference plus f times the largest
+    relative sample err_est, a bound on the samples' part as every weight
+    and sample is positive.  A miss at _CC_MAX intervals raises
+    ToleranceError naming eta.
     """
     eta = check_real(eta, "eta", strict=True)
     cfg = PlateConfig.from_eta(eta)
     k0 = max(eta ** (1.0 / 6.0), eta ** (-1.0 / 3.0))
     worst = 0.0
 
-    def integrand(ts: np.ndarray) -> list[float]:
+    def integrand(t: np.ndarray, u: np.ndarray) -> np.ndarray:  # u = 1 - t
         nonlocal worst
-        samples = [(t, *_net_fd(k0 * t / (1.0 - t), cfg)) for t in ts.tolist()]
-        worst = max(worst, *(err / net for _, net, err in samples))
-        return [k0 * net / ((1.0 - t) * (1.0 - t)) for t, net, _ in samples]
+        samples = [_net_fd(kappa, cfg) for kappa in (k0 * t / u).tolist()]
+        worst = max(worst, *(err / net for net, err in samples))
+        return k0 * np.array([net for net, _ in samples]) / (u * u)
 
-    r = integrate_finite(integrand, 0.0, 1.0, _FD_SPEC)
+    n = _CC_FIRST
+    t, u, w = _cc_level(n)
+    f = np.append(integrand(t[:-1], u[:-1]), 0.5 / k0)
+    value, converged = math.fsum((w * f).tolist()), False
+    while not converged and n < _CC_MAX:
+        coarse, n = value, 2 * n
+        t, u, w = _cc_level(n)
+        f = np.insert(f, range(1, f.size), integrand(t[1::2], u[1::2]))
+        value = math.fsum((w * f).tolist())
+        err = abs(value - coarse)
+        converged = err <= max(_FD_SPEC.rel_tol * abs(value), _FD_SPEC.abs_tol)
     scale = eta ** (2.0 / 3.0) / (2.0 * math.pi)
-    if not r.converged:  # err_est in units of f, as force_exact reports it
+    if not converged:  # err_est in units of f, as force_exact reports it
         raise ToleranceError(f"FD momentum integral did not converge on kappa in [0, inf); "
                              f"eta={eta!r}, rel_tol={_FD_SPEC.rel_tol!r}, "
-                             f"err_est={scale * r.err_est:.3e}")
-    return scale * r.value, scale * r.err_est + worst * scale * abs(r.value)
+                             f"err_est={scale * err:.3e}")
+    return scale * value, scale * err + worst * scale * abs(value)
 
 
 def force_from_fd(eta: float) -> float:

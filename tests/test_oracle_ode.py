@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from casimir_plate import QuadratureSpec, airy_engine, greens, oracle_ode, quadrature, stress_kernel
+from casimir_plate import QuadratureSpec, airy_engine, greens, oracle_ode, stress_kernel
 from casimir_plate.errors import DomainError, OracleError, ToleranceError
 from casimir_plate.greens import PlateConfig, greens_free_above, greens_linear_above
 from casimir_plate.oracle_ode import (
@@ -23,8 +23,8 @@ from casimir_plate.oracle_ode import (
 )
 from casimir_plate.stress_kernel import force_exact, integrand_above, integrand_below, integrand_net
 
-# Frozen pipeline output, 2.6e-13 from mpmath; agreement with force_exact is re-asserted below.
-FORCE_FD_ETA_1 = 0.11450293526927262
+# Frozen pipeline output, 3.0e-13 from mpmath; agreement with force_exact is re-asserted below.
+FORCE_FD_ETA_1 = 0.11450293526926848
 # integrand_from_fd at kappa = 0.5, eta = 1 on the fd_setup grids, also frozen
 # (2.8e-12 and 4.4e-12 from mpmath)
 INTEGRAND_FD_ABOVE = -1.269378278502948
@@ -159,12 +159,10 @@ class TestBandedSolver:
 
     def test_failed_factorization_is_typed(self, monkeypatch):
         # the band is diagonally dominant, so only a LAPACK fault gives info != 0
-        import scipy.linalg.lapack
-
         def singular(dl, d, du, b, **overwrite):
             return dl, d, du, b, 7
 
-        monkeypatch.setattr(scipy.linalg.lapack, "dgtsv", singular)
+        monkeypatch.setattr(oracle_ode, "_dgtsv", lambda: singular)
         with pytest.raises(OracleError, match="dgtsv returned info=7"):
             solve_bvp_above(1.0, self.CFG, 3.0, GridSpec(1.0, 9.0, 4001))
 
@@ -344,12 +342,55 @@ class TestForcePipeline:
             assert math.isfinite(integrand_from_fd(1.5, cfg, side, fd_setup(1.5, cfg, side)))
 
     def test_nonconvergence_raises_and_names_inputs(self, monkeypatch):
+        # the refusal at the last Clenshaw-Curtis level
         monkeypatch.setattr(oracle_ode, "_FD_SPEC", QuadratureSpec(rel_tol=1e-12, abs_tol=1e-30))
-        monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", 2)
+        monkeypatch.setattr(oracle_ode, "_CC_MAX", 16)
         with pytest.raises(ToleranceError) as info:
             force_from_fd(1.0)
         text = str(info.value)
         assert "eta=1.0" in text and "rel_tol=1e-12" in text and "err_est=" in text
+
+
+class TestClenshawCurtis:
+    # the nested rule _force_fd integrates net with, on t in [0, 1]
+    LEVELS = [8 * 2**k for k in range(8)]  # 8 ... 1024 intervals
+    ORACLE_ETAS = (0.03, 0.1, 0.3, 1.0, 3.0, 10.0, 30.0, 100.0)
+
+    def test_levels_nest_bit_for_bit(self):
+        assert self.LEVELS[-1] == oracle_ode._CC_MAX
+        for n in self.LEVELS[:-1]:
+            coarse, fine = oracle_ode._cc_level(n), oracle_ode._cc_level(2 * n)
+            for mine, nested in zip(coarse[:2], fine[:2]):  # t and 1 - t
+                assert mine.tobytes() == nested[::2].tobytes(), n
+
+    @pytest.mark.parametrize("n", LEVELS)
+    def test_weights_integrate_polynomials(self, n):
+        t, u, w = oracle_ode._cc_level(n)
+        assert (t[0], t[-1], u[0]) == (0.0, 1.0, 1.0) and (w > 0.0).all()
+        assert np.abs(t + u - 1.0).max() <= 2.0**-52
+        assert abs(math.fsum(w.tolist()) - 1.0) <= 1e-15
+        for k in range(1, n + 1):
+            assert abs(math.fsum((w * t**k).tolist()) - 1.0 / (k + 1)) <= 1e-15, (n, k)
+
+    @pytest.mark.parametrize("eta", [0.03, 1.0, 100.0])
+    def test_endpoint_law(self, eta):
+        # net -> 1/(2 kappa^2) at rate eta^{1/3}/kappa^2: the t = 1 node's limit 1/(2 k0)
+        cfg = PlateConfig.from_eta(eta)
+        for kappa in (1e2, 1e3, 1e4):
+            net, _ = oracle_ode._net_fd(kappa, cfg)
+            assert abs(2.0 * kappa * kappa * net - 1.0) <= 2.0 * eta ** (1.0 / 3.0) / kappa**2
+
+    def test_oracle_forces_take_at_most_384_samples(self, monkeypatch):
+        net, kappas = oracle_ode._net_fd, []
+
+        def counting(kappa, cfg):
+            kappas.append(kappa)
+            return net(kappa, cfg)
+
+        monkeypatch.setattr(oracle_ode, "_net_fd", counting)
+        for eta in self.ORACLE_ETAS:
+            oracle_ode._force_fd(eta)
+        assert len(kappas) <= 384 and all(map(math.isfinite, kappas))
 
 
 REFS = json.loads((Path(__file__).resolve().parent.parent / "perfbench" / "refs.json").read_text())
