@@ -8,7 +8,7 @@ touches an Airy function, and exposed through the casimir-plate CLI.
 
 Layout: airy_engine (scaled special functions), greens (closed-form
 propagators), stress_kernel (integrands, forces), quadrature (exp-sinh
-on the half line, adaptive Gauss-Kronrod on a finite interval), oracle_ode
+on the half line, Clenshaw-Curtis on a finite interval), oracle_ode
 (independent checks), verify (invariant suites), cli (presentation),
 errors (exception types and the argument checks, PlateConfig among them).
 

@@ -150,6 +150,19 @@ def _load_cache(path: str) -> dict:
 _ROW_FIELDS = ("eta", "f_eta", "err_est", "kappa_max", "n_evals")
 
 
+def _cached_row(entry: dict, eta: float, path: str, key: str) -> tuple:
+    """The row a cache entry holds, refused unless it is finite numbers with its key's eta."""
+    row = tuple(entry[k] for k in _ROW_FIELDS)
+    numbers = all(type(v) in (int, float) and math.isfinite(v) for v in row)
+    if not numbers or type(row[4]) is not int:
+        raise DomainError(f"cache file {path!r}: row {key!r} must hold finite numbers, "
+                          f"got {entry!r}")
+    if row[0] != eta:
+        raise DomainError(f"cache file {path!r}: row {key!r} holds eta={row[0]!r}, "
+                          f"not its key's {eta!r}")
+    return row
+
+
 def cmd_curve(args: argparse.Namespace) -> int:
     spec = _resolve_spec(args)
     grid = _curve_grid(args.eta_min, args.eta_max, args.points, args.spacing)
@@ -161,9 +174,10 @@ def cmd_curve(args: argparse.Namespace) -> int:
     rows: dict[float, tuple] = {}
     misses: list[float] = []
     for eta in grid:
-        entry = cache.get(f"{eta!r}|{fp}")
+        key = f"{eta!r}|{fp}"
+        entry = cache.get(key)
         if isinstance(entry, dict) and all(k in entry for k in _ROW_FIELDS):
-            rows[eta] = tuple(entry[k] for k in _ROW_FIELDS)
+            rows[eta] = _cached_row(entry, eta, args.cache, key)
         else:
             misses.append(eta)
 
@@ -262,11 +276,12 @@ def _read_curve_csv(path: str) -> list[tuple]:
         if len(parts) != 5:
             raise DomainError(f"malformed CSV row: {ln!r}")
         try:
-            rows.append(
-                (float(parts[0]), float(parts[1]), float(parts[2]), float(parts[3]), int(parts[4]))
-            )
+            row = (*map(float, parts[:4]), int(parts[4]))
         except ValueError:
             raise DomainError(f"malformed CSV row: {ln!r}")
+        if not all(map(math.isfinite, row)):
+            raise DomainError(f"CSV row with a value that is not finite: {ln!r}")
+        rows.append(row)
     return rows
 
 

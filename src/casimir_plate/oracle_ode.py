@@ -7,9 +7,9 @@ closure at each open end, on one checked path (_solve), for w decaying
 away from the plate with w = 1 on it.  Its slope there is one side's
 stress integrand (integrand_from_fd); the net integrand is one positive
 integral over both sides (_net_fd, on two nested grids sharing their
-nodes), which force_from_fd integrates over all momenta by its own nested
-Clenshaw-Curtis rule (_cc_level).  With a unit source and G = 0 at the
-plate the band gives the Green's function (solve_bvp_above/_full).
+nodes), which force_from_fd integrates over all momenta by the nested
+Clenshaw-Curtis rule integrate_finite.  With a unit source and G = 0 at
+the plate the band gives the Green's function (solve_bvp_above/_full).
 Nothing but QuadratureSpec and errors is shared with the closed forms;
 docs/numerics.md section 6 derives it all.  When
 cfg.b == 0 (the eta = 0 cross-checks) kappa is the physical momentum K.
@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DomainError, OracleError, PlateConfig, ToleranceError, as_real, check_real
-from .quadrature import QuadratureSpec
+from .quadrature import QuadratureSpec, integrate_finite
 
 __all__ = ["GridSpec", "solve_bvp_above", "solve_bvp_full", "integrand_from_fd", "fd_setup",
            "force_from_fd"]
@@ -357,78 +357,45 @@ def _net_fd(kappa: float, cfg: PlateConfig) -> tuple[float, float]:
 
 
 _FD_SPEC = QuadratureSpec(rel_tol=1e-9)
-_CC_FIRST = 8  # intervals of the first Clenshaw-Curtis level
-_CC_MAX = 1024  # intervals of the last; eta = 1e-8 stops at 512
-
-
-@functools.cache
-def _cc_level(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(t, 1 - t, weights) of the n-interval Clenshaw-Curtis rule on [0, 1], n even.
-
-    t_j = sin^2(theta_j/2) and 1 - t_j = cos^2(theta_j/2), theta_j = j pi/n,
-    so nothing cancels near either end, and theta_j, hence every node, has
-    the bits of node 2j of level 2n.  The weights are
-    w_j = (c_j/2n) (1 - sum_{k=1}^{n/2} b_k cos(2 pi k j/n)/(4k^2 - 1)),
-    c_j = 1 at the ends and 2 inside, b_k = 1 at k = n/2 and 2 below, each
-    sum taken by math.fsum over libm cosines of arguments reduced mod 2 pi.
-    """
-    half = [j * math.pi / (2 * n) for j in range(n + 1)]  # theta_j/2
-    t = np.square([math.sin(x) for x in half])
-    u = np.square([math.cos(x) for x in half])
-    cosines = np.array([math.cos(2.0 * math.pi * min(m, n - m) / n) for m in range(n)])
-    k = np.arange(1, n // 2 + 1)
-    b = np.where(k == n // 2, 1.0, 2.0) / (4.0 * k * k - 1.0)
-    sums = [math.fsum(row) for row in (b * cosines[np.outer(np.arange(n + 1), k) % n]).tolist()]
-    w = np.array([1.0 - s for s in sums]) / n
-    w[[0, -1]] *= 0.5
-    for a in (t, u, w):  # every caller shares the cached arrays
-        a.flags.writeable = False
-    return t, u, w
 
 
 def _force_fd(eta: float) -> tuple[float, float]:
     """(f(eta), err_est): eta^{2/3}/(2 pi) times the integral of _net_fd over kappa >= 0.
 
-    Nested Clenshaw-Curtis (_cc_level, not force_exact's rule) runs over
-    kappa = k0 t/(1 - t), t in [0, 1], with no cutoff; k0 = max(eta^{1/6},
-    eta^{-1/3}) is where net turns over.  The node t = 1 is never sampled:
-    as net -> 1/(2 kappa^2), the integrand k0 net/(1 - t)^2 tends to 1/(2 k0)
-    there.  Each level after _CC_FIRST intervals doubles them and samples
-    only the nodes the coarser level lacks, in one pass; its weighted
-    values are summed with one math.fsum.  It stops when |I_n - I_{n/2}|
-    meets _FD_SPEC; err_est is that difference plus f times the largest
-    relative sample err_est, a bound on the samples' part as every weight
-    and sample is positive.  A miss at _CC_MAX intervals raises
-    ToleranceError naming eta.
+    integrate_finite (nested Clenshaw-Curtis, not force_exact's rule) runs
+    over kappa = k0 t/(1 - t), t in [0, 1], with no cutoff; k0 =
+    max(eta^{1/6}, eta^{-1/3}) is where net turns over.  The node t = 1,
+    kappa = inf, is never sampled: as net -> 1/(2 kappa^2), the integrand
+    k0 net/(1 - t)^2 tends to 1/(2 k0) there.  err_est is the rule's plus
+    f times the largest relative sample err_est, a bound on the samples'
+    part as every weight and sample is positive.  A miss with _FD_SPEC
+    raises ToleranceError naming eta.
     """
     eta = check_real(eta, "eta", strict=True)
     cfg = PlateConfig.from_eta(eta)
     k0 = max(eta ** (1.0 / 6.0), eta ** (-1.0 / 3.0))
     worst = 0.0
 
-    def integrand(t: np.ndarray, u: np.ndarray) -> np.ndarray:  # u = 1 - t
+    def integrand(t: np.ndarray) -> list[float]:
         nonlocal worst
-        samples = [_net_fd(kappa, cfg) for kappa in (k0 * t / u).tolist()]
-        worst = max(worst, *(err / net for net, err in samples))
-        return k0 * np.array([net for net, _ in samples]) / (u * u)
+        values = []
+        for tj in t.tolist():
+            u = 1.0 - tj
+            if u == 0.0:  # kappa = inf
+                values.append(0.5 / k0)
+                continue
+            net, err = _net_fd(k0 * tj / u, cfg)
+            worst = max(worst, err / net)
+            values.append(k0 * net / (u * u))
+        return values
 
-    n = _CC_FIRST
-    t, u, w = _cc_level(n)
-    f = np.append(integrand(t[:-1], u[:-1]), 0.5 / k0)
-    value, converged = math.fsum((w * f).tolist()), False
-    while not converged and n < _CC_MAX:
-        coarse, n = value, 2 * n
-        t, u, w = _cc_level(n)
-        f = np.insert(f, range(1, f.size), integrand(t[1::2], u[1::2]))
-        value = math.fsum((w * f).tolist())
-        err = abs(value - coarse)
-        converged = err <= max(_FD_SPEC.rel_tol * abs(value), _FD_SPEC.abs_tol)
+    r = integrate_finite(integrand, 0.0, 1.0, _FD_SPEC)
     scale = eta ** (2.0 / 3.0) / (2.0 * math.pi)
-    if not converged:  # err_est in units of f, as force_exact reports it
+    if not r.converged:  # err_est in units of f, as force_exact reports it
         raise ToleranceError(f"FD momentum integral did not converge on kappa in [0, inf); "
                              f"eta={eta!r}, rel_tol={_FD_SPEC.rel_tol!r}, "
-                             f"err_est={scale * err:.3e}")
-    return scale * value, scale * err + worst * scale * abs(value)
+                             f"err_est={scale * r.err_est:.3e}")
+    return scale * r.value, scale * r.err_est + worst * scale * abs(r.value)
 
 
 def force_from_fd(eta: float) -> float:

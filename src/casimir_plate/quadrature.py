@@ -1,43 +1,34 @@
-"""Deterministic quadrature: adaptive Gauss 7 / Kronrod 15 on a finite
+"""Deterministic quadrature: a nested Clenshaw-Curtis rule on a finite
 interval, a nested exp-sinh rule on the half line.
 
-Each panel is evaluated once with the 15-point Kronrod rule; the embedded
-7-point Gauss value supplies the error estimate.  The interval is never
-evaluated as one panel: the first step evaluates its two halves, and
-every later step bisects the panel with the worst estimate (QAG in
-Piessens et al., QUADPACK, 1983), until the summed estimate meets
-tolerance or _MAX_SUBDIVISIONS bisections are spent.  Panels are ordered
-by (estimate, left endpoint), a total order, and the final value is an
-exact compensated sum over panels, so identical inputs produce
-bit-identical results.  That property is load-bearing: the command-line
-layer promises byte-identical output across reruns and worker counts.
+Both rules refine by levels that nest: each level evaluates only the nodes
+the coarser one lacks, in one call of f, and sums its weighted values with
+one math.fsum, which is exact, so identical inputs produce bit-identical
+results whatever the order of the terms.  That property is load-bearing:
+the command-line layer promises byte-identical output across reruns and
+worker counts.  The estimate is the difference from the coarser level
+(Bailey, Jeyabalan and Li, Exp. Math. 14, 2005).
 
 Integrand contract: ``f`` takes a 1-D float array of nodes and returns a
 sequence of as many values (an array, or a list from a scalar function
-wrapped in a comprehension).  It is called once per step, on the 30 nodes
-of the two halves of the panel the step bisects.  The Kronrod and Gauss
-sums of each panel run node by node in Python floats in a fixed order, so
-the result does not depend on how f computes its values, only on the
-values themselves.
+wrapped in a comprehension).
 
-No rule node ever touches a panel endpoint, so integrands may be left
-unevaluated (or singular but integrable) at interval ends.  A panel whose
-halves would have a node rounded onto an endpoint is at float resolution
-and is not refined further; the result then reports converged=False if
-the tolerance was not met.
+The finite interval: Clenshaw-Curtis on n = _CC_FIRST, 2 n, ... up to
+_CC_MAX intervals, on the nodes lo + (hi - lo) sin^2(theta/2), theta =
+j pi/n (_cc_level).  The nodes include both ends, so f must be finite
+there; a value that is not finite anywhere is a DomainError naming its
+node.  The rule converges geometrically on integrands analytic on the
+interval (Trefethen, SIAM Review 50, 2008).
 
 The half line: the trapezoidal rule in s on kappa = e^{pi sinh s},
 |s| <= _S, at h = 1/16, then h/2, h/4, h/8 (Takahasi and Mori, Publ. RIMS
-9, 1974), each level evaluating only the nodes the coarser one lacks in one
-call of f, and summed with math.fsum.  The estimate is the
-difference from the coarser level (Bailey, Jeyabalan and Li, Exp. Math.
-14, 2005) plus the part of the integral beyond each edge of the window,
-which no level difference sees.
+9, 1974).  Its estimate adds the part of the integral beyond each edge of
+the window, which no level difference sees.
 """
 
 from __future__ import annotations
 
-import heapq
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -53,35 +44,6 @@ __all__ = [
     "integrate_finite",
     "integrate_semi_infinite",
 ]
-
-# Kronrod-15 abscissae (positive half, descending) and weights; the Gauss-7
-# subset sits at indices 1, 3, 5 plus the center.  Standard tabulated values.
-_XGK = (
-    0.991455371120812639206854697526329,
-    0.949107912342758524526189684047851,
-    0.864864423359769072789712788640926,
-    0.741531185599394439863864773280788,
-    0.586087235467691130294144838258730,
-    0.405845151377397166906606412076961,
-    0.207784955007898467600689403773245,
-)
-_WGK = (
-    0.022935322010529224963732008058970,
-    0.063092092629978553290700663189204,
-    0.104790010322250183839876322541518,
-    0.140653259715525918745189590510238,
-    0.169004726639267902826583426598550,
-    0.190350578064785409913256402421014,
-    0.204432940075298892414161999234649,
-    0.209482141084727828012999174891714,
-)
-_WG = (
-    0.129484966168869693270611432679082,
-    0.279705391489276667901467771423780,
-    0.381830050505118944950369775488975,
-    0.417959183673469387755102040816327,
-)
-
 
 # The exp-sinh nodes u = e^{pi sinh s} and weights pi cosh(s) u at s = k/_FINE,
 # |s| <= _S.  Level h = step/_FINE holds the k divisible by step; _LEVELS
@@ -106,9 +68,8 @@ _ETA_MAX = sys.float_info.max / 8.0
 _KAPPA_MAX = _ETA_MAX ** (1.0 / 6.0)
 _K0_MAX = _KAPPA_MAX / _U[-1].item()
 
-
-# bisections integrate_finite may spend on one interval, the first included
-_MAX_SUBDIVISIONS = 200
+_CC_FIRST = 8  # intervals of the first Clenshaw-Curtis level
+_CC_MAX = 1024  # intervals of the last
 
 # change it whenever a force result moves, n_evals included, so that cached
 # curve rows are recomputed rather than served stale
@@ -147,9 +108,9 @@ class QuadratureSpec:
 class QuadResult:
     """value, err_est, n_evals, converged, and edge, the window-edge part of err_est.
 
-    err_est bounds the error only when converged is True: a panel at float
-    resolution is not refined further, and the part of the integral it
-    cannot resolve is in no estimate.  edge is 0 on a finite interval.
+    err_est bounds the error only when converged is True: a level
+    difference sees nothing that no level resolves.  edge is 0 on a
+    finite interval.
     """
 
     value: float
@@ -163,39 +124,39 @@ class QuadResult:
 Integrand = Callable[[np.ndarray], Sequence[float]]
 
 
-# the 15 Kronrod abscissae of [-1, 1], ascending
-_X = np.array([-x for x in _XGK] + [0.0] + list(reversed(_XGK)))
+@functools.cache
+def _cc_level(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(nodes, weights) of the n-interval Clenshaw-Curtis rule on [0, 1], n even.
 
-
-def _halves(lo: float, hi: float) -> Optional[tuple[float, np.ndarray]]:
-    """(mid, the 30 Kronrod nodes of [lo, mid] and [mid, hi], ascending).
-
-    None when a node would round onto an endpoint of its half: the panel
-    is then at float resolution and cannot be refined.  c + half * (-x) has
-    the bits of c - half * x, so each node is the one a scalar rule on the
-    half would use.
+    Node j is sin^2(theta_j/2), theta_j = j pi/n, so nothing cancels near
+    t = 0, 1 - t is exact near t = 1, and theta_j, hence every node, has
+    the bits of node 2j of level 2n.  The weights are
+    w_j = (c_j/2n) (1 - sum_{k=1}^{n/2} b_k cos(2 pi k j/n)/(4k^2 - 1)),
+    c_j = 1 at the ends and 2 inside, b_k = 1 at k = n/2 and 2 below, each
+    sum taken by math.fsum over libm cosines of arguments reduced mod 2 pi.
     """
-    mid = 0.5 * (lo + hi)
-    c = np.array([0.5 * (lo + mid), 0.5 * (mid + hi)])
-    half = np.array([0.5 * (mid - lo), 0.5 * (hi - mid)])
-    x = (c[:, None] + half[:, None] * _X).ravel()
-    if not (lo < x[0] and x[14] < mid < x[15] and x[29] < hi):
-        return None
-    return mid, x
+    t = np.square([math.sin(j * math.pi / (2 * n)) for j in range(n + 1)])
+    cosines = np.array([math.cos(2.0 * math.pi * min(m, n - m) / n) for m in range(n)])
+    k = np.arange(1, n // 2 + 1)
+    b = np.where(k == n // 2, 1.0, 2.0) / (4.0 * k * k - 1.0)
+    sums = [math.fsum(row) for row in (b * cosines[np.outer(np.arange(n + 1), k) % n]).tolist()]
+    w = np.array([1.0 - s for s in sums]) / n
+    w[[0, -1]] *= 0.5
+    for a in (t, w):  # every caller shares the cached arrays
+        a.flags.writeable = False
+    return t, w
 
 
-def _gk15(fx: list[float], lo: float, hi: float) -> tuple[float, float]:
-    """Kronrod value and |Kronrod - Gauss| estimate from the 15 values at the nodes of [lo, hi]."""
-    half = 0.5 * (hi - lo)
-    fc = fx[7]
-    resk = _WGK[7] * fc
-    resg = _WG[3] * fc
-    for j in range(7):
-        pair = fx[j] + fx[14 - j]
-        resk += _WGK[j] * pair
-        if j % 2 == 1:
-            resg += _WG[j // 2] * pair
-    return resk * half, abs(resk - resg) * abs(half)
+def _finite_values(f: Integrand, x: np.ndarray) -> np.ndarray:
+    """f at the nodes x, checked for shape and finiteness."""
+    fx = np.asarray(f(x), dtype=float)
+    if fx.shape != x.shape:
+        raise DomainError(f"integrand returned shape {fx.shape} for {x.size} nodes")
+    bad = np.flatnonzero(~np.isfinite(fx))
+    if bad.size:
+        j = bad[0]
+        raise DomainError(f"integrand is {fx[j].item()!r} at the node x={x[j].item()!r}")
+    return fx
 
 
 def integrate_finite(
@@ -204,57 +165,30 @@ def integrate_finite(
     hi: float,
     spec: QuadratureSpec = QuadratureSpec(),
 ) -> QuadResult:
-    """Adaptive integral of f over [lo, hi]; f maps an array of nodes to values.
+    """Integral of f over [lo, hi] by nested Clenshaw-Curtis; f maps an array of nodes to values.
 
-    The first step evaluates the two halves of [lo, hi].  Every later step
-    pops the panel with the worst estimate and evaluates its two halves in
-    one call.  Each bisection, the first included, counts against
-    _MAX_SUBDIVISIONS.  converged means the summed panel estimate met
-    max(rel_tol*|value|, abs_tol) within that budget.  err_est is the sum
-    of the estimates of the panels that were evaluated; it bounds the
-    error only when converged is True (when refinement stops at a panel at
-    float resolution, what that panel cannot resolve is in no estimate).
+    The first call evaluates the _CC_FIRST + 1 nodes of the first level,
+    both ends included; each later call the nodes that the next level, of
+    twice the intervals, adds between them.  err_est is |I_n - I_{n/2}|;
+    converged means it met max(rel_tol*|value|, abs_tol) by _CC_MAX
+    intervals.  A value that is not finite is a DomainError naming its node.
     """
-    if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi:
+    if not (lo <= hi and math.isfinite(hi - lo)):  # NaN fails too
         raise DomainError(f"bad interval [{lo!r}, {hi!r}]")
     if lo == hi:
         return QuadResult(0.0, 0.0, 0, True)
-
-    # heap entries: (-err, left, right, value); left endpoints are unique,
-    # which makes the ordering total and the refinement deterministic.  The
-    # root enters with no value and no estimate: it is bisected before it
-    # is ever evaluated.
-    heap = [(-0.0, lo, hi, 0.0)]
-    total = 0.0
-    total_err = 0.0
-    splits = 0
-    tol = spec.abs_tol  # max(rel_tol*|total|, abs_tol) at total = 0
-    while splits == 0 or (total_err > tol and splits < _MAX_SUBDIVISIONS):
-        halves = _halves(heap[0][1], heap[0][2])
-        if halves is None:
-            if splits == 0:
-                raise DomainError(f"interval [{lo!r}, {hi!r}] is too narrow for rule nodes")
-            break
-        neg_err, plo, phi, pval = heapq.heappop(heap)
-        mid, x = halves
-        fx = np.asarray(f(x), dtype=float)
-        if fx.shape != (30,):
-            raise DomainError(f"integrand returned shape {fx.shape} for 30 nodes")
-        fx = fx.tolist()
-        v1, e1 = _gk15(fx[:15], plo, mid)
-        v2, e2 = _gk15(fx[15:], mid, phi)
-        total += (v1 + v2) - pval
-        total_err += (e1 + e2) + neg_err
-        heapq.heappush(heap, (-e1, plo, mid, v1))
-        heapq.heappush(heap, (-e2, mid, phi, v2))
-        splits += 1
-        tol = max(spec.rel_tol * abs(total), spec.abs_tol)
-
-    panels = sorted(heap, key=lambda p: p[1])
-    value = math.fsum(p[3] for p in panels)
-    err_est = math.fsum(-p[0] for p in panels)
-    converged = err_est <= max(spec.rel_tol * abs(value), spec.abs_tol)
-    return QuadResult(value, err_est, 30 * splits, converged)
+    width, n = hi - lo, _CC_FIRST
+    t, w = _cc_level(n)
+    fx = _finite_values(f, lo + width * t)
+    value, err, converged = width * math.fsum((w * fx).tolist()), math.inf, False
+    while not converged and n < _CC_MAX:
+        coarse, n = value, 2 * n
+        t, w = _cc_level(n)
+        fx = np.insert(fx, range(1, fx.size), _finite_values(f, lo + width * t[1::2]))
+        value = width * math.fsum((w * fx).tolist())
+        err = abs(value - coarse)
+        converged = err <= max(spec.rel_tol * abs(value), spec.abs_tol)
+    return QuadResult(value, err, n + 1, converged)
 
 
 def _tail(end: float, inner: float) -> float:

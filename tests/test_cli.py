@@ -187,6 +187,29 @@ class TestCurve:
         rc, _ = run_cli(["curve", *self.ARGS, "--out", str(tmp_path / "c.csv"), "--cache", str(cache)], capsys)
         assert rc == 2
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("eta", "x", "must hold finite numbers"),
+        ("f_eta", None, "must hold finite numbers"),
+        ("n_evals", 9.5, "must hold finite numbers"),
+        ("eta", 7.0, "holds eta=7.0, not its key's"),
+    ])
+    def test_malformed_cached_row_is_usage_error(self, tmp_path, capsys, field, value, message):
+        # a row under the current fingerprint whose fields are not finite
+        # numbers, or whose eta is not its key's, is refused by name rather
+        # than crashing or written to the CSV as it stands
+        cache, out = tmp_path / "cache.json", tmp_path / "c.csv"
+        assert run_cli(["curve", *self.ARGS, "--out", str(out), "--cache", str(cache)], capsys)[0] == 0
+        data = json.loads(cache.read_text())
+        key = sorted(data)[2]
+        data[key][field] = value
+        cache.write_text(json.dumps(data))
+        out.unlink()
+        rc = cli.main(["curve", *self.ARGS, "--out", str(out), "--cache", str(cache)])
+        err = capsys.readouterr().err
+        assert rc == 2 and err.startswith("error: ") and "Traceback" not in err
+        assert f"cache file {str(cache)!r}: row {key!r} " in err and message in err
+        assert not out.exists()
+
     def test_spacing_validation(self, tmp_path, capsys):
         rc, _ = run_cli(
             ["curve", "--eta-min", "1", "--eta-max", "2", "--points", "1", "--out", str(tmp_path / "c.csv")],
@@ -258,6 +281,23 @@ class TestImportFootprint:
             "print('scipy.special' in sys.modules)"
         )
         assert self.fresh_stdout(code) == "False\nFalse"
+
+    @pytest.mark.parametrize("argv", [
+        ["exact", "--eta", "1", "--json"],
+        ["curve", "--eta-min", "0.5", "--eta-max", "2", "--points", "3", "--out", "{tmp}/c.csv"],
+    ], ids=["exact", "curve"])
+    def test_force_path_commands_build_no_clenshaw_curtis_level(self, argv, tmp_path):
+        # the finite rule sits in the force path's quadrature module; its
+        # levels are built on first use, which no force command makes
+        code = "\n".join([
+            "import contextlib, io, sys",
+            "import casimir_plate.cli",
+            "with contextlib.redirect_stdout(io.StringIO()):",
+            "    rc = casimir_plate.cli.main(sys.argv[1:])",
+            "print(rc, casimir_plate.quadrature._cc_level.cache_info().currsize)",
+        ])
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        assert self.fresh_stdout(code, *argv) == "0 0"
 
     def test_package_import_builds_no_ode_trajectory(self):
         # the ODE oracle integrates its trajectories on first use, not at import
@@ -363,6 +403,16 @@ class TestPlot:
     def test_missing_input(self, tmp_path, capsys):
         rc, _ = run_cli(["plot", "--input", str(tmp_path / "nope.csv"), "--output", str(tmp_path / "x.svg")], capsys)
         assert rc == 2
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_csv_value_is_usage_error(self, tmp_path, capsys, value):
+        bad = tmp_path / "bad.csv"
+        row = f"1.0,{value},1e-12,1.0,9"
+        bad.write_text(f"{CSV_HEADER}\n{row}\n2.0,0.2,1e-12,1.0,9\n")
+        svg = tmp_path / "x.svg"
+        assert cli.main(["plot", "--input", str(bad), "--output", str(svg)]) == 2
+        assert f"not finite: {row!r}" in capsys.readouterr().err
+        assert not svg.exists()
 
     def test_malformed_csv(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

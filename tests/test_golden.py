@@ -13,9 +13,11 @@ force_perturbative value dates from its closed form through E1, and is
 the correctly rounded mpmath value.  The force_from_fd values date from
 the nested Clenshaw-Curtis rule over the variable-phase FD samples (net
 as one positive integral), within 4.5e-13 relative of mpmath
-(CHANGES.md); the net sample and the two Green's-function columns of the
-band solver date from the variable-phase change, which gave a grid node
-on x = 0 the kink row.  The one-sample FD
+(CHANGES.md); the eta = 0.3 value and the eta = 1 err_est date from the
+change that made that rule integrate_finite, which forms 1 - t from t.
+The net sample and the two Green's-function columns of the band solver
+date from the variable-phase change, which gave a grid node on x = 0 the
+kink row.  The one-sample FD
 integrands date from the change that took them as the plate slope of the
 w(0) = 1 solve, 3.3e-13 to 3.0e-11 from mpmath.
 """
@@ -97,7 +99,7 @@ def test_force_perturbative_bits():
 
 # eta: force_from_fd(eta) at its default tolerance
 FORCE_FD = {
-    0.3: "0x1.9bf526a64b0a6p-5",
+    0.3: "0x1.9bf526a64b0a2p-5",
     1.0: "0x1.d50107a470b19p-4",
     3.0: "0x1.c2b6c3b3d506fp-3",
 }
@@ -112,7 +114,7 @@ def test_fd_force_and_net_sample_bits():
     # (value, err_est) of the FD force at eta = 1 and of one net sample there
     cfg = PlateConfig.from_eta(1.0)
     assert [v.hex() for v in oracle_ode._force_fd(1.0)] == [
-        "0x1.d50107a470b19p-4", "0x1.54daee3d24e2dp-32"]
+        "0x1.d50107a470b19p-4", "0x1.54db0248cb788p-32"]
     assert [v.hex() for v in oracle_ode._net_fd(1.0, cfg)] == [
         "0x1.d989bf84ca554p-3", "0x1.5bba355555555p-33"]
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from casimir_plate import QuadratureSpec, airy_engine, greens, oracle_ode, stress_kernel
+from casimir_plate import QuadratureSpec, airy_engine, greens, oracle_ode, quadrature, stress_kernel
 from casimir_plate.errors import DomainError, OracleError, ToleranceError
 from casimir_plate.greens import PlateConfig, greens_free_above, greens_linear_above
 from casimir_plate.oracle_ode import (
@@ -344,33 +344,24 @@ class TestForcePipeline:
     def test_nonconvergence_raises_and_names_inputs(self, monkeypatch):
         # the refusal at the last Clenshaw-Curtis level
         monkeypatch.setattr(oracle_ode, "_FD_SPEC", QuadratureSpec(rel_tol=1e-12, abs_tol=1e-30))
-        monkeypatch.setattr(oracle_ode, "_CC_MAX", 16)
+        monkeypatch.setattr(quadrature, "_CC_MAX", 16)
         with pytest.raises(ToleranceError) as info:
             force_from_fd(1.0)
         text = str(info.value)
         assert "eta=1.0" in text and "rel_tol=1e-12" in text and "err_est=" in text
 
+    def test_momentum_integral_is_the_packages_finite_rule(self, monkeypatch):
+        # one call of oracle_ode's integrate_finite binding on [0, 1], the
+        # binding the benchmark's tracer wraps
+        rule, calls = oracle_ode.integrate_finite, []
 
-class TestClenshawCurtis:
-    # the nested rule _force_fd integrates net with, on t in [0, 1]
-    LEVELS = [8 * 2**k for k in range(8)]  # 8 ... 1024 intervals
-    ORACLE_ETAS = (0.03, 0.1, 0.3, 1.0, 3.0, 10.0, 30.0, 100.0)
+        def counting(f, lo, hi, spec):
+            calls.append((lo, hi, spec))
+            return rule(f, lo, hi, spec)
 
-    def test_levels_nest_bit_for_bit(self):
-        assert self.LEVELS[-1] == oracle_ode._CC_MAX
-        for n in self.LEVELS[:-1]:
-            coarse, fine = oracle_ode._cc_level(n), oracle_ode._cc_level(2 * n)
-            for mine, nested in zip(coarse[:2], fine[:2]):  # t and 1 - t
-                assert mine.tobytes() == nested[::2].tobytes(), n
-
-    @pytest.mark.parametrize("n", LEVELS)
-    def test_weights_integrate_polynomials(self, n):
-        t, u, w = oracle_ode._cc_level(n)
-        assert (t[0], t[-1], u[0]) == (0.0, 1.0, 1.0) and (w > 0.0).all()
-        assert np.abs(t + u - 1.0).max() <= 2.0**-52
-        assert abs(math.fsum(w.tolist()) - 1.0) <= 1e-15
-        for k in range(1, n + 1):
-            assert abs(math.fsum((w * t**k).tolist()) - 1.0 / (k + 1)) <= 1e-15, (n, k)
+        monkeypatch.setattr(oracle_ode, "integrate_finite", counting)
+        assert force_from_fd(1.0) == FORCE_FD_ETA_1
+        assert calls == [(0.0, 1.0, oracle_ode._FD_SPEC)]
 
     @pytest.mark.parametrize("eta", [0.03, 1.0, 100.0])
     def test_endpoint_law(self, eta):
@@ -388,7 +379,7 @@ class TestClenshawCurtis:
             return net(kappa, cfg)
 
         monkeypatch.setattr(oracle_ode, "_net_fd", counting)
-        for eta in self.ORACLE_ETAS:
+        for eta in (0.03, 0.1, 0.3, 1.0, 3.0, 10.0, 30.0, 100.0):
             oracle_ode._force_fd(eta)
         assert len(kappas) <= 384 and all(map(math.isfinite, kappas))
 

@@ -1,4 +1,4 @@
-"""Quadrature: adaptive Gauss-Kronrod on finite intervals, the nested exp-sinh rule on the half line.
+"""Quadrature: nested Clenshaw-Curtis on finite intervals, the nested exp-sinh rule on the half line.
 
 Integrands follow the array contract: a 1-D array of nodes in, as many values out.
 """
@@ -54,12 +54,12 @@ class TestSpec:
 
 
 class TestFiniteIntervals:
-    def test_polynomial_exactness_single_panel(self):
-        # Kronrod 15 integrates degree <= 22 exactly; the first step (one
-        # panel per half) suffices
+    def test_polynomial_exactness_first_levels(self):
+        # the 8- and 16-interval levels integrate degree <= 9 exactly; the
+        # second level's difference from the first meets the tolerance
         r = integrate_finite(lambda x: 7.0 * x**6, 0.0, 1.0)
         assert r.value == pytest.approx(1.0, rel=1e-15)
-        assert r.n_evals == 30
+        assert r.converged and r.n_evals == 17
 
     def test_degenerate_interval(self):
         r = integrate_finite(np.sin, 2.0, 2.0)
@@ -72,29 +72,35 @@ class TestFiniteIntervals:
         assert r.converged
 
     def test_mild_endpoint_singularity(self):
+        # sqrt(x) = sin(theta/2) on the nodes: the rule converges like n^-3,
+        # not geometrically, and at 1e-9 says so rather than pretend (err_est
+        # 7.1e-10 at 1024 intervals, the error 1.0e-10); 1e-6 it meets
         r = integrate_finite(np.sqrt, 0.0, 1.0)
-        assert r.value == pytest.approx(2.0 / 3.0, rel=1e-9)
-        assert r.converged
-        assert r.n_evals % 15 == 0
+        assert abs(r.value - 2.0 / 3.0) <= r.err_est
+        assert not r.converged and r.n_evals == quadrature._CC_MAX + 1
+        r = integrate_finite(np.sqrt, 0.0, 1.0, QuadratureSpec(rel_tol=1e-6))
+        assert r.converged and abs(r.value - 2.0 / 3.0) <= r.err_est <= 1e-6
 
     def test_error_estimate_brackets_truth(self):
         r = integrate_finite(lambda x: np.cos(10.0 * x), 0.0, 3.0)
         truth = math.sin(30.0) / 10.0
         assert abs(r.value - truth) <= max(10.0 * r.err_est, 1e-13)
 
-    def test_interval_too_narrow_for_nodes_rejected(self):
-        with pytest.raises(DomainError, match="too narrow"):
-            integrate_finite(np.exp, 1.0, 1.0 + 8.0 * math.ulp(1.0))
-
     def test_reversed_bounds_rejected(self):
         with pytest.raises(DomainError):
             integrate_finite(np.exp, 1.0, 0.0)
 
-    def test_subdivision_budget_exhaustion(self, monkeypatch):
-        monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", 3)
+    @pytest.mark.parametrize("lo, hi", [(0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0),
+                                        (-1e308, 1e308)])
+    def test_infinite_or_overflowing_bounds_rejected(self, lo, hi):
+        with pytest.raises(DomainError, match="bad interval"):
+            integrate_finite(np.exp, lo, hi)
+
+    def test_cap_exhaustion(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "_CC_MAX", 16)
         spec = QuadratureSpec(rel_tol=1e-15, abs_tol=1e-300)
         r = integrate_finite(lambda x: np.abs(x - 1.0 / 3.0) ** 0.1, 0.0, 1.0, spec)
-        assert not r.converged and r.n_evals == 90
+        assert not r.converged and r.n_evals == 17
 
     def test_determinism(self):
         f = lambda x: np.exp(-x) * np.cos(3.0 * x)
@@ -102,6 +108,68 @@ class TestFiniteIntervals:
         r2 = integrate_finite(f, 0.0, 20.0)
         assert r1.value == r2.value  # bit-identical
         assert r1.n_evals == r2.n_evals
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_is_named(self, bad):
+        # every node is evaluated, both ends included, so a value that is
+        # not finite is refused at its node rather than summed
+        def f(x):
+            y = np.exp(x)
+            y[x == 0.75] = bad
+            return y
+
+        with pytest.raises(DomainError, match=f"integrand is {bad!r} at the node x=0.75$"):
+            integrate_finite(f, 0.5, 1.0)
+
+
+class TestClenshawCurtis:
+    # the nested rule integrate_finite runs, on t in [0, 1]
+    LEVELS = [8 * 2**k for k in range(8)]  # 8 ... 1024 intervals
+
+    def test_levels_nest_bit_for_bit(self):
+        assert (self.LEVELS[0], self.LEVELS[-1]) == (quadrature._CC_FIRST, quadrature._CC_MAX)
+        for n in self.LEVELS[:-1]:
+            coarse, fine = quadrature._cc_level(n)[0], quadrature._cc_level(2 * n)[0]
+            assert coarse.tobytes() == fine[::2].tobytes(), n
+
+    @pytest.mark.parametrize("n", LEVELS)
+    def test_weights_integrate_polynomials(self, n):
+        t, w = quadrature._cc_level(n)
+        assert (t[0], t[-1]) == (0.0, 1.0) and (w > 0.0).all()
+        assert abs(math.fsum(w.tolist()) - 1.0) <= 1e-15
+        for k in range(1, n + 1):
+            assert abs(math.fsum((w * t**k).tolist()) - 1.0 / (k + 1)) <= 1e-15, (n, k)
+
+    def test_each_call_evaluates_what_the_level_adds(self):
+        # |x - 1/3| has a kink: no level meets 1e-15, so all eight are
+        # evaluated; the first call takes every node of the first level,
+        # both ends included, each later one the nodes between the last's
+        calls = []
+
+        def kink(x):
+            assert isinstance(x, np.ndarray) and x.ndim == 1 and x.dtype == np.float64
+            calls.append(x.tolist())
+            return np.abs(x - 1.0 / 3.0)
+
+        lo, hi = -1.0, 2.0
+        r = integrate_finite(kink, lo, hi, QuadratureSpec(rel_tol=1e-15, abs_tol=1e-300))
+        assert [len(c) for c in calls] == [9] + self.LEVELS[:-1]
+        assert r.n_evals == sum(map(len, calls)) == 1025 and not r.converged
+        level = calls[0]
+        assert level == (lo + 3.0 * quadrature._cc_level(8)[0]).tolist() and level[0] == lo
+        for new in calls[1:]:
+            merged = sorted(level + new)
+            assert len(set(merged)) == len(merged) and new == merged[1::2]
+            level = merged
+
+    def test_value_is_the_levels_fsum(self):
+        # on [0, 1] the nodes are the level's own and the value its
+        # weighted fsum, bit for bit, and err_est the difference of two
+        n = 16
+        r = integrate_finite(np.exp, 0.0, 1.0, QuadratureSpec(rel_tol=1e-6))
+        assert r.converged and r.n_evals == n + 1
+        levels = [math.fsum((w * np.exp(t)).tolist()) for t, w in map(quadrature._cc_level, (8, n))]
+        assert (r.value, r.err_est) == (levels[1], abs(levels[1] - levels[0]))
 
 
 class TestSemiInfinite:
@@ -191,132 +259,14 @@ class TestToleranceSurface:
 
     def test_nonconvergence_is_reported_not_raised(self, monkeypatch):
         # the quadrature reports converged=False; raising is the caller's call
-        monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", 2)
+        monkeypatch.setattr(quadrature, "_CC_MAX", 16)
         spec = QuadratureSpec(rel_tol=1e-16, abs_tol=1e-300)
         r = integrate_finite(lambda x: 1.0 / np.sqrt(x + 1e-12), 0.0, 1.0, spec)
         assert not r.converged
         assert math.isfinite(r.value)
 
 
-def _reference_gk15(f, lo, hi):
-    """One GK15 panel the scalar way: f called per node, sums in the fixed order."""
-    xgk = (
-        0.991455371120812639206854697526329,
-        0.949107912342758524526189684047851,
-        0.864864423359769072789712788640926,
-        0.741531185599394439863864773280788,
-        0.586087235467691130294144838258730,
-        0.405845151377397166906606412076961,
-        0.207784955007898467600689403773245,
-    )
-    wgk = (
-        0.022935322010529224963732008058970,
-        0.063092092629978553290700663189204,
-        0.104790010322250183839876322541518,
-        0.140653259715525918745189590510238,
-        0.169004726639267902826583426598550,
-        0.190350578064785409913256402421014,
-        0.204432940075298892414161999234649,
-        0.209482141084727828012999174891714,
-    )
-    wg = (
-        0.129484966168869693270611432679082,
-        0.279705391489276667901467771423780,
-        0.381830050505118944950369775488975,
-        0.417959183673469387755102040816327,
-    )
-    c = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    fc = f(c)
-    resk = wgk[7] * fc
-    resg = wg[3] * fc
-    for j in range(7):
-        dx = half * xgk[j]
-        f1 = f(c - dx)
-        f2 = f(c + dx)
-        resk += wgk[j] * (f1 + f2)
-        if j % 2 == 1:
-            resg += wg[j // 2] * (f1 + f2)
-    return resk * half, abs(resk - resg) * abs(half)
-
-
 class TestArrayContract:
-    def test_one_call_per_step(self):
-        # each step evaluates the halves of the panel it bisects, 30 nodes in
-        # one ascending call
-        calls = []
-
-        def counting(x):
-            assert isinstance(x, np.ndarray) and x.ndim == 1 and x.dtype == np.float64
-            assert (np.diff(x) > 0.0).all()  # ascending, no node repeated
-            calls.append(x.size)
-            return np.sqrt(x)
-
-        r = integrate_finite(counting, 0.0, 1.0)
-        assert all(n == 30 for n in calls)
-        assert sum(calls) == r.n_evals
-        assert len(calls) >= 4  # the endpoint singularity forces bisections
-
-    def test_each_step_bisects_the_worst_panel(self):
-        # a kink in each half, at no panel endpoint, keeps several panels
-        # above tolerance at once; each step after the first still evaluates
-        # one panel's halves, that of the largest estimate (ties to the
-        # left), replayed here from the scalar rule
-        def f(x):
-            return abs(x - 1.0 / 3.0) + abs(x - 0.7)
-
-        calls = []
-
-        def kinks(x):
-            calls.append(x.tolist())
-            return [f(v) for v in calls[-1]]
-
-        r = integrate_finite(kinks, 0.0, 1.0, QuadratureSpec(rel_tol=1e-6))
-        assert r.converged and len(calls) > 3
-        assert r.n_evals == 30 * len(calls)
-        panels = [(0.0, 1.0)]
-        for nodes in calls:
-            lo, hi = max(panels, key=lambda p: (_reference_gk15(f, *p)[1], -p[0]))
-            mid = 0.5 * (lo + hi)
-            assert len(nodes) == 30
-            assert lo < nodes[0] and nodes[14] < mid < nodes[15] and nodes[29] < hi
-            panels.remove((lo, hi))
-            panels += [(lo, mid), (mid, hi)]
-
-    @pytest.mark.parametrize(
-        "f, lo, hi",
-        [
-            (lambda x: 1.0 / (1.0 + x * x), -3.0, 7.5),
-            (math.exp, 0.0, 10.0),
-            (math.sqrt, 1e-3, 2.0),
-            (lambda x: math.cos(10.0 * x), 0.0, 3.0),
-        ],
-    )
-    def test_panels_equal_scalar_reference(self, f, lo, hi, monkeypatch):
-        # the first step (both halves), then the two children of the worse
-        # half: every panel must carry the scalar rule's bits exactly
-        def vec(x):
-            return [f(v) for v in x.tolist()]
-
-        mid = 0.5 * (lo + hi)
-        halves = [(lo, mid), (mid, hi)]
-        ref = [_reference_gk15(f, a, b) for a, b in halves]
-        one = integrate_finite(vec, lo, hi, QuadratureSpec(rel_tol=1e300))
-        assert one.n_evals == 30
-        assert one.value == math.fsum(v for v, _ in ref)
-        assert one.err_est == math.fsum(e for _, e in ref)
-
-        # the heap's order: larger estimate first, then the left endpoint
-        worst = min(range(2), key=lambda i: (-ref[i][1], halves[i][0]))
-        a, b = halves.pop(worst)
-        halves += [(a, 0.5 * (a + b)), (0.5 * (a + b), b)]
-        ref = [_reference_gk15(f, a, b) for a, b in sorted(halves)]
-        monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", 2)
-        two = integrate_finite(vec, lo, hi, QuadratureSpec(rel_tol=1e-300, abs_tol=1e-300))
-        assert two.n_evals == 60
-        assert two.value == math.fsum(v for v, _ in ref)
-        assert two.err_est == math.fsum(e for _, e in ref)
-
     def test_wrong_length_rejected(self):
         with pytest.raises(DomainError):
             integrate_finite(lambda x: x[:-1], 0.0, 1.0)
