@@ -27,13 +27,15 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import asdict
+from dataclasses import asdict, astuple, fields
 
 from .errors import CasimirError, DomainError, PlateConfig
 from .quadrature import QuadratureSpec
-from .stress_kernel import force_classic, force_exact, force_perturbative
+from .stress_kernel import ForceResult, force_classic, force_exact, force_perturbative
 
-_CSV_HEADER = "eta,f_eta,err_est,kappa_max,n_evals"
+# a curve row is a ForceResult: its fields name the CSV columns and cache keys
+_ROW_FIELDS = tuple(f.name for f in fields(ForceResult))
+_CSV_HEADER = ",".join(_ROW_FIELDS)
 
 
 # ---------------------------------------------------------------------------
@@ -58,6 +60,15 @@ def _resolve_spec(args: argparse.Namespace) -> QuadratureSpec:
         if kmax is not None:
             kwargs["kappa_max_policy"] = kmax
     return QuadratureSpec(**kwargs)
+
+
+def _read_text(path: str, what: str) -> str:
+    """The text of an input file, line ends as written; one that is not UTF-8 is a DomainError."""
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{what} {path!r} is not UTF-8 text: {exc}")
 
 
 def _write_atomic(path: str, data: str) -> None:
@@ -137,24 +148,20 @@ def _curve_grid(eta_min: float, eta_max: float, points: int, spacing: str) -> li
 def _load_cache(path: str) -> dict:
     if not os.path.exists(path):
         return {}
-    with open(path, "r") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DomainError(f"cache file {path!r} is not valid JSON: {exc}")
+    try:
+        data = json.loads(_read_text(path, "cache file"))
+    except json.JSONDecodeError as exc:
+        raise DomainError(f"cache file {path!r} is not valid JSON: {exc}")
     if not isinstance(data, dict):
         raise DomainError(f"cache file {path!r} must hold a JSON object")
     return data
 
 
-_ROW_FIELDS = ("eta", "f_eta", "err_est", "kappa_max", "n_evals")
-
-
-def _cached_row(entry: dict, eta: float, path: str, key: str) -> tuple:
-    """The row a cache entry holds, refused unless it is finite numbers with its key's eta."""
-    row = tuple(entry[k] for k in _ROW_FIELDS)
+def _cached_row(entry, eta: float, path: str, key: str) -> tuple:
+    """A cache entry's row, refused unless its fields are finite numbers with its key's eta."""
+    row = tuple(entry.get(k) for k in _ROW_FIELDS) if isinstance(entry, dict) else (None,)
     numbers = all(type(v) in (int, float) and math.isfinite(v) for v in row)
-    if not numbers or type(row[4]) is not int:
+    if not numbers or type(row[-1]) is not int:
         raise DomainError(f"cache file {path!r}: row {key!r} must hold finite numbers, "
                           f"got {entry!r}")
     if row[0] != eta:
@@ -175,21 +182,20 @@ def cmd_curve(args: argparse.Namespace) -> int:
     misses: list[float] = []
     for eta in grid:
         key = f"{eta!r}|{fp}"
-        entry = cache.get(key)
-        if isinstance(entry, dict) and all(k in entry for k in _ROW_FIELDS):
-            rows[eta] = _cached_row(entry, eta, args.cache, key)
+        if key in cache:
+            rows[eta] = _cached_row(cache[key], eta, args.cache, key)
         else:
             misses.append(eta)
 
     for eta in misses:
         r = force_exact(eta, spec)
-        rows[eta] = (r.eta, r.f_eta, r.err_est, r.kappa_max, r.n_evals)
-        cache[f"{eta!r}|{fp}"] = dict(zip(_ROW_FIELDS, rows[eta]))
+        rows[eta] = astuple(r)
+        cache[f"{eta!r}|{fp}"] = r.as_dict()
 
     lines = [_CSV_HEADER]
     for eta in grid:
-        e, f, err, km, ne = rows[eta]
-        lines.append(f"{_fmt(e)},{_fmt(f)},{_fmt(err)},{_fmt(km)},{int(ne)}")
+        *values, n_evals = rows[eta]
+        lines.append(",".join([*map(_fmt, values), str(int(n_evals))]))
     _write_atomic(args.out, "\n".join(lines) + "\n")
     if args.cache:
         _write_atomic(args.cache, json.dumps(cache, sort_keys=True) + "\n")
@@ -263,8 +269,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _read_curve_csv(path: str) -> list[tuple]:
-    with open(path, "r", newline="") as fh:
-        text = fh.read()
+    text = _read_text(path, "curve CSV")
     lines = [ln for ln in text.split("\n") if ln.strip()]
     if not lines or lines[0] != _CSV_HEADER:
         raise DomainError(f"{path!r} is not a curve CSV (expected header {_CSV_HEADER!r})")
@@ -273,10 +278,10 @@ def _read_curve_csv(path: str) -> list[tuple]:
     rows = []
     for ln in lines[1:]:
         parts = ln.split(",")
-        if len(parts) != 5:
+        if len(parts) != len(_ROW_FIELDS):
             raise DomainError(f"malformed CSV row: {ln!r}")
         try:
-            row = (*map(float, parts[:4]), int(parts[4]))
+            row = (*map(float, parts[:-1]), int(parts[-1]))
         except ValueError:
             raise DomainError(f"malformed CSV row: {ln!r}")
         if not all(map(math.isfinite, row)):

@@ -46,6 +46,7 @@ import numpy as np
 
 from .airy_engine import airy_scaled, zeta_gap, zeta_of
 from .errors import DomainError, PlateConfig, SingularityError, check_real
+from .stress_kernel import integrand_below
 
 __all__ = [
     "PlateConfig",
@@ -205,22 +206,12 @@ def greens_linear_below(x, xp, kappa: float, cfg: PlateConfig):
 def below_ratio_from_construction(kappa: float, cfg: PlateConfig) -> float:
     """Coincident-limit slope ratio -(a/eta^{1/3}) u'(a)/u(a) of the below kernel.
 
-    This is the stress integrand the below-plate construction implies,
-    assembled from the u coefficients with the common exponent factored
-    out.  It repeats the stress module's algebra on the same Airy values, so
-    agreement is no cross-check; verify's stress_sides_from_fd (the sides
-    against the Airy-free FD oracle) and fd_oracle_spots (the FD G against
-    greens_linear_above/below) are the cross-checks.
-    Nothing in the package calls it and the package does not export it; it
-    stays only because perfbench/tracer.py binds it by name, and goes when
-    the tracer reads package counters instead (ROADMAP item 1).
+    The stress module's below side, integrand_below(kappa, eta): a second
+    copy of that algebra on the same Airy values would be no cross-check.
+    verify's stress_sides_from_fd (the sides against the Airy-free FD
+    oracle) and fd_oracle_spots (the FD G against greens_linear_above/below)
+    are the cross-checks.  Nothing in the package calls it and the package
+    does not export it; it stays only because perfbench/tracer.py binds it
+    by name.
     """
-    kappa = _require_linear(cfg, kappa)
-    _, (z1, za, _), (v1, va, _) = _airy_rows(kappa, cfg, np.empty(0))
-    s1, p_m = _kink_terms(v1)
-    ee = math.exp(-2.0 * zeta_gap(za, z1))
-    num = p_m * va[3] - s1 * va[1] * ee
-    den = s1 * va[0] * ee - p_m * va[2]
-    if den == 0.0:
-        raise SingularityError("slope-ratio denominator vanished")
-    return float(num / den)
+    return integrand_below(_require_linear(cfg, kappa), cfg.eta)

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -98,13 +98,7 @@ class ForceResult:
             raise ToleranceError(f"error estimate must be >= 0, got {self.err_est!r}")
 
     def as_dict(self) -> dict:
-        return {
-            "eta": self.eta,
-            "f_eta": self.f_eta,
-            "err_est": self.err_est,
-            "kappa_max": self.kappa_max,
-            "n_evals": self.n_evals,
-        }
+        return asdict(self)
 
 
 def _net_above(kappa: np.ndarray, eta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -175,7 +169,8 @@ def integrand_net(kappa: float, eta: float) -> StressIntegrandSample:
 def tail_mismatch(kappa_max: float, eta: float) -> tuple[bool, float]:
     """(mismatch below 1 percent, relative mismatch) of net against 1/(2 z2) at kappa_max.
 
-    A probe of the large-momentum law, which verify checks.
+    No package code calls it; it keeps its name for perfbench/tracer.py.
+    verify's large_kappa_net_law measures the law with its bound in CHECKS.
     """
     net = integrand_net(kappa_max, eta).net
     model = 0.5 / (kappa_max * kappa_max + eta ** (1.0 / 3.0))
@@ -229,7 +224,7 @@ def force_exact(eta: float, spec: QuadratureSpec = QuadratureSpec()) -> ForceRes
         return ForceResult(eta=0.0, f_eta=0.0, err_est=0.0, kappa_max=0.0, n_evals=0)
 
     k0 = spec.kappa_max_policy or max(eta ** (1.0 / 6.0), eta ** (-1.0 / 3.0))
-    if k0 > _K0_MAX or eta > _ETA_MAX:  # the spec holds a pinned k0
+    if k0 > _K0_MAX or eta > _ETA_MAX:  # default k0, or eta; the spec refuses a larger pinned k0
         raise DomainError(f"eta={eta!r} with k0={k0!r} is out of range (k0 <= {_K0_MAX!r}, "
                           "eta <= 2.2e307): the farthest node's zeta^2 would overflow")
 

@@ -103,20 +103,24 @@ def _product_series_switch_band() -> float:
                for own, ref in zip(ae._series_terms(band)[3:], lib))
 
 
-def _eval_vs_ode_oracle() -> float:
-    # the whole oracle range, so the series branch above Z_SWITCH is covered;
-    # the ends stay, the closed forms at 0 and the oracle's Ai seed at 50
+def _eval_vs_library() -> float:
+    # the evaluator against the library on [0, 50], so the series branch above
+    # Z_SWITCH is covered; the ends 0 and 50 stay on their nodes
+    from scipy.special import airye  # a library reference, kept off the import path
+
     zs = np.linspace(0.0, 50.0, 101)
     zs[1:-1] += _OFF_NODE
-    oracle = np.array([[o.ai_s, o.aip_s, o.bi_s, o.bip_s]
-                       for o in map(ae.airy_via_ode_oracle, zs)]).T
-    return np.max(np.abs(ae.airy_scaled(zs) - oracle) / np.abs(oracle))
+    lib = np.array(airye(zs))
+    return np.max(np.abs(ae.airy_scaled(zs) - lib) / np.abs(lib))
 
 
 def _log_deriv_asymptotics() -> float:
-    return max(max(abs(ae.log_deriv_ai(z) + math.sqrt(z) + 0.25 / z),
-                   abs(ae.log_deriv_bi(z) - math.sqrt(z) + 0.25 / z)) / (10.0 / z**2.5)
-               for z in (50.0, 100.0, 400.0, 1e3, 1600.0, 1e4))
+    # Ai'/Ai and Bi'/Bi from the scaled rows, against -/+ sqrt(z) - 1/(4z)
+    zs = (50.0, 100.0, 400.0, 1e3, 1600.0, 1e4)
+    ai, aip, bi, bip = ae.airy_scaled(np.array(zs)).tolist()
+    return max(max(abs(aip[i] / ai[i] + math.sqrt(z) + 0.25 / z),
+                   abs(bip[i] / bi[i] - math.sqrt(z) + 0.25 / z)) / (10.0 / z**2.5)
+               for i, z in enumerate(zs))
 
 
 def _scaled_values_finite_to_1e4() -> int:
@@ -209,8 +213,10 @@ def _flat_limit_net_zero() -> float:
 
 
 def _kappa_zero_identity() -> float:
-    return max(_rel(sk.integrand_below(0.0, eta), -ae.log_deriv_bi(eta ** (1.0 / 3.0)))
-               for eta in (0.5, 1.0, 5.0))
+    # S = (Ai Bi)'(0) vanishes, so N/D at kappa = 0 is -Bi'/Bi(eta^{1/3})
+    etas = (0.5, 1.0, 5.0)
+    _, _, bi, bip = ae.airy_scaled(np.array([eta ** (1.0 / 3.0) for eta in etas])).tolist()
+    return max(_rel(sk.integrand_below(0.0, eta), -bip[i] / bi[i]) for i, eta in enumerate(etas))
 
 
 def _large_kappa_expansions() -> float:
@@ -226,9 +232,14 @@ def _net_positive_grid() -> int:
                for eta in np.logspace(-3.0, 3.0, 7))
 
 
-def _tail_admissible_at_default_cutoff() -> int:
-    return sum(not sk.tail_mismatch(10.0 * max(1.0, eta ** (1.0 / 6.0)), eta)[0]
-               for eta in (0.1, 1.0, 10.0))
+def _large_kappa_net_law() -> float:
+    # net tends to 1/(2 z2), z2 = kappa^2 + eta^{1/3}, at large kappa
+    worst = 0.0
+    for eta in (0.1, 1.0, 10.0):
+        kap = 10.0 * max(1.0, eta ** (1.0 / 6.0))
+        net = sk._net_above(np.array([kap]), eta)[0].item()
+        worst = max(worst, abs(2.0 * (kap * kap + eta ** (1.0 / 3.0)) * net - 1.0))
+    return worst
 
 
 def _classic_two_plate_value() -> float:
@@ -292,7 +303,7 @@ CHECKS = (
     Check("airy", "asymptotic_series_switch_band", _asymptotic_series_switch_band,
           5e-14),  # 1.7e-15
     Check("airy", "product_series_switch_band", _product_series_switch_band, 1e-12),  # 2.9e-13
-    Check("airy", "eval_vs_ode_oracle", _eval_vs_ode_oracle, 1e-10),  # 1.9e-12
+    Check("airy", "eval_vs_library", _eval_vs_library, 5e-13),  # 4.9e-14, airye's own error
     Check("airy", "log_deriv_asymptotics", _log_deriv_asymptotics, 1.0,  # 1.6e-2
           "measured as fraction of the 10/z^{5/2} bound"),
     Check("airy", "scaled_values_finite_to_1e4", _scaled_values_finite_to_1e4, 0, _COUNT),
@@ -306,8 +317,7 @@ CHECKS = (
     Check("stress", "kappa_zero_identity", _kappa_zero_identity, 1e-12),  # 0
     Check("stress", "large_kappa_expansions", _large_kappa_expansions, 1e-3),  # 1.5e-4
     Check("stress", "net_positive_grid", _net_positive_grid, 0, _COUNT),
-    Check("stress", "tail_admissible_at_default_cutoff", _tail_admissible_at_default_cutoff,
-          0, _COUNT),
+    Check("stress", "large_kappa_net_law", _large_kappa_net_law, 1e-3),  # 9.2e-5
     # 2.1e-16, but `cli classic` takes its exit code from this row and measures
     # 8.1e-14 at --rel-tol 1e-6: a tighter bound would change CLI exit codes
     Check("stress", "classic_two_plate_value", _classic_two_plate_value, 1e-8),

@@ -181,27 +181,39 @@ class TestCurve:
         rc, _ = run_cli(["curve", *self.ARGS, "--out", str(tmp_path / "c.csv"), "--jobs", jobs], capsys)
         assert rc == 2
 
-    def test_corrupt_cache_is_usage_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("content, message", [
+        (b"{not json", "is not valid JSON"),
+        (b"\xff\xfe{}", "is not UTF-8 text"),
+    ], ids=["json", "utf8"])
+    def test_corrupt_cache_is_usage_error(self, tmp_path, capsys, content, message):
         cache = tmp_path / "cache.json"
-        cache.write_text("{not json")
-        rc, _ = run_cli(["curve", *self.ARGS, "--out", str(tmp_path / "c.csv"), "--cache", str(cache)], capsys)
-        assert rc == 2
+        cache.write_bytes(content)
+        rc = cli.main(["curve", *self.ARGS, "--out", str(tmp_path / "c.csv"), "--cache", str(cache)])
+        err = capsys.readouterr().err
+        assert rc == 2 and err.startswith("error: ") and "Traceback" not in err
+        assert f"cache file {str(cache)!r} {message}" in err
 
     @pytest.mark.parametrize("field, value, message", [
         ("eta", "x", "must hold finite numbers"),
         ("f_eta", None, "must hold finite numbers"),
         ("n_evals", 9.5, "must hold finite numbers"),
         ("eta", 7.0, "holds eta=7.0, not its key's"),
+        (None, 5, "must hold finite numbers"),
+        (None, {"eta": 1.0}, "must hold finite numbers"),
     ])
     def test_malformed_cached_row_is_usage_error(self, tmp_path, capsys, field, value, message):
         # a row under the current fingerprint whose fields are not finite
         # numbers, or whose eta is not its key's, is refused by name rather
-        # than crashing or written to the CSV as it stands
+        # than crashing, recomputed over, or written to the CSV as it stands;
+        # field None replaces the whole row
         cache, out = tmp_path / "cache.json", tmp_path / "c.csv"
         assert run_cli(["curve", *self.ARGS, "--out", str(out), "--cache", str(cache)], capsys)[0] == 0
         data = json.loads(cache.read_text())
         key = sorted(data)[2]
-        data[key][field] = value
+        if field is None:
+            data[key] = value
+        else:
+            data[key][field] = value
         cache.write_text(json.dumps(data))
         out.unlink()
         rc = cli.main(["curve", *self.ARGS, "--out", str(out), "--cache", str(cache)])
@@ -265,12 +277,14 @@ class TestImportFootprint:
         assert self.fresh_stdout(self.RUN_AND_LIST, *argv) == "0 []"
 
     def test_verify_loads_the_oracles(self):
-        # the same probe sees them when a command does load them
-        rc, loaded = self.fresh_stdout(self.RUN_AND_LIST, "verify", "--suite", "airy").split(" ", 1)
+        # the same probe sees them when a command does load them; every
+        # Airy-value row reads scipy's airye, and none runs the ODE oracle
+        rc, loaded = self.fresh_stdout(self.RUN_AND_LIST, "verify", "--suite", "all").split(" ", 1)
         assert rc == "0"
         for module in ("'casimir_plate.greens'", "'casimir_plate.oracle_ode'",
-                       "'casimir_plate.verify'", "'scipy.integrate'"):
+                       "'casimir_plate.verify'", "'scipy.special'"):
             assert module in loaded
+        assert "'scipy.integrate" not in loaded
 
     def test_package_import_and_force_path_load_no_scipy_special(self):
         # a force builds the Taylor table, whose seeds need no library Airy call
@@ -358,17 +372,18 @@ class TestVerify:
         err = capsys.readouterr().err
         assert all(suite in err for suite in ("nonsense", "airy", "greens", "stress"))
 
-    def test_ode_oracle_check_spans_the_switch(self, monkeypatch):
-        # the oracle's whole range, so the series branch is checked too
+    def test_library_check_spans_the_switch(self, monkeypatch):
+        # [0, 50] in one airy_scaled call, so the series branch is checked too
         from casimir_plate import airy_engine, verify
 
-        zs = []
-        real = airy_engine.airy_via_ode_oracle
-        monkeypatch.setattr(airy_engine, "airy_via_ode_oracle", lambda z: zs.append(z) or real(z))
-        check = next(c for c in verify.suite_airy() if c.name == "eval_vs_ode_oracle")
-        assert check.passed
-        assert min(zs) == 0.0 and max(zs) == 50.0
-        assert sum(z > airy_engine.Z_SWITCH for z in zs) >= 10
+        calls = []
+        real = airy_engine.airy_scaled
+        monkeypatch.setattr(airy_engine, "airy_scaled", lambda z: calls.append(z) or real(z))
+        check = next(c for c in verify.CHECKS if c.name == "eval_vs_library").run()
+        assert check.passed and len(calls) == 1
+        zs = calls[0]
+        assert zs.min() == 0.0 and zs.max() == 50.0 and zs.size == 101
+        assert sum(zs > airy_engine.Z_SWITCH) >= 10
 
 
 class TestPlot:
@@ -414,11 +429,17 @@ class TestPlot:
         assert f"not finite: {row!r}" in capsys.readouterr().err
         assert not svg.exists()
 
-    def test_malformed_csv(self, tmp_path, capsys):
-        bad = tmp_path / "bad.csv"
-        bad.write_text("wrong,header\n1,2\n")
-        rc, _ = run_cli(["plot", "--input", str(bad), "--output", str(tmp_path / "x.svg")], capsys)
-        assert rc == 2
+    @pytest.mark.parametrize("content, message", [
+        (b"wrong,header\n1,2\n", "is not a curve CSV"),
+        (b"\xff\xfe" + f"{CSV_HEADER}\n1.0,0.1,1e-12,1.0,9\n".encode(), "is not UTF-8 text"),
+    ], ids=["header", "utf8"])
+    def test_malformed_csv(self, tmp_path, capsys, content, message):
+        bad, svg = tmp_path / "bad.csv", tmp_path / "x.svg"
+        bad.write_bytes(content)
+        rc = cli.main(["plot", "--input", str(bad), "--output", str(svg)])
+        err = capsys.readouterr().err
+        assert rc == 2 and err.startswith("error: ") and "Traceback" not in err
+        assert f"{str(bad)!r} {message}" in err and not svg.exists()
 
 
 class TestEnvironmentOverrides:

@@ -15,6 +15,7 @@ from casimir_plate.greens import (
     greens_linear_above,
     greens_linear_below,
 )
+from casimir_plate.stress_kernel import integrand_below
 
 
 def rel(x, y):
@@ -189,6 +190,14 @@ class TestLinearBackgroundBelow:
         with pytest.raises(DomainError):
             greens_linear_below(1.5, 0.5, 1.0, self.CFG)
 
+    def test_slope_ratio_is_the_stress_kernels_below_side(self):
+        # one copy of the below-side algebra, the stress kernel's
+        for kappa in (0.0, 0.8, 3.0, 12.0):
+            assert below_ratio_from_construction(kappa, self.CFG) == integrand_below(
+                kappa, self.CFG.eta)
+        with pytest.raises(DomainError, match="eta = 0 has no linear-background form"):
+            below_ratio_from_construction(0.8, PlateConfig(a=1.0, b=0.0))
+
     def test_fd_oracle_spot(self):
         cfg = PlateConfig.from_eta(0.5)
         grid = oracle_ode.GridSpec(-9.0, 1.0, 10001)
@@ -233,8 +242,7 @@ class TestArrayFirst:
         lambda cfg: greens_linear_above(np.array([1.0, 1.4, 2.0]), 1.5, 0.8, cfg),
         lambda cfg: greens_linear_below(np.array([-1.0, 0.0, 0.4]), 0.6, 0.8, cfg),
         lambda cfg: greens_linear_below(-0.3, 0.2, 0.8, cfg),
-        lambda cfg: below_ratio_from_construction(0.8, cfg),
-    ], ids=["above", "below", "below-scalar", "ratio"])
+    ], ids=["above", "below", "below-scalar"])
     def test_one_airy_scaled_call_per_construction(self, monkeypatch, call):
         calls = []
 

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from casimir_plate import cli, greens, stress_kernel, verify
+from casimir_plate import airy_engine, cli, greens, stress_kernel, verify
 from casimir_plate.errors import DomainError
 
 
@@ -72,6 +72,24 @@ def test_fd_oracle_spots_catch_a_wrong_green(monkeypatch, side):
     monkeypatch.setattr(greens, name, lambda *args: true(*args) * (1.0 + 1e-8))
     r = _row("fd_oracle_spots")
     assert not r.passed and r.measured == pytest.approx(1e-8, rel=0.05)
+
+
+def test_library_row_catches_a_spoiled_evaluator(monkeypatch):
+    # scaled Airy values 1e-12 off, on every branch, fail the airye row
+    true = airy_engine.airy_scaled
+    monkeypatch.setattr(airy_engine, "airy_scaled", lambda z: true(z) * (1.0 + 1e-12))
+    r = _row("eval_vs_library")
+    assert not r.passed and r.measured == pytest.approx(1e-12, rel=0.1)
+
+
+def test_no_row_calls_a_name_kept_only_for_the_benchmark(monkeypatch):
+    # these keep their names for perfbench's tracer; every row answers without them
+    for module, name in ((airy_engine, "airy_via_ode_oracle"), (airy_engine, "airy_eval"),
+                         (airy_engine, "log_deriv_ai"), (airy_engine, "log_deriv_bi"),
+                         (stress_kernel, "tail_mismatch"),
+                         (greens, "below_ratio_from_construction")):
+        monkeypatch.setattr(module, name, lambda *args, name=name: pytest.fail(f"{name} called"))
+    assert all(r.passed for r in verify.run("all"))
 
 
 def test_cli_classic_exit_reads_the_table_row(monkeypatch, capsys):
