@@ -259,30 +259,35 @@ _GAP_SIGNS = (2.0 / 3.0) * np.array([1.0, 1.0, -1.0, -1.0])
 _MARCH_ORDERS = 20
 
 
+def _taylor_coefficients(z, w, p, orders: int) -> list:
+    """Taylor coefficients c_0 ... c_{orders-1} about z of y'' = z y, y = w and y' = p there."""
+    c = [w, p, z * w / 2.0]
+    for n in range(1, orders - 2):
+        c.append((z * c[n] + c[n - 1]) / ((n + 2) * (n + 1)))
+    return c
+
+
 def _march() -> np.ndarray:
     """Scaled (ai_s, aip_s, bi_s, bip_s) at the nodes j/8 of [0, Z_SWITCH], shape (4, n).
 
     Each solution is carried node to node in its stable direction: Bi up
     from the closed forms at 0, Ai down from the asymptotic series at
     Z_SWITCH (DLMF 9.7).  A step of +-1/8 sums the Taylor series about the
-    node, coefficients from (n+2)(n+1) c_{n+2} = z_j c_n + c_{n-1}, in
-    Horner form for the value and the slope, and multiplies both by
-    e^{-gap}, gap = zeta(z_{j+1}) - zeta(z_j) formed without cancellation
-    and divided by the exact 3/2 (multiplying by a rounded 2/3 biases
-    every step the same way).  Ai lands on AI_ZERO and AIP_ZERO, and Bi
+    node, coefficients from _taylor_coefficients, in Horner form for the
+    value and the slope, and multiplies both by e^{-gap},
+    gap = zeta(z_{j+1}) - zeta(z_j) formed without cancellation and
+    divided by the exact 3/2 (multiplying by a rounded 2/3 biases every
+    step the same way).  Ai lands on AI_ZERO and AIP_ZERO, and Bi
     on the series at Z_SWITCH, within 10 u and 6.5 u (u the double epsilon).
     """
     zs = [j * _NODE_STEP for j in range(int(Z_SWITCH / _NODE_STEP) + 1)]
     hi, lo = np.array(zs[1:]), np.array(zs[:-1])
     gap = _NODE_STEP * (hi * hi + hi * lo + lo * lo) / (hi * np.sqrt(hi) + lo * np.sqrt(lo)) / 1.5
     shrink = np.exp(-gap).tolist()  # cell j: [z_j, z_{j+1}]
-    div = [float((n + 2) * (n + 1)) for n in range(_MARCH_ORDERS - 2)]
     ks = range(_MARCH_ORDERS - 1, 0, -1)
 
     def step(z: float, w: float, p: float, h: float, e: float) -> tuple[float, float]:
-        c = [w, p, z * w / 2.0]
-        for n in range(1, _MARCH_ORDERS - 2):
-            c.append((z * c[n] + c[n - 1]) / div[n])
+        c = _taylor_coefficients(z, w, p, _MARCH_ORDERS)
         v = s = 0.0
         for k in ks:
             v = v * h + c[k]
@@ -330,11 +335,7 @@ def _taylor_table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     ai, aip, bi, bip = _seeds()
     zj = np.arange(ai.size) * _NODE_STEP
-    c = np.empty((_ORDERS + 1, 2, zj.size))  # Taylor coefficients of the Ai and Bi solutions
-    c[0], c[1] = (ai, bi), (aip, bip)
-    c[2] = zj * c[0] / 2.0
-    for n in range(1, _ORDERS - 1):
-        c[n + 2] = (zj * c[n] + c[n - 1]) / ((n + 2) * (n + 1))
+    c = np.array(_taylor_coefficients(zj, np.array((ai, bi)), np.array((aip, bip)), _ORDERS + 1))
     slope = np.arange(1, _ORDERS + 1)[:, None, None] * c[1:]  # order k: (k+1) c_{k+1}
     coef = np.stack((c[:_ORDERS, 0], slope[:, 0], c[:_ORDERS, 1], slope[:, 1]), axis=1)
     roots = np.sqrt(zj)

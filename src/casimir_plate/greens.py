@@ -65,7 +65,7 @@ def greens_free_between(x: float, xp: float, K: float, a: float) -> float:
     """
     K = check_real(K, "momentum K", strict=True)
     a = check_real(a, "plate separation a", strict=True)
-    lo, hi = map(float, _ordered(x, xp))
+    lo, hi = _ordered(x, xp, scalar=True)
     if lo < 0.0 or hi > a:
         raise DomainError(f"points must satisfy 0 <= x, x' <= {a}, got {x!r}, {xp!r}")
     # sinh sinh / sinh rewritten with negative exponentials only:
@@ -80,7 +80,7 @@ def greens_free_above(x: float, xp: float, K: float, a: float) -> float:
     """Flat background above a single Dirichlet plate at a; decay at infinity."""
     K = check_real(K, "momentum K", strict=True)
     a = check_real(a, "plate height a", strict=True)
-    lo, hi = map(float, _ordered(x, xp))
+    lo, hi = _ordered(x, xp, scalar=True)
     if lo < a:
         raise DomainError(f"both points must lie at or above the plate {a!r}")
     # e^{-K(x' - a)} sinh(K (x - a)) / K with x the inner point, stabilized:
@@ -94,17 +94,18 @@ def _require_linear(cfg: PlateConfig, kappa: float) -> float:
     return kappa
 
 
-def _ordered(x, xp) -> tuple[np.ndarray, np.ndarray]:
-    """(x_<, x_>) elementwise over x and x' broadcast together; both must be finite reals."""
+def _ordered(x, xp, scalar: bool = False):
+    """(x_<, x_>) of finite reals x, x' broadcast together; two floats if scalar, arrays refused."""
     try:
         u, v = np.asarray(x, dtype=float), np.asarray(xp, dtype=float)
-        finite = np.isfinite(u).all() and np.isfinite(v).all()
+        finite = np.isfinite(u).all() and np.isfinite(v).all() and not (scalar and u.ndim + v.ndim)
     except (TypeError, ValueError):  # not numbers
         finite = False
     if not finite:
         raise DomainError(f"points must be finite reals, got x = {x!r}, x' = {xp!r}")
     u, v = np.broadcast_arrays(u, v)
-    return np.minimum(u, v), np.maximum(u, v)
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    return (lo.item(), hi.item()) if scalar else (lo, hi)
 
 
 def _airy_rows(kappa: float, cfg: PlateConfig, s: np.ndarray):

@@ -11,13 +11,14 @@ worker counts.  The estimate is the difference from the coarser level
 
 Integrand contract: ``f`` takes a 1-D float array of nodes and returns a
 sequence of as many values (an array, or a list from a scalar function
-wrapped in a comprehension).
+wrapped in a comprehension).  Both rules evaluate every level through one
+check (_finite_values): a value that is not finite is a DomainError naming
+its node.
 
 The finite interval: Clenshaw-Curtis on n = _CC_FIRST, 2 n, ... up to
 _CC_MAX intervals, on the nodes lo + (hi - lo) sin^2(theta/2), theta =
 j pi/n (_cc_level).  The nodes include both ends, so f must be finite
-there; a value that is not finite anywhere is a DomainError naming its
-node.  The rule converges geometrically on integrands analytic on the
+there.  The rule converges geometrically on integrands analytic on the
 interval (Trefethen, SIAM Review 50, 2008).
 
 The half line: the trapezoidal rule in s on kappa = e^{pi sinh s},
@@ -219,14 +220,12 @@ def integrate_semi_infinite(
     converged after the first level, since no refinement reaches what the
     window cuts off.
     converged means err_est met max(rel_tol*|value|, abs_tol) by h = 1/128.
+    A value that is not finite is a DomainError naming its node.
     """
     terms = np.zeros(_U.size)  # w f(u) at the nodes evaluated so far
     coarse, edge, n = None, 0.0, 0
     for step, new, on in _LEVELS:
-        fx = np.asarray(f(_U[new]), dtype=float)
-        if fx.shape != new.shape:
-            raise DomainError(f"integrand returned shape {fx.shape} for {new.size} nodes")
-        terms[new] = _W[new] * fx
+        terms[new] = _W[new] * _finite_values(f, _U[new])
         n += new.size
         h = step / _FINE
         if coarse is None:

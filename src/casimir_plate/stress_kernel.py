@@ -19,14 +19,15 @@ and
 
 is one integral over the whole half line, with no cutoff or tail model.
 ``_net_above`` takes a whole array of momenta in any order, a quadrature
-step's or a single sample's, and serves every z1 and z2 of it with one
-``airy_engine._net_terms`` pass.  It returns net and above = ai2'/ai2;
-a sample's below is above + net, which equals N/D exactly, and N/D
-itself is never evaluated.  D enters net in compensated form: the
-common factor e^{zeta_2 - 2 zeta_1} is removed analytically, which leaves
-every surviving term O(1) or exponentially small.  The naive unscaled
-products underflow to zero near kappa ~ 8 and silently flip the sign of
-the ratio, so that route is forbidden rather than merely discouraged.
+step's or a single sample's, and eps = eta^{1/3}, and serves every z1
+and z2 of it with one ``airy_engine._net_terms`` pass.  It returns net
+and above = ai2'/ai2.  The one-momentum views return floats: net, above,
+and below = above + net, which equals N/D exactly; N/D is never
+evaluated.  D enters net in compensated form: the common factor
+e^{zeta_2 - 2 zeta_1} is removed analytically, which leaves every
+surviving term O(1) or exponentially small.  The naive unscaled products
+underflow to zero near kappa ~ 8 and silently flip the sign of the
+ratio, so that route is forbidden rather than merely discouraged.
 
 The two flat-background references live here as well.  The two-plate
 benchmark (attractive, -pi/(24 a^2)) is one integral on the a-free
@@ -41,7 +42,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import asdict, dataclass, replace
-from typing import Optional
 
 import numpy as np
 
@@ -50,7 +50,6 @@ from .errors import DomainError, SingularityError, ToleranceError, check_real
 from .quadrature import _ETA_MAX, _K0_MAX, _KAPPA_MAX, QuadratureSpec, integrate_semi_infinite
 
 __all__ = [
-    "StressIntegrandSample",
     "ForceResult",
     "integrand_above",
     "integrand_below",
@@ -61,24 +60,6 @@ __all__ = [
     "perturbative_integrands",
     "force_perturbative",
 ]
-
-
-@dataclass(frozen=True)
-class StressIntegrandSample:
-    """Integrand values at one momentum.
-
-    net is computed without the subtraction below - above (``_net_above``),
-    and below is then above + net, the N/D form rearranged, so
-    below == above + net holds exactly.  On the algebraic eta = 0 path the
-    sides are not evaluated at all (the cancellation is an identity, not a
-    numerical statement), so ``above`` and ``below`` are None there and
-    ``net`` is exactly 0.0.
-    """
-
-    kappa: float
-    above: Optional[float]
-    below: Optional[float]
-    net: float
 
 
 @dataclass(frozen=True)
@@ -101,11 +82,11 @@ class ForceResult:
         return asdict(self)
 
 
-def _net_above(kappa: np.ndarray, eta: float) -> tuple[np.ndarray, np.ndarray]:
-    """(net, above) at every momentum of a 1-D array, in any order.
+def _net_above(kappa: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """(net, above) at every momentum of a 1-D array, in any order, at eps = eta^{1/3}.
 
     One airy_engine._net_terms pass serves z1 = kappa^2 and
-    z2 = kappa^2 + eta^{1/3} together; above is Ai'/Ai at z2.  net is not
+    z2 = kappa^2 + eps together; above is Ai'/Ai at z2.  net is not
     below - above, which cancels to 1/(2 kappa^2) from two numbers of size
     kappa, but its exact Wronskian rearrangement
 
@@ -113,57 +94,58 @@ def _net_above(kappa: np.ndarray, eta: float) -> tuple[np.ndarray, np.ndarray]:
         D_c = S ai2 E - 2 ai1 aip1 bi2,   E = e^{-2 (zeta_2 - zeta_1)}
 
     with scaled Airy values, S = Ai' Bi + Ai Bi' at z1 and
-    L = -(Ai Bi)'/(Ai Bi).  The zeta gap in E is formed from eps =
-    eta^{1/3}, never from z2 - z1, which carries the rounding of z2
-    (docs/numerics.md section 2).  Every step is elementwise, so an
-    element's bits do not depend on its batch or its place in it.  Callers
-    validate 0 <= kappa <= _KAPPA_MAX and eta > 0.
+    L = -(Ai Bi)'/(Ai Bi).  The zeta gap in E is formed from eps, never
+    from z2 - z1, which carries the rounding of z2 (docs/numerics.md
+    section 2).  Every step is elementwise, so an element's bits do not
+    depend on its batch or its place in it.  Callers validate
+    0 <= kappa <= _KAPPA_MAX and 0 < eps <= _ETA_MAX^{1/3}.
     """
     n = kappa.size
     z1 = kappa * kappa
-    z2 = z1 + eta ** (1.0 / 3.0)
+    z2 = z1 + eps
     # each row of _net_terms, split into its z1 and z2 halves
     (ai1, ai2), (aip1, aip2), (_, bi2), (s, _), (_, lnd2) = _net_terms(
         np.concatenate((z1, z2))).reshape(5, 2, n)
-    gap = (2.0 / 3.0) * eta ** (1.0 / 3.0) * (z2 * z2 + z2 * z1 + z1 * z1) / (
-        z2 * np.sqrt(z2) + z1 * np.sqrt(z1))
+    gap = (2.0 / 3.0) * eps * (z2 * z2 + z2 * z1 + z1 * z1) / (z2 * np.sqrt(z2) + z1 * np.sqrt(z1))
     ee = np.exp(-2.0 * gap)
     den = s * ai2 * ee - 2.0 * ai1 * aip1 * bi2
     if not den.all():
         k = kappa[den == 0.0][0].item()
-        raise SingularityError(f"below-plate denominator vanished at kappa={k!r}, eta={eta!r}")
+        raise SingularityError(f"below-plate denominator vanished at kappa={k!r}, eps={eps!r}")
     return lnd2 + s * ee / (math.pi * bi2 * den), aip2 / ai2
 
 
-def _integrand(kappa, eta, strict: bool) -> StressIntegrandSample:
-    """The checked one-momentum view of _net_above; kappa beyond _KAPPA_MAX is refused unsquared."""
+def _integrand(kappa, eta, strict: bool = True) -> tuple[float, float | None]:
+    """(net, above) at one checked momentum; kappa beyond _KAPPA_MAX is refused unsquared.
+
+    At eta = 0, which only strict=False admits, the sides coincide as an
+    identity: net is 0.0, above None, and no Airy function is evaluated.
+    """
     kappa = check_real(kappa, "kappa", upper=_KAPPA_MAX)
     eta = check_real(eta, "eta", strict=strict, upper=_ETA_MAX)
     if eta == 0.0:
-        return StressIntegrandSample(kappa=kappa, above=None, below=None, net=0.0)
-    net, above = (v.item() for v in _net_above(np.array([kappa]), eta))
-    return StressIntegrandSample(kappa=kappa, above=above, below=above + net, net=net)
+        return 0.0, None
+    net, above = _net_above(np.array([kappa]), eta ** (1.0 / 3.0))
+    return net.item(), above.item()
 
 
 def integrand_above(kappa: float, eta: float) -> float:
     """Slope ratio just above the plate: Ai'(z)/Ai(z) at z = kappa^2 + eta^{1/3}."""
-    return _integrand(kappa, eta, strict=True).above
+    return _integrand(kappa, eta)[1]
 
 
 def integrand_below(kappa: float, eta: float) -> float:
     """Slope ratio just below the plate, the N/D form, evaluated as above + net."""
-    return _integrand(kappa, eta, strict=True).below
+    net, above = _integrand(kappa, eta)
+    return above + net
 
 
-def integrand_net(kappa: float, eta: float) -> StressIntegrandSample:
-    """Net integrand below - above, from its cancellation-free rearrangement.
+def integrand_net(kappa: float, eta: float) -> float:
+    """Net integrand below - above, from its cancellation-free rearrangement; 0.0 at eta = 0.
 
-    eta = 0 short-circuits to net = 0 exactly: the two sides coincide as an
-    algebraic identity (Wronskian algebra), and no Airy function is
-    evaluated on that path.  kappa must be at most _KAPPA_MAX, the farthest
-    node force_exact evaluates.
+    kappa must be at most _KAPPA_MAX, the farthest node force_exact evaluates.
     """
-    return _integrand(kappa, eta, strict=False)
+    return _integrand(kappa, eta, strict=False)[0]
 
 
 def tail_mismatch(kappa_max: float, eta: float) -> tuple[bool, float]:
@@ -172,7 +154,7 @@ def tail_mismatch(kappa_max: float, eta: float) -> tuple[bool, float]:
     No package code calls it; it keeps its name for perfbench/tracer.py.
     verify's large_kappa_net_law measures the law with its bound in CHECKS.
     """
-    net = integrand_net(kappa_max, eta).net
+    net = integrand_net(kappa_max, eta)
     model = 0.5 / (kappa_max * kappa_max + eta ** (1.0 / 3.0))
     if not (net > 0.0) or not math.isfinite(net):
         return False, math.inf
@@ -222,6 +204,7 @@ def force_exact(eta: float, spec: QuadratureSpec = QuadratureSpec()) -> ForceRes
     eta = check_real(eta, "eta")
     if eta == 0.0:
         return ForceResult(eta=0.0, f_eta=0.0, err_est=0.0, kappa_max=0.0, n_evals=0)
+    eps = eta ** (1.0 / 3.0)
 
     k0 = spec.kappa_max_policy or max(eta ** (1.0 / 6.0), eta ** (-1.0 / 3.0))
     if k0 > _K0_MAX or eta > _ETA_MAX:  # default k0, or eta; the spec refuses a larger pinned k0
@@ -229,9 +212,8 @@ def force_exact(eta: float, spec: QuadratureSpec = QuadratureSpec()) -> ForceRes
                           "eta <= 2.2e307): the farthest node's zeta^2 would overflow")
 
     def net(u: np.ndarray) -> np.ndarray:
-        return k0 * _net_above(k0 * u, eta)[0]
+        return k0 * _net_above(k0 * u, eps)[0]
 
-    eps = eta ** (1.0 / 3.0)
     lib = _ROUND_LIB if eps < Z_SWITCH else 0.0
     rounding = sys.float_info.epsilon * (lib + _ROUND_EPS / min(1.0, eps))
     # the quadrature gets what the rounding term leaves of rel_tol; when

@@ -209,7 +209,7 @@ def _fd_oracle_spots() -> float:
 
 
 def _flat_limit_net_zero() -> float:
-    return max(abs(sk.integrand_net(k, 0.0).net) for k in (0.0, 0.1, 1.0, 5.0, 20.0))
+    return max(abs(sk.integrand_net(k, 0.0)) for k in (0.0, 0.1, 1.0, 5.0, 20.0))
 
 
 def _kappa_zero_identity() -> float:
@@ -228,17 +228,17 @@ def _large_kappa_expansions() -> float:
 
 def _net_positive_grid() -> int:
     kappa = np.array([0.0, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0])
-    return sum(np.sum(sk._net_above(kappa, float(eta))[0] <= 0.0)
-               for eta in np.logspace(-3.0, 3.0, 7))
+    return sum(np.sum(sk._net_above(kappa, eta ** (1.0 / 3.0))[0] <= 0.0)
+               for eta in np.logspace(-3.0, 3.0, 7).tolist())
 
 
 def _large_kappa_net_law() -> float:
     # net tends to 1/(2 z2), z2 = kappa^2 + eta^{1/3}, at large kappa
     worst = 0.0
     for eta in (0.1, 1.0, 10.0):
-        kap = 10.0 * max(1.0, eta ** (1.0 / 6.0))
-        net = sk._net_above(np.array([kap]), eta)[0].item()
-        worst = max(worst, abs(2.0 * (kap * kap + eta ** (1.0 / 3.0)) * net - 1.0))
+        kap, eps = 10.0 * max(1.0, eta ** (1.0 / 6.0)), eta ** (1.0 / 3.0)
+        net = sk._net_above(np.array([kap]), eps)[0].item()
+        worst = max(worst, abs(2.0 * (kap * kap + eps) * net - 1.0))
     return worst
 
 
@@ -285,7 +285,7 @@ def _fd_net_at_kernel_crossovers() -> float:
     z2s = (ae.Z_SWITCH, ae.Z_SWITCH - 0.5 * ae._NODE_STEP)
     cases = [(math.sqrt(z2 - eta ** (1.0 / 3.0)), eta) for eta in (1e-3, 1.0, 1e3) for z2 in z2s]
     cases += [(eta ** (-1.0 / 3.0), eta) for eta in (1e-3, 1e-6)]
-    return max(_rel(oo._net_fd(kap, gr.PlateConfig.from_eta(eta))[0], sk.integrand_net(kap, eta).net)
+    return max(_rel(oo._net_fd(kap, gr.PlateConfig.from_eta(eta))[0], sk.integrand_net(kap, eta))
                for kap, eta in cases)
 
 

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from casimir_plate import (
@@ -97,6 +98,20 @@ def _cases():
 def test_bad_scalar_is_a_domain_error_naming_it(call, name, value):
     with pytest.raises(DomainError, match=rf"\b{name} must be"):
         call(value)
+
+
+@pytest.mark.parametrize("greens, x, xp", [
+    (greens_free_above, np.array([1.0, 2.0]), 2.5),
+    (greens_free_above, 2.5, np.array([1.0, 2.0])),
+    (greens_free_between, np.array([0.1, 0.2]), 0.3),
+    (greens_free_between, 0.3, np.array([0.1, 0.2])),
+])
+def test_flat_greens_refuse_array_points(greens, x, xp):
+    # the flat forms are scalar: an array point is refused like any other
+    # point that is not a finite real, by name, before any arithmetic
+    with pytest.raises(DomainError) as info:
+        greens(x, xp, 1.0, 2.0)
+    assert str(info.value) == f"points must be finite reals, got x = {x!r}, x' = {xp!r}"
 
 
 # finite values beyond their range: (entry point, call with the value, the

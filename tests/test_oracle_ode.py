@@ -266,7 +266,7 @@ class TestStressExtraction:
         net_fd = 0.0
         for side, sign in (("below", 1.0), ("above", -1.0)):
             net_fd += sign * integrand_from_fd(1.5, cfg, side, fd_setup(1.5, cfg, side))
-        assert rel(net_fd, integrand_net(1.5, 0.5).net) <= 1e-8
+        assert rel(net_fd, integrand_net(1.5, 0.5)) <= 1e-8
 
     def test_flat_background_sides_cancel(self):
         cfg0 = PlateConfig(a=1.0, b=0.0)
@@ -404,7 +404,7 @@ class TestNetIntegral:
             cfg = PlateConfig.from_eta(eta)
             for kappa in self.KAPPAS:
                 net, err = oracle_ode._net_fd(kappa, cfg)
-                gap = abs(net - integrand_net(kappa, eta).net)
+                gap = abs(net - integrand_net(kappa, eta))
                 assert gap <= err <= 1e-8 * net, (eta, kappa)
 
     def test_integrand_is_nonnegative_on_every_node(self, monkeypatch):
@@ -454,7 +454,7 @@ class TestNetIntegral:
     def test_kink_row_makes_the_sample_fourth_order(self, monkeypatch):
         # eta = 1, kappa = 0: halving h cuts the error 16.0x; without the
         # kink row, 4.0x (second order, 1.5e-5 at m = 60)
-        cfg, ref = PlateConfig.from_eta(1.0), integrand_net(0.0, 1.0).net
+        cfg, ref = PlateConfig.from_eta(1.0), integrand_net(0.0, 1.0)
 
         def ratio():
             grids = [oracle_ode._net_grid(cfg, m, 10 * m) for m in (60, 120)]

@@ -109,17 +109,20 @@ class TestFiniteIntervals:
         assert r1.value == r2.value  # bit-identical
         assert r1.n_evals == r2.n_evals
 
+    @pytest.mark.parametrize("integrate", [lambda f: integrate_finite(f, 0.5, 1.0),
+                                           integrate_semi_infinite], ids=["finite", "half_line"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_non_finite_value_is_named(self, bad):
-        # every node is evaluated, both ends included, so a value that is
-        # not finite is refused at its node rather than summed
+    def test_non_finite_value_is_named(self, bad, integrate):
+        # every node is evaluated, the finite rule's ends included, so a
+        # value that is not finite is refused at its node rather than summed;
+        # x = 1 is an end of [0.5, 1] and the half line's node e^{pi sinh 0}
         def f(x):
-            y = np.exp(x)
-            y[x == 0.75] = bad
+            y = np.exp(-x)
+            y[x == 1.0] = bad
             return y
 
-        with pytest.raises(DomainError, match=f"integrand is {bad!r} at the node x=0.75$"):
-            integrate_finite(f, 0.5, 1.0)
+        with pytest.raises(DomainError, match=f"integrand is {bad!r} at the node x=1.0$"):
+            integrate(f)
 
 
 class TestClenshawCurtis:

@@ -34,11 +34,14 @@ PERTURB_5E3 = 0.8010182663036101
 
 class TestFlatCancellation:
     @pytest.mark.parametrize("kappa", [0.1, 1.0, 5.0, 20.0])
-    def test_net_vanishes_identically_at_eta_zero(self, kappa):
-        s = integrand_net(kappa, 0.0)
-        assert s.net == 0.0
+    def test_net_vanishes_identically_at_eta_zero(self, kappa, monkeypatch):
+        def refuse(z):
+            raise AssertionError(f"Airy evaluation at {z!r}")
+
         # the algebraic path short-circuits; no Airy evaluations happen
-        assert s.above is None and s.below is None
+        monkeypatch.setattr(stress_kernel, "_net_terms", refuse)
+        net = integrand_net(kappa, 0.0)
+        assert net == 0.0 and type(net) is float
 
     def test_force_vanishes_at_eta_zero(self):
         r = force_exact(0.0)
@@ -52,17 +55,17 @@ class TestIntegrandAnchors:
         for eta in (0.3, 1.0, 7.0):
             v = airy_eval(eta ** (1.0 / 3.0))
             assert integrand_below(0.0, eta) == pytest.approx(-v.bip / v.bi, rel=1e-13)
-            assert integrand_net(0.0, eta).net == pytest.approx(
+            assert integrand_net(0.0, eta) == pytest.approx(
                 -(v.aip / v.ai + v.bip / v.bi), rel=1e-12
             )
 
     def test_net_pinned_at_origin(self):
-        assert integrand_net(0.0, 1.0).net == pytest.approx(0.4040694310077221, rel=1e-12)
+        assert integrand_net(0.0, 1.0) == pytest.approx(0.4040694310077221, rel=1e-12)
 
     def test_net_approaches_tail_model_shape(self):
         kappa, eta = 10.0, 1.0
         z2 = kappa**2 + eta ** (1.0 / 3.0)
-        assert abs(integrand_net(kappa, eta).net - 0.5 / z2) <= 2e-3
+        assert abs(integrand_net(kappa, eta) - 0.5 / z2) <= 2e-3
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
@@ -87,8 +90,8 @@ class TestIntegrandAnchors:
     def test_momentum_at_the_farthest_node_is_served(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            s = integrand_net(_KAPPA_MAX, 1.0)
-        assert s.net == pytest.approx(0.5 / _KAPPA_MAX**2, rel=1e-12)
+            net = integrand_net(_KAPPA_MAX, 1.0)
+        assert net == pytest.approx(0.5 / _KAPPA_MAX**2, rel=1e-12)
 
     @pytest.mark.parametrize("kappa", [_KAPPA_MAX, 1e20, 0.0])
     def test_largest_eta_is_served(self, kappa):
@@ -97,8 +100,9 @@ class TestIntegrandAnchors:
         # samples refuse eta (tests/test_errors.py)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            s = integrand_net(kappa, stress_kernel._ETA_MAX)
-        assert all(math.isfinite(v) for v in (s.above, s.below, s.net)) and s.net > 0.0
+            sides = [f(kappa, stress_kernel._ETA_MAX)
+                     for f in (integrand_above, integrand_below, integrand_net)]
+        assert all(math.isfinite(v) for v in sides) and sides[2] > 0.0
 
 
 class TestSinglePass:
@@ -130,9 +134,9 @@ class TestSinglePass:
         # one _net_terms pass on its z1 and z2, with no Airy call beside it
         momenta, calls = [], []
 
-        def batch(kappa, eta):
+        def batch(kappa, eps):
             momenta.append(kappa.tolist())
-            return net_above(kappa, eta)
+            return net_above(kappa, eps)
 
         def terms(z):
             calls.append(z.tolist())
@@ -160,9 +164,9 @@ class TestSinglePass:
         # the 102 nodes between those of the first, and no node is repeated
         momenta = []
 
-        def batch(kappa, eta):
+        def batch(kappa, eps):
             momenta.append(kappa.tolist())
-            return net_above(kappa, eta)
+            return net_above(kappa, eps)
 
         net_above = stress_kernel._net_above
         monkeypatch.setattr(stress_kernel, "_net_above", batch)
@@ -181,14 +185,13 @@ class TestSinglePass:
 
     @pytest.mark.parametrize("eta", [1e-3, 1.0, 1e3])
     @pytest.mark.parametrize("kappa_sq", [1.0, 10.0, 39.0, 39.99, 40.0, 41.0, 100.0])
-    def test_sides_equal_the_single_side_integrands(self, kappa_sq, eta):
-        # z1 = kappa^2 on both sides of Z_SWITCH = 40: both Airy branches serve
+    def test_below_is_above_plus_net(self, kappa_sq, eta):
+        # z1 = kappa^2 on both sides of Z_SWITCH = 40: both Airy branches
+        # serve; net is formed without the subtraction, below is read from it
         kappa = math.sqrt(kappa_sq)
-        s = integrand_net(kappa, eta)
-        assert s.above == integrand_above(kappa, eta)
-        assert s.below == integrand_below(kappa, eta)
-        # net is formed without the subtraction; below is read from it
-        assert s.below == s.above + s.net
+        below, above, net = (f(kappa, eta) for f in (integrand_below, integrand_above, integrand_net))
+        assert all(type(v) is float for v in (below, above, net))
+        assert below == above + net
 
     @pytest.mark.parametrize("eta", [1e-12, 1e-3, 1.0, 1e3, 1e9])
     def test_scalar_net_equals_its_batched_element(self, eta):
@@ -213,10 +216,9 @@ class TestSinglePass:
         for kappa in batches:
             # as listed, and reversed: momenta may arrive in any order
             for order in (kappa, kappa[::-1]):
-                net, above = stress_kernel._net_above(np.array(order), eta)
-                samples = [integrand_net(k, eta) for k in order]
-                assert [s.net for s in samples] == net.tolist(), order
-                assert [s.above for s in samples] == above.tolist(), order
+                net, above = stress_kernel._net_above(np.array(order), eta ** (1.0 / 3.0))
+                assert [integrand_net(k, eta) for k in order] == net.tolist(), order
+                assert [integrand_above(k, eta) for k in order] == above.tolist(), order
 
     @staticmethod
     def mp_errors(kappa_sq, eta, digits=40):
@@ -232,9 +234,9 @@ class TestSinglePass:
             s = ap1 * b1 + a1 * bp1
             above = ap2 / a2
             below = (2 * a1 * ap1 * bp2 - ap2 * s) / (a2 * s - 2 * a1 * ap1 * b2)
-        own = integrand_net(math.sqrt(kappa_sq), eta)
+        own = [f(math.sqrt(kappa_sq), eta) for f in (integrand_net, integrand_above, integrand_below)]
         return [float(abs(x - ref) / abs(ref))
-                for x, ref in zip((own.net, own.above, own.below), (below - above, above, below))]
+                for x, ref in zip(own, (below - above, above, below))]
 
     @pytest.mark.parametrize("eta", [1e-3, 1.0, 1e3])
     @pytest.mark.parametrize("kappa_sq", [0.0, 1.0, 10.0, 39.0, 39.99, 40.0, 41.0, 100.0, 1e4])
@@ -309,7 +311,7 @@ class TestForceExact:
 
     @pytest.mark.parametrize("eta, rel_tol", [(1e-8, 1e-12), (1e-30, 1e-9), (1e-12, 1e-13)])
     def test_rounding_over_rel_tol_refuses_before_integrating(self, monkeypatch, eta, rel_tol):
-        def never(kappa, eta):
+        def never(kappa, eps):
             raise AssertionError("the kernel was evaluated")
 
         monkeypatch.setattr(stress_kernel, "_net_above", never)
@@ -341,7 +343,7 @@ class TestForceExact:
                 force_exact(*args)
         # an integrand no level resolves: |sin(kappa)| has a kink at every pi
         monkeypatch.setattr(stress_kernel, "_net_above",
-                            lambda k, eta: (np.abs(np.sin(k)) / (1.0 + k * k), None))
+                            lambda k, eps: (np.abs(np.sin(k)) / (1.0 + k * k), None))
         with pytest.raises(ToleranceError, match="n_evals=819, cause: level difference"):
             force_exact(1.0)
 
