@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -61,54 +60,43 @@ _LEVELS = [
 ]
 _COARSE = np.flatnonzero(_K % 16 == 0)  # h = 1/8, held by the first level
 _ENDS = _LEVELS[0][1][[0, 1, -1, -2]]  # the first level's two outermost nodes at each end
-# the force kernel squares zeta = (2/3) z^{3/2}, z = kappa^2 + eps
-# (airy_engine._series_terms): a momentum up to _KAPPA_MAX keeps kappa^6
-# below an eighth of the float range, room for eps <= kappa^2 (eta up to
-# _ETA_MAX), and a scale k0 up to _K0_MAX keeps the farthest node k0 u there
-_ETA_MAX = sys.float_info.max / 8.0
-_KAPPA_MAX = _ETA_MAX ** (1.0 / 6.0)
-_K0_MAX = _KAPPA_MAX / _U[-1].item()
 
 _CC_FIRST = 8  # intervals of the first Clenshaw-Curtis level
 _CC_MAX = 1024  # intervals of the last
 
 # change it whenever a force result moves, n_evals included, so that cached
 # curve rows are recomputed rather than served stale
-_KERNEL = "wronskian-split+exp-sinh-tails+taylor-march"
+_KERNEL = "wronskian-split+exp-sinh-tails+taylor-march+pow-rounding"
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances and policies shared by all integrations.
+    """Tolerance and policy shared by all integrations; every integral stops on rel_tol alone.
 
     ``kappa_max_policy`` belongs to the force computations: the momentum
-    scale k0 of the half-line rule's nodes kappa = k0 u, at most _K0_MAX;
-    ``None`` means max(eta^{1/6}, eta^{-1/3}).
+    scale k0 of the half-line rule's nodes kappa = k0 u, finite and > 0
+    (force_exact bounds it); ``None`` means max(eta^{1/6}, eta^{-1/3}).
     """
 
     rel_tol: float = 1e-9
-    abs_tol: float = 1e-14
     kappa_max_policy: Optional[float] = None
 
     def __post_init__(self):
         object.__setattr__(self, "rel_tol", check_real(self.rel_tol, "rel_tol", strict=True))
-        object.__setattr__(self, "abs_tol", check_real(self.abs_tol, "abs_tol", strict=True))
         if self.kappa_max_policy is not None:
-            k = check_real(self.kappa_max_policy, "kappa_max_policy", strict=True, upper=_K0_MAX)
+            k = check_real(self.kappa_max_policy, "kappa_max_policy", strict=True)
             object.__setattr__(self, "kappa_max_policy", k)
 
     def fingerprint(self) -> str:
         """Stable identity of the kernel and tolerances; result caches key off this."""
-        return (
-            f"kernel={_KERNEL};rel={self.rel_tol!r};abs={self.abs_tol!r};"
-            f"kmax={self.kappa_max_policy!r}"
-        )
+        return f"kernel={_KERNEL};rel={self.rel_tol!r};kmax={self.kappa_max_policy!r}"
 
 
 @dataclass(frozen=True)
 class QuadResult:
     """value, err_est, n_evals, converged, and edge, the window-edge part of err_est.
 
+    converged means err_est <= rel_tol*|value|, with no absolute floor, and
     err_est bounds the error only when converged is True: a level
     difference sees nothing that no level resolves.  edge is 0 on a
     finite interval.
@@ -171,8 +159,9 @@ def integrate_finite(
     The first call evaluates the _CC_FIRST + 1 nodes of the first level,
     both ends included; each later call the nodes that the next level, of
     twice the intervals, adds between them.  err_est is |I_n - I_{n/2}|;
-    converged means it met max(rel_tol*|value|, abs_tol) by _CC_MAX
-    intervals.  A value that is not finite is a DomainError naming its node.
+    converged means it met rel_tol*|value| by _CC_MAX intervals (never, for
+    a zero integral of nonzero samples).  A value that is not finite is a
+    DomainError naming its node.
     """
     if not (lo <= hi and math.isfinite(hi - lo)):  # NaN fails too
         raise DomainError(f"bad interval [{lo!r}, {hi!r}]")
@@ -188,7 +177,7 @@ def integrate_finite(
         fx = np.insert(fx, range(1, fx.size), _finite_values(f, lo + width * t[1::2]))
         value = width * math.fsum((w * fx).tolist())
         err = abs(value - coarse)
-        converged = err <= max(spec.rel_tol * abs(value), spec.abs_tol)
+        converged = err <= spec.rel_tol * abs(value)
     return QuadResult(value, err, n + 1, converged)
 
 
@@ -219,7 +208,7 @@ def integrate_semi_infinite(
     every level: when it alone misses the tolerance the result is not
     converged after the first level, since no refinement reaches what the
     window cuts off.
-    converged means err_est met max(rel_tol*|value|, abs_tol) by h = 1/128.
+    converged means err_est met rel_tol*|value| by h = 1/128.
     A value that is not finite is a DomainError naming its node.
     """
     terms = np.zeros(_U.size)  # w f(u) at the nodes evaluated so far
@@ -234,7 +223,7 @@ def integrate_semi_infinite(
             edge = _tail(t[0], t[1]) + _tail(t[2], t[3])
         value = h * math.fsum(terms[on].tolist())
         err = abs(value - coarse) + edge
-        tol = max(spec.rel_tol * abs(value), spec.abs_tol)
+        tol = spec.rel_tol * abs(value)
         if err <= tol or edge > tol:
             break
         coarse = value

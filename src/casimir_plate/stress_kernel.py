@@ -47,7 +47,7 @@ import numpy as np
 
 from .airy_engine import Z_SWITCH, _net_terms
 from .errors import DomainError, SingularityError, ToleranceError, check_real
-from .quadrature import _ETA_MAX, _K0_MAX, _KAPPA_MAX, QuadratureSpec, integrate_semi_infinite
+from .quadrature import _U, QuadratureSpec, integrate_semi_infinite
 
 __all__ = [
     "ForceResult",
@@ -60,6 +60,13 @@ __all__ = [
     "perturbative_integrands",
     "force_perturbative",
 ]
+
+# the kernel squares zeta = (2/3) z^{3/2}, z = kappa^2 + eps (airy_engine._series_terms):
+# a momentum up to _KAPPA_MAX keeps kappa^6 below an eighth of the float range, room for
+# eps <= kappa^2 (eta up to _ETA_MAX); a scale k0 up to _K0_MAX keeps the farthest node there
+_ETA_MAX = sys.float_info.max / 8.0
+_KAPPA_MAX = _ETA_MAX ** (1.0 / 6.0)
+_K0_MAX = _KAPPA_MAX / _U[-1].item()
 
 
 @dataclass(frozen=True)
@@ -167,9 +174,12 @@ def tail_mismatch(kappa_max: float, eta: float) -> tuple[bool, float]:
 # _ROUND_LIB u while the Taylor table serves some z2 < Z_SWITCH (at most
 # 72 u measured, 59 u beyond the quadrature's estimate), plus _ROUND_EPS u
 # divided by min(1, eps), eps = eta^{1/3}, from the cancellation between
-# the two terms of net at small eps.
+# the two terms of net at small eps; or, if larger, _ROUND_POW u |ln eta|,
+# twice the 2.78e-17 ln eta that the rounded exponents 2/3 and 1/3 take off
+# f at large eta (the larger one only from ln eta = 40 up).
 _ROUND_LIB = 100.0
 _ROUND_EPS = 10.0
+_ROUND_POW = 0.25
 
 
 def _refusal(n_evals: int, cause: str, eta: float, spec: QuadratureSpec, err: str,
@@ -189,15 +199,16 @@ def force_exact(eta: float, spec: QuadratureSpec = QuadratureSpec()) -> ForceRes
     spec.kappa_max_policy when set, otherwise max(eta^{1/6}, eta^{-1/3}):
     sqrt(eps) at large eta, and at small eta the crossover kappa ~ 1/eps
     where net turns from eps/kappa to 1/(2 kappa^2), eps = eta^{1/3}.  It
-    is reported as kappa_max.  err_est is the quadrature estimate plus the
-    kernel's rounding term, and a result whose err_est exceeds rel_tol * f
-    raises ToleranceError naming the input (eta, rel_tol, k0) and the part
-    of err_est that missed: the level difference, the window edge or
-    rounding.  When the rounding term alone exceeds rel_tol, that error is
-    raised before any node is evaluated (n_evals=0); an integral that
-    comes out zero or negative is refused the same way.
-    A k0 above the spec's bound on a pinned one (default k0 at eta outside
-    [1.6e-104, 3.7e207]) raises DomainError.
+    is reported as kappa_max.  err_est is the quadrature estimate plus a
+    rounding term (the kernel's, or that of the pow exponents, ~ ln eta),
+    and a result whose err_est exceeds rel_tol * f raises ToleranceError
+    naming the input (eta, rel_tol, k0) and the part of err_est that
+    missed: the level difference, the window edge or rounding.  When the
+    rounding term alone exceeds rel_tol, that error is raised before any
+    node is evaluated (n_evals=0); an integral that comes out zero or
+    negative is refused the same way.
+    A k0 above _K0_MAX, pinned or the default one (eta outside
+    [1.6e-104, 3.7e207]), raises DomainError naming eta and k0.
     eta = 0 returns exactly zero without integrating (the net integrand is
     identically zero by the cancellation identity).
     """
@@ -207,7 +218,7 @@ def force_exact(eta: float, spec: QuadratureSpec = QuadratureSpec()) -> ForceRes
     eps = eta ** (1.0 / 3.0)
 
     k0 = spec.kappa_max_policy or max(eta ** (1.0 / 6.0), eta ** (-1.0 / 3.0))
-    if k0 > _K0_MAX or eta > _ETA_MAX:  # default k0, or eta; the spec refuses a larger pinned k0
+    if k0 > _K0_MAX or eta > _ETA_MAX:
         raise DomainError(f"eta={eta!r} with k0={k0!r} is out of range (k0 <= {_K0_MAX!r}, "
                           "eta <= 2.2e307): the farthest node's zeta^2 would overflow")
 
@@ -215,7 +226,8 @@ def force_exact(eta: float, spec: QuadratureSpec = QuadratureSpec()) -> ForceRes
         return k0 * _net_above(k0 * u, eps)[0]
 
     lib = _ROUND_LIB if eps < Z_SWITCH else 0.0
-    rounding = sys.float_info.epsilon * (lib + _ROUND_EPS / min(1.0, eps))
+    rounding = sys.float_info.epsilon * max(lib + _ROUND_EPS / min(1.0, eps),
+                                            _ROUND_POW * abs(math.log(eta)))
     # the quadrature gets what the rounding term leaves of rel_tol; when
     # nothing is left, no integral can meet it
     budget = spec.rel_tol - rounding
@@ -231,7 +243,7 @@ def force_exact(eta: float, spec: QuadratureSpec = QuadratureSpec()) -> ForceRes
     if not (r.converged and f_eta > 0.0 and err <= spec.rel_tol * f_eta):
         # a window edge that alone misses the quadrature's tolerance stops it
         # at the first level; otherwise the finest level ran out
-        edge_missed = r.edge > max(qspec.rel_tol * abs(r.value), qspec.abs_tol)
+        edge_missed = r.edge > qspec.rel_tol * abs(r.value)
         cause = ("value not positive" if r.converged and not f_eta > 0.0
                  else "rounding" if r.converged
                  else "window edge" if edge_missed else "level difference")

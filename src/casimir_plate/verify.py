@@ -253,14 +253,15 @@ def _perturbative_ir_log_step() -> float:
 
 def _perturbative_identity() -> float:
     # the printed b-parts of below and above (docs/numerics.md section 5)
-    # against the returned sides and the separately coded net
+    # against the returned sides and the separately coded net, part_b - part_a
+    # against the larger part, since it cancels by about 1/(4 K a) at small K a
     worst = 0.0
-    for K, a, b in itertools.product((1e-2, 0.1, 0.3, 1.0, 10.0, 100.0), (0.5, 1.0, 2.0),
-                                     (0.5, 1.0, 3.0)):
+    for K, a, b in itertools.product((1e-4, 5e-4, 1e-2, 0.1, 0.3, 1.0, 10.0, 100.0),
+                                     (0.5, 1.0, 2.0), (0.5, 1.0, 3.0)):
         below, above, net = sk.perturbative_integrands(K, a, b)
         part_b = b * (1.0 - 2.0 * K * a - 2.0 * math.exp(-2.0 * K * a)) / (4.0 * K * K)
         part_a = -b * (1.0 + 2.0 * K * a) / (4.0 * K * K)
-        worst = max(worst, _rel(part_b - part_a, net),
+        worst = max(worst, abs(part_b - part_a - net) / max(abs(part_b), abs(part_a)),
                     _rel(below, -K + part_b), _rel(above, -K + part_a))
     return worst
 
@@ -323,9 +324,7 @@ CHECKS = (
     Check("stress", "classic_two_plate_value", _classic_two_plate_value, 1e-8),
     Check("stress", "perturbative_ir_log_step", _perturbative_ir_log_step, 5e-2,  # 7.2e-3
           "growth per halving of k_min, in units of ln2/(2 pi)"),
-    # 6.1e-15; 2.8e-13 at K a = 2.5e-4, where the printed b-parts cancel in
-    # part_b - part_a (the returned values stay 3.5e-16 from mpmath there)
-    Check("stress", "perturbative_identity", _perturbative_identity, 1e-13),
+    Check("stress", "perturbative_identity", _perturbative_identity, 1e-14),  # 3.4e-16
     Check("stress", "stress_sides_from_fd", _stress_sides_from_fd, 1e-9),  # 3.2e-11
     Check("stress", "fd_net_at_kernel_crossovers", _fd_net_at_kernel_crossovers,
           1e-10),  # 1.3e-12

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from casimir_plate import QuadratureSpec, ToleranceError, force_exact
+from casimir_plate import DomainError, QuadratureSpec, ToleranceError, force_exact
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -58,6 +58,42 @@ HARD = {
 def test_error_estimate_holds_where_the_quadrature_was_fooled(eta, rel_tol):
     r = force_exact(eta, QuadratureSpec(rel_tol=rel_tol))
     assert abs(r.f_eta - HARD[eta]) <= r.err_est <= rel_tol * r.f_eta
+
+
+# half decades of eta: from 1e-310 to 1e307, and from 10^17.5, where the
+# rounding of the pow exponents first outweighs the kernel's, to the default
+# k0's bound, 3.75e207
+HALF_DECADES = [10.0 ** (k / 2.0) for k in range(-620, 615)]
+LARGE_ETAS = [eta for eta in HALF_DECADES if 3e17 < eta < 3.75e207]
+
+
+@pytest.mark.parametrize("rel_tol", [1e-11, 1e-13])
+def test_large_eta_is_answered_within_err_est_of_the_law(rel_tol):
+    # (sqrt(eta)/8)(1 + 75/(256 eta) + c2/eta^2), docs/numerics.md section 7;
+    # the next term is below 1e-52 here.  Without the exponent-rounding term
+    # err_est misses the law from eta ~ 1e35 up (5.9x at 3.2e206)
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        c2 = mp.mpf(17619525) / 11796480
+        for eta in LARGE_ETAS:
+            r = force_exact(eta, QuadratureSpec(rel_tol=rel_tol))
+            e = mp.mpf(eta)
+            law = mp.sqrt(e) / 8 * (1 + mp.mpf(75) / (256 * e) + c2 / e**2)
+            assert abs(r.f_eta - law) <= r.err_est <= rel_tol * r.f_eta, eta
+
+
+def test_only_the_rounding_term_alone_or_the_bound_refuses():
+    # with no absolute floor, a default-k0 refusal on the half-decade grid is
+    # the kernel's bound on eta or k0 (DomainError) or the rounding term
+    # exceeding rel_tol before any node is evaluated
+    for eta in HALF_DECADES:
+        for rel_tol in (1e-3, 1e-6, 1e-9, 1e-11, 1e-12, 1e-13):
+            try:
+                force_exact(eta, QuadratureSpec(rel_tol=rel_tol))
+            except ToleranceError as exc:
+                assert "(n_evals=0, cause: rounding)" in str(exc), (eta, rel_tol)
+            except DomainError as exc:
+                assert f"eta={eta!r} with k0=" in str(exc)
 
 
 @pytest.mark.parametrize("rel_tol", [1e-6, 1e-9, 1e-12])

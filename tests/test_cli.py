@@ -71,6 +71,17 @@ class TestExact:
         rc, _ = run_cli(["exact", "--eta", "-1"], capsys)
         assert rc == 2
 
+    @pytest.mark.parametrize("command", [["exact", "--eta", "1"],
+                                         ["curve", "--eta-min", "1", "--eta-max", "2",
+                                          "--points", "2", "--out", "c.csv"]])
+    def test_pinned_scale_beyond_the_kernel_bound_is_usage_error(self, command, capsys,
+                                                                  tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(command + ["--kappa-max", "1e35"]) == 2
+        err = capsys.readouterr().err
+        assert "eta=1.0 with k0=1e+35 is out of range" in err and "Traceback" not in err
+        assert not (tmp_path / "c.csv").exists()
+
 
 class TestClassic:
     def test_reference_value(self, capsys):
@@ -145,7 +156,8 @@ class TestCurve:
         # the kernel whose first quadrature step was the whole interval
         # (every n_evals 15 higher), by the one whose values below Z_SWITCH
         # came from airye at every argument, by the Taylor table seeded by
-        # airye, and by adaptive Gauss-Kronrod on the half line
+        # airye, by adaptive Gauss-Kronrod on the half line, and by the
+        # exp-sinh rule that stopped on an absolute floor
         from casimir_plate.cli import _curve_grid
 
         fresh = tmp_path / "fresh.csv"
@@ -155,7 +167,8 @@ class TestCurve:
                        "kernel=wronskian-split;rel=1e-06;abs=1e-14;sub=2000;kmax=None",
                        "kernel=wronskian-split+halves;rel=1e-06;abs=1e-14;sub=2000;kmax=None",
                        "kernel=wronskian-split+halves+taylor;rel=1e-06;abs=1e-14;sub=2000;kmax=None",
-                       "kernel=wronskian-split+halves+taylor-march;rel=1e-06;abs=1e-14;sub=2000;kmax=None"):
+                       "kernel=wronskian-split+halves+taylor-march;rel=1e-06;abs=1e-14;sub=2000;kmax=None",
+                       "kernel=wronskian-split+exp-sinh-tails+taylor-march;rel=1e-06;abs=1e-14;kmax=None"):
             cache, out = tmp_path / "cache.json", tmp_path / "c.csv"
             cache.write_text(json.dumps({f"{eta!r}|{old_fp}": stale
                                          for eta in _curve_grid(0.1, 10.0, 5, "log")}))

@@ -58,7 +58,6 @@ ROWS = [
     ("PlateConfig.b", lambda v: PlateConfig(a=1.0, b=v), "b", -1.0),
     ("PlateConfig.from_eta.eta", lambda v: PlateConfig.from_eta(v), "eta", -1.0),
     ("QuadratureSpec.rel_tol", lambda v: QuadratureSpec(rel_tol=v), "rel_tol", 0.0),
-    ("QuadratureSpec.abs_tol", lambda v: QuadratureSpec(abs_tol=v), "abs_tol", 0.0),
     ("QuadratureSpec.kappa_max_policy", lambda v: QuadratureSpec(kappa_max_policy=v),
      "kappa_max_policy", 0.0),
     ("greens_free_between.K", lambda v: greens_free_between(0.5, 0.5, v, 1.0), "K", 0.0),
@@ -117,7 +116,8 @@ def test_flat_greens_refuse_array_points(greens, x, xp):
 # finite values beyond their range: (entry point, call with the value, the
 # value, the refusal's text).  Momenta beyond the finite-difference grid's
 # reach, eta beyond the one-momentum samples' (force_exact's bound, where
-# zeta^2 would overflow), a separation whose -pi/(24 a^2) is subnormal, and
+# zeta^2 would overflow), a pinned k0 that puts force_exact's farthest node
+# there, a separation whose -pi/(24 a^2) is subnormal, and
 # perturbative inputs whose scale a b / 2 pi overflows or whose c = 2 a k_min
 # does; the samples' kappa and force_classic's lower bound are tested in
 # test_stress_kernel.py
@@ -127,6 +127,10 @@ RANGE = [
      "a b / 2 pi = inf"),
     ("force_perturbative.c", lambda v: force_perturbative(1e300, 1.0, v), 1e10, "c = inf"),
     ("integrand_net.eta", lambda v: integrand_net(1.6e51, v), 1e308, "eta must be <= "),
+    ("force_exact.kappa_max_policy", lambda v: force_exact(1.0, QuadratureSpec(kappa_max_policy=v)),
+     1e35, "eta=1.0 with k0=1e+35 is out of range"),
+    ("force_exact.kappa_max_policy", lambda v: force_exact(1.0, QuadratureSpec(kappa_max_policy=v)),
+     1e101, "eta=1.0 with k0=1e+101 is out of range"),
     ("tail_mismatch.eta", lambda v: tail_mismatch(1.6e51, v), 1e308, "eta must be <= "),
     ("fd_setup.above", lambda v: fd_setup(v, CFG, "above"), 1e20, "kappa=1e+20 is too large"),
     ("fd_setup.below", lambda v: fd_setup(v, CFG, "below"), 1e102, "kappa=1e+102 is too large"),

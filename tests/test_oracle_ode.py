@@ -343,7 +343,7 @@ class TestForcePipeline:
 
     def test_nonconvergence_raises_and_names_inputs(self, monkeypatch):
         # the refusal at the last Clenshaw-Curtis level
-        monkeypatch.setattr(oracle_ode, "_FD_SPEC", QuadratureSpec(rel_tol=1e-12, abs_tol=1e-30))
+        monkeypatch.setattr(oracle_ode, "_FD_SPEC", QuadratureSpec(rel_tol=1e-12))
         monkeypatch.setattr(quadrature, "_CC_MAX", 16)
         with pytest.raises(ToleranceError) as info:
             force_from_fd(1.0)

@@ -3,6 +3,7 @@
 Integrands follow the array contract: a 1-D array of nodes in, as many values out.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -21,7 +22,6 @@ class TestSpec:
     def test_defaults(self):
         spec = QuadratureSpec()
         assert spec.rel_tol == 1e-9
-        assert spec.abs_tol == 1e-14
         assert spec.kappa_max_policy is None
 
     def test_fingerprint_is_stable_and_sensitive(self):
@@ -33,18 +33,26 @@ class TestSpec:
         d = QuadratureSpec(kappa_max_policy=25.0)
         assert "25" in d.fingerprint()
 
+    def test_two_fields_and_no_absolute_floor(self):
+        # every integral stops on rel_tol alone; the cache key names the kernel,
+        # rel_tol and the pinned scale, nothing else
+        assert [f.name for f in dataclasses.fields(QuadratureSpec)] == ["rel_tol",
+                                                                        "kappa_max_policy"]
+        spec = QuadratureSpec(rel_tol=1e-6, kappa_max_policy=25.0)
+        assert spec.fingerprint() == f"kernel={quadrature._KERNEL};rel=1e-06;kmax=25.0"
+
+    def test_scale_bound_is_left_to_the_kernel(self):
+        # the spec only checks a pinned scale is finite and > 0; force_exact
+        # refuses one whose farthest node would overflow (tests/test_errors.py)
+        assert QuadratureSpec(kappa_max_policy=1e300).kappa_max_policy == 1e300
+
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"rel_tol": -1.0},
             {"rel_tol": 0.0},
-            {"abs_tol": -1e-3},
-            {"abs_tol": 0.0},
             {"rel_tol": float("inf")},
-            {"abs_tol": float("nan")},
             {"kappa_max_policy": -5.0},
-            {"kappa_max_policy": 1e101},
-            {"kappa_max_policy": 1e35},
             {"kappa_max_policy": float("nan")},
         ],
     )
@@ -98,7 +106,7 @@ class TestFiniteIntervals:
 
     def test_cap_exhaustion(self, monkeypatch):
         monkeypatch.setattr(quadrature, "_CC_MAX", 16)
-        spec = QuadratureSpec(rel_tol=1e-15, abs_tol=1e-300)
+        spec = QuadratureSpec(rel_tol=1e-15)
         r = integrate_finite(lambda x: np.abs(x - 1.0 / 3.0) ** 0.1, 0.0, 1.0, spec)
         assert not r.converged and r.n_evals == 17
 
@@ -155,7 +163,7 @@ class TestClenshawCurtis:
             return np.abs(x - 1.0 / 3.0)
 
         lo, hi = -1.0, 2.0
-        r = integrate_finite(kink, lo, hi, QuadratureSpec(rel_tol=1e-15, abs_tol=1e-300))
+        r = integrate_finite(kink, lo, hi, QuadratureSpec(rel_tol=1e-15))
         assert [len(c) for c in calls] == [9] + self.LEVELS[:-1]
         assert r.n_evals == sum(map(len, calls)) == 1025 and not r.converged
         level = calls[0]
@@ -164,6 +172,14 @@ class TestClenshawCurtis:
             merged = sorted(level + new)
             assert len(set(merged)) == len(merged) and new == merged[1::2]
             level = merged
+
+    def test_zero_integral_of_nonzero_samples_never_converges(self):
+        # no absolute floor: over one period of sin both the level
+        # difference and the value are rounding, and the one never meets
+        # rel_tol times the other
+        r = integrate_finite(np.sin, 0.0, 2.0 * math.pi)
+        assert not r.converged and r.n_evals == quadrature._CC_MAX + 1
+        assert abs(r.value) < 1e-14
 
     def test_value_is_the_levels_fsum(self):
         # on [0, 1] the nodes are the level's own and the value its
@@ -193,7 +209,7 @@ class TestSemiInfinite:
             seen.extend(k.tolist())
             return np.abs(np.sin(k)) / (1.0 + k * k)
 
-        spec = QuadratureSpec(rel_tol=1e-15, abs_tol=1e-300)
+        spec = QuadratureSpec(rel_tol=1e-15)
         r = integrate_semi_infinite(kinks, spec)
         assert len(seen) == r.n_evals == 819
         assert 0.0 < min(seen) and max(seen) < math.inf
@@ -263,7 +279,7 @@ class TestToleranceSurface:
     def test_nonconvergence_is_reported_not_raised(self, monkeypatch):
         # the quadrature reports converged=False; raising is the caller's call
         monkeypatch.setattr(quadrature, "_CC_MAX", 16)
-        spec = QuadratureSpec(rel_tol=1e-16, abs_tol=1e-300)
+        spec = QuadratureSpec(rel_tol=1e-16)
         r = integrate_finite(lambda x: 1.0 / np.sqrt(x + 1e-12), 0.0, 1.0, spec)
         assert not r.converged
         assert math.isfinite(r.value)

@@ -11,8 +11,10 @@ import pytest
 from casimir_plate import airy_engine, stress_kernel
 from casimir_plate.airy_engine import Z_SWITCH, airy_eval
 from casimir_plate.errors import DomainError, ToleranceError
-from casimir_plate.quadrature import _K0_MAX, _KAPPA_MAX, _U, QuadratureSpec, integrate_semi_infinite
+from casimir_plate.quadrature import _U, QuadratureSpec, integrate_semi_infinite
 from casimir_plate.stress_kernel import (
+    _K0_MAX,
+    _KAPPA_MAX,
     ForceResult,
     force_classic,
     force_exact,
@@ -349,14 +351,17 @@ class TestForceExact:
 
     def test_pinned_scale_bound(self):
         # just below the bound the farthest node's zeta^2 stays finite: an
-        # answer or a ToleranceError, never an overflow warning; above, the
-        # spec refuses the scale and names the bound
+        # answer or a ToleranceError, never an overflow warning; above it
+        # force_exact refuses, naming eta, the scale and the bound
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ToleranceError, match="window edge"):
                 force_exact(1.0, QuadratureSpec(kappa_max_policy=_K0_MAX))
-        with pytest.raises(DomainError, match=re.escape(f"<= {_K0_MAX!r}, got")):
-            QuadratureSpec(kappa_max_policy=math.nextafter(_K0_MAX, math.inf))
+        k0 = math.nextafter(_K0_MAX, math.inf)
+        spec = QuadratureSpec(kappa_max_policy=k0)
+        with pytest.raises(DomainError, match=re.escape(f"eta=1.0 with k0={k0!r} is out of range "
+                                                        f"(k0 <= {_K0_MAX!r}")):
+            force_exact(1.0, spec)
 
     @pytest.mark.parametrize("eta", [1e-105, 1e208, 1e300])
     def test_eta_whose_scale_would_overflow_is_a_domain_error(self, eta):
@@ -418,7 +423,7 @@ class TestForceClassic:
     def test_refusal_names_its_inputs(self):
         # below 2e-17 relative the window's edge alone misses the tolerance
         with pytest.raises(ToleranceError) as info:
-            force_classic(1e-10, QuadratureSpec(rel_tol=1e-18, abs_tol=1e-300))
+            force_classic(1e-10, QuadratureSpec(rel_tol=1e-18))
         assert "; a=1e-10, rel_tol=1e-18, err_est=" in str(info.value)
 
     @pytest.mark.parametrize("a", [1e-300, 5e-324, 2.6984323550097483e-155,

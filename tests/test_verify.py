@@ -74,6 +74,20 @@ def test_fd_oracle_spots_catch_a_wrong_green(monkeypatch, side):
     assert not r.passed and r.measured == pytest.approx(1e-8, rel=0.05)
 
 
+def test_perturbative_row_catches_a_wrong_net(monkeypatch):
+    # net 1e-8 off fails the row, down to K a = 5e-5, where part_b - part_a
+    # cancels by four orders of magnitude
+    true = stress_kernel.perturbative_integrands
+
+    def spoiled(K, a, b):
+        below, above, net = true(K, a, b)
+        return below, above, net * (1.0 + 1e-8)
+
+    monkeypatch.setattr(stress_kernel, "perturbative_integrands", spoiled)
+    r = _row("perturbative_identity")
+    assert not r.passed and 1e-9 < r.measured <= 1e-8
+
+
 def test_library_row_catches_a_spoiled_evaluator(monkeypatch):
     # scaled Airy values 1e-12 off, on every branch, fail the airye row
     true = airy_engine.airy_scaled
