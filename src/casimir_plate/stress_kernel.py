@@ -213,14 +213,14 @@ def force_exact(eta: float, spec: QuadratureSpec = QuadratureSpec()) -> ForceRes
     identically zero by the cancellation identity).
     """
     eta = check_real(eta, "eta")
-    if eta == 0.0:
-        return ForceResult(eta=0.0, f_eta=0.0, err_est=0.0, kappa_max=0.0, n_evals=0)
-    eps = eta ** (1.0 / 3.0)
-
-    k0 = spec.kappa_max_policy or max(eta ** (1.0 / 6.0), eta ** (-1.0 / 3.0))
+    # a pinned k0 is bounded at eta = 0 too, where no default is formed
+    k0 = spec.kappa_max_policy or (eta and max(eta ** (1.0 / 6.0), eta ** (-1.0 / 3.0)))
     if k0 > _K0_MAX or eta > _ETA_MAX:
         raise DomainError(f"eta={eta!r} with k0={k0!r} is out of range (k0 <= {_K0_MAX!r}, "
                           "eta <= 2.2e307): the farthest node's zeta^2 would overflow")
+    if eta == 0.0:
+        return ForceResult(eta=0.0, f_eta=0.0, err_est=0.0, kappa_max=0.0, n_evals=0)
+    eps = eta ** (1.0 / 3.0)
 
     def net(u: np.ndarray) -> np.ndarray:
         return k0 * _net_above(k0 * u, eps)[0]

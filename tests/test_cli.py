@@ -71,15 +71,16 @@ class TestExact:
         rc, _ = run_cli(["exact", "--eta", "-1"], capsys)
         assert rc == 2
 
-    @pytest.mark.parametrize("command", [["exact", "--eta", "1"],
+    @pytest.mark.parametrize("command", [["exact", "--eta", "1"], ["exact", "--eta", "0"],
                                          ["curve", "--eta-min", "1", "--eta-max", "2",
                                           "--points", "2", "--out", "c.csv"]])
     def test_pinned_scale_beyond_the_kernel_bound_is_usage_error(self, command, capsys,
                                                                   tmp_path, monkeypatch):
+        # refused by force_exact, at eta = 0 too, where nothing is integrated
         monkeypatch.chdir(tmp_path)
         assert cli.main(command + ["--kappa-max", "1e35"]) == 2
         err = capsys.readouterr().err
-        assert "eta=1.0 with k0=1e+35 is out of range" in err and "Traceback" not in err
+        assert "with k0=1e+35 is out of range" in err and "Traceback" not in err
         assert not (tmp_path / "c.csv").exists()
 
 
