@@ -132,9 +132,15 @@ def zeta_gap(z_hi, z_lo):
     exact in the reals.  Direct subtraction of the two zetas loses every
     significant digit once (z_hi - z_lo)/z_hi drops toward machine epsilon,
     which happens routinely in the force integrand at large momentum.
-    Equal arguments give 0 exactly.
+    Equal arguments give 0 exactly.  An argument that is not finite and
+    >= 0 is a DomainError naming it.
     """
     z_hi, z_lo = np.asarray(z_hi, dtype=float), np.asarray(z_lo, dtype=float)
+    for name, z in (("z_hi", z_hi), ("z_lo", z_lo)):
+        ok = (z >= 0.0) & (z < math.inf)  # NaN fails too
+        if not ok.all():
+            raise DomainError(f"zeta_gap's {name} must be finite and >= 0, "
+                              f"got {z[~ok].flat[0].item()!r}")
     if (z_hi < z_lo).any():
         raise DomainError("zeta_gap expects z_hi >= z_lo")
     num = (z_hi - z_lo) * (z_hi * z_hi + z_hi * z_lo + z_lo * z_lo)

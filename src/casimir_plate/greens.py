@@ -41,6 +41,7 @@ PlateConfig, defined in errors and re-exported here.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -108,17 +109,28 @@ def _ordered(x, xp, scalar: bool = False):
     return (lo.item(), hi.item()) if scalar else (lo, hi)
 
 
-def _airy_rows(kappa: float, cfg: PlateConfig, s: np.ndarray):
+# the largest Airy argument the linear forms take: zeta_gap forms y^3, which
+# overflows from here on (measured: greens_linear_above's first nan is at
+# y = 5.643803094122362e102, this bound)
+_Y_MAX = sys.float_info.max ** (1.0 / 3.0)
+
+
+def _airy_rows(kappa: float, cfg: PlateConfig, s: np.ndarray, x, xp):
     """Scaled Airy rows at z1 = kappa^2, za = z1 + w and y(s) = z1 + (|s|/a) w, w = eta^{1/3}.
 
     One airy_scaled call serves all three; returns w, (z1, za, y(s)) and
     the rows (ai_s, aip_s, bi_s, bip_s) at each, those at y(s) of shape
-    (4, *s.shape).
+    (4, *s.shape).  An argument at or over _Y_MAX is a DomainError naming
+    the points x, x' that s holds.
     """
     w = cfg.eta ** (1.0 / 3.0)
     z1 = kappa * kappa
     za = z1 + w
     y = z1 + (np.abs(s) / cfg.a) * w
+    top = max(za, y.max())
+    if not top < _Y_MAX:  # inf fails too
+        raise DomainError(f"points x = {x!r}, x' = {xp!r} at kappa = {kappa!r} put the Airy "
+                          f"argument at {top:.3e}, over the {_Y_MAX:.3e} the closed forms take")
     rows = airy_scaled(np.concatenate(([z1, za], y.ravel())))
     return w, (z1, za, y), (rows[:, 0], rows[:, 1], rows[:, 2:].reshape((4,) + y.shape))
 
@@ -134,7 +146,8 @@ def greens_linear_above(x, xp, kappa: float, cfg: PlateConfig):
     lo, hi = _ordered(x, xp)
     if (lo < cfg.a).any():
         raise DomainError(f"both points must lie at or above the plate {cfg.a!r}")
-    w, (_, ya, (yi, yo)), (_, va, (ai, _, bi, _)) = _airy_rows(kappa, cfg, np.stack((lo, hi)))
+    rows = _airy_rows(kappa, cfg, np.stack((lo, hi)), x, xp)
+    w, (_, ya, (yi, yo)), (_, va, (ai, _, bi, _)) = rows
     d_oi = zeta_gap(yo, yi)
     d_ia = zeta_gap(yi, ya)
     bracket = va[0] * bi[0] * np.exp(-d_oi) - ai[0] * va[2] * np.exp(-(d_oi + 2.0 * d_ia))
@@ -180,7 +193,7 @@ def greens_linear_below(x, xp, kappa: float, cfg: PlateConfig):
     lo, hi = _ordered(x, xp)
     if (hi > cfg.a).any():
         raise DomainError(f"both points must lie at or below the plate {cfg.a!r}")
-    w, (z1, za, y), (v1, va, (ai, _, bi, _)) = _airy_rows(kappa, cfg, np.stack((lo, hi)))
+    w, (z1, za, y), (v1, va, (ai, _, bi, _)) = _airy_rows(kappa, cfg, np.stack((lo, hi)), x, xp)
     e1, ea, e = zeta_of(z1), zeta_of(za), zeta_of(y)
     s1, p_m = _kink_terms(v1)
 

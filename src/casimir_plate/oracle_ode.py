@@ -33,9 +33,18 @@ __all__ = ["GridSpec", "solve_bvp_above", "solve_bvp_full", "integrand_from_fd",
            "force_from_fd"]
 
 
+# most nodes a grid may have, above the 3,089,577 of the force's largest grid
+# at eta = 1e-14 (kappa = 0; it grows as eta^{-1/3}); a solve holds about ten
+# float arrays of n entries, 32 MB each at the cap
+_MAX_NODES = 4_000_000
+
+
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform grid for the band solver; spacing h = (x_hi - x_lo)/(n - 1)."""
+    """Uniform grid for the band solver; spacing h = (x_hi - x_lo)/(n - 1).
+
+    n is an integer in [1000, _MAX_NODES], checked before any node is built.
+    """
 
     x_lo: float
     x_hi: float
@@ -55,6 +64,8 @@ class GridSpec:
             raise DomainError(f"grid size n must be an integer, got {self.n!r}") from None
         if self.n < 1000:
             raise DomainError(f"grid needs at least 1000 points, got {self.n!r}")
+        if self.n > _MAX_NODES:
+            raise DomainError(f"grid needs {self.n!r} points, over the cap of {_MAX_NODES}")
 
     @property
     def h(self) -> float:
@@ -280,9 +291,17 @@ def _reach(kappa: float, cfg: PlateConfig, side: str, efolds: float) -> float:
         reach = (cfg.a + _span(ks2, cfg.b, efolds - f_a) if f_a < efolds
                  else _span(q_plate, -cfg.b, efolds))
     if not reach >= math.ulp(cfg.a):  # NaN fails too
-        raise DomainError(f"kappa={kappa!r} is too large for the finite-difference grid: "
-                          f"it would span {reach:.3e}, below one ulp of a = {cfg.a!r}")
+        raise DomainError(f"eta={cfg.eta!r}, kappa={kappa!r}: the finite-difference grid "
+                          f"would span {reach:.3e}, below one ulp of a = {cfg.a!r}")
     return reach
+
+
+def _grid(kappa: float, cfg: PlateConfig, x_lo: float, x_hi: float, n: int) -> GridSpec:
+    """GridSpec(x_lo, x_hi, n) for a sample at kappa; a refusal (n over the cap) names eta too."""
+    try:
+        return GridSpec(x_lo, x_hi, n)
+    except DomainError as exc:
+        raise DomainError(f"eta={cfg.eta!r}, kappa={kappa!r}: {exc}") from None
 
 
 _DENSITY = 640.0  # least cells per decay length 1/sqrt(q(a)) on a one-side grid
@@ -302,15 +321,15 @@ def fd_setup(kappa: float, cfg: PlateConfig, side: str) -> GridSpec:
     h = cfg.a / max(16, math.ceil(_DENSITY * cfg.a * math.sqrt(_q_plate(kappa, cfg))))
     n = max(math.ceil(reach / h) + 1, 1000)
     lo, hi = (cfg.a, cfg.a + (n - 1) * h) if plate == "lo" else (cfg.a - (n - 1) * h, cfg.a)
-    return GridSpec(lo, hi, n)
+    return _grid(kappa, cfg, lo, hi, n)
 
 
 _NET_CELLS = 800  # least cells a side on the coarse grid
 _NET_DENSITY = 50.0  # least coarse cells per decay length 1/sqrt(q(a))
 
 
-def _net_grid(cfg: PlateConfig, m: int, p: int) -> GridSpec:  # p cells of a/m a side
-    return GridSpec(cfg.a - p * (cfg.a / m), cfg.a + p * (cfg.a / m), 2 * p + 1)
+def _net_grid(kappa: float, cfg: PlateConfig, m: int, p: int) -> GridSpec:  # p cells of a/m a side
+    return _grid(kappa, cfg, cfg.a - p * (cfg.a / m), cfg.a + p * (cfg.a / m), 2 * p + 1)
 
 
 def _net_values(kappa: float, cfg: PlateConfig, grid: GridSpec) -> tuple:
@@ -348,7 +367,7 @@ def _net_fd(kappa: float, cfg: PlateConfig) -> tuple[float, float]:
     cells = max(_NET_CELLS / reach, _NET_DENSITY * math.sqrt(_q_plate(kappa, cfg)))
     m = 2 * math.ceil(cfg.a * cells / 2.0)
     p = 2 * math.ceil(reach * m / (2.0 * cfg.a))
-    coarse, fine = _net_grid(cfg, m, p), _net_grid(cfg, 2 * m, 2 * p)
+    coarse, fine = _net_grid(kappa, cfg, m, p), _net_grid(kappa, cfg, 2 * m, 2 * p)
     values = _net_values(kappa, cfg, fine)
     s_m = _net_simpson(kappa, cfg, coarse, tuple(v[::2] for v in values))
     s_2m = _net_simpson(kappa, cfg, fine, values)

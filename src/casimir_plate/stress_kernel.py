@@ -287,16 +287,21 @@ def perturbative_integrands(K: float, a: float, b: float) -> tuple[float, float,
     The three printed forms satisfy net = below - above identically
     (verify's perturbative_identity checks it).  net blows up like a b / K as K -> 0:
     the infrared divergence that makes the perturbative route an estimate
-    rather than an answer.
+    rather than an answer.  A K at which a side leaves the float range (below
+    K ~ 3.7e-155 at b = 1, where b/(4 K^2) overflows) is a DomainError naming K.
     """
     K = check_real(K, "K", strict=True)
     a = check_real(a, "a", strict=True)
     b = check_real(b, "b")
     k2_4 = 4.0 * K * K
-    below = -K + b * (1.0 - 2.0 * K * a - 2.0 * math.exp(-2.0 * K * a)) / k2_4
-    above = -K - b * (1.0 + 2.0 * K * a) / k2_4
-    net = b * (-math.expm1(-2.0 * K * a)) / (2.0 * K * K)
-    return below, above, net
+    if k2_4 > 0.0:
+        below = -K + b * (1.0 - 2.0 * K * a - 2.0 * math.exp(-2.0 * K * a)) / k2_4
+        above = -K - b * (1.0 + 2.0 * K * a) / k2_4
+        net = b * (-math.expm1(-2.0 * K * a)) / (2.0 * K * K)
+        if math.isfinite(below) and math.isfinite(above) and math.isfinite(net):
+            return below, above, net
+    raise DomainError(f"K={K!r} puts the perturbative integrands outside the float range "
+                      f"(a={a!r}, b={b!r})")
 
 
 _EULER = 0.5772156649015329

@@ -319,9 +319,7 @@ CHECKS = (
     Check("stress", "large_kappa_expansions", _large_kappa_expansions, 1e-3),  # 1.5e-4
     Check("stress", "net_positive_grid", _net_positive_grid, 0, _COUNT),
     Check("stress", "large_kappa_net_law", _large_kappa_net_law, 1e-3),  # 9.2e-5
-    # 2.1e-16, but `cli classic` takes its exit code from this row and measures
-    # 8.1e-14 at --rel-tol 1e-6: a tighter bound would change CLI exit codes
-    Check("stress", "classic_two_plate_value", _classic_two_plate_value, 1e-8),
+    Check("stress", "classic_two_plate_value", _classic_two_plate_value, 1e-14),  # 2.1e-16
     Check("stress", "perturbative_ir_log_step", _perturbative_ir_log_step, 5e-2,  # 7.2e-3
           "growth per halving of k_min, in units of ln2/(2 pi)"),
     Check("stress", "perturbative_identity", _perturbative_identity, 1e-14),  # 3.4e-16

@@ -112,6 +112,17 @@ class TestZeta:
         with pytest.raises(DomainError):
             zeta_gap(1.0, 2.0)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("z_hi, z_lo, name, bad", [
+        (math.nan, 1.0, "z_hi", "nan"), (1.0, math.nan, "z_lo", "nan"),
+        (-1.0, -2.0, "z_hi", "-1.0"), (1.0, -0.5, "z_lo", "-0.5"),
+        (math.inf, 1.0, "z_hi", "inf"), (np.array([2.0, np.nan]), 1.0, "z_hi", "nan"),
+    ])
+    def test_gap_names_a_bad_argument(self, z_hi, z_lo, name, bad):
+        # the where= mask once hid a NaN (0.0) and a negative gave nan
+        with pytest.raises(DomainError, match=f"{name} must be finite and >= 0, got {bad}$"):
+            zeta_gap(z_hi, z_lo)
+
 
 class TestArrayEvaluator:
     # float.hex of (ai_s, aip_s, bi_s, bip_s), one argument at a time: at

@@ -94,6 +94,13 @@ class TestClassic:
         rc, _ = run_cli(["classic", "--a", "0"], capsys)
         assert rc == 2
 
+    @pytest.mark.parametrize("off, rc", [(1e-7, 1), (1e-9, 0)])
+    def test_exit_code_is_the_cli_bound(self, off, rc, capsys, monkeypatch):
+        # classic decides its exit code from its own bound, 1e-8, and loads no verify row
+        true = cli.force_classic
+        monkeypatch.setattr(cli, "force_classic", lambda *args: true(*args) * (1.0 + off))
+        assert run_cli(["classic", "--a", "1"], capsys)[0] == rc
+
     @pytest.mark.parametrize("a", ["1e-300", "1e160"])
     def test_separation_whose_force_is_not_a_normal_float_is_a_usage_error(self, a, capsys):
         assert cli.main(["classic", "--a", a]) == 2
@@ -282,9 +289,10 @@ class TestImportFootprint:
         ["exact", "--eta", "1", "--json"],
         ["exact", "--a", "2", "--b", "0.125"],
         ["curve", "--eta-min", "0.5", "--eta-max", "2", "--points", "3", "--out", "{tmp}/c.csv"],
+        ["classic", "--a", "1"],
         ["perturb", "--a", "1", "--b", "1", "--k-min", "1e-2"],
         ["plot", "--input", "{tmp}/in.csv", "--output", "{tmp}/out.svg"],
-    ], ids=["exact-eta", "exact-ab", "curve", "perturb", "plot"])
+    ], ids=["exact-eta", "exact-ab", "curve", "classic", "perturb", "plot"])
     def test_force_path_commands_load_no_oracle_or_scipy(self, argv, tmp_path):
         (tmp_path / "in.csv").write_text(f"{CSV_HEADER}\n1.0,0.1,1e-12,1.0,9\n2.0,0.2,1e-12,1.0,9\n")
         argv = [arg.format(tmp=tmp_path) for arg in argv]
@@ -456,58 +464,36 @@ class TestPlot:
         assert f"{str(bad)!r} {message}" in err and not svg.exists()
 
 
-class TestEnvironmentOverrides:
-    def test_env_tolerance_is_honored(self, tmp_path, capsys, monkeypatch):
-        out_env = tmp_path / "env.csv"
-        out_flag = tmp_path / "flag.csv"
-        monkeypatch.setenv("CASIMIR_REL_TOL", "1e-6")
-        rc, _ = run_cli(["curve", "--eta-min", "0.5", "--eta-max", "2", "--points", "2", "--out", str(out_env)], capsys)
-        assert rc == 0
-        monkeypatch.delenv("CASIMIR_REL_TOL")
-        rc, _ = run_cli(
-            ["curve", "--eta-min", "0.5", "--eta-max", "2", "--points", "2",
-             "--rel-tol", "1e-6", "--out", str(out_flag)],
-            capsys,
-        )
-        assert rc == 0
-        assert out_env.read_bytes() == out_flag.read_bytes()
-
-    def test_flag_beats_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("CASIMIR_REL_TOL", "1e-3")
-        rc, out = run_cli(["exact", "--eta", "1", "--rel-tol", "1e-9", "--json"], capsys)
-        assert rc == 0
-        doc = json.loads(out)
-        assert doc["err_est"] <= 1e-9 * doc["f_eta"]
-
-    def test_invalid_env_value_is_usage_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("CASIMIR_REL_TOL", "banana")
-        rc, _ = run_cli(["exact", "--eta", "1"], capsys)
-        assert rc == 2
-
-    def test_env_kappa_max(self, capsys, monkeypatch):
-        monkeypatch.setenv("CASIMIR_KAPPA_MAX", "25")
-        rc, out = run_cli(["exact", "--eta", "1", "--json"], capsys)
-        assert rc == 0
-        assert json.loads(out)["kappa_max"] == 25.0
-
+class TestFlagsPerCommand:
     @pytest.mark.parametrize("argv", [["classic", "--a", "1"],
                                       ["perturb", "--a", "1", "--b", "1", "--k-min", "1e-2"]])
-    def test_kappa_max_is_not_taken_where_nothing_reads_it(self, argv, capsys, monkeypatch):
-        # neither flat-background reference has a k0: the flag is a usage
-        # error, and the environment variable is not read at all
+    def test_kappa_max_is_not_taken_where_nothing_reads_it(self, argv, capsys):
+        # neither flat-background reference has a k0: the flag is a usage error
         assert run_cli(argv + ["--kappa-max", "5"], capsys)[0] == 2
-        monkeypatch.setenv("CASIMIR_KAPPA_MAX", "banana")
-        assert run_cli(argv, capsys)[0] == 0
         if argv[0] == "classic":
             assert run_cli(argv + ["--rel-tol", "1e-8"], capsys)[0] == 0
 
-    def test_rel_tol_is_not_taken_where_nothing_reads_it(self, capsys, monkeypatch):
+    def test_rel_tol_is_not_taken_where_nothing_reads_it(self, capsys):
         # the perturbative estimate is a closed form: no tolerance to set
         argv = ["perturb", "--a", "1", "--b", "1", "--k-min", "1e-2"]
         assert run_cli(argv + ["--rel-tol", "1e-6"], capsys)[0] == 2
-        rc, out = run_cli(argv, capsys)
+
+    @pytest.mark.parametrize("argv", [
+        ["exact", "--eta", "1", "--json"],
+        ["curve", "--eta-min", "0.5", "--eta-max", "2", "--points", "3", "--out", "{out}"],
+        ["classic", "--a", "1"],
+    ], ids=["exact", "curve", "classic"])
+    def test_settings_come_from_flags_alone(self, argv, tmp_path, capsys, monkeypatch):
+        # every setting is a flag: environment variables named like settings change no byte
+        def run(name):
+            out = tmp_path / name
+            rc, text = run_cli([arg.format(out=out) for arg in argv], capsys)
+            return rc, text.replace(str(out), "OUT"), out.read_bytes() if out.exists() else None
+
+        unset = run("unset.csv")
         monkeypatch.setenv("CASIMIR_REL_TOL", "banana")
-        assert run_cli(argv, capsys) == (rc, out) and rc == 0
+        monkeypatch.setenv("CASIMIR_KAPPA_MAX", "25")
+        assert run("set.csv") == unset and unset[0] == 0
 
 
 class TestConsoleScript:

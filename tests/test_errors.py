@@ -119,7 +119,10 @@ def test_flat_greens_refuse_array_points(greens, x, xp):
 # zeta^2 would overflow), a pinned k0 that puts force_exact's farthest node
 # there, a separation whose -pi/(24 a^2) is subnormal, and
 # perturbative inputs whose scale a b / 2 pi overflows or whose c = 2 a k_min
-# does; the samples' kappa and force_classic's lower bound are tested in
+# does, and a K whose perturbative integrands leave the float range (4 K^2
+# underflows to 0 at 1e-200, b/(4 K^2) overflows at 1e-160, 2 K a at
+# 1.7e308; they raised ZeroDivisionError and returned infinities and NaNs);
+# the samples' kappa and force_classic's lower bound are tested in
 # test_stress_kernel.py
 RANGE = [
     ("force_classic.a", lambda v: force_classic(v), 1e160, "plate separation a must be in ["),
@@ -131,13 +134,18 @@ RANGE = [
      1e35, "eta=1.0 with k0=1e+35 is out of range"),
     ("force_exact.kappa_max_policy", lambda v: force_exact(1.0, QuadratureSpec(kappa_max_policy=v)),
      1e101, "eta=1.0 with k0=1e+101 is out of range"),
+    *[("perturbative_integrands.K", lambda v: perturbative_integrands(v, 1.0, 1.0), K,
+       "puts the perturbative integrands outside the float range")
+      for K in (1e-200, 1e-160, 1.7e308)],
     ("tail_mismatch.eta", lambda v: tail_mismatch(1.6e51, v), 1e308, "eta must be <= "),
-    ("fd_setup.above", lambda v: fd_setup(v, CFG, "above"), 1e20, "kappa=1e+20 is too large"),
-    ("fd_setup.below", lambda v: fd_setup(v, CFG, "below"), 1e102, "kappa=1e+102 is too large"),
+    ("fd_setup.above", lambda v: fd_setup(v, CFG, "above"), 1e20,
+     "kappa=1e+20: the finite-difference grid would span"),
+    ("fd_setup.below", lambda v: fd_setup(v, CFG, "below"), 1e102,
+     "kappa=1e+102: the finite-difference grid would span"),
     ("integrand_from_fd.above", lambda v: integrand_from_fd(v, CFG, "above", fd_setup(v, CFG, "above")),
-     7.21e16, "kappa=7.21e+16 is too large"),
+     7.21e16, "kappa=7.21e+16: the finite-difference grid would span"),
     ("integrand_from_fd.below", lambda v: integrand_from_fd(v, CFG, "below", fd_setup(v, CFG, "below")),
-     7.21e16, "kappa=7.21e+16 is too large"),
+     7.21e16, "kappa=7.21e+16: the finite-difference grid would span"),
 ]
 
 

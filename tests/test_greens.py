@@ -1,6 +1,7 @@
 """Boundary-value Green's functions: closed-form anchors, jump/symmetry laws, FD oracle spots."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -269,6 +270,20 @@ class TestArrayFirst:
             assert there == back
         near = greens_linear_below(-30.0, -29.5, 20.0, cfg)
         assert 0.0 < near < 1.0 / 40.0
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("construct, x, xp", [
+        (greens_linear_above, 1e300, 2.0), (greens_linear_above, 5.65e102, 2.0),
+        (greens_linear_below, -1e300, 0.2), (greens_linear_below, 0.2, -5.65e102),
+    ])
+    def test_points_past_the_largest_airy_argument_are_named(self, construct, x, xp):
+        # y = kappa^2 + |x| eta^{1/3}/a at or over cbrt(max float) is refused;
+        # 1e300 gave nan (above) and 0.0 (below), with overflow warnings
+        cfg = PlateConfig(a=1.0, b=1.0)
+        with pytest.raises(DomainError, match=re.escape(f"points x = {x!r}, x' = {xp!r}")):
+            construct(x, xp, 1.0, cfg)
+        near = (5.6e102, 2.0) if construct is greens_linear_above else (-5.6e102, 0.2)
+        assert math.isfinite(construct(*near, 1.0, cfg))
 
     @pytest.mark.parametrize("construct", [greens_linear_above, greens_linear_below])
     @pytest.mark.parametrize("x, xp", [(math.nan, 0.5), (0.5, math.inf), ([0.5, math.nan], 0.7)])

@@ -54,6 +54,11 @@ class TestGridSpec:
         with pytest.raises(DomainError):
             GridSpec(*args)
 
+    def test_node_cap(self):
+        assert GridSpec(1.0, 9.0, oracle_ode._MAX_NODES).n == oracle_ode._MAX_NODES
+        with pytest.raises(DomainError, match="grid needs 4000001 points, over the cap of 4000000"):
+            GridSpec(1.0, 9.0, oracle_ode._MAX_NODES + 1)
+
     @pytest.mark.parametrize("n", [4000.5, 4001.0, "4001"])
     def test_non_integral_size_is_named(self, n):
         # np.linspace would die on it with a bare TypeError
@@ -222,7 +227,7 @@ class TestOverflowingMomentum:
                                        partial(fd_setup, side="below"), oracle_ode._net_fd],
                              ids=["above", "below", "net"])
     def test_setup_names_kappa(self, kappa, setup):
-        with pytest.raises(DomainError, match=re.escape(f"kappa={kappa!r} is too large")):
+        with pytest.raises(DomainError, match=re.escape(f"eta=1.0, kappa={kappa!r}: the finite-")):
             setup(kappa, self.CFG)
 
     @pytest.mark.parametrize("kappa", [1e155, 1e200])
@@ -363,6 +368,31 @@ class TestForcePipeline:
         assert force_from_fd(1.0) == FORCE_FD_ETA_1
         assert calls == [(0.0, 1.0, oracle_ode._FD_SPEC)]
 
+    @pytest.mark.parametrize("eta, reason", [
+        (1e-300, "grid needs 3328134116883"), (1e-20, "grid needs 154478309 points, over the cap"),
+        (1e300, "the finite-difference grid would span 1.600e-149, below one ulp"),
+    ])
+    def test_eta_beyond_the_grids_is_refused_before_any_node(self, monkeypatch, eta, reason):
+        # the first sample, kappa = 0, needs the largest grid; none is allocated
+        def refuse(*args):
+            raise AssertionError("a grid was allocated")
+
+        monkeypatch.setattr(oracle_ode, "_net_values", refuse)
+        monkeypatch.setattr(oracle_ode, "_nodes", refuse)
+        with pytest.raises(DomainError, match=re.escape(f"eta={eta!r}, kappa=0.0: {reason}")):
+            force_from_fd(eta)
+
+    def test_kappa_zero_grid_at_eta_1e_minus_14_is_under_the_cap(self, monkeypatch):
+        class Built(Exception):
+            pass
+
+        def stop(kappa, cfg, grid):
+            raise Built(grid.n)
+
+        monkeypatch.setattr(oracle_ode, "_net_values", stop)
+        with pytest.raises(Built, match="^3089577$"):
+            oracle_ode._net_fd(0.0, PlateConfig.from_eta(1e-14))
+
     @pytest.mark.parametrize("eta", [0.03, 1.0, 100.0])
     def test_endpoint_law(self, eta):
         # net -> 1/(2 kappa^2) at rate eta^{1/3}/kappa^2: the t = 1 node's limit 1/(2 k0)
@@ -457,7 +487,7 @@ class TestNetIntegral:
         cfg, ref = PlateConfig.from_eta(1.0), integrand_net(0.0, 1.0)
 
         def ratio():
-            grids = [oracle_ode._net_grid(cfg, m, 10 * m) for m in (60, 120)]
+            grids = [oracle_ode._net_grid(0.0, cfg, m, 10 * m) for m in (60, 120)]
             errs = [abs(oracle_ode._net_simpson(0.0, cfg, grid) - ref) for grid in grids]
             return errs[0] / errs[1]
 

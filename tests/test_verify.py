@@ -1,11 +1,10 @@
 """The verify table: every row holds, and the table itself is well formed."""
 
-import dataclasses
 import math
 
 import pytest
 
-from casimir_plate import airy_engine, cli, greens, stress_kernel, verify
+from casimir_plate import airy_engine, greens, stress_kernel, verify
 from casimir_plate.errors import DomainError
 
 
@@ -34,16 +33,11 @@ def test_unknown_suite_names_the_choices():
         verify.run("nonsense")
 
 
-# cli classic takes its exit code from this row and measures 8.1e-14 at
-# --rel-tol 1e-6, so its bound stays where the CLI needs it
-_LOOSE_BY_DESIGN = {"classic_two_plate_value"}
-
-
 def test_thresholds_sit_near_their_measurements():
     # a bound far above its row's value cannot catch a regression of that
     # size; rows measuring 0 are exempt, and a count's bound is 0 anyway
     for c, r in zip(verify.CHECKS, verify.run("all")):
-        if r.measured and c.name not in _LOOSE_BY_DESIGN:
+        if r.measured:
             assert c.threshold <= 100.0 * r.measured, (c.name, r.measured, c.threshold)
 
 
@@ -106,10 +100,8 @@ def test_no_row_calls_a_name_kept_only_for_the_benchmark(monkeypatch):
     assert all(r.passed for r in verify.run("all"))
 
 
-def test_cli_classic_exit_reads_the_table_row(monkeypatch, capsys):
-    # rel_diff is 2.1e-16 at a = 1: it passes the row's bound, not a zero one
-    assert cli.main(["classic", "--a", "1"]) == 0
-    rows = tuple(dataclasses.replace(c, threshold=0.0) if c.name == "classic_two_plate_value"
-                 else c for c in verify.CHECKS)
-    monkeypatch.setattr(verify, "CHECKS", rows)
-    assert cli.main(["classic", "--a", "1"]) == 1
+def test_classic_row_catches_a_force_1e12_off(monkeypatch):
+    true = stress_kernel.force_classic
+    monkeypatch.setattr(stress_kernel, "force_classic", lambda *args: true(*args) * (1.0 + 1e-12))
+    r = _row("classic_two_plate_value")
+    assert not r.passed and r.measured == pytest.approx(1e-12, rel=0.01)
