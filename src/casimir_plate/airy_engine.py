@@ -133,7 +133,8 @@ def zeta_gap(z_hi, z_lo):
     significant digit once (z_hi - z_lo)/z_hi drops toward machine epsilon,
     which happens routinely in the force integrand at large momentum.
     Equal arguments give 0 exactly.  An argument that is not finite and
-    >= 0 is a DomainError naming it.
+    >= 0, shapes that do not broadcast, and a z_hi below its z_lo are
+    DomainErrors naming the values.
     """
     z_hi, z_lo = np.asarray(z_hi, dtype=float), np.asarray(z_lo, dtype=float)
     for name, z in (("z_hi", z_hi), ("z_lo", z_lo)):
@@ -141,11 +142,18 @@ def zeta_gap(z_hi, z_lo):
         if not ok.all():
             raise DomainError(f"zeta_gap's {name} must be finite and >= 0, "
                               f"got {z[~ok].flat[0].item()!r}")
-    if (z_hi < z_lo).any():
-        raise DomainError("zeta_gap expects z_hi >= z_lo")
+    try:
+        shape = np.broadcast_shapes(z_hi.shape, z_lo.shape)
+    except ValueError:
+        raise DomainError(f"zeta_gap's z_hi of shape {z_hi.shape} and z_lo of shape "
+                          f"{z_lo.shape} do not broadcast together") from None
+    below = z_hi < z_lo
+    if below.any():
+        hi, lo = (np.broadcast_to(z, shape)[below].flat[0].item() for z in (z_hi, z_lo))
+        raise DomainError(f"zeta_gap expects z_hi >= z_lo, got z_hi = {hi!r} below z_lo = {lo!r}")
     num = (z_hi - z_lo) * (z_hi * z_hi + z_hi * z_lo + z_lo * z_lo)
     den = z_hi * np.sqrt(z_hi) + z_lo * np.sqrt(z_lo)
-    return np.divide((2.0 / 3.0) * num, den, out=np.zeros(num.shape), where=den > 0.0)[()]
+    return np.divide((2.0 / 3.0) * num, den, out=np.zeros(shape), where=den > 0.0)[()]
 
 
 # ---------------------------------------------------------------------------

@@ -26,8 +26,10 @@ rotated (Euclidean) closed forms actually evaluated are:
   is spelled out in docs/numerics.md.
 
 Every hyperbolic form is assembled from decaying exponentials, and every
-Airy form from scaled values with exponents tracked as (mantissa, exponent)
-pairs, so no intermediate can overflow regardless of K a or kappa.
+Airy form from bounded mantissas of scaled values times e^{-gap}, each gap a
+sum of non-negative zeta differences formed by ``zeta_gap``, so no
+intermediate can overflow regardless of K a or kappa and no two large
+zetas are subtracted.
 
 The two linear constructors are array-first: x and x' may be floats or
 arrays that broadcast together, a float pair being the 0-d case, and each
@@ -45,7 +47,7 @@ import sys
 
 import numpy as np
 
-from .airy_engine import airy_scaled, zeta_gap, zeta_of
+from .airy_engine import airy_scaled, zeta_gap
 from .errors import DomainError, PlateConfig, SingularityError, check_real
 from .stress_kernel import integrand_below
 
@@ -127,7 +129,7 @@ def _airy_rows(kappa: float, cfg: PlateConfig, s: np.ndarray, x, xp):
     z1 = kappa * kappa
     za = z1 + w
     y = z1 + (np.abs(s) / cfg.a) * w
-    top = max(za, y.max())
+    top = y.max(initial=za)
     if not top < _Y_MAX:  # inf fails too
         raise DomainError(f"points x = {x!r}, x' = {xp!r} at kappa = {kappa!r} put the Airy "
                           f"argument at {top:.3e}, over the {_Y_MAX:.3e} the closed forms take")
@@ -154,27 +156,6 @@ def greens_linear_above(x, xp, kappa: float, cfg: PlateConfig):
     return (math.pi * cfg.a / w * (ai[1] / va[0]) * bracket)[()]
 
 
-def _kink_terms(v1) -> tuple[float, float]:
-    """(S1, P mantissa) from the scaled rows at kappa^2.
-
-    S1 = (Ai Bi)'(kappa^2) carries no exponent (the e^{+-zeta} factors
-    cancel termwise); P = 2 Ai Ai'(kappa^2) carries e^{-2 zeta_1}.
-    """
-    return v1[1] * v1[2] + v1[0] * v1[3], 2.0 * v1[0] * v1[1]
-
-
-def _pair_sum(m1, e1, m2, e2):
-    """m1 e^{e1} + m2 e^{e2} as (mantissa, exponent), elementwise.
-
-    The larger exponent of the nonzero terms is factored out, so the
-    mantissa sum stays O(1).  A zero term (S1 vanishes at kappa = 0) does
-    not choose it, and its factor is clipped at 1 so it cannot overflow.
-    """
-    emax = np.where(m2 == 0.0, e1, np.where(m1 == 0.0, e2, np.maximum(e1, e2)))
-    return (m1 * np.exp(np.minimum(e1 - emax, 0.0))
-            + m2 * np.exp(np.minimum(e2 - emax, 0.0))), emax
-
-
 def greens_linear_below(x, xp, kappa: float, cfg: PlateConfig):
     """Linear background below the plate; both points <= a, either side of 0.
 
@@ -186,35 +167,34 @@ def greens_linear_below(x, xp, kappa: float, cfg: PlateConfig):
     slope are continuous at 0 by the Wronskian.  v vanishes at the plate:
     Ai(y_a) Bi(y) - Bi(y_a) Ai(y) on [0, a), continued below 0 as
     gamma Ai(y) + delta Bi(y) with the same matching rule.  On both sides
-    y = kappa^2 + (|x|/a) eta^{1/3}, and every term is kept as a
-    (mantissa, exponent) pair in zeta units.
+    y = kappa^2 + (|x|/a) eta^{1/3}.  Each factor is a bounded mantissa of
+    scaled values and gaps e^{-2 g}, and the exponents of u(x_<) v(x_>)/u(a)
+    combine into -(zeta(y_max) - zeta(y_min)) with both points on one side
+    of the kink, -(g1(y_<) + g1(y_>)) across it, g1(y) = zeta(y) - zeta(kappa^2).
     """
     kappa = _require_linear(cfg, kappa)
     lo, hi = _ordered(x, xp)
     if (hi > cfg.a).any():
         raise DomainError(f"both points must lie at or below the plate {cfg.a!r}")
     w, (z1, za, y), (v1, va, (ai, _, bi, _)) = _airy_rows(kappa, cfg, np.stack((lo, hi)), x, xp)
-    e1, ea, e = zeta_of(z1), zeta_of(za), zeta_of(y)
-    s1, p_m = _kink_terms(v1)
-
-    def u_right(ai_y, bi_y, e_y):
-        return _pair_sum(math.pi * s1 * ai_y, -e_y, -math.pi * p_m * bi_y, e_y - 2.0 * e1)
-
-    mu, eu = u_right(ai[0], bi[0], e[0])
-    left = lo <= 0.0
-    mu, eu = np.where(left, ai[0], mu), np.where(left, -e[0], eu)
-    mn, en = u_right(va[0], va[2], ea)  # the normalization u(a)
+    g1, ga = zeta_gap(y, z1), zeta_gap(za, z1)
+    e1, ea = np.exp(-2.0 * g1), math.exp(-2.0 * ga)
+    p, s1 = 2.0 * v1[0] * v1[1], v1[1] * v1[2] + v1[0] * v1[3]  # P e^{2 zeta_1}, S1
+    mn = math.pi * (s1 * va[0] * ea - p * va[2])  # u(a) e^{2 zeta_1 - zeta_a}
     if mn == 0.0:
         raise SingularityError("normalization u(a) vanished; numerical fault")
-    # v right of the kink (mr, er) and left of it, gamma Ai + delta Bi (ml, el)
-    mr, er = _pair_sum(va[0] * bi[1], e[1] - ea, -va[2] * ai[1], ea - e[1])
-    gm, ge = _pair_sum(2.0 * math.pi * va[0] * v1[2] * v1[3], 2.0 * e1 - ea,
-                       -math.pi * va[2] * s1, ea)
-    dm, de = _pair_sum(math.pi * va[2] * p_m, ea - 2.0 * e1, -math.pi * va[0] * s1, -ea)
-    ml, el = _pair_sum(gm * ai[1], ge - e[1], dm * bi[1], de + e[1])
+    left = lo <= 0.0  # u(x_<): Ai(y) e^{zeta}, or pi [S1 Ai - P Bi] e^{2 zeta_1 - zeta}
+    mu = np.where(left, ai[0], math.pi * (s1 * ai[0] * e1[0] - p * bi[0]))
+    # v(x_>) right of the kink times e^{zeta - zeta_a}, y clipped at y_a (only
+    # the left-of-kink elements that np.where discards pass it), and left of
+    # it gamma Ai + delta Bi times e^{2 zeta_1 - zeta_a - zeta}
     right = hi >= 0.0
-    mv, ev = np.where(right, mr, ml), np.where(right, er, el)
-    return (-math.pi * cfg.a / w * (mu * mv / mn) * np.exp(eu + ev - en) + 0.0)[()]
+    v_right = va[0] * bi[1] * np.exp(-2.0 * zeta_gap(za, np.minimum(y[1], za))) - va[2] * ai[1]
+    v_left = math.pi * (va[2] * (p * bi[1] - s1 * ai[1] * e1[1])
+                        - va[0] * ea * (s1 * bi[1] - 2.0 * v1[2] * v1[3] * ai[1] * e1[1]))
+    mv = np.where(right, v_right, v_left)
+    gap = np.where(left & right, g1[0] + g1[1], zeta_gap(y.max(axis=0), y.min(axis=0)))
+    return (-math.pi * cfg.a / w * (mu * mv / mn) * np.exp(-gap) + 0.0)[()]
 
 
 def below_ratio_from_construction(kappa: float, cfg: PlateConfig) -> float:

@@ -22,6 +22,7 @@ from casimir_plate import (
     greens_linear_below,
     integrand_from_fd,
     integrand_net,
+    zeta_gap,
 )
 from casimir_plate.errors import check_real
 from casimir_plate.oracle_ode import GridSpec, solve_bvp_above, solve_bvp_full
@@ -122,6 +123,8 @@ def test_flat_greens_refuse_array_points(greens, x, xp):
 # does, and a K whose perturbative integrands leave the float range (4 K^2
 # underflows to 0 at 1e-200, b/(4 K^2) overflows at 1e-160, 2 K a at
 # 1.7e308; they raised ZeroDivisionError and returned infinities and NaNs);
+# zeta_gap arguments whose shapes do not broadcast or whose z_hi lies below
+# z_lo (numpy's broadcast ValueError, and a refusal naming no value, before);
 # the samples' kappa and force_classic's lower bound are tested in
 # test_stress_kernel.py
 RANGE = [
@@ -146,6 +149,11 @@ RANGE = [
      7.21e16, "kappa=7.21e+16: the finite-difference grid would span"),
     ("integrand_from_fd.below", lambda v: integrand_from_fd(v, CFG, "below", fd_setup(v, CFG, "below")),
      7.21e16, "kappa=7.21e+16: the finite-difference grid would span"),
+    ("zeta_gap.shape", lambda v: zeta_gap(np.ones(v), np.ones(3)), (2,),
+     "zeta_gap's z_hi of shape (2,) and z_lo of shape (3,) do not broadcast"),
+    ("zeta_gap.z_lo", lambda v: zeta_gap(1.0, v), 2.0, "expects z_hi >= z_lo, got z_hi = 1.0 below"),
+    ("zeta_gap.z_hi", lambda v: zeta_gap(np.array([3.0, v]), 2.5), 1.5,
+     "expects z_hi >= z_lo, got z_hi = 1.5 below z_lo = 2.5"),
 ]
 
 

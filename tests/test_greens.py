@@ -3,6 +3,7 @@
 import math
 import re
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -209,6 +210,64 @@ class TestLinearBackgroundBelow:
         assert worst <= 1e-5
 
 
+def below_reference(x, xp, kappa, cfg):
+    """40-digit G below the plate from raw Airy values, at the exact inputs.
+
+    u = Ai(y) left of the kink and pi [S1 Ai(y) - P Bi(y)] right of it,
+    v = Ai(y_a) Bi(y) - Bi(y_a) Ai(y) right of it and gamma Ai(y) + delta Bi(y)
+    left of it, gamma = pi [2 Ai(y_a) Bi Bi'(z1) - Bi(y_a) S1] and
+    delta = pi [Bi(y_a) P - Ai(y_a) S1]; G = -pi a eta^{-1/3} u(x_<) v(x_>) / u(a).
+    """
+    with mp.workdps(40):
+        a, w, z1 = mp.mpf(cfg.a), mp.cbrt(mp.mpf(cfg.eta)), mp.mpf(kappa) ** 2
+        ai = lambda s: mp.airyai(z1 + abs(mp.mpf(s)) / a * w)
+        bi = lambda s: mp.airybi(z1 + abs(mp.mpf(s)) / a * w)
+        a1, a1p, b1, b1p = mp.airyai(z1), mp.airyai(z1, 1), mp.airybi(z1), mp.airybi(z1, 1)
+        s1, p, aa, ba = a1p * b1 + a1 * b1p, 2 * a1 * a1p, ai(cfg.a), bi(cfg.a)
+
+        def u(s):
+            return ai(s) if s <= 0.0 else mp.pi * (s1 * ai(s) - p * bi(s))
+
+        def v(s):
+            if s >= 0.0:
+                return aa * bi(s) - ba * ai(s)
+            return mp.pi * ((2 * aa * b1 * b1p - ba * s1) * ai(s) + (ba * p - aa * s1) * bi(s))
+
+        return -mp.pi * a / w * u(min(x, xp)) * v(max(x, xp)) / u(cfg.a)
+
+
+class TestBelowAgainstMpmath:
+    # left-left, straddling (both ways round the kink), right-right and x = 0
+    PLACES = [(-2.0, -0.3), (-0.5, 0.5), (-3.0, 0.9), (0.2, 0.7), (0.0, 0.6), (-0.7, 0.0),
+              (0.0, 0.0)]
+
+    @pytest.mark.parametrize("kappa", [0.0, 0.8, 6.0])
+    @pytest.mark.parametrize("eta", [1e-3, 1.0, 1e3])
+    def test_placements(self, kappa, eta):
+        # worst measured 1.9e-13 at (6, 1e-3, -3, 0.9): the rounding of
+        # y = kappa^2 + |x| eta^{1/3} alone moves G there by about that much
+        cfg = PlateConfig.from_eta(eta)
+        for x, xp in self.PLACES:
+            ref = below_reference(x, xp, kappa, cfg)
+            assert abs(greens_linear_below(x, xp, kappa, cfg) / ref - 1) <= 1e-12, (x, xp)
+
+    @pytest.mark.parametrize("depth", [1e6, 1e8, 1e10, 1e12])
+    def test_deep_diagonal_is_the_wkb_value(self, depth):
+        # G(x, x) -> 1/(2 sqrt(q)), q = b |x| at kappa = 0; the exponents of
+        # zetas near 1e19 once summed with opposite signs put 4e-8 (at 1e6)
+        # to 49% (at 1e12) here
+        cfg = PlateConfig(a=1.0, b=1.0)
+        got = greens_linear_below(-depth, -depth, 0.0, cfg)
+        assert abs(got * 2.0 * math.sqrt(depth) - 1.0) <= 1e-14
+        assert abs(got / below_reference(-depth, -depth, 0.0, cfg) - 1) <= 1e-14
+
+    def test_deep_diagonal_at_large_momentum(self):
+        # gave 1.26e300 where 1/(2 sqrt(kappa^2 + 1e13)) = 1.58e-7 is right
+        cfg = PlateConfig(a=1.0, b=1.0)
+        got = greens_linear_below(-1e13, -1e13, 1000.0, cfg)
+        assert abs(got / below_reference(-1e13, -1e13, 1000.0, cfg) - 1) <= 1e-14
+
+
 class TestArrayFirst:
     """The linear constructors broadcast x and x'; a float pair is the 0-d case."""
 
@@ -238,6 +297,15 @@ class TestArrayFirst:
         got = greens_linear_below(x, xp, 0.8, self.CFG)
         assert got.shape == (4, 3)
         assert got[2, 1] == greens_linear_below(float(x[2, 0]), 0.3, 0.8, self.CFG)
+
+    @pytest.mark.parametrize("construct, xp", [(greens_linear_above, 1.5),
+                                               (greens_linear_below, 0.5)],
+                             ids=["above", "below"])
+    def test_no_points_give_an_empty_array(self, construct, xp):
+        # numpy's bare "zero-size array to reduction operation" before
+        for x, shape in ((np.array([]), (0,)), (np.empty((2, 0)), (2, 0))):
+            got = construct(x, xp, 0.8, self.CFG)
+            assert isinstance(got, np.ndarray) and got.shape == shape
 
     @pytest.mark.parametrize("call", [
         lambda cfg: greens_linear_above(np.array([1.0, 1.4, 2.0]), 1.5, 0.8, cfg),
