@@ -10,7 +10,7 @@ Layout: airy_engine (scaled special functions), greens (closed-form
 propagators), stress_kernel (integrands, forces), quadrature (exp-sinh
 on the half line, Clenshaw-Curtis on a finite interval), oracle_ode
 (independent checks), verify (invariant suites), cli (presentation),
-errors (exception types and the argument checks, PlateConfig among them).
+errors (exception types, argument checks, PlateConfig, QuadratureSpec).
 
 The force path (errors, airy_engine, quadrature, stress_kernel) loads with
 the package; the names of greens and oracle_ode load their module on first
@@ -33,11 +33,11 @@ from .errors import (
     DomainError,
     OracleError,
     PlateConfig,
+    QuadratureSpec,
     SingularityError,
     ToleranceError,
 )
 from .quadrature import (
-    QuadratureSpec,
     QuadResult,
     integrate_finite,
     integrate_semi_infinite,

@@ -25,9 +25,8 @@ import sys
 import tempfile
 from dataclasses import asdict, astuple, fields
 
-from .errors import CasimirError, DomainError, PlateConfig
-from .quadrature import QuadratureSpec
-from .stress_kernel import ForceResult, force_classic, force_exact, force_perturbative
+from .errors import CasimirError, DomainError, PlateConfig, QuadratureSpec
+from .stress_kernel import _K0_MAX, ForceResult, force_classic, force_exact, force_perturbative
 
 # a curve row is a ForceResult: its fields name the CSV columns and cache keys
 _ROW_FIELDS = tuple(f.name for f in fields(ForceResult))
@@ -39,8 +38,8 @@ _CSV_HEADER = ",".join(_ROW_FIELDS)
 
 
 def _resolve_spec(args: argparse.Namespace) -> QuadratureSpec:
-    # only exact and curve take a pinned k0
-    return QuadratureSpec(rel_tol=args.rel_tol, kappa_max_policy=getattr(args, "kappa_max", None))
+    """force_exact's settings from the flags of exact and curve."""
+    return QuadratureSpec(rel_tol=args.rel_tol, kappa_max_policy=args.kappa_max)
 
 
 def _read_text(path: str, what: str) -> str:
@@ -196,7 +195,7 @@ _CLASSIC_REL_MAX = 1e-8
 
 def cmd_classic(args: argparse.Namespace) -> int:
     a = args.a
-    numeric = force_classic(a, _resolve_spec(args))
+    numeric = force_classic(a, args.rel_tol)
     analytic = -math.pi / (24.0 * a * a)
     rel = abs(numeric - analytic) / abs(analytic)
     print(f"numeric   = {_fmt(numeric)}")
@@ -375,7 +374,7 @@ def _build_parser() -> argparse.ArgumentParser:
     tol = argparse.ArgumentParser(add_help=False, parents=[rel])
     tol.add_argument("--kappa-max", type=float, default=None,
                      help="momentum scale k0 of the half-line rule's nodes kappa = k0 u, at most "
-                          "3.9e34 (default max(eta^(1/6), eta^(-1/3)))")
+                          f"{_K0_MAX!r} (default max(eta^(1/6), eta^(-1/3)))")
 
     p = sub.add_parser("exact", parents=[tol], help="force coefficient at one eta")
     p.add_argument("--eta", type=float, default=None)
@@ -427,10 +426,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return int(args.func(args))
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CasimirError as exc:

@@ -1,8 +1,9 @@
 """Exception types and the argument checks the package shares.
 
-The checks are the scalar ones (as_real, check_real) and PlateConfig, the
-checked plate geometry that the closed forms, the FD oracle and the CLI all
-take; it lives here so that none of them imports another for it.
+The checks are the scalar ones (as_real, check_real), PlateConfig, the
+checked plate geometry, and QuadratureSpec, force_exact's settings and the
+curve cache's key; they live here, free of numpy, so that none of their
+users imports another for them.
 """
 
 import math
@@ -15,6 +16,7 @@ __all__ = [
     "ToleranceError",
     "OracleError",
     "PlateConfig",
+    "QuadratureSpec",
     "as_real",
     "check_real",
 ]
@@ -100,3 +102,28 @@ def _cube(a: float) -> float:
     if not 0.0 < cube < math.inf:
         raise DomainError(f"plate height a = {a!r} has a^3 outside the float range")
     return cube
+
+
+# change it whenever a force result moves, n_evals included, so that cached
+# curve rows are recomputed rather than served stale
+_KERNEL = "wronskian-split+exp-sinh-tails+taylor-march+pow-rounding"
+
+
+@dataclass(frozen=True)
+class QuadratureSpec:
+    """force_exact's settings: rel_tol, and ``kappa_max_policy``, a pinned scale k0 > 0 of
+    its nodes kappa = k0 u (force_exact bounds it; None means max(eta^{1/6}, eta^{-1/3})).
+    """
+
+    rel_tol: float = 1e-9
+    kappa_max_policy: float | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "rel_tol", check_real(self.rel_tol, "rel_tol", strict=True))
+        if self.kappa_max_policy is not None:
+            k = check_real(self.kappa_max_policy, "kappa_max_policy", strict=True)
+            object.__setattr__(self, "kappa_max_policy", k)
+
+    def fingerprint(self) -> str:
+        """Stable identity of the kernel and tolerances; result caches key off this."""
+        return f"kernel={_KERNEL};rel={self.rel_tol!r};kmax={self.kappa_max_policy!r}"

@@ -142,7 +142,9 @@ def greens_linear_above(x, xp, kappa: float, cfg: PlateConfig):
 
     Evaluated from scaled Airy values; the two bracket terms carry the
     exponents e^{-(zeta_out - zeta_in)} and e^{-(zeta_out + zeta_in - 2 zeta_a)},
-    both <= 1 in this region, so nothing can overflow.
+    both <= 1 in this region, so nothing can overflow.  At small eta it returns
+    wrong values, not errors (docs/numerics.md section 2): 0.0 at x, x' = 2, 4,
+    kappa = 1, a = 1, eta = 1e-100, where about 1 is right.
     """
     kappa = _require_linear(cfg, kappa)
     lo, hi = _ordered(x, xp)
@@ -171,6 +173,9 @@ def greens_linear_below(x, xp, kappa: float, cfg: PlateConfig):
     scaled values and gaps e^{-2 g}, and the exponents of u(x_<) v(x_>)/u(a)
     combine into -(zeta(y_max) - zeta(y_min)) with both points on one side
     of the kink, -(g1(y_<) + g1(y_>)) across it, g1(y) = zeta(y) - zeta(kappa^2).
+    At small eta it returns wrong values, not errors (docs/numerics.md section
+    2): at x = x' = -3, a = 1, where about 4 is right, 3.9985 at eta = 1e-40,
+    kappa = 0, and -2.9e-6 at eta = 1e-40, kappa = 1000.
     """
     kappa = _require_linear(cfg, kappa)
     lo, hi = _ordered(x, xp)

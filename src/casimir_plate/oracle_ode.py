@@ -10,8 +10,9 @@ integral over both sides (_net_fd, on two nested grids sharing their
 nodes), which force_from_fd integrates over all momenta by the nested
 Clenshaw-Curtis rule integrate_finite.  With a unit source and G = 0 at
 the plate the band gives the Green's function (solve_bvp_above/_full).
-Nothing but QuadratureSpec and errors is shared with the closed forms;
-docs/numerics.md section 6 derives it all.  When
+Nothing but errors (PlateConfig and the argument checks) and the finite
+rule of quadrature is shared with the closed forms; docs/numerics.md
+section 6 derives it all.  When
 cfg.b == 0 (the eta = 0 cross-checks) kappa is the physical momentum K.
 """
 
@@ -27,7 +28,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DomainError, OracleError, PlateConfig, ToleranceError, as_real, check_real
-from .quadrature import QuadratureSpec, integrate_finite
+from .quadrature import integrate_finite
 
 __all__ = ["GridSpec", "solve_bvp_above", "solve_bvp_full", "integrand_from_fd", "fd_setup",
            "force_from_fd"]
@@ -375,7 +376,7 @@ def _net_fd(kappa: float, cfg: PlateConfig) -> tuple[float, float]:
     return s_2m + step, abs(step)
 
 
-_FD_SPEC = QuadratureSpec(rel_tol=1e-9)
+_FD_REL_TOL = 1e-9
 
 
 def _force_fd(eta: float) -> tuple[float, float]:
@@ -387,7 +388,7 @@ def _force_fd(eta: float) -> tuple[float, float]:
     kappa = inf, is never sampled: as net -> 1/(2 kappa^2), the integrand
     k0 net/(1 - t)^2 tends to 1/(2 k0) there.  err_est is the rule's plus
     f times the largest relative sample err_est, a bound on the samples'
-    part as every weight and sample is positive.  A miss with _FD_SPEC
+    part as every weight and sample is positive.  A miss of _FD_REL_TOL
     raises ToleranceError naming eta.
     """
     eta = check_real(eta, "eta", strict=True)
@@ -408,11 +409,11 @@ def _force_fd(eta: float) -> tuple[float, float]:
             values.append(k0 * net / (u * u))
         return values
 
-    r = integrate_finite(integrand, 0.0, 1.0, _FD_SPEC)
+    r = integrate_finite(integrand, 0.0, 1.0, _FD_REL_TOL)
     scale = eta ** (2.0 / 3.0) / (2.0 * math.pi)
     if not r.converged:  # err_est in units of f, as force_exact reports it
         raise ToleranceError(f"FD momentum integral did not converge on kappa in [0, inf); "
-                             f"eta={eta!r}, rel_tol={_FD_SPEC.rel_tol!r}, "
+                             f"eta={eta!r}, rel_tol={_FD_REL_TOL!r}, "
                              f"err_est={scale * r.err_est:.3e}")
     return scale * r.value, scale * r.err_est + worst * scale * abs(r.value)
 

@@ -7,7 +7,9 @@ one math.fsum, which is exact, so identical inputs produce bit-identical
 results whatever the order of the terms.  That property is load-bearing:
 the command-line layer promises byte-identical output across reruns and
 worker counts.  The estimate is the difference from the coarser level
-(Bailey, Jeyabalan and Li, Exp. Math. 14, 2005).
+(Bailey, Jeyabalan and Li, Exp. Math. 14, 2005).  Each rule's one setting
+is the rel_tol it stops on, checked before anything else: one that is not
+finite and > 0 is a DomainError naming rel_tol.
 
 Integrand contract: ``f`` takes a 1-D float array of nodes and returns a
 sequence of as many values (an array, or a list from a scalar function
@@ -32,14 +34,13 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import DomainError, check_real
 
 __all__ = [
-    "QuadratureSpec",
     "QuadResult",
     "integrate_finite",
     "integrate_semi_infinite",
@@ -63,33 +64,6 @@ _ENDS = _LEVELS[0][1][[0, 1, -1, -2]]  # the first level's two outermost nodes a
 
 _CC_FIRST = 8  # intervals of the first Clenshaw-Curtis level
 _CC_MAX = 1024  # intervals of the last
-
-# change it whenever a force result moves, n_evals included, so that cached
-# curve rows are recomputed rather than served stale
-_KERNEL = "wronskian-split+exp-sinh-tails+taylor-march+pow-rounding"
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerance and policy shared by all integrations; every integral stops on rel_tol alone.
-
-    ``kappa_max_policy`` belongs to the force computations: the momentum
-    scale k0 of the half-line rule's nodes kappa = k0 u, finite and > 0
-    (force_exact bounds it); ``None`` means max(eta^{1/6}, eta^{-1/3}).
-    """
-
-    rel_tol: float = 1e-9
-    kappa_max_policy: Optional[float] = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "rel_tol", check_real(self.rel_tol, "rel_tol", strict=True))
-        if self.kappa_max_policy is not None:
-            k = check_real(self.kappa_max_policy, "kappa_max_policy", strict=True)
-            object.__setattr__(self, "kappa_max_policy", k)
-
-    def fingerprint(self) -> str:
-        """Stable identity of the kernel and tolerances; result caches key off this."""
-        return f"kernel={_KERNEL};rel={self.rel_tol!r};kmax={self.kappa_max_policy!r}"
 
 
 @dataclass(frozen=True)
@@ -148,12 +122,7 @@ def _finite_values(f: Integrand, x: np.ndarray) -> np.ndarray:
     return fx
 
 
-def integrate_finite(
-    f: Integrand,
-    lo: float,
-    hi: float,
-    spec: QuadratureSpec = QuadratureSpec(),
-) -> QuadResult:
+def integrate_finite(f: Integrand, lo: float, hi: float, rel_tol: float = 1e-9) -> QuadResult:
     """Integral of f over [lo, hi] by nested Clenshaw-Curtis; f maps an array of nodes to values.
 
     The first call evaluates the _CC_FIRST + 1 nodes of the first level,
@@ -163,6 +132,7 @@ def integrate_finite(
     a zero integral of nonzero samples).  A value that is not finite is a
     DomainError naming its node.
     """
+    rel_tol = check_real(rel_tol, "rel_tol", strict=True)
     if not (lo <= hi and math.isfinite(hi - lo)):  # NaN fails too
         raise DomainError(f"bad interval [{lo!r}, {hi!r}]")
     if lo == hi:
@@ -177,7 +147,7 @@ def integrate_finite(
         fx = np.insert(fx, range(1, fx.size), _finite_values(f, lo + width * t[1::2]))
         value = width * math.fsum((w * fx).tolist())
         err = abs(value - coarse)
-        converged = err <= spec.rel_tol * abs(value)
+        converged = err <= rel_tol * abs(value)
     return QuadResult(value, err, n + 1, converged)
 
 
@@ -195,10 +165,7 @@ def _tail(end: float, inner: float) -> float:
     return end / (16.0 * math.log(inner / end)) if inner > end else math.inf
 
 
-def integrate_semi_infinite(
-    f: Integrand,
-    spec: QuadratureSpec = QuadratureSpec(),
-) -> QuadResult:
+def integrate_semi_infinite(f: Integrand, rel_tol: float = 1e-9) -> QuadResult:
     """Integral of f over [0, infinity); f maps an array of nodes to values.
 
     The first call evaluates all 103 nodes of h = 1/16, which hold those of
@@ -211,6 +178,7 @@ def integrate_semi_infinite(
     converged means err_est met rel_tol*|value| by h = 1/128.
     A value that is not finite is a DomainError naming its node.
     """
+    rel_tol = check_real(rel_tol, "rel_tol", strict=True)
     terms = np.zeros(_U.size)  # w f(u) at the nodes evaluated so far
     coarse, edge, n = None, 0.0, 0
     for step, new, on in _LEVELS:
@@ -223,7 +191,7 @@ def integrate_semi_infinite(
             edge = _tail(t[0], t[1]) + _tail(t[2], t[3])
         value = h * math.fsum(terms[on].tolist())
         err = abs(value - coarse) + edge
-        tol = spec.rel_tol * abs(value)
+        tol = rel_tol * abs(value)
         if err <= tol or edge > tol:
             break
         coarse = value

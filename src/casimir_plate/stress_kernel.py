@@ -41,13 +41,13 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .airy_engine import Z_SWITCH, _net_terms
-from .errors import DomainError, SingularityError, ToleranceError, check_real
-from .quadrature import _U, QuadratureSpec, integrate_semi_infinite
+from .errors import DomainError, QuadratureSpec, SingularityError, ToleranceError, check_real
+from .quadrature import _U, integrate_semi_infinite
 
 __all__ = [
     "ForceResult",
@@ -233,8 +233,7 @@ def force_exact(eta: float, spec: QuadratureSpec = QuadratureSpec()) -> ForceRes
     budget = spec.rel_tol - rounding
     if not budget > 0.0:
         raise _refusal(0, "rounding", eta, spec, f"{rounding:.3e} * f_eta", k0)
-    qspec = replace(spec, rel_tol=budget)
-    r = integrate_semi_infinite(net, qspec)
+    r = integrate_semi_infinite(net, budget)
     scale = eta ** (2.0 / 3.0) / (2.0 * math.pi)
     f_eta = scale * r.value
     err = scale * r.err_est + rounding * abs(f_eta)
@@ -243,7 +242,7 @@ def force_exact(eta: float, spec: QuadratureSpec = QuadratureSpec()) -> ForceRes
     if not (r.converged and f_eta > 0.0 and err <= spec.rel_tol * f_eta):
         # a window edge that alone misses the quadrature's tolerance stops it
         # at the first level; otherwise the finest level ran out
-        edge_missed = r.edge > qspec.rel_tol * abs(r.value)
+        edge_missed = r.edge > budget * abs(r.value)
         cause = ("value not positive" if r.converged and not f_eta > 0.0
                  else "rounding" if r.converged
                  else "window edge" if edge_missed else "level difference")
@@ -256,23 +255,25 @@ _A_MIN = math.sqrt(math.pi / 24.0) / math.sqrt(sys.float_info.max)
 _A_MAX = math.sqrt(math.pi / 24.0 / sys.float_info.min)
 
 
-def force_classic(a: float, spec: QuadratureSpec = QuadratureSpec()) -> float:
+def force_classic(a: float, rel_tol: float = 1e-9) -> float:
     """Attraction between two flat-background plates a apart: -pi/(24 a^2).
 
     The coincident-limit stress difference of the two flat kernels reduces
     to -integral_0^inf dK/pi K / (e^{2 K a} - 1) = -I/(4 pi a^2), with
     I = integral_0^inf t/(e^t - 1) dt on the a-free t = 2 K a (docs/numerics.md
-    section 4).  An a outside [_A_MIN, _A_MAX] raises DomainError.
+    section 4), to rel_tol.  A rel_tol that is not finite and > 0, checked
+    first, or an a outside [_A_MIN, _A_MAX] raises DomainError.
     """
+    rel_tol = check_real(rel_tol, "rel_tol", strict=True)
     a = check_real(a, "plate separation a", strict=True)
     if not _A_MIN <= a <= _A_MAX:
         raise DomainError(f"plate separation a must be in [{_A_MIN!r}, {_A_MAX!r}], outside "
                           f"which -pi/(24 a^2) is not a normal float, got {a!r}")
     # t e^{-t} / (1 - e^{-t}): no overflow at large t, and 1 as t -> 0
-    r = integrate_semi_infinite(lambda t: t * np.exp(-t) / -np.expm1(-t), spec)
+    r = integrate_semi_infinite(lambda t: t * np.exp(-t) / -np.expm1(-t), rel_tol)
     if not r.converged:
         raise ToleranceError(f"flat-background force integral did not converge (n_evals={r.n_evals}"
-                             f"); a={a!r}, rel_tol={spec.rel_tol!r}, err_est={r.err_est:.3e}")
+                             f"); a={a!r}, rel_tol={rel_tol!r}, err_est={r.err_est:.3e}")
     # a^2 is never formed: it leaves the normal floats inside the range
     return -r.value / (4.0 * math.pi * a) / a
 

@@ -20,9 +20,9 @@ from scipy.special import airye
 
 from casimir_plate import cli, oracle_ode
 from casimir_plate.airy_engine import airy_eval
+from casimir_plate.errors import QuadratureSpec
 from casimir_plate.greens import PlateConfig, greens_linear_above, greens_linear_below
 from casimir_plate.oracle_ode import GridSpec, solve_bvp_above, solve_bvp_full
-from casimir_plate.quadrature import QuadratureSpec
 from casimir_plate.stress_kernel import (
     force_exact,
     force_perturbative,

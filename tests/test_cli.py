@@ -13,7 +13,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from casimir_plate import cli
+from casimir_plate import cli, stress_kernel
 
 ROOT = Path(__file__).resolve().parent.parent
 SCHEMA_DIR = ROOT / "docs" / "schema"
@@ -110,7 +110,8 @@ class TestClassic:
 
 @pytest.mark.parametrize(
     "argv, name",
-    [(["classic", "--a", "-1"], "a"), (["perturb", "--a", "1", "--b", "-1", "--k-min", "1"], "b")],
+    [(["classic", "--a", "-1"], "a"), (["perturb", "--a", "1", "--b", "-1", "--k-min", "1"], "b"),
+     (["classic", "--a", "0", "--rel-tol", "0"], "rel_tol")],  # the tolerance is checked first
 )
 def test_library_refusal_is_a_usage_error_naming_the_parameter(argv, name, capsys):
     assert cli.main(argv) == 2
@@ -465,6 +466,13 @@ class TestPlot:
 
 
 class TestFlagsPerCommand:
+    @pytest.mark.parametrize("command", ["exact", "curve"])
+    def test_kappa_max_help_states_the_kernel_bound(self, command, capsys):
+        # the help states force_exact's own bound on k0, not a copy of it
+        assert cli.main([command, "--help"]) == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert f"at most {stress_kernel._K0_MAX!r} (default" in text
+
     @pytest.mark.parametrize("argv", [["classic", "--a", "1"],
                                       ["perturb", "--a", "1", "--b", "1", "--k-min", "1e-2"]])
     def test_kappa_max_is_not_taken_where_nothing_reads_it(self, argv, capsys):

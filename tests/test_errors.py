@@ -1,5 +1,6 @@
 """The refusal rule: an argument that is not a finite real in range is a DomainError naming it."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -22,8 +23,11 @@ from casimir_plate import (
     greens_linear_below,
     integrand_from_fd,
     integrand_net,
+    integrate_finite,
+    integrate_semi_infinite,
     zeta_gap,
 )
+from casimir_plate import errors
 from casimir_plate.errors import check_real
 from casimir_plate.oracle_ode import GridSpec, solve_bvp_above, solve_bvp_full
 from casimir_plate.stress_kernel import (
@@ -100,6 +104,28 @@ def test_bad_scalar_is_a_domain_error_naming_it(call, name, value):
         call(value)
 
 
+# each rule reads one setting, rel_tol, and checks it before anything else:
+# before the interval, before the separation, before any node
+def _never(x):
+    raise AssertionError("the integrand ran")
+
+
+RULES = [
+    ("integrate_finite", lambda v: integrate_finite(_never, 1.0, 0.0, v)),
+    ("integrate_semi_infinite", lambda v: integrate_semi_infinite(_never, v)),
+    ("force_classic", lambda v: force_classic(0.0, v)),
+]
+
+
+@pytest.mark.parametrize("value", [math.nan, 0.0, -1.0, math.inf, QuadratureSpec()],
+                         ids=["nan", "0", "-1", "inf", "spec"])
+@pytest.mark.parametrize("call", [c for _, c in RULES], ids=[n for n, _ in RULES])
+def test_rules_refuse_a_bad_rel_tol_first(call, value):
+    # a QuadratureSpec is force_exact's; a rule handed one refuses it by name
+    with pytest.raises(DomainError, match=r"^rel_tol must be "):
+        call(value)
+
+
 @pytest.mark.parametrize("greens, x, xp", [
     (greens_free_above, np.array([1.0, 2.0]), 2.5),
     (greens_free_above, 2.5, np.array([1.0, 2.0])),
@@ -163,6 +189,50 @@ def test_value_beyond_its_range_is_a_domain_error_naming_it(call, value, text):
     with pytest.raises(DomainError) as info:
         call(value)
     assert text in str(info.value) and repr(value) in str(info.value)
+
+
+# QuadratureSpec: force_exact's settings and the curve cache's key
+class TestSpec:
+    def test_defaults(self):
+        spec = QuadratureSpec()
+        assert spec.rel_tol == 1e-9
+        assert spec.kappa_max_policy is None
+
+    def test_fingerprint_is_stable_and_sensitive(self):
+        a = QuadratureSpec()
+        b = QuadratureSpec()
+        assert a.fingerprint() == b.fingerprint()
+        c = QuadratureSpec(rel_tol=1e-6)
+        assert c.fingerprint() != a.fingerprint()
+        d = QuadratureSpec(kappa_max_policy=25.0)
+        assert "25" in d.fingerprint()
+
+    def test_two_fields_and_no_absolute_floor(self):
+        # every integral stops on rel_tol alone; the cache key names the kernel,
+        # rel_tol and the pinned scale, nothing else
+        assert [f.name for f in dataclasses.fields(QuadratureSpec)] == ["rel_tol",
+                                                                        "kappa_max_policy"]
+        spec = QuadratureSpec(rel_tol=1e-6, kappa_max_policy=25.0)
+        assert spec.fingerprint() == f"kernel={errors._KERNEL};rel=1e-06;kmax=25.0"
+
+    def test_scale_bound_is_left_to_the_kernel(self):
+        # the spec only checks a pinned scale is finite and > 0; force_exact
+        # refuses one whose farthest node would overflow (the RANGE rows above)
+        assert QuadratureSpec(kappa_max_policy=1e300).kappa_max_policy == 1e300
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"rel_tol": -1.0},
+            {"rel_tol": 0.0},
+            {"rel_tol": float("inf")},
+            {"kappa_max_policy": -5.0},
+            {"kappa_max_policy": float("nan")},
+        ],
+    )
+    def test_validation(self, kwargs):
+        with pytest.raises(DomainError, match=next(iter(kwargs))):
+            QuadratureSpec(**kwargs)
 
 
 def test_check_real():

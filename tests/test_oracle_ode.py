@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from casimir_plate import QuadratureSpec, airy_engine, greens, oracle_ode, quadrature, stress_kernel
+from casimir_plate import airy_engine, greens, oracle_ode, quadrature, stress_kernel
 from casimir_plate.errors import DomainError, OracleError, ToleranceError
 from casimir_plate.greens import PlateConfig, greens_free_above, greens_linear_above
 from casimir_plate.oracle_ode import (
@@ -348,7 +348,7 @@ class TestForcePipeline:
 
     def test_nonconvergence_raises_and_names_inputs(self, monkeypatch):
         # the refusal at the last Clenshaw-Curtis level
-        monkeypatch.setattr(oracle_ode, "_FD_SPEC", QuadratureSpec(rel_tol=1e-12))
+        monkeypatch.setattr(oracle_ode, "_FD_REL_TOL", 1e-12)
         monkeypatch.setattr(quadrature, "_CC_MAX", 16)
         with pytest.raises(ToleranceError) as info:
             force_from_fd(1.0)
@@ -360,13 +360,13 @@ class TestForcePipeline:
         # binding the benchmark's tracer wraps
         rule, calls = oracle_ode.integrate_finite, []
 
-        def counting(f, lo, hi, spec):
-            calls.append((lo, hi, spec))
-            return rule(f, lo, hi, spec)
+        def counting(f, lo, hi, rel_tol):
+            calls.append((lo, hi, rel_tol))
+            return rule(f, lo, hi, rel_tol)
 
         monkeypatch.setattr(oracle_ode, "integrate_finite", counting)
         assert force_from_fd(1.0) == FORCE_FD_ETA_1
-        assert calls == [(0.0, 1.0, oracle_ode._FD_SPEC)]
+        assert calls == [(0.0, 1.0, oracle_ode._FD_REL_TOL)]
 
     @pytest.mark.parametrize("eta, reason", [
         (1e-300, "grid needs 3328134116883"), (1e-20, "grid needs 154478309 points, over the cap"),

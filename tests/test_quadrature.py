@@ -3,7 +3,6 @@
 Integrands follow the array contract: a 1-D array of nodes in, as many values out.
 """
 
-import dataclasses
 import math
 
 import numpy as np
@@ -11,54 +10,7 @@ import pytest
 
 from casimir_plate import quadrature
 from casimir_plate.errors import DomainError, ToleranceError
-from casimir_plate.quadrature import (
-    QuadratureSpec,
-    integrate_finite,
-    integrate_semi_infinite,
-)
-
-
-class TestSpec:
-    def test_defaults(self):
-        spec = QuadratureSpec()
-        assert spec.rel_tol == 1e-9
-        assert spec.kappa_max_policy is None
-
-    def test_fingerprint_is_stable_and_sensitive(self):
-        a = QuadratureSpec()
-        b = QuadratureSpec()
-        assert a.fingerprint() == b.fingerprint()
-        c = QuadratureSpec(rel_tol=1e-6)
-        assert c.fingerprint() != a.fingerprint()
-        d = QuadratureSpec(kappa_max_policy=25.0)
-        assert "25" in d.fingerprint()
-
-    def test_two_fields_and_no_absolute_floor(self):
-        # every integral stops on rel_tol alone; the cache key names the kernel,
-        # rel_tol and the pinned scale, nothing else
-        assert [f.name for f in dataclasses.fields(QuadratureSpec)] == ["rel_tol",
-                                                                        "kappa_max_policy"]
-        spec = QuadratureSpec(rel_tol=1e-6, kappa_max_policy=25.0)
-        assert spec.fingerprint() == f"kernel={quadrature._KERNEL};rel=1e-06;kmax=25.0"
-
-    def test_scale_bound_is_left_to_the_kernel(self):
-        # the spec only checks a pinned scale is finite and > 0; force_exact
-        # refuses one whose farthest node would overflow (tests/test_errors.py)
-        assert QuadratureSpec(kappa_max_policy=1e300).kappa_max_policy == 1e300
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"rel_tol": -1.0},
-            {"rel_tol": 0.0},
-            {"rel_tol": float("inf")},
-            {"kappa_max_policy": -5.0},
-            {"kappa_max_policy": float("nan")},
-        ],
-    )
-    def test_validation(self, kwargs):
-        with pytest.raises(DomainError, match=next(iter(kwargs))):
-            QuadratureSpec(**kwargs)
+from casimir_plate.quadrature import integrate_finite, integrate_semi_infinite
 
 
 class TestFiniteIntervals:
@@ -86,7 +38,7 @@ class TestFiniteIntervals:
         r = integrate_finite(np.sqrt, 0.0, 1.0)
         assert abs(r.value - 2.0 / 3.0) <= r.err_est
         assert not r.converged and r.n_evals == quadrature._CC_MAX + 1
-        r = integrate_finite(np.sqrt, 0.0, 1.0, QuadratureSpec(rel_tol=1e-6))
+        r = integrate_finite(np.sqrt, 0.0, 1.0, 1e-6)
         assert r.converged and abs(r.value - 2.0 / 3.0) <= r.err_est <= 1e-6
 
     def test_error_estimate_brackets_truth(self):
@@ -106,8 +58,7 @@ class TestFiniteIntervals:
 
     def test_cap_exhaustion(self, monkeypatch):
         monkeypatch.setattr(quadrature, "_CC_MAX", 16)
-        spec = QuadratureSpec(rel_tol=1e-15)
-        r = integrate_finite(lambda x: np.abs(x - 1.0 / 3.0) ** 0.1, 0.0, 1.0, spec)
+        r = integrate_finite(lambda x: np.abs(x - 1.0 / 3.0) ** 0.1, 0.0, 1.0, 1e-15)
         assert not r.converged and r.n_evals == 17
 
     def test_determinism(self):
@@ -163,7 +114,7 @@ class TestClenshawCurtis:
             return np.abs(x - 1.0 / 3.0)
 
         lo, hi = -1.0, 2.0
-        r = integrate_finite(kink, lo, hi, QuadratureSpec(rel_tol=1e-15))
+        r = integrate_finite(kink, lo, hi, 1e-15)
         assert [len(c) for c in calls] == [9] + self.LEVELS[:-1]
         assert r.n_evals == sum(map(len, calls)) == 1025 and not r.converged
         level = calls[0]
@@ -185,7 +136,7 @@ class TestClenshawCurtis:
         # on [0, 1] the nodes are the level's own and the value its
         # weighted fsum, bit for bit, and err_est the difference of two
         n = 16
-        r = integrate_finite(np.exp, 0.0, 1.0, QuadratureSpec(rel_tol=1e-6))
+        r = integrate_finite(np.exp, 0.0, 1.0, 1e-6)
         assert r.converged and r.n_evals == n + 1
         levels = [math.fsum((w * np.exp(t)).tolist()) for t, w in map(quadrature._cc_level, (8, n))]
         assert (r.value, r.err_est) == (levels[1], abs(levels[1] - levels[0]))
@@ -209,8 +160,7 @@ class TestSemiInfinite:
             seen.extend(k.tolist())
             return np.abs(np.sin(k)) / (1.0 + k * k)
 
-        spec = QuadratureSpec(rel_tol=1e-15)
-        r = integrate_semi_infinite(kinks, spec)
+        r = integrate_semi_infinite(kinks, 1e-15)
         assert len(seen) == r.n_evals == 819
         assert 0.0 < min(seen) and max(seen) < math.inf
         assert math.isfinite(r.value) and math.isfinite(r.err_est)
@@ -230,8 +180,7 @@ class TestSemiInfinite:
         # the cut-off tail does not shrink with h, and neither may its
         # estimate: err_est holds the true error at any tolerance it meets
         exact = math.sqrt(math.pi) * math.gamma(0.05) / (2.0 * math.gamma(0.55))
-        r = integrate_semi_infinite(lambda k: 1.0 / (1.0 + k * k) ** 0.55,
-                                    QuadratureSpec(rel_tol=rel_tol))
+        r = integrate_semi_infinite(lambda k: 1.0 / (1.0 + k * k) ** 0.55, rel_tol)
         assert abs(r.value - exact) <= r.err_est
         assert r.converged == (rel_tol == 5e-2)
 
@@ -271,16 +220,15 @@ class TestSemiInfinite:
 class TestToleranceSurface:
     def test_loose_tolerance_uses_fewer_evaluations(self):
         f = lambda x: np.exp(-x * x)
-        tight = integrate_finite(f, 0.0, 6.0, QuadratureSpec(rel_tol=1e-12))
-        loose = integrate_finite(f, 0.0, 6.0, QuadratureSpec(rel_tol=1e-4))
+        tight = integrate_finite(f, 0.0, 6.0, 1e-12)
+        loose = integrate_finite(f, 0.0, 6.0, 1e-4)
         assert loose.n_evals <= tight.n_evals
         assert tight.value == pytest.approx(math.sqrt(math.pi) / 2.0, rel=1e-12)
 
     def test_nonconvergence_is_reported_not_raised(self, monkeypatch):
         # the quadrature reports converged=False; raising is the caller's call
         monkeypatch.setattr(quadrature, "_CC_MAX", 16)
-        spec = QuadratureSpec(rel_tol=1e-16)
-        r = integrate_finite(lambda x: 1.0 / np.sqrt(x + 1e-12), 0.0, 1.0, spec)
+        r = integrate_finite(lambda x: 1.0 / np.sqrt(x + 1e-12), 0.0, 1.0, 1e-16)
         assert not r.converged
         assert math.isfinite(r.value)
 

@@ -10,8 +10,8 @@ import pytest
 
 from casimir_plate import airy_engine, stress_kernel
 from casimir_plate.airy_engine import Z_SWITCH, airy_eval
-from casimir_plate.errors import DomainError, ToleranceError
-from casimir_plate.quadrature import _U, QuadratureSpec, integrate_semi_infinite
+from casimir_plate.errors import DomainError, QuadratureSpec, ToleranceError
+from casimir_plate.quadrature import _U, integrate_semi_infinite
 from casimir_plate.stress_kernel import (
     _K0_MAX,
     _KAPPA_MAX,
@@ -423,7 +423,7 @@ class TestForceClassic:
     def test_refusal_names_its_inputs(self):
         # below 2e-17 relative the window's edge alone misses the tolerance
         with pytest.raises(ToleranceError) as info:
-            force_classic(1e-10, QuadratureSpec(rel_tol=1e-18))
+            force_classic(1e-10, 1e-18)
         assert "; a=1e-10, rel_tol=1e-18, err_est=" in str(info.value)
 
     @pytest.mark.parametrize("a", [1e-300, 5e-324, 2.6984323550097483e-155,
