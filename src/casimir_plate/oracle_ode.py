@@ -3,7 +3,9 @@
 The mode equation w'' = q(x) w, q(x) = b^{2/3} kappa^2 + b |x|, is
 discretized with Numerov weighting on a uniform grid in physical x and
 solved as one tridiagonal system, the plate on a node and a WKB decay
-closure at each open end, on one checked path (_solve), for w decaying
+closure at each open end; each row scaled by its Numerov weight makes the
+band symmetric positive definite, which LAPACK's dptsv solves without
+pivoting.  One checked path (_solve) solves it for w decaying
 away from the plate with w = 1 on it.  Its slope there is one side's
 stress integrand (integrand_from_fd); the net integrand is one positive
 integral over both sides (_net_fd, on two nested grids sharing their
@@ -21,7 +23,6 @@ from __future__ import annotations
 import functools
 import math
 import operator
-import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -35,8 +36,10 @@ __all__ = ["GridSpec", "solve_bvp_above", "solve_bvp_full", "integrand_from_fd",
 
 
 # most nodes a grid may have, above the 3,089,577 of the force's largest grid
-# at eta = 1e-14 (kappa = 0; it grows as eta^{-1/3}); a solve holds about ten
-# float arrays of n entries, 32 MB each at the cap
+# at eta = 1e-14 (kappa = 0; it grows as eta^{-1/3}); a net sample peaks at
+# about 7.5 float arrays of its fine grid's n entries (nodes, q, sqrt(q) and
+# weights, then the band's c, diagonal, off-diagonal and right-hand side),
+# 32 MB each at the cap
 _MAX_NODES = 4_000_000
 
 
@@ -82,10 +85,10 @@ def _bcube(cfg: PlateConfig) -> float:  # integrands divide by b^{1/3}, by 1 whe
 
 
 @functools.cache
-def _dgtsv():  # LAPACK's tridiagonal solver, bound on first use: scipy stays off the import path
-    from scipy.linalg.lapack import dgtsv
+def _dptsv():  # LAPACK's SPD band solver, bound on first use: scipy stays off the import path
+    from scipy.linalg.lapack import dptsv
 
-    return dgtsv
+    return dptsv
 
 
 def _solve_tridiagonal_bvp(h: float, q: np.ndarray, source: Optional[int], plate: str,
@@ -97,37 +100,48 @@ def _solve_tridiagonal_bvp(h: float, q: np.ndarray, source: Optional[int], plate
     each open end gets the WKB closure through a centered ghost node.
     Numerov's rows miss the exact solution by h^3 jump w/12 where q' jumps
     by jump, which row kink's diagonal takes back; the spread source dents
-    its node by exactly -h/12, corrected after the solve.  The band is
-    checked finite (_grid_values), so LAPACK info != 0 is a fault.
+    its node by exactly -h/12, corrected after the solve.  Row i is scaled
+    by its weight c_i = 1 - h^2 q_i/12 (a closure row by c_0 c_1/2) and
+    negated, and the plate's known value moves to its neighbours' right-hand
+    sides: the band is then symmetric, and with 0 < c_i <= 1 (h^2 q < 12,
+    _grid_values) diagonally dominant with a positive diagonal, so positive
+    definite, and LAPACK's dptsv solves it without pivoting.  The unknown
+    stays g, and info != 0 is a fault.
     """
     n = q.size
     at = {"lo": 0, "hi": n - 1, "mid": (n - 1) // 2}[plate]
-    # row i: c_{i-1} g_{i-1} + d_i g_i + c_{i+1} g_{i+1} with c = 1 - (h^2/12) q
-    # and d = -2 (1 + (5 h^2/12) q) = -2 (5 h^2/12) q - 2 (doubling is exact), in place
+    # row i: c_{i-1} g_{i-1} - 2 (1 + (5 h^2/12) q_i) g_i + c_{i+1} g_{i+1}, c = 1 - (h^2/12) q,
+    # times -c_i: diagonal c_i (2 + 2 (5 h^2/12) q_i) (doubling is exact), off-diagonal -c_i c_{i+1}
     c = q * -(h * h / 12.0)
     c += 1.0
-    dl, du = c[:-1], c[1:].copy()  # apart: dgtsv overwrites both
-    d = q * (-2.0 * (5.0 * h * h / 12.0))
-    d -= 2.0
+    d = q * (2.0 * (5.0 * h * h / 12.0))
+    d += 2.0
+    d *= c
+    e = c[:-1] * c[1:]
+    e *= -1.0
     if kink >= 0:
-        d[kink] -= h * h * h * jump / 12.0
-    if at > 0:  # closure row first
-        d[0], du[0] = -(2.0 + 2.0 * h * math.sqrt(q[0]) + h * h * q[0]), 2.0
-        dl[at - 1] = 0.0
-    if at < n - 1:  # closure row last
-        d[n - 1], dl[n - 2] = -(2.0 + 2.0 * h * math.sqrt(q[n - 1]) + h * h * q[n - 1]), 2.0
-        du[at] = 0.0
-    d[at] = 1.0
+        d[kink] += c[kink] * (h * h * h * jump / 12.0)
+    # closure row -(2 + 2 h sqrt(q) + h^2 q) g_0 + 2 g_1 times -c_0 c_1/2 (the last row alike)
+    if at > 0:
+        d[0] = -e[0] * (1.0 + h * math.sqrt(q[0]) + 0.5 * h * h * q[0])
+    if at < n - 1:
+        d[n - 1] = -e[n - 2] * (1.0 + h * math.sqrt(q[n - 1]) + 0.5 * h * h * q[n - 1])
     rhs = np.zeros(n)
-    if source is None:
+    if source is None:  # w = 1 at the plate: its neighbours' rows carry c_i c_plate to the right
         rhs[at] = 1.0
+        if at > 0:
+            rhs[at - 1] = -e[at - 1]
+        if at < n - 1:
+            rhs[at + 1] = -e[at]
     else:
-        w = -h / 12.0
-        rhs[source - 1 : source + 2] = (w, 10.0 * w, w)
-    g, info = _dgtsv()(dl, d, du, rhs, overwrite_dl=1, overwrite_d=1, overwrite_du=1,
-                    overwrite_b=1)[3:]
+        w = h / 12.0
+        rhs[source - 1 : source + 2] = (c[source - 1] * w, c[source] * (10.0 * w),
+                                        c[source + 1] * w)
+    d[at] = 1.0
+    e[max(at - 1, 0) : at + 1] = 0.0
+    g, info = _dptsv()(d, e, rhs, overwrite_d=1, overwrite_e=1, overwrite_b=1)[2:]
     if info != 0:
-        raise OracleError(f"tridiagonal solve failed: LAPACK dgtsv returned info={info}")
+        raise OracleError(f"tridiagonal solve failed: LAPACK dptsv returned info={info}")
     if source is not None:
         g[source] += h / 12.0
     return g
@@ -153,12 +167,6 @@ def _q_plate(kappa: float, cfg: PlateConfig) -> float:
     return _momentum_factor(cfg) * kappa * kappa + cfg.b * cfg.a
 
 
-# bound on the largest products the FD grid forms: with h^2 q below it at the
-# grid's ends, d = -2 (1 + (5 h^2/12) q) and the closure -(2 + 2 h sqrt(q) + h^2 q)
-# stay finite
-_BAND_MAX = sys.float_info.max / 16.0
-
-
 def _nodes(kappa: float, cfg: PlateConfig, grid: GridSpec) -> tuple:  # x, q, sqrt(q), unchecked
     xs = np.arange(grid.n, dtype=float)  # np.linspace's nodes i h + x_lo, built in place
     xs *= grid.h
@@ -171,14 +179,16 @@ def _nodes(kappa: float, cfg: PlateConfig, grid: GridSpec) -> tuple:  # x, q, sq
 
 
 def _grid_values(kappa: float, cfg: PlateConfig, grid: GridSpec, values: tuple = ()) -> tuple:
-    """values, else _nodes, once the band is finite and the open end padded >= 8 e-folds."""
+    """values, else _nodes, once h^2 q < 12 at both ends and the open end padded >= 8 e-folds."""
     xs, q, sq = values = values or _nodes(kappa, cfg, grid)
-    # q = b^{2/3} kappa^2 + b |x|, and with it every band entry, peaks at an
-    # end of the grid, so two products stand in for a pass over the band
-    h, q_lo, q_hi = grid.h, float(q[0]), float(q[-1])
-    if not (h * h * q_lo < _BAND_MAX and h * h * q_hi < _BAND_MAX):  # NaN fails too
-        raise DomainError(f"kappa={kappa!r} overflows the finite-difference band: q reaches "
-                          f"{max(q_lo, q_hi):.3e} at an end of the grid (h = {h:.3e})")
+    # Numerov's weights c = 1 - h^2 q/12 must stay positive for the scaled band to
+    # be positive definite; q = b^{2/3} kappa^2 + b |x| peaks at an end of the
+    # grid, so two products stand in for a pass over the band
+    h = grid.h
+    hq_lo, hq_hi = h * h * float(q[0]), h * h * float(q[-1])
+    if not (hq_lo < 12.0 and hq_hi < 12.0):  # NaN fails too
+        raise DomainError(f"kappa={kappa!r} breaks the Numerov bound h^2 q < 12: h^2 q reaches "
+                          f"{max(hq_lo, hq_hi):.3e} at an end of the grid (h = {h:.3e})")
     margin = float((0.5 * (sq[0] + sq[-1]) + sq[1:-1].sum()) * h)  # closure e-folds, trapezoid
     if margin < 8.0:
         raise DomainError(f"kappa={kappa!r}: domain too short: integral of sqrt(q) is "

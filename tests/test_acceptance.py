@@ -15,7 +15,6 @@ import time
 
 import mpmath
 import numpy as np
-import pytest
 from scipy.special import airye
 
 from casimir_plate import cli, oracle_ode

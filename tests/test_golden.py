@@ -10,16 +10,14 @@ input keeps its error type and message prefix.
 The force_classic value dates from the exp-sinh rule as well, and kept
 its bits when the integral moved to the a-free variable t = 2 K a.  The
 force_perturbative value dates from its closed form through E1, and is
-the correctly rounded mpmath value.  The force_from_fd values date from
-the nested Clenshaw-Curtis rule over the variable-phase FD samples (net
-as one positive integral), within 4.5e-13 relative of mpmath
-(CHANGES.md); the eta = 0.3 value and the eta = 1 err_est date from the
-change that made that rule integrate_finite, which forms 1 - t from t.
-The net sample and the two Green's-function columns of the band solver
-date from the variable-phase change, which gave a grid node on x = 0 the
-kink row.  The one-sample FD
-integrands date from the change that took them as the plate slope of the
-w(0) = 1 solve, 3.3e-13 to 3.0e-11 from mpmath.
+the correctly rounded mpmath value.  Every FD value (the force_from_fd
+forces, the net samples, the two Green's-function columns and the
+one-sample integrands) dates from the band solve that scales each
+Numerov row by its weight 1 - h^2 q/12 and hands the symmetric
+positive-definite band to LAPACK's dptsv; each moved by less than 1e-12
+relative from the pivoted solve before it, far inside its err_est, and
+CHANGES.md lists each with its mpmath error.  The forces are within
+4.5e-13 relative of mpmath, the one-sample integrands 1.1e-12 to 2.9e-11.
 """
 
 import math
@@ -99,9 +97,9 @@ def test_force_perturbative_bits():
 
 # eta: force_from_fd(eta) at its default tolerance
 FORCE_FD = {
-    0.3: "0x1.9bf526a64b0a2p-5",
-    1.0: "0x1.d50107a470b19p-4",
-    3.0: "0x1.c2b6c3b3d506fp-3",
+    0.3: "0x1.9bf526a64b059p-5",
+    1.0: "0x1.d50107a470cadp-4",
+    3.0: "0x1.c2b6c3b3d505dp-3",
 }
 
 
@@ -114,9 +112,9 @@ def test_fd_force_and_net_sample_bits():
     # (value, err_est) of the FD force at eta = 1 and of one net sample there
     cfg = PlateConfig.from_eta(1.0)
     assert [v.hex() for v in oracle_ode._force_fd(1.0)] == [
-        "0x1.d50107a470b19p-4", "0x1.54db0248cb788p-32"]
+        "0x1.d50107a470cadp-4", "0x1.54dd5b3612d12p-32"]
     assert [v.hex() for v in oracle_ode._net_fd(1.0, cfg)] == [
-        "0x1.d989bf84ca554p-3", "0x1.5bba355555555p-33"]
+        "0x1.d989bf84caa0fp-3", "0x1.5bbb862222222p-33"]
 
 
 # (kappa, eta): (value, err_est) of one FD net sample.  m is set by the
@@ -124,21 +122,21 @@ def test_fd_force_and_net_sample_bits():
 # holds x = 0 (the kink row) where m < p: eta <= 1 with kappa <= 3, and
 # (100, 1e-3)
 NET_FD = {
-    (0.0, 1e-3): ("0x1.8c8eac002c74fp-4", "0x1.4211eeeeeeeefp-39"),
-    (0.0, 1.0): ("0x1.9dc4607df74cbp-2", "0x1.d704e55555555p-34"),
-    (0.0, 1e4): ("0x1.7c464e24ac542p-6", "0x1.1457cdbbbbbbcp-34"),
-    (1e-3, 1e-3): ("0x1.8c8e9ff905148p-4", "0x1.4213d55555555p-39"),
-    (1e-3, 1.0): ("0x1.9dc44ca7d909ap-2", "0x1.d6fffdddddddep-34"),
-    (1e-3, 1e4): ("0x1.7c464cfc75789p-6", "0x1.13e6ba2222222p-34"),
-    (3.0, 1e-3): ("0x1.914138d10d0b7p-6", "0x1.24890e4444444p-35"),
-    (3.0, 1.0): ("0x1.98fbe4c07466bp-5", "0x1.00b0ec0000000p-33"),
-    (3.0, 1e4): ("0x1.0c3582d0e5388p-6", "0x1.85b22fbbbbbbcp-35"),
-    (100.0, 1e-3): ("0x1.a36d1bc338c1ap-15", "0x1.2c0148ccccccdp-43"),
-    (100.0, 1.0): ("0x1.a3637230af3eep-15", "0x1.305f9b7777777p-43"),
-    (100.0, 1e4): ("0x1.a287595b78672p-15", "0x1.302c175555555p-43"),
-    (1e4, 1e-3): ("0x1.5798ee1d45b35p-28", "0x1.f35f775555555p-57"),
-    (1e4, 1.0): ("0x1.5798ede962623p-28", "0x1.f36e471111111p-57"),
-    (1e4, 1e4): ("0x1.5798e94915ec7p-28", "0x1.f3712ceeeeeefp-57"),
+    (0.0, 1e-3): ("0x1.8c8eac002c49fp-4", "0x1.4231bbbbbbbbcp-39"),
+    (0.0, 1.0): ("0x1.9dc4607df7a31p-2", "0x1.d70bcdddddddep-34"),
+    (0.0, 1e4): ("0x1.7c464e24ac78ap-6", "0x1.1457efbbbbbbcp-34"),
+    (1e-3, 1e-3): ("0x1.8c8e9ff904d19p-4", "0x1.41f84cccccccdp-39"),
+    (1e-3, 1.0): ("0x1.9dc44ca7d8c05p-2", "0x1.d6fec22222222p-34"),
+    (1e-3, 1e4): ("0x1.7c464cfc75b02p-6", "0x1.13e6f17777777p-34"),
+    (3.0, 1e-3): ("0x1.914138d10d36dp-6", "0x1.248934ccccccdp-35"),
+    (3.0, 1.0): ("0x1.98fbe4c074317p-5", "0x1.00b09f5555555p-33"),
+    (3.0, 1e4): ("0x1.0c3582d0e54b2p-6", "0x1.85b24dbbbbbbcp-35"),
+    (100.0, 1e-3): ("0x1.a36d1bc338f27p-15", "0x1.2c017b8888889p-43"),
+    (100.0, 1.0): ("0x1.a3637230af6bcp-15", "0x1.305f982222222p-43"),
+    (100.0, 1e4): ("0x1.a287595b788f4p-15", "0x1.302c23eeeeeefp-43"),
+    (1e4, 1e-3): ("0x1.5798ee1d4550fp-28", "0x1.f35e67999999ap-57"),
+    (1e4, 1.0): ("0x1.5798ede9632f6p-28", "0x1.f36f931111111p-57"),
+    (1e4, 1e4): ("0x1.5798e9491756fp-28", "0x1.f3732c8888889p-57"),
 }
 
 
@@ -153,13 +151,13 @@ def test_net_fd_sample_bits(kappa, eta):
 # the below grid has a node on the kink x = 0 (node 9000)
 BVP_COLUMNS = {
     "above": ((solve_bvp_above, 1.0, 1.0, (1.0, 9.0, 4001), 400), {
-        1: "0x1.1a8b913080098p-11", 399: "0x1.18af3749a5745p-2", 400: "0x1.19be2d8228aa1p-2",
-        401: "0x1.18c1a89267cefp-2", 1000: "0x1.c7d31f64d8061p-6", 4000: "0x1.bda9231197d3cp-29",
-    }, "0x1.e725372153cc9p+6"),
+        1: "0x1.1a8b91307fde3p-11", 399: "0x1.18af3749a53e8p-2", 400: "0x1.19be2d8228743p-2",
+        401: "0x1.18c1a8926798fp-2", 1000: "0x1.c7d31f64d836dp-6", 4000: "0x1.bda9231197a97p-29",
+    }, "0x1.e7253721539e4p+6"),
     "full": ((solve_bvp_full, 0.8, 5.0, (-9.0, 1.0, 10001), 9100), {
-        1: "0x1.9397e0ff1e9f1p-65", 8000: "0x1.7ae5bd06e0cadp-6", 9099: "0x1.18b64966f47a5p-2",
-        9100: "0x1.192f3809c6cd0p-2", 9101: "0x1.18a22d7c1e1abp-2", 10000: "0x0.0p+0",
-    }, "0x1.c9ca10655014fp+7"),
+        1: "0x1.9397e0ff1a005p-65", 8000: "0x1.7ae5bd06e0ee1p-6", 9099: "0x1.18b64966f4effp-2",
+        9100: "0x1.192f3809c7429p-2", 9101: "0x1.18a22d7c1e906p-2", 10000: "0x0.0p+0",
+    }, "0x1.c9ca10655142dp+7"),
 }
 
 
@@ -175,12 +173,12 @@ def test_bvp_column_bits(case):
 # (kappa, eta, side): integrand_from_fd on fd_setup's grid; eta = 0 is the
 # flat background (PlateConfig(a=1, b=0)), where kappa is the momentum
 INTEGRAND_FD = {
-    (0.0, 1.0, "above"): "-0x1.2d236fba77f15p+0",
-    (0.0, 1.0, "below"): "-0x1.8b64af35dd87fp-1",
-    (1.5, 0.5, "above"): "-0x1.d1ad182cd5b94p+0",
-    (1.5, 0.5, "below"): "-0x1.ab0c77b17bfbdp+0",
-    (0.7, 0.0, "above"): "-0x1.6666666675b2bp-1",
-    (0.7, 0.0, "below"): "-0x1.6666666637f00p-1",
+    (0.0, 1.0, "above"): "-0x1.2d236fba779aap+0",
+    (0.0, 1.0, "below"): "-0x1.8b64af35dd2aap-1",
+    (1.5, 0.5, "above"): "-0x1.d1ad182cd2d02p+0",
+    (1.5, 0.5, "below"): "-0x1.ab0c77b1797b9p+0",
+    (0.7, 0.0, "above"): "-0x1.6666666671d56p-1",
+    (0.7, 0.0, "below"): "-0x1.666666663a996p-1",
 }
 
 

@@ -23,12 +23,12 @@ from casimir_plate.oracle_ode import (
 )
 from casimir_plate.stress_kernel import force_exact, integrand_above, integrand_below, integrand_net
 
-# Frozen pipeline output, 3.0e-13 from mpmath; agreement with force_exact is re-asserted below.
-FORCE_FD_ETA_1 = 0.11450293526926848
+# Frozen pipeline output, 2.5e-13 from mpmath; agreement with force_exact is re-asserted below.
+FORCE_FD_ETA_1 = 0.11450293526927409
 # integrand_from_fd at kappa = 0.5, eta = 1 on the fd_setup grids, also frozen
-# (2.8e-12 and 4.4e-12 from mpmath)
-INTEGRAND_FD_ABOVE = -1.269378278502948
-INTEGRAND_FD_BELOW = -0.9281158727674682
+# (1.8e-12 and 2.9e-12 from mpmath)
+INTEGRAND_FD_ABOVE = -1.269378278501623
+INTEGRAND_FD_BELOW = -0.9281158727688991
 
 
 def rel(x, y):
@@ -163,13 +163,83 @@ class TestBandedSolver:
         assert g[200] < g[5000] < g[9000]
 
     def test_failed_factorization_is_typed(self, monkeypatch):
-        # the band is diagonally dominant, so only a LAPACK fault gives info != 0
-        def singular(dl, d, du, b, **overwrite):
-            return dl, d, du, b, 7
+        # the scaled band is positive definite, so only a LAPACK fault gives info != 0
+        def indefinite(d, e, b, **overwrite):
+            return d, e, b, 7
 
-        monkeypatch.setattr(oracle_ode, "_dgtsv", lambda: singular)
-        with pytest.raises(OracleError, match="dgtsv returned info=7"):
+        monkeypatch.setattr(oracle_ode, "_dptsv", lambda: indefinite)
+        with pytest.raises(OracleError, match="dptsv returned info=7"):
             solve_bvp_above(1.0, self.CFG, 3.0, GridSpec(1.0, 9.0, 4001))
+
+
+def numerov_dense(h, q, at, source, kink=-1, jump=0.0):
+    """The unscaled Numerov system of docs/numerics.md section 6, row by row, by a dense solve."""
+    n = q.size
+    c = 1.0 - h * h * q / 12.0
+    band = np.zeros((n, n))
+    for i in range(1, n - 1):
+        band[i, i - 1 : i + 2] = c[i - 1], -2.0 * (1.0 + 5.0 * h * h * q[i] / 12.0), c[i + 1]
+    if kink >= 0:
+        band[kink, kink] -= h**3 * jump / 12.0
+    band[0, :2] = -(2.0 + 2.0 * h * math.sqrt(q[0]) + h * h * q[0]), 2.0  # WKB closures
+    band[-1, -2:] = 2.0, -(2.0 + 2.0 * h * math.sqrt(q[-1]) + h * h * q[-1])
+    band[at] = 0.0
+    band[at, at] = 1.0
+    rhs = np.zeros(n)
+    if source is None:
+        rhs[at] = 1.0
+    else:
+        rhs[source - 1 : source + 2] = -h / 12.0 * np.array([1.0, 10.0, 1.0])
+    g = np.linalg.solve(band, rhs)
+    if source is not None:
+        g[source] += h / 12.0
+    return g
+
+
+class TestDenseWitness:
+    # _solve_tridiagonal_bvp against numpy.linalg.solve on the unscaled rows:
+    # at worst 9.1e-14 of the largest |g| (hi, with source), the pivoted
+    # dgtsv solve before it 4.1e-14; the smallest case reads 1.1e-14
+    CFG = PlateConfig.from_eta(1.0)
+    # plate: grid bounds (1,001 nodes) and a source node; hi and mid hold x = 0 on a node
+    CASES = {"lo": ((1.0, 9.0, 1001), 200), "hi": ((-7.0, 1.0, 1001), 900),
+             "mid": ((-4.0, 6.0, 1001), 300)}
+
+    @pytest.mark.parametrize("with_source", [False, True], ids=["w", "G"])
+    @pytest.mark.parametrize("plate", list(CASES))
+    def test_band_solve_matches_the_dense_solve(self, plate, with_source):
+        bounds, node = self.CASES[plate]
+        grid = GridSpec(*bounds)
+        xs, q, _ = oracle_ode._nodes(1.0, self.CFG, grid)
+        kink = round(-grid.x_lo / grid.h) if grid.x_lo < 0.0 else -1
+        assert kink < 0 or abs(xs[kink]) <= 1e-9  # the kink row is exercised
+        at = {"lo": 0, "hi": grid.n - 1, "mid": (grid.n - 1) // 2}[plate]
+        source = node if with_source else None
+        jump = 2.0 * self.CFG.b
+        got = oracle_ode._solve_tridiagonal_bvp(grid.h, q, source, plate, kink, jump)
+        want = numerov_dense(grid.h, q, at, source, kink, jump)
+        assert max(abs(got - want)) <= 1e-12 * max(abs(want))
+
+    # flat background on [1, 17], h = 1/64: h^2 q = kappa^2/4096 at every node
+    FLAT, EDGE = PlateConfig(a=1.0, b=0.0), GridSpec(1.0, 17.0, 1025)
+    UNDER = 64.0 * math.sqrt(12.0)  # h^2 q = 12 - 2 ulp
+
+    @pytest.mark.parametrize("source", [None, 512], ids=["w", "G"])
+    def test_grid_just_under_the_numerov_bound_solves(self, source):
+        # 9.3e-18 and 5.7e-18 of the largest |g| here
+        xs, q, _ = oracle_ode._grid_values(self.UNDER, self.FLAT, self.EDGE)
+        assert self.EDGE.h**2 * q[-1] < 12.0
+        got = oracle_ode._solve_tridiagonal_bvp(self.EDGE.h, q, source, "lo")
+        want = numerov_dense(self.EDGE.h, q, 0, source)
+        assert np.isfinite(got).all()
+        assert max(abs(got - want)) <= 5e-16 * max(abs(want))
+        solve_bvp_above(self.UNDER, self.FLAT, xs[512], self.EDGE)
+
+    @pytest.mark.parametrize("kappa", [math.nextafter(UNDER, math.inf), 2.0 * UNDER])
+    def test_grid_at_or_over_the_numerov_bound_is_refused(self, kappa):
+        assert self.EDGE.h**2 * kappa * kappa >= 12.0
+        with pytest.raises(DomainError, match=re.escape(f"kappa={kappa!r} breaks the Numerov")):
+            solve_bvp_above(kappa, self.FLAT, 9.0, self.EDGE)
 
 
 class TestGridSize:
@@ -221,6 +291,7 @@ class TestOverflowingMomentum:
     # fd_setup and the net sample refuse every kappa whose grid would span
     # less than ulp(a), from kappa ~ 7.2e16 at eta = 1 (one check, in _reach)
     CFG = PlateConfig.from_eta(1.0)
+    BOUND = " breaks the Numerov bound h^2 q < 12"  # the band check's refusal
 
     @pytest.mark.parametrize("kappa", [3e17, 1e103, 1e154, 1e155, 1e200])
     @pytest.mark.parametrize("setup", [partial(fd_setup, side="above"),
@@ -237,18 +308,19 @@ class TestOverflowingMomentum:
          (solve_bvp_full, GridSpec(-9.0, 1.0, 4001), -3.0)],
     )
     def test_solvers_name_kappa(self, kappa, solve, grid, xp):
-        with pytest.raises(DomainError, match=re.escape(f"kappa={kappa!r} overflows the")):
+        with pytest.raises(DomainError, match=re.escape(f"kappa={kappa!r}{self.BOUND}")):
             solve(kappa, self.CFG, xp, grid)
 
     @pytest.mark.parametrize("side", ["above", "below"])
     def test_integrand_names_kappa(self, side):
         grid = fd_setup(1.0, self.CFG, side)
-        with pytest.raises(DomainError, match=re.escape("kappa=1e+200 overflows the")):
+        with pytest.raises(DomainError, match=re.escape(f"kappa=1e+200{self.BOUND}")):
             integrand_from_fd(1e200, self.CFG, side, grid)
 
     def test_wide_grid_overflowing_the_band_is_named(self):
         # q stays finite here, but h^2 q at the far end does not
-        with pytest.raises(DomainError, match="kappa=1.0 overflows the finite-difference band"):
+        refusal = re.escape(f"kappa=1.0{self.BOUND}: h^2 q reaches inf")
+        with pytest.raises(DomainError, match=refusal):
             solve_bvp_above(1.0, self.CFG, 1e298, GridSpec(1.0, 1e300, 1001))
 
 
@@ -259,7 +331,7 @@ class TestStressExtraction:
     @pytest.mark.parametrize("side, closed_form", [("above", integrand_above),
                                                    ("below", integrand_below)])
     def test_sides_match_the_closed_forms(self, side, closed_form):
-        # the slope of the w(0) = 1 solve at the plate, within 6.7e-11 here
+        # the slope of the w(0) = 1 solve at the plate, within 1.2e-10 here
         for eta in self.ETAS:
             cfg = PlateConfig.from_eta(eta)
             for kappa in self.KAPPAS:

@@ -13,6 +13,7 @@ import casimir_plate
 from casimir_plate import errors, greens, oracle_ode
 
 MODULES = sorted(p for p in Path(casimir_plate.__file__).parent.glob("*.py") if p.name != "__init__.py")
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
 
 
 @pytest.mark.parametrize("name", [n for n in casimir_plate.__all__ if n != "__version__"])
@@ -59,7 +60,8 @@ def test_unused_imports_finds_a_planted_name():
     assert unused_imports(source) == ["c"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TESTS,
+                         ids=[p.name for p in MODULES] + [f"tests/{p.name}" for p in TESTS])
 def test_module_uses_every_name_it_imports(path):
-    # the package __init__ re-exports by import and is not scanned
+    # the package __init__ re-exports by import and is not scanned; the test files are
     assert unused_imports(path.read_text()) == []

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from casimir_plate import quadrature
-from casimir_plate.errors import DomainError, ToleranceError
+from casimir_plate.errors import DomainError
 from casimir_plate.quadrature import integrate_finite, integrate_semi_infinite
 
 
