@@ -23,8 +23,8 @@ from casimir_plate.oracle_ode import (
 )
 from casimir_plate.stress_kernel import force_exact, integrand_above, integrand_below, integrand_net
 
-# Frozen pipeline output, 2.5e-13 from mpmath; agreement with force_exact is re-asserted below.
-FORCE_FD_ETA_1 = 0.11450293526927409
+# Frozen pipeline output, 1.1e-13 from mpmath; agreement with force_exact is re-asserted below.
+FORCE_FD_ETA_1 = 0.11450293526929017
 # integrand_from_fd at kappa = 0.5, eta = 1 on the fd_setup grids, also frozen
 # (1.8e-12 and 2.9e-12 from mpmath)
 INTEGRAND_FD_ABOVE = -1.269378278501623
@@ -473,7 +473,7 @@ class TestForcePipeline:
             net, _ = oracle_ode._net_fd(kappa, cfg)
             assert abs(2.0 * kappa * kappa * net - 1.0) <= 2.0 * eta ** (1.0 / 3.0) / kappa**2
 
-    def test_oracle_forces_take_at_most_384_samples(self, monkeypatch):
+    def test_oracle_forces_take_at_most_256_samples(self, monkeypatch):
         net, kappas = oracle_ode._net_fd, []
 
         def counting(kappa, cfg):
@@ -483,7 +483,7 @@ class TestForcePipeline:
         monkeypatch.setattr(oracle_ode, "_net_fd", counting)
         for eta in (0.03, 0.1, 0.3, 1.0, 3.0, 10.0, 30.0, 100.0):
             oracle_ode._force_fd(eta)
-        assert len(kappas) <= 384 and all(map(math.isfinite, kappas))
+        assert len(kappas) <= 256 and all(map(math.isfinite, kappas))
 
 
 REFS = json.loads((Path(__file__).resolve().parent.parent / "perfbench" / "refs.json").read_text())
@@ -494,12 +494,29 @@ class TestNetIntegral:
     # net as one positive integral: the samples and the force they make
     ETAS = (1e-3, 0.01, 1.0, 1e4)
     KAPPAS = (0.0, 1e-3, 0.1, 0.5, 3.0, 10.0, 100.0, 1e4)
+    # the benchmark's eight oracle eta, then three beyond them
+    FORCE_ETAS = (0.03, 0.1, 0.3, 1.0, 3.0, 10.0, 30.0, 100.0, 1e-3, 0.01, 1e6)
 
-    @pytest.mark.parametrize("eta", [0.03, 0.1, 0.3, 1.0, 3.0, 10.0, 30.0, 100.0,
-                                     1e-3, 0.01, 1e6])
+    @pytest.mark.parametrize("eta", FORCE_ETAS)
     def test_error_estimate_bounds_the_mpmath_error(self, eta):
         f, err = oracle_ode._force_fd(eta)
         assert abs(f - REF[eta]) <= err <= 1e-8 * f
+
+    @pytest.mark.parametrize("eta", FORCE_ETAS)
+    def test_each_half_of_the_error_budget_holds(self, monkeypatch, eta):
+        # err_est = the rule's level difference + the samples' part; each
+        # takes half of the 1e-8 f budget, _FD_REL_TOL f
+        rule, seen = oracle_ode.integrate_finite, []
+
+        def record(f, lo, hi, rel_tol):
+            seen.append(rule(f, lo, hi, rel_tol))
+            return seen[-1]
+
+        monkeypatch.setattr(oracle_ode, "integrate_finite", record)
+        f, err = oracle_ode._force_fd(eta)
+        rule_part = eta ** (2.0 / 3.0) / (2.0 * math.pi) * seen[0].err_est
+        tol = oracle_ode._FD_REL_TOL * f
+        assert rule_part <= tol and err - rule_part <= tol
 
     def test_samples_match_the_closed_form_net(self):
         for eta in self.ETAS:

@@ -82,6 +82,16 @@ def test_perturbative_row_catches_a_wrong_net(monkeypatch):
     assert not r.passed and 1e-9 < r.measured <= 1e-8
 
 
+def test_crossover_row_catches_a_net_5e11_off(monkeypatch):
+    # the closed-form net 5e-11 off, against FD samples 1.2e-12 from it,
+    # takes the row over its 1e-11 bound
+    true = stress_kernel.integrand_net
+    monkeypatch.setattr(stress_kernel, "integrand_net",
+                        lambda k, eta: true(k, eta) * (1.0 + 5e-11))
+    r = _row("fd_net_at_kernel_crossovers")
+    assert not r.passed and r.measured == pytest.approx(5e-11, rel=0.05)
+
+
 def test_library_row_catches_a_spoiled_evaluator(monkeypatch):
     # scaled Airy values 1e-12 off, on every branch, fail the airye row
     true = airy_engine.airy_scaled
