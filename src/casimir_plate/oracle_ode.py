@@ -23,7 +23,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -37,9 +37,9 @@ __all__ = ["GridSpec", "solve_bvp_above", "solve_bvp_full", "integrand_from_fd",
 
 # most nodes a grid may have, above the 3,089,577 of the force's largest grid
 # at eta = 1e-14 (kappa = 0; it grows as eta^{-1/3}); a net sample peaks at
-# about 7.5 float arrays of its fine grid's n entries (nodes, q, sqrt(q) and
-# weights, then the band's c, diagonal, off-diagonal and right-hand side),
-# 32 MB each at the cap
+# about 6.5 float arrays of its fine grid's n entries (nodes, q and weights,
+# then the band's c, diagonal, off-diagonal and right-hand side), 32 MB each
+# at the cap
 _MAX_NODES = 4_000_000
 
 
@@ -53,6 +53,7 @@ class GridSpec:
     x_lo: float
     x_hi: float
     n: int = 4001
+    h: float = field(init=False, repr=False, compare=False)  # formed once, read by every user
 
     def __post_init__(self):
         for name in ("x_lo", "x_hi"):
@@ -70,10 +71,7 @@ class GridSpec:
             raise DomainError(f"grid needs at least 1000 points, got {self.n!r}")
         if self.n > _MAX_NODES:
             raise DomainError(f"grid needs {self.n!r} points, over the cap of {_MAX_NODES}")
-
-    @property
-    def h(self) -> float:
-        return (self.x_hi - self.x_lo) / (self.n - 1)
+        object.__setattr__(self, "h", (self.x_hi - self.x_lo) / (self.n - 1))
 
 
 def _momentum_factor(cfg: PlateConfig) -> float:  # b = 0: kappa is the physical momentum
@@ -122,10 +120,12 @@ def _solve_tridiagonal_bvp(h: float, q: np.ndarray, source: Optional[int], plate
     if kink >= 0:
         d[kink] += c[kink] * (h * h * h * jump / 12.0)
     # closure row -(2 + 2 h sqrt(q) + h^2 q) g_0 + 2 g_1 times -c_0 c_1/2 (the last row alike)
-    if at > 0:
-        d[0] = -e[0] * (1.0 + h * math.sqrt(q[0]) + 0.5 * h * h * q[0])
+    if at > 0:  # q, e as floats: numpy's scalars would make each product a numpy call
+        q_edge = q.item(0)
+        d[0] = -e.item(0) * (1.0 + h * math.sqrt(q_edge) + 0.5 * h * h * q_edge)
     if at < n - 1:
-        d[n - 1] = -e[n - 2] * (1.0 + h * math.sqrt(q[n - 1]) + 0.5 * h * h * q[n - 1])
+        q_edge = q.item(n - 1)
+        d[n - 1] = -e.item(n - 2) * (1.0 + h * math.sqrt(q_edge) + 0.5 * h * h * q_edge)
     rhs = np.zeros(n)
     if source is None:  # w = 1 at the plate: its neighbours' rows carry c_i c_plate to the right
         rhs[at] = 1.0
@@ -167,7 +167,7 @@ def _q_plate(kappa: float, cfg: PlateConfig) -> float:
     return _momentum_factor(cfg) * kappa * kappa + cfg.b * cfg.a
 
 
-def _nodes(kappa: float, cfg: PlateConfig, grid: GridSpec) -> tuple:  # x, q, sqrt(q), unchecked
+def _nodes(kappa: float, cfg: PlateConfig, grid: GridSpec) -> tuple:  # x, q, unchecked
     xs = np.arange(grid.n, dtype=float)  # np.linspace's nodes i h + x_lo, built in place
     xs *= grid.h
     xs += grid.x_lo
@@ -175,24 +175,57 @@ def _nodes(kappa: float, cfg: PlateConfig, grid: GridSpec) -> tuple:  # x, q, sq
     q = np.abs(xs)
     q *= cfg.b
     q += _momentum_factor(cfg) * kappa * kappa
-    return xs, q, np.sqrt(q)
+    return xs, q
 
 
-def _grid_values(kappa: float, cfg: PlateConfig, grid: GridSpec, values: tuple = ()) -> tuple:
-    """values, else _nodes, once h^2 q < 12 at both ends and the open end padded >= 8 e-folds."""
-    xs, q, sq = values = values or _nodes(kappa, cfg, grid)
+def _efolds(width: float, q_near: float, q_far: float) -> float:
+    """Integral of sqrt(q) over a stretch of the given width on which q >= 0 is linear.
+
+    (2/3) W (A^2 + A B + B^2)/(A + B), A and B = sqrt(q) at its ends, not
+    both 0, taken as (2/3) W A (1 + r + r^2)/(1 + r) with A the larger and
+    r = B/A <= 1: the form _span inverts, with no cancellation and no
+    overflow.
+    """
+    big = max(q_near, q_far)
+    r = math.sqrt(min(q_near, q_far) / big)
+    return 2.0 / 3.0 * width * math.sqrt(big) * (1.0 + r + r * r) / (1.0 + r)
+
+
+def _closure_efolds(kappa: float, cfg: PlateConfig, x_end: float, q_end: float) -> float:
+    """Integral of sqrt(q) from the plate x = a to an open end x_end, q_end = q(x_end).
+
+    Exact (_efolds), split at the kink x = 0 when x_end lies past it.
+    """
+    q_kink, q_a = _momentum_factor(cfg) * kappa * kappa, _q_plate(kappa, cfg)
+    if x_end < 0.0:
+        return _efolds(cfg.a, q_a, q_kink) + _efolds(-x_end, q_kink, q_end)
+    return _efolds(abs(x_end - cfg.a), q_a, q_end)
+
+
+def _grid_values(kappa: float, cfg: PlateConfig, grid: GridSpec, plate: str,
+                 values: tuple = ()) -> tuple:
+    """values, else _nodes, once h^2 q < 12 at both ends and each open end is >= 8 e-folds out.
+
+    plate ('lo', 'hi' or 'mid', as for the band) says which ends are open;
+    the e-folds are _closure_efolds from the plate to each.
+    """
+    xs, q = values = values or _nodes(kappa, cfg, grid)
     # Numerov's weights c = 1 - h^2 q/12 must stay positive for the scaled band to
     # be positive definite; q = b^{2/3} kappa^2 + b |x| peaks at an end of the
     # grid, so two products stand in for a pass over the band
-    h = grid.h
-    hq_lo, hq_hi = h * h * float(q[0]), h * h * float(q[-1])
+    h, q_lo, q_hi = grid.h, q.item(0), q.item(-1)
+    hq_lo, hq_hi = h * h * q_lo, h * h * q_hi
     if not (hq_lo < 12.0 and hq_hi < 12.0):  # NaN fails too
         raise DomainError(f"kappa={kappa!r} breaks the Numerov bound h^2 q < 12: h^2 q reaches "
                           f"{max(hq_lo, hq_hi):.3e} at an end of the grid (h = {h:.3e})")
-    margin = float((0.5 * (sq[0] + sq[-1]) + sq[1:-1].sum()) * h)  # closure e-folds, trapezoid
-    if margin < 8.0:
-        raise DomainError(f"kappa={kappa!r}: domain too short: integral of sqrt(q) is "
-                          f"{margin:.2f}, need >= 8 for the decay closure to be trustworthy")
+    for x_end, q_end, end in ((grid.x_lo, q_lo, "lo"), (grid.x_hi, q_hi, "hi")):
+        if end == plate:
+            continue
+        margin = _closure_efolds(kappa, cfg, x_end, q_end)
+        if not margin >= 8.0:  # NaN fails too
+            raise DomainError(f"kappa={kappa!r}: domain too short: integral of sqrt(q) from "
+                              f"the plate to x = {x_end!r} is {margin:.2f}, need >= 8 for the "
+                              f"decay closure to be trustworthy")
     return values
 
 
@@ -230,7 +263,7 @@ def _solve(kappa: float, cfg: PlateConfig, side: str, grid: GridSpec, xp: object
     if not abs(at - cfg.a) <= 1e-12 * max(1.0, abs(cfg.a)):
         raise DomainError(f"grid must {verb} at the plate x = {cfg.a!r}")
     node = None if xp is _W1 else _source_index(xp, grid)
-    xs, q, _ = _grid_values(kappa, cfg, grid, values)
+    xs, q = _grid_values(kappa, cfg, grid, plate, values)
     h = grid.h
     j = round(-grid.x_lo / h) if grid.x_lo < 0.0 < grid.x_hi else -1  # the node nearest x = 0
     kink = j if j >= 0 and abs(xs[j]) <= 1e-6 * h else -1
@@ -295,10 +328,9 @@ def _reach(kappa: float, cfg: PlateConfig, side: str, efolds: float) -> float:
     if side == "above":
         reach = _span(q_plate, cfg.b, efolds)
     else:
-        # (0, a) holds f_a = (2/3) (A^3 - B^3)/b e-folds, A = sqrt(q(a)), B = sqrt(q(0))
+        # (0, a) holds f_a e-folds, x = 0 where q = ks2
         ks2 = _momentum_factor(cfg) * kappa * kappa
-        r = math.sqrt(ks2 / q_plate)
-        f_a = 2.0 / 3.0 * cfg.a * math.sqrt(q_plate) * (1.0 + r + r * r) / (1.0 + r)
+        f_a = _efolds(cfg.a, q_plate, ks2)
         reach = (cfg.a + _span(ks2, cfg.b, efolds - f_a) if f_a < efolds
                  else _span(q_plate, -cfg.b, efolds))
     if not reach >= math.ulp(cfg.a):  # NaN fails too
@@ -335,6 +367,7 @@ def fd_setup(kappa: float, cfg: PlateConfig, side: str) -> GridSpec:
     return _grid(kappa, cfg, lo, hi, n)
 
 
+_add = np.add.reduce  # ndarray.sum's reduction, bit for bit, without its Python wrapper
 _NET_CELLS = 800  # least cells a side on the coarse grid
 _NET_DENSITY = 50.0  # least coarse cells per decay length 1/sqrt(q(a))
 
@@ -354,10 +387,10 @@ def _net_simpson(kappa: float, cfg: PlateConfig, grid: GridSpec, values: tuple =
     """net by Simpson's rule on a _net_grid (m, p even) and its _net_values, if given."""
     p = grid.n // 2
     values = values or _net_values(kappa, cfg, grid)
-    w = _solve(kappa, cfg, "both", grid, values=values[:3])[2]
-    f = values[3] * w[p:]  # 2 b min(a, s) w_a w_b / (2 b)
+    w = _solve(kappa, cfg, "both", grid, values=values[:2])[2]
+    f = values[2] * w[p:]  # 2 b min(a, s) w_a w_b / (2 b)
     f *= w[p::-1]
-    simpson = float(f[0] + f[p] + 4.0 * f[1::2].sum() + 2.0 * f[2:p:2].sum())
+    simpson = f.item(0) + f.item(p) + 4.0 * float(_add(f[1::2])) + 2.0 * float(_add(f[2:p:2]))
     return 2.0 * cfg.b / _bcube(cfg) * grid.h / 3.0 * simpson
 
 
@@ -374,13 +407,14 @@ def _net_fd(kappa: float, cfg: PlateConfig) -> tuple[float, float]:
     even entries, bit for bit its own, and runs every check of _solve.
     """
     kappa = _common_checks(kappa, cfg)
-    reach = max(_reach(kappa, cfg, side, _EFOLDS) for side in ("above", "below"))
+    reach = max(_reach(kappa, cfg, "above", _EFOLDS), _reach(kappa, cfg, "below", _EFOLDS))
     cells = max(_NET_CELLS / reach, _NET_DENSITY * math.sqrt(_q_plate(kappa, cfg)))
     m = 2 * math.ceil(cfg.a * cells / 2.0)
     p = 2 * math.ceil(reach * m / (2.0 * cfg.a))
     coarse, fine = _net_grid(kappa, cfg, m, p), _net_grid(kappa, cfg, 2 * m, 2 * p)
     values = _net_values(kappa, cfg, fine)
-    s_m = _net_simpson(kappa, cfg, coarse, tuple(v[::2] for v in values))
+    xs, q, weights = values
+    s_m = _net_simpson(kappa, cfg, coarse, (xs[::2], q[::2], weights[::2]))
     s_2m = _net_simpson(kappa, cfg, fine, values)
     step = (s_2m - s_m) / 15.0
     return s_2m + step, abs(step)

@@ -243,3 +243,29 @@ def test_criterion_9_determinism(tmp_path, capsys):
                       "jobs=1 and jobs=3 byte-identical")
         assert report(cache_ok, "criterion-9 cache fidelity",
                       "cold run, caching run, cache-hit run all byte-identical")
+
+
+def test_criterion_10_net_is_the_free_greens_log_derivative(capsys):
+    # the paper's mechanism as an identity (docs/numerics.md section 1): net is
+    # -d/dy ln G0(y, y) at y = z2, G0 the plate-free Green's function of
+    # -d^2/dx^2 + K^2 + b|x|, G0(y, y) ~ Ai(y) [pi S Ai(y) - 2 pi Ai(z1) Ai'(z1) Bi(y)],
+    # S = Ai'(z1) Bi(z1) + Ai(z1) Bi'(z1), z1 = kappa^2; built here from raw
+    # 40-digit mpmath Airy values; kappa^2 = 38.44 and 40.96 straddle the
+    # engine's Z_SWITCH = 40
+    worst = 0.0
+    with mpmath.workdps(40):
+        for kappa in (0.0, 0.5, 2.0, 6.2, 6.4):
+            z1 = mpmath.mpf(kappa) ** 2
+            ai1, aip1 = mpmath.airyai(z1), mpmath.airyai(z1, 1)
+            s = aip1 * mpmath.airybi(z1) + ai1 * mpmath.airybi(z1, 1)
+            for eta in (1e-6, 1e-3, 1.0, 1e4):
+                y = z1 + mpmath.cbrt(eta)
+                ai, aip = mpmath.airyai(y), mpmath.airyai(y, 1)
+                bi, bip = mpmath.airybi(y), mpmath.airybi(y, 1)
+                below = mpmath.pi * (s * ai - 2 * ai1 * aip1 * bi)  # decays as x -> -inf
+                d_below = mpmath.pi * (s * aip - 2 * ai1 * aip1 * bip)
+                g0, d_g0 = ai * below, aip * below + ai * d_below
+                worst = max(worst, rel(integrand_net(kappa, eta), float(-d_g0 / g0)))
+    ok = worst <= 1e-11
+    with capsys.disabled():
+        assert report(ok, "criterion-10 net = -d ln G0/dy", f"worst rel {worst:.3e} on 20 points")

@@ -7,11 +7,12 @@ import re
 from functools import partial
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
 from casimir_plate import airy_engine, greens, oracle_ode, quadrature, stress_kernel
-from casimir_plate.errors import DomainError, OracleError, ToleranceError
+from casimir_plate.errors import DomainError, OracleError, QuadratureSpec, ToleranceError
 from casimir_plate.greens import PlateConfig, greens_free_above, greens_linear_above
 from casimir_plate.oracle_ode import (
     GridSpec,
@@ -210,7 +211,7 @@ class TestDenseWitness:
     def test_band_solve_matches_the_dense_solve(self, plate, with_source):
         bounds, node = self.CASES[plate]
         grid = GridSpec(*bounds)
-        xs, q, _ = oracle_ode._nodes(1.0, self.CFG, grid)
+        xs, q = oracle_ode._nodes(1.0, self.CFG, grid)
         kink = round(-grid.x_lo / grid.h) if grid.x_lo < 0.0 else -1
         assert kink < 0 or abs(xs[kink]) <= 1e-9  # the kink row is exercised
         at = {"lo": 0, "hi": grid.n - 1, "mid": (grid.n - 1) // 2}[plate]
@@ -227,7 +228,7 @@ class TestDenseWitness:
     @pytest.mark.parametrize("source", [None, 512], ids=["w", "G"])
     def test_grid_just_under_the_numerov_bound_solves(self, source):
         # 9.3e-18 and 5.7e-18 of the largest |g| here
-        xs, q, _ = oracle_ode._grid_values(self.UNDER, self.FLAT, self.EDGE)
+        xs, q = oracle_ode._grid_values(self.UNDER, self.FLAT, self.EDGE, "lo")
         assert self.EDGE.h**2 * q[-1] < 12.0
         got = oracle_ode._solve_tridiagonal_bvp(self.EDGE.h, q, source, "lo")
         want = numerov_dense(self.EDGE.h, q, 0, source)
@@ -256,14 +257,16 @@ class TestGridSize:
 
     @pytest.mark.parametrize("side", ["above", "below"])
     def test_grids_hold_the_padding_they_ask_for(self, side):
+        # the closure e-folds from the plate to the open end, 16 up to one cell
         for kappa, cfg in self._setups():
             grid = fd_setup(kappa, cfg, side)
             where = (kappa, cfg, side, grid.n)
             assert grid.n <= 16000, where
             if grid.n > 1000:  # the node floor pads further
-                sq = np.sqrt(oracle_ode._grid_values(kappa, cfg, grid)[1])
-                efolds = (sq.sum() - 0.5 * (sq[0] + sq[-1])) * grid.h  # trapezoid rule
-                assert 16.0 - 1e-6 <= efolds <= 16.05, where
+                xs, q = oracle_ode._nodes(kappa, cfg, grid)
+                end = -1 if side == "above" else 0  # the open end
+                efolds = oracle_ode._closure_efolds(kappa, cfg, xs[end], q[end])
+                assert 16.0 - 1e-12 <= efolds <= 16.05, where
 
     @pytest.mark.parametrize("kappa", [1e3, 1e5, 1e8, 1e11, 7.2e16])
     @pytest.mark.parametrize("side, closed_form", [("above", integrand_above),
@@ -284,6 +287,74 @@ class TestGridSize:
         # b = 1e300, an unscaled padding formula would overflow
         n = fd_setup(kappa, PlateConfig(a=1.0, b=1.0), side).n
         assert abs(fd_setup(kappa, PlateConfig(a=s, b=s**-3), side).n - n) <= 1
+
+
+def trapezoid_efolds(kappa, cfg, x_end, points=20_001):
+    """Integral of sqrt(q) from the plate to x_end by a fine trapezoid rule, split at x = 0."""
+    k2 = (cfg.b ** (2.0 / 3.0) if cfg.b > 0.0 else 1.0) * kappa * kappa
+    cuts = (cfg.a, 0.0, x_end) if x_end < 0.0 else (cfg.a, x_end)
+    total = 0.0
+    for lo, hi in zip(cuts, cuts[1:]):
+        x = np.linspace(min(lo, hi), max(lo, hi), points)
+        total += np.trapezoid(np.sqrt(k2 + cfg.b * np.abs(x)), x)
+    return total
+
+
+class TestClosureMargin:
+    # the closure check: the exact integral of sqrt(q) from the plate to each
+    # open end must reach 8 e-folds; a = b = 1, so q = kappa^2 + |x|
+    CFG = PlateConfig.from_eta(1.0)
+    # solver, grid, source xp, open end; the below grid holds x = 0 on node 3000
+    USER = {"above": (solve_bvp_above, GridSpec(1.0, 5.0, 4001), 3.0, 5.0),
+            "below": (solve_bvp_full, GridSpec(-3.0, 1.0, 4001), -1.0, -3.0)}
+
+    @staticmethod
+    def kappa_at_8_efolds(x_end):
+        # 30-digit mpmath, independent of _efolds: q = kappa^2 + |x|, plate at 1
+        with mpmath.workdps(30):
+            cuts = [1, 0, x_end] if x_end < 0 else [1, x_end]
+
+            def efolds(k):
+                return abs(mpmath.quad(lambda x: mpmath.sqrt(k * k + abs(x)), cuts)) - 8
+
+            return float(mpmath.findroot(efolds, 1.0))
+
+    @pytest.mark.parametrize("side", list(USER))
+    def test_user_grid_just_under_8_efolds_is_refused(self, side):
+        solve, grid, xp, x_end = self.USER[side]
+        k8 = self.kappa_at_8_efolds(x_end)
+        under, over = k8 * (1.0 - 1e-9), k8 * (1.0 + 1e-9)
+        with pytest.raises(DomainError, match=re.escape(f"kappa={under!r}: domain too short")):
+            solve(under, self.CFG, xp, grid)
+        xs, g = solve(over, self.CFG, xp, grid)
+        assert np.isfinite(g).all() and max(abs(g)) > 0.0
+        if side == "below":  # the kink row is exercised
+            assert abs(xs[3000]) <= 1e-6 * grid.h
+
+    def test_closed_form_matches_a_fine_trapezoid(self, monkeypatch):
+        # the fd_setup grids at their open end and both grids of a net sample
+        # at each end: 1.1e-7 apart at worst, at kappa = 0, where sqrt(q) is
+        # sqrt(b |x|) at the kink and the trapezoid converges only as h^1.5
+        ends = []
+        for kappa, cfg in TestGridSize._setups():
+            for side in ("above", "below"):
+                grid = fd_setup(kappa, cfg, side)
+                ends.append((kappa, cfg, grid, -1 if side == "above" else 0))
+        simpson = oracle_ode._net_simpson
+
+        def record(kappa, cfg, grid, values=None):
+            ends.extend((kappa, cfg, grid, end) for end in (0, -1))
+            return simpson(kappa, cfg, grid, values)
+
+        monkeypatch.setattr(oracle_ode, "_net_simpson", record)
+        for eta in (1e-6, 1e-3, 1.0, 1e3, 1e6):
+            for kappa in (0.0, 0.1, 1.0, 10.0, 1e3):
+                oracle_ode._net_fd(kappa, PlateConfig.from_eta(eta))
+        assert len(ends) == 2 * 106 + 4 * 25
+        for kappa, cfg, grid, end in ends:
+            xs, q = oracle_ode._nodes(kappa, cfg, grid)
+            closed = oracle_ode._closure_efolds(kappa, cfg, xs[end], q[end])
+            assert rel(closed, trapezoid_efolds(kappa, cfg, xs[end])) <= 1e-6, (kappa, cfg, grid)
 
 
 class TestOverflowingMomentum:
@@ -518,6 +589,14 @@ class TestNetIntegral:
         tol = oracle_ode._FD_REL_TOL * f
         assert rule_part <= tol and err - rule_part <= tol
 
+    @pytest.mark.parametrize("eta", [1e-10, 1e-11])
+    def test_error_estimate_bounds_the_gap_below_1e_minus_8(self, eta):
+        # the range where the row-scaled band loses digits (ROADMAP item 1):
+        # gap/f 3.1e-10 and 2.1e-9 against err_est/f 2.7e-9 and 3.3e-9
+        f, err = oracle_ode._force_fd(eta)
+        ref = force_exact(eta, QuadratureSpec(rel_tol=1e-10)).f_eta
+        assert abs(f - ref) <= err <= 1e-8 * f
+
     def test_samples_match_the_closed_form_net(self):
         for eta in self.ETAS:
             cfg = PlateConfig.from_eta(eta)
@@ -546,7 +625,7 @@ class TestNetIntegral:
 
     def test_coarse_grid_is_the_fine_grids_even_nodes(self, monkeypatch):
         # each sample forms its arrays once on the fine grid; the coarse grid's
-        # nodes, q, sqrt(q) and weights, its every other entry, must be bit for
+        # nodes, q and weights, its every other entry, must be bit for
         # bit the ones it forms itself (its nodes np.linspace's), and so must
         # its Simpson value
         simpson, seen = oracle_ode._net_simpson, []
