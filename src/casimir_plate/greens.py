@@ -36,7 +36,9 @@ arrays that broadcast together, a float pair being the 0-d case, and each
 construction evaluates every Airy argument it needs (kappa^2, y(a) and each
 point's y(|x|)) in one ``airy_scaled`` call.  Every step after it is
 elementwise, so an element gets the bits it would get alone.  Points that
-are not finite reals are a DomainError naming x and x'.  Their plate is a
+are not finite reals are a DomainError naming x and x', and so are points
+whose error estimate exceeds _G_REL_BOUND (_resolved: small eta, or kappa
+above ~250 off the diagonal), naming kappa and eta too.  Their plate is a
 PlateConfig, defined in errors and re-exported here.
 """
 
@@ -137,14 +139,45 @@ def _airy_rows(kappa: float, cfg: PlateConfig, s: np.ndarray, x, xp):
     return w, (z1, za, y), (rows[:, 0], rows[:, 1], rows[:, 2:].reshape((4,) + y.shape))
 
 
+# the relative error the linear forms answer to (docs/numerics.md section 2)
+_G_REL_BOUND = 1e-8
+_U = 2.0**-53  # unit roundoff
+
+
+def _resolved(g: np.ndarray, near, lo, hi, kappa: float, cfg: PlateConfig, x, xp):
+    """g[()] where its error estimate is within _G_REL_BOUND, else a DomainError naming the inputs.
+
+    near is the point of the factor v that vanishes at the plate (x_< above,
+    x_> below); Y_v and Y are the largest y at it (or at the plate) and at
+    either point, d = |a - near|.  The estimate (docs/numerics.md section 2)
+    is u [(16 + 3 Y_v) a/(w d) + 6 Y^{3/2}]: v's cancellation and the rounding
+    of y in v, then that rounding in the exponent, which counts only for
+    x != x' and g != 0.  An exact zero at the plate (d = 0) has no error.
+    """
+    w, z1, a = cfg.eta ** (1.0 / 3.0), kappa * kappa, cfg.a
+    y_v = z1 + w * np.maximum(1.0, np.abs(near) / a)
+    y_max = z1 + w * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)) / a)
+    d = np.abs(a - near)
+    with np.errstate(divide="ignore"):  # d = 0, or w d below the float range
+        err = _U * ((16.0 + 3.0 * y_v) * a / (w * d)
+                    + 6.0 * y_max * np.sqrt(y_max) * ((lo != hi) & (g != 0.0)))
+    err = np.where(d > 0.0, err, 0.0)
+    if not (err <= _G_REL_BOUND).all():
+        raise DomainError(f"points x = {x!r}, x' = {xp!r} at kappa = {kappa!r}, eta = {cfg.eta!r}: "
+                          f"G would be off by up to {err.max():.1e} relative, over the "
+                          f"{_G_REL_BOUND:.0e} the linear forms answer to")
+    return g[()]
+
+
 def greens_linear_above(x, xp, kappa: float, cfg: PlateConfig):
     """Linear background above the plate: Ai decay outside, Dirichlet at a.
 
     Evaluated from scaled Airy values; the two bracket terms carry the
     exponents e^{-(zeta_out - zeta_in)} and e^{-(zeta_out + zeta_in - 2 zeta_a)},
-    both <= 1 in this region, so nothing can overflow.  At small eta it returns
-    wrong values, not errors (docs/numerics.md section 2): 0.0 at x, x' = 2, 4,
-    kappa = 1, a = 1, eta = 1e-100, where about 1 is right.
+    both <= 1 in this region, so nothing can overflow.  Points whose error
+    estimate exceeds _G_REL_BOUND are a DomainError (_resolved): at small eta
+    the bracket cancels, as at x, x' = 2, 4, kappa = 1, a = 1, eta = 1e-100,
+    where 0.0 came back for about 1.
     """
     kappa = _require_linear(cfg, kappa)
     lo, hi = _ordered(x, xp)
@@ -155,7 +188,7 @@ def greens_linear_above(x, xp, kappa: float, cfg: PlateConfig):
     d_oi = zeta_gap(yo, yi)
     d_ia = zeta_gap(yi, ya)
     bracket = va[0] * bi[0] * np.exp(-d_oi) - ai[0] * va[2] * np.exp(-(d_oi + 2.0 * d_ia))
-    return (math.pi * cfg.a / w * (ai[1] / va[0]) * bracket)[()]
+    return _resolved(math.pi * cfg.a / w * (ai[1] / va[0]) * bracket, lo, lo, hi, kappa, cfg, x, xp)
 
 
 def greens_linear_below(x, xp, kappa: float, cfg: PlateConfig):
@@ -173,9 +206,9 @@ def greens_linear_below(x, xp, kappa: float, cfg: PlateConfig):
     scaled values and gaps e^{-2 g}, and the exponents of u(x_<) v(x_>)/u(a)
     combine into -(zeta(y_max) - zeta(y_min)) with both points on one side
     of the kink, -(g1(y_<) + g1(y_>)) across it, g1(y) = zeta(y) - zeta(kappa^2).
-    At small eta it returns wrong values, not errors (docs/numerics.md section
-    2): at x = x' = -3, a = 1, where about 4 is right, 3.9985 at eta = 1e-40,
-    kappa = 0, and -2.9e-6 at eta = 1e-40, kappa = 1000.
+    Points whose error estimate exceeds _G_REL_BOUND are a DomainError
+    (_resolved): at x = x' = -3, a = 1, where about 4 is right, 3.9985 came
+    back at eta = 1e-40, kappa = 0, and -2.9e-6 at eta = 1e-40, kappa = 1000.
     """
     kappa = _require_linear(cfg, kappa)
     lo, hi = _ordered(x, xp)
@@ -199,7 +232,8 @@ def greens_linear_below(x, xp, kappa: float, cfg: PlateConfig):
                         - va[0] * ea * (s1 * bi[1] - 2.0 * v1[2] * v1[3] * ai[1] * e1[1]))
     mv = np.where(right, v_right, v_left)
     gap = np.where(left & right, g1[0] + g1[1], zeta_gap(y.max(axis=0), y.min(axis=0)))
-    return (-math.pi * cfg.a / w * (mu * mv / mn) * np.exp(-gap) + 0.0)[()]
+    g = -math.pi * cfg.a / w * (mu * mv / mn) * np.exp(-gap) + 0.0
+    return _resolved(g, hi, lo, hi, kappa, cfg, x, xp)
 
 
 def below_ratio_from_construction(kappa: float, cfg: PlateConfig) -> float:

@@ -5,11 +5,12 @@ discretized with Numerov weighting on a uniform grid in physical x and
 solved as one tridiagonal system, the plate on a node and a WKB decay
 closure at each open end; each row scaled by its Numerov weight makes the
 band symmetric positive definite, which LAPACK's dptsv solves without
-pivoting.  One checked path (_solve) solves it for w decaying
-away from the plate with w = 1 on it.  Its slope there is one side's
-stress integrand (integrand_from_fd); the net integrand is one positive
-integral over both sides (_net_fd, on two nested grids sharing their
-nodes), which force_from_fd integrates over all momenta by the nested
+pivoting.  Every grid's checks run in one place (_grid_values): once per
+one-sided solve (_solve), whose w decays away from the plate with w = 1
+on it, and once per net sample (_net_fd) for its two nested grids.  w's
+slope at the plate is one side's stress integrand (integrand_from_fd);
+the net integrand is one positive integral over both sides (_net_fd),
+which force_from_fd integrates over all momenta by the nested
 Clenshaw-Curtis rule integrate_finite.  With a unit source and G = 0 at
 the plate the band gives the Green's function (solve_bvp_above/_full).
 Nothing but errors (PlateConfig and the argument checks) and the finite
@@ -72,10 +73,6 @@ class GridSpec:
         if self.n > _MAX_NODES:
             raise DomainError(f"grid needs {self.n!r} points, over the cap of {_MAX_NODES}")
         object.__setattr__(self, "h", (self.x_hi - self.x_lo) / (self.n - 1))
-
-
-def _momentum_factor(cfg: PlateConfig) -> float:  # b = 0: kappa is the physical momentum
-    return cfg.b ** (2.0 / 3.0) if cfg.b > 0.0 else 1.0
 
 
 def _bcube(cfg: PlateConfig) -> float:  # integrands divide by b^{1/3}, by 1 when b = 0
@@ -147,34 +144,29 @@ def _solve_tridiagonal_bvp(h: float, q: np.ndarray, source: Optional[int], plate
     return g
 
 
-def _common_checks(kappa: float, cfg: PlateConfig) -> float:
+def _common_checks(kappa: float, cfg: PlateConfig) -> tuple[float, float]:
+    """(checked kappa, q0 = b^{2/3} kappa^2 = q(0)); b = 0: kappa is the physical momentum."""
     kappa = check_real(kappa, "kappa")
     if cfg.b == 0.0 and kappa == 0.0:
         raise DomainError("flat background with zero momentum has no decaying solution")
-    return kappa
+    return kappa, (cfg.b ** (2.0 / 3.0) if cfg.b > 0.0 else 1.0) * kappa * kappa
 
 
 def _plate_side(side: str) -> tuple[str, float]:
     """(grid edge at the plate, direction away from it) for 'above' or 'below'."""
-    if side == "above":
-        return "lo", 1.0
-    if side == "below":
-        return "hi", -1.0
-    raise DomainError(f"side must be 'above' or 'below', got {side!r}")
+    if side not in ("above", "below"):
+        raise DomainError(f"side must be 'above' or 'below', got {side!r}")
+    return ("lo", 1.0) if side == "above" else ("hi", -1.0)
 
 
-def _q_plate(kappa: float, cfg: PlateConfig) -> float:
-    return _momentum_factor(cfg) * kappa * kappa + cfg.b * cfg.a
-
-
-def _nodes(kappa: float, cfg: PlateConfig, grid: GridSpec) -> tuple:  # x, q, unchecked
+def _nodes(q0: float, cfg: PlateConfig, grid: GridSpec) -> tuple:  # x, q, unchecked
     xs = np.arange(grid.n, dtype=float)  # np.linspace's nodes i h + x_lo, built in place
     xs *= grid.h
     xs += grid.x_lo
     xs[-1] = grid.x_hi
     q = np.abs(xs)
     q *= cfg.b
-    q += _momentum_factor(cfg) * kappa * kappa
+    q += q0
     return xs, q
 
 
@@ -191,42 +183,15 @@ def _efolds(width: float, q_near: float, q_far: float) -> float:
     return 2.0 / 3.0 * width * math.sqrt(big) * (1.0 + r + r * r) / (1.0 + r)
 
 
-def _closure_efolds(kappa: float, cfg: PlateConfig, x_end: float, q_end: float) -> float:
+def _closure_efolds(q0: float, cfg: PlateConfig, x_end: float, q_end: float) -> float:
     """Integral of sqrt(q) from the plate x = a to an open end x_end, q_end = q(x_end).
 
-    Exact (_efolds), split at the kink x = 0 when x_end lies past it.
+    Exact (_efolds), split at the kink x = 0, where q = q0, when x_end lies past it.
     """
-    q_kink, q_a = _momentum_factor(cfg) * kappa * kappa, _q_plate(kappa, cfg)
+    q_a = q0 + cfg.b * cfg.a
     if x_end < 0.0:
-        return _efolds(cfg.a, q_a, q_kink) + _efolds(-x_end, q_kink, q_end)
+        return _efolds(cfg.a, q_a, q0) + _efolds(-x_end, q0, q_end)
     return _efolds(abs(x_end - cfg.a), q_a, q_end)
-
-
-def _grid_values(kappa: float, cfg: PlateConfig, grid: GridSpec, plate: str,
-                 values: tuple = ()) -> tuple:
-    """values, else _nodes, once h^2 q < 12 at both ends and each open end is >= 8 e-folds out.
-
-    plate ('lo', 'hi' or 'mid', as for the band) says which ends are open;
-    the e-folds are _closure_efolds from the plate to each.
-    """
-    xs, q = values = values or _nodes(kappa, cfg, grid)
-    # Numerov's weights c = 1 - h^2 q/12 must stay positive for the scaled band to
-    # be positive definite; q = b^{2/3} kappa^2 + b |x| peaks at an end of the
-    # grid, so two products stand in for a pass over the band
-    h, q_lo, q_hi = grid.h, q.item(0), q.item(-1)
-    hq_lo, hq_hi = h * h * q_lo, h * h * q_hi
-    if not (hq_lo < 12.0 and hq_hi < 12.0):  # NaN fails too
-        raise DomainError(f"kappa={kappa!r} breaks the Numerov bound h^2 q < 12: h^2 q reaches "
-                          f"{max(hq_lo, hq_hi):.3e} at an end of the grid (h = {h:.3e})")
-    for x_end, q_end, end in ((grid.x_lo, q_lo, "lo"), (grid.x_hi, q_hi, "hi")):
-        if end == plate:
-            continue
-        margin = _closure_efolds(kappa, cfg, x_end, q_end)
-        if not margin >= 8.0:  # NaN fails too
-            raise DomainError(f"kappa={kappa!r}: domain too short: integral of sqrt(q) from "
-                              f"the plate to x = {x_end!r} is {margin:.2f}, need >= 8 for the "
-                              f"decay closure to be trustworthy")
-    return values
 
 
 def _source_index(xp: float, grid: GridSpec) -> int:
@@ -240,46 +205,77 @@ def _source_index(xp: float, grid: GridSpec) -> int:
     return j
 
 
-_W1 = object()  # _solve's source when there is none: w = 1 at the plate
+_W1 = object()  # no source: w = 1 at the plate
 
 
-def _solve(kappa: float, cfg: PlateConfig, side: str, grid: GridSpec, xp: object = _W1,
-           values: tuple = ()) -> tuple[float, np.ndarray, np.ndarray]:
-    """Every FD band solve: (checked kappa, nodes, solution).
+def _grid_values(kappa: float, q0: float, cfg: PlateConfig, grid: GridSpec, plate: str,
+                 xp: object = _W1, values: tuple = (), step: int = 1) -> tuple:
+    """Every check of a band's grid, in order, then (source node or None, values or _nodes).
 
-    The grid starts ('above') or ends ('below') at the plate, or, for side
-    'both' with no source, has it as its middle node.  Checks kappa, the
-    side, the plate node, the source xp and the band, in that order, then
-    makes the one _solve_tridiagonal_bvp call; no source solves for w = 1
-    at the plate.  A node on the kink x = 0 (to 1e-6 h) gets the kink row.
+    The plate on the first, last or middle node (plate 'lo', 'hi', 'mid'),
+    the source xp, if any, inside (_source_index), h^2 q < 12 at both ends
+    at the spacing step h, and >= 8 e-folds (_closure_efolds) to each open
+    end.  _net_fd passes its fine grid's values with step 2: the coarse
+    grid's checks hold for both, which share their ends at half the spacing.
     """
-    kappa = _common_checks(kappa, cfg)
-    if side == "both" and xp is _W1:
-        plate, verb = "mid", "center"
+    if plate == "mid":
+        verb = "center"
         at = grid.x_lo + (grid.n - 1) // 2 * grid.h if grid.n % 2 else math.nan
     else:
-        plate, _ = _plate_side(side)
         verb, at = ("start", grid.x_lo) if plate == "lo" else ("end", grid.x_hi)
     if not abs(at - cfg.a) <= 1e-12 * max(1.0, abs(cfg.a)):
         raise DomainError(f"grid must {verb} at the plate x = {cfg.a!r}")
     node = None if xp is _W1 else _source_index(xp, grid)
-    xs, q = _grid_values(kappa, cfg, grid, plate, values)
-    h = grid.h
+    values = values or _nodes(q0, cfg, grid)
+    # Numerov's weights c = 1 - h^2 q/12 must stay positive for the scaled band to
+    # be positive definite; q = b^{2/3} kappa^2 + b |x| peaks at an end of the
+    # grid, so two products stand in for a pass over the band
+    h, q_lo, q_hi = step * grid.h, values[1].item(0), values[1].item(-1)
+    hq_lo, hq_hi = h * h * q_lo, h * h * q_hi
+    if not (hq_lo < 12.0 and hq_hi < 12.0):  # NaN fails too
+        raise DomainError(f"kappa={kappa!r} breaks the Numerov bound h^2 q < 12: h^2 q reaches "
+                          f"{max(hq_lo, hq_hi):.3e} at an end of the grid (h = {h:.3e})")
+    for x_end, q_end, end in ((grid.x_lo, q_lo, "lo"), (grid.x_hi, q_hi, "hi")):
+        if end == plate:
+            continue
+        margin = _closure_efolds(q0, cfg, x_end, q_end)
+        if not margin >= 8.0:  # NaN fails too
+            raise DomainError(f"kappa={kappa!r}: domain too short: integral of sqrt(q) from "
+                              f"the plate to x = {x_end!r} is {margin:.2f}, need >= 8 for the "
+                              f"decay closure to be trustworthy")
+    return node, values
+
+
+def _kink(grid: GridSpec, h: float, xs: np.ndarray) -> int:
+    """The node on x = 0 (to 1e-6 h) of nodes xs at spacing h over the grid's bounds, else -1."""
     j = round(-grid.x_lo / h) if grid.x_lo < 0.0 < grid.x_hi else -1  # the node nearest x = 0
-    kink = j if j >= 0 and abs(xs[j]) <= 1e-6 * h else -1
-    return kappa, xs, _solve_tridiagonal_bvp(h, q, node, plate, kink, 2.0 * cfg.b)
+    return j if j >= 0 and abs(xs[j]) <= 1e-6 * h else -1
+
+
+def _solve(kappa: float, cfg: PlateConfig, side: str, grid: GridSpec,
+           xp: object = _W1) -> tuple[np.ndarray, np.ndarray]:
+    """Every one-sided FD band solve: (nodes, solution), the plate at the grid's start or end.
+
+    Checks kappa, the side ('above': start, 'below': end) and the grid
+    (_grid_values), then makes one _solve_tridiagonal_bvp call, for w = 1
+    at the plate if there is no source, with the kink row on x = 0.
+    """
+    kappa, q0 = _common_checks(kappa, cfg)
+    plate, _ = _plate_side(side)
+    node, (xs, q) = _grid_values(kappa, q0, cfg, grid, plate, xp)
+    return xs, _solve_tridiagonal_bvp(grid.h, q, node, plate, _kink(grid, grid.h, xs), 2.0 * cfg.b)
 
 
 def solve_bvp_above(kappa: float, cfg: PlateConfig, xp: float,
                     grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     """G(x, xp) above the plate on a grid starting at it; xp snaps to the nearest node."""
-    return _solve(kappa, cfg, "above", grid, xp)[1:]
+    return _solve(kappa, cfg, "above", grid, xp)
 
 
 def solve_bvp_full(kappa: float, cfg: PlateConfig, xp: float,
                    grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     """G(x, xp) below the plate on a grid ending at it; a node on x = 0 gets the kink row."""
-    return _solve(kappa, cfg, "below", grid, xp)[1:]
+    return _solve(kappa, cfg, "below", grid, xp)
 
 
 def _plate_slope(g: Sequence[float], h: float) -> float:
@@ -297,7 +293,7 @@ def integrand_from_fd(kappa: float, cfg: PlateConfig, side: str, grid: GridSpec)
     least 16 cells from the plate.
     """
     _, away = _plate_side(side)
-    kappa, _, w = _solve(kappa, cfg, side, grid)
+    w = _solve(kappa, cfg, side, grid)[1]
     return _plate_slope((w[:5] if away > 0.0 else w[:-6:-1]).tolist(), grid.h) / _bcube(cfg)
 
 
@@ -318,21 +314,20 @@ def _span(q0: float, slope: float, efolds: float) -> float:
 _EFOLDS = 16.0  # e-folds of sqrt(q) every grid reaches from the plate
 
 
-def _reach(kappa: float, cfg: PlateConfig, side: str, efolds: float) -> float:
-    """Distance from the plate over which sqrt(q) integrates to efolds on a side (_span).
+def _reach(kappa: float, q0: float, cfg: PlateConfig, side: str) -> float:
+    """Distance from the plate over which sqrt(q) integrates to _EFOLDS on a side (_span).
 
-    A reach below ulp(a), where a grid would collapse onto the plate, is a
-    DomainError naming kappa, and so is a NaN one, where q(a) overflows.
+    q0 is _common_checks' q(0).  A reach below ulp(a), where a grid would
+    collapse onto the plate, is a DomainError naming kappa, and so is a NaN
+    one, where q(a) overflows.
     """
-    q_plate = _q_plate(kappa, cfg)
+    q_plate = q0 + cfg.b * cfg.a
     if side == "above":
-        reach = _span(q_plate, cfg.b, efolds)
+        reach = _span(q_plate, cfg.b, _EFOLDS)
     else:
-        # (0, a) holds f_a e-folds, x = 0 where q = ks2
-        ks2 = _momentum_factor(cfg) * kappa * kappa
-        f_a = _efolds(cfg.a, q_plate, ks2)
-        reach = (cfg.a + _span(ks2, cfg.b, efolds - f_a) if f_a < efolds
-                 else _span(q_plate, -cfg.b, efolds))
+        f_a = _efolds(cfg.a, q_plate, q0)  # (0, a) holds f_a e-folds, x = 0 where q = q0
+        reach = (cfg.a + _span(q0, cfg.b, _EFOLDS - f_a) if f_a < _EFOLDS
+                 else _span(q_plate, -cfg.b, _EFOLDS))
     if not reach >= math.ulp(cfg.a):  # NaN fails too
         raise DomainError(f"eta={cfg.eta!r}, kappa={kappa!r}: the finite-difference grid "
                           f"would span {reach:.3e}, below one ulp of a = {cfg.a!r}")
@@ -358,10 +353,10 @@ def fd_setup(kappa: float, cfg: PlateConfig, side: str) -> GridSpec:
     which gets the kink row, and the slope's 5 nodes stay clear of it.
     _reach refuses a kappa whose grid would collapse onto the plate.
     """
-    kappa = _common_checks(kappa, cfg)
+    kappa, q0 = _common_checks(kappa, cfg)
     plate, _ = _plate_side(side)
-    reach = _reach(kappa, cfg, side, _EFOLDS)
-    h = cfg.a / max(16, math.ceil(_DENSITY * cfg.a * math.sqrt(_q_plate(kappa, cfg))))
+    reach = _reach(kappa, q0, cfg, side)
+    h = cfg.a / max(16, math.ceil(_DENSITY * cfg.a * math.sqrt(q0 + cfg.b * cfg.a)))
     n = max(math.ceil(reach / h) + 1, 1000)
     lo, hi = (cfg.a, cfg.a + (n - 1) * h) if plate == "lo" else (cfg.a - (n - 1) * h, cfg.a)
     return _grid(kappa, cfg, lo, hi, n)
@@ -372,26 +367,28 @@ _NET_CELLS = 800  # least cells a side on the coarse grid
 _NET_DENSITY = 50.0  # least coarse cells per decay length 1/sqrt(q(a))
 
 
-def _net_grid(kappa: float, cfg: PlateConfig, m: int, p: int) -> GridSpec:  # p cells of a/m a side
-    return _grid(kappa, cfg, cfg.a - p * (cfg.a / m), cfg.a + p * (cfg.a / m), 2 * p + 1)
-
-
-def _net_values(kappa: float, cfg: PlateConfig, grid: GridSpec) -> tuple:
-    """_nodes on a _net_grid, then the weights min(a, s) at the distances s = k h, k <= p."""
+def _net_values(q0: float, cfg: PlateConfig, grid: GridSpec) -> tuple:
+    """_nodes on a grid with the plate on its middle node, then the weights min(a, s), s = k h."""
     s = np.arange(grid.n // 2 + 1, dtype=float)
     s *= grid.h
-    return (*_nodes(kappa, cfg, grid), np.minimum(s, cfg.a, out=s))
+    return (*_nodes(q0, cfg, grid), np.minimum(s, cfg.a, out=s))
 
 
-def _net_simpson(kappa: float, cfg: PlateConfig, grid: GridSpec, values: tuple = ()) -> float:
-    """net by Simpson's rule on a _net_grid (m, p even) and its _net_values, if given."""
-    p = grid.n // 2
-    values = values or _net_values(kappa, cfg, grid)
-    w = _solve(kappa, cfg, "both", grid, values=values[:2])[2]
-    f = values[2] * w[p:]  # 2 b min(a, s) w_a w_b / (2 b)
+def _net_simpson(cfg: PlateConfig, scale: float, grid: GridSpec, values: tuple,
+                 step: int = 1) -> float:
+    """net by Simpson's rule on every step-th node of a checked grid and its _net_values.
+
+    One band solve, w = 1 on the middle node, then scale = 2 b/b^{1/3}
+    times Simpson's sum of min(a, s) w_a w_b at the spacing step h.
+    """
+    xs, q, weights = (v[::step] for v in values)
+    h = step * grid.h
+    w = _solve_tridiagonal_bvp(h, q, None, "mid", _kink(grid, h, xs), 2.0 * cfg.b)
+    p = q.size // 2
+    f = weights * w[p:]  # 2 b min(a, s) w_a w_b / (2 b)
     f *= w[p::-1]
     simpson = f.item(0) + f.item(p) + 4.0 * float(_add(f[1::2])) + 2.0 * float(_add(f[2:p:2]))
-    return 2.0 * cfg.b / _bcube(cfg) * grid.h / 3.0 * simpson
+    return scale * h / 3.0 * simpson
 
 
 def _net_fd(kappa: float, cfg: PlateConfig) -> tuple[float, float]:
@@ -399,23 +396,26 @@ def _net_fd(kappa: float, cfg: PlateConfig) -> tuple[float, float]:
 
         net b^{1/3} = integral_0^inf 2 b min(a, s) w_a(s) w_b(s) ds,
 
-    s the distance from the plate, w_a and w_b (one _solve) decaying away
-    from it above and below with w(0) = 1.  Spacing a/m, m even, puts the
-    kink s = a on a Simpson panel edge; the weight is formed from s, never
-    as q_a - q_b.  One Richardson step over m and 2m removes the h^4 term;
-    err_est is its size.  The coarse grid takes the fine grid's _net_values'
-    even entries, bit for bit its own, and runs every check of _solve.
+    s the distance from the plate, w_a and w_b (one band solve) decaying
+    away from it above and below with w(0) = 1.  Spacing a/m, m even, puts
+    the kink s = a on a Simpson panel edge; the weight is formed from s,
+    never as q_a - q_b.  One Richardson step over m and 2m removes the h^4
+    term; err_est is its size.  Both grids share one set-up: one kappa
+    check, one GridSpec (the fine grid's; the coarse n is named when it is
+    over the cap too), one _net_values and one _grid_values at the coarse
+    spacing.  The coarse grid takes the even entries, bit for bit its own.
     """
-    kappa = _common_checks(kappa, cfg)
-    reach = max(_reach(kappa, cfg, "above", _EFOLDS), _reach(kappa, cfg, "below", _EFOLDS))
-    cells = max(_NET_CELLS / reach, _NET_DENSITY * math.sqrt(_q_plate(kappa, cfg)))
+    kappa, q0 = _common_checks(kappa, cfg)
+    reach = max(_reach(kappa, q0, cfg, "above"), _reach(kappa, q0, cfg, "below"))
+    cells = max(_NET_CELLS / reach, _NET_DENSITY * math.sqrt(q0 + cfg.b * cfg.a))
     m = 2 * math.ceil(cfg.a * cells / 2.0)
     p = 2 * math.ceil(reach * m / (2.0 * cfg.a))
-    coarse, fine = _net_grid(kappa, cfg, m, p), _net_grid(kappa, cfg, 2 * m, 2 * p)
-    values = _net_values(kappa, cfg, fine)
-    xs, q, weights = values
-    s_m = _net_simpson(kappa, cfg, coarse, (xs[::2], q[::2], weights[::2]))
-    s_2m = _net_simpson(kappa, cfg, fine, values)
+    n = 2 * p + 1  # the coarse grid's p cells of a/m a side
+    grid = _grid(kappa, cfg, cfg.a - p * (cfg.a / m), cfg.a + p * (cfg.a / m),
+                 2 * n - 1 if n <= _MAX_NODES else n)
+    _, values = _grid_values(kappa, q0, cfg, grid, "mid", values=_net_values(q0, cfg, grid), step=2)
+    scale = 2.0 * cfg.b / _bcube(cfg)
+    s_m, s_2m = _net_simpson(cfg, scale, grid, values, 2), _net_simpson(cfg, scale, grid, values)
     step = (s_2m - s_m) / 15.0
     return s_2m + step, abs(step)
 

@@ -16,10 +16,11 @@ one-sample integrands) dates from the band solve that scales each
 Numerov row by its weight 1 - h^2 q/12 and hands the symmetric
 positive-definite band to LAPACK's dptsv; each moved by less than 1e-12
 relative from the pivoted solve before it, far inside its err_est, and
-CHANGES.md lists each with its mpmath error.  The forces at eta = 0.3
-and 1 date from the momentum rule's stop at 5e-9, at 32 samples instead of
-64; each moved by at most 1.4e-13 relative.  The forces are within 4.7e-13
-relative of mpmath, the one-sample integrands 1.1e-12 to 2.9e-11.
+CHANGES.md lists each with its mpmath error.  The forces at eta = 0.03,
+0.1, 0.3 and 1 date from the momentum rule's stop at 5e-9, at 32 samples
+instead of 64; each moved by at most 1.4e-13 relative.  The eight forces
+are within 7.2e-13 relative of mpmath (perfbench/refs.json), the
+one-sample integrands 1.1e-12 to 2.9e-11.
 """
 
 import math
@@ -31,7 +32,6 @@ from casimir_plate import (
     QuadratureSpec,
     force_classic,
     force_exact,
-    force_from_fd,
     force_perturbative,
 )
 from casimir_plate.errors import ToleranceError
@@ -97,17 +97,22 @@ def test_force_perturbative_bits():
     assert force_perturbative(1.0, 1.0, 1e-2).hex() == "0x1.620b469a89a56p-1"
 
 
-# eta: force_from_fd(eta) at its default tolerance
+# eta: (f, err_est) of the FD force at the benchmark's eight oracle eta
 FORCE_FD = {
-    0.3: "0x1.9bf526a64aec6p-5",
-    1.0: "0x1.d50107a471134p-4",
-    3.0: "0x1.c2b6c3b3d505dp-3",
+    0.03: ("0x1.13dca49670309p-7", "0x1.383edd6bc9315p-35"),
+    0.1: ("0x1.68eceda0301a1p-6", "0x1.42d45e745f28cp-33"),
+    0.3: ("0x1.9bf526a64aec6p-5", "0x1.41beaf6372f4cp-32"),
+    1.0: ("0x1.d50107a471134p-4", "0x1.b34cdc8d10ccap-31"),
+    3.0: ("0x1.c2b6c3b3d505dp-3", "0x1.75d45a519372ep-31"),
+    10.0: ("0x1.a14078316283ap-2", "0x1.3ad4b64dc94eap-30"),
+    30.0: ("0x1.62bca5b7ee879p-1", "0x1.1597891a1971ap-29"),
+    100.0: ("0x1.40fecd3b74512p+0", "0x1.002f4281d4274p-28"),
 }
 
 
 @pytest.mark.parametrize("eta", list(FORCE_FD))
 def test_force_from_fd_bits(eta):
-    assert force_from_fd(eta).hex() == FORCE_FD[eta]
+    assert tuple(v.hex() for v in oracle_ode._force_fd(eta)) == FORCE_FD[eta]
 
 
 def test_fd_force_and_net_sample_bits():

@@ -268,6 +268,39 @@ class TestBelowAgainstMpmath:
         assert abs(got / below_reference(-1e13, -1e13, 1000.0, cfg) - 1) <= 1e-14
 
 
+class TestSmallEtaRefusal:
+    # where the error estimate of docs/numerics.md section 2 exceeds
+    # greens._G_REL_BOUND = 1e-8 the linear forms refuse; these five came
+    # back wrong (about 4 below and about 1 above are right)
+    WRONG = [(greens_linear_below, -3.0, -3.0, 0.0, 1e-40),  # gave 3.99846
+             (greens_linear_below, -3.0, -3.0, 1000.0, 1e-40),  # -2.88e-6
+             (greens_linear_below, -3.0, -3.0, 1000.0, 1e-30),  # 4.657
+             (greens_linear_below, -3.0, -3.0, 0.0, 1e-100),  # 2.95e17
+             (greens_linear_above, 2.0, 4.0, 1.0, 1e-100)]  # 0.0
+
+    @pytest.mark.parametrize("construct, x, xp, kappa, eta", WRONG)
+    def test_wrong_answers_are_refused(self, construct, x, xp, kappa, eta):
+        cfg = PlateConfig.from_eta(eta)
+        named = f"points x = {x!r}, x' = {xp!r} at kappa = {kappa!r}, eta = {cfg.eta!r}: G would"
+        with pytest.raises(DomainError, match=re.escape(named)):
+            construct(x, xp, kappa, cfg)
+
+    def test_answered_just_inside_the_bound(self):
+        # the estimate reads 9.6e-9 at eta = 1e-22 (1.7e-9 from mpmath there)
+        # and 1.2e-8 at 5e-23
+        cfg = PlateConfig.from_eta(1e-22)
+        got = greens_linear_below(-3.0, -3.0, 0.0, cfg)
+        assert abs(got / below_reference(-3.0, -3.0, 0.0, cfg) - 1) <= greens._G_REL_BOUND
+        with pytest.raises(DomainError, match="over the 1e-08 the linear forms answer to"):
+            greens_linear_below(-3.0, -3.0, 0.0, PlateConfig.from_eta(5e-23))
+
+    def test_one_unresolved_point_refuses_the_array_and_the_plate_zero_stays(self):
+        cfg = PlateConfig.from_eta(1e-40)
+        with pytest.raises(DomainError, match="G would be off"):
+            greens_linear_below(np.array([1.0, -3.0]), -3.0, 0.0, cfg)
+        assert greens_linear_below(1.0, -3.0, 0.0, cfg) == 0.0
+
+
 class TestArrayFirst:
     """The linear constructors broadcast x and x'; a float pair is the 0-d case."""
 

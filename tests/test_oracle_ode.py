@@ -1,6 +1,7 @@
 """Finite-difference BVP oracle: discretization order, closures, and the FD force pipeline."""
 
 import ast
+import collections
 import json
 import math
 import re
@@ -211,7 +212,7 @@ class TestDenseWitness:
     def test_band_solve_matches_the_dense_solve(self, plate, with_source):
         bounds, node = self.CASES[plate]
         grid = GridSpec(*bounds)
-        xs, q = oracle_ode._nodes(1.0, self.CFG, grid)
+        xs, q = oracle_ode._nodes(oracle_ode._common_checks(1.0, self.CFG)[1], self.CFG, grid)
         kink = round(-grid.x_lo / grid.h) if grid.x_lo < 0.0 else -1
         assert kink < 0 or abs(xs[kink]) <= 1e-9  # the kink row is exercised
         at = {"lo": 0, "hi": grid.n - 1, "mid": (grid.n - 1) // 2}[plate]
@@ -228,7 +229,8 @@ class TestDenseWitness:
     @pytest.mark.parametrize("source", [None, 512], ids=["w", "G"])
     def test_grid_just_under_the_numerov_bound_solves(self, source):
         # 9.3e-18 and 5.7e-18 of the largest |g| here
-        xs, q = oracle_ode._grid_values(self.UNDER, self.FLAT, self.EDGE, "lo")
+        kappa, q0 = oracle_ode._common_checks(self.UNDER, self.FLAT)
+        _, (xs, q) = oracle_ode._grid_values(kappa, q0, self.FLAT, self.EDGE, "lo")
         assert self.EDGE.h**2 * q[-1] < 12.0
         got = oracle_ode._solve_tridiagonal_bvp(self.EDGE.h, q, source, "lo")
         want = numerov_dense(self.EDGE.h, q, 0, source)
@@ -263,9 +265,10 @@ class TestGridSize:
             where = (kappa, cfg, side, grid.n)
             assert grid.n <= 16000, where
             if grid.n > 1000:  # the node floor pads further
-                xs, q = oracle_ode._nodes(kappa, cfg, grid)
+                q0 = oracle_ode._common_checks(kappa, cfg)[1]
+                xs, q = oracle_ode._nodes(q0, cfg, grid)
                 end = -1 if side == "above" else 0  # the open end
-                efolds = oracle_ode._closure_efolds(kappa, cfg, xs[end], q[end])
+                efolds = oracle_ode._closure_efolds(q0, cfg, xs[end], q[end])
                 assert 16.0 - 1e-12 <= efolds <= 16.05, where
 
     @pytest.mark.parametrize("kappa", [1e3, 1e5, 1e8, 1e11, 7.2e16])
@@ -332,29 +335,30 @@ class TestClosureMargin:
             assert abs(xs[3000]) <= 1e-6 * grid.h
 
     def test_closed_form_matches_a_fine_trapezoid(self, monkeypatch):
-        # the fd_setup grids at their open end and both grids of a net sample
-        # at each end: 1.1e-7 apart at worst, at kappa = 0, where sqrt(q) is
-        # sqrt(b |x|) at the kink and the trapezoid converges only as h^1.5
-        ends = []
+        # the fd_setup grids at their open end and the margins a net sample
+        # takes at its two ends, which its two grids share: 1.1e-7 apart at
+        # worst, at kappa = 0, where sqrt(q) is sqrt(b |x|) at the kink and
+        # the trapezoid converges only as h^1.5
+        margin, ends = oracle_ode._closure_efolds, []
         for kappa, cfg in TestGridSize._setups():
+            q0 = oracle_ode._common_checks(kappa, cfg)[1]
             for side in ("above", "below"):
                 grid = fd_setup(kappa, cfg, side)
-                ends.append((kappa, cfg, grid, -1 if side == "above" else 0))
-        simpson = oracle_ode._net_simpson
+                xs, q = oracle_ode._nodes(q0, cfg, grid)
+                end = -1 if side == "above" else 0
+                ends.append((kappa, cfg, xs[end], margin(q0, cfg, xs[end], q[end])))
 
-        def record(kappa, cfg, grid, values=None):
-            ends.extend((kappa, cfg, grid, end) for end in (0, -1))
-            return simpson(kappa, cfg, grid, values)
+        def record(q0, cfg, x_end, q_end):  # kappa: the sample's, from the loop below
+            ends.append((kappa, cfg, x_end, margin(q0, cfg, x_end, q_end)))
+            return ends[-1][3]
 
-        monkeypatch.setattr(oracle_ode, "_net_simpson", record)
+        monkeypatch.setattr(oracle_ode, "_closure_efolds", record)
         for eta in (1e-6, 1e-3, 1.0, 1e3, 1e6):
             for kappa in (0.0, 0.1, 1.0, 10.0, 1e3):
                 oracle_ode._net_fd(kappa, PlateConfig.from_eta(eta))
-        assert len(ends) == 2 * 106 + 4 * 25
-        for kappa, cfg, grid, end in ends:
-            xs, q = oracle_ode._nodes(kappa, cfg, grid)
-            closed = oracle_ode._closure_efolds(kappa, cfg, xs[end], q[end])
-            assert rel(closed, trapezoid_efolds(kappa, cfg, xs[end])) <= 1e-6, (kappa, cfg, grid)
+        assert len(ends) == 2 * 106 + 2 * 25
+        for kappa, cfg, x_end, closed in ends:
+            assert rel(closed, trapezoid_efolds(kappa, cfg, x_end)) <= 1e-6, (kappa, cfg, x_end)
 
 
 class TestOverflowingMomentum:
@@ -606,33 +610,56 @@ class TestNetIntegral:
                 assert gap <= err <= 1e-8 * net, (eta, kappa)
 
     def test_integrand_is_nonnegative_on_every_node(self, monkeypatch):
-        solve, seen = oracle_ode._solve, []
+        band, seen = oracle_ode._solve_tridiagonal_bvp, []
 
-        def record(kappa, cfg, side, grid, xp=oracle_ode._W1, values=None):
-            out = solve(kappa, cfg, side, grid, xp, values)
-            seen.append((cfg, grid, out[2]))
-            return out
+        def record(h, q, source, plate, kink=-1, jump=0.0):  # cfg: the sample's, from below
+            seen.append((cfg, h, band(h, q, source, plate, kink, jump)))
+            return seen[-1][2]
 
-        monkeypatch.setattr(oracle_ode, "_solve", record)
+        monkeypatch.setattr(oracle_ode, "_solve_tridiagonal_bvp", record)
         for eta in self.ETAS:
+            cfg = PlateConfig.from_eta(eta)
             for kappa in self.KAPPAS:
-                oracle_ode._net_fd(kappa, PlateConfig.from_eta(eta))
+                oracle_ode._net_fd(kappa, cfg)
         assert len(seen) == 2 * len(self.ETAS) * len(self.KAPPAS)
-        for cfg, grid, w in seen:
-            p = (grid.n - 1) // 2
-            s = np.arange(p + 1) * grid.h
+        for cfg, h, w in seen:
+            p = (w.size - 1) // 2
+            s = np.arange(p + 1) * h
             assert (2.0 * cfg.b * np.minimum(cfg.a, s) * w[p:] * w[p::-1] >= 0.0).all()
 
+    def test_a_sample_sets_up_once_for_both_grids(self, monkeypatch):
+        # one kappa check (with the one b^{2/3}), one b^{1/3}, one GridSpec,
+        # one node build and one closure margin per open end serve both
+        # grids; then come the two band solves
+        calls = collections.Counter()
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("_common_checks", "_bcube", "GridSpec", "_nodes", "_closure_efolds",
+                     "_solve_tridiagonal_bvp"):
+            monkeypatch.setattr(oracle_ode, name, counting(name, getattr(oracle_ode, name)))
+        for eta in (1e-3, 1.0, 1e4):
+            for kappa in (0.0, 1.0, 1e3):
+                calls.clear()
+                oracle_ode._net_fd(kappa, PlateConfig.from_eta(eta))
+                assert calls == {"_common_checks": 1, "_bcube": 1, "GridSpec": 1, "_nodes": 1,
+                                 "_closure_efolds": 2, "_solve_tridiagonal_bvp": 2}, (eta, kappa)
+
     def test_coarse_grid_is_the_fine_grids_even_nodes(self, monkeypatch):
-        # each sample forms its arrays once on the fine grid; the coarse grid's
-        # nodes, q and weights, its every other entry, must be bit for
-        # bit the ones it forms itself (its nodes np.linspace's), and so must
-        # its Simpson value
+        # each sample forms its arrays once on the fine grid and solves the
+        # coarse grid (m, p) on its every other entry: that grid, built as its
+        # own GridSpec, has the fine grid's bounds and twice its spacing, its
+        # own nodes (np.linspace's), q and weights are bit for bit the fine
+        # grid's even entries, and so is its Simpson value
         simpson, seen = oracle_ode._net_simpson, []
 
-        def record(kappa, cfg, grid, values=None):
-            seen.append((grid, values))
-            return simpson(kappa, cfg, grid, values)
+        def record(cfg, scale, grid, values, step=1):
+            seen.append((scale, grid, values, step))
+            return simpson(cfg, scale, grid, values, step)
 
         monkeypatch.setattr(oracle_ode, "_net_simpson", record)
         for eta in [10.0 ** (k / 2.0) for k in range(-6, 13)]:
@@ -640,23 +667,28 @@ class TestNetIntegral:
             for kappa in [0.0] + [10.0 ** (k / 2.0) for k in range(-6, 9)]:
                 seen.clear()
                 oracle_ode._net_fd(kappa, cfg)
-                (grid, coarse), (fine_grid, fine) = seen
+                (scale, fine_grid, fine, two), (_, same_grid, same, one) = seen
+                assert (two, one) == (2, 1) and same_grid is fine_grid and same is fine
+                p, m = (fine_grid.n - 1) // 4, round(cfg.a / (2.0 * fine_grid.h))
+                grid = GridSpec(cfg.a - p * (cfg.a / m), cfg.a + p * (cfg.a / m), 2 * p + 1)
                 assert (fine_grid.x_lo, fine_grid.x_hi) == (grid.x_lo, grid.x_hi)
                 assert (fine_grid.n, fine_grid.h) == (2 * grid.n - 1, grid.h / 2.0)
-                own = oracle_ode._net_values(kappa, cfg, grid)
+                own = oracle_ode._net_values(oracle_ode._common_checks(kappa, cfg)[1], cfg, grid)
                 assert own[0].tobytes() == np.linspace(grid.x_lo, grid.x_hi, grid.n).tobytes()
-                for mine, nested, full in zip(own, coarse, fine):
-                    assert mine.tobytes() == nested.tobytes() == full[::2].tobytes(), (eta, kappa)
-                assert simpson(kappa, cfg, grid, coarse) == simpson(kappa, cfg, grid)
+                for mine, full in zip(own, fine):
+                    assert mine.tobytes() == full[::2].tobytes(), (eta, kappa)
+                assert simpson(cfg, scale, grid, own) == simpson(cfg, scale, fine_grid, fine, 2)
 
     def test_kink_row_makes_the_sample_fourth_order(self, monkeypatch):
         # eta = 1, kappa = 0: halving h cuts the error 16.0x; without the
         # kink row, 4.0x (second order, 1.5e-5 at m = 60)
         cfg, ref = PlateConfig.from_eta(1.0), integrand_net(0.0, 1.0)
 
-        def ratio():
-            grids = [oracle_ode._net_grid(0.0, cfg, m, 10 * m) for m in (60, 120)]
-            errs = [abs(oracle_ode._net_simpson(0.0, cfg, grid) - ref) for grid in grids]
+        def ratio():  # grids of 10 m cells of a/m a side, a = b = 1
+            grids = [GridSpec(1.0 - 10 * m * (1.0 / m), 1.0 + 10 * m * (1.0 / m), 20 * m + 1)
+                     for m in (60, 120)]
+            errs = [abs(oracle_ode._net_simpson(cfg, 2.0, grid, oracle_ode._net_values(0.0, cfg, grid))
+                        - ref) for grid in grids]
             return errs[0] / errs[1]
 
         assert ratio() >= 12.0
@@ -669,7 +701,7 @@ class TestNetIntegral:
         cfg = PlateConfig.from_eta(1.0)
         for grid in (GridSpec(0.0, 2.0, 2000), GridSpec(0.5, 2.0, 2001)):
             with pytest.raises(DomainError, match="grid must center at the plate"):
-                oracle_ode._solve(1.0, cfg, "both", grid)
+                oracle_ode._grid_values(1.0, 1.0, cfg, grid, "mid")
 
 
 def test_oracle_imports_no_airy_code():
