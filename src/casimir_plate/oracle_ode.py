@@ -1,22 +1,18 @@
 """Brute-force finite-difference verification layer, with no Airy function in any path.
 
-The mode equation w'' = q(x) w, q(x) = b^{2/3} kappa^2 + b |x|, is
-discretized with Numerov weighting on a uniform grid in physical x and
-solved as one tridiagonal system, the plate on a node and a WKB decay
-closure at each open end; each row scaled by its Numerov weight makes the
-band symmetric positive definite, which LAPACK's dptsv solves without
-pivoting.  Every grid's checks run in one place (_grid_values): once per
-one-sided solve (_solve), whose w decays away from the plate with w = 1
-on it, and once per net sample (_net_fd) for its two nested grids.  w's
-slope at the plate is one side's stress integrand (integrand_from_fd);
-the net integrand is one positive integral over both sides (_net_fd),
-which force_from_fd integrates over all momenta by the nested
-Clenshaw-Curtis rule integrate_finite.  With a unit source and G = 0 at
-the plate the band gives the Green's function (solve_bvp_above/_full).
-Nothing but errors (PlateConfig and the argument checks) and the finite
-rule of quadrature is shared with the closed forms; docs/numerics.md
-section 6 derives it all.  When
-cfg.b == 0 (the eta = 0 cross-checks) kappa is the physical momentum K.
+The mode equation w'' = q(x) w, q(x) = b^{2/3} kappa^2 + b |x|, is discretized with Numerov
+weighting on a uniform grid in physical x, the plate on a node and a WKB decay closure at each
+open end; each row scaled by its Numerov weight makes the band symmetric positive definite
+(_band).  The solution w decaying away from the plate with w = 1 on it needs only LAPACK's
+factorization: stored from each open end to the plate, w is a running product of the factor's
+ratios (_w1_ratios).  w's slope at the plate is one side's stress integrand (integrand_from_fd);
+the net integrand is one positive integral over both sides (_net_fd), which force_from_fd
+integrates over all momenta by the nested Clenshaw-Curtis rule integrate_finite.  With a unit
+source and G = 0 at the plate, dptsv solves the band for the Green's function
+(solve_bvp_above/_full).  Every grid's checks run in one place (_check_grid).  Nothing but
+errors (PlateConfig and the argument checks) and the finite rule of quadrature is shared with
+the closed forms; docs/numerics.md section 6 derives it all.  When cfg.b == 0 (the eta = 0
+cross-checks) kappa is the physical momentum K.
 """
 
 from __future__ import annotations
@@ -37,10 +33,9 @@ __all__ = ["GridSpec", "solve_bvp_above", "solve_bvp_full", "integrand_from_fd",
 
 
 # most nodes a grid may have, above the 3,089,577 of the force's largest grid
-# at eta = 1e-14 (kappa = 0; it grows as eta^{-1/3}); a net sample peaks at
-# about 6.5 float arrays of its fine grid's n entries (nodes, q and weights,
-# then the band's c, diagonal, off-diagonal and right-hand side), 32 MB each
-# at the cap
+# at eta = 1e-14 (kappa = 0; it grows as eta^{-1/3}); a net sample peaks at 4.5
+# float arrays of its fine grid's n entries (tracemalloc: q, the weights, then
+# the band's c, diagonal and off-diagonal), 32 MB each at the cap
 _MAX_NODES = 4_000_000
 
 
@@ -80,67 +75,78 @@ def _bcube(cfg: PlateConfig) -> float:  # integrands divide by b^{1/3}, by 1 whe
 
 
 @functools.cache
-def _dptsv():  # LAPACK's SPD band solver, bound on first use: scipy stays off the import path
-    from scipy.linalg.lapack import dptsv
+def _lapack(name: str):  # a LAPACK routine, bound on first use: scipy stays off the import path
+    from scipy.linalg import lapack
 
-    return dptsv
+    return getattr(lapack, name)
 
 
-def _solve_tridiagonal_bvp(h: float, q: np.ndarray, source: Optional[int], plate: str,
-                           kink: int = -1, jump: float = 0.0) -> np.ndarray:
-    """Band solve of w'' = q w, the plate on the first, last or middle node ('lo', 'hi', 'mid').
+def _band(h: float, q: np.ndarray, kink: int, jump: float, ends: set) -> tuple:
+    """(c, d, e): Numerov's rows c_{i-1} g_{i-1} - 2 (1 + (5 h^2/12) q_i) g_i + c_{i+1} g_{i+1}.
 
-    source None: w = 1 at the plate; else G'' - q G = -delta at node
-    source, G = 0 at the plate.  The plate row decouples the two sides;
-    each open end gets the WKB closure through a centered ghost node.
-    Numerov's rows miss the exact solution by h^3 jump w/12 where q' jumps
-    by jump, which row kink's diagonal takes back; the spread source dents
-    its node by exactly -h/12, corrected after the solve.  Row i is scaled
-    by its weight c_i = 1 - h^2 q_i/12 (a closure row by c_0 c_1/2) and
-    negated, and the plate's known value moves to its neighbours' right-hand
-    sides: the band is then symmetric, and with 0 < c_i <= 1 (h^2 q < 12,
-    _grid_values) diagonally dominant with a positive diagonal, so positive
-    definite, and LAPACK's dptsv solves it without pivoting.  The unknown
-    stays g, and info != 0 is a fault.
+    c = 1 - (h^2/12) q; row i times -c_i is symmetric, off-diagonal -c_i c_{i+1}, stored as e_i =
+    c_i c_{i+1} (diag((-1)^i) A diag((-1)^i), A's pivots).  Row kink takes back Numerov's miss h^3
+    jump w/12 where q' jumps by jump; each open end i in ends has the WKB closure -(2 + 2 h sqrt(q)
+    + h^2 q) g_i + 2 g_j (j = i + 1, or i - 1 last) times -c_i c_j/2.  With 0 < c <= 1 (h^2 q < 12,
+    _check_grid) the band is diagonally dominant, so positive definite: LAPACK needs no pivoting.
     """
-    n = q.size
-    at = {"lo": 0, "hi": n - 1, "mid": (n - 1) // 2}[plate]
-    # row i: c_{i-1} g_{i-1} - 2 (1 + (5 h^2/12) q_i) g_i + c_{i+1} g_{i+1}, c = 1 - (h^2/12) q,
-    # times -c_i: diagonal c_i (2 + 2 (5 h^2/12) q_i) (doubling is exact), off-diagonal -c_i c_{i+1}
     c = q * -(h * h / 12.0)
     c += 1.0
-    d = q * (2.0 * (5.0 * h * h / 12.0))
+    d = q * (2.0 * (5.0 * h * h / 12.0))  # doubling is exact
     d += 2.0
     d *= c
     e = c[:-1] * c[1:]
-    e *= -1.0
     if kink >= 0:
         d[kink] += c[kink] * (h * h * h * jump / 12.0)
-    # closure row -(2 + 2 h sqrt(q) + h^2 q) g_0 + 2 g_1 times -c_0 c_1/2 (the last row alike)
-    if at > 0:  # q, e as floats: numpy's scalars would make each product a numpy call
-        q_edge = q.item(0)
-        d[0] = -e.item(0) * (1.0 + h * math.sqrt(q_edge) + 0.5 * h * h * q_edge)
-    if at < n - 1:
-        q_edge = q.item(n - 1)
-        d[n - 1] = -e.item(n - 2) * (1.0 + h * math.sqrt(q_edge) + 0.5 * h * h * q_edge)
-    rhs = np.zeros(n)
-    if source is None:  # w = 1 at the plate: its neighbours' rows carry c_i c_plate to the right
-        rhs[at] = 1.0
-        if at > 0:
-            rhs[at - 1] = -e[at - 1]
-        if at < n - 1:
-            rhs[at + 1] = -e[at]
-    else:
-        w = h / 12.0
-        rhs[source - 1 : source + 2] = (c[source - 1] * w, c[source] * (10.0 * w),
-                                        c[source + 1] * w)
+    for i in ends:  # q, e as floats: numpy's scalars would make each product a numpy call
+        q_edge = q.item(i)
+        d[i] = e.item(min(i, q.size - 2)) * (1.0 + h * math.sqrt(q_edge) + 0.5 * h * h * q_edge)
+    return c, d, e
+
+
+def _w1_ratios(h: float, q: np.ndarray, at: int, kink: int = -1, jump: float = 0.0) -> np.ndarray:
+    """Ratios l of the solution w that decays away from the plate with w = 1 on it.
+
+    q as _nodes(..., at) stores it: each side from its far end, the plate last.  The plate row
+    dropped and a zero link between the sides, one LAPACK dpttrf call factors both (_band) as
+    L D L^T, l_i = e_i/d'_i, and leaves the right-hand side, zero but for the plate link r =
+    c_i c_plate next to the plate, alone until that row: w = r/d' there and w_i = l_i w_{i+1}
+    outward.  l[at - 1::-1] are the below side's ratios from the plate out, l[at:][::-1] the
+    above side's; info != 0 is a fault.
+    """
+    n = q.size
+    c, d, e = _band(h, q, kink, jump, {0, at} - {n - 1})
+    rows = {at - 1, n - 2} if at else {n - 2}  # each side's row next to the plate
+    links = [(i, c.item(i) * c.item(n - 1)) for i in rows]
+    e[at - 1] = 0.0  # the zero link between the sides (at = 0, n - 1: past the band)
+    d, _, info = _lapack("dpttrf")(d[:-1], e[:-1], overwrite_d=1, overwrite_e=1)  # e in place
+    if info != 0:
+        raise OracleError(f"tridiagonal factorization failed: LAPACK dpttrf returned info={info}")
+    for i, r in links:
+        e[i] = r / d.item(i)
+    return e
+
+
+def _solve_tridiagonal_bvp(h: float, q: np.ndarray, at: int, kink: int, jump: float,
+                           source: int) -> np.ndarray:
+    """G'' - q G = -delta at node source, G = 0 at the plate node at, by LAPACK's dptsv.
+
+    _band's rows negated back off the diagonal, the plate row pinning its node; the load (h/12)
+    c_i (1, 10, 1) dents the source node by exactly -h/12, put back after the solve.
+    """
+    n = q.size
+    c, d, e = _band(h, q, kink, jump, {0, n - 1} - {at})
+    e *= -1.0
     d[at] = 1.0
     e[max(at - 1, 0) : at + 1] = 0.0
-    g, info = _dptsv()(d, e, rhs, overwrite_d=1, overwrite_e=1, overwrite_b=1)[2:]
+    w = h / 12.0
+    c_lo, c_mid, c_hi = c[source - 1 : source + 2].tolist()
+    rhs = np.zeros(n)
+    rhs[source - 1 : source + 2] = c_lo * w, c_mid * (10.0 * w), c_hi * w
+    g, info = _lapack("dptsv")(d, e, rhs, overwrite_d=1, overwrite_e=1, overwrite_b=1)[2:]
     if info != 0:
         raise OracleError(f"tridiagonal solve failed: LAPACK dptsv returned info={info}")
-    if source is not None:
-        g[source] += h / 12.0
+    g[source] += h / 12.0
     return g
 
 
@@ -152,18 +158,20 @@ def _common_checks(kappa: float, cfg: PlateConfig) -> tuple[float, float]:
     return kappa, (cfg.b ** (2.0 / 3.0) if cfg.b > 0.0 else 1.0) * kappa * kappa
 
 
-def _plate_side(side: str) -> tuple[str, float]:
-    """(grid edge at the plate, direction away from it) for 'above' or 'below'."""
+def _plate_side(side: str) -> str:
+    """The grid edge at the plate, 'lo' or 'hi', for 'above' or 'below'."""
     if side not in ("above", "below"):
         raise DomainError(f"side must be 'above' or 'below', got {side!r}")
-    return ("lo", 1.0) if side == "above" else ("hi", -1.0)
+    return "lo" if side == "above" else "hi"
 
 
-def _nodes(q0: float, cfg: PlateConfig, grid: GridSpec) -> tuple:  # x, q, unchecked
+def _nodes(q0: float, cfg: PlateConfig, grid: GridSpec, at: int = -1) -> tuple:
+    """(x, q), unchecked, on nodes 0 ... at - 1, then n - 1 down to at (at = -1: in order)."""
     xs = np.arange(grid.n, dtype=float)  # np.linspace's nodes i h + x_lo, built in place
+    xs[at:] = xs[at:][::-1]
     xs *= grid.h
     xs += grid.x_lo
-    xs[-1] = grid.x_hi
+    xs[at] = grid.x_hi
     q = np.abs(xs)
     q *= cfg.b
     q += q0
@@ -208,15 +216,15 @@ def _source_index(xp: float, grid: GridSpec) -> int:
 _W1 = object()  # no source: w = 1 at the plate
 
 
-def _grid_values(kappa: float, q0: float, cfg: PlateConfig, grid: GridSpec, plate: str,
-                 xp: object = _W1, values: tuple = (), step: int = 1) -> tuple:
-    """Every check of a band's grid, in order, then (source node or None, values or _nodes).
+def _check_grid(kappa: float, q0: float, cfg: PlateConfig, grid: GridSpec, plate: str,
+                xp: object = _W1, step: int = 1) -> Optional[int]:
+    """Every check of a band's grid, in order; the source node, None without a source.
 
     The plate on the first, last or middle node (plate 'lo', 'hi', 'mid'),
     the source xp, if any, inside (_source_index), h^2 q < 12 at both ends
     at the spacing step h, and >= 8 e-folds (_closure_efolds) to each open
-    end.  _net_fd passes its fine grid's values with step 2: the coarse
-    grid's checks hold for both, which share their ends at half the spacing.
+    end, with q at the ends as _nodes forms it.  _net_fd passes step 2: the
+    coarse grid's checks hold for both, which share their ends.
     """
     if plate == "mid":
         verb = "center"
@@ -226,11 +234,10 @@ def _grid_values(kappa: float, q0: float, cfg: PlateConfig, grid: GridSpec, plat
     if not abs(at - cfg.a) <= 1e-12 * max(1.0, abs(cfg.a)):
         raise DomainError(f"grid must {verb} at the plate x = {cfg.a!r}")
     node = None if xp is _W1 else _source_index(xp, grid)
-    values = values or _nodes(q0, cfg, grid)
     # Numerov's weights c = 1 - h^2 q/12 must stay positive for the scaled band to
     # be positive definite; q = b^{2/3} kappa^2 + b |x| peaks at an end of the
     # grid, so two products stand in for a pass over the band
-    h, q_lo, q_hi = step * grid.h, values[1].item(0), values[1].item(-1)
+    h, q_lo, q_hi = step * grid.h, abs(grid.x_lo) * cfg.b + q0, abs(grid.x_hi) * cfg.b + q0
     hq_lo, hq_hi = h * h * q_lo, h * h * q_hi
     if not (hq_lo < 12.0 and hq_hi < 12.0):  # NaN fails too
         raise DomainError(f"kappa={kappa!r} breaks the Numerov bound h^2 q < 12: h^2 q reaches "
@@ -243,27 +250,31 @@ def _grid_values(kappa: float, q0: float, cfg: PlateConfig, grid: GridSpec, plat
             raise DomainError(f"kappa={kappa!r}: domain too short: integral of sqrt(q) from "
                               f"the plate to x = {x_end!r} is {margin:.2f}, need >= 8 for the "
                               f"decay closure to be trustworthy")
-    return node, values
+    return node
 
 
-def _kink(grid: GridSpec, h: float, xs: np.ndarray) -> int:
-    """The node on x = 0 (to 1e-6 h) of nodes xs at spacing h over the grid's bounds, else -1."""
+def _kink(grid: GridSpec, h: float) -> int:
+    """The node on x = 0 (to 1e-6 h) at spacing h over the grid's bounds, else -1."""
     j = round(-grid.x_lo / h) if grid.x_lo < 0.0 < grid.x_hi else -1  # the node nearest x = 0
-    return j if j >= 0 and abs(xs[j]) <= 1e-6 * h else -1
+    return j if j >= 0 and abs(j * h + grid.x_lo) <= 1e-6 * h else -1
 
 
 def _solve(kappa: float, cfg: PlateConfig, side: str, grid: GridSpec,
            xp: object = _W1) -> tuple[np.ndarray, np.ndarray]:
-    """Every one-sided FD band solve: (nodes, solution), the plate at the grid's start or end.
+    """Every one-sided FD band solve, the plate at the grid's start or end: (nodes, solution).
 
     Checks kappa, the side ('above': start, 'below': end) and the grid
-    (_grid_values), then makes one _solve_tridiagonal_bvp call, for w = 1
-    at the plate if there is no source, with the kink row on x = 0.
+    (_check_grid), with the kink row on x = 0.  With a source, G on the
+    nodes in order (_solve_tridiagonal_bvp); without one, w's ratios
+    (_w1_ratios) on the nodes from the open end to the plate.
     """
     kappa, q0 = _common_checks(kappa, cfg)
-    plate, _ = _plate_side(side)
-    node, (xs, q) = _grid_values(kappa, q0, cfg, grid, plate, xp)
-    return xs, _solve_tridiagonal_bvp(grid.h, q, node, plate, _kink(grid, grid.h, xs), 2.0 * cfg.b)
+    plate = _plate_side(side)
+    node = _check_grid(kappa, q0, cfg, grid, plate, xp)
+    at = 0 if plate == "lo" else grid.n - 1
+    xs, q = _nodes(q0, cfg, grid, at if node is None else -1)
+    args = (grid.h, q, at, _kink(grid, grid.h), 2.0 * cfg.b)
+    return xs, _w1_ratios(*args) if node is None else _solve_tridiagonal_bvp(*args, node)
 
 
 def solve_bvp_above(kappa: float, cfg: PlateConfig, xp: float,
@@ -287,14 +298,14 @@ def integrand_from_fd(kappa: float, cfg: PlateConfig, side: str, grid: GridSpec)
     """Coincident-limit stress integrand at the plate on one side, Airy-free.
 
     w'(0) of the solution w decaying away from the plate with w(0) = 1 (one
-    _solve), by the 5-point one-sided O(h^4) slope on w read plate-first,
-    divided by b^{1/3} (by 1 when b = 0).  The grid must meet the plate on
-    the given side; fd_setup's puts x = 0, where q' jumps, on a node at
-    least 16 cells from the plate.
+    _solve; w at the 4 nodes next to the plate, the running product of its
+    ratios), by the 5-point one-sided O(h^4) slope, divided by b^{1/3} (by
+    1 when b = 0).  The grid must meet the plate on the given side;
+    fd_setup's puts x = 0, where q' jumps, on a node at least 16 cells
+    from the plate.
     """
-    _, away = _plate_side(side)
-    w = _solve(kappa, cfg, side, grid)[1]
-    return _plate_slope((w[:5] if away > 0.0 else w[:-6:-1]).tolist(), grid.h) / _bcube(cfg)
+    w = np.multiply.accumulate(_solve(kappa, cfg, side, grid)[1][:-5:-1]).tolist()
+    return _plate_slope([1.0, *w], grid.h) / _bcube(cfg)
 
 
 def _span(q0: float, slope: float, efolds: float) -> float:
@@ -354,7 +365,7 @@ def fd_setup(kappa: float, cfg: PlateConfig, side: str) -> GridSpec:
     _reach refuses a kappa whose grid would collapse onto the plate.
     """
     kappa, q0 = _common_checks(kappa, cfg)
-    plate, _ = _plate_side(side)
+    plate = _plate_side(side)
     reach = _reach(kappa, q0, cfg, side)
     h = cfg.a / max(16, math.ceil(_DENSITY * cfg.a * math.sqrt(q0 + cfg.b * cfg.a)))
     n = max(math.ceil(reach / h) + 1, 1000)
@@ -368,26 +379,28 @@ _NET_DENSITY = 50.0  # least coarse cells per decay length 1/sqrt(q(a))
 
 
 def _net_values(q0: float, cfg: PlateConfig, grid: GridSpec) -> tuple:
-    """_nodes on a grid with the plate on its middle node, then the weights min(a, s), s = k h."""
-    s = np.arange(grid.n // 2 + 1, dtype=float)
+    """(q as _w1_ratios takes it, the plate on the middle node p; min(a, k h), k = 1 ... p)."""
+    p = grid.n // 2
+    s = np.arange(1, p + 1, dtype=float)
     s *= grid.h
-    return (*_nodes(q0, cfg, grid), np.minimum(s, cfg.a, out=s))
+    return _nodes(q0, cfg, grid, p)[1], np.minimum(s, cfg.a, out=s)
 
 
 def _net_simpson(cfg: PlateConfig, scale: float, grid: GridSpec, values: tuple,
                  step: int = 1) -> float:
     """net by Simpson's rule on every step-th node of a checked grid and its _net_values.
 
-    One band solve, w = 1 on the middle node, then scale = 2 b/b^{1/3}
-    times Simpson's sum of min(a, s) w_a w_b at the spacing step h.
+    One factorization, w = 1 on the middle node (_w1_ratios), then scale =
+    2 b/b^{1/3} times Simpson's sum of min(a, s) w_a w_b at the spacing
+    step h, w_a w_b the running product of the two sides' paired ratios.
     """
-    xs, q, weights = (v[::step] for v in values)
+    q, weights = values[0][::step], values[1][step - 1 :: step]
     h = step * grid.h
-    w = _solve_tridiagonal_bvp(h, q, None, "mid", _kink(grid, h, xs), 2.0 * cfg.b)
     p = q.size // 2
-    f = weights * w[p:]  # 2 b min(a, s) w_a w_b / (2 b)
-    f *= w[p::-1]
-    simpson = f.item(0) + f.item(p) + 4.0 * float(_add(f[1::2])) + 2.0 * float(_add(f[2:p:2]))
+    ratios = _w1_ratios(h, q, p, _kink(grid, h), 2.0 * cfg.b)
+    f = np.multiply.accumulate(ratios[p - 1 :: -1] * ratios[: p - 1 : -1])  # w_a w_b, s = h ... p h
+    f *= weights  # 2 b min(a, s) w_a w_b / (2 b), 0 at s = 0
+    simpson = f.item(-1) + 4.0 * float(_add(f[::2])) + 2.0 * float(_add(f[1:-1:2]))
     return scale * h / 3.0 * simpson
 
 
@@ -396,14 +409,13 @@ def _net_fd(kappa: float, cfg: PlateConfig) -> tuple[float, float]:
 
         net b^{1/3} = integral_0^inf 2 b min(a, s) w_a(s) w_b(s) ds,
 
-    s the distance from the plate, w_a and w_b (one band solve) decaying
-    away from it above and below with w(0) = 1.  Spacing a/m, m even, puts
-    the kink s = a on a Simpson panel edge; the weight is formed from s,
-    never as q_a - q_b.  One Richardson step over m and 2m removes the h^4
-    term; err_est is its size.  Both grids share one set-up: one kappa
-    check, one GridSpec (the fine grid's; the coarse n is named when it is
-    over the cap too), one _net_values and one _grid_values at the coarse
-    spacing.  The coarse grid takes the even entries, bit for bit its own.
+    s the distance from the plate, w_a and w_b (one factorization) decaying away from it
+    above and below with w(0) = 1.  Spacing a/m, m even, puts the kink s = a on a Simpson
+    panel edge; the weight is formed from s, never as q_a - q_b.  One Richardson step over
+    m and 2m removes the h^4 term; err_est is its size.  Both grids share one kappa check,
+    one GridSpec (the fine grid's; the coarse n is named when over the cap too), one
+    _check_grid at the coarse spacing and one _net_values, the coarse grid's bit for bit
+    in its even entries.
     """
     kappa, q0 = _common_checks(kappa, cfg)
     reach = max(_reach(kappa, q0, cfg, "above"), _reach(kappa, q0, cfg, "below"))
@@ -413,7 +425,8 @@ def _net_fd(kappa: float, cfg: PlateConfig) -> tuple[float, float]:
     n = 2 * p + 1  # the coarse grid's p cells of a/m a side
     grid = _grid(kappa, cfg, cfg.a - p * (cfg.a / m), cfg.a + p * (cfg.a / m),
                  2 * n - 1 if n <= _MAX_NODES else n)
-    _, values = _grid_values(kappa, q0, cfg, grid, "mid", values=_net_values(q0, cfg, grid), step=2)
+    _check_grid(kappa, q0, cfg, grid, "mid", step=2)
+    values = _net_values(q0, cfg, grid)
     scale = 2.0 * cfg.b / _bcube(cfg)
     s_m, s_2m = _net_simpson(cfg, scale, grid, values, 2), _net_simpson(cfg, scale, grid, values)
     step = (s_2m - s_m) / 15.0

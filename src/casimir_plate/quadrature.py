@@ -144,7 +144,8 @@ def integrate_finite(f: Integrand, lo: float, hi: float, rel_tol: float = 1e-9) 
     while not converged and n < _CC_MAX:
         coarse, n = value, 2 * n
         t, w = _cc_level(n)
-        fx = np.insert(fx, range(1, fx.size), _finite_values(f, lo + width * t[1::2]))
+        even, fx = fx, np.empty(n + 1)  # level n/2's values go to the even nodes
+        fx[::2], fx[1::2] = even, _finite_values(f, lo + width * t[1::2])
         value = width * math.fsum((w * fx).tolist())
         err = abs(value - coarse)
         converged = err <= rel_tol * abs(value)

@@ -12,15 +12,20 @@ its bits when the integral moved to the a-free variable t = 2 K a.  The
 force_perturbative value dates from its closed form through E1, and is
 the correctly rounded mpmath value.  Every FD value (the force_from_fd
 forces, the net samples, the two Green's-function columns and the
-one-sample integrands) dates from the band solve that scales each
-Numerov row by its weight 1 - h^2 q/12 and hands the symmetric
-positive-definite band to LAPACK's dptsv; each moved by less than 1e-12
-relative from the pivoted solve before it, far inside its err_est, and
-CHANGES.md lists each with its mpmath error.  The forces at eta = 0.03,
-0.1, 0.3 and 1 date from the momentum rule's stop at 5e-9, at 32 samples
-instead of 64; each moved by at most 1.4e-13 relative.  The eight forces
-are within 7.2e-13 relative of mpmath (perfbench/refs.json), the
-one-sample integrands 1.1e-12 to 2.9e-11.
+one-sample integrands) dates from the band that scales each Numerov row
+by its weight 1 - h^2 q/12, symmetric positive definite.  The
+Green's-function columns are its LAPACK dptsv solve, and the below-side
+integrands have that solve's bits; each moved by less than 1e-12
+relative from the pivoted solve before it.  The forces, the net samples
+and the above-side integrands date from the w = 1 solve by LAPACK's
+dpttrf alone, each side stored from its open end towards the plate and
+w a running product of the factor's ratios: the forces moved by at most
+2.6e-14 relative, the net samples by 8.8e-13 and the above-side
+integrands by 1.3e-12 (3.6e-11 on the flat background, which now has
+the below side's bits), and CHANGES.md lists each with its mpmath error
+before and after.  The eight forces are within 7.2e-13 relative of
+mpmath (perfbench/refs.json), the one-sample integrands 1.2e-13 to
+2.9e-11.
 """
 
 import math
@@ -99,14 +104,14 @@ def test_force_perturbative_bits():
 
 # eta: (f, err_est) of the FD force at the benchmark's eight oracle eta
 FORCE_FD = {
-    0.03: ("0x1.13dca49670309p-7", "0x1.383edd6bc9315p-35"),
-    0.1: ("0x1.68eceda0301a1p-6", "0x1.42d45e745f28cp-33"),
-    0.3: ("0x1.9bf526a64aec6p-5", "0x1.41beaf6372f4cp-32"),
-    1.0: ("0x1.d50107a471134p-4", "0x1.b34cdc8d10ccap-31"),
-    3.0: ("0x1.c2b6c3b3d505dp-3", "0x1.75d45a519372ep-31"),
-    10.0: ("0x1.a14078316283ap-2", "0x1.3ad4b64dc94eap-30"),
-    30.0: ("0x1.62bca5b7ee879p-1", "0x1.1597891a1971ap-29"),
-    100.0: ("0x1.40fecd3b74512p+0", "0x1.002f4281d4274p-28"),
+    0.03: ("0x1.13dca496702ebp-7", "0x1.383eb31d515e4p-35"),
+    0.1: ("0x1.68eceda0300fcp-6", "0x1.42d47fda57b36p-33"),
+    0.3: ("0x1.9bf526a64aef4p-5", "0x1.41be9c8b0c298p-32"),
+    1.0: ("0x1.d50107a4710dbp-4", "0x1.b34cd30677680p-31"),
+    3.0: ("0x1.c2b6c3b3d5055p-3", "0x1.75d456dd11c2fp-31"),
+    10.0: ("0x1.a140783162853p-2", "0x1.3ad42b4a60366p-30"),
+    30.0: ("0x1.62bca5b7ee890p-1", "0x1.15971af958096p-29"),
+    100.0: ("0x1.40fecd3b74519p+0", "0x1.002ee4500ec3cp-28"),
 }
 
 
@@ -119,9 +124,9 @@ def test_fd_force_and_net_sample_bits():
     # (value, err_est) of the FD force at eta = 1 and of one net sample there
     cfg = PlateConfig.from_eta(1.0)
     assert [v.hex() for v in oracle_ode._force_fd(1.0)] == [
-        "0x1.d50107a471134p-4", "0x1.b34cdc8d10ccap-31"]
+        "0x1.d50107a4710dbp-4", "0x1.b34cd30677680p-31"]
     assert [v.hex() for v in oracle_ode._net_fd(1.0, cfg)] == [
-        "0x1.d989bf84caa0fp-3", "0x1.5bbb862222222p-33"]
+        "0x1.d989bf84ca845p-3", "0x1.5bbb273333333p-33"]
 
 
 # (kappa, eta): (value, err_est) of one FD net sample.  m is set by the
@@ -129,21 +134,21 @@ def test_fd_force_and_net_sample_bits():
 # holds x = 0 (the kink row) where m < p: eta <= 1 with kappa <= 3, and
 # (100, 1e-3)
 NET_FD = {
-    (0.0, 1e-3): ("0x1.8c8eac002c49fp-4", "0x1.4231bbbbbbbbcp-39"),
-    (0.0, 1.0): ("0x1.9dc4607df7a31p-2", "0x1.d70bcdddddddep-34"),
-    (0.0, 1e4): ("0x1.7c464e24ac78ap-6", "0x1.1457efbbbbbbcp-34"),
-    (1e-3, 1e-3): ("0x1.8c8e9ff904d19p-4", "0x1.41f84cccccccdp-39"),
-    (1e-3, 1.0): ("0x1.9dc44ca7d8c05p-2", "0x1.d6fec22222222p-34"),
-    (1e-3, 1e4): ("0x1.7c464cfc75b02p-6", "0x1.13e6f17777777p-34"),
-    (3.0, 1e-3): ("0x1.914138d10d36dp-6", "0x1.248934ccccccdp-35"),
-    (3.0, 1.0): ("0x1.98fbe4c074317p-5", "0x1.00b09f5555555p-33"),
-    (3.0, 1e4): ("0x1.0c3582d0e54b2p-6", "0x1.85b24dbbbbbbcp-35"),
-    (100.0, 1e-3): ("0x1.a36d1bc338f27p-15", "0x1.2c017b8888889p-43"),
-    (100.0, 1.0): ("0x1.a3637230af6bcp-15", "0x1.305f982222222p-43"),
-    (100.0, 1e4): ("0x1.a287595b788f4p-15", "0x1.302c23eeeeeefp-43"),
-    (1e4, 1e-3): ("0x1.5798ee1d4550fp-28", "0x1.f35e67999999ap-57"),
-    (1e4, 1.0): ("0x1.5798ede9632f6p-28", "0x1.f36f931111111p-57"),
-    (1e4, 1e4): ("0x1.5798e9491756fp-28", "0x1.f3732c8888889p-57"),
+    (0.0, 1e-3): ("0x1.8c8eac002c3e3p-4", "0x1.422b6eeeeeeefp-39"),
+    (0.0, 1.0): ("0x1.9dc4607df7712p-2", "0x1.d708911111111p-34"),
+    (0.0, 1e4): ("0x1.7c464e24ac4b5p-6", "0x1.1457c27777777p-34"),
+    (1e-3, 1e-3): ("0x1.8c8e9ff904fc4p-4", "0x1.4206333333333p-39"),
+    (1e-3, 1.0): ("0x1.9dc44ca7d8d95p-2", "0x1.d700600000000p-34"),
+    (1e-3, 1e4): ("0x1.7c464cfc75975p-6", "0x1.13e6d43333333p-34"),
+    (3.0, 1e-3): ("0x1.914138d10d4c9p-6", "0x1.24896b3333333p-35"),
+    (3.0, 1.0): ("0x1.98fbe4c07435bp-5", "0x1.00b0af999999ap-33"),
+    (3.0, 1e4): ("0x1.0c3582d0e5322p-6", "0x1.85b213999999ap-35"),
+    (100.0, 1e-3): ("0x1.a36d1bc338f78p-15", "0x1.2c01800000000p-43"),
+    (100.0, 1.0): ("0x1.a3637230af4c9p-15", "0x1.305f7d1111111p-43"),
+    (100.0, 1e4): ("0x1.a287595b788fbp-15", "0x1.302c2dbbbbbbcp-43"),
+    (1e4, 1e-3): ("0x1.5798ee1d44732p-28", "0x1.f35cfc0000000p-57"),
+    (1e4, 1.0): ("0x1.5798ede962206p-28", "0x1.f36d9c8888889p-57"),
+    (1e4, 1e4): ("0x1.5798e949160b7p-28", "0x1.f370b28888889p-57"),
 }
 
 
@@ -180,11 +185,11 @@ def test_bvp_column_bits(case):
 # (kappa, eta, side): integrand_from_fd on fd_setup's grid; eta = 0 is the
 # flat background (PlateConfig(a=1, b=0)), where kappa is the momentum
 INTEGRAND_FD = {
-    (0.0, 1.0, "above"): "-0x1.2d236fba779aap+0",
+    (0.0, 1.0, "above"): "-0x1.2d236fba7847fp+0",
     (0.0, 1.0, "below"): "-0x1.8b64af35dd2aap-1",
-    (1.5, 0.5, "above"): "-0x1.d1ad182cd2d02p+0",
+    (1.5, 0.5, "above"): "-0x1.d1ad182cd5507p+0",
     (1.5, 0.5, "below"): "-0x1.ab0c77b1797b9p+0",
-    (0.7, 0.0, "above"): "-0x1.6666666671d56p-1",
+    (0.7, 0.0, "above"): "-0x1.666666663a996p-1",
     (0.7, 0.0, "below"): "-0x1.666666663a996p-1",
 }
 

@@ -25,11 +25,11 @@ from casimir_plate.oracle_ode import (
 )
 from casimir_plate.stress_kernel import force_exact, integrand_above, integrand_below, integrand_net
 
-# Frozen pipeline output, 1.1e-13 from mpmath; agreement with force_exact is re-asserted below.
-FORCE_FD_ETA_1 = 0.11450293526929017
+# Frozen pipeline output, 1.2e-13 from mpmath; agreement with force_exact is re-asserted below.
+FORCE_FD_ETA_1 = 0.11450293526928894
 # integrand_from_fd at kappa = 0.5, eta = 1 on the fd_setup grids, also frozen
-# (1.8e-12 and 2.9e-12 from mpmath)
-INTEGRAND_FD_ABOVE = -1.269378278501623
+# (1.3e-12 and 2.9e-12 from mpmath)
+INTEGRAND_FD_ABOVE = -1.2693782785010932
 INTEGRAND_FD_BELOW = -0.9281158727688991
 
 
@@ -165,12 +165,18 @@ class TestBandedSolver:
         assert g[200] < g[5000] < g[9000]
 
     def test_failed_factorization_is_typed(self, monkeypatch):
-        # the scaled band is positive definite, so only a LAPACK fault gives info != 0
-        def indefinite(d, e, b, **overwrite):
-            return d, e, b, 7
+        # the scaled band is positive definite, so only a LAPACK fault gives
+        # info != 0: dpttrf's for w = 1, dptsv's for the Green's function
+        def indefinite(*arrays, **overwrite):
+            return (*arrays, 7)
 
-        monkeypatch.setattr(oracle_ode, "_dptsv", lambda: indefinite)
-        with pytest.raises(OracleError, match="dptsv returned info=7"):
+        monkeypatch.setattr(oracle_ode, "_lapack", lambda name: indefinite)
+        grid = fd_setup(1.0, self.CFG, "above")
+        with pytest.raises(OracleError, match="LAPACK dpttrf returned info=7"):
+            integrand_from_fd(1.0, self.CFG, "above", grid)
+        with pytest.raises(OracleError, match="LAPACK dpttrf returned info=7"):
+            oracle_ode._net_fd(1.0, self.CFG)
+        with pytest.raises(OracleError, match="LAPACK dptsv returned info=7"):
             solve_bvp_above(1.0, self.CFG, 3.0, GridSpec(1.0, 9.0, 4001))
 
 
@@ -198,29 +204,58 @@ def numerov_dense(h, q, at, source, kink=-1, jump=0.0):
     return g
 
 
+def w1_solve(h, q, at, kink=-1, jump=0.0):
+    """w = 1 at node at of q (grid order) from _w1_ratios' running products, back in grid order."""
+    ratios = oracle_ode._w1_ratios(h, np.concatenate((q[:at], q[at:][::-1])), at, kink, jump)
+    w = np.ones(q.size)
+    if at:
+        w[:at] = np.multiply.accumulate(ratios[at - 1 :: -1])[::-1]
+    w[at + 1 :] = np.multiply.accumulate(ratios[at:][::-1])
+    return w
+
+
 class TestDenseWitness:
-    # _solve_tridiagonal_bvp against numpy.linalg.solve on the unscaled rows:
-    # at worst 9.1e-14 of the largest |g| (hi, with source), the pivoted
-    # dgtsv solve before it 4.1e-14; the smallest case reads 1.1e-14
+    # the band solves against numpy.linalg.solve on the unscaled rows: at
+    # worst 9.1e-14 of the largest |g| (hi, with source), the pivoted dgtsv
+    # solve before it 4.1e-14; the smallest case reads 1.1e-14
     CFG = PlateConfig.from_eta(1.0)
     # plate: grid bounds (1,001 nodes) and a source node; hi and mid hold x = 0 on a node
     CASES = {"lo": ((1.0, 9.0, 1001), 200), "hi": ((-7.0, 1.0, 1001), 900),
              "mid": ((-4.0, 6.0, 1001), 300)}
 
-    @pytest.mark.parametrize("with_source", [False, True], ids=["w", "G"])
-    @pytest.mark.parametrize("plate", list(CASES))
-    def test_band_solve_matches_the_dense_solve(self, plate, with_source):
+    def _case(self, plate):
         bounds, node = self.CASES[plate]
         grid = GridSpec(*bounds)
-        xs, q = oracle_ode._nodes(oracle_ode._common_checks(1.0, self.CFG)[1], self.CFG, grid)
+        q0 = oracle_ode._common_checks(1.0, self.CFG)[1]
+        xs, q = oracle_ode._nodes(q0, self.CFG, grid)
         kink = round(-grid.x_lo / grid.h) if grid.x_lo < 0.0 else -1
         assert kink < 0 or abs(xs[kink]) <= 1e-9  # the kink row is exercised
         at = {"lo": 0, "hi": grid.n - 1, "mid": (grid.n - 1) // 2}[plate]
-        source = node if with_source else None
+        return grid, q0, q, node, kink, at
+
+    @pytest.mark.parametrize("with_source", [False, True], ids=["w", "G"])
+    @pytest.mark.parametrize("plate", list(CASES))
+    def test_band_solve_matches_the_dense_solve(self, plate, with_source):
+        grid, _, q, node, kink, at = self._case(plate)
         jump = 2.0 * self.CFG.b
-        got = oracle_ode._solve_tridiagonal_bvp(grid.h, q, source, plate, kink, jump)
-        want = numerov_dense(grid.h, q, at, source, kink, jump)
+        if with_source:
+            got = oracle_ode._solve_tridiagonal_bvp(grid.h, q, at, kink, jump, node)
+        else:
+            got = w1_solve(grid.h, q, at, kink, jump)
+        want = numerov_dense(grid.h, q, at, node if with_source else None, kink, jump)
         assert max(abs(got - want)) <= 1e-12 * max(abs(want))
+
+    @pytest.mark.parametrize("plate", list(CASES))
+    def test_w1_ratios_match_the_dense_solve_on_every_node(self, plate):
+        # w = 1 from dpttrf's ratios alone, node by node: at worst 2.0e-13
+        # relative (lo; hi and mid 2.0e-13 and 1.4e-13, as with dptsv, whose
+        # substitution they share), where w falls to 3.2e-9 at the far end
+        grid, q0, q, _, kink, at = self._case(plate)
+        stored = oracle_ode._nodes(q0, self.CFG, grid, at)[1]
+        assert stored.tobytes() == np.concatenate((q[:at], q[at:][::-1])).tobytes()
+        got = w1_solve(grid.h, q, at, kink, 2.0 * self.CFG.b)
+        want = numerov_dense(grid.h, q, at, None, kink, 2.0 * self.CFG.b)
+        assert got[at] == 1.0 and max(abs(got - want) / want) <= 1e-11
 
     # flat background on [1, 17], h = 1/64: h^2 q = kappa^2/4096 at every node
     FLAT, EDGE = PlateConfig(a=1.0, b=0.0), GridSpec(1.0, 17.0, 1025)
@@ -230,9 +265,13 @@ class TestDenseWitness:
     def test_grid_just_under_the_numerov_bound_solves(self, source):
         # 9.3e-18 and 5.7e-18 of the largest |g| here
         kappa, q0 = oracle_ode._common_checks(self.UNDER, self.FLAT)
-        _, (xs, q) = oracle_ode._grid_values(kappa, q0, self.FLAT, self.EDGE, "lo")
+        oracle_ode._check_grid(kappa, q0, self.FLAT, self.EDGE, "lo")
+        xs, q = oracle_ode._nodes(q0, self.FLAT, self.EDGE)
         assert self.EDGE.h**2 * q[-1] < 12.0
-        got = oracle_ode._solve_tridiagonal_bvp(self.EDGE.h, q, source, "lo")
+        if source is None:
+            got = w1_solve(self.EDGE.h, q, 0)
+        else:
+            got = oracle_ode._solve_tridiagonal_bvp(self.EDGE.h, q, 0, -1, 0.0, source)
         want = numerov_dense(self.EDGE.h, q, 0, source)
         assert np.isfinite(got).all()
         assert max(abs(got - want)) <= 5e-16 * max(abs(want))
@@ -462,7 +501,7 @@ class TestForcePipeline:
         assert force_from_fd(1.0) == FORCE_FD_ETA_1
 
     @pytest.mark.parametrize("side, pinned", [("above", INTEGRAND_FD_ABOVE),
-                                              ("below", INTEGRAND_FD_BELOW)])
+                                              ("below", INTEGRAND_FD_BELOW)], ids=["above", "below"])
     def test_pinned_integrands(self, side, pinned):
         cfg = PlateConfig.from_eta(1.0)
         assert integrand_from_fd(0.5, cfg, side, fd_setup(0.5, cfg, side)) == pinned
@@ -610,27 +649,32 @@ class TestNetIntegral:
                 assert gap <= err <= 1e-8 * net, (eta, kappa)
 
     def test_integrand_is_nonnegative_on_every_node(self, monkeypatch):
-        band, seen = oracle_ode._solve_tridiagonal_bvp, []
+        # 2 b min(a, s) w_a w_b at s = 0 ... p h, w_a and w_b the running
+        # products of each side's ratios outward from the plate
+        factor, seen = oracle_ode._w1_ratios, []
 
-        def record(h, q, source, plate, kink=-1, jump=0.0):  # cfg: the sample's, from below
-            seen.append((cfg, h, band(h, q, source, plate, kink, jump)))
-            return seen[-1][2]
+        def record(h, q, at, kink=-1, jump=0.0):  # cfg: the sample's, from below
+            seen.append((cfg, h, at, factor(h, q, at, kink, jump)))
+            return seen[-1][3]
 
-        monkeypatch.setattr(oracle_ode, "_solve_tridiagonal_bvp", record)
+        monkeypatch.setattr(oracle_ode, "_w1_ratios", record)
         for eta in self.ETAS:
             cfg = PlateConfig.from_eta(eta)
             for kappa in self.KAPPAS:
                 oracle_ode._net_fd(kappa, cfg)
         assert len(seen) == 2 * len(self.ETAS) * len(self.KAPPAS)
-        for cfg, h, w in seen:
-            p = (w.size - 1) // 2
+        for cfg, h, p, ratios in seen:
+            assert ratios.size == 2 * p
+            w_b, w_a = (np.concatenate(([1.0], np.multiply.accumulate(side)))
+                        for side in (ratios[p - 1 :: -1], ratios[p:][::-1]))
             s = np.arange(p + 1) * h
-            assert (2.0 * cfg.b * np.minimum(cfg.a, s) * w[p:] * w[p::-1] >= 0.0).all()
+            assert (2.0 * cfg.b * np.minimum(cfg.a, s) * w_a * w_b >= 0.0).all()
 
     def test_a_sample_sets_up_once_for_both_grids(self, monkeypatch):
         # one kappa check (with the one b^{2/3}), one b^{1/3}, one GridSpec,
         # one node build and one closure margin per open end serve both
-        # grids; then come the two band solves
+        # grids; then each grid takes one LAPACK call, a factorization
+        # (dpttrf) with no solve (dptsv)
         calls = collections.Counter()
 
         def counting(name, fn):
@@ -639,22 +683,25 @@ class TestNetIntegral:
                 return fn(*args, **kwargs)
             return wrapper
 
-        for name in ("_common_checks", "_bcube", "GridSpec", "_nodes", "_closure_efolds",
-                     "_solve_tridiagonal_bvp"):
+        for name in ("_common_checks", "_bcube", "GridSpec", "_nodes", "_closure_efolds"):
             monkeypatch.setattr(oracle_ode, name, counting(name, getattr(oracle_ode, name)))
+        lapack = oracle_ode._lapack
+        monkeypatch.setattr(oracle_ode, "_lapack", lambda name: counting(name, lapack(name)))
         for eta in (1e-3, 1.0, 1e4):
             for kappa in (0.0, 1.0, 1e3):
                 calls.clear()
                 oracle_ode._net_fd(kappa, PlateConfig.from_eta(eta))
+                assert calls["dptsv"] == 0
                 assert calls == {"_common_checks": 1, "_bcube": 1, "GridSpec": 1, "_nodes": 1,
-                                 "_closure_efolds": 2, "_solve_tridiagonal_bvp": 2}, (eta, kappa)
+                                 "_closure_efolds": 2, "dpttrf": 2}, (eta, kappa)
 
     def test_coarse_grid_is_the_fine_grids_even_nodes(self, monkeypatch):
         # each sample forms its arrays once on the fine grid and solves the
         # coarse grid (m, p) on its every other entry: that grid, built as its
         # own GridSpec, has the fine grid's bounds and twice its spacing, its
-        # own nodes (np.linspace's), q and weights are bit for bit the fine
-        # grid's even entries, and so is its Simpson value
+        # own nodes (np.linspace's, each side from its far end), q and weights
+        # (at s = 2 h, 4 h, ...) are bit for bit the fine grid's, and so is
+        # its Simpson value
         simpson, seen = oracle_ode._net_simpson, []
 
         def record(cfg, scale, grid, values, step=1):
@@ -673,10 +720,13 @@ class TestNetIntegral:
                 grid = GridSpec(cfg.a - p * (cfg.a / m), cfg.a + p * (cfg.a / m), 2 * p + 1)
                 assert (fine_grid.x_lo, fine_grid.x_hi) == (grid.x_lo, grid.x_hi)
                 assert (fine_grid.n, fine_grid.h) == (2 * grid.n - 1, grid.h / 2.0)
-                own = oracle_ode._net_values(oracle_ode._common_checks(kappa, cfg)[1], cfg, grid)
-                assert own[0].tobytes() == np.linspace(grid.x_lo, grid.x_hi, grid.n).tobytes()
-                for mine, full in zip(own, fine):
-                    assert mine.tobytes() == full[::2].tobytes(), (eta, kappa)
+                q0 = oracle_ode._common_checks(kappa, cfg)[1]
+                own = oracle_ode._net_values(q0, cfg, grid)
+                xs = np.linspace(grid.x_lo, grid.x_hi, grid.n)
+                xs = np.concatenate((xs[: 2 * p], xs[2 * p :][::-1]))
+                assert oracle_ode._nodes(q0, cfg, grid, 2 * p)[0].tobytes() == xs.tobytes()
+                assert own[0].tobytes() == fine[0][::2].tobytes(), (eta, kappa)
+                assert own[1].tobytes() == fine[1][1::2].tobytes(), (eta, kappa)
                 assert simpson(cfg, scale, grid, own) == simpson(cfg, scale, fine_grid, fine, 2)
 
     def test_kink_row_makes_the_sample_fourth_order(self, monkeypatch):
@@ -692,16 +742,15 @@ class TestNetIntegral:
             return errs[0] / errs[1]
 
         assert ratio() >= 12.0
-        band = oracle_ode._solve_tridiagonal_bvp
-        monkeypatch.setattr(oracle_ode, "_solve_tridiagonal_bvp",
-                            lambda h, q, source, plate, kink, jump: band(h, q, source, plate))
+        factor = oracle_ode._w1_ratios
+        monkeypatch.setattr(oracle_ode, "_w1_ratios", lambda h, q, at, kink, jump: factor(h, q, at))
         assert ratio() < 5.0
 
     def test_two_sided_grid_must_center_on_the_plate(self):
         cfg = PlateConfig.from_eta(1.0)
         for grid in (GridSpec(0.0, 2.0, 2000), GridSpec(0.5, 2.0, 2001)):
             with pytest.raises(DomainError, match="grid must center at the plate"):
-                oracle_ode._grid_values(1.0, 1.0, cfg, grid, "mid")
+                oracle_ode._check_grid(1.0, 1.0, cfg, grid, "mid")
 
 
 def test_oracle_imports_no_airy_code():
