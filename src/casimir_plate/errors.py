@@ -3,7 +3,8 @@
 The checks are the scalar ones (as_real, check_real), PlateConfig, the
 checked plate geometry, and QuadratureSpec, force_exact's settings and the
 curve cache's key; they live here, free of numpy, so that none of their
-users imports another for them.
+users imports another for them.  So does _U, the package's one rounding
+unit.
 """
 
 import math
@@ -20,6 +21,11 @@ __all__ = [
     "as_real",
     "check_real",
 ]
+
+
+# u = 2^-52, the spacing of doubles at 1 (sys.float_info.epsilon; Higham's unit
+# roundoff is u/2): greens' and force_exact's rounding estimates are stated in it
+_U = 2.0**-52
 
 
 class CasimirError(Exception):

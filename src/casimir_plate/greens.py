@@ -50,7 +50,7 @@ import sys
 import numpy as np
 
 from .airy_engine import airy_scaled, zeta_gap
-from .errors import DomainError, PlateConfig, SingularityError, check_real
+from .errors import _U, DomainError, PlateConfig, SingularityError, check_real
 from .stress_kernel import integrand_below
 
 __all__ = [
@@ -141,7 +141,6 @@ def _airy_rows(kappa: float, cfg: PlateConfig, s: np.ndarray, x, xp):
 
 # the relative error the linear forms answer to (docs/numerics.md section 2)
 _G_REL_BOUND = 1e-8
-_U = 2.0**-53  # unit roundoff
 
 
 def _resolved(g: np.ndarray, near, lo, hi, kappa: float, cfg: PlateConfig, x, xp):
@@ -150,17 +149,17 @@ def _resolved(g: np.ndarray, near, lo, hi, kappa: float, cfg: PlateConfig, x, xp
     near is the point of the factor v that vanishes at the plate (x_< above,
     x_> below); Y_v and Y are the largest y at it (or at the plate) and at
     either point, d = |a - near|.  The estimate (docs/numerics.md section 2)
-    is u [(16 + 3 Y_v) a/(w d) + 6 Y^{3/2}]: v's cancellation and the rounding
-    of y in v, then that rounding in the exponent, which counts only for
-    x != x' and g != 0.  An exact zero at the plate (d = 0) has no error.
+    is u [(8 + 1.5 Y_v) a/(w d) + 3 Y^{3/2}], u = errors._U: v's cancellation
+    and the rounding of y in v, then that rounding in the exponent, which
+    counts only for x != x' and g != 0.  An exact zero at the plate (d = 0) has no error.
     """
     w, z1, a = cfg.eta ** (1.0 / 3.0), kappa * kappa, cfg.a
     y_v = z1 + w * np.maximum(1.0, np.abs(near) / a)
     y_max = z1 + w * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)) / a)
     d = np.abs(a - near)
     with np.errstate(divide="ignore"):  # d = 0, or w d below the float range
-        err = _U * ((16.0 + 3.0 * y_v) * a / (w * d)
-                    + 6.0 * y_max * np.sqrt(y_max) * ((lo != hi) & (g != 0.0)))
+        err = _U * ((8.0 + 1.5 * y_v) * a / (w * d)
+                    + 3.0 * y_max * np.sqrt(y_max) * ((lo != hi) & (g != 0.0)))
     err = np.where(d > 0.0, err, 0.0)
     if not (err <= _G_REL_BOUND).all():
         raise DomainError(f"points x = {x!r}, x' = {xp!r} at kappa = {kappa!r}, eta = {cfg.eta!r}: "

@@ -158,11 +158,11 @@ def _common_checks(kappa: float, cfg: PlateConfig) -> tuple[float, float]:
     return kappa, (cfg.b ** (2.0 / 3.0) if cfg.b > 0.0 else 1.0) * kappa * kappa
 
 
-def _plate_side(side: str) -> str:
-    """The grid edge at the plate, 'lo' or 'hi', for 'above' or 'below'."""
+def _above(side: str) -> bool:
+    """Whether side is 'above', the plate at the grid's start; 'below' puts it at the end."""
     if side not in ("above", "below"):
         raise DomainError(f"side must be 'above' or 'below', got {side!r}")
-    return "lo" if side == "above" else "hi"
+    return side == "above"
 
 
 def _nodes(q0: float, cfg: PlateConfig, grid: GridSpec, at: int = -1) -> tuple:
@@ -216,34 +216,33 @@ def _source_index(xp: float, grid: GridSpec) -> int:
 _W1 = object()  # no source: w = 1 at the plate
 
 
-def _check_grid(kappa: float, q0: float, cfg: PlateConfig, grid: GridSpec, plate: str,
-                xp: object = _W1, step: int = 1) -> Optional[int]:
+def _check_grid(kappa: float, q0: float, cfg: PlateConfig, grid: GridSpec, at: int, h: float,
+                xp: object = _W1) -> Optional[int]:
     """Every check of a band's grid, in order; the source node, None without a source.
 
-    The plate on the first, last or middle node (plate 'lo', 'hi', 'mid'),
-    the source xp, if any, inside (_source_index), h^2 q < 12 at both ends
-    at the spacing step h, and >= 8 e-folds (_closure_efolds) to each open
-    end, with q at the ends as _nodes forms it.  _net_fd passes step 2: the
-    coarse grid's checks hold for both, which share their ends.
+    The plate on node at, the first, last or middle one (an even n has
+    none), the source xp, if any, inside (_source_index), h^2 q < 12 at
+    both ends at the spacing h, and >= 8 e-folds (_closure_efolds) to each
+    open end, with q at the ends as _nodes forms it.  _net_fd passes 2
+    grid.h: the coarse grid's checks hold for both, which share their ends.
     """
-    if plate == "mid":
-        verb = "center"
-        at = grid.x_lo + (grid.n - 1) // 2 * grid.h if grid.n % 2 else math.nan
+    if at == 0 or at == grid.n - 1:
+        verb, x_at = ("start", grid.x_lo) if at == 0 else ("end", grid.x_hi)
     else:
-        verb, at = ("start", grid.x_lo) if plate == "lo" else ("end", grid.x_hi)
-    if not abs(at - cfg.a) <= 1e-12 * max(1.0, abs(cfg.a)):
+        verb, x_at = "center", grid.x_lo + at * grid.h if 2 * at == grid.n - 1 else math.nan
+    if not abs(x_at - cfg.a) <= 1e-12 * max(1.0, abs(cfg.a)):
         raise DomainError(f"grid must {verb} at the plate x = {cfg.a!r}")
     node = None if xp is _W1 else _source_index(xp, grid)
     # Numerov's weights c = 1 - h^2 q/12 must stay positive for the scaled band to
     # be positive definite; q = b^{2/3} kappa^2 + b |x| peaks at an end of the
     # grid, so two products stand in for a pass over the band
-    h, q_lo, q_hi = step * grid.h, abs(grid.x_lo) * cfg.b + q0, abs(grid.x_hi) * cfg.b + q0
+    q_lo, q_hi = abs(grid.x_lo) * cfg.b + q0, abs(grid.x_hi) * cfg.b + q0
     hq_lo, hq_hi = h * h * q_lo, h * h * q_hi
     if not (hq_lo < 12.0 and hq_hi < 12.0):  # NaN fails too
         raise DomainError(f"kappa={kappa!r} breaks the Numerov bound h^2 q < 12: h^2 q reaches "
                           f"{max(hq_lo, hq_hi):.3e} at an end of the grid (h = {h:.3e})")
-    for x_end, q_end, end in ((grid.x_lo, q_lo, "lo"), (grid.x_hi, q_hi, "hi")):
-        if end == plate:
+    for x_end, q_end, end in ((grid.x_lo, q_lo, 0), (grid.x_hi, q_hi, grid.n - 1)):
+        if end == at:
             continue
         margin = _closure_efolds(q0, cfg, x_end, q_end)
         if not margin >= 8.0:  # NaN fails too
@@ -269,9 +268,8 @@ def _solve(kappa: float, cfg: PlateConfig, side: str, grid: GridSpec,
     (_w1_ratios) on the nodes from the open end to the plate.
     """
     kappa, q0 = _common_checks(kappa, cfg)
-    plate = _plate_side(side)
-    node = _check_grid(kappa, q0, cfg, grid, plate, xp)
-    at = 0 if plate == "lo" else grid.n - 1
+    at = 0 if _above(side) else grid.n - 1
+    node = _check_grid(kappa, q0, cfg, grid, at, grid.h, xp)
     xs, q = _nodes(q0, cfg, grid, at if node is None else -1)
     args = (grid.h, q, at, _kink(grid, grid.h), 2.0 * cfg.b)
     return xs, _w1_ratios(*args) if node is None else _solve_tridiagonal_bvp(*args, node)
@@ -365,11 +363,11 @@ def fd_setup(kappa: float, cfg: PlateConfig, side: str) -> GridSpec:
     _reach refuses a kappa whose grid would collapse onto the plate.
     """
     kappa, q0 = _common_checks(kappa, cfg)
-    plate = _plate_side(side)
+    above = _above(side)
     reach = _reach(kappa, q0, cfg, side)
     h = cfg.a / max(16, math.ceil(_DENSITY * cfg.a * math.sqrt(q0 + cfg.b * cfg.a)))
     n = max(math.ceil(reach / h) + 1, 1000)
-    lo, hi = (cfg.a, cfg.a + (n - 1) * h) if plate == "lo" else (cfg.a - (n - 1) * h, cfg.a)
+    lo, hi = (cfg.a, cfg.a + (n - 1) * h) if above else (cfg.a - (n - 1) * h, cfg.a)
     return _grid(kappa, cfg, lo, hi, n)
 
 
@@ -425,7 +423,7 @@ def _net_fd(kappa: float, cfg: PlateConfig) -> tuple[float, float]:
     n = 2 * p + 1  # the coarse grid's p cells of a/m a side
     grid = _grid(kappa, cfg, cfg.a - p * (cfg.a / m), cfg.a + p * (cfg.a / m),
                  2 * n - 1 if n <= _MAX_NODES else n)
-    _check_grid(kappa, q0, cfg, grid, "mid", step=2)
+    _check_grid(kappa, q0, cfg, grid, grid.n // 2, 2.0 * grid.h)
     values = _net_values(q0, cfg, grid)
     scale = 2.0 * cfg.b / _bcube(cfg)
     s_m, s_2m = _net_simpson(cfg, scale, grid, values, 2), _net_simpson(cfg, scale, grid, values)

@@ -46,8 +46,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .airy_engine import Z_SWITCH, _net_terms
-from .errors import DomainError, QuadratureSpec, SingularityError, ToleranceError, check_real
-from .quadrature import _U, integrate_semi_infinite
+from .errors import _U, DomainError, QuadratureSpec, SingularityError, ToleranceError, check_real
+from .quadrature import _U as _EXP_SINH_NODES, integrate_semi_infinite
 
 __all__ = [
     "ForceResult",
@@ -66,7 +66,7 @@ __all__ = [
 # eps <= kappa^2 (eta up to _ETA_MAX); a scale k0 up to _K0_MAX keeps the farthest node there
 _ETA_MAX = sys.float_info.max / 8.0
 _KAPPA_MAX = _ETA_MAX ** (1.0 / 6.0)
-_K0_MAX = _KAPPA_MAX / _U[-1].item()
+_K0_MAX = _KAPPA_MAX / _EXP_SINH_NODES[-1].item()
 
 
 @dataclass(frozen=True)
@@ -169,8 +169,8 @@ def tail_mismatch(kappa_max: float, eta: float) -> tuple[bool, float]:
     return delta < 0.01, delta
 
 
-# Relative rounding error of the integrated kernel, in units of the double
-# epsilon u, calibrated against mpmath (docs/numerics.md section 3):
+# Relative rounding error of the integrated kernel, in units of u = 2^-52
+# (errors._U), calibrated against mpmath (docs/numerics.md section 3):
 # _ROUND_LIB u while the Taylor table serves some z2 < Z_SWITCH (at most
 # 72 u measured, 59 u beyond the quadrature's estimate), plus _ROUND_EPS u
 # divided by min(1, eps), eps = eta^{1/3}, from the cancellation between
@@ -226,8 +226,7 @@ def force_exact(eta: float, spec: QuadratureSpec = QuadratureSpec()) -> ForceRes
         return k0 * _net_above(k0 * u, eps)[0]
 
     lib = _ROUND_LIB if eps < Z_SWITCH else 0.0
-    rounding = sys.float_info.epsilon * max(lib + _ROUND_EPS / min(1.0, eps),
-                                            _ROUND_POW * abs(math.log(eta)))
+    rounding = _U * max(lib + _ROUND_EPS / min(1.0, eps), _ROUND_POW * abs(math.log(eta)))
     # the quadrature gets what the rounding term leaves of rel_tol; when
     # nothing is left, no integral can meet it
     budget = spec.rel_tol - rounding

@@ -168,12 +168,6 @@ def _derivative_jump_minus_one() -> float:
     return max(abs(_jump_at(g, xp, 1e-3) + 1.0) for g, xp in cases)
 
 
-def _symmetry_swap_args() -> float:
-    cases = [(gr.greens_linear_above, x, y) for x, y in ((1.2, 1.7), (1.05, 2.4))]
-    cases += [(gr.greens_linear_below, x, y) for x, y in ((-0.4, 0.6), (0.2, 0.9), (-1.1, -0.2))]
-    return max(_rel(g(x, y, 0.8, _CFG1), g(y, x, 0.8, _CFG1)) for g, x, y in cases)
-
-
 def _decay_away_from_plate() -> int:
     ts = np.array([0.1, 0.5, 1.0, 2.0, 4.0])
     above = gr.greens_linear_above(1.3 + ts, 1.25, 0.8, _CFG1)
@@ -206,10 +200,6 @@ def _fd_oracle_spots() -> float:
         k = j if away > 0.0 else grid.n - 1 - j
         worst = max(worst, *map(_rel, g[k], greens(xs[k], xp, 1.0, _CFG1)))
     return worst
-
-
-def _flat_limit_net_zero() -> float:
-    return max(abs(sk.integrand_net(k, 0.0)) for k in (0.0, 0.1, 1.0, 5.0, 20.0))
 
 
 def _kappa_zero_identity() -> float:
@@ -290,8 +280,10 @@ def _fd_net_at_kernel_crossovers() -> float:
                for kap, eta in cases)
 
 
-def _force_eta1_positive() -> int:
-    return int(not sk.force_exact(1.0).f_eta > 0.0)
+def _force_two_routes() -> float:
+    # f(eta) end to end by the Airy-free FD route against force_exact, on the
+    # gap itself: FD's err_est (about 3e-9 f) would hide a 1e-10 fault
+    return max(_rel(oo.force_from_fd(eta), sk.force_exact(eta).f_eta) for eta in (0.03, 1.0, 1e6))
 
 
 _COUNT = "number of violations"
@@ -310,11 +302,9 @@ CHECKS = (
     Check("airy", "scaled_values_finite_to_1e4", _scaled_values_finite_to_1e4, 0, _COUNT),
     Check("greens", "dirichlet_zeros", _dirichlet_zeros, 0.0),
     Check("greens", "derivative_jump_minus_one", _derivative_jump_minus_one, 1e-6),  # 1.7e-7
-    Check("greens", "symmetry_swap_args", _symmetry_swap_args, 1e-12),  # 0
     Check("greens", "decay_away_from_plate", _decay_away_from_plate, 0, _COUNT),
     Check("greens", "flat_limit_reduction", _flat_limit_reduction, 1e-4),  # 1.5e-6
     Check("greens", "fd_oracle_spots", _fd_oracle_spots, 1e-9),  # 7.4e-11 above, 4.3e-11 below
-    Check("stress", "flat_limit_net_zero", _flat_limit_net_zero, 0.0),
     Check("stress", "kappa_zero_identity", _kappa_zero_identity, 1e-12),  # 0
     Check("stress", "large_kappa_expansions", _large_kappa_expansions, 1e-3),  # 1.5e-4
     Check("stress", "net_positive_grid", _net_positive_grid, 0, _COUNT),
@@ -326,8 +316,7 @@ CHECKS = (
     Check("stress", "stress_sides_from_fd", _stress_sides_from_fd, 1e-9),  # 3.4e-11
     Check("stress", "fd_net_at_kernel_crossovers", _fd_net_at_kernel_crossovers,
           1e-11),  # 1.2e-12
-    Check("stress", "force_eta1_positive", _force_eta1_positive, 0,
-          "number of violations; the value itself is pinned in the test suite"),
+    Check("stress", "force_two_routes", _force_two_routes, 5e-11),  # 9.8e-13 at eta = 1e6
 )
 
 

@@ -276,13 +276,13 @@ class TestImportFootprint:
     ])
 
     @staticmethod
-    def fresh_stdout(code, *args):
+    def fresh_stdout(code, *args, flags=()):
         """stdout of code run with args in a fresh interpreter that imports this package."""
         pkg_root = str(Path(cli.__file__).resolve().parents[1])
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [pkg_root, env.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
-                              env=env)
+        proc = subprocess.run([sys.executable, *flags, "-c", code, *args], capture_output=True,
+                              text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         return proc.stdout.strip()
 
@@ -343,6 +343,37 @@ class TestImportFootprint:
             "print(casimir_plate.airy_engine._trajectories.cache_info().currsize)"
         )
         assert self.fresh_stdout(code) == "0"
+
+    # the test extras made unimportable by a meta-path finder, then each
+    # command, one string argument, run in turn and the exit codes printed
+    RUN_WITHOUT_EXTRAS = "\n".join([
+        "import contextlib, io, sys",
+        "extras = ('mpmath', 'jsonschema', 'hypothesis', 'pytest')",
+        "class Blocked:",
+        "    def find_spec(self, name, path=None, target=None):",
+        "        if name.partition('.')[0] in extras:",
+        "            raise ModuleNotFoundError(f'{name} is blocked', name=name)",
+        "sys.meta_path.insert(0, Blocked())",
+        "assert not any(m.partition('.')[0] in extras for m in sys.modules)",
+        "import casimir_plate.cli",
+        "rcs = []",
+        "for argv in sys.argv[1:]:",
+        "    with contextlib.redirect_stdout(io.StringIO()):",
+        "        rcs.append(casimir_plate.cli.main(argv.split()))",
+        "print(rcs)",
+    ])
+
+    def test_commands_run_without_the_test_extras(self, tmp_path):
+        # one interpreter under -W error: no command needs mpmath, jsonschema,
+        # hypothesis or pytest at run time
+        commands = [
+            "exact --eta 1 --json", "classic --a 1", "perturb --a 1 --b 1 --k-min 1e-2",
+            f"curve --eta-min 0.5 --eta-max 2 --points 3 --out {tmp_path}/c.csv "
+            f"--cache {tmp_path}/cache.json",
+            f"plot --input {tmp_path}/c.csv --output {tmp_path}/c.svg", "verify --suite all --json",
+        ]
+        rcs = self.fresh_stdout(self.RUN_WITHOUT_EXTRAS, *commands, flags=("-W", "error"))
+        assert rcs == str([0] * len(commands))
 
 
 class TestPerturb:

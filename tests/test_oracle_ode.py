@@ -24,9 +24,11 @@ from casimir_plate.oracle_ode import (
     solve_bvp_full,
 )
 from casimir_plate.stress_kernel import force_exact, integrand_above, integrand_below, integrand_net
+from test_golden import FORCE_FD
 
-# Frozen pipeline output, 1.2e-13 from mpmath; agreement with force_exact is re-asserted below.
-FORCE_FD_ETA_1 = 0.11450293526928894
+# Frozen pipeline output, pinned once in test_golden, 1.2e-13 from mpmath; agreement
+# with force_exact is re-asserted below.
+FORCE_FD_ETA_1 = float.fromhex(FORCE_FD[1.0][0])
 # integrand_from_fd at kappa = 0.5, eta = 1 on the fd_setup grids, also frozen
 # (1.3e-12 and 2.9e-12 from mpmath)
 INTEGRAND_FD_ABOVE = -1.2693782785010932
@@ -265,7 +267,7 @@ class TestDenseWitness:
     def test_grid_just_under_the_numerov_bound_solves(self, source):
         # 9.3e-18 and 5.7e-18 of the largest |g| here
         kappa, q0 = oracle_ode._common_checks(self.UNDER, self.FLAT)
-        oracle_ode._check_grid(kappa, q0, self.FLAT, self.EDGE, "lo")
+        oracle_ode._check_grid(kappa, q0, self.FLAT, self.EDGE, 0, self.EDGE.h)
         xs, q = oracle_ode._nodes(q0, self.FLAT, self.EDGE)
         assert self.EDGE.h**2 * q[-1] < 12.0
         if source is None:
@@ -748,9 +750,11 @@ class TestNetIntegral:
 
     def test_two_sided_grid_must_center_on_the_plate(self):
         cfg = PlateConfig.from_eta(1.0)
-        for grid in (GridSpec(0.0, 2.0, 2000), GridSpec(0.5, 2.0, 2001)):
+        # an even n has no middle node, though node n/2 of the last grid sits on the plate
+        for grid in (GridSpec(0.0, 2.0, 2000), GridSpec(0.5, 2.0, 2001),
+                     GridSpec(0.0, 1.999, 2000)):
             with pytest.raises(DomainError, match="grid must center at the plate"):
-                oracle_ode._check_grid(1.0, 1.0, cfg, grid, "mid")
+                oracle_ode._check_grid(1.0, 1.0, cfg, grid, grid.n // 2, grid.h)
 
 
 def test_oracle_imports_no_airy_code():

@@ -1,9 +1,10 @@
 """The package's public names: each resolves, to the object its defining module binds.
 
-And every module reads each name it imports.
+And every module reads each name it imports, and takes the rounding unit from errors.
 """
 
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -65,3 +66,20 @@ def test_unused_imports_finds_a_planted_name():
 def test_module_uses_every_name_it_imports(path):
     # the package __init__ re-exports by import and is not scanned; the test files are
     assert unused_imports(path.read_text()) == []
+
+
+# the rounding unit spelled out: the double epsilon, or 2^-52 or 2^-53 as a power
+_UNIT = re.compile(r"float_info\.epsilon|2(\.0)?\*\*-5[23]\b")
+
+
+def test_unit_pattern_finds_each_spelling():
+    spellings = ("sys.float_info.epsilon", "2**-53", "2.0 ** -53", "2.0**-52")
+    assert all(_UNIT.search(s.replace(" ", "")) for s in spellings)
+    assert not _UNIT.search("2.0**-530")
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_only_errors_spells_the_rounding_unit(path):
+    # u = errors._U is the one unit every rounding bound is stated in
+    found = _UNIT.search(path.read_text().replace(" ", ""))
+    assert (found is not None) == (path.name == "errors.py"), found

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from casimir_plate import airy_engine, greens, stress_kernel, verify
+from casimir_plate import airy_engine, greens, oracle_ode, stress_kernel, verify
 from casimir_plate.errors import DomainError
 
 
@@ -90,6 +90,23 @@ def test_crossover_row_catches_a_net_5e11_off(monkeypatch):
                         lambda k, eta: true(k, eta) * (1.0 + 5e-11))
     r = _row("fd_net_at_kernel_crossovers")
     assert not r.passed and r.measured == pytest.approx(5e-11, rel=0.05)
+
+
+@pytest.mark.parametrize("module, name", [(stress_kernel, "_net_above"), (oracle_ode, "_net_fd")],
+                         ids=["closed_form", "fd"])
+def test_two_routes_row_catches_a_net_1e10_off(monkeypatch, module, name):
+    # either route's net integrand 1e-10 off moves its force by as much,
+    # against routes 9.8e-13 apart, and takes the row over its 5e-11 bound
+    assert _row("force_two_routes").passed
+    true = getattr(module, name)
+
+    def spoiled(*args):
+        net, other = true(*args)
+        return net * (1.0 + 1e-10), other
+
+    monkeypatch.setattr(module, name, spoiled)
+    r = _row("force_two_routes")
+    assert not r.passed and r.measured == pytest.approx(1e-10, rel=0.05)
 
 
 def test_library_row_catches_a_spoiled_evaluator(monkeypatch):
